@@ -1,9 +1,8 @@
 """Shared helpers for the benchmark harness.
 
 Every benchmark regenerates one table or figure of the paper's evaluation
-section (see DESIGN.md section 2 for the experiment index).  Results are
-printed as aligned tables and also dumped as JSON under
-``benchmarks/results/`` so EXPERIMENTS.md can reference exact numbers.
+section (``benchmarks/README.md`` has the index).  Results are printed as
+aligned tables and also dumped as JSON under ``benchmarks/results/``.
 """
 
 from __future__ import annotations

@@ -6,10 +6,10 @@ batches of arbitrary size; this way, we achieve greater network efficiency."
 Two cooperating mechanisms implement that sentence here:
 
 1. **Message envelopes** (:class:`ConsensusBatcher` / :class:`BatchEnvelope`).
-   Vote Set Consensus generates many small messages between the same pairs of
-   nodes; the batcher buffers per-destination traffic and flushes it as one
-   envelope per peer, cutting the number of network messages without touching
-   protocol logic.
+   Vote Set Consensus generates many small messages, and a node sends every
+   one of them to all of its peers; the batcher buffers them and flushes them
+   as one envelope broadcast to every peer, cutting the number of network
+   messages without touching protocol logic.
 
 2. **Superblocks** (:class:`SuperblockConsensus`).  Instead of one binary
    consensus instance per ballot, ballots are grouped into fixed superblocks
@@ -85,52 +85,49 @@ class BatchEnvelope:
 
 
 class ConsensusBatcher:
-    """Buffers per-destination consensus messages into envelopes.
+    """Buffers a node's consensus broadcasts into envelopes.
 
-    ``send`` is the underlying point-to-point send callable
-    (``send(destination, envelope)``).  ``max_batch`` bounds the number of
-    messages per envelope; ``flush`` drains everything regardless of size.
+    Every consensus message goes to the same ``fanout`` peers, so one queue
+    serves them all.  ``broadcast`` is the underlying callable
+    (``broadcast(envelope)``) that sends one envelope to every peer.
+    ``max_batch`` bounds the number of messages per envelope; ``flush`` drains
+    everything regardless of size.  The counters count per destination: one
+    flush of ``k`` messages adds ``fanout`` envelopes and ``k * fanout``
+    messages.
     """
 
-    def __init__(self, send: Callable[[str, BatchEnvelope], None], max_batch: int = 4096):
+    def __init__(
+        self, fanout: int, broadcast: Callable[[BatchEnvelope], None], max_batch: int = 4096
+    ):
         if max_batch < 1:
             raise ValueError("max_batch must be positive")
-        self._send = send
+        self.fanout = fanout
+        self._broadcast = broadcast
         self.max_batch = max_batch
-        self._pending: Dict[str, List[ConsensusMessage]] = {}
+        self._pending: List[ConsensusMessage] = []
         self.envelopes_sent = 0
         self.messages_sent = 0
 
-    def enqueue(self, destination: str, message: ConsensusMessage) -> None:
-        """Queue one consensus message for ``destination``."""
-        queue = self._pending.setdefault(destination, [])
-        queue.append(message)
-        if len(queue) >= self.max_batch:
-            self._flush_destination(destination)
-
-    def enqueue_broadcast(self, destinations: List[str], message: ConsensusMessage) -> None:
-        """Queue the same message for many destinations."""
-        for destination in destinations:
-            self.enqueue(destination, message)
+    def enqueue(self, message: ConsensusMessage) -> None:
+        """Queue one consensus message for every peer."""
+        self._pending.append(message)
+        if len(self._pending) >= self.max_batch:
+            self.flush()
 
     def flush(self) -> None:
-        """Send every pending envelope."""
-        for destination in list(self._pending):
-            self._flush_destination(destination)
-
-    def _flush_destination(self, destination: str) -> None:
-        queue = self._pending.pop(destination, [])
-        if not queue:
+        """Broadcast the pending messages as one envelope."""
+        if not self._pending:
             return
-        envelope = BatchEnvelope(tuple(queue))
-        self.envelopes_sent += 1
-        self.messages_sent += len(queue)
-        self._send(destination, envelope)
+        envelope = BatchEnvelope(tuple(self._pending))
+        self._pending = []
+        self.envelopes_sent += self.fanout
+        self.messages_sent += len(envelope) * self.fanout
+        self._broadcast(envelope)
 
     @property
     def pending_count(self) -> int:
-        """Total number of queued (not yet flushed) messages."""
-        return sum(len(queue) for queue in self._pending.values())
+        """Number of queued (not yet flushed) messages."""
+        return len(self._pending)
 
     @staticmethod
     def unpack(envelope: BatchEnvelope) -> Tuple[ConsensusMessage, ...]:

@@ -220,9 +220,8 @@ class VoteCollectorNode(SimNode):
                 for serial in block:
                     self._serial_to_block[serial] = block_id
             self._batcher = ConsensusBatcher(
-                lambda destination, envelope: self.send(
-                    destination, VscBatch(envelope, self.node_id)
-                )
+                len(self.peers),
+                lambda envelope: self.broadcast(self.peers, VscBatch(envelope, self.node_id)),
             )
 
         # Voting-phase admission pipeline (see repro.core.admission).  The
@@ -404,7 +403,8 @@ class VoteCollectorNode(SimNode):
         if self._endorse_batcher is not None:
             self._endorse_batcher.add(endorsement)
             return
-        if not self._verify_endorsement(endorsement):
+        message = endorsement_message(endorsement.serial, endorsement.vote_code)
+        if not self._verify_endorsement(endorsement, message):
             return
         self._accept_endorsement(endorsement)
 
@@ -492,15 +492,12 @@ class VoteCollectorNode(SimNode):
 
     # ------------------------------------------------------------------ signature helpers
 
-    def _verify_endorsement(self, endorsement: Endorsement) -> bool:
+    def _verify_endorsement(self, endorsement: Endorsement, message: bytes) -> bool:
+        """Check the signer's signature on ``message`` (the endorsed bytes)."""
         public = self.init.vc_public_keys.get(endorsement.signer)
         if public is None:
             return False
-        return self.signature_scheme.verify(
-            public,
-            endorsement_message(endorsement.serial, endorsement.vote_code),
-            endorsement.signature,
-        )
+        return self.signature_scheme.verify(public, message, endorsement.signature)
 
     def verify_ucert(self, ucert: Optional[UniquenessCertificate]) -> bool:
         """Check a uniqueness certificate: Nv - fv valid signatures from distinct nodes.
@@ -529,16 +526,19 @@ class VoteCollectorNode(SimNode):
             for e in ucert.endorsements
             if e.serial == ucert.serial and e.vote_code == ucert.vote_code
         ]
+        # Every consistent endorsement signs the certificate's own
+        # (serial, vote code), so the signed bytes are built once.
+        message = endorsement_message(ucert.serial, ucert.vote_code)
         if self._batch_verifier is not None:
             signers = batch_verify_signers(
                 self._batch_verifier,
                 consistent,
                 self.init.vc_public_keys.get,
-                lambda e: endorsement_message(e.serial, e.vote_code),
+                lambda e: message,
             )
         else:
             signers = {
-                e.signer for e in consistent if self._verify_endorsement(e)
+                e.signer for e in consistent if self._verify_endorsement(e, message)
             }
         verdict = len(signers) >= self.quorum
         self._ucert_cache[key] = verdict
@@ -606,12 +606,12 @@ class VoteCollectorNode(SimNode):
     def _vsc_broadcast(self, message: ConsensusMessage) -> None:
         """Send a consensus message to every VC node, batched when enabled."""
         if self._batcher is not None:
-            self._batcher.enqueue_broadcast(self.peers, message)
+            self._batcher.enqueue(message)
         else:
             self.broadcast(self.peers, VscEnvelope(message, self.node_id))
 
     def _flush_vsc(self) -> None:
-        """Flush buffered consensus traffic as one envelope per destination."""
+        """Flush buffered consensus traffic as one envelope broadcast to every peer."""
         if self._batcher is not None:
             self._batcher.flush()
             self.vsc_stats.envelopes_sent = self._batcher.envelopes_sent

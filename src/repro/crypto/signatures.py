@@ -30,11 +30,12 @@ class SchnorrSignature:
     """A Schnorr signature ``(challenge, response)``.
 
     ``commitment`` carries the nonce commitment ``R = g^k`` the challenge was
-    derived from.  It is redundant (verification recomputes it) and excluded
-    from the wire format, but keeping it lets
-    :mod:`repro.crypto.batch_verify` check ``g^s == R * X^c`` for many
-    signatures with one multi-exponentiation instead of recomputing every
-    ``R`` individually.
+    derived from.  It is redundant for single verification (which recomputes
+    it), but it is part of the wire format -- an optional field of the framed
+    signature, one serialized group element -- because the *receiver's*
+    :mod:`repro.crypto.batch_verify` needs it to check ``g^s == R * X^c`` for
+    many signatures with one multi-exponentiation instead of recomputing
+    every ``R`` individually.
     """
 
     challenge: int

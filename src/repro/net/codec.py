@@ -29,10 +29,19 @@ unknown tags, truncated frames, length mismatches, non-minimal integer
 encodings, trailing garbage and checksum failures all raise
 :class:`WireFormatError`, so a corrupted frame can never silently turn into a
 different message.
+
+Repeated sub-objects are decoded once.  The same uniqueness certificate rides
+on every VOTE_P and ANNOUNCE of its ballot and a broadcast frame reaches every
+collector, so each :class:`MessageCodec` keeps a bounded table from ``(tag,
+body bytes)`` to the object those bytes strictly decoded to (see
+:meth:`MessageCodec.decode_embedded`).  Magic, version, CRC and trailing-byte
+checks still run on every frame; only the re-parsing of a body this codec has
+already parsed, byte for byte, is skipped.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import zlib
 from typing import Any, Callable, Dict, Optional, Tuple, Type
 
@@ -74,6 +83,15 @@ FRAME_HEADER_LEN = 9
 FRAME_TRAILER_LEN = 4
 #: fixed framing cost of one top-level message
 FRAME_OVERHEAD = FRAME_HEADER_LEN + FRAME_TRAILER_LEN
+_FRAME_PREFIX = MAGIC + bytes([VERSION])
+
+#: entries a codec's intern table may hold (oldest evicted first)
+INTERN_TABLE_MAX = 4096
+#: embedded bodies outside this size range are not interned: re-parsing a
+#: smaller one costs less than hashing it, and a larger one (a state snapshot)
+#: would pin its bytes in the table for little chance of a repeat
+INTERN_MIN_BODY = 64
+INTERN_MAX_BODY = 8192
 
 
 class WireFormatError(ValueError):
@@ -112,10 +130,9 @@ def _w_vint(out: bytearray, value: int) -> None:
     """Arbitrary-precision signed integer: sign byte + minimal magnitude."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise WireFormatError(f"expected an int, got {type(value).__name__}")
-    sign = 1 if value < 0 else 0
     magnitude = abs(value)
     data = magnitude.to_bytes((magnitude.bit_length() + 7) // 8, "big")
-    _w_u8(out, sign)
+    out += b"\x01" if value < 0 else b"\x00"
     _w_vbytes(out, data)
 
 
@@ -136,17 +153,42 @@ class _Reader:
         self.pos += n
         return chunk
 
+    # The fixed-width readers below repeat take()'s bounds check inline: they
+    # run ~40 times per decoded message, and the extra call was a quarter of
+    # decode time.
+
     def u8(self) -> int:
-        return self.take(1)[0]
+        pos = self.pos
+        if pos >= self.end:
+            raise WireFormatError("truncated frame")
+        self.pos = pos + 1
+        return self.data[pos]
 
     def u16(self) -> int:
-        return int.from_bytes(self.take(2), "big")
+        pos = self.pos
+        end = pos + 2
+        if end > self.end:
+            raise WireFormatError("truncated frame")
+        self.pos = end
+        return int.from_bytes(self.data[pos:end], "big")
 
     def u32(self) -> int:
-        return int.from_bytes(self.take(4), "big")
+        pos = self.pos
+        end = pos + 4
+        if end > self.end:
+            raise WireFormatError("truncated frame")
+        self.pos = end
+        return int.from_bytes(self.data[pos:end], "big")
 
     def vbytes(self) -> bytes:
-        return self.take(self.u32())
+        start = self.pos + 4
+        if start > self.end:
+            raise WireFormatError("truncated frame")
+        end = start + int.from_bytes(self.data[self.pos:start], "big")
+        if end > self.end:
+            raise WireFormatError("truncated frame")
+        self.pos = end
+        return self.data[start:end]
 
     def vstr(self) -> str:
         try:
@@ -174,6 +216,13 @@ Encoder = Callable[["MessageCodec", Any, bytearray], None]
 Decoder = Callable[["MessageCodec", _Reader], Any]
 
 
+def _remember(table: Dict[Any, Any], key: Any, value: Any) -> None:
+    """Insert into an intern table, evicting the oldest entry at the bound."""
+    if len(table) >= INTERN_TABLE_MAX:
+        del table[next(iter(table))]
+    table[key] = value
+
+
 class MessageCodec:
     """Registry-driven encoder/decoder for every protocol payload.
 
@@ -181,24 +230,42 @@ class MessageCodec:
     commitment a Schnorr signature optionally carries); when omitted, the
     backend is inferred from the element's self-describing serialization
     prefix (``b"S"`` Schnorr, ``b"E"`` secp256k1).
+
+    Each instance owns a bounded intern table (``INTERN_TABLE_MAX`` entries,
+    oldest evicted first), filled by :meth:`decode_embedded` and indexed both
+    ways: ``(tag, body bytes) -> object`` so the same bytes are parsed once,
+    and ``id(object) -> (object, body bytes)`` so :meth:`encode_embedded` can
+    re-emit the body of an object this codec decoded (a collector forwarding
+    the certificate it received) without walking it again.
     """
 
     def __init__(self, group: Optional[Group] = None):
         self.group = group
         self._encoders: Dict[Type, Tuple[int, Encoder]] = {}
         self._decoders: Dict[int, Tuple[Type, Decoder]] = {}
+        self._decoded: Dict[Tuple[int, bytes], Any] = {}
+        #: values keep the object alive, so its ``id`` cannot be reused while
+        #: the entry exists
+        self._bodies: Dict[int, Tuple[Any, bytes]] = {}
         _install_default_types(self)
 
     # -- registry ---------------------------------------------------------------
 
     def register(self, tag: int, cls: Type, encoder: Encoder, decoder: Decoder) -> None:
-        """Register a payload type under a wire tag (extensibility hook)."""
+        """Register a payload type under a wire tag (extensibility hook).
+
+        ``cls`` must be a frozen dataclass: decoded objects are shared between
+        every receiver of the same bytes, and an encoded body is reused for
+        as long as the object lives.
+        """
         if not 0 <= tag <= 0xFFFF:
             raise ValueError(f"tag {tag} out of u16 range")
         if tag in self._decoders:
             raise ValueError(f"tag {tag} already registered for {self._decoders[tag][0].__name__}")
         if cls in self._encoders:
             raise ValueError(f"{cls.__name__} already registered")
+        if not (dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen):
+            raise ValueError(f"{cls.__name__} is not a frozen dataclass")
         self._encoders[cls] = (tag, encoder)
         self._decoders[tag] = (cls, decoder)
 
@@ -211,15 +278,18 @@ class MessageCodec:
         """The wire tag of a registered payload type."""
         return self._encoders[cls][0]
 
+    @property
+    def interned(self) -> int:
+        """Entries in the intern table (never above ``INTERN_TABLE_MAX``)."""
+        return len(self._decoded)
+
     # -- top-level frames -------------------------------------------------------
 
     def encode(self, payload: Any) -> bytes:
         """Encode one payload as a complete, CRC-protected frame."""
-        out = bytearray(MAGIC)
-        _w_u8(out, VERSION)
+        out = bytearray(_FRAME_PREFIX)
         self.encode_embedded(payload, out)
-        crc = zlib.crc32(bytes(out))
-        _w_u32(out, crc)
+        _w_u32(out, zlib.crc32(out))
         return bytes(out)
 
     def decode(self, frame: bytes) -> Any:
@@ -261,14 +331,32 @@ class MessageCodec:
                 f"{type(obj).__name__} is not a registered wire payload"
             )
         tag, encoder = entry
-        body = bytearray()
-        encoder(self, obj, body)
         _w_u16(out, tag)
-        _w_u32(out, len(body))
-        out += body
+        known = self._bodies.get(id(obj))
+        if known is not None and known[0] is obj:
+            _w_vbytes(out, known[1])
+            return
+        # Reserve the length field and back-patch it once the body is written
+        # straight into ``out``.
+        out += b"\x00\x00\x00\x00"
+        start = len(out)
+        encoder(self, obj, out)
+        length = len(out) - start
+        if length > 0xFFFFFFFF:
+            raise WireFormatError(f"length {length} out of u32 range")
+        out[start - 4:start] = length.to_bytes(4, "big")
 
     def decode_embedded(self, reader: _Reader, expected: Optional[Type] = None) -> Any:
-        """Decode one embedded object; optionally require its type."""
+        """Decode one embedded object; optionally require its type.
+
+        A body of ``INTERN_MIN_BODY..INTERN_MAX_BODY`` bytes is looked up in
+        this codec's intern table by ``(tag, body bytes)`` first.  An entry
+        is only ever written after those exact bytes passed the strict decode
+        below, decoding is a pure function of the bytes (and of this codec's
+        registry and group), and every registered type is a frozen dataclass,
+        so a hit returns precisely what decoding again would build -- the
+        table can skip work but never accept bytes strict decoding rejects.
+        """
         tag = reader.u16()
         entry = self._decoders.get(tag)
         if entry is None:
@@ -278,14 +366,25 @@ class MessageCodec:
             raise WireFormatError(
                 f"expected an embedded {expected.__name__}, found {cls.__name__}"
             )
-        length = reader.u32()
-        sub = _Reader(reader.data, start=reader.pos, end=reader.pos + length)
-        if sub.end > reader.end:
+        start = reader.pos + 4
+        end = start + reader.u32()
+        if end > reader.end:
             raise WireFormatError("embedded object overruns its container")
+        key = None
+        if INTERN_MIN_BODY <= end - start <= INTERN_MAX_BODY:
+            key = (tag, reader.data[start:end])
+            obj = self._decoded.get(key)
+            if obj is not None:
+                reader.pos = end
+                return obj
+        sub = _Reader(reader.data, start=start, end=end)
         obj = decoder(self, sub)
-        if not sub.exhausted():
+        if sub.pos != end:
             raise WireFormatError(f"embedded {cls.__name__} has trailing bytes")
-        reader.pos = sub.end
+        if key is not None:
+            _remember(self._decoded, key, obj)
+            _remember(self._bodies, id(obj), (obj, key[1]))
+        reader.pos = end
         return obj
 
     # -- group elements ---------------------------------------------------------

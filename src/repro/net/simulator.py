@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, NamedTuple, Optional
 
 from repro.net.adversary import Adversary, NetworkConditions
 from repro.net.channels import ChannelKind, DeliveryRecord, Message
@@ -24,9 +23,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.transport import Transport
 
 
-@dataclass(order=True)
-class Event:
+class Event(NamedTuple):
     """An entry in the simulator's priority queue.
+
+    A plain tuple, so ``heapq`` orders entries with the native tuple
+    comparison: ``(time, sequence)`` is the key and ``sequence`` is unique,
+    so the comparison never reaches ``action``.
 
     ``owner`` names the node whose local processing the event represents (a
     timer, a scheduled local action): events owned by a node that is crashed
@@ -36,9 +38,9 @@ class Event:
 
     time: float
     sequence: int
-    action: Callable[[], None] = field(compare=False)
-    description: str = field(compare=False, default="")
-    owner: Optional[str] = field(compare=False, default=None)
+    action: Callable[[], None]
+    description: str = ""
+    owner: Optional[str] = None
 
 
 class SimNode:
@@ -77,8 +79,7 @@ class SimNode:
     def broadcast(self, receivers: Iterable[str], payload: Any,
                   channel: ChannelKind = ChannelKind.AUTHENTICATED) -> None:
         """Send the same payload to many nodes (including possibly ourselves)."""
-        for receiver in receivers:
-            self.send(receiver, payload, channel)
+        self.network.broadcast(self.node_id, receivers, payload, channel)
 
     def set_timer(self, delay: float, callback: Callable[[], None], description: str = "timer") -> None:
         """Schedule a local callback ``delay`` time units in the future.
@@ -178,35 +179,62 @@ class Network:
     def submit(self, sender: str, receiver: str, payload: Any,
                channel: ChannelKind = ChannelKind.AUTHENTICATED) -> None:
         """Submit a message for (possible) delivery."""
+        self.broadcast(sender, (receiver,), payload, channel)
+
+    def broadcast(self, sender: str, receivers: Iterable[str], payload: Any,
+                  channel: ChannelKind = ChannelKind.AUTHENTICATED) -> None:
+        """Submit one payload to every receiver, serialising it once.
+
+        The transport frames the payload a single time; every receiver then
+        gets its own :class:`Message` around that frame and its own
+        adversary / drop / latency / duplicate decisions, drawn in receiver
+        order -- exactly the random stream ``len(receivers)`` separate
+        :meth:`submit` calls would draw.
+        """
         if sender in self.crashed_nodes:
             # A dead process cannot put anything on the wire.  (Defensive:
             # crashed nodes never run handlers, so they rarely reach here.)
             return
-        self.messages_sent += 1
-        message = Message(
-            sender=sender,
-            receiver=receiver,
-            payload=payload,
-            channel=channel,
-            send_time=self.now,
-        )
-        message.wire_bytes = self.transport.encode_submit(message)
-        self.bytes_sent += message.wire_bytes
-        self.channel_bytes_sent[channel] += message.wire_bytes
-        extra_delay = self.adversary.schedule(message)
-        if extra_delay is None or self.conditions.should_drop():
-            self.messages_dropped += 1
-            # Drops never reach Transport.deliver, so release the frame here
-            # to keep the delivery log's memory bounded (wire_bytes keeps the
-            # size for accounting).
-            message.wire_frame = None
-            self.delivery_log.append(DeliveryRecord(message, None, dropped=True))
+        receivers = tuple(receivers)
+        if not receivers:
             return
-        latency = self.conditions.sample_latency() + extra_delay
-        self._enqueue_delivery(message, latency)
-        if self.conditions.should_duplicate():
-            duplicate = message.duplicate()
-            self._enqueue_delivery(duplicate, self.conditions.sample_latency() + extra_delay, duplicated=True)
+        copies = len(receivers)
+        frame = self.transport.encode(payload)
+        wire_bytes = 0
+        if frame is not None:
+            wire_bytes = len(frame)
+            self.transport.frames_sent += copies
+        # "Sent" counts every submitted copy, dropped or not.
+        self.messages_sent += copies
+        self.bytes_sent += wire_bytes * copies
+        self.channel_bytes_sent[channel] += wire_bytes * copies
+        now = self.now
+        for receiver in receivers:
+            message = Message(
+                sender=sender,
+                receiver=receiver,
+                payload=payload,
+                channel=channel,
+                send_time=now,
+                wire_frame=frame,
+                wire_bytes=wire_bytes,
+            )
+            extra_delay = self.adversary.schedule(message)
+            if extra_delay is None or self.conditions.should_drop():
+                self.messages_dropped += 1
+                # Drops never reach Transport.deliver, so release the frame
+                # here to keep the delivery log's memory bounded (wire_bytes
+                # keeps the size for accounting).
+                message.wire_frame = None
+                self.delivery_log.append(DeliveryRecord(message, None, dropped=True))
+                continue
+            latency = self.conditions.sample_latency() + extra_delay
+            self._enqueue_delivery(message, latency)
+            if self.conditions.should_duplicate():
+                duplicate = message.duplicate()
+                self._enqueue_delivery(
+                    duplicate, self.conditions.sample_latency() + extra_delay, duplicated=True
+                )
 
     def _enqueue_delivery(self, message: Message, latency: float, duplicated: bool = False) -> None:
         deliver_time = self.now + max(latency, 0.0)
@@ -324,6 +352,8 @@ class Network:
             "messages_dropped": self.messages_dropped,
             "bytes_sent": self.bytes_sent,
             "bytes_delivered": self.bytes_delivered,
+            "frames_sent": self.transport.frames_sent,
+            "frames_encoded": self.transport.frames_encoded,
             "channel_bytes_sent": {
                 kind.value: count for kind, count in self.channel_bytes_sent.items()
             },

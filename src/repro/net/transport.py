@@ -7,9 +7,9 @@ travel.  Two backends ship:
 * :class:`InProcessTransport` -- the historical in-memory delivery.  With a
   :class:`~repro.net.codec.MessageCodec` attached, every payload is encoded
   to its canonical frame at send time (so the simulator counts real wire
-  bytes) and decoded again at delivery (so nothing undeclared ever crosses
-  the boundary); without one, payloads are handed over by reference, exactly
-  as before.
+  bytes) and every receiver decodes its frame again at delivery (so nothing
+  undeclared ever crosses the boundary); without one, payloads are handed
+  over by reference, exactly as before.
 * :class:`TcpLoopbackTransport` -- every registered node gets a real asyncio
   TCP server on the loopback interface, and every delivery pushes the
   message's canonical frame through an actual socket pair before the decoded
@@ -18,9 +18,10 @@ travel.  Two backends ship:
   election outcome as the simulated transport -- which is precisely the
   property the acceptance test checks.
 
-Both backends report the frame size of each message so the network can keep
-per-channel byte counters, the raw material of the paper-style bandwidth
-figures in ``benchmarks/bench_wire_bandwidth.py``.
+A payload is framed once per send or broadcast (:meth:`Transport.encode`);
+the network hands that one frame to every receiver's message, so the frame
+size feeds the per-channel byte counters that are the raw material of the
+paper-style bandwidth figures in ``benchmarks/bench_wire_bandwidth.py``.
 """
 
 from __future__ import annotations
@@ -40,10 +41,15 @@ class Transport:
 
     name: str = "abstract"
 
-    def __init__(self) -> None:
+    def __init__(self, codec: Optional[MessageCodec] = None) -> None:
         self.network: Optional["Network"] = None
-        #: frames pushed through this transport (0 when no wire format is used)
+        #: wire format of this transport (``None``: payloads travel by reference)
+        self.codec = codec
+        #: frames submitted to the network, one per receiver, dropped ones
+        #: included (0 when no wire format is used)
         self.frames_sent = 0
+        #: payloads actually serialised; a broadcast encodes once for all receivers
+        self.frames_encoded = 0
 
     def attach(self, network: "Network") -> None:
         """Called once by the network that owns this transport."""
@@ -52,14 +58,17 @@ class Transport:
     def register(self, node_id: str) -> None:
         """Called for every node added to the network (endpoint setup hook)."""
 
-    def encode_submit(self, message: Message) -> int:
-        """Prepare a just-submitted message; return its wire size in bytes.
+    def encode(self, payload: Any) -> Optional[bytes]:
+        """The canonical frame of ``payload``, or ``None`` without a wire format.
 
-        Implementations that use the wire format must set
-        ``message.wire_frame`` so :meth:`deliver` (and the delivery log) can
+        Called once per send or broadcast; the network attaches the frame to
+        every receiver's message so :meth:`deliver` (and the delivery log)
         account for the exact bytes, including for dropped messages.
         """
-        return 0
+        if self.codec is None:
+            return None
+        self.frames_encoded += 1
+        return self.codec.encode(payload)
 
     def deliver(self, message: Message) -> Any:
         """Carry the message to its receiver; return the payload to dispatch."""
@@ -73,17 +82,8 @@ class InProcessTransport(Transport):
     """In-memory delivery, optionally round-tripped through the wire format."""
 
     def __init__(self, codec: Optional[MessageCodec] = None):
-        super().__init__()
-        self.codec = codec
+        super().__init__(codec)
         self.name = "memory+wire" if codec is not None else "memory"
-
-    def encode_submit(self, message: Message) -> int:
-        if self.codec is None:
-            return 0
-        frame = self.codec.encode(message.payload)
-        message.wire_frame = frame
-        self.frames_sent += 1
-        return len(frame)
 
     def deliver(self, message: Message) -> Any:
         if self.codec is None or message.wire_frame is None:
@@ -107,8 +107,7 @@ class TcpLoopbackTransport(Transport):
     name = "tcp"
 
     def __init__(self, codec: Optional[MessageCodec] = None, host: str = "127.0.0.1"):
-        super().__init__()
-        self.codec = codec or default_codec()
+        super().__init__(codec or default_codec())
         self.host = host
         self.loop = asyncio.new_event_loop()
         self._servers: Dict[str, asyncio.AbstractServer] = {}
@@ -150,11 +149,6 @@ class TcpLoopbackTransport(Transport):
 
     # -- transport interface ----------------------------------------------------
 
-    def encode_submit(self, message: Message) -> int:
-        frame = self.codec.encode(message.payload)
-        message.wire_frame = frame
-        return len(frame)
-
     def deliver(self, message: Message) -> Any:
         if self._closed:
             raise RuntimeError("transport already closed")
@@ -164,7 +158,6 @@ class TcpLoopbackTransport(Transport):
             # The simulator drops sends to unregistered nodes; mirror that.
             return message.payload
         received = self.loop.run_until_complete(self._roundtrip(message))
-        self.frames_sent += 1
         message.wire_frame = None
         return self.codec.decode(received)
 

@@ -259,6 +259,18 @@ class TestRegistry:
         assert codec.decode(codec.encode(Ping(77))) == Ping(77)
 
 
+    def test_mutable_type_rejected(self):
+        """Decoded objects are shared between receivers, so they must be immutable."""
+        from dataclasses import dataclass
+
+        @dataclass
+        class Mutable:
+            nonce: int
+
+        with pytest.raises(ValueError):
+            MessageCodec().register(0x7001, Mutable, lambda c, o, b: None, lambda c, r: 0)
+
+
 class TestSigningBytes:
     def test_deterministic(self):
         assert signing_bytes(b"d", 1, "x", b"y") == signing_bytes(b"d", 1, "x", b"y")
@@ -288,3 +300,126 @@ class TestSigningBytes:
         # Moving a byte between context and share payload must not verify.
         tampered = SignedShare(share.share, b"ctx|with|pipes2", share.signature)
         assert not SigningDealer.verify_share(dealer.scheme, dealer.public_key, tampered)
+
+
+# Frames of the wire format at VERSION 1, captured from the codec before the
+# encode path was rewritten (back-patched lengths, reused bodies): a codec
+# change that moves one byte of any of them is a wire-format change and needs
+# a new VERSION.
+GOLDEN_HEX = {
+    "endorse": (
+        "4457010004000000140000000001070000000a636f64652d6279746573bbe4e33f"
+    ),
+    "endorsement": (
+        "44570100050000008a0000000001070000000a636f64652d62797465730000000456432d3100400000006800"
+        "000000181234567890abcdef0000000000000000000000000000000000000000207fffffffffffffffffffff"
+        "ffffffffffffffffffffffffffffffffffffffffed0100000021530000000000000000000000000000000000"
+        "0000000000000000000000000004003a3357b0"
+    ),
+    "vote_pending": (
+        "4457010007000001540000000001070000000a636f64652d627974657300420000004f004100000025000000"
+        "000102000000001a01000000000000000000000000000000000000000000000000110000000d726563656970"
+        "747c377c417c3000400000000d000000000101000000000102000006000000dd0000000001070000000a636f"
+        "64652d62797465730000000200050000008a0000000001070000000a636f64652d6279746573000000045643"
+        "2d3100400000006800000000181234567890abcdef0000000000000000000000000000000000000000207fff"
+        "ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffed0100000021530000000000000000"
+        "00000000000000000000000000000000000000000000040000050000002f0000000001070000000a636f6465"
+        "2d62797465730000000456432d3200400000000d000000000101000000000102000000000456432d324123dd"
+        "25"
+    ),
+    "announce": (
+        "445701000800000101000000000107010000000a636f64652d6279746573010006000000dd00000000010700"
+        "00000a636f64652d62797465730000000200050000008a0000000001070000000a636f64652d627974657300"
+        "00000456432d3100400000006800000000181234567890abcdef000000000000000000000000000000000000"
+        "0000207fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffed010000002153000000"
+        "000000000000000000000000000000000000000000000000000000040000050000002f000000000107000000"
+        "0a636f64652d62797465730000000456432d3200400000000d00000000010100000000010200000000045643"
+        "2d305f127212"
+    ),
+    "announce_empty": (
+        "44570100080000001000000000010800000000000456432d30268f15e3"
+    ),
+    "vsc_envelope": (
+        "445701000b0000001e002000000010000000013700000000010100000000000000000456432d3088d6e82a"
+    ),
+    "vsc_batch": (
+        "445701000c0000006d00260000005f0000000400200000001000000001370000000000000000000101002100"
+        "0000100000000137000000000000000000010100220000000b00000001370000000001010023000000180000"
+        "000473627c300000000456432d3000000004010001010000000456432d3172a90e55"
+    ),
+    "vote_set_upload": (
+        "445701000d0000002f000000020000000001070000000a636f64652d6279746573000000000109000000056f"
+        "746865720000000456432d32a727271a"
+    ),
+    "recover_response": (
+        "445701000a000000ff0000000001070000000a636f64652d62797465730006000000dd000000000107000000"
+        "0a636f64652d62797465730000000200050000008a0000000001070000000a636f64652d6279746573000000"
+        "0456432d3100400000006800000000181234567890abcdef0000000000000000000000000000000000000000"
+        "207fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffed0100000021530000000000"
+        "00000000000000000000000000000000000000000000000000040000050000002f0000000001070000000a63"
+        "6f64652d62797465730000000456432d3200400000000d000000000101000000000102000000000456432d33"
+        "19577c0b"
+    ),
+    "signing": (
+        "6464656d6f732d7369676e2d763100000007656e646f72736500000004030004000000140000000001070000"
+        "000a636f64652d627974657301000000000105020000000178000000000179"
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def golden_payloads():
+    group = get_group("schnorr")
+    sig = SchnorrSignature(0x1234567890ABCDEF << 128, (1 << 255) - 19, group.power_g(5))
+    bare = SchnorrSignature(1, 2, None)
+    code = b"code-bytes"
+    ucert = UniquenessCertificate(
+        7, code, (Endorsement(7, code, "VC-1", sig), Endorsement(7, code, "VC-2", bare))
+    )
+    share = SignedShare(Share(2, (1 << 200) + 17), b"receipt|7|A|0", bare)
+    consensus = (
+        BVal("7", 0, 1), Aux("7", 0, 1), Finish("7", 1),
+        SuperblockSend("sb|0", "VC-0", (1, 0, 1, 1)),
+    )
+    return group, {
+        "endorse": Endorse(7, code),
+        "endorsement": ucert.endorsements[0],
+        "vote_pending": VotePending(7, code, share, ucert, "VC-2"),
+        "announce": Announce(7, code, ucert, "VC-0"),
+        "announce_empty": Announce(8, None, None, "VC-0"),
+        "vsc_envelope": VscEnvelope(BVal("7", 1, 0), "VC-0"),
+        "vsc_batch": VscBatch(BatchEnvelope(consensus), "VC-1"),
+        "vote_set_upload": VoteSetUpload(((7, code), (9, b"other")), "VC-2"),
+        "recover_response": RecoverResponse(7, code, ucert, "VC-3"),
+    }
+
+
+class TestGoldenFrames:
+    def test_frames_are_byte_identical_to_version_1(self, golden_payloads):
+        group, payloads = golden_payloads
+        codec = MessageCodec(group=group)
+        for name, payload in payloads.items():
+            assert codec.encode(payload).hex() == GOLDEN_HEX[name], name
+
+    def test_golden_frames_decode_to_the_payloads(self, golden_payloads):
+        group, payloads = golden_payloads
+        codec = MessageCodec(group=group)
+        for _ in range(2):  # cold, then through the intern table
+            for name, payload in payloads.items():
+                assert codec.decode(bytes.fromhex(GOLDEN_HEX[name])) == payload, name
+
+    def test_decoded_objects_re_encode_to_the_same_frame(self, golden_payloads):
+        """The reused-body path: the codec re-emits the bodies it decoded."""
+        group, _payloads = golden_payloads
+        codec = MessageCodec(group=group)
+        for name, hex_frame in GOLDEN_HEX.items():
+            if name != "signing":
+                frame = bytes.fromhex(hex_frame)
+                assert codec.encode(codec.decode(frame)) == frame, name
+
+    def test_signing_bytes_are_byte_identical(self, golden_payloads):
+        group, payloads = golden_payloads
+        signed = MessageCodec(group=group).signing_bytes(
+            b"endorse", payloads["endorse"], 5, "x", b"y"
+        )
+        assert signed.hex() == GOLDEN_HEX["signing"]

@@ -90,6 +90,16 @@ class TestTimersAndOrdering:
         network.run_until_idle()
         assert fired == ["early", "late"]
 
+    def test_simultaneous_events_fire_in_scheduling_order(self):
+        """The heap key is (time, sequence): ties never compare the callables."""
+        network, a, b = make_network()
+        fired = []
+        for label in "abcdefgh":
+            network.schedule_at(1.0, lambda label=label: fired.append(label))
+        network.schedule_at(0.5, lambda: fired.append("first"))
+        network.run_until_idle()
+        assert fired == ["first", *"abcdefgh"]
+
     def test_run_until_stops_at_deadline(self):
         network, a, b = make_network()
         fired = []

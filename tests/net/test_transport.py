@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.determinism import outcome_hash
 from repro.api import (
     AuditConfig,
     ConsensusConfig,
@@ -118,6 +119,106 @@ class TestByteAccounting:
         assert summary["channel_bytes_sent"]["authenticated"] == network.bytes_sent
 
 
+class TestBroadcast:
+    """One frame per broadcast, with every receiver treated as by its own submit."""
+
+    RECEIVERS = ["b", "c", "d", "e", "f", "g"]
+
+    def run(self, use_broadcast, transport):
+        network = Network(
+            conditions=NetworkConditions(
+                base_latency=0.001, jitter=0.002, drop_rate=0.15, duplicate_rate=0.15, seed=11
+            ),
+            transport=transport,
+        )
+        nodes = {name: Sink(name) for name in ["a", *self.RECEIVERS]}
+        network.register_all(nodes.values())
+        network.crash("d")  # down at delivery time: the sender sees drops
+        network.adversary.block_link("a", "f")  # dropped at submit time
+        for serial in range(8):
+            payload = Announce(serial, b"code", None, "a")
+            if use_broadcast:
+                nodes["a"].broadcast(self.RECEIVERS, payload)
+            else:
+                for receiver in self.RECEIVERS:
+                    nodes["a"].send(receiver, payload)
+        network.run_until_idle()
+        log = [
+            (
+                record.message.receiver,
+                record.message.payload,
+                record.wire_bytes,
+                record.message.send_time,
+                record.delivered_at,
+                record.dropped,
+                record.duplicated,
+            )
+            for record in network.delivery_log
+        ]
+        received = {
+            name: [(m.payload, m.deliver_time, m.wire_bytes) for m in node.received]
+            for name, node in nodes.items()
+        }
+        network.close()
+        return network, log, received
+
+    @pytest.mark.parametrize("make_transport", [
+        lambda: InProcessTransport(codec=MessageCodec()),
+        lambda: InProcessTransport(),
+        TcpLoopbackTransport,
+    ], ids=["wire", "memory", "tcp"])
+    def test_broadcast_equals_separate_submits(self, make_transport):
+        one, one_log, one_received = self.run(True, make_transport())
+        many, many_log, many_received = self.run(False, make_transport())
+        assert one_log == many_log
+        assert one_received == many_received
+        assert one.bandwidth_summary() == {
+            **many.bandwidth_summary(),
+            "frames_encoded": one.transport.frames_encoded,
+        }
+        # The scenario really contains every case it is meant to compare.
+        dropped_on_the_way_to = {entry[0] for entry in one_log if entry[5]}
+        assert {"d", "f"} < dropped_on_the_way_to  # crashed, blocked, and lost at random
+        assert any(entry[6] for entry in one_log)  # a duplicate
+        assert one_received["d"] == [] and one_received["f"] == []
+        assert len(one.drop_log) == one.messages_dropped
+        assert all(record.message.wire_frame is None for record in one.delivery_log)
+
+    def test_broadcast_encodes_once_and_counts_one_frame_per_receiver(self):
+        one, _log, _received = self.run(True, InProcessTransport(codec=MessageCodec()))
+        many, _log, _received = self.run(False, InProcessTransport(codec=MessageCodec()))
+        copies = 8 * len(self.RECEIVERS)
+        assert one.transport.frames_sent == many.transport.frames_sent == copies
+        assert one.transport.frames_encoded == 8
+        assert many.transport.frames_encoded == copies
+        assert one.bytes_sent == many.bytes_sent > one.bytes_delivered > 0
+
+    def test_frames_sent_is_counted_at_submit_on_every_transport(self):
+        """Dropped frames count as sent: the sender paid for those bytes."""
+        wire, _log, _received = self.run(True, InProcessTransport(codec=MessageCodec()))
+        tcp, _log, _received = self.run(True, TcpLoopbackTransport())
+        assert wire.messages_dropped > 0
+        assert tcp.transport.frames_sent == wire.transport.frames_sent == wire.messages_sent
+        assert tcp.transport.frames_encoded == wire.transport.frames_encoded
+        assert InProcessTransport().frames_sent == 0
+
+    def test_empty_broadcast_encodes_nothing(self):
+        network, a, _b = wire_network()
+        a.broadcast([], PAYLOAD)
+        assert network.transport.frames_encoded == 0
+        assert network.messages_sent == 0
+
+    def test_every_receiver_decodes_its_own_frame(self):
+        network, a, b = wire_network()
+        c = Sink("c")
+        network.register(c)
+        a.broadcast(["b", "c"], PAYLOAD)
+        network.run_until_idle()
+        assert b.received[0].payload == c.received[0].payload == PAYLOAD
+        assert b.received[0].payload is not PAYLOAD
+        assert c.received[0].payload is not PAYLOAD
+
+
 @pytest.fixture(scope="module")
 def small_wire_spec():
     return ScenarioSpec(
@@ -165,6 +266,17 @@ class TestTransportEquivalence:
         assert over_tcp.network.transport.name == "tcp"
         assert over_tcp.network.transport.frames_sent > 0
         assert over_tcp.network.bytes_sent > 0
+
+    @pytest.mark.parametrize("batch_size", [1, 4], ids=["per-ballot", "superblock"])
+    def test_outcome_hash_is_the_same_on_every_transport(self, small_wire_spec, batch_size):
+        spec = small_wire_spec.derive(consensus=ConsensusConfig(batch_size=batch_size))
+        hashes = {}
+        for profile in (TransportProfile.memory(), TransportProfile.wire(), TransportProfile.tcp()):
+            outcome = ElectionEngine(spec.derive(transport=profile)).run(CHOICES)
+            assert outcome.audit_report.passed
+            hashes[outcome.network.transport.name] = outcome_hash(outcome)
+        assert set(hashes) == {"memory", "memory+wire", "tcp"}
+        assert len(set(hashes.values())) == 1, hashes
 
     def test_superblock_batching_shrinks_consensus_bytes(self):
         """Acceptance: batching reduces measured consensus *bytes*."""
