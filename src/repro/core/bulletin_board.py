@@ -415,18 +415,24 @@ class MajorityReader:
         Raises ``ValueError`` when no value is backed by ``fb + 1`` nodes --
         the caller should retry later, as the paper instructs.
         """
-        answers = []
+        # Replies are compared by equality, never by their printed form: a
+        # repr may truncate (ed25519 points print 8 of 32 bytes) or embed
+        # object addresses, and building it walks the whole ballot table.
+        groups: list = []  # [reply, copies], in first-seen order
         for node in self.bb_nodes:
             try:
-                answers.append(accessor(node))
+                answer = accessor(node)
             except Exception:  # a Byzantine node may raise; treat as no answer
                 continue
-        counts: Counter = Counter(repr(answer) for answer in answers)
-        for representative, count in counts.most_common():
-            if count >= self.required:
-                for answer in answers:
-                    if repr(answer) == representative:
-                        return answer
+            for group in groups:
+                if group[0] == answer:
+                    group[1] += 1
+                    break
+            else:
+                group = [answer, 1]
+                groups.append(group)
+            if group[1] >= self.required:
+                return group[0]
         raise ValueError("no BB reply is backed by a majority; retry later")
 
     def election_view(self) -> BbElectionView:

@@ -226,10 +226,11 @@ class VoteCollectorNode(SimNode):
 
         # Voting-phase admission pipeline (see repro.core.admission).  The
         # per-signer verification tables are built once here: every peer key
-        # verifies one signature per ballot, so the window tables always
-        # amortize and the hot path never pays the lazy-promotion probes.
+        # verifies one signature per ballot and the dealer key one receipt
+        # share per VOTE_P, so the tables always amortize and the hot path
+        # never pays the lazy-promotion probes.
         self.admission_stats = AdmissionStats()
-        for public in self.init.vc_public_keys.values():
+        for public in (*self.init.vc_public_keys.values(), self.init.dealer_public_key):
             public.group.fixed_base(public)
         self._batch_verifier = None
         self._endorse_batcher: Optional[EndorsementBatcher] = None

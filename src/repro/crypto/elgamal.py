@@ -96,7 +96,7 @@ class LiftedElGamal:
         self, keypair: ElGamalKeyPair, ciphertext: ElGamalCiphertext
     ) -> GroupElement:
         """Decrypt to ``g^m`` without solving the discrete log."""
-        return ciphertext.b * (ciphertext.a ** keypair.secret).inverse()
+        return ciphertext.b * ciphertext.a ** (self.group.order - keypair.secret)
 
     def decrypt(
         self,

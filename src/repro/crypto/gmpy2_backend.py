@@ -13,9 +13,8 @@ speed comes from three substitutions:
   multi-exponentiation, ``k`` C-level ``powmod`` calls beat one shared
   pure-python Shamir square-and-multiply chain by well over an order of
   magnitude at 256 bits;
-* fixed-base tables (:class:`Gmpy2FixedBase`) store ``mpz`` rows and use a
-  wider window (8 bits vs 5), since the larger table is cheap to build with
-  GMP multiplication and halves the number of lookups per exponentiation.
+* fixed-base tables (:class:`Gmpy2FixedBase`) store ``mpz`` rows, so the
+  byte-digit lookup loop they share with the pure backend multiplies in GMP.
 
 When ``gmpy2`` is not installed (it is an optional extra:
 ``pip install -e .[fast]``), :func:`make_gmpy2_group` degrades gracefully and
@@ -74,34 +73,9 @@ class Gmpy2Element(SchnorrElement):
 
 
 class Gmpy2FixedBase(SchnorrFixedBase):
-    """Fixed-base table with ``mpz`` rows and an 8-bit window."""
+    """The byte-digit table of :class:`SchnorrFixedBase` with ``mpz`` rows."""
 
-    def _build_table(self) -> list:
-        p = self._p = mpz(self.group.p)
-        table = []
-        current = mpz(self.base.value)
-        for _ in range(self.num_digits):
-            row = [mpz(1)]
-            for _ in range(self.mask):
-                row.append(row[-1] * current % p)
-            table.append(row)
-            current = row[-1] * current % p
-        return table
-
-    def power(self, exponent: int) -> Gmpy2Element:
-        if self.window != 8:  # digit-per-byte decomposition requires window 8
-            return super().power(exponent)
-        e = int(exponent % self.group.order)
-        p = self._p
-        table = self.table
-        accumulator = mpz(1)
-        # With an 8-bit window the base-2^window digits are exactly the
-        # little-endian bytes of the exponent: one C-level to_bytes call
-        # replaces num_digits bigint shift/mask operations.
-        for index, digit in enumerate(e.to_bytes(self.num_digits, "little")):
-            if digit:
-                accumulator = accumulator * table[index][digit] % p
-        return Gmpy2Element(accumulator, self.group)
+    _integer = mpz
 
 
 class Gmpy2SchnorrGroup(SchnorrGroup):
@@ -144,7 +118,7 @@ class Gmpy2SchnorrGroup(SchnorrGroup):
         return Gmpy2Element(accumulator, self)
 
     def _build_fixed_base(self, element: SchnorrElement) -> Gmpy2FixedBase:
-        return Gmpy2FixedBase(element, window=8)
+        return Gmpy2FixedBase(element)
 
 
 def make_gmpy2_group(p: Optional[int] = None, g: Optional[int] = None):

@@ -103,11 +103,12 @@ class FixedBasePrecomputation:
     The exponent is split into ``window``-bit digits; ``table[i][d]`` holds
     ``base ** (d << (window * i))``, so :meth:`power` needs at most
     ``ceil(bits / window)`` multiplications and *no* squarings.  Building the
-    table costs roughly ``(2 ** window) * bits / window`` multiplications, so
-    precomputation pays off after a handful of exponentiations -- and the
-    protocol reuses the same few bases (``g``, ``h``, the election public key)
-    for every ballot, commitment and share, which is exactly the crypto hot
-    path of EA setup and tally verification.
+    table costs ``2 ** window * ceil(bits / window)`` multiplications
+    (1,632 at the default 5-bit window over a 255-bit order: about four plain
+    square-and-multiply exponentiations of the curve backends that use this
+    class as is), so precomputation pays off after a handful of uses -- and
+    the protocol reuses the same few bases (``g``, ``h``, the election public
+    key, signer keys) for every ballot, commitment, share and signature.
     """
 
     def __init__(self, base: GroupElement, window: int = 5):
@@ -207,7 +208,10 @@ class Group:
     #: The protocol's genuinely hot bases (generators, election key, VC/BB/EA
     #: signer keys) number a few dozen; beyond that, least-recently-used
     #: tables are evicted so a million-ballot run cannot accumulate O(bases)
-    #: tables (each table is hundreds of kilobytes).
+    #: tables.  A :class:`SchnorrFixedBase` table at a 256-bit modulus is
+    #: 8,192 residues, 0.56 MB measured with ``sys.getsizeof``, so 64 tables
+    #: are ~36 MB at worst (an engine run keeps 8-11 alive); the 5-bit tables
+    #: of the curve backends hold 1,632 points each.
     MAX_FIXED_BASE_TABLES = 64
 
     #: bound on the promotion-counter map of :meth:`cached_power`; oldest
@@ -240,9 +244,12 @@ class Group:
         """Backend hook: build a precomputation table for ``element``."""
         return FixedBasePrecomputation(element)
 
-    #: uses of a base before :meth:`cached_power` builds its table (building
-    #: costs roughly eight plain exponentiations, so promoting too eagerly
-    #: would slow one-shot bases down)
+    #: uses of a base before :meth:`cached_power` builds its table: the cost
+    #: of building one, in plain exponentiations, so a base that never comes
+    #: back has paid at most twice its plain cost.  The generic 5-bit table is
+    #: 1,632 group operations against ~380 for one square-and-multiply
+    #: ``__pow__`` of the curve backends, hence 4; :class:`SchnorrGroup`
+    #: measures its own.
     PRECOMPUTE_AFTER_USES = 4
 
     def plain_power(self, base: GroupElement, exponent: int) -> GroupElement:
@@ -377,6 +384,14 @@ class SchnorrGroup(Group):
     _DEFAULT_P = 0x9F9B41D4CD3CC3DB42914B1DF5F84DA30C82ED1E4728E754FDA103B8924619F3
     _DEFAULT_G = 4
 
+    #: see :data:`Group.PRECOMPUTE_AFTER_USES`.  Measured at the default
+    #: modulus: a :class:`SchnorrFixedBase` table builds in 3.8-4.4 ms, one
+    #: builtin ``pow`` takes 118-130 us, so a table costs 29-37 of them.  The
+    #: long-lived keys of an election are used hundreds of times and cross
+    #: this within the first ballots; what it protects is the many small
+    #: elections of the test suite, whose keys never earn a 4 ms table.
+    PRECOMPUTE_AFTER_USES = 32
+
     def __init__(self, p: Optional[int] = None, g: Optional[int] = None):
         _warn_direct_construction(type(self))
         self.p = p if p is not None else self._DEFAULT_P
@@ -439,21 +454,33 @@ class SchnorrGroup(Group):
 
 
 class SchnorrFixedBase(FixedBasePrecomputation):
-    """Fixed-base table specialized to bare integers modulo ``p``.
+    """Fixed-base table over bare residues modulo ``p``, one byte per digit.
 
-    ``table`` rows hold plain residues instead of :class:`SchnorrElement`
-    wrappers; dropping the wrapper (and the per-step ``% order`` reduction of
-    ``__pow__``) from the inner loop makes :meth:`power` roughly 3-5x faster
-    than the builtin ``pow`` on 256-bit exponents, which dominates EA setup
-    (one commitment vector per ballot line) and audit verification.
+    Rows hold plain integers instead of :class:`SchnorrElement` wrappers, and
+    the window is fixed at 8 bits so the digits of an exponent are exactly its
+    little-endian bytes: one ``to_bytes`` call replaces the per-digit bigint
+    shift and mask.  Geometry at a 256-bit modulus: 32 rows of 256 residues
+    (8,192 entries, 0.56 MB), built with 8,192 modular products in ~3.8 ms,
+    i.e. ~30 builtin ``pow`` calls (:data:`SchnorrGroup.PRECOMPUTE_AFTER_USES`);
+    a lookup is at most 32 products, ~15 us against ~130 us for ``pow``
+    (8x; measured on the 2.1 GHz Xeon of ``benchmarks/e2e/README.md``).
+    Entries and entry size both grow with the modulus: a 2048-bit table is
+    65,536 residues of 256 bytes each.
     """
 
+    #: integer type of the modulus and the table rows (``mpz`` under gmpy2)
+    _integer = int
+
+    def __init__(self, base: "SchnorrElement"):
+        super().__init__(base, window=8)
+
     def _build_table(self) -> list:
-        p = self.group.p
+        p = self._p = self._integer(self.group.p)
+        one = self._one = self._integer(1)
+        current = self._integer(self.base.value)
         table = []
-        current = self.base.value
         for _ in range(self.num_digits):
-            row = [1]
+            row = [one]
             for _ in range(self.mask):
                 row.append(row[-1] * current % p)
             table.append(row)
@@ -461,17 +488,14 @@ class SchnorrFixedBase(FixedBasePrecomputation):
         return table
 
     def power(self, exponent: int) -> SchnorrElement:
-        e = exponent % self.group.order
-        p = self.group.p
-        accumulator = 1
-        index = 0
-        while e:
-            digit = e & self.mask
+        p = self._p
+        accumulator = self._one
+        digits = int(exponent % self.group.order).to_bytes(self.num_digits, "little")
+        for row, digit in zip(self.table, digits):
             if digit:
-                accumulator = accumulator * self.table[index][digit] % p
-            e >>= self.window
-            index += 1
-        return SchnorrElement(accumulator, self.group)
+                accumulator = accumulator * row[digit] % p
+        # The element class of the base, so gmpy2 tables return gmpy2 elements.
+        return type(self.base)(accumulator, self.group)
 
 
 # ---------------------------------------------------------------------------

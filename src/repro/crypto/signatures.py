@@ -96,10 +96,10 @@ class SignatureScheme:
         :meth:`sign`, the group comes from the public key.
         """
         group = public.group
-        # Recompute the commitment: R = g^s / X^c.
-        commitment = (
-            group.power_g(signature.response)
-            * group.cached_power(public, signature.challenge).inverse()
+        # Recompute the commitment R = g^s / X^c as g^s * X^(q - c): negating
+        # the exponent costs nothing, inverting the power is a modular inversion.
+        commitment = group.power_g(signature.response) * group.cached_power(
+            public, group.order - signature.challenge
         )
         expected = group.hash_to_scalar(
             b"d-demos-schnorr-sig",

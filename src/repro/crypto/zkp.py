@@ -118,41 +118,48 @@ class BallotCorrectnessProver:
         opening: CommitmentOpening,
         rng: Optional[RandomSource] = None,
     ) -> tuple:
-        """Return ``(announcement, state)`` for a committed unit vector."""
+        """Return ``(announcement, state)`` for a committed unit vector.
+
+        ``opening`` must open ``commitment``: every announcement is computed
+        in the exponents the prover knows, never from the ciphertexts.  With
+        ``(a, b) = (g^r, g^bit y^r)`` and ``t = s - r c (mod q)``, the
+        simulated branch ``g^s / a^c``, ``y^s / (b / g^m)^c`` of the textbook
+        proof is ``g^t``, ``y^t g^((m - bit) c)`` -- the same group elements,
+        as products of powers of the two bases that have tables.
+        """
         rng = rng or default_random()
-        g = self.group.generator()
-        y = self.public_key
         q = self.group.order
+        if len(commitment.ciphertexts) != len(opening.values):
+            raise ValueError("opening does not match the commitment length")
+        g_power = self.group.fixed_base(self.group.generator()).power
+        y_power = self.group.fixed_base(self.public_key).power
 
         or_announcements = []
         or_state = []
-        for ciphertext, bit, randomness in zip(
-            commitment.ciphertexts, opening.values, opening.randomness, strict=True
-        ):
+        for bit, randomness in zip(opening.values, opening.randomness, strict=True):
             if bit not in (0, 1):
                 raise ValueError("ballot proof requires 0/1 plaintexts")
             # Real branch uses a fresh nonce; the other branch is simulated.
             nonce = self.group.random_scalar(rng)
             fake_challenge = self.group.random_scalar(rng)
             fake_response = self.group.random_scalar(rng)
+            a_real, b_real = g_power(nonce), y_power(nonce)
+            t = (fake_response - randomness * fake_challenge) % q
+            a_fake = g_power(t)
             if bit == 0:
-                a0 = g ** nonce
-                b0 = y ** nonce
-                # Simulate the m=1 branch: a1 = g^s1 / a^c1, b1 = y^s1 / (b/g)^c1.
-                a1 = (g ** fake_response) * (ciphertext.a ** fake_challenge).inverse()
-                b_over_g = ciphertext.b * g.inverse()
-                b1 = (y ** fake_response) * (b_over_g ** fake_challenge).inverse()
+                # Simulated m=1 branch: m - bit = 1.
+                b_fake = y_power(t) * g_power(fake_challenge)
+                announcement = OrProofAnnouncement(a_real, b_real, a_fake, b_fake)
             else:
-                a1 = g ** nonce
-                b1 = y ** nonce
-                a0 = (g ** fake_response) * (ciphertext.a ** fake_challenge).inverse()
-                b0 = (y ** fake_response) * (ciphertext.b ** fake_challenge).inverse()
-            or_announcements.append(OrProofAnnouncement(a0, b0, a1, b1))
+                # Simulated m=0 branch: m - bit = -1.
+                b_fake = y_power(t) * g_power(q - fake_challenge)
+                announcement = OrProofAnnouncement(a_fake, b_fake, a_real, b_real)
+            or_announcements.append(announcement)
             or_state.append((bit, randomness % q, nonce, fake_challenge, fake_response))
 
         # Sum proof: the product ciphertext encrypts 1 with randomness sum(r_i).
         sum_nonce = self.group.random_scalar(rng)
-        sum_announcement = SumProofAnnouncement(g ** sum_nonce, y ** sum_nonce)
+        sum_announcement = SumProofAnnouncement(g_power(sum_nonce), y_power(sum_nonce))
 
         announcement = BallotProofAnnouncement(tuple(or_announcements), sum_announcement)
         state = _ProverState(opening, or_state, sum_nonce)
@@ -195,8 +202,15 @@ class BallotCorrectnessVerifier:
         challenge: int,
         response: BallotProofResponse,
     ) -> bool:
-        """Check every OR proof and the sum proof against the challenge."""
-        g = self.group.generator()
+        """Check every OR proof and the sum proof against the challenge.
+
+        The ``m=1`` equations are checked with ``g^c`` moved to the left-hand
+        side (``y^s g^c == b1 b^c``), which needs no inverse of ``g``; powers
+        of ``g`` and ``y`` go through their tables, ``a^c`` and ``b^c`` are
+        genuinely variable-base.
+        """
+        g_power = self.group.power_g
+        cached_power = self.group.cached_power
         y = self.public_key
         q = self.group.order
         challenge %= q
@@ -213,24 +227,26 @@ class BallotCorrectnessVerifier:
             if (resp.challenge0 + resp.challenge1) % q != challenge:
                 return False
             # Branch m=0: g^s0 == a0 * a^c0  and  y^s0 == b0 * b^c0.
-            if g ** resp.response0 != ann.a0 * (ciphertext.a ** resp.challenge0):
+            if g_power(resp.response0) != ann.a0 * (ciphertext.a ** resp.challenge0):
                 return False
-            if y ** resp.response0 != ann.b0 * (ciphertext.b ** resp.challenge0):
+            if cached_power(y, resp.response0) != ann.b0 * (ciphertext.b ** resp.challenge0):
                 return False
-            # Branch m=1: g^s1 == a1 * a^c1  and  y^s1 == b1 * (b/g)^c1.
-            b_over_g = ciphertext.b * g.inverse()
-            if g ** resp.response1 != ann.a1 * (ciphertext.a ** resp.challenge1):
+            # Branch m=1: g^s1 == a1 * a^c1  and  y^s1 * g^c1 == b1 * b^c1.
+            if g_power(resp.response1) != ann.a1 * (ciphertext.a ** resp.challenge1):
                 return False
-            if y ** resp.response1 != ann.b1 * (b_over_g ** resp.challenge1):
+            if cached_power(y, resp.response1) * g_power(resp.challenge1) != ann.b1 * (
+                ciphertext.b ** resp.challenge1
+            ):
                 return False
 
         # Sum proof over the product ciphertext (A, B): B must encrypt 1.
         product = self._product(commitment.ciphertexts)
-        b_over_g = product.b * g.inverse()
         s = response.sum_response.response
-        if g ** s != announcement.sum_announcement.a * (product.a ** challenge):
+        if g_power(s) != announcement.sum_announcement.a * (product.a ** challenge):
             return False
-        if y ** s != announcement.sum_announcement.b * (b_over_g ** challenge):
+        if cached_power(y, s) * g_power(challenge) != announcement.sum_announcement.b * (
+            product.b ** challenge
+        ):
             return False
         return True
 

@@ -1,9 +1,16 @@
 """Tests for Bulletin Board nodes and the majority reader."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.core.ballot import PART_A
 from repro.core.bulletin_board import BulletinBoardNode, MajorityReader
 from repro.core.byzantine import WithholdingBulletinBoard
+from repro.core.ea import ElectionAuthority
+from repro.core.election import ElectionParameters
+from repro.crypto.registry import get_group
+from repro.crypto.utils import RandomSource
 
 
 @pytest.fixture()
@@ -140,3 +147,65 @@ class TestMajorityReader:
         view = reader.election_view()
         assert view.vote_set == small_outcome.bb_nodes[0].accepted_vote_set
         assert set(view.decrypted_vote_codes) == set(small_outcome.setup.bb_init.ballots)
+
+
+def _alter_last_byte(point):
+    """Another valid ed25519 point whose 32-byte encoding differs only in the
+    last byte (the sign bit of x), far past anything a printed form shows."""
+    encoded = bytearray(point.serialize())
+    encoded[-1] ^= 0x80
+    return point.group.deserialize(bytes(encoded))
+
+
+class TestMajorityReaderComparesByEquality:
+    """A Byzantine BB node that is first in node order alters one point of its
+    reply; the reader must not count it with the honest replies."""
+
+    @pytest.fixture(scope="class")
+    def election(self):
+        group = get_group("ed25519")
+        params = ElectionParameters.small_test_election(num_voters=1, num_options=2)
+        setup = ElectionAuthority(params, group=group, rng=RandomSource(4)).setup()
+        return group, params, setup.bb_init
+
+    @pytest.fixture(scope="class")
+    def forged_init(self, election):
+        _, _, init = election
+        serial, view = next(iter(init.ballots.items()))
+        row = view.rows[PART_A][0]
+        first = row.commitment.ciphertexts[0]
+        forged_commitment = replace(
+            row.commitment,
+            ciphertexts=(replace(first, a=_alter_last_byte(first.a)),)
+            + row.commitment.ciphertexts[1:],
+        )
+        forged_rows = (replace(row, commitment=forged_commitment),) + view.rows[PART_A][1:]
+        forged_view = replace(view, rows={**view.rows, PART_A: forged_rows})
+        return replace(
+            init,
+            commitment_public_key=_alter_last_byte(init.commitment_public_key),
+            ballots={**init.ballots, serial: forged_view},
+        )
+
+    def test_first_node_lying_past_the_printed_prefix_is_outvoted(self, election, forged_init):
+        group, params, init = election
+        nodes = [BulletinBoardNode("BB-evil", forged_init, params, group)] + [
+            BulletinBoardNode(f"BB-{i}", init, params, group) for i in range(2)
+        ]
+        reader = MajorityReader(nodes, params)
+        key = reader.read(lambda node: node.init.commitment_public_key)
+        assert key.serialize() == init.commitment_public_key.serialize()
+        ballots = reader.read(lambda node: node.init.ballots)
+        assert ballots == init.ballots and ballots != forged_init.ballots
+
+    def test_three_different_replies_still_raise(self, election, forged_init):
+        group, params, init = election
+        third = replace(
+            init, commitment_public_key=init.commitment_public_key * group.generator()
+        )
+        nodes = [
+            BulletinBoardNode(f"BB-{i}", data, params, group)
+            for i, data in enumerate((forged_init, init, third))
+        ]
+        with pytest.raises(ValueError):
+            MajorityReader(nodes, params).read(lambda node: node.init.commitment_public_key)

@@ -175,3 +175,29 @@ class TestSetupOptions:
         ).setup()
         assert [b.serial for b in first.ballots] == [b.serial for b in second.ballots]
         assert first.ballots[0].part_a.lines == second.ballots[0].part_a.lines
+
+
+class TestSetupExponentiations:
+    def test_setup_does_no_plain_pow_and_no_inversion(self, group, monkeypatch):
+        """Every exponentiation of EA set-up is a table lookup (or a
+        multi-power term) and no element is inverted: a later ``base ** x`` or
+        ``.inverse()`` on the set-up path fails here."""
+        calls = {"__pow__": 0, "inverse": 0}
+        element = type(group.generator())
+
+        def counted(name):
+            original = getattr(element, name)
+
+            def wrapper(self, *args):
+                calls[name] += 1
+                return original(self, *args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(element, name, counted(name))
+        params = ElectionParameters.small_test_election(num_voters=2, num_options=3)
+        setup = ElectionAuthority(params, group=group, rng=RandomSource(3)).setup()
+        serial = setup.ballots[0].serial
+        assert setup.bb_init.ballots[serial].rows[PART_A][0].proof_announcement is not None
+        assert calls == {"__pow__": 0, "inverse": 0}

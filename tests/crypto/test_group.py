@@ -143,7 +143,7 @@ class TestFixedBasePrecomputation:
 
     def test_invalid_window_rejected(self, group):
         with pytest.raises(ValueError):
-            SchnorrFixedBase(group.generator(), window=0)
+            FixedBasePrecomputation(group.generator(), window=0)
 
     def test_cached_power_promotes_hot_bases_only(self, group, rng):
         base = group.generator() ** group.random_scalar(rng)

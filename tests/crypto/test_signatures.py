@@ -1,8 +1,11 @@
 """Tests for Schnorr signatures."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.crypto.signatures import SignatureScheme
+from repro.crypto.registry import available_backends, get_group
+from repro.crypto.signatures import SchnorrSignature, SignatureScheme
 from repro.crypto.utils import RandomSource
 
 
@@ -65,3 +68,46 @@ class TestSignatures:
         signature = scheme.sign(keys, endorsement_a)
         assert scheme.verify(keys.public, endorsement_a, signature)
         assert not scheme.verify(keys.public, endorsement_b, signature)
+
+
+@pytest.mark.parametrize("backend", available_backends())
+class TestVerifyOnEveryBackend:
+    """``verify`` recomputes ``R = g^s * X^(q - c)``; same verdicts as ``g^s / X^c``."""
+
+    @pytest.fixture()
+    def signed(self, backend):
+        scheme = SignatureScheme(get_group(backend))
+        keys = scheme.keygen(RandomSource(21))
+        return scheme, keys, scheme.sign(keys, b"msg", rng=RandomSource(22))
+
+    def test_accepts_sign_output(self, signed):
+        scheme, keys, signature = signed
+        assert scheme.verify(keys.public, b"msg", signature)
+        assert scheme.verify(keys.public, b"msg", replace(signature, commitment=None))
+
+    def test_rejects_tampering(self, signed):
+        scheme, keys, signature = signed
+        other = scheme.keygen(RandomSource(23))
+        bad_response = replace(signature, response=signature.response + 1)
+        bad_challenge = replace(signature, challenge=signature.challenge + 1)
+        assert not scheme.verify(keys.public, b"msg", bad_response)
+        assert not scheme.verify(keys.public, b"msg", bad_challenge)
+        assert not scheme.verify(keys.public, b"msh", signature)
+        assert not scheme.verify(other.public, b"msg", signature)
+
+    def test_challenge_congruent_to_zero(self, signed, monkeypatch):
+        """``X^(q - c)`` is the identity for ``c = 0`` and ``c = q``: the hashed
+        commitment is ``g^s``, and neither value is accepted or raises."""
+        scheme, keys, _ = signed
+        group = keys.public.group
+        hashed = []
+        original = group.hash_to_scalar
+
+        def recording(*parts):
+            hashed.append(parts[2])
+            return original(*parts)
+
+        monkeypatch.setattr(group, "hash_to_scalar", recording)
+        for challenge in (0, group.order):
+            assert not scheme.verify(keys.public, b"msg", SchnorrSignature(challenge, 5))
+        assert hashed == [group.power_g(5).serialize()] * 2

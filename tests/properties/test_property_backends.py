@@ -16,12 +16,14 @@ Two families:
   and plain ``**``.
 """
 
-from hypothesis import HealthCheck, given, settings
+import pytest
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.commitments import OptionEncodingScheme
 from repro.crypto.elgamal import LiftedElGamal
-from repro.crypto.gmpy2_backend import make_gmpy2_group
+from repro.crypto.gmpy2_backend import HAVE_GMPY2, Gmpy2FixedBase, make_gmpy2_group
+from repro.crypto.group import SchnorrFixedBase
 from repro.crypto.registry import get_group
 from repro.crypto.signatures import SignatureScheme
 from repro.crypto.utils import RandomSource
@@ -113,6 +115,35 @@ class TestCrossBackendAgreement:
         assert pure.generator() == fast.generator()
         assert pure.second_generator() == fast.second_generator()
         assert pure.power_g(987654321) == fast.power_g(987654321)
+
+
+@pytest.mark.parametrize("base_exponent", [1, 987654321])
+@pytest.mark.parametrize("name", ["schnorr", "schnorr-gmpy2"])
+class TestByteDigitFixedBase:
+    """The one table kernel both Schnorr backends share (``mpz`` rows under gmpy2)."""
+
+    Q = PURE.order
+
+    @relaxed
+    @given(st.integers(min_value=-(2**300), max_value=2**300))
+    @example(0)
+    @example(1)
+    @example(Q - 1)
+    @example(Q)
+    @example(Q + 1)
+    @example(2**256 - 1)
+    @example(-1)
+    @example(-(2**256))
+    def test_power_equals_builtin_pow(self, name, base_exponent, exponent):
+        group = BACKENDS[name]
+        base = group.power_h(base_exponent)
+        table = group.fixed_base(base)
+        gmpy2_rows = HAVE_GMPY2 and name == "schnorr-gmpy2"
+        assert type(table) is (Gmpy2FixedBase if gmpy2_rows else SchnorrFixedBase)
+        result = table.power(exponent)
+        assert int(result.value) == pow(int(base.value), exponent % group.order, group.p)
+        assert type(result) is type(base)
+        assert result.serialize() == (base**exponent).serialize()
 
 
 class TestGroupAxioms:
