@@ -3,11 +3,12 @@
 Reads every ``benchmarks/results/*.json`` the sharded benchmarks produce
 (``sharded_pipeline.json``, ``sharded_parallel.json``) and writes
 ``BENCH_SHARDED.json`` at the repository root: one self-contained record of
-the scale pipeline's current numbers -- ballots/s per configuration, peak
-RSS, the parallel speedup over one worker and over the sequential pipeline
--- stamped with the git revision and an ISO date, so a reviewer (or the
-nightly CI artifact) can read the pipeline's health without digging through
-the raw per-benchmark rows.
+the scale pipeline's current numbers -- untraced ballots/s and traced peak
+bytes per configuration, the parallel speedup over one worker and over the
+sequential pipeline, the core count the worker sweep had -- stamped with the
+git revision (``+dirty`` when the working tree differs from it) and an ISO
+date, so a reviewer (or the nightly CI artifact) can read the pipeline's
+health without digging through the raw per-benchmark rows.
 
 Usage::
 
@@ -39,15 +40,17 @@ SHARDED_INPUTS = ("sharded_pipeline.json", "sharded_parallel.json")
 
 
 def git_revision() -> str:
-    try:
+    """``HEAD``, with ``+dirty`` when tracked files differ from it."""
+
+    def git(*args: str) -> str:
         out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=REPO_ROOT,
-            capture_output=True,
-            text=True,
-            check=True,
+            ["git", *args], cwd=REPO_ROOT, capture_output=True, text=True, check=True
         )
         return out.stdout.strip()
+
+    try:
+        dirty = git("status", "--porcelain", "--untracked-files=no")
+        return git("rev-parse", "HEAD") + ("+dirty" if dirty else "")
     except (OSError, subprocess.CalledProcessError):
         return "unknown"
 
@@ -66,7 +69,6 @@ def summarize_pipeline(rows: list) -> list:
             "num_shards": row["num_shards"],
             "num_ballots": row["num_ballots"],
             "ballots_per_s": row["ballots_per_s"],
-            "peak_rss_bytes": row["peak_rss_bytes"],
             "peak_traced_bytes": row["peak_traced_bytes"],
             "verified": row["verified"],
         }
@@ -91,7 +93,7 @@ def summarize_parallel(rows: list) -> dict:
             "num_shards": row["num_shards"],
             "num_ballots": row["num_ballots"],
             "ballots_per_s": row["ballots_per_s"],
-            "peak_rss_bytes": row["peak_rss_bytes"],
+            "peak_traced_bytes": row["peak_traced_bytes"],
             "peak_inflight": row["peak_inflight"],
             "verified": row["verified"],
         }
@@ -106,9 +108,10 @@ def summarize_parallel(rows: list) -> dict:
         sweep.append(entry)
     summary = {"worker_sweep": sweep}
     if sequential:
+        summary["cpu_count"] = sequential["cpu_count"]
         summary["sequential"] = {
             "ballots_per_s": sequential["ballots_per_s"],
-            "peak_rss_bytes": sequential["peak_rss_bytes"],
+            "peak_traced_bytes": sequential["peak_traced_bytes"],
         }
     return summary
 

@@ -8,11 +8,17 @@ arbitrarily.  This benchmark runs the same election (same seed, same election
 id, hence bit-identical ballot derivations) at 1, 4 and 16 shards through
 ``MultiElectionService.run_sharded`` and records, per shard count:
 
-* ``ballots_per_s``   -- end-to-end pipeline throughput;
-* ``peak_traced_bytes`` -- tracemalloc peak of Python allocations during the
-  run, measured per-block with :class:`repro.perf.memory.MemoryTracker`
-  (resettable, unlike ``ru_maxrss``) -- this is what the memory gate asserts;
-* ``peak_rss_bytes``  -- the OS ``ru_maxrss`` high-water mark for context.
+* ``ballots_per_s``   -- end-to-end pipeline throughput of an *untraced* run;
+* ``peak_traced_bytes`` -- tracemalloc peak of Python allocations during a
+  second, identical run, measured per-block with
+  :class:`repro.perf.memory.MemoryTracker` (resettable, unlike ``ru_maxrss``)
+  -- this is what the memory gate asserts.
+
+Every configuration therefore runs twice.  tracemalloc slows this pipeline
+about 5x (and forked pool workers inherit it), so a clock read inside
+``MemoryTracker.track`` times the tracer; and ``ru_maxrss`` is one
+process-lifetime mark, the same number in every row of a sweep, so it is not
+reported here (``benchmarks/e2e`` reports it per fresh process).
 
 Gates (CI runs this with ``SHARD_SMOKE=1`` at 100k ballots; the full run is
 1M ballots):
@@ -63,11 +69,26 @@ WORKER_COUNTS = (1, 2, 4)
 MAX_INFLIGHT = 2
 SPEEDUP_GATE = 2.0
 PARALLEL_MEMORY_GATE = 1.5
+#: recorded in every worker-sweep row: what its speedups can mean depends on it.
+CPU_COUNT = os.cpu_count() or 1
 
 # Same election id and seed for every shard count: per-ballot digests depend
 # only on (seed, election id, serial), so the runs are replays of one
 # election under different partitions and must agree bit-for-bit.
 BASE = ScenarioSpec.preset("national_scale", election_id="sharded-pipeline", seed=11)
+
+
+def timed_then_traced(tracker: MemoryTracker, name: str, run):
+    """``run()`` untraced for the clock, then again under tracemalloc for the peak.
+
+    Returns ``(timed result, traced result, peak traced bytes)``.
+    """
+    gc.collect()
+    timed = run()
+    gc.collect()
+    with tracker.track(name):
+        traced = run()
+    return timed, traced, tracker.samples[name].peak_traced_bytes
 
 
 def run_sweep():
@@ -82,23 +103,21 @@ def run_sweep():
                 scale_turnout=BASE.sharding.scale_turnout,
             )
         )
-        service = MultiElectionService()
-        gc.collect()
-        with tracker.track(f"shards-{shards}"):
-            report = service.run_sharded(spec, num_ballots=NUM_BALLOTS)
-        outcome = report.outcome
+
+        def run(spec=spec):
+            return MultiElectionService().run_sharded(spec, num_ballots=NUM_BALLOTS).outcome
+
+        outcome, traced, peak = timed_then_traced(tracker, f"shards-{shards}", run)
         outcomes[shards] = outcome
-        sample = tracker.samples[f"shards-{shards}"]
         rows.append(
             {
                 "num_shards": shards,
                 "num_ballots": NUM_BALLOTS,
                 "ballots_cast": outcome.global_record.total_cast,
-                "verified": outcome.report.ok,
+                "verified": outcome.report.ok and traced.report.ok,
                 "ballots_per_s": round(outcome.ballots_per_s, 1),
                 "duration_s": round(outcome.duration_s, 3),
-                "peak_traced_bytes": sample.peak_traced_bytes,
-                "peak_rss_bytes": sample.peak_rss_bytes,
+                "peak_traced_bytes": peak,
                 "tally": outcome.tally.as_dict(),
             }
         )
@@ -153,9 +172,11 @@ def run_worker_sweep():
     rows = []
     frames = {}
 
-    gc.collect()
-    with tracker.track("sequential"):
-        sequential = ShardedElectionDriver(spec, num_ballots=NUM_BALLOTS).run()
+    sequential, traced, peak = timed_then_traced(
+        tracker,
+        "sequential",
+        lambda: ShardedElectionDriver(spec, num_ballots=NUM_BALLOTS).run(),
+    )
     frames["sequential"] = codec.encode(sequential.global_record)
     rows.append(
         {
@@ -163,39 +184,42 @@ def run_worker_sweep():
             "workers": 0,
             "num_shards": PARALLEL_SHARDS,
             "num_ballots": NUM_BALLOTS,
-            "verified": sequential.report.ok,
+            "verified": sequential.report.ok and traced.report.ok,
             "ballots_per_s": round(sequential.ballots_per_s, 1),
             "duration_s": round(sequential.duration_s, 3),
             "peak_inflight": 1,
-            "peak_traced_bytes": tracker.samples["sequential"].peak_traced_bytes,
-            "peak_rss_bytes": tracker.samples["sequential"].peak_rss_bytes,
+            "peak_traced_bytes": peak,
+            "cpu_count": CPU_COUNT,
         }
     )
 
     for workers in WORKER_COUNTS:
-        driver = ParallelShardedElectionDriver(
-            spec,
-            num_ballots=NUM_BALLOTS,
-            workers=workers,
-            max_inflight_shards=MAX_INFLIGHT,
+
+        def run(workers=workers):
+            driver = ParallelShardedElectionDriver(
+                spec,
+                num_ballots=NUM_BALLOTS,
+                workers=workers,
+                max_inflight_shards=MAX_INFLIGHT,
+            )
+            return driver, driver.run()
+
+        (driver, outcome), (_, traced), peak = timed_then_traced(
+            tracker, f"workers-{workers}", run
         )
-        gc.collect()
-        with tracker.track(f"workers-{workers}"):
-            outcome = driver.run()
         frames[workers] = codec.encode(outcome.global_record)
-        sample = tracker.samples[f"workers-{workers}"]
         rows.append(
             {
                 "mode": "parallel",
                 "workers": workers,
                 "num_shards": PARALLEL_SHARDS,
                 "num_ballots": NUM_BALLOTS,
-                "verified": outcome.report.ok,
+                "verified": outcome.report.ok and traced.report.ok,
                 "ballots_per_s": round(outcome.ballots_per_s, 1),
                 "duration_s": round(outcome.duration_s, 3),
                 "peak_inflight": driver.peak_inflight,
-                "peak_traced_bytes": sample.peak_traced_bytes,
-                "peak_rss_bytes": sample.peak_rss_bytes,
+                "peak_traced_bytes": peak,
+                "cpu_count": CPU_COUNT,
             }
         )
     return rows, frames
@@ -250,7 +274,7 @@ def test_parallel_worker_sweep(benchmark, results_sink):
     # sweep still runs (invariance gates above), but the speedup assertion
     # would be physically impossible, so it is skipped loudly rather than
     # passed silently.
-    if (os.cpu_count() or 1) >= 4:
+    if CPU_COUNT >= 4:
         speedup = by_workers[4]["ballots_per_s"] / rows[0]["ballots_per_s"]
         assert speedup >= SPEEDUP_GATE, (
             f"4 workers delivered only {speedup:.2f}x the sequential "
@@ -258,6 +282,6 @@ def test_parallel_worker_sweep(benchmark, results_sink):
         )
     else:
         pytest.skip(
-            f"speedup gate needs >= 4 cores, have {os.cpu_count()} "
+            f"speedup gate needs >= 4 cores, have {CPU_COUNT} "
             f"(invariance gates already passed)"
         )

@@ -142,10 +142,15 @@ class ConsensusBatcher:
 
 @dataclass(frozen=True)
 class SuperblockSend(ConsensusMessage):
-    """First step of reliably broadcasting ``origin``'s opinion vector."""
+    """First step of reliably broadcasting ``origin``'s opinion vector.
+
+    ``bits`` holds one byte (0 or 1) per ballot of the block, the form the
+    codec writes: the reliable broadcast keys its sender sets by the vector,
+    and a ``bytes`` key hashes once and compares with ``memcmp``.
+    """
 
     origin: str = ""
-    bits: Tuple[int, ...] = ()
+    bits: bytes = b""
 
 
 @dataclass(frozen=True)
@@ -153,7 +158,7 @@ class SuperblockEcho(ConsensusMessage):
     """Echo of an origin's vector (Bracha reliable-broadcast step 2)."""
 
     origin: str = ""
-    bits: Tuple[int, ...] = ()
+    bits: bytes = b""
 
 
 @dataclass(frozen=True)
@@ -161,7 +166,7 @@ class SuperblockReady(ConsensusMessage):
     """Ready for an origin's vector (Bracha reliable-broadcast step 3)."""
 
     origin: str = ""
-    bits: Tuple[int, ...] = ()
+    bits: bytes = b""
 
 
 @dataclass
@@ -170,9 +175,9 @@ class _RbcState:
 
     echoed: bool = False
     ready_sent: bool = False
-    delivered: Optional[Tuple[int, ...]] = None
-    echo_senders: Dict[Tuple[int, ...], Set[str]] = field(default_factory=dict)
-    ready_senders: Dict[Tuple[int, ...], Set[str]] = field(default_factory=dict)
+    delivered: Optional[bytes] = None
+    echo_senders: Dict[bytes, Set[str]] = field(default_factory=dict)
+    ready_senders: Dict[bytes, Set[str]] = field(default_factory=dict)
 
 
 class SuperblockConsensus:
@@ -213,7 +218,7 @@ class SuperblockConsensus:
         self.n = num_nodes
         self.f = num_faulty
         self.quorum = num_nodes - num_faulty
-        self.bits = tuple(opinions[serial] for serial in self.serials)
+        self.bits = bytes(map(opinions.__getitem__, self.serials))
         self.broadcast = broadcast
         self.schedule = schedule
         self.on_resolve = on_resolve
@@ -221,7 +226,7 @@ class SuperblockConsensus:
         self.grace = grace
 
         #: reliably delivered opinion vectors, by origin node
-        self.proposals: Dict[str, Tuple[int, ...]] = {}
+        self.proposals: Dict[str, bytes] = {}
         self._rbc: Dict[str, _RbcState] = {}
         self.proposed: Optional[int] = None
         self.decided: Optional[int] = None
@@ -256,6 +261,14 @@ class SuperblockConsensus:
             self._on_ready(sender, message)
         else:
             self.instance.handle(sender, message)
+
+    def close(self) -> None:
+        """Cut the ``block -> instance -> self._on_decide -> block`` cycle.
+
+        A host that discards finished blocks calls this so they are freed by
+        reference counting rather than by a later cyclic collection.
+        """
+        self.instance.on_decide = None
 
     # -- reliable broadcast of proposals ----------------------------------------
 
@@ -299,7 +312,7 @@ class SuperblockConsensus:
     def _matching_proposals(self) -> int:
         return sum(1 for bits in self.proposals.values() if bits == self.bits)
 
-    def _on_proposal_delivered(self, origin: str, bits: Tuple[int, ...]) -> None:
+    def _on_proposal_delivered(self, origin: str, bits: bytes) -> None:
         self.proposals[origin] = bits
         if self.proposed is None:
             if self._matching_proposals() >= self.quorum:
@@ -346,7 +359,7 @@ class SuperblockConsensus:
         """
         if self.resolved:
             return
-        support: Dict[Tuple[int, ...], int] = {}
+        support: Dict[bytes, int] = {}
         for bits in self.proposals.values():
             support[bits] = support.get(bits, 0) + 1
         for bits, count in support.items():

@@ -131,6 +131,19 @@ class _ClusterNode:
         for serial in block.serials:
             self._per_ballot_instance(serial).propose(self.opinions[serial])
 
+    def release(self) -> None:
+        """Drop every reference that closes a cycle through this node.
+
+        ``node -> block/instance -> bound callback -> node`` and ``node <->
+        cluster`` would otherwise keep the opinion and decision dicts alive
+        until a full cyclic collection.
+        """
+        for block in self.superblocks.values():
+            block.close()
+        self.superblocks.clear()
+        self.instances.clear()
+        self.cluster = None
+
     # -- delivery ------------------------------------------------------------------
 
     def deliver(self, sender: str, message: ConsensusMessage) -> None:
@@ -176,7 +189,8 @@ class ConsensusCluster:
         """Run consensus to quiescence and return decisions plus statistics.
 
         ``opinions`` is the default opinion vector; ``per_node_opinions`` can
-        override it per node (same serial keys) to model disagreement.
+        override it per node (same serial keys) to model disagreement.  The
+        nodes are released when the run ends: a cluster runs once.
         """
         for index, node in enumerate(self.nodes):
             if index in self.silent:
@@ -200,10 +214,15 @@ class ConsensusCluster:
             pending, self.timers = self.timers, []
             for callback in pending:
                 callback()
-        return ClusterResult(
+        result = ClusterResult(
             decisions=[node.decisions for index, node in enumerate(self.nodes)
                        if index not in self.silent],
             messages_sent=self.messages_sent,
             superblocks_fast=sum(node.superblocks_fast for node in self.nodes),
             superblocks_fallback=sum(node.superblocks_fallback for node in self.nodes),
         )
+        # The caller's ``del cluster`` must free a shard's consensus state at
+        # once: the scale pipeline's O(shard) memory depends on it.
+        for node in self.nodes:
+            node.release()
+        return result

@@ -779,16 +779,16 @@ def _install_default_types(codec: MessageCodec) -> None:
         def enc(c: MessageCodec, m, out: bytearray) -> None:
             _w_vstr(out, m.instance)
             _w_vstr(out, m.origin)
-            # Opinion vectors are bit-per-ballot; pack them one byte per bit
+            # Opinion vectors travel as they are held: one byte per ballot
             # (the vector length is what the superblock byte savings trade
             # against, so keep it compact and deterministic).
-            try:
-                _w_vbytes(out, bytes(m.bits))
-            except ValueError as exc:
-                raise WireFormatError("opinion bits must be in [0, 255]") from exc
+            _w_vbytes(out, m.bits)
 
         def dec(c: MessageCodec, r: _Reader):
-            return cls(r.vstr(), r.vstr(), tuple(r.vbytes()))
+            instance, origin, bits = r.vstr(), r.vstr(), r.vbytes()
+            if bits.translate(None, b"\x00\x01"):
+                raise WireFormatError("opinion vector holds a byte other than 0 or 1")
+            return cls(instance, origin, bits)
 
         return enc, dec
 

@@ -189,8 +189,8 @@ class BandwidthCosts:
             + size(VscEnvelope(Aux(instance, 0, 1), "VC-0"))
             + size(VscEnvelope(Finish(instance, 1), "VC-0"))
         ) / 3.0
-        vector_base = size(SuperblockSend("sb|1000", "VC-0", ()))
-        vector_16 = size(SuperblockSend("sb|1000", "VC-0", (1,) * 16))
+        vector_base = size(SuperblockSend("sb|1000", "VC-0", b""))
+        vector_16 = size(SuperblockSend("sb|1000", "VC-0", b"\x01" * 16))
         return cls(
             num_vc=num_vc,
             vote_request_bytes=size(VoteRequest(serial, vote_code, "V-123456")),

@@ -76,10 +76,11 @@ class StreamingTally:
     """O(num_options) accumulator for a shard's homomorphic tally.
 
     Each cast ballot contributes its option's unit vector and one fresh
-    randomness scalar per coordinate; both are plain integer additions here.
-    ``commit()`` flushes the sums to one deterministic ElGamal commitment —
-    exactly the element the per-ballot commitment product would produce,
-    without ever materializing per-ballot ciphertexts.
+    randomness scalar per coordinate; both are plain integer additions here
+    (the randomness sums are reduced modulo the group order when they are
+    read, not per vote).  ``commit()`` flushes the sums to one deterministic
+    ElGamal commitment — exactly the element the per-ballot commitment
+    product would produce, without ever materializing per-ballot ciphertexts.
     """
 
     def __init__(self, scheme: OptionEncodingScheme):
@@ -97,7 +98,7 @@ class StreamingTally:
             raise ValueError("randomness vector length mismatch")
         self._values[option_index] += 1
         for coordinate, r in enumerate(randomness):
-            self._randomness[coordinate] = (self._randomness[coordinate] + r) % self._order
+            self._randomness[coordinate] += r
         self.count += 1
 
     @property
@@ -105,14 +106,17 @@ class StreamingTally:
         return tuple(self._values)
 
     def opening(self) -> CommitmentOpening:
-        return CommitmentOpening(tuple(self._values), tuple(self._randomness))
+        return CommitmentOpening(
+            tuple(self._values), tuple(r % self._order for r in self._randomness)
+        )
 
     def commit(self) -> OptionCommitment:
         """One deterministic encryption per coordinate of the summed vector."""
         elgamal = self._scheme.elgamal
         public = self._scheme.public_key
+        opening = self.opening()
         ciphertexts = tuple(
             elgamal.encrypt(public, value, randomness=r)
-            for value, r in zip(self._values, self._randomness, strict=True)
+            for value, r in zip(opening.values, opening.randomness, strict=True)
         )
         return OptionCommitment(ciphertexts)

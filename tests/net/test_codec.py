@@ -109,10 +109,10 @@ def sample_messages(signature):
         BVal("sb|0", 2, 1),
         Aux("12", 0, 0),
         Finish("12", 1),
-        SuperblockSend("sb|0", "VC-0", (1, 0, 1, 1)),
-        SuperblockEcho("sb|0", "VC-1", (1, 0, 1, 1)),
-        SuperblockReady("sb|0", "VC-2", (1, 0, 1, 1)),
-        BatchEnvelope((Aux("3", 1, 1), SuperblockSend("sb|1", "VC-0", (0, 1)))),
+        SuperblockSend("sb|0", "VC-0", b"\x01\x00\x01\x01"),
+        SuperblockEcho("sb|0", "VC-1", b"\x01\x00\x01\x01"),
+        SuperblockReady("sb|0", "VC-2", b"\x01\x00\x01\x01"),
+        BatchEnvelope((Aux("3", 1, 1), SuperblockSend("sb|1", "VC-0", b"\x00\x01"))),
         signature,
         Share(1, 42),
         SignedShare(Share(1, 42), b"ctx", signature),
@@ -217,6 +217,18 @@ class TestStrictDecoding:
         frame += zlib.crc32(bytes(frame)).to_bytes(4, "big")
         with pytest.raises(WireFormatError):
             codec.decode(bytes(frame))
+
+    @pytest.mark.parametrize("cls", [SuperblockSend, SuperblockEcho, SuperblockReady])
+    @pytest.mark.parametrize("stray", [2, 0x80, 0xFF])
+    def test_opinion_vector_bytes_must_be_bits(self, codec, cls, stray):
+        # The encoder writes the vector as held, so a well-framed message can
+        # carry any byte; a decoded vector keys the reliable broadcast's
+        # sender sets and resolves ballots, so only 0/1 may come out.
+        honest = codec.decode(codec.encode(cls("sb|0", "VC-0", b"\x01\x00\x01")))
+        assert honest.bits == b"\x01\x00\x01" and type(honest.bits) is bytes
+        frame = codec.encode(cls("sb|0", "VC-0", bytes([1, 0, stray])))
+        with pytest.raises(WireFormatError, match="opinion vector"):
+            codec.decode(frame)
 
     def test_frame_remainder_length(self, codec):
         frame = codec.encode(Endorse(1, b"x"))
@@ -379,7 +391,7 @@ def golden_payloads():
     share = SignedShare(Share(2, (1 << 200) + 17), b"receipt|7|A|0", bare)
     consensus = (
         BVal("7", 0, 1), Aux("7", 0, 1), Finish("7", 1),
-        SuperblockSend("sb|0", "VC-0", (1, 0, 1, 1)),
+        SuperblockSend("sb|0", "VC-0", b"\x01\x00\x01\x01"),
     )
     return group, {
         "endorse": Endorse(7, code),

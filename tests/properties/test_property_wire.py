@@ -84,19 +84,19 @@ consensus_messages = st.one_of(
         SuperblockSend,
         instance=instances,
         origin=node_ids,
-        bits=st.lists(bits, max_size=64).map(tuple),
+        bits=st.lists(bits, max_size=64).map(bytes),
     ),
     st.builds(
         SuperblockEcho,
         instance=instances,
         origin=node_ids,
-        bits=st.lists(bits, max_size=64).map(tuple),
+        bits=st.lists(bits, max_size=64).map(bytes),
     ),
     st.builds(
         SuperblockReady,
         instance=instances,
         origin=node_ids,
-        bits=st.lists(bits, max_size=64).map(tuple),
+        bits=st.lists(bits, max_size=64).map(bytes),
     ),
 )
 

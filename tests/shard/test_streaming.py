@@ -102,6 +102,26 @@ class TestStreamingTally:
         result = open_tally(scheme, tally.commit(), tally.opening(), ("x", "y", "z"))
         assert result.as_dict() == {"x": 2, "y": 1, "z": 0}
 
+    def test_lazy_reduction_equals_the_eager_sum(self, scheme):
+        """Reducing once at read time gives the sums a per-vote ``%`` gives,
+        for unreduced inputs too, and reading twice (or mid-stream) is safe."""
+        order = scheme.group.order
+        rng = RandomSource(9)
+        tally = StreamingTally(scheme)
+        eager = [0] * NUM_OPTIONS
+        for step, option in enumerate([1, 2, 2, 0, 1, 2, 0, 0, 1]):
+            # Digest-sized inputs, mostly above the order, as the runner feeds them.
+            randomness = [rng.randbits(256) + order * (step % 3) for _ in range(NUM_OPTIONS)]
+            tally.add_vote(option, randomness)
+            eager = [(total + r) % order for total, r in zip(eager, randomness, strict=True)]
+            if step == 4:
+                assert tally.opening().randomness == tuple(eager)
+        opening = tally.opening()
+        assert opening.randomness == tuple(eager)
+        assert all(0 <= r < order for r in opening.randomness)
+        assert tally.opening() == opening
+        assert scheme.verify_opening(tally.commit(), opening)
+
     def test_rejects_bad_inputs(self, scheme):
         tally = StreamingTally(scheme)
         with pytest.raises(ValueError):
