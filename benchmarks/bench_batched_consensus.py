@@ -1,22 +1,29 @@
-"""Batched vs. per-ballot Vote Set Consensus: messages and wall-clock.
+"""Batched vs. per-ballot Vote Set Consensus: messages handled and wall-clock.
 
-The paper's network-efficiency claim: "We introduce a version of Binary
-Consensus that operates in batches of arbitrary size; this way, we achieve
-greater network efficiency."  This benchmark quantifies the claim for the
-superblock implementation (`repro.consensus.batching.SuperblockConsensus`)
-against the per-ballot baseline, on the crypto-free consensus cluster
-harness (`repro.consensus.cluster.ConsensusCluster`):
+The paper: "We introduce a version of Binary Consensus that operates in
+batches of arbitrary size; this way, we achieve greater network efficiency."
+Two mechanisms implement that sentence.  *Envelopes* put everything a
+collector sends in one handler step into one frame, in every mode, so on the
+vote collectors neither mode's frame count follows the ballots any more
+(``bench_wire_bandwidth.py`` measures frames and bytes).  *Superblocks*
+(`repro.consensus.batching.SuperblockConsensus`) decide a block of ballots
+with one binary instance; what that still buys is fewer protocol messages for
+the instances to handle, and the time handling them takes.  This benchmark
+measures that, against the per-ballot baseline, on the crypto-free consensus
+cluster harness (`repro.consensus.cluster.ConsensusCluster`, which delivers
+every protocol message on its own and counts each):
 
 * ``n_ballots`` in {100, 1,000, 10,000} with Nv = 4 nodes;
 * batch sizes 64 / 256 / 1024 against batch size 1;
 * both modes must decide the identical vote set;
-* at 10,000 ballots the batched run must send at least 5x fewer consensus
-  messages (the PR's acceptance criterion).
+* at the largest electorate the batched run must handle at least 5x fewer
+  consensus messages and take at most half the time, and the
+  `ConsensusCosts` message model must predict the measured reduction within 2x.
 
 Results land in ``benchmarks/results/batched_consensus.json``; see
 ``benchmarks/README.md`` for the field glossary.  Set ``BENCH_SMOKE=1`` for
 the CI regression gate: the electorate sweep stops at 1,000 ballots and the
-message-reduction criterion applies to the largest size actually run.
+gates apply to the largest size actually run.
 """
 
 from __future__ import annotations
@@ -85,11 +92,17 @@ def test_batched_consensus_message_reduction(benchmark, results_sink):
     rows = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
     save("batched_consensus", rows)
     show("Batched vs per-ballot Vote Set Consensus (Nv = 4)", rows)
-    # Acceptance criterion: >= 5x fewer consensus messages at the largest
-    # electorate of the sweep (10k ballots; 1k in smoke mode).
+    # At the largest electorate of the sweep (10k ballots; 1k in smoke mode):
+    # >= 5x fewer consensus messages to handle, the handling at least twice as
+    # fast (17-100x measured), and the message model within 2x of the
+    # measurement (its per-instance count, 6 per node pair, is the measured one).
     largest = max(BALLOT_COUNTS)
     at_largest = [row for row in rows if row["num_ballots"] == largest]
-    assert at_largest and all(row["message_reduction"] >= 5.0 for row in at_largest)
+    assert at_largest
+    for row in at_largest:
+        assert row["message_reduction"] >= 5.0, row
+        assert row["wallclock_speedup"] >= 2.0, row
+        assert 0.5 <= row["model_reduction"] / row["message_reduction"] <= 2.0, row
     # Larger batches never send more messages.
     for num_ballots in BALLOT_COUNTS:
         series = [r["batched_messages"] for r in rows if r["num_ballots"] == num_ballots]

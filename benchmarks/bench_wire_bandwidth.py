@@ -11,15 +11,20 @@ classified per message type:
   against superblock consensus (batch 8) at every size;
 * both modes must produce the identical tally (the byte savings may not
   change the outcome);
-* per-phase (voting / consensus) and per-message-family byte totals, plus the
-  analytic predictions of `repro.perf.costmodel.BandwidthCosts` next to the
-  measured numbers.
+* per-phase (voting / consensus) and per-message-family byte totals and the
+  number of consensus frames, plus the analytic predictions of
+  `repro.perf.costmodel.BandwidthCosts` next to the measured numbers.
+
+Both modes send their consensus-phase traffic as `VscBatch` frames, one per
+handler step, so neither mode's *frame* count follows the electorate; what
+superblocks still save is elements (one instance per block) and so bytes.
 
 Results land in ``benchmarks/results/wire_bandwidth.json``; see
 ``benchmarks/README.md`` for the field glossary.  Set ``BENCH_SMOKE=1`` for
-the CI regression gate: the sweep stops at 8 voters and the two gates below
-(superblock byte reduction, bounded framing overhead) apply to the largest
-size actually run.
+the CI regression gate: the sweep stops at 8 voters and the gates below
+(frames bounded by the slowest ballot's rounds, the byte model matches the
+measurement, superblock byte reduction, bounded framing overhead) apply to
+the sizes actually run.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ OPTIONS = ("option-1", "option-2")
 #: message families for the per-type byte breakdown
 VOTING_TYPES = ("VoteRequest", "VoteReceipt", "VoteRejected", "Endorse", "Endorsement",
                 "VotePending")
-CONSENSUS_TYPES = ("Announce", "VscEnvelope", "VscBatch", "RecoverRequest",
+CONSENSUS_TYPES = ("VscBatch", "RecoverRequest",
                    "RecoverResponse")
 UPLOAD_TYPES = ("VoteSetUpload", "MskShareUpload")
 
@@ -85,7 +90,7 @@ def run_wire_election(num_voters: int, batch_size: int):
     finally:
         engine.close()
     outcome = engine.outcome()
-    by_family = {"voting": 0, "consensus": 0, "upload": 0, "other": 0}
+    by_family = {"voting": 0, "consensus": 0, "upload": 0, "other": 0, "consensus_frames": 0}
     for record in outcome.network.delivery_log:
         if record.duplicated:
             continue
@@ -94,6 +99,7 @@ def run_wire_election(num_voters: int, batch_size: int):
             by_family["voting"] += record.wire_bytes
         elif name in CONSENSUS_TYPES:
             by_family["consensus"] += record.wire_bytes
+            by_family["consensus_frames"] += 1
         elif name in UPLOAD_TYPES:
             by_family["upload"] += record.wire_bytes
         else:
@@ -124,6 +130,13 @@ def run_sweep():
             "consensus_byte_reduction": round(
                 base_family["consensus"] / max(batch_family["consensus"], 1), 2
             ),
+            "baseline_consensus_frames": base_family["consensus_frames"],
+            "baseline_slowest_round": max(
+                state.instance.round
+                for node in baseline.vote_collectors
+                for state in node.consensus.values()
+            ),
+            "batched_consensus_frames": batch_family["consensus_frames"],
             "model_baseline_consensus_bytes": round(
                 model.consensus_bytes(NUM_VC, num_voters, 1)
             ),
@@ -151,21 +164,29 @@ def test_wire_bandwidth_scaling(benchmark, results_sink):
         {key: value for key, value in row.items() if key != "phase_bytes"}
         for row in rows
     ])
-    # Gate 1: superblock batching must shrink measured consensus *bytes*, not
-    # just message counts, at the largest electorate of the sweep.
-    largest = max(VOTER_COUNTS)
-    at_largest = [row for row in rows if row["num_voters"] == largest]
-    assert at_largest and all(
-        row["consensus_byte_reduction"] >= 1.2 for row in at_largest
-    )
-    # Superblock batching saves bytes at every electorate of the sweep (block
-    # boundary effects make the exact factor non-monotonic, so no ordering
-    # assertion -- only that the savings are real everywhere).
-    assert all(row["consensus_byte_reduction"] > 1.0 for row in rows)
-    # Gate 2: the canonical framing (magic + version + tag + length + CRC)
+    largest = max(rows, key=lambda row: row["num_voters"])
+    # Gate 1: per-ballot consensus frames follow the protocol's steps, not the
+    # ballots: a node sends its announces, two frames per round until its
+    # slowest ballot has decided (every ballot flips its own coin, so that
+    # round moves with the serials drawn), and the last FINISH.
+    for row in rows:
+        bound = NUM_VC * NUM_VC * (2 * row["baseline_slowest_round"] + 2)
+        assert 0 < row["baseline_consensus_frames"] <= bound, row
+    # Gate 2: the byte model is a model of *this* traffic: within 35 % of the
+    # measured consensus bytes in both modes at the largest electorate.
+    for mode in ("baseline", "batched"):
+        ratio = largest[f"model_{mode}_consensus_bytes"] / largest[f"{mode}_consensus_bytes"]
+        assert 0.65 <= ratio <= 1.35, (mode, ratio)
+    # Gate 3: superblock batching still shrinks measured consensus *bytes* at
+    # the largest electorate (one instance per block instead of one per
+    # ballot).  Not at every size: a single 4-ballot block costs more than 4
+    # instances, and the announces, which both modes send, are most of it.
+    assert largest["consensus_byte_reduction"] >= 1.2
+    # Gate 4: the canonical framing (magic + version + tag + length + CRC)
     # stays a bounded fraction of the traffic -- a wire-format change that
-    # bloats every message trips this before it distorts the scaling curves.
-    assert all(row["frame_overhead_ratio"] <= 0.35 for row in rows)
+    # bloats every message, or a return to one frame per consensus message,
+    # trips this before it distorts the scaling curves (0.02-0.05 measured).
+    assert all(row["frame_overhead_ratio"] <= 0.10 for row in rows)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ Two cooperating mechanisms implement that sentence here:
    Vote Set Consensus generates many small messages, and a node sends every
    one of them to all of its peers; the batcher buffers them and flushes them
    as one envelope broadcast to every peer, cutting the number of network
-   messages without touching protocol logic.
+   messages without touching protocol logic.  An envelope's elements are
+   whatever the host sends to all of its peers in that phase: consensus
+   messages and, for a vote collector, its per-ballot ANNOUNCEs.
 
 2. **Superblocks** (:class:`SuperblockConsensus`).  Instead of one binary
    consensus instance per ballot, ballots are grouped into fixed superblocks
@@ -76,8 +78,9 @@ def partition_serials(serials: Sequence[int], batch_size: int) -> List[Tuple[int
 
 @dataclass(frozen=True)
 class BatchEnvelope:
-    """A bundle of consensus messages travelling as one network message."""
+    """A bundle of consensus-phase messages travelling as one network message."""
 
+    #: :class:`ConsensusMessage` or host-level elements (``Announce``), in send order
     messages: tuple
 
     def __len__(self) -> int:
@@ -85,9 +88,9 @@ class BatchEnvelope:
 
 
 class ConsensusBatcher:
-    """Buffers a node's consensus broadcasts into envelopes.
+    """Buffers a node's consensus-phase broadcasts into envelopes.
 
-    Every consensus message goes to the same ``fanout`` peers, so one queue
+    Every queued element goes to the same ``fanout`` peers, so one queue
     serves them all.  ``broadcast`` is the underlying callable
     (``broadcast(envelope)``) that sends one envelope to every peer.
     ``max_batch`` bounds the number of messages per envelope; ``flush`` drains
@@ -104,12 +107,12 @@ class ConsensusBatcher:
         self.fanout = fanout
         self._broadcast = broadcast
         self.max_batch = max_batch
-        self._pending: List[ConsensusMessage] = []
+        self._pending: list = []
         self.envelopes_sent = 0
         self.messages_sent = 0
 
-    def enqueue(self, message: ConsensusMessage) -> None:
-        """Queue one consensus message for every peer."""
+    def enqueue(self, message) -> None:
+        """Queue one envelope element for every peer."""
         self._pending.append(message)
         if len(self._pending) >= self.max_batch:
             self.flush()
@@ -130,8 +133,8 @@ class ConsensusBatcher:
         return len(self._pending)
 
     @staticmethod
-    def unpack(envelope: BatchEnvelope) -> Tuple[ConsensusMessage, ...]:
-        """Return the individual messages inside an envelope."""
+    def unpack(envelope: BatchEnvelope) -> tuple:
+        """Return the individual elements inside an envelope."""
         return envelope.messages
 
 

@@ -23,8 +23,9 @@ examples can demonstrate that the protocol guarantees survive them:
 
 from __future__ import annotations
 
+from repro.consensus.batching import BatchEnvelope
 from repro.core.bulletin_board import BulletinBoardNode
-from repro.core.messages import Announce, Endorse, Endorsement, VotePending
+from repro.core.messages import Announce, Endorse, Endorsement, VotePending, VscBatch
 from repro.core.trustee import Trustee, TrusteeSubmission
 from repro.core.vote_collector import VoteCollectorNode, endorsement_message
 from repro.crypto.pedersen_vss import PedersenShare
@@ -86,7 +87,8 @@ class EquivocatingVoteCollector(VoteCollectorNode):
         self.vsc_started = True
         for serial in self.ballots:
             self._consensus_record(serial)
-            self.broadcast(self.peers, Announce(serial, None, None, self.node_id))
+            self._batcher.enqueue(Announce(serial, None, None, self.node_id))
+        self._flush_vsc()
 
 
 class UcertWithholdingVoteCollector(VoteCollectorNode):
@@ -115,14 +117,16 @@ class UcertWithholdingVoteCollector(VoteCollectorNode):
             return
         self.voting_closed = True
         self.vsc_started = True
-        for serial, record in self.ballots.items():
-            if record.ucert is not None:
-                honest = Announce(serial, record.used_vote_code, record.ucert, self.node_id)
-                lie = Announce(serial, None, None, self.node_id)
-                for peer in self.peers:
-                    self.send(peer, honest if peer in self.reveal_to else lie)
-            else:
-                self.broadcast(self.peers, Announce(serial, None, None, self.node_id))
+        # One envelope per peer: the shared queue is for what everyone gets.
+        for peer in self.peers:
+            reveal = peer in self.reveal_to
+            announces = tuple(
+                Announce(serial, record.used_vote_code, record.ucert, self.node_id)
+                if reveal and record.ucert is not None
+                else Announce(serial, None, None, self.node_id)
+                for serial, record in self.ballots.items()
+            )
+            self.send(peer, VscBatch(BatchEnvelope(announces), self.node_id))
 
 
 class WithholdingBulletinBoard(BulletinBoardNode):

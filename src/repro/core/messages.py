@@ -4,8 +4,8 @@ These dataclasses are the payloads carried by :class:`repro.net.channels.Message
 They correspond one-to-one to the messages named in the paper: VOTE,
 ENDORSE, ENDORSEMENT, VOTE_P, ANNOUNCE, RECOVER-REQUEST, RECOVER-RESPONSE for
 the vote-collection subsystem, plus the uploads VC nodes send to BB nodes at
-the end of the election and the binary-consensus traffic of Vote Set
-Consensus (wrapped in :class:`VscEnvelope` or batched).
+the end of the election and the :class:`VscBatch` frame that carries a VC
+node's ANNOUNCEs and binary-consensus traffic during Vote Set Consensus.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.consensus.batching import BatchEnvelope
-from repro.consensus.interfaces import ConsensusMessage
 from repro.crypto.shamir import SignedShare
 from repro.crypto.signatures import SchnorrSignature
 
@@ -101,7 +100,8 @@ class VotePending:
 
 @dataclass(frozen=True)
 class Announce:
-    """ANNOUNCE<serial-no, vote-code, UCERT>; vote_code is None if unknown."""
+    """ANNOUNCE<serial-no, vote-code, UCERT>; vote_code is None if unknown.
+    Travels as an element of a :class:`VscBatch`, never as a frame of its own."""
 
     serial: int
     vote_code: Optional[bytes]
@@ -128,16 +128,9 @@ class RecoverResponse:
 
 
 @dataclass(frozen=True)
-class VscEnvelope:
-    """A single binary-consensus message travelling between VC nodes."""
-
-    consensus_message: ConsensusMessage
-    sender: str
-
-
-@dataclass(frozen=True)
 class VscBatch:
-    """A batch of binary-consensus messages (network-efficiency optimisation)."""
+    """Everything one handler step of Vote Set Consensus sends to the VC nodes:
+    per-ballot :class:`Announce` elements and binary-consensus messages."""
 
     envelope: BatchEnvelope
     sender: str

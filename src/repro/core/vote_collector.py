@@ -14,6 +14,11 @@ ballot, followed by the recovery sub-protocol for ballots where the node
 decided "voted" without knowing the winning vote code.  The final agreed set
 of ``<serial, vote-code>`` tuples and the node's share of ``msk`` are then
 uploaded to every Bulletin Board node.
+
+Everything a node sends to *all* collectors during Vote Set Consensus (its
+ANNOUNCEs, BVAL/AUX/FINISH, superblock reliable-broadcast steps) goes through
+one outbound queue and leaves as one ``VscBatch`` frame per handler step, so
+honest nodes receive whole steps at once and their instances advance together.
 """
 
 from __future__ import annotations
@@ -58,7 +63,6 @@ from repro.core.messages import (
     VoteRequest,
     VoteSetUpload,
     VscBatch,
-    VscEnvelope,
 )
 from repro.crypto.shamir import ShamirSecretSharing, SignedShare, SigningDealer
 from repro.crypto.signatures import SignatureScheme
@@ -104,7 +108,6 @@ class ConsensusRecord:
     resolved: bool = False
     final_vote_code: Optional[bytes] = None
     recover_requested: bool = False
-    buffered: List[Tuple[str, ConsensusMessage]] = field(default_factory=list)
 
 
 @dataclass
@@ -121,7 +124,8 @@ class VscStats:
     superblocks_fallback: int = 0
     #: RECOVER-REQUEST exchanges issued (decided "voted" without the code)
     recover_requests: int = 0
-    #: consensus envelopes sent / consensus messages carried inside them
+    #: ``VscBatch`` frames sent (one per destination) / announces and consensus
+    #: messages inside them; non-zero in every mode, per-ballot included
     envelopes_sent: int = 0
     envelope_messages: int = 0
 
@@ -197,7 +201,11 @@ class VoteCollectorNode(SimNode):
         self._serial_to_block: Dict[int, str] = {}
         self._sb_pending_announces: Dict[str, Set[int]] = {}
         self._sb_buffer: Dict[str, List[Tuple[str, ConsensusMessage]]] = {}
-        self._batcher: Optional[ConsensusBatcher] = None
+        #: the one outbound queue for traffic addressed to every VC node
+        self._batcher = ConsensusBatcher(
+            len(self.peers),
+            lambda envelope: self.broadcast(self.peers, VscBatch(envelope, self.node_id)),
+        )
         if self.batch_size > 1:
             # With sharding, blocks never cross shard boundaries: each shard's
             # Vote Set Consensus instances stay independent, which is what
@@ -219,10 +227,6 @@ class VoteCollectorNode(SimNode):
                 self._sb_pending_announces[block_id] = set(block)
                 for serial in block:
                     self._serial_to_block[serial] = block_id
-            self._batcher = ConsensusBatcher(
-                len(self.peers),
-                lambda envelope: self.broadcast(self.peers, VscBatch(envelope, self.node_id)),
-            )
 
         # Voting-phase admission pipeline (see repro.core.admission).  The
         # per-signer verification tables are built once here: every peer key
@@ -293,13 +297,14 @@ class VoteCollectorNode(SimNode):
             self._on_endorsement(message.sender, payload)
         elif isinstance(payload, VotePending):
             self._on_vote_pending(message.sender, payload)
-        elif isinstance(payload, Announce):
-            self._on_announce(message.sender, payload)
-        elif isinstance(payload, VscEnvelope):
-            self._on_consensus_message(payload.sender, payload.consensus_message)
         elif isinstance(payload, VscBatch):
-            for consensus_message in payload.envelope.messages:
-                self._on_consensus_message(payload.sender, consensus_message)
+            # The authenticated channel names the sender; the ``sender``
+            # fields inside the frame are never trusted.
+            for element in payload.envelope.messages:
+                if isinstance(element, Announce):
+                    self._on_announce(message.sender, element)
+                else:
+                    self._on_consensus_message(message.sender, element)
         elif isinstance(payload, RecoverRequest):
             self._on_recover_request(payload)
         elif isinstance(payload, RecoverResponse):
@@ -425,6 +430,13 @@ class VoteCollectorNode(SimNode):
         record.ucert = ucert
         record.status = BallotStatus.PENDING
         record.used_vote_code = vote_code
+        if all(
+            e.serial == ucert.serial and e.vote_code == vote_code for e in ucert.endorsements
+        ):
+            # A quorum of distinct signers, each checked on its way in, all
+            # over this (serial, code): what verify_ucert tests, so our own
+            # VOTE_P looping back is a memo hit.
+            self._ucert_cache[self._ucert_key(ucert)] = True
         self._disclose_share(endorsement.serial, record, vote_code, ucert)
 
     def _disclose_share(
@@ -450,6 +462,10 @@ class VoteCollectorNode(SimNode):
         view = self.init.ballots.get(pending.serial)
         if record is None or view is None:
             return
+        if record.status is BallotStatus.VOTED:
+            # The receipt exists: one more share cannot change state, so its
+            # two signature checks (UCERT, dealer) are not paid for.
+            return
         if not self.verify_ucert(pending.ucert):
             return
         if pending.ucert.serial != pending.serial or pending.ucert.vote_code != pending.vote_code:
@@ -473,10 +489,7 @@ class VoteCollectorNode(SimNode):
         record.receipt_shares[pending.sender] = pending.receipt_share
         record.ucert = record.ucert or pending.ucert
         self._disclose_share(pending.serial, record, pending.vote_code, pending.ucert)
-        if (
-            record.status is not BallotStatus.VOTED
-            and len(record.receipt_shares) >= self.quorum
-        ):
+        if len(record.receipt_shares) >= self.quorum:
             self._reconstruct_receipt(pending.serial, record)
 
     def _reconstruct_receipt(self, serial: int, record: BallotRecord) -> None:
@@ -500,6 +513,18 @@ class VoteCollectorNode(SimNode):
             return False
         return self.signature_scheme.verify(public, message, endorsement.signature)
 
+    @staticmethod
+    def _ucert_key(ucert: UniquenessCertificate) -> Tuple:
+        """Content key of a certificate in the verified-UCERT memo."""
+        return (
+            ucert.serial,
+            ucert.vote_code,
+            tuple(
+                (e.serial, e.vote_code, e.signer, e.signature.challenge, e.signature.response)
+                for e in ucert.endorsements
+            ),
+        )
+
     def verify_ucert(self, ucert: Optional[UniquenessCertificate]) -> bool:
         """Check a uniqueness certificate: Nv - fv valid signatures from distinct nodes.
 
@@ -510,14 +535,7 @@ class VoteCollectorNode(SimNode):
         """
         if ucert is None:
             return False
-        key = (
-            ucert.serial,
-            ucert.vote_code,
-            tuple(
-                (e.signer, e.signature.challenge, e.signature.response)
-                for e in ucert.endorsements
-            ),
-        )
+        key = self._ucert_key(ucert)
         cached = self._ucert_cache.get(key)
         if cached is not None:
             self.admission_stats.ucert_cache_hits += 1
@@ -557,22 +575,25 @@ class VoteCollectorNode(SimNode):
             self._consensus_record(serial)
             vote_code = record.used_vote_code if record.ucert is not None else None
             ucert = record.ucert if vote_code is not None else None
-            announce = Announce(serial, vote_code, ucert, self.node_id)
-            self.broadcast(self.peers, announce)
+            self._batcher.enqueue(Announce(serial, vote_code, ucert, self.node_id))
         # Announces may have raced ahead of our own election end; any block
         # whose members already have a quorum of them can start immediately.
         for block_id in list(self._sb_pending_announces):
             self._maybe_start_superblock(block_id)
         self._flush_vsc()
 
-    def _consensus_record(self, serial: int) -> ConsensusRecord:
+    def _consensus_record(self, serial: int) -> Optional[ConsensusRecord]:
+        """Consensus state of one of our ballots; ``None`` for any other serial
+        (a record for one would never resolve and so block the upload)."""
         if serial not in self.consensus:
+            if serial not in self.ballots:
+                return None
             self.consensus[serial] = ConsensusRecord()
         return self.consensus[serial]
 
     def _on_announce(self, sender: str, announce: Announce) -> None:
         state = self._consensus_record(announce.serial)
-        if sender in state.announces:
+        if state is None or sender in state.announces:
             return
         state.announces[sender] = announce
         # Adopt any valid vote code we did not know about.
@@ -604,19 +625,11 @@ class VoteCollectorNode(SimNode):
         instance = self._ensure_instance(serial, state)
         instance.propose(opinion)
 
-    def _vsc_broadcast(self, message: ConsensusMessage) -> None:
-        """Send a consensus message to every VC node, batched when enabled."""
-        if self._batcher is not None:
-            self._batcher.enqueue(message)
-        else:
-            self.broadcast(self.peers, VscEnvelope(message, self.node_id))
-
     def _flush_vsc(self) -> None:
-        """Flush buffered consensus traffic as one envelope broadcast to every peer."""
-        if self._batcher is not None:
-            self._batcher.flush()
-            self.vsc_stats.envelopes_sent = self._batcher.envelopes_sent
-            self.vsc_stats.envelope_messages = self._batcher.messages_sent
+        """Send what this handler step queued as one frame to every VC node."""
+        self._batcher.flush()
+        self.vsc_stats.envelopes_sent = self._batcher.envelopes_sent
+        self.vsc_stats.envelope_messages = self._batcher.messages_sent
 
     def _ensure_instance(self, serial: int, state: ConsensusRecord) -> BinaryConsensusInstance:
         if state.instance is None:
@@ -630,12 +643,9 @@ class VoteCollectorNode(SimNode):
                 node_id=self.node_id,
                 num_nodes=self.num_vc,
                 num_faulty=self.thresholds.max_faulty_vc,
-                broadcast=self._vsc_broadcast,
+                broadcast=self._batcher.enqueue,
                 on_decide=on_decide,
             )
-            for sender, message in state.buffered:
-                state.instance.handle(sender, message)
-            state.buffered.clear()
         return state.instance
 
     # -- superblock (batched) mode ------------------------------------------------
@@ -661,7 +671,7 @@ class VoteCollectorNode(SimNode):
             num_nodes=self.num_vc,
             num_faulty=self.thresholds.max_faulty_vc,
             opinions=opinions,
-            broadcast=self._vsc_broadcast,
+            broadcast=self._batcher.enqueue,
             schedule=self._vsc_schedule,
             on_resolve=self._on_superblock_resolve,
             on_fallback=self._on_superblock_fallback,
@@ -705,13 +715,14 @@ class VoteCollectorNode(SimNode):
                 return
             block.handle(sender, message)
             return
-        serial = int(message.instance)
+        try:
+            serial = int(message.instance)
+        except ValueError:
+            return  # neither a superblock id nor a serial: Byzantine junk
         state = self._consensus_record(serial)
-        if state.instance is None:
-            # Buffer until we have created the instance (we create it eagerly
-            # here as well, since handling before propose() is safe).
-            self._ensure_instance(serial, state)
-        state.instance.handle(sender, message)
+        if state is not None:
+            # Handling before propose() is safe: the instance is made on demand.
+            self._ensure_instance(serial, state).handle(sender, message)
 
     def _on_consensus_decision(self, serial: int, value: int) -> None:
         state = self._consensus_record(serial)
@@ -744,7 +755,7 @@ class VoteCollectorNode(SimNode):
 
     def _on_recover_response(self, response: RecoverResponse) -> None:
         state = self._consensus_record(response.serial)
-        if state.resolved or state.decided != 1:
+        if state is None or state.resolved or state.decided != 1:
             return
         if not self.verify_ucert(response.ucert):
             return

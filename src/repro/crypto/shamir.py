@@ -18,6 +18,7 @@ step reject garbage shares injected by Byzantine nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence
 
 from repro.crypto.signatures import SchnorrKeyPair, SchnorrSignature, SignatureScheme
@@ -54,6 +55,14 @@ class SignedShare:
     @property
     def value(self) -> int:
         return self.share.value
+
+    @cached_property
+    def signing_message(self) -> bytes:
+        """The bytes the dealer signed, built once per object (every receiver
+        of a VOTE_P verifies the same decoded share).  ``cached_property``
+        writes the instance ``__dict__``, not a field: equality, hashing and
+        the wire encoding do not see the memo."""
+        return share_signing_message(self.context, self.share)
 
 
 class ShamirSecretSharing:
@@ -170,8 +179,7 @@ class SigningDealer:
         scheme: SignatureScheme, dealer_public, signed_share: SignedShare
     ) -> bool:
         """Check the dealer's signature on a share."""
-        message = share_signing_message(signed_share.context, signed_share.share)
-        return scheme.verify(dealer_public, message, signed_share.signature)
+        return scheme.verify(dealer_public, signed_share.signing_message, signed_share.signature)
 
     def reconstruct(self, shares: Sequence[SignedShare]) -> int:
         """Reconstruct from signed shares, ignoring invalid signatures."""

@@ -23,8 +23,9 @@ Frame layout (all integers big-endian)::
 
 The tag identifies the payload type through the codec registry; the CRC32
 covers everything before it.  Nested protocol objects (a signature inside an
-endorsement, consensus messages inside a batch envelope) are embedded as
-``tag + body len + body`` without the outer magic/CRC.  Decoding is strict:
+endorsement, announces and consensus messages inside a batch envelope) are
+embedded as ``tag + body len + body`` without the outer magic/CRC.  Decoding
+is strict:
 unknown tags, truncated frames, length mismatches, non-minimal integer
 encodings, trailing garbage and checksum failures all raise
 :class:`WireFormatError`, so a corrupted frame can never silently turn into a
@@ -68,7 +69,6 @@ from repro.core.messages import (
     VoteRequest,
     VoteSetUpload,
     VscBatch,
-    VscEnvelope,
 )
 from repro.crypto.group import Group, GroupElement
 from repro.crypto.pedersen_vss import PedersenShare
@@ -212,6 +212,9 @@ class _Reader:
         return self.pos == self.end
 
 
+#: what a :class:`BatchEnvelope` may hold
+_ENVELOPE_ELEMENTS = (ConsensusMessage, Announce)
+
 Encoder = Callable[["MessageCodec", Any, bytearray], None]
 Decoder = Callable[["MessageCodec", _Reader], Any]
 
@@ -346,8 +349,9 @@ class MessageCodec:
             raise WireFormatError(f"length {length} out of u32 range")
         out[start - 4:start] = length.to_bytes(4, "big")
 
-    def decode_embedded(self, reader: _Reader, expected: Optional[Type] = None) -> Any:
-        """Decode one embedded object; optionally require its type.
+    def decode_embedded(self, reader: _Reader, expected=None) -> Any:
+        """Decode one embedded object; optionally require its type (or one of
+        a tuple of types).
 
         A body of ``INTERN_MIN_BODY..INTERN_MAX_BODY`` bytes is looked up in
         this codec's intern table by ``(tag, body bytes)`` first.  An entry
@@ -363,8 +367,10 @@ class MessageCodec:
             raise WireFormatError(f"unknown wire tag 0x{tag:04x}")
         cls, decoder = entry
         if expected is not None and not issubclass(cls, expected):
+            wanted = expected if isinstance(expected, tuple) else (expected,)
             raise WireFormatError(
-                f"expected an embedded {expected.__name__}, found {cls.__name__}"
+                f"expected an embedded {' or '.join(t.__name__ for t in wanted)}, "
+                f"found {cls.__name__}"
             )
         start = reader.pos + 4
         end = start + reader.u32()
@@ -652,14 +658,8 @@ def _install_default_types(codec: MessageCodec) -> None:
 
     reg(0x0A, RecoverResponse, enc_recover_response, dec_recover_response)
 
-    def enc_vsc_envelope(c: MessageCodec, m: VscEnvelope, out: bytearray) -> None:
-        c.encode_embedded(m.consensus_message, out)
-        _w_vstr(out, m.sender)
-
-    def dec_vsc_envelope(c: MessageCodec, r: _Reader) -> VscEnvelope:
-        return VscEnvelope(c.decode_embedded(r, ConsensusMessage), r.vstr())
-
-    reg(0x0B, VscEnvelope, enc_vsc_envelope, dec_vsc_envelope)
+    # 0x0B (VscEnvelope, one consensus message per frame) is retired: every
+    # consensus-phase element travels inside a VscBatch.  Do not reuse the tag.
 
     def enc_vsc_batch(c: MessageCodec, m: VscBatch, out: bytearray) -> None:
         c.encode_embedded(m.envelope, out)
@@ -804,7 +804,7 @@ def _install_default_types(codec: MessageCodec) -> None:
     def dec_batch_envelope(c: MessageCodec, r: _Reader) -> BatchEnvelope:
         count = r.u32()
         return BatchEnvelope(
-            tuple(c.decode_embedded(r, ConsensusMessage) for _ in range(count))
+            tuple(c.decode_embedded(r, _ENVELOPE_ELEMENTS) for _ in range(count))
         )
 
     reg(0x26, BatchEnvelope, enc_batch_envelope, dec_batch_envelope)

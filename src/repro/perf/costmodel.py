@@ -64,25 +64,53 @@ class DatabaseCosts:
 
 @dataclass(frozen=True)
 class ConsensusCosts:
-    """Analytic message-count model of Vote Set Consensus (Section III-E).
+    """Analytic message- and frame-count model of Vote Set Consensus (Section III-E).
+
+    A *message* is one protocol message an instance handles (what
+    ``ConsensusCluster`` counts).  A vote collector sends all messages of one
+    handler step as one ``VscBatch`` *frame*, which ``Network.messages_sent`` counts.
 
     *Per-ballot* mode runs one binary consensus instance per ballot.  With the
-    common coin an instance takes ``expected_rounds`` rounds; per round every
-    node broadcasts BVAL (twice, counting the echo amplification) and AUX, and
-    each decision is announced with one FINISH broadcast, so a single instance
-    costs about ``(3 * rounds + 1) * Nv^2`` point-to-point messages.
+    common coin an instance takes ``expected_rounds`` rounds; the collectors'
+    opinions on a ballot agree unless a Byzantine one splits them, so per round
+    every node broadcasts one BVAL and one AUX, and after deciding one FINISH
+    and the BVAL of the round it halts in: a single instance costs about
+    ``(2 * rounds + 2) * Nv^2`` point-to-point messages.
 
     *Superblock* mode replaces the per-ballot instances of a block of ``B``
     ballots with ``Nv`` reliably-broadcast opinion vectors (send + echo + ready
     is roughly ``(2 Nv + 1) * Nv`` messages per vector) and **one** binary
     instance, amortizing the instance cost ``B``-fold on the fast path.
+
+    Frames do not grow with the ballots: all instances advance in the same
+    steps, so a node sends its announces, BVAL and AUX once per round until
+    its *slowest* instance has decided, then the last FINISH.
     """
 
-    expected_rounds: float = 1.0
+    #: every instance flips its own fair coin (``common_coin`` hashes the
+    #: instance id), so a unanimous one decides in a geometric round, mean 2
+    expected_rounds: float = 2.0
 
     def instance_messages(self, num_vc: int) -> float:
         """Messages of one binary consensus instance."""
-        return (3.0 * self.expected_rounds + 1.0) * num_vc * num_vc
+        return (2.0 * self.expected_rounds + 2.0) * num_vc * num_vc
+
+    def frames(self, num_vc: int, num_ballots: int, batch_size: int = 1) -> float:
+        """``VscBatch`` frames: announces, two per round of the slowest instance
+        and FINISH; superblocks add SEND plus an ECHO and a READY per origin.
+
+        The slowest of ``n`` geometric(1/2) decision rounds is expected in
+        round ``log2 n + 1.33`` (``1/2 + gamma / ln 2``), so the count grows
+        with the logarithm of the ballots, not with the ballots.  That holds
+        for honest collectors whose instances are all unanimous; a single run
+        moves with the coin of its slowest instance (measured / predicted
+        0.68-1.34 over seeds 3-5).  ``tests/perf/test_costmodel.py`` holds it
+        to wire runs at ``Nv = 4`` with 12 ballots and ``Nv = 7`` with 56,
+        per-ballot and superblock.
+        """
+        slowest = math.log2(max(math.ceil(num_ballots / batch_size), 1)) + 1.33
+        rbc_steps = 2.0 * num_vc + 1.0 if batch_size > 1 else 0.0
+        return (rbc_steps + 2.0 * slowest + 2.0) * num_vc * num_vc
 
     def per_ballot_messages(self, num_vc: int, num_ballots: int) -> float:
         """Total consensus messages with one instance per ballot."""
@@ -120,6 +148,10 @@ class BandwidthCosts:
     (UCERT-bearing messages grow with the endorsement quorum ``Nv - fv``);
     call :meth:`measured` for other deployment shapes.  Signature encodings
     vary by a byte or two with the nonce, hence the float fields.
+
+    Voting-phase sizes are whole frames; consensus-phase sizes are *elements*
+    (tag, length, body) of a ``VscBatch`` frame, which itself costs
+    ``envelope_frame_bytes`` on top of them.
     """
 
     #: deployment shape the UCERT-bearing sizes below were measured for
@@ -129,14 +161,16 @@ class BandwidthCosts:
     endorse_bytes: float = 45.0
     endorsement_bytes: float = 171.0
     vote_pending_bytes: float = 782.0
-    announce_voted_bytes: float = 589.0
-    announce_empty_bytes: float = 31.0
-    #: mean frame size of BVAL / AUX / FINISH inside a VscEnvelope
-    consensus_message_bytes: float = 46.3
+    announce_voted_bytes: float = 582.0
+    announce_empty_bytes: float = 24.0
+    #: mean size of a BVAL / AUX / FINISH element
+    consensus_message_bytes: float = 26.0
     #: fixed part of a reliably-broadcast superblock opinion vector
-    superblock_vector_base_bytes: float = 36.0
+    superblock_vector_base_bytes: float = 29.0
     #: marginal bytes per ballot in an opinion vector (bit-per-ballot packing)
     superblock_vector_ballot_bytes: float = 1.0
+    #: a ``VscBatch`` frame with no elements: framing, envelope header, sender
+    envelope_frame_bytes: float = 31.0
     #: framing cost (magic + version + tag + length + CRC) per message
     frame_overhead_bytes: float = 13.0
     consensus: ConsensusCosts = field(default_factory=ConsensusCosts)
@@ -146,7 +180,7 @@ class BandwidthCosts:
         """Measure every size from the live codec for a given deployment."""
         # Imported lazily so the cost model stays usable without the crypto
         # and wire packages loaded (its defaults are baked in above).
-        from repro.consensus.batching import SuperblockSend
+        from repro.consensus.batching import BatchEnvelope, SuperblockSend
         from repro.consensus.interfaces import Aux, BVal, Finish
         from repro.core.messages import (
             Announce,
@@ -156,7 +190,7 @@ class BandwidthCosts:
             VotePending,
             VoteReceipt,
             VoteRequest,
-            VscEnvelope,
+            VscBatch,
         )
         from repro.crypto.shamir import Share, SignedShare
         from repro.crypto.signatures import SignatureScheme
@@ -183,14 +217,19 @@ class BandwidthCosts:
         def size(message) -> float:
             return float(len(codec.encode(message)))
 
+        envelope_frame = size(VscBatch(BatchEnvelope(()), "VC-0"))
+
+        def element(message) -> float:
+            return size(VscBatch(BatchEnvelope((message,)), "VC-0")) - envelope_frame
+
         instance = str(serial)
-        consensus_frames = (
-            size(VscEnvelope(BVal(instance, 0, 1), "VC-0"))
-            + size(VscEnvelope(Aux(instance, 0, 1), "VC-0"))
-            + size(VscEnvelope(Finish(instance, 1), "VC-0"))
+        consensus_elements = (
+            element(BVal(instance, 1, 1))
+            + element(Aux(instance, 1, 1))
+            + element(Finish(instance, 1))
         ) / 3.0
-        vector_base = size(SuperblockSend("sb|1000", "VC-0", b""))
-        vector_16 = size(SuperblockSend("sb|1000", "VC-0", b"\x01" * 16))
+        vector_base = element(SuperblockSend("sb|1000", "VC-0", b""))
+        vector_16 = element(SuperblockSend("sb|1000", "VC-0", b"\x01" * 16))
         return cls(
             num_vc=num_vc,
             vote_request_bytes=size(VoteRequest(serial, vote_code, "V-123456")),
@@ -198,11 +237,12 @@ class BandwidthCosts:
             endorse_bytes=size(Endorse(serial, vote_code)),
             endorsement_bytes=size(endorsement),
             vote_pending_bytes=size(VotePending(serial, vote_code, signed_share, ucert, "VC-0")),
-            announce_voted_bytes=size(Announce(serial, vote_code, ucert, "VC-0")),
-            announce_empty_bytes=size(Announce(serial, None, None, "VC-0")),
-            consensus_message_bytes=consensus_frames,
+            announce_voted_bytes=element(Announce(serial, vote_code, ucert, "VC-0")),
+            announce_empty_bytes=element(Announce(serial, None, None, "VC-0")),
+            consensus_message_bytes=consensus_elements,
             superblock_vector_base_bytes=vector_base,
             superblock_vector_ballot_bytes=(vector_16 - vector_base) / 16.0,
+            envelope_frame_bytes=envelope_frame,
             frame_overhead_bytes=float(FRAME_OVERHEAD),
         )
 
@@ -264,9 +304,12 @@ class BandwidthCosts:
     def consensus_bytes(
         self, num_vc: int, num_ballots: int, batch_size: int = 1, turnout: float = 1.0
     ) -> float:
-        """Total Vote Set Consensus bytes: ANNOUNCE plus instance traffic."""
-        return self.announce_bytes(num_vc, num_ballots, turnout) + (
-            self.superblock_consensus_bytes(num_vc, num_ballots, batch_size)
+        """Total Vote Set Consensus bytes: ANNOUNCE and instance elements plus
+        what the frames carrying them cost."""
+        return (
+            self.announce_bytes(num_vc, num_ballots, turnout)
+            + self.superblock_consensus_bytes(num_vc, num_ballots, batch_size)
+            + self.consensus.frames(num_vc, num_ballots, batch_size) * self.envelope_frame_bytes
         )
 
     def batching_byte_reduction(

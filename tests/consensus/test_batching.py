@@ -53,6 +53,14 @@ class TestBatching:
         envelope = BatchEnvelope(messages)
         assert ConsensusBatcher.unpack(envelope) == messages
 
+    def test_envelope_keeps_elements_in_send_order(self):
+        batcher, sent = make_batcher()
+        messages = (BVal("1", 1, 0), Aux("1", 1, 1))
+        for message in messages:
+            batcher.enqueue(message)
+        batcher.flush()
+        assert sent == [BatchEnvelope(messages)] and sent[0].messages == messages
+
     def test_statistics_count_one_envelope_per_destination(self):
         batcher, sent = make_batcher()
         for _ in range(5):

@@ -118,3 +118,70 @@ class TestSigningDealer:
         shares = dealer.deal(5, b"ctx", rng=RandomSource(6))
         assert shares[0].index == shares[0].share.index
         assert shares[0].value == shares[0].share.value
+
+
+class TestSignedShareSigningMessageMemo:
+    """``SignedShare.signing_message``: built once per object, invisible to
+    equality, hashing and the wire format."""
+
+    @pytest.fixture()
+    def share(self):
+        return SigningDealer(2, 3).deal(31337, b"receipt|7|A|0", rng=RandomSource(5))[0]
+
+    def test_built_once_per_object(self, share, monkeypatch):
+        from repro.net.codec import MessageCodec
+
+        calls = []
+        original = MessageCodec.signing_bytes
+
+        def counting(codec, domain, *parts):
+            calls.append(domain)
+            return original(codec, domain, *parts)
+
+        monkeypatch.setattr(MessageCodec, "signing_bytes", counting)
+        dealer = SigningDealer(2, 3)
+        mine = dealer.deal(1, b"ctx")[0]
+        calls.clear()
+        for _ in range(7):  # one VOTE_P share, seven receivers
+            assert SigningDealer.verify_share(dealer.scheme, dealer.public_key, mine)
+        assert calls == [b"dealer-share"]
+        # Another object with the same content pays for its own.
+        twin = SignedShare(mine.share, mine.context, mine.signature)
+        assert SigningDealer.verify_share(dealer.scheme, dealer.public_key, twin)
+        assert calls == [b"dealer-share"] * 2
+
+    def test_memo_is_the_canonical_message(self, share):
+        from repro.crypto.shamir import share_signing_message
+
+        assert share.signing_message == share_signing_message(share.context, share.share)
+        moved = SignedShare(share.share, share.context + b"2", share.signature)
+        assert moved.signing_message != share.signing_message
+
+    def test_equality_hash_and_fields_ignore_the_memo(self, share):
+        import dataclasses
+
+        twin = SignedShare(share.share, share.context, share.signature)
+        _ = share.signing_message  # fill one side only
+        assert "signing_message" in vars(share) and "signing_message" not in vars(twin)
+        assert share == twin and hash(share) == hash(twin)
+        assert [f.name for f in dataclasses.fields(share)] == ["share", "context", "signature"]
+        assert dataclasses.replace(share, context=b"x").context == b"x"
+
+    def test_wire_and_signing_bytes_ignore_the_memo(self, share):
+        from repro.net.codec import MessageCodec, signing_bytes
+
+        twin = SignedShare(share.share, share.context, share.signature)
+        before = (MessageCodec().encode(share), signing_bytes(b"d", share))
+        _ = share.signing_message
+        assert (MessageCodec().encode(share), signing_bytes(b"d", share)) == before
+        assert MessageCodec().encode(twin) == before[0]
+        assert MessageCodec().decode(before[0]) == share
+
+    def test_still_frozen(self, share):
+        import dataclasses
+
+        _ = share.signing_message
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            share.signing_message = b"forged"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            share.context = b"other"

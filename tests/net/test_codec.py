@@ -25,7 +25,6 @@ from repro.core.messages import (
     VoteRequest,
     VoteSetUpload,
     VscBatch,
-    VscEnvelope,
 )
 from repro.crypto.commitments import OptionEncodingScheme
 from repro.crypto.registry import get_group
@@ -88,9 +87,15 @@ def sample_messages(signature):
         Announce(8, None, None, "VC-0"),
         RecoverRequest(7, "VC-3"),
         RecoverResponse(7, b"code-bytes", ucert, "VC-3"),
-        VscEnvelope(BVal("7", 1, 0), "VC-0"),
         VscBatch(
             BatchEnvelope((BVal("7", 0, 1), Aux("7", 0, 1), Finish("7", 1))), "VC-1"
+        ),
+        # What end_election sends: per-ballot announces inside one envelope.
+        VscBatch(
+            BatchEnvelope(
+                (Announce(7, b"code-bytes", ucert, "VC-0"), Announce(8, None, None, "VC-0"))
+            ),
+            "VC-0",
         ),
         VoteSetUpload(((7, b"code-bytes"), (9, b"other")), "VC-2"),
         MskShareUpload(signed_share, "VC-2"),
@@ -200,23 +205,29 @@ class TestStrictDecoding:
         with pytest.raises(WireFormatError):
             codec.encode(object())
 
-    def test_embedded_type_must_match_field(self, codec):
-        # Hand-build a VscEnvelope frame whose consensus slot holds a
-        # VoteRequest: the per-field type check must reject it even though
-        # framing, lengths and checksum are all valid.
-        import zlib
+    @pytest.mark.parametrize(
+        "element",
+        [VoteRequest(1, b"x", "V-0"), RecoverRequest(7, "VC-3"), BatchEnvelope(())],
+        ids=lambda element: type(element).__name__,
+    )
+    def test_embedded_type_must_match_field(self, codec, element):
+        # An envelope may hold announces and consensus messages, nothing
+        # else: the per-field type check must reject any other registered
+        # type even though framing, lengths and checksum are all valid.  (The
+        # encoder does not check, so the frame is built by the codec itself.)
+        frame = codec.encode(VscBatch(BatchEnvelope((BVal("7", 0, 1), element)), "VC-0"))
+        with pytest.raises(WireFormatError, match="ConsensusMessage or Announce"):
+            codec.decode(frame)
 
-        body = bytearray()
-        codec.encode_embedded(VoteRequest(1, b"x", "V-0"), body)
-        body += len(b"VC-0").to_bytes(4, "big") + b"VC-0"  # sender vstr
-        frame = bytearray(MAGIC)
-        frame += bytes([1])  # version
-        frame += codec.tag_of(VscEnvelope).to_bytes(2, "big")
-        frame += len(body).to_bytes(4, "big")
-        frame += body
-        frame += zlib.crc32(bytes(frame)).to_bytes(4, "big")
-        with pytest.raises(WireFormatError):
-            codec.decode(bytes(frame))
+    def test_retired_vsc_envelope_tag_is_rejected(self, codec):
+        # Tag 0x0B carried one consensus message per frame until every
+        # consensus-phase element moved into VscBatch.  A frame that was
+        # valid then must not decode now, and the tag must stay unassigned.
+        frame = bytes.fromhex(RETIRED_VSC_ENVELOPE_HEX)
+        assert frame[3:5] == b"\x00\x0b"
+        with pytest.raises(WireFormatError, match="unknown wire tag 0x000b"):
+            codec.decode(frame)
+        assert 0x0B not in {codec.tag_of(cls) for cls in codec.registered_types}
 
     @pytest.mark.parametrize("cls", [SuperblockSend, SuperblockEcho, SuperblockReady])
     @pytest.mark.parametrize("stray", [2, 0x80, 0xFF])
@@ -351,9 +362,6 @@ GOLDEN_HEX = {
     "announce_empty": (
         "44570100080000001000000000010800000000000456432d30268f15e3"
     ),
-    "vsc_envelope": (
-        "445701000b0000001e002000000010000000013700000000010100000000000000000456432d3088d6e82a"
-    ),
     "vsc_batch": (
         "445701000c0000006d00260000005f0000000400200000001000000001370000000000000000000101002100"
         "0000100000000137000000000000000000010100220000000b00000001370000000001010023000000180000"
@@ -379,6 +387,12 @@ GOLDEN_HEX = {
 }
 
 
+#: ``VscEnvelope(BVal("7", 1, 0), "VC-0")`` as VERSION 1 framed it under tag 0x0B
+RETIRED_VSC_ENVELOPE_HEX = (
+    "445701000b0000001e002000000010000000013700000000010100000000000000000456432d3088d6e82a"
+)
+
+
 @pytest.fixture(scope="module")
 def golden_payloads():
     group = get_group("schnorr")
@@ -399,7 +413,6 @@ def golden_payloads():
         "vote_pending": VotePending(7, code, share, ucert, "VC-2"),
         "announce": Announce(7, code, ucert, "VC-0"),
         "announce_empty": Announce(8, None, None, "VC-0"),
-        "vsc_envelope": VscEnvelope(BVal("7", 1, 0), "VC-0"),
         "vsc_batch": VscBatch(BatchEnvelope(consensus), "VC-1"),
         "vote_set_upload": VoteSetUpload(((7, code), (9, b"other")), "VC-2"),
         "recover_response": RecoverResponse(7, code, ucert, "VC-3"),
@@ -428,6 +441,22 @@ class TestGoldenFrames:
             if name != "signing":
                 frame = bytes.fromhex(hex_frame)
                 assert codec.encode(codec.decode(frame)) == frame, name
+
+    def test_announces_ride_in_an_envelope_with_their_bytes_unchanged(self, golden_payloads):
+        """An Announce is an envelope element now; its tag, length and body
+        are the ones a frame of its own carried at VERSION 1."""
+        group, payloads = golden_payloads
+        codec = MessageCodec(group=group)
+        announces = (payloads["announce"], payloads["announce_empty"])
+        batch = VscBatch(BatchEnvelope(announces + (BVal("7", 0, 1),)), "VC-0")
+        frame = codec.encode(batch)
+        embedded = [
+            bytes.fromhex(GOLDEN_HEX[name])[3:-4] for name in ("announce", "announce_empty")
+        ]
+        # frame header (9) + envelope tag and length (6) + element count (4)
+        assert frame[19:].startswith(embedded[0] + embedded[1])
+        assert codec.decode(frame) == batch
+        assert MessageCodec(group=group).decode(frame) == batch  # cold table
 
     def test_signing_bytes_are_byte_identical(self, golden_payloads):
         group, payloads = golden_payloads

@@ -10,7 +10,7 @@ from repro.api import (
     ScenarioSpec,
     TransportProfile,
 )
-from repro.core.messages import Announce, VscBatch, VscEnvelope
+from repro.core.messages import Announce, VscBatch
 from repro.net.adversary import NetworkConditions
 from repro.net.channels import ChannelKind
 from repro.net.codec import FRAME_OVERHEAD, MessageCodec
@@ -267,6 +267,40 @@ class TestTransportEquivalence:
         assert over_tcp.network.transport.frames_sent > 0
         assert over_tcp.network.bytes_sent > 0
 
+    def test_tcp_loopback_carries_announce_envelopes_over_64_kib(self):
+        """Seven collectors, enough voters that every node's announces -- one
+        frame since they travel together -- are larger than 64 KiB (a stream
+        socket's usual buffer): the frame must cross a real socket pair whole
+        and the election must end exactly as the simulated one."""
+        spec = ScenarioSpec(
+            options=("option-1", "option-2"),
+            num_voters=76,
+            num_vc=7,
+            election_end=400.0,
+            stagger=0.005,
+            seed=4,
+            audit=AuditConfig(enabled=False),
+            transport=TransportProfile.wire(),
+        )
+        choices = ["option-1", "option-2"] * 38
+        simulated = ElectionEngine(spec).run(choices)
+        over_tcp = ElectionEngine(spec.derive(transport=TransportProfile.tcp())).run(choices)
+        assert over_tcp.network.transport.name == "tcp"
+        assert outcome_hash(over_tcp) == outcome_hash(simulated)
+        assert over_tcp.receipts_obtained == 76 and over_tcp.tally.as_dict() == {
+            "option-1": 38, "option-2": 38,
+        }
+        announce_frames = [
+            record
+            for record in over_tcp.network.delivery_log
+            if isinstance(record.message.payload, VscBatch)
+            and isinstance(record.message.payload.envelope.messages[0], Announce)
+        ]
+        assert len(announce_frames) == 7 * 7  # one per node pair, not one per ballot
+        for record in announce_frames:
+            assert len(record.message.payload.envelope) == 76
+            assert record.wire_bytes > 64 * 1024 and not record.dropped
+
     @pytest.mark.parametrize("batch_size", [1, 4], ids=["per-ballot", "superblock"])
     def test_outcome_hash_is_the_same_on_every_transport(self, small_wire_spec, batch_size):
         spec = small_wire_spec.derive(consensus=ConsensusConfig(batch_size=batch_size))
@@ -294,7 +328,7 @@ class TestTransportEquivalence:
             outcome = ElectionEngine(spec).run(choices)
             total = 0
             for record in outcome.network.delivery_log:
-                if isinstance(record.message.payload, (Announce, VscEnvelope, VscBatch)):
+                if isinstance(record.message.payload, VscBatch):
                     total += record.wire_bytes
             return outcome.tally.as_dict(), total
 

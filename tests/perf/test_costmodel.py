@@ -37,6 +37,97 @@ class TestConsensusCosts:
         assert model.vsc_message_estimate(4, 256) < model.vsc_message_estimate(4, 1)
         assert model.vsc_batching_speedup(4, 256) > 5.0
 
+    def test_frames_follow_rounds_not_ballots(self):
+        costs = ConsensusCosts()
+        # 100x the ballots adds log2(100) rounds' worth of frames, not 100x.
+        assert costs.frames(4, 10_000) < 2 * costs.frames(4, 100)
+        assert costs.frames(7, 100) / 49 == costs.frames(4, 100) / 16  # per node pair
+        # The reliable broadcast of the vectors costs a superblock 2 Nv + 1 steps.
+        assert costs.frames(4, 1_600, 16) - costs.frames(4, 100) == (2 * 4 + 1) * 16
+
+
+#: (collectors, ballots, superblock size) of the wire elections the models are held to
+SHAPES = {"small": (4, 12, 4), "wide": (7, 56, 8)}
+CASES = [(shape, batched) for shape in SHAPES for batched in (False, True)]
+
+
+@pytest.fixture(scope="module")
+def measured_consensus():
+    """Consensus-phase traffic of wire elections, per-ballot and superblock."""
+    from repro.api import (
+        AuditConfig,
+        ConsensusConfig,
+        ElectionEngine,
+        ScenarioSpec,
+        TransportProfile,
+    )
+    from repro.core.messages import VscBatch
+
+    def run(num_vc, num_ballots, batch_size):
+        spec = ScenarioSpec(
+            options=("option-1", "option-2"),
+            num_voters=num_ballots,
+            num_vc=num_vc,
+            election_end=400.0,
+            seed=3,
+            consensus=ConsensusConfig(batch_size=batch_size),
+            audit=AuditConfig(enabled=False),
+            transport=TransportProfile.wire(),
+        )
+        outcome = ElectionEngine(spec).run(["option-1", "option-2"] * (num_ballots // 2))
+        frames = [
+            record.wire_bytes
+            for record in outcome.network.delivery_log
+            if isinstance(record.message.payload, VscBatch) and not record.duplicated
+        ]
+        return {
+            "frames": len(frames),
+            "bytes": sum(frames),
+            "elements": outcome.consensus_stats["envelope_messages"],
+        }
+
+    return {
+        (shape, batched): run(num_vc, num_ballots, block if batched else 1)
+        for shape, (num_vc, num_ballots, block) in SHAPES.items()
+        for batched in (False, True)
+    }
+
+
+class TestModelsAgainstAMeasuredRun:
+    """The consensus models describe this code's traffic, not the paper's: each
+    prediction is held to wire elections run here (all ballots voted) at two
+    shapes.  The per-instance coin moves single per-ballot runs, hence the windows."""
+
+    @pytest.mark.parametrize("shape,batched", CASES)
+    def test_frame_count(self, measured_consensus, shape, batched):
+        num_vc, num_ballots, block = SHAPES[shape]
+        predicted = ConsensusCosts().frames(num_vc, num_ballots, block if batched else 1)
+        assert 0.7 <= predicted / measured_consensus[shape, batched]["frames"] <= 1.4
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_elements_per_instance(self, measured_consensus, shape):
+        num_vc, num_ballots, _ = SHAPES[shape]
+        # envelope_messages counts announces too: one per ballot per node pair.
+        instance_elements = (
+            measured_consensus[shape, False]["elements"] - num_ballots * num_vc * num_vc
+        )
+        predicted = ConsensusCosts().per_ballot_messages(num_vc, num_ballots)
+        assert 0.8 <= predicted / instance_elements <= 1.5
+
+    @pytest.mark.parametrize("shape,batched", CASES)
+    def test_consensus_bytes(self, measured_consensus, shape, batched):
+        num_vc, num_ballots, block = SHAPES[shape]
+        predicted = BandwidthCosts.measured(num_vc).consensus_bytes(
+            num_vc, num_ballots, block if batched else 1
+        )
+        assert 0.8 <= predicted / measured_consensus[shape, batched]["bytes"] <= 1.2
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_one_frame_per_message_would_be_seen(self, measured_consensus, shape):
+        # What the model must not describe any more: a frame per element.
+        measured = measured_consensus[shape, False]
+        assert measured["frames"] * 5 < measured["elements"]
+
 
 class TestBandwidthCosts:
     def test_defaults_match_a_fresh_measurement(self):
@@ -86,6 +177,13 @@ class TestBandwidthCosts:
         assert model.vsc_bytes_estimate(4, 256) < model.vsc_bytes_estimate(4, 1)
         assert model.vsc_byte_reduction(4, 256) > 1.0
         assert model.per_vote_bytes_estimate(4) > 0
+
+    def test_total_consensus_bytes_include_the_frames(self):
+        costs = BandwidthCosts()
+        elements = costs.announce_bytes(4, 100) + costs.per_ballot_consensus_bytes(4, 100)
+        frames = costs.consensus.frames(4, 100)
+        assert costs.consensus_bytes(4, 100) == elements + frames * costs.envelope_frame_bytes
+        assert costs.consensus_bytes(4, 10_000, 256) < costs.consensus_bytes(4, 10_000, 1)
 
 
 class TestMachineSpec:

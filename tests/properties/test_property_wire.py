@@ -39,7 +39,6 @@ from repro.core.messages import (
     VoteRequest,
     VoteSetUpload,
     VscBatch,
-    VscEnvelope,
 )
 from repro.crypto.shamir import Share, SignedShare
 from repro.crypto.signatures import SchnorrSignature
@@ -100,6 +99,17 @@ consensus_messages = st.one_of(
     ),
 )
 
+announces = st.one_of(
+    st.builds(
+        Announce,
+        serial=serials,
+        vote_code=st.one_of(st.none(), vote_codes),
+        ucert=st.none(),
+        sender=node_ids,
+    ),
+    st.builds(Announce, serial=serials, vote_code=vote_codes, ucert=ucerts, sender=node_ids),
+)
+
 messages = st.one_of(
     st.builds(VoteRequest, serial=serials, vote_code=vote_codes, voter_id=node_ids),
     st.builds(VoteReceipt, serial=serials, vote_code=vote_codes, receipt=st.binary(max_size=16)),
@@ -115,23 +125,16 @@ messages = st.one_of(
         ucert=ucerts,
         sender=node_ids,
     ),
-    st.builds(
-        Announce,
-        serial=serials,
-        vote_code=st.one_of(st.none(), vote_codes),
-        ucert=st.none(),
-        sender=node_ids,
-    ),
-    st.builds(Announce, serial=serials, vote_code=vote_codes, ucert=ucerts, sender=node_ids),
+    announces,
     st.builds(RecoverRequest, serial=serials, sender=node_ids),
     st.builds(
         RecoverResponse, serial=serials, vote_code=vote_codes, ucert=ucerts, sender=node_ids
     ),
-    st.builds(VscEnvelope, consensus_message=consensus_messages, sender=node_ids),
     st.builds(
         VscBatch,
         envelope=st.builds(
-            BatchEnvelope, messages=st.lists(consensus_messages, max_size=8).map(tuple)
+            BatchEnvelope,
+            messages=st.lists(st.one_of(consensus_messages, announces), max_size=8).map(tuple),
         ),
         sender=node_ids,
     ),
