@@ -207,3 +207,66 @@ def test_backend_sweep(results_sink):
     toy = by_label["schnorr-gmpy2"]
     assert toy["multi_power_speedup"] >= 1.0, toy
     assert toy["fixed_base_speedup"] >= 1.0, toy
+
+
+# ---------------------------------------------------------------------------
+# multi_power term-count sweep
+# ---------------------------------------------------------------------------
+
+SWEEP_TERMS = (8, 64, 1_024, 4_096)
+#: from this many terms the kernel must beat the per-pair ``pow`` product 2x
+SWEEP_GATE_TERMS, SWEEP_GATE = 1_024, 2.0
+
+
+def _term_sweep_row(group, terms: int, bits: int, rng: RandomSource) -> dict:
+    bases = [group.power_g(group.random_scalar(rng)) for _ in range(min(terms, 256))]
+    pairs = [
+        (bases[i % len(bases)], rng.randint_range(1 << (bits - 1), 1 << bits) % group.order)
+        for i in range(terms)
+    ]
+
+    def pow_product():
+        result = group.identity()
+        for base, exponent in pairs:
+            result = result * base ** exponent
+        return result
+
+    assert group.multi_power(pairs) == pow_product()
+    rounds = max(1, (2_000 if SMOKE else 10_000) // terms)
+    kernel_us = _time_us(lambda: group.multi_power(pairs), rounds)
+    pow_us = _time_us(pow_product, max(1, rounds // 4))
+    return {
+        "backend": group.backend_name,
+        "terms": terms,
+        "exponent_bits": bits,
+        "evaluation": "buckets" if terms >= group.BUCKET_MIN_TERMS else "scan",
+        "multi_power_us": round(kernel_us, 1),
+        "pow_product_us": round(pow_us, 1),
+        "speedup": round(pow_us / kernel_us, 2),
+        "us_per_term": round(kernel_us / terms, 2),
+    }
+
+
+@pytest.mark.benchmark(group="micro-crypto")
+def test_multi_power_term_sweep(results_sink):
+    """``multi_power`` against one builtin ``pow`` per pair, 8 to 4,096 terms.
+
+    64-bit exponents are what the batched audit's announcement and signature
+    factors carry, full-width ones its ciphertext factors.  The first two
+    counts stay on the bit scan (``evaluation``), the last two fill buckets;
+    those are gated.  Pure-python ``schnorr`` only: the gmpy2 override *is*
+    the per-pair product.
+    """
+    save, show = results_sink
+    rng = RandomSource(17)
+    rows = [
+        _term_sweep_row(GROUP, terms, bits, rng)
+        for bits in (64, GROUP.order.bit_length())
+        for terms in SWEEP_TERMS
+    ]
+    save("micro_crypto_multi_power", rows)
+    show("multi_power term sweep (pure-python schnorr)", rows)
+    for row in rows:
+        if row["terms"] >= SWEEP_GATE_TERMS:
+            assert row["evaluation"] == "buckets", row
+            assert row["speedup"] >= SWEEP_GATE, row

@@ -27,6 +27,7 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.core.ballot import PARTS
@@ -159,9 +160,13 @@ class BulletinBoardNode(SimNode):
     # ------------------------------------------------------------------ trustee writes
 
     def receive_trustee_submission(self, submission: TrusteeSubmission) -> None:
-        """Verify a trustee's signature and store the submission."""
+        """Store a trustee's submission if it is well formed and signed."""
         public = self.init.trustee_public_keys.get(submission.trustee_id)
         if public is None or submission.signature is None:
+            return
+        # Shape first: the digest of a submission keyed by anything but
+        # (serial, part) pairs is not defined.
+        if not self._well_formed(submission):
             return
         if not self.signature_scheme.verify(public, submission.digest(), submission.signature):
             return
@@ -171,6 +176,69 @@ class BulletinBoardNode(SimNode):
             and len(self.trustee_submissions) >= self.thresholds.trustee_threshold
         ):
             self._finalize_result()
+
+    # What a stored submission must look like: _finalize_result indexes it
+    # blindly and it stays stored, while a signature only says who sent it --
+    # and the paper tolerates Nt - ht trustees that send anything.  Each
+    # predicate may rely on the ones before it.
+
+    def _well_formed(self, submission: TrusteeSubmission) -> bool:
+        return (
+            self._rows_match_ballots(submission)
+            and self._rows_complete(submission)
+            and self._tally_complete(submission)
+            and self._on_own_point(submission)
+        )
+
+    def _ballot_rows(self, key: object) -> Optional[Sequence]:
+        """This node's rows of ballot part ``(serial, part)``; ``None`` for any other key."""
+        if not (isinstance(key, tuple) and len(key) == 2):
+            return None
+        view = self.init.ballots.get(key[0])
+        return None if view is None else view.rows.get(key[1])
+
+    def _rows_match_ballots(self, submission: TrusteeSubmission) -> bool:
+        """Every ``(serial, part)`` is a part of a known ballot, with all its rows."""
+        for shares in (submission.opening_shares, submission.proof_shares):
+            for key, rows in shares.items():
+                published = self._ballot_rows(key)
+                if published is None or len(rows) != len(published):
+                    return False
+        return True
+
+    def _rows_complete(self, submission: TrusteeSubmission) -> bool:
+        """Opening rows carry one share per option and side, proof rows exactly
+        the components of this election's proofs (none when it publishes none)."""
+        num_options = self.params.num_options
+        for rows in submission.opening_shares.values():
+            for row in rows:
+                if not len(row.value_shares) == len(row.randomness_shares) == num_options:
+                    return False
+        names = {"sum:s"}.union(
+            f"or{index}:{component}"
+            for index in range(num_options)
+            for component in ("c0", "c1", "s0", "s1")
+        )
+        for key, rows in submission.proof_shares.items():
+            for row, published in zip(rows, self._ballot_rows(key), strict=True):
+                expected = names if published.proof_announcement is not None else set()
+                if row.component_shares.keys() != expected:
+                    return False
+        return True
+
+    def _tally_complete(self, submission: TrusteeSubmission) -> bool:
+        """Tally shares: none (nothing was cast) or one per option and side."""
+        sizes = {len(submission.tally_value_shares), len(submission.tally_randomness_shares)}
+        return sizes in ({0}, {self.params.num_options})
+
+    def _on_own_point(self, submission: TrusteeSubmission) -> bool:
+        """Every share sits on the evaluation point the EA dealt to this
+        trustee.  On another trustee's point it would leave the threshold one
+        share short, or, arriving first, pass for that trustee's shares."""
+        # The EA deals point k to the k-th trustee it generates a key for
+        # (``ElectionAuthority.setup``) and lists the keys in that order.
+        point = list(self.init.trustee_public_keys).index(submission.trustee_id) + 1
+        return set(map(attrgetter("index"), submission.shares())) <= {point}
 
     # ------------------------------------------------------------------ result computation
 
@@ -209,30 +277,29 @@ class BulletinBoardNode(SimNode):
         cast_parts = {serial: part for serial, (part, _) in cast_locations.items()}
         challenge = voter_coin_challenge(self.group, cast_parts)
 
-        # Reconstruct openings for every (serial, part) all submissions agree to open.
+        # Reconstruct openings for every (serial, part) all submissions agree to
+        # open.  Each zip transposes once: the part's rows, then a row's
+        # shares, across submissions.
         openings: Dict[Tuple[int, str], Tuple[CommitmentOpening, ...]] = {}
         opening_keys = set.intersection(
             *(set(submission.opening_shares) for submission in submissions)
         ) if submissions else set()
         for key in sorted(opening_keys):
-            serial, part = key
-            num_rows = len(self.init.ballots[serial].rows[part])
-            per_row = []
-            for row_index in range(num_rows):
-                values, randomness = [], []
-                for coord in range(self.params.num_options):
-                    value_shares = [
-                        submission.opening_shares[key][row_index].value_shares[coord]
-                        for submission in submissions
-                    ]
-                    randomness_shares = [
-                        submission.opening_shares[key][row_index].randomness_shares[coord]
-                        for submission in submissions
-                    ]
-                    values.append(pedersen.reconstruct(value_shares))
-                    randomness.append(pedersen.reconstruct(randomness_shares))
-                per_row.append(CommitmentOpening(tuple(values), tuple(randomness)))
-            openings[key] = tuple(per_row)
+            openings[key] = tuple(
+                CommitmentOpening(
+                    tuple(
+                        pedersen.reconstruct(shares)
+                        for shares in zip(*(row.value_shares for row in rows), strict=True)
+                    ),
+                    tuple(
+                        pedersen.reconstruct(shares)
+                        for shares in zip(*(row.randomness_shares for row in rows), strict=True)
+                    ),
+                )
+                for rows in zip(
+                    *(submission.opening_shares[key] for submission in submissions), strict=True
+                )
+            )
 
         # Reconstruct the ZK final moves for used parts.
         proof_responses: Dict[Tuple[int, str], Tuple[BallotProofResponse, ...]] = {}
@@ -240,20 +307,15 @@ class BulletinBoardNode(SimNode):
             *(set(submission.proof_shares) for submission in submissions)
         ) if submissions else set()
         for key in sorted(proof_keys):
-            serial, part = key
-            num_rows = len(self.init.ballots[serial].rows[part])
-            per_row = []
-            for row_index in range(num_rows):
-                components: Dict[str, int] = {}
-                component_names = submissions[0].proof_shares[key][row_index].component_shares
-                for name in component_names:
-                    shares = [
-                        submission.proof_shares[key][row_index].component_shares[name]
-                        for submission in submissions
-                    ]
-                    components[name] = zk_sss.reconstruct(shares)
-                per_row.append(self._assemble_proof_response(components))
-            proof_responses[key] = tuple(per_row)
+            proof_responses[key] = tuple(
+                self._assemble_proof_response({
+                    name: zk_sss.reconstruct([row.component_shares[name] for row in rows])
+                    for name in rows[0].component_shares
+                })
+                for rows in zip(
+                    *(submission.proof_shares[key] for submission in submissions), strict=True
+                )
+            )
 
         # Reconstruct the tally opening and verify it against the combined commitment.
         tally_commitments = []
@@ -266,17 +328,18 @@ class BulletinBoardNode(SimNode):
         )
         tally_opening: Optional[CommitmentOpening] = None
         if tally_commitments and all(submission.tally_value_shares for submission in submissions):
-            values, randomness = [], []
-            for coord in range(self.params.num_options):
-                value_shares = [
-                    submission.tally_value_shares[coord] for submission in submissions
-                ]
-                randomness_shares = [
-                    submission.tally_randomness_shares[coord] for submission in submissions
-                ]
-                values.append(pedersen.reconstruct(value_shares))
-                randomness.append(pedersen.reconstruct(randomness_shares))
-            opening = CommitmentOpening(tuple(values), tuple(randomness))
+            opening = CommitmentOpening(
+                tuple(
+                    pedersen.reconstruct(shares)
+                    for shares in zip(*(s.tally_value_shares for s in submissions), strict=True)
+                ),
+                tuple(
+                    pedersen.reconstruct(shares)
+                    for shares in zip(
+                        *(s.tally_randomness_shares for s in submissions), strict=True
+                    )
+                ),
+            )
             if self.params.num_shards > 1:
                 # Shard-by-shard combination plus the two-phase commit record.
                 # The ciphertext product is associative, so the combined

@@ -23,6 +23,8 @@ examples can demonstrate that the protocol guarantees survive them:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.consensus.batching import BatchEnvelope
 from repro.core.bulletin_board import BulletinBoardNode
 from repro.core.messages import Announce, Endorse, Endorsement, VotePending, VscBatch
@@ -149,14 +151,15 @@ class CorruptTrustee(Trustee):
 
     def produce_submission(self, bb_view) -> TrusteeSubmission:
         submission = super().produce_submission(bb_view)
-        corrupted_values = tuple(
-            PedersenShare(share.index, share.value + 1, share.blinding)
-            for share in submission.tally_value_shares
+        corrupted = replace(
+            submission,
+            tally_value_shares=tuple(
+                PedersenShare(share.index, share.value + 1, share.blinding)
+                for share in submission.tally_value_shares
+            ),
         )
-        submission.tally_value_shares = corrupted_values
         # Re-sign so the signature check passes and only the share corruption
         # remains detectable (via the failed opening of the combined commitment).
-        submission.signature = self.signature_scheme.sign(
-            self.init.signing_keys, submission.digest()
+        return corrupted.signed(
+            self.signature_scheme.sign(self.init.signing_keys, corrupted.digest())
         )
-        return submission

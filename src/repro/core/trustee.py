@@ -20,12 +20,19 @@ shares dealt by the EA: every transcript component is an affine function of
 the challenge, so a trustee's share of the component is simply
 ``share(const) + challenge * share(lin)`` -- see
 :meth:`repro.core.ea.ElectionAuthority._zk_affine_coefficients`.
+
+What a trustee posts is a :class:`TrusteeSubmission`: an immutable value that
+is built in one constructor call, signed by attaching the signature to a copy,
+and encodes its canonical bytes once however many BB nodes ask for the digest.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from itertools import chain
+from types import MappingProxyType
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.core.ballot import PARTS
 from repro.core.ea import TrusteeInitData
@@ -52,23 +59,72 @@ class RowProofShares:
 
     component_shares: Mapping[str, Share]
 
+    def __post_init__(self) -> None:
+        # A read-only view of a private copy: see TrusteeSubmission.
+        object.__setattr__(
+            self, "component_shares", MappingProxyType(dict(self.component_shares))
+        )
 
-@dataclass
+
+@dataclass(frozen=True)
 class TrusteeSubmission:
-    """Everything one trustee posts to the BB nodes after the election."""
+    """Everything one trustee posts to the BB nodes after the election.
+
+    An immutable value: the fields cannot be assigned, the two maps are
+    read-only views of private copies, and everything below them is a tuple
+    or a frozen dataclass.  That is what lets :meth:`digest` encode the
+    submission once per object -- by the trustee that signs it -- while every
+    BB node that verifies the signature still asks for the digest itself.
+    Change a submission with :func:`dataclasses.replace`; the new object has
+    no stored digest.
+    """
 
     trustee_id: str
     challenge: int
     #: (serial, part) -> per-row opening shares, for parts that get opened
-    opening_shares: Dict[Tuple[int, str], Tuple[RowOpeningShares, ...]] = field(default_factory=dict)
+    opening_shares: Mapping[Tuple[int, str], Tuple[RowOpeningShares, ...]] = field(
+        default_factory=dict
+    )
     #: (serial, part) -> per-row proof-component shares, for used parts
-    proof_shares: Dict[Tuple[int, str], Tuple[RowProofShares, ...]] = field(default_factory=dict)
+    proof_shares: Mapping[Tuple[int, str], Tuple[RowProofShares, ...]] = field(
+        default_factory=dict
+    )
     #: the trustee's share of the opening of the homomorphic total
     tally_value_shares: Tuple[PedersenShare, ...] = ()
     tally_randomness_shares: Tuple[PedersenShare, ...] = ()
     #: ballots the trustee discarded as invalid
     discarded: Tuple[int, ...] = ()
+    #: over :meth:`digest`, which does not cover it
     signature: Optional[object] = None
+
+    def __post_init__(self) -> None:
+        for name in ("opening_shares", "proof_shares"):
+            rows = {key: tuple(value) for key, value in getattr(self, name).items()}
+            object.__setattr__(self, name, MappingProxyType(rows))
+        for name in ("tally_value_shares", "tally_randomness_shares", "discarded"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+
+    def shares(self) -> Iterator[object]:
+        """Every share the submission carries, lazily (chained in C: a BB node
+        looks at each of the ~10^4 shares of each submission it receives)."""
+        opened = chain.from_iterable(self.opening_shares.values())
+        proved = chain.from_iterable(self.proof_shares.values())
+        return chain(
+            chain.from_iterable(
+                side for row in opened for side in (row.value_shares, row.randomness_shares)
+            ),
+            chain.from_iterable(row.component_shares.values() for row in proved),
+            self.tally_value_shares,
+            self.tally_randomness_shares,
+        )
+
+    def signed(self, signature: object) -> "TrusteeSubmission":
+        """A copy carrying ``signature``, with this object's stored digest if
+        it has one: the signature is the one field the digest does not cover."""
+        copy = replace(self, signature=signature)
+        if "_digest" in self.__dict__:
+            copy.__dict__["_digest"] = self.__dict__["_digest"]
+        return copy
 
     def digest(self) -> bytes:
         """Deterministic digest of the submission, used for signing.
@@ -78,7 +134,15 @@ class TrusteeSubmission:
         markers, so two structurally different submissions can never produce
         the same byte string -- the old ``:``/``|``-joined text rendering gave
         no such guarantee for adversarially chosen components.
+
+        Encoded on the first call and kept on the object.
         """
+        return self._digest
+
+    @cached_property
+    def _digest(self) -> bytes:
+        """``cached_property`` writes the instance ``__dict__``, not a field:
+        equality and :func:`dataclasses.replace` do not see the stored value."""
         # Imported lazily: the codec registers this package's message types.
         from repro.net.codec import signing_bytes
 
@@ -145,8 +209,8 @@ class Trustee:
         """Verify the BB data and compute this trustee's complete submission."""
         cast_rows, cast_parts, discarded = self._locate_cast_rows(bb_view)
         challenge = voter_coin_challenge(self.group, cast_parts)
-        submission = TrusteeSubmission(self.trustee_id, challenge, discarded=tuple(sorted(discarded)))
-
+        opening_shares: Dict[Tuple[int, str], Tuple[RowOpeningShares, ...]] = {}
+        proof_shares: Dict[Tuple[int, str], Tuple[RowProofShares, ...]] = {}
         tally_value_shares: Optional[List[PedersenShare]] = None
         tally_randomness_shares: Optional[List[PedersenShare]] = None
 
@@ -158,7 +222,7 @@ class Trustee:
                 rows = view.rows[part_name]
                 if cast is not None and cast[0] == part_name:
                     # Used part: complete the ZK proofs; the cast row joins E_tally.
-                    submission.proof_shares[(serial, part_name)] = tuple(
+                    proof_shares[(serial, part_name)] = tuple(
                         self._proof_shares_for_row(row, challenge) for row in rows
                     )
                     cast_row = rows[cast[1]]
@@ -179,18 +243,23 @@ class Trustee:
                         ]
                 else:
                     # Unused part (or unvoted ballot): open every row.
-                    submission.opening_shares[(serial, part_name)] = tuple(
+                    opening_shares[(serial, part_name)] = tuple(
                         RowOpeningShares(row.opening_value_shares, row.opening_randomness_shares)
                         for row in rows
                     )
 
-        if tally_value_shares is not None:
-            submission.tally_value_shares = tuple(tally_value_shares)
-            submission.tally_randomness_shares = tuple(tally_randomness_shares)
-        submission.signature = self.signature_scheme.sign(
-            self.init.signing_keys, submission.digest()
+        unsigned = TrusteeSubmission(
+            self.trustee_id,
+            challenge,
+            opening_shares,
+            proof_shares,
+            tuple(tally_value_shares or ()),
+            tuple(tally_randomness_shares or ()),
+            tuple(sorted(discarded)),
         )
-        return submission
+        return unsigned.signed(
+            self.signature_scheme.sign(self.init.signing_keys, unsigned.digest())
+        )
 
     # -- helpers -------------------------------------------------------------------
 

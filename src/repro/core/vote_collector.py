@@ -395,7 +395,12 @@ class VoteCollectorNode(SimNode):
             return False
         if not record.endorse_requested or record.location is None:
             return False
-        return True
+        # Only the code this node asked its peers to endorse counts: a valid
+        # signature over another code of the ballot (an equivocating peer)
+        # would otherwise fill the quorum of a certificate nobody accepts.
+        part, index = record.location
+        row = self.init.ballots[endorsement.serial].rows[part][index]
+        return row.code_commitment.matches(endorsement.vote_code)
 
     def _on_endorsement(self, sender: str, endorsement: Endorsement) -> None:
         """Collect endorsements; at Nv - fv form the UCERT and disclose our share.

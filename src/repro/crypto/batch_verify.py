@@ -18,7 +18,13 @@ see :func:`repro.analysis.verification.batch_soundness_error`).  The
 aggregate costs one fixed-base exponentiation per distinct fixed base
 (``g`` and the public key) plus one :meth:`Group.multi_power` whose
 variable-base factors carry only ``security_bits``-wide exponents -- which is
-where the 3x+ speedup over per-item verification comes from.
+where the 3x+ speedup over per-item verification comes from.  How that
+product is evaluated is the group's business: a chunk of the audit has
+hundreds to thousands of factors and goes through the byte-digit bucket
+kernel, the handful of a UCERT or the halves deep in a bisection through the
+bit scan.  Either returns the same element, so the soundness argument, every
+verdict and every culprit list are those of the equation, not of its
+evaluation.
 
 A failing batch is *bisected*: both halves are re-batched recursively until
 the culprit items are pinned down by exact individual verification, so the

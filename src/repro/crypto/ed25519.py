@@ -16,7 +16,7 @@ properties matter for the reproduction:
   adds and doubles are a handful of field multiplications; the single
   inversion per point happens at serialization time and is memoized.
 
-The generic accelerators (windowed fixed-base tables, Shamir multi-power,
+The generic accelerators (windowed fixed-base tables, scan/bucket multi-power,
 ``cached_power`` promotion) from :class:`~repro.crypto.group.Group` apply
 unchanged since they are written against the abstract element interface.
 """

@@ -293,19 +293,40 @@ class Group:
         """``h ** exponent`` through the cached fixed-base table."""
         return self.fixed_base(self.second_generator()).power(exponent)
 
+    #: fewest terms for which :meth:`multi_power` fills buckets instead of
+    #: scanning bits.  Counted in products, the scan pays ``terms * bits / 2``
+    #: and the buckets ``ceil(bits / 8) * (terms + 510)``: equal at 170 terms
+    #: for any exponent width.  Measured (64- and 255-bit exponents alike) the
+    #: curve backends cross earlier -- secp256k1 at ~85 terms, ed25519 at ~135
+    #: -- since most of a fold over sparsely filled buckets multiplies by the
+    #: identity, which is free on the first and cheap on the second.  128
+    #: keeps either within 5 % of its faster side; :class:`SchnorrGroup`
+    #: measures its own.
+    BUCKET_MIN_TERMS = 128
+
     def multi_power(self, pairs: Sequence[Tuple[GroupElement, int]]) -> GroupElement:
         """Simultaneous multi-exponentiation: ``prod(base ** exp)``.
 
-        Shamir's trick: one shared square-and-multiply pass over all exponent
-        bits, so ``k`` exponentiations cost one chain of squarings instead of
-        ``k``.  Used for the variable-base products of Pedersen share
-        verification, where the bases (polynomial commitments) change with
-        every dealing and a fixed-base table would never amortize.
+        Two evaluations of the same product, chosen from ``len(pairs)`` alone
+        (:data:`BUCKET_MIN_TERMS`).  Few terms -- the variable-base side of
+        Pedersen share verification, a UCERT or endorsement batch, the
+        cross-shard commit -- share one square-and-multiply pass over all
+        exponent bits, so ``k`` exponentiations cost one chain of squarings
+        instead of ``k``.  Many terms -- the aggregated equations of the
+        batched audit -- go through the bucket method of Pippenger's
+        algorithm with one byte per digit, which replaces the per-term,
+        per-bit work of the scan by one product per term per *byte*.
         """
         reduced = [(base, exponent % self.order) for base, exponent in pairs]
         reduced = [(base, exponent) for base, exponent in reduced if exponent]
         if not reduced:
             return self.identity()
+        if len(pairs) < self.BUCKET_MIN_TERMS:
+            return self._scan_multi_power(reduced)
+        return self._bucket_multi_power(reduced)
+
+    def _scan_multi_power(self, reduced: Sequence[Tuple[GroupElement, int]]) -> GroupElement:
+        """``terms * bits / 2`` products: every term looks at every bit."""
         max_bits = max(exponent.bit_length() for _, exponent in reduced)
         result = self.identity()
         for bit in range(max_bits - 1, -1, -1):
@@ -313,6 +334,38 @@ class Group:
             for base, exponent in reduced:
                 if (exponent >> bit) & 1:
                     result = result * base
+        return result
+
+    def _bucket_multi_power(self, reduced: Sequence[Tuple[GroupElement, int]]) -> GroupElement:
+        """``ceil(bits / 8) * (terms + 510)`` products.
+
+        The digits of an exponent are its little-endian bytes, as in
+        :class:`SchnorrFixedBase`.  Per byte position, most significant
+        first: eight squarings shift the result, every base is multiplied
+        into the bucket its digit names (digit 0 contributes nothing), and
+        the 255 buckets fold into ``prod(bucket[d] ** d)`` by the running
+        product -- ``running`` holds ``bucket[255] * ... * bucket[d]`` and is
+        multiplied into the total once per ``d``, so ``bucket[d]`` ends up in
+        it ``d`` times for 510 products and no exponentiation.
+        """
+        width = (max(exponent.bit_length() for _, exponent in reduced) + 7) // 8
+        bases = [base for base, _ in reduced]
+        digits = b"".join([exponent.to_bytes(width, "little") for _, exponent in reduced])
+        identity = self.identity()
+        result = identity
+        for position in range(width - 1, -1, -1):
+            for _ in range(8):
+                result = result * result
+            buckets = [identity] * 256
+            # Every ``width``-th byte from ``position``: this digit of each term.
+            for base, digit in zip(bases, digits[position::width], strict=True):
+                if digit:
+                    buckets[digit] = buckets[digit] * base
+            running = total = identity
+            for digit in range(255, 0, -1):
+                running = running * buckets[digit]
+                total = total * running
+            result = result * total
         return result
 
 
@@ -436,12 +489,25 @@ class SchnorrGroup(Group):
     def _build_fixed_base(self, element: SchnorrElement) -> "SchnorrFixedBase":
         return SchnorrFixedBase(element)
 
+    #: see :data:`Group.BUCKET_MIN_TERMS`.  Measured at the default modulus on
+    #: bare residues (scan / buckets, ms): 64-bit exponents 48 terms 0.91 /
+    #: 1.24, 64 terms 1.26 / 1.32, 80 terms 1.53 / 1.38, 1,680 terms 31.2 /
+    #: 7.6; 255-bit exponents cross at the same count (64 terms 5.0 / 5.2, 80
+    #: terms 6.2 / 5.4).  Earlier than the 170 of the product count: the scan
+    #: also pays a Python-level shift and mask per term per bit.
+    BUCKET_MIN_TERMS = 72
+
     def multi_power(self, pairs: Sequence[Tuple[GroupElement, int]]) -> SchnorrElement:
-        """Integer-specialized Shamir multi-exponentiation (see :class:`Group`)."""
+        """:meth:`Group.multi_power` on bare residues modulo ``p``."""
         reduced = [(base.value, exponent % self.order) for base, exponent in pairs]
         reduced = [(value, exponent) for value, exponent in reduced if exponent]
         if not reduced:
             return self.identity()
+        if len(pairs) < self.BUCKET_MIN_TERMS:
+            return SchnorrElement(self._scan_multi_power(reduced), self)
+        return SchnorrElement(self._bucket_multi_power(reduced), self)
+
+    def _scan_multi_power(self, reduced: Sequence[Tuple[int, int]]) -> int:
         p = self.p
         max_bits = max(exponent.bit_length() for _, exponent in reduced)
         accumulator = 1
@@ -450,7 +516,27 @@ class SchnorrGroup(Group):
             for value, exponent in reduced:
                 if (exponent >> bit) & 1:
                     accumulator = accumulator * value % p
-        return SchnorrElement(accumulator, self)
+        return accumulator
+
+    def _bucket_multi_power(self, reduced: Sequence[Tuple[int, int]]) -> int:
+        p = self.p
+        width = (max(exponent.bit_length() for _, exponent in reduced) + 7) // 8
+        values = [value for value, _ in reduced]
+        digits = b"".join([exponent.to_bytes(width, "little") for _, exponent in reduced])
+        accumulator = 1
+        for position in range(width - 1, -1, -1):
+            for _ in range(8):
+                accumulator = accumulator * accumulator % p
+            buckets = [1] * 256
+            for value, digit in zip(values, digits[position::width], strict=True):
+                if digit:
+                    buckets[digit] = buckets[digit] * value % p
+            running = total = 1
+            for digit in range(255, 0, -1):
+                running = running * buckets[digit] % p
+                total = total * running % p
+            accumulator = accumulator * total % p
+        return accumulator
 
 
 class SchnorrFixedBase(FixedBasePrecomputation):
@@ -464,6 +550,8 @@ class SchnorrFixedBase(FixedBasePrecomputation):
     i.e. ~30 builtin ``pow`` calls (:data:`SchnorrGroup.PRECOMPUTE_AFTER_USES`);
     a lookup is at most 32 products, ~15 us against ~130 us for ``pow``
     (8x; measured on the 2.1 GHz Xeon of ``benchmarks/e2e/README.md``).
+    The bucket side of :meth:`SchnorrGroup.multi_power` cuts its exponents
+    into the same digits.
     Entries and entry size both grow with the modulus: a 2048-bit table is
     65,536 residues of 256 bytes each.
     """

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 from repro.crypto.group import Group, GroupElement, default_group
+from repro.crypto.shamir import lagrange_at_zero
 from repro.crypto.utils import RandomSource, default_random
 
 
@@ -129,18 +130,12 @@ class PedersenVSS:
             raise ValueError(
                 f"need at least {self.threshold} shares, got {len(unique)}"
             )
-        points = list(unique.values())[: self.threshold]
-        secret = 0
-        for i, share in enumerate(points):
-            numerator, denominator = 1, 1
-            for j, other in enumerate(points):
-                if i == j:
-                    continue
-                numerator = (numerator * (-other.index)) % self.q
-                denominator = (denominator * (share.index - other.index)) % self.q
-            lagrange = numerator * pow(denominator, -1, self.q)
-            secret = (secret + share.value * lagrange) % self.q
-        return secret
+        indices = tuple(unique)[: self.threshold]
+        coefficients = lagrange_at_zero(indices, self.q)
+        return sum(
+            unique[index].value * coefficient
+            for index, coefficient in zip(indices, coefficients, strict=True)
+        ) % self.q
 
     # -- homomorphism -----------------------------------------------------------
 

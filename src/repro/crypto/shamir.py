@@ -18,8 +18,8 @@ step reject garbage shares injected by Byzantine nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Dict, List, Optional, Sequence
+from functools import cached_property, lru_cache
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.crypto.signatures import SchnorrKeyPair, SchnorrSignature, SignatureScheme
 from repro.crypto.utils import RandomSource, default_random
@@ -27,6 +27,28 @@ from repro.crypto.utils import RandomSource, default_random
 #: A prime slightly above 2^255; the field in which shares live.  It is large
 #: enough to hold 64-bit receipts, 128-bit keys and 160-bit vote codes.
 DEFAULT_PRIME = 2 ** 255 + 95
+
+
+@lru_cache(maxsize=256)
+def lagrange_at_zero(indices: Tuple[int, ...], prime: int) -> Tuple[int, ...]:
+    """Coefficients ``l_i(0)`` with ``f(0) = sum(l_i(0) * f(x_i))`` over ``GF(prime)``.
+
+    They depend on the evaluation points alone, and a result phase
+    reconstructs thousands of secrets from the same two or three trustees, so
+    the one modular inversion per point is paid once per index tuple and
+    field (both are in the memo key) instead of once per share.  ``indices``
+    must be distinct modulo ``prime``.
+    """
+    coefficients = []
+    for i, xi in enumerate(indices):
+        numerator, denominator = 1, 1
+        for j, xj in enumerate(indices):
+            if i == j:
+                continue
+            numerator = (numerator * (-xj)) % prime
+            denominator = (denominator * (xi - xj)) % prime
+        coefficients.append(numerator * pow(denominator, -1, prime) % prime)
+    return tuple(coefficients)
 
 
 @dataclass(frozen=True)
@@ -110,18 +132,12 @@ class ShamirSecretSharing:
             raise ValueError(
                 f"need at least {self.threshold} shares, got {len(unique)}"
             )
-        points = list(unique.items())[: self.threshold]
-        secret = 0
-        for i, (xi, yi) in enumerate(points):
-            numerator, denominator = 1, 1
-            for j, (xj, _) in enumerate(points):
-                if i == j:
-                    continue
-                numerator = (numerator * (-xj)) % self.prime
-                denominator = (denominator * (xi - xj)) % self.prime
-            lagrange = numerator * pow(denominator, -1, self.prime)
-            secret = (secret + yi * lagrange) % self.prime
-        return secret
+        indices = tuple(unique)[: self.threshold]
+        coefficients = lagrange_at_zero(indices, self.prime)
+        return sum(
+            unique[index] * coefficient
+            for index, coefficient in zip(indices, coefficients, strict=True)
+        ) % self.prime
 
 
 def share_signing_message(context: bytes, share: Share) -> bytes:

@@ -329,29 +329,37 @@ class AuditCosts:
     the pure-Python group backends actually spend.  Three exponentiation
     flavors appear in the audit:
 
-    * a **windowed fixed-base** exponentiation (``g``, the commitment key, a
-      hot signer key) costs about ``exponent_bits / window`` table products;
+    * a **fixed-base** exponentiation (``g``, the commitment key, a hot signer
+      key) is one table product per byte of the exponent
+      (:class:`~repro.crypto.group.SchnorrFixedBase`);
     * a **native** exponentiation (builtin ``pow`` on a one-shot base) runs
       its ``1.5 * exponent_bits`` square-and-multiply steps inside the C
       interpreter loop, which empirically costs about ``native_pow_discount``
       of the equivalent Python-level multiplications;
-    * a **batched** factor inside the aggregated multi-exponentiation costs
-      ``security_bits / 2`` (announcements, signature commitments) or
-      ``exponent_bits / 2`` (ciphertext bases whose exponents are full
-      width) multiplications, plus one chain of squarings shared by the
-      whole batch.
+    * the **batched** factors of an aggregated equation go through
+      :meth:`~repro.crypto.group.Group.multi_power`, one call per exponent
+      width (``security_bits`` for announcements and signature commitments,
+      ``exponent_bits`` for the ciphertext bases): the bit scan below
+      ``bucket_min_terms`` factors, byte-digit buckets from there on
+      (:meth:`multi_power_multiplications`).
 
     The model mirrors :class:`ConsensusCosts`: the parallel-audit benchmark
-    reports its predicted speedup next to the measured one.
+    reports its predicted speedup next to the measured one.  It counts
+    products only: the interpreter's per-item work on either side (hashing,
+    object construction) is not in it.
     """
 
     exponent_bits: int = 256
     security_bits: int = 64
-    #: multiplications per fixed-base exponentiation with a window-5 table
-    fixed_base_multiplications: float = 52.0
+    #: table products per fixed-base exponentiation: the bytes of a 256-bit exponent
+    fixed_base_multiplications: float = 32.0
     #: cost of a builtin-pow exponentiation relative to the same chain of
     #: Python-level multiplications (CPython runs it in C)
     native_pow_discount: float = 0.5
+    #: factors from which ``multi_power`` fills buckets instead of scanning
+    #: bits: ``SchnorrGroup.BUCKET_MIN_TERMS`` (pinned to it by the tests; this
+    #: module imports nothing of the program it models)
+    bucket_min_terms: int = 72
 
     def serial_multiplications(
         self, num_items: int, fixed_base_exps: float = 0.0, native_exps: float = 0.0
@@ -365,6 +373,19 @@ class AuditCosts:
         )
         return num_items * per_item
 
+    def multi_power_multiplications(self, terms: float, bits: int) -> float:
+        """Products of one ``multi_power`` call over ``terms`` ``bits``-wide exponents.
+
+        Both evaluations square once per bit.  On top of that the scan
+        multiplies once per set bit (half of them), the buckets once per term
+        per byte plus the 510-product fold of the 255 buckets per byte.
+        """
+        if terms <= 0:
+            return 0.0
+        if terms < self.bucket_min_terms:
+            return bits + terms * bits / 2.0
+        return bits + math.ceil(bits / 8) * (terms + 510.0)
+
     def batched_multiplications(
         self,
         num_items: int,
@@ -375,12 +396,11 @@ class AuditCosts:
         """Cost of the one aggregated batch equation over ``num_items``."""
         if num_items < 0:
             raise ValueError("the number of items cannot be negative")
-        shared_squarings = self.exponent_bits + self.security_bits
-        variable = num_items * (
-            small_bases * self.security_bits / 2.0 + wide_bases * self.exponent_bits / 2.0
+        return (
+            self.multi_power_multiplications(num_items * small_bases, self.security_bits)
+            + self.multi_power_multiplications(num_items * wide_bases, self.exponent_bits)
+            + fixed_bases * self.fixed_base_multiplications
         )
-        fixed = fixed_bases * self.fixed_base_multiplications
-        return shared_squarings + variable + fixed
 
     def batch_speedup(
         self,

@@ -8,6 +8,7 @@ the published result are unaffected.
 
 import pytest
 
+from repro.api import AdversaryProfile, ElectionEngine, ScenarioSpec
 from repro.core.byzantine import (
     CorruptTrustee,
     EquivocatingVoteCollector,
@@ -19,19 +20,16 @@ from repro.core.coordinator import ElectionCoordinator
 from repro.core.election import ElectionParameters
 
 
-def run_faulty_election(vc_classes=None, bb_classes=None, trustee_classes=None, seed=41,
-                        num_trustees=3, trustee_threshold=2):
+def run_faulty_election(vc_classes=None, bb_classes=None, seed=41):
     params = ElectionParameters.small_test_election(
         num_voters=3, num_options=2, num_vc=4, num_bb=3,
-        num_trustees=num_trustees, trustee_threshold=trustee_threshold,
-        election_end=300.0,
+        num_trustees=3, trustee_threshold=2, election_end=300.0,
     )
     coordinator = ElectionCoordinator(
         params,
         seed=seed,
         vc_node_classes=vc_classes or {},
         bb_node_classes=bb_classes or {},
-        trustee_classes=trustee_classes or {},
     )
     choices = ["option-1", "option-2", "option-1"]
     return coordinator.run_election(choices, voter_patience=10.0)
@@ -101,31 +99,54 @@ class TestByzantineBulletinBoard:
         assert len(tallies) == 1
 
 
+def trustee_scenario(seed, trustee_threshold):
+    """Three voters, three trustees; the trustee tests run on the engine API."""
+    return ScenarioSpec(
+        options=("option-1", "option-2"),
+        num_voters=3, num_vc=4, num_bb=3,
+        num_trustees=3, trustee_threshold=trustee_threshold,
+        election_end=300.0, voter_patience=10.0, seed=seed,
+    )
+
+
 class TestByzantineTrustee:
+    """``CorruptTrustee`` builds its submission with ``dataclasses.replace``
+    and re-signs it: a submission is a frozen value."""
+
     def test_corrupt_tally_share_is_detected_not_accepted(self):
         """With only ht = Nt submissions available and one corrupted, the
         combined opening fails verification: the BB must refuse to publish a
         wrong tally rather than silently accept it."""
-        params = ElectionParameters.small_test_election(
-            num_voters=3, num_options=2, num_vc=4, num_bb=3,
-            num_trustees=3, trustee_threshold=3, election_end=300.0,
+        # ht = Nt tolerates no faulty trustee, so the spec's own adversary
+        # profile refuses one; the class goes in through the engine override.
+        engine = ElectionEngine(
+            trustee_scenario(seed=59, trustee_threshold=3),
+            trustee_classes={"T-0": CorruptTrustee},
         )
-        coordinator = ElectionCoordinator(
-            params, seed=59, trustee_classes={"T-0": CorruptTrustee}
-        )
-        with pytest.raises(ValueError):
-            coordinator.run_election(["option-1", "option-2", "option-1"],
-                                     voter_patience=10.0)
+        with pytest.raises(ValueError, match="does not verify"):
+            engine.run(["option-1", "option-2", "option-1"])
+        for bb in engine.ctx.bb_nodes:
+            assert bb.result is None
 
     def test_corrupt_trustee_masked_when_threshold_met_by_honest(self):
         """With ht = 2 of 3, the two honest trustees suffice; the corrupted
         share never has to be used if the honest quorum submits first."""
-        outcome = run_faulty_election(
-            trustee_classes={"T-2": CorruptTrustee},
-            num_trustees=3, trustee_threshold=2, seed=61,
+        spec = trustee_scenario(seed=61, trustee_threshold=2).derive(
+            adversary=AdversaryProfile(trustee_behaviors={"T-2": "corrupt"})
         )
+        outcome = ElectionEngine(spec).run(["option-1", "option-2", "option-1"])
+        assert isinstance(outcome.trustees[2], CorruptTrustee)
         # The BB accepts the first ht submissions it can verify; since the two
         # honest trustees are processed before the corrupt one in this run,
         # the published tally is correct.
         assert outcome.tally is not None
         assert outcome.tally.as_dict() == {"option-1": 2, "option-2": 1}
+        # The corrupt submission is well formed and validly re-signed, so it
+        # is stored; only its values are wrong.
+        for bb in outcome.bb_nodes:
+            stored = bb.trustee_submissions["T-2"]
+            honest = bb.trustee_submissions["T-0"]
+            assert len(stored.tally_value_shares) == len(honest.tally_value_shares) == 2
+            assert bb.signature_scheme.verify(
+                bb.init.trustee_public_keys["T-2"], stored.digest(), stored.signature
+            )

@@ -11,6 +11,9 @@ it must keep paying for.
 
 import pytest
 
+from repro.analysis.determinism import safety_violations
+from repro.api import AdmissionProfile, AdversaryProfile, ElectionEngine, ScenarioSpec
+from repro.api.spec import VC_BEHAVIORS, register_vc_behavior
 from repro.core.ea import ElectionAuthority, vc_node_id
 from repro.core.election import ElectionParameters
 from repro.core.messages import (
@@ -267,29 +270,45 @@ class TestResponderMarksItsOwnUcertVerified:
         fresh = VoteCollectorNode(setup.vc_init["VC-1"], node.params)
         assert fresh.verify_ucert(record.ucert)
 
-    def test_mixed_code_quorum_is_not_marked(self, setup, endorse_batch_size):
+    @pytest.mark.parametrize("foreign", ["another-code-of-the-ballot", "no-code-at-all"])
+    def test_mixed_code_quorum_is_not_marked(self, setup, endorse_batch_size, foreign):
         """An equivocating peer validly signs a *different* code of the ballot.
 
-        Its endorsement passes the signature check, so the responder counts it
-        towards the quorum and the certificate it assembles is one no node
-        accepts (two signatures over its code).  The memo must agree with
-        ``verify_ucert`` and not call it verified.
+        Its endorsement passes the signature check, but it is not the
+        (serial, code) this node asked its peers to endorse, so it does not
+        count: the certificate forms from the honest quorum alone, is
+        recorded as verified, and every node accepts it.  At 868e6e2 the
+        foreign endorsement filled the quorum and gave the certificate its
+        code, so the responder assembled a UCERT that everyone rejected.
         """
         network, node, ballot, line = self.responder(setup, endorse_batch_size)
-        other = ballot.part_a.lines[1].vote_code
-        endorsements = [
+        other = {
+            "another-code-of-the-ballot": ballot.part_a.lines[1].vote_code,
+            "no-code-at-all": b"no-code-of-any-ballot",
+        }[foreign]
+        for endorsement in (
             sign_endorsement(setup, "VC-2", ballot.serial, other),
             sign_endorsement(setup, "VC-1", ballot.serial, line.vote_code),
-        ]
-        for endorsement in endorsements:
+        ):
             deliver(node, endorsement.signer, endorsement)
         network.run_until_idle()
         record = node.ballots[ballot.serial]
-        assert record.ucert is not None and len(record.ucert.endorsements) == 3
-        assert node._ucert_cache.get(node._ucert_key(record.ucert)) is not True
+        assert sorted(record.endorsements) == ["VC-0", "VC-1"]  # VC-2's is ignored
+        assert record.ucert is None and record.status is BallotStatus.NOT_VOTED
+        # The foreign one as the *last* arrival must not name the code either.
+        deliver(node, "VC-3", sign_endorsement(setup, "VC-3", ballot.serial, other))
+        network.run_until_idle()
+        assert record.ucert is None
+        deliver(node, "VC-3", sign_endorsement(setup, "VC-3", ballot.serial, line.vote_code))
+        network.run_until_idle()
+        ucert = record.ucert
+        assert ucert is not None and ucert.vote_code == line.vote_code
+        assert record.used_vote_code == line.vote_code
+        assert sorted(e.signer for e in ucert.endorsements) == ["VC-0", "VC-1", "VC-3"]
+        assert all(e.vote_code == line.vote_code for e in ucert.endorsements)
+        assert node._ucert_cache[node._ucert_key(ucert)] is True
         fresh = VoteCollectorNode(setup.vc_init["VC-1"], node.params)
-        assert not fresh.verify_ucert(record.ucert)
-        assert not node.verify_ucert(record.ucert)
+        assert fresh.verify_ucert(ucert)
 
     def test_relabelled_endorsement_does_not_share_a_memo_entry(self, setup, endorse_batch_size):
         """The memo key covers every field ``verify_ucert`` reads: a certificate
@@ -307,3 +326,53 @@ class TestResponderMarksItsOwnUcertVerified:
         )
         assert node._ucert_key(relabelled) != node._ucert_key(ucert)
         assert not node.verify_ucert(relabelled)
+
+
+class ForeignCodeEndorser(VoteCollectorNode):
+    """Answers every ENDORSE with its valid signature over another code."""
+
+    def _on_endorse(self, sender, request):
+        other = b"not-" + request.vote_code
+        signature = self.signature_scheme.sign(
+            self.init.signing_keys, endorsement_message(request.serial, other)
+        )
+        self.send(sender, Endorsement(request.serial, other, self.node_id, signature))
+
+
+@pytest.fixture()
+def foreign_code_behavior():
+    register_vc_behavior("foreign-code-endorser", ForeignCodeEndorser)
+    yield "foreign-code-endorser"
+    del VC_BEHAVIORS["foreign-code-endorser"]
+
+
+@pytest.mark.parametrize("endorse_batch", [1, 4], ids=["single", "batcher"])
+def test_one_foreign_code_endorser_denies_nobody_a_receipt(foreign_code_behavior, endorse_batch):
+    """Four collectors, one of them endorsing a code nobody asked about.  At
+    868e6e2 every responder whose first three endorsements included the
+    foreign one built a certificate its peers rejected, and that voter got no
+    receipt from it."""
+    choices = ["option-1", "option-2", "option-1", "option-2", "option-1", "option-1"]
+    spec = ScenarioSpec(
+        options=("option-1", "option-2"),
+        num_voters=len(choices),
+        num_vc=4,
+        election_end=400.0,
+        seed=13,
+        admission=AdmissionProfile.batched(endorse_batch) if endorse_batch > 1
+        else AdmissionProfile(),
+        adversary=AdversaryProfile(vc_behaviors={"VC-1": foreign_code_behavior}),
+    )
+    outcome = ElectionEngine(spec).run(choices)
+    assert safety_violations(outcome, spec) == []
+    assert all(voter.receipt is not None and voter.receipt_valid for voter in outcome.voters)
+    assert all(voter.attempts == 1 for voter in outcome.voters)  # from the first collector asked
+    assert outcome.tally.as_dict() == {"option-1": 4, "option-2": 2}
+    for node in outcome.vote_collectors:
+        if node.node_id == "VC-1":
+            continue
+        fresh = VoteCollectorNode(node.init, node.params)
+        for record in node.ballots.values():
+            assert record.status is BallotStatus.VOTED
+            assert "VC-1" not in {e.signer for e in record.ucert.endorsements}
+            assert fresh.verify_ucert(record.ucert)

@@ -16,9 +16,15 @@ from repro.crypto.batch_verify import (
     merge_outcomes,
 )
 from repro.crypto.commitments import CommitmentOpening, OptionEncodingScheme
+from repro.crypto.elgamal import LiftedElGamal
 from repro.crypto.signatures import SignatureScheme
 from repro.crypto.utils import RandomSource
-from repro.crypto.zkp import BallotCorrectnessProver, BallotProofResponse, fiat_shamir_challenge
+from repro.crypto.zkp import (
+    BallotCorrectnessProver,
+    BallotCorrectnessVerifier,
+    BallotProofResponse,
+    fiat_shamir_challenge,
+)
 from repro.perf.parallel import ParallelConfig, parallel_chunk_map
 
 NUM_SIGNATURES = 24
@@ -269,3 +275,131 @@ class TestParameters:
     def test_exponents_must_fit_under_group_order(self, group):
         with pytest.raises(ValueError):
             BatchVerifier(group, security_bits=300)
+
+
+LARGE = 200  # items; every aggregated equation over them has >= 400 terms
+
+
+def forge_opening(item: OpeningItem) -> OpeningItem:
+    values = (item.opening.values[0] + 1, *item.opening.values[1:])
+    return OpeningItem(item.commitment, CommitmentOpening(values, item.opening.randomness))
+
+
+def forge_proof(item: ProofItem) -> ProofItem:
+    first, *rest = item.response.or_responses
+    bad = replace(first, response1=first.response1 + 1)
+    return ProofItem(
+        item.commitment, item.announcement, item.challenge,
+        BallotProofResponse((bad, *rest), item.response.sum_response),
+    )
+
+
+class TestBatchesAboveTheBucketCrossover:
+    """More terms than ``BUCKET_MIN_TERMS``: the first equation and the first
+    halvings of a bisection fill buckets, the deeper ones scan bits, and the
+    verdict must be the one the exact per-item checks give."""
+
+    @pytest.fixture(scope="class")
+    def large(self, group, elgamal_keys):
+        signer = SignatureScheme(group)
+        rng = RandomSource(31)
+        keys = [signer.keygen(rng) for _ in range(3)]
+        signatures = [
+            SignatureItem(
+                keys[i % 3].public, f"large-{i}".encode(),
+                signer.sign(keys[i % 3], f"large-{i}".encode(), rng),
+            )
+            for i in range(LARGE)
+        ]
+        scheme = OptionEncodingScheme(NUM_OPTIONS, elgamal_keys.public, group)
+        prover = BallotCorrectnessProver(elgamal_keys.public, group)
+        proofs, openings = [], []
+        for i in range(LARGE):
+            commitment, opening = scheme.commit_option(i % NUM_OPTIONS, rng)
+            announcement, state = prover.first_move(commitment, opening, rng)
+            challenge = fiat_shamir_challenge(group, commitment, announcement)
+            proofs.append(
+                ProofItem(commitment, announcement, challenge, prover.respond(state, challenge))
+            )
+            openings.append(OpeningItem(commitment, opening))
+        return {"signatures": signatures, "proofs": proofs, "openings": openings}
+
+    @pytest.fixture()
+    def evaluations(self, group, monkeypatch):
+        """Which evaluation each ``multi_power`` call of the test ran."""
+        ran = []
+        for method in ("_scan_multi_power", "_bucket_multi_power"):
+            original = getattr(type(group), method)
+
+            def spy(self, reduced, _original=original, _method=method):
+                ran.append(_method)
+                return _original(self, reduced)
+
+            monkeypatch.setattr(type(group), method, spy)
+        return ran
+
+    def run(self, verifier, kind, items, elgamal_keys):
+        if kind == "signatures":
+            return verifier.verify_signatures(items)
+        if kind == "proofs":
+            return verifier.verify_proofs(elgamal_keys.public, items)
+        return verifier.verify_openings(elgamal_keys.public, items)
+
+    def individually_bad(self, group, kind, items, elgamal_keys):
+        """Positions the exact one-at-a-time verifiers reject."""
+        if kind == "signatures":
+            scheme = SignatureScheme(group)
+            ok = [scheme.verify(i.public, i.message, i.signature) for i in items]
+        elif kind == "proofs":
+            exact = BallotCorrectnessVerifier(elgamal_keys.public, group)
+            ok = [
+                exact.verify(i.commitment, i.announcement, i.challenge, i.response)
+                for i in items
+            ]
+        else:
+            elgamal = LiftedElGamal(group)
+            ok = [
+                all(
+                    elgamal.open(elgamal_keys.public, c, v, r)
+                    for c, v, r in zip(
+                        i.commitment.ciphertexts, i.opening.values, i.opening.randomness,
+                        strict=True,
+                    )
+                )
+                for i in items
+            ]
+        return tuple(index for index, verdict in enumerate(ok) if not verdict)
+
+    @pytest.mark.parametrize("kind,forge", [
+        ("signatures", forge_signature), ("proofs", forge_proof), ("openings", forge_opening),
+    ])
+    def test_one_corrupted_item_is_named_and_the_rest_passes(
+        self, kind, forge, large, verifier, evaluations, group, elgamal_keys
+    ):
+        honest = large[kind]
+        outcome = self.run(verifier, kind, honest, elgamal_keys)
+        assert outcome.ok and outcome.checked == LARGE and outcome.equations == 1
+        assert set(evaluations) == {"_bucket_multi_power"}
+        del evaluations[:]
+
+        culprit = 137
+        items = list(honest)
+        items[culprit] = forge(honest[culprit])
+        outcome = self.run(verifier, kind, items, elgamal_keys)
+        assert not outcome.ok and outcome.bad_indices == (culprit,)
+        # 1 + 2 per halving: logarithmic, and both evaluations took part.
+        assert outcome.equations <= 1 + 2 * LARGE.bit_length()
+        assert set(evaluations) == {"_bucket_multi_power", "_scan_multi_power"}
+        assert outcome.bad_indices == self.individually_bad(group, kind, items, elgamal_keys)
+
+    def test_culprits_on_both_sides_of_the_crossover(self, large, verifier, group,
+                                                     elgamal_keys):
+        items = list(large["signatures"])
+        culprits = (0, 99, 100, 199)
+        for index in culprits:
+            items[index] = forge_signature(items[index])
+        outcome = verifier.verify_signatures(items)
+        assert outcome.bad_indices == culprits
+        assert outcome.bad_indices == self.individually_bad(
+            group, "signatures", items, elgamal_keys
+        )

@@ -1,8 +1,17 @@
 """Tests for Shamir secret sharing and the signing dealer."""
 
+from itertools import permutations
+
 import pytest
 
-from repro.crypto.shamir import ShamirSecretSharing, Share, SignedShare, SigningDealer
+from repro.crypto.pedersen_vss import PedersenVSS
+from repro.crypto.shamir import (
+    ShamirSecretSharing,
+    Share,
+    SignedShare,
+    SigningDealer,
+    lagrange_at_zero,
+)
 from repro.crypto.signatures import SignatureScheme
 from repro.crypto.utils import RandomSource
 
@@ -67,6 +76,78 @@ class TestShamir:
         sss = ShamirSecretSharing(2, 4, prime=2 ** 61 - 1)
         shares = sss.share(123, rng=RandomSource(9))
         assert sss.reconstruct(shares[1:3]) == 123
+
+
+class TestLagrangeAtZero:
+    """One coefficient function under both reconstructions, memoised per
+    (index tuple, field)."""
+
+    def test_coefficients_interpolate_at_zero(self):
+        prime = 2**61 - 1
+        polynomial = [1234567, 89, 1011, 5]  # f(0) = 1234567, degree 3
+        points = (2, 9, 4, 7)
+        values = [sum(c * x**k for k, c in enumerate(polynomial)) % prime for x in points]
+        coefficients = lagrange_at_zero(points, prime)
+        assert all(0 <= c < prime for c in coefficients)
+        assert sum(c * y for c, y in zip(coefficients, values, strict=True)) % prime == 1234567
+        assert sum(coefficients) % prime == 1  # the constant polynomial 1
+
+    def test_every_threshold_subset_in_every_order_gives_the_secret(self, group):
+        shamir = ShamirSecretSharing(3, 5, prime=group.order)
+        shares = shamir.share(31337, rng=RandomSource(11))
+        pedersen = PedersenVSS(3, 5, group)
+        dealt = pedersen.deal(424242, rng=RandomSource(12)).shares
+        for chosen in permutations(range(5), 3):
+            assert shamir.reconstruct([shares[i] for i in chosen]) == 31337
+            assert pedersen.reconstruct([dealt[i] for i in chosen]) == 424242
+
+    def test_extra_shares_beyond_the_threshold_are_not_used(self):
+        sss = ShamirSecretSharing(2, 4)
+        shares = sss.share(77, rng=RandomSource(13))
+        garbage = Share(shares[3].index, shares[3].value + 1)
+        assert sss.reconstruct([shares[1], shares[0], garbage]) == 77
+
+    def test_the_memo_is_per_field(self):
+        """Same indices, two primes: the coefficients differ and neither call
+        may be answered from the other's entry."""
+        small, large = 101, 2**255 + 95
+        indices = (1, 2, 3)
+        assert lagrange_at_zero(indices, small) == (3, 98, 1)
+        assert lagrange_at_zero(indices, large) == (3, large - 3, 1)
+        assert lagrange_at_zero(indices, small) == (3, 98, 1)
+        for prime in (small, large, 257):
+            sss = ShamirSecretSharing(3, 3, prime=prime)
+            assert sss.reconstruct(sss.share(42, rng=RandomSource(prime))) == 42
+
+    def test_the_memo_is_per_order_of_the_indices(self):
+        assert lagrange_at_zero((2, 1), 101) == tuple(reversed(lagrange_at_zero((1, 2), 101)))
+
+    def test_reconstructions_share_one_entry(self):
+        lagrange_at_zero.cache_clear()
+        sss = ShamirSecretSharing(2, 3)
+        for secret in range(20):
+            shares = sss.share(secret, rng=RandomSource(secret))
+            assert sss.reconstruct(shares[:2]) == secret
+        info = lagrange_at_zero.cache_info()
+        assert (info.misses, info.hits) == (1, 19)
+
+    def test_refusals_are_unchanged(self, group):
+        sss = ShamirSecretSharing(3, 5)
+        shares = sss.share(42, rng=RandomSource(14))
+        with pytest.raises(ValueError, match="need at least 3 shares, got 2"):
+            sss.reconstruct(shares[:2])
+        with pytest.raises(ValueError, match="need at least 3 shares, got 2"):
+            sss.reconstruct([shares[0], shares[0], shares[1]])
+        pedersen = PedersenVSS(2, 3, group)
+        dealt = pedersen.deal(5, rng=RandomSource(15)).shares
+        with pytest.raises(ValueError, match="need at least 2 shares, got 1"):
+            pedersen.reconstruct(dealt[:1])
+        with pytest.raises(ValueError, match="need at least 2 shares, got 1"):
+            pedersen.reconstruct([dealt[2], dealt[2]])
+        with pytest.raises(ValueError, match="threshold must be at least 1"):
+            ShamirSecretSharing(0, 3)
+        with pytest.raises(ValueError, match="threshold must be at least 1"):
+            PedersenVSS(0, 3, group)
 
 
 class TestSigningDealer:

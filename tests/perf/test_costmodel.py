@@ -1,8 +1,12 @@
 """Tests for the calibrated cost model."""
 
+import random
+
 import pytest
 
+from repro.crypto.group import Group, GroupElement, SchnorrGroup
 from repro.perf.costmodel import (
+    AuditCosts,
     BandwidthCosts,
     ConsensusCosts,
     CostModel,
@@ -44,6 +48,86 @@ class TestConsensusCosts:
         assert costs.frames(7, 100) / 49 == costs.frames(4, 100) / 16  # per node pair
         # The reliable broadcast of the vectors costs a superblock 2 Nv + 1 steps.
         assert costs.frames(4, 1_600, 16) - costs.frames(4, 100) == (2 * 4 + 1) * 16
+
+
+class ProductCounter(Group):
+    """Counts the products the generic ``multi_power`` makes (elements are
+    residues modulo a Mersenne prime; only the count is looked at)."""
+
+    order = 2**255 - 19
+    modulus = 2**61 - 1
+
+    def __init__(self):
+        self.products = 0
+
+    def identity(self):
+        return CountedElement(1, self)
+
+
+class CountedElement(GroupElement):
+    def __init__(self, value, group):
+        self.value, self.group = value, group
+
+    def __mul__(self, other):
+        self.group.products += 1
+        return CountedElement(self.value * other.value % self.group.modulus, self.group)
+
+
+class TestAuditCosts:
+    """The audit model counts products; the kernel's own count is the measurement."""
+
+    def counted(self, terms, bits, bucket_min_terms):
+        group = ProductCounter()
+        group.BUCKET_MIN_TERMS = bucket_min_terms
+        rnd = random.Random(terms * bits)
+        pairs = [
+            (CountedElement(rnd.randrange(2, group.modulus), group), rnd.getrandbits(bits) | 1)
+            for _ in range(terms)
+        ]
+        group.multi_power(pairs)
+        return group.products
+
+    @pytest.mark.parametrize("bits", [64, 255])
+    @pytest.mark.parametrize("terms", [8, 71, 72, 512, 2_560])
+    def test_multi_power_products_match_the_kernel(self, terms, bits):
+        costs = AuditCosts()
+        assert costs.bucket_min_terms == SchnorrGroup.BUCKET_MIN_TERMS == 72
+        predicted = costs.multi_power_multiplications(terms, bits)
+        measured = self.counted(terms, bits, costs.bucket_min_terms)
+        # Buckets: exact up to the zero digits (1 in 256) and one product per
+        # byte that joins the position's total; scan: half the bits are set.
+        tolerance = 0.02 if terms >= costs.bucket_min_terms else 0.15
+        assert measured == pytest.approx(predicted, rel=tolerance)
+
+    def test_buckets_take_over_where_they_are_cheaper_in_time_not_in_products(self):
+        """In products alone the two sides cross at 170 terms; the constant is
+        lower because the scan also pays interpreter work per term per bit."""
+        costs = AuditCosts()
+        for bits in (64, 256):
+            scan = AuditCosts(bucket_min_terms=10**9).multi_power_multiplications
+            assert costs.multi_power_multiplications(72, bits) > scan(72, bits)
+            assert costs.multi_power_multiplications(171, bits) < scan(171, bits)
+
+    def test_fixed_base_is_one_product_per_exponent_byte(self):
+        assert AuditCosts().fixed_base_multiplications == 256 / 8
+
+    def test_batched_equation_is_the_sum_of_its_calls(self):
+        costs = AuditCosts()
+        total = costs.batched_multiplications(256, small_bases=10, wide_bases=4)
+        assert total == (
+            costs.multi_power_multiplications(2_560, 64)
+            + costs.multi_power_multiplications(1_024, 256)
+            + 2 * 32
+        )
+        assert costs.batched_multiplications(0, small_bases=10) == 2 * 32
+        with pytest.raises(ValueError):
+            costs.batched_multiplications(-1)
+
+    def test_every_payload_of_the_audit_bench_is_predicted_faster_batched(self):
+        costs = AuditCosts()
+        assert costs.batch_speedup(256, fixed_base_exps=2, small_bases=1) > 2
+        assert costs.batch_speedup(256, native_exps=20, small_bases=10, wide_bases=4) > 10
+        assert costs.batch_speedup(256, fixed_base_exps=4, small_bases=4) > 2
 
 
 #: (collectors, ballots, superblock size) of the wire elections the models are held to
