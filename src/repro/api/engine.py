@@ -21,6 +21,7 @@ shim over this engine.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Type
 
@@ -167,6 +168,11 @@ class SetupDriver(PhaseDriver):
             include_proofs=ctx.include_proofs,
         )
         ctx.setup = authority.setup()
+        # The set-up data is long-lived, immutable and acyclic: splice it into
+        # the permanent generation (O(1)) so no later full collection walks
+        # it.  No gc.collect() first: that would walk the whole process heap
+        # once per election.  ElectionEngine.close() unfreezes.
+        gc.freeze()
 
 
 class VotingDriver(PhaseDriver):
@@ -575,11 +581,14 @@ class ElectionEngine:
         return self.outcome()
 
     def close(self) -> None:
-        """Release the current run's transport resources (sockets, loops).
+        """Release the current run's transport resources (sockets, loops) and
+        hand the set-up heap frozen by :class:`SetupDriver` back to the
+        collector.
 
         Idempotent; byte/message counters on the run's network survive, so
         outcomes remain fully inspectable after closing.
         """
+        gc.unfreeze()
         if self.ctx is not None and self.ctx.transport is not None:
             self.ctx.transport.close()
 

@@ -167,40 +167,45 @@ class MultiElectionService:
             if [driver.name for driver in member.engine.drivers] != phase_names:
                 raise ValueError("all member elections must share one phase sequence")
 
-        for index, phase in enumerate(phase_names):
-            live: List[Tuple[_Member, PhaseDriver, float]] = []
+        try:
+            for index, phase in enumerate(phase_names):
+                live: List[Tuple[_Member, PhaseDriver, float]] = []
+                for member in members:
+                    driver = member.engine.drivers[index]
+                    if not driver.should_run(member.ctx):
+                        continue
+                    member.engine.bus.emit(PhaseStarted(phase=phase))
+                    started = member.ctx.sim_now
+                    driver.prepare(member.ctx)
+                    driver.schedule(member.ctx)
+                    live.append((member, driver, started))
+
+                simulated = [
+                    (member.ctx.network, driver.horizon(member.ctx))
+                    for member, driver, _ in live
+                    if driver.consumes_sim_time and member.ctx.network is not None
+                ]
+                if simulated:
+                    self._run_shared(simulated)
+                for member, driver, _ in live:
+                    if not driver.consumes_sim_time:
+                        driver.execute(member.ctx)
+
+                for member, driver, started in live:
+                    driver.finalize(member.ctx)
+                    duration = member.ctx.sim_now - started
+                    member.ctx.phase_timings[phase] = duration
+                    member.engine.bus.emit(PhaseCompleted(phase=phase, sim_duration=duration))
+        finally:
+            # Also after a failed phase: sockets and the frozen set-up heap are
+            # scoped to the run.
             for member in members:
-                driver = member.engine.drivers[index]
-                if not driver.should_run(member.ctx):
-                    continue
-                member.engine.bus.emit(PhaseStarted(phase=phase))
-                started = member.ctx.sim_now
-                driver.prepare(member.ctx)
-                driver.schedule(member.ctx)
-                live.append((member, driver, started))
-
-            simulated = [
-                (member.ctx.network, driver.horizon(member.ctx))
-                for member, driver, _ in live
-                if driver.consumes_sim_time and member.ctx.network is not None
-            ]
-            if simulated:
-                self._run_shared(simulated)
-            for member, driver, _ in live:
-                if not driver.consumes_sim_time:
-                    driver.execute(member.ctx)
-
-            for member, driver, started in live:
-                driver.finalize(member.ctx)
-                duration = member.ctx.sim_now - started
-                member.ctx.phase_timings[phase] = duration
-                member.engine.bus.emit(PhaseCompleted(phase=phase, sim_duration=duration))
+                member.engine.close()
 
         self.reports = {}
         for member in members:
             receipts = sum(1 for voter in member.ctx.voters if voter.receipt is not None)
             member.engine.bus.emit(ElectionCompleted(receipts=receipts))
-            member.engine.close()
             self.reports[member.name] = ElectionReport(
                 name=member.name,
                 spec=member.engine.spec,

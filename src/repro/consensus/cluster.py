@@ -192,6 +192,8 @@ class ConsensusCluster:
         override it per node (same serial keys) to model disagreement.  The
         nodes are released when the run ends: a cluster runs once.
         """
+        if self.nodes[0].cluster is None:  # released by an earlier run
+            raise RuntimeError("a ConsensusCluster runs once")
         for index, node in enumerate(self.nodes):
             if index in self.silent:
                 continue

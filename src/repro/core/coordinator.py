@@ -176,10 +176,13 @@ class ElectionCoordinator:
             DeprecationWarning,
             stacklevel=2,
         )
-        self.run_setup()
-        self.build_components(choices, voter_patience=voter_patience, voter_parts=voter_parts)
-        self.run_voting_phase(stagger=stagger)
-        tally = self.run_trustee_phase()
-        if with_audit and tally is not None:
-            self.run_audit()
+        try:
+            self.run_setup()
+            self.build_components(choices, voter_patience=voter_patience, voter_parts=voter_parts)
+            self.run_voting_phase(stagger=stagger)
+            tally = self.run_trustee_phase()
+            if with_audit and tally is not None:
+                self.run_audit()
+        finally:
+            self._engine.close()
         return self._engine.outcome()

@@ -18,6 +18,16 @@ running election.  Concretely it generates:
   (threshold ``ht``),
 * all key pairs: VC signing keys, trustee signing keys, the dealer key used
   to sign shares, and the ElGamal commitment key (whose secret is discarded).
+
+What is and is not computed.  Per ballot row of an ``m``-option election the
+EA pays ``3m`` fixed-base table lookups for the option-encoding commitment,
+``5m + 2`` for the proof's first move and ``Nv`` for the signed receipt
+shares -- each of them part of something a component receives.  The Pedersen
+VSS check values of the ``2m`` dealings per row (``4 * m * ht`` lookups) are
+*not* computed: no component's initialization data carries them (see
+"Deviations from the paper" in ``docs/ARCHITECTURE.md``), so each dealing is
+reduced to its share tuple on the spot and no sharing polynomial outlives its
+row.
 """
 
 from __future__ import annotations
@@ -239,11 +249,10 @@ class ElectionAuthority:
                             TrusteeBallotRow(
                                 commitment=row["commitment"],
                                 opening_value_shares=tuple(
-                                    dealing.shares[t_index] for dealing in row["value_dealings"]
+                                    shares[t_index] for shares in row["value_shares"]
                                 ),
                                 opening_randomness_shares=tuple(
-                                    dealing.shares[t_index]
-                                    for dealing in row["randomness_dealings"]
+                                    shares[t_index] for shares in row["randomness_shares"]
                                 ),
                                 zk_state_shares={
                                     name: shares[t_index]
@@ -392,12 +401,14 @@ class ElectionAuthority:
             zk_coefficients = self._zk_affine_coefficients(state)
 
         # Trustee side: Pedersen shares of the opening, Shamir shares of the
-        # affine ZK coefficients.
-        value_dealings, randomness_dealings, zk_coefficient_shares = [], [], {}
+        # affine ZK coefficients.  Only the share tuples are kept: a dealing
+        # holds its sharing polynomials, which must not outlive the row.
+        value_shares, randomness_shares, zk_coefficient_shares = [], [], {}
         if self.include_trustee_data:
-            value_dealings = [pedersen.deal(value, rng=self.rng) for value in opening.values]
-            randomness_dealings = [
-                pedersen.deal(randomness, rng=self.rng) for randomness in opening.randomness
+            value_shares = [pedersen.deal(value, rng=self.rng).shares for value in opening.values]
+            randomness_shares = [
+                pedersen.deal(randomness, rng=self.rng).shares
+                for randomness in opening.randomness
             ]
             zk_coefficient_shares = {
                 name: zk_sharer.share(value, rng=self.rng)
@@ -410,8 +421,8 @@ class ElectionAuthority:
             "encrypted_vote_code": encrypted_vote_code,
             "commitment": commitment,
             "announcement": announcement,
-            "value_dealings": value_dealings,
-            "randomness_dealings": randomness_dealings,
+            "value_shares": value_shares,
+            "randomness_shares": randomness_shares,
             "zk_coefficient_shares": zk_coefficient_shares,
         }
 

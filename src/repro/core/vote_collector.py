@@ -361,6 +361,14 @@ class VoteCollectorNode(SimNode):
                       channel=ChannelKind.PUBLIC)
             self.votes_rejected += 1
             return
+        if record.endorse_requested and location != record.location:
+            # An endorsement round is open for another code of this ballot.
+            # Moving ``location`` would make _endorsement_wanted drop every
+            # endorsement of that code while nobody endorses this one.
+            self.send(voter, VoteRejected(request.serial, request.vote_code, "ballot already used"),
+                      channel=ChannelKind.PUBLIC)
+            self.votes_rejected += 1
+            return
         # Become the responder: ask every VC node to endorse this vote code.
         record.location = location
         record.waiting_voters.append(voter)

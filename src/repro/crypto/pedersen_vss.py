@@ -8,12 +8,23 @@ slip in a bad share) and *additively homomorphic* (a share of ``a + b`` is the
 sum of a share of ``a`` and a share of ``b``), which is exactly what lets each
 trustee locally compute its share of the homomorphic tally total and submit
 only that.
+
+What is and is not computed.  :meth:`PedersenVSS.deal` evaluates the shares
+and nothing else: the check values ``g^a_j * h^b_j`` (``2 * threshold``
+fixed-base table lookups per dealing) are computed the first time someone
+reads :attr:`PedersenDealing.commitments`, once.  Pedersen's check values mean
+something only where they are published, and this reproduction's EA
+distributes none (``docs/ARCHITECTURE.md``, "Deviations from the paper"), so
+its set-up, which deals ``2 * m`` secrets per ballot row, pays for no
+commitment it then drops.  Until it dies a dealing holds its two sharing
+polynomials; a dealer keeps the shares it delivers, not the dealing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from functools import cached_property
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.crypto.group import Group, GroupElement, default_group
 from repro.crypto.shamir import lagrange_at_zero
@@ -49,12 +60,24 @@ class PedersenCommitments:
         )
 
 
-@dataclass(frozen=True)
 class PedersenDealing:
     """Everything produced when dealing one secret: shares + public commitments."""
 
-    shares: tuple
-    commitments: PedersenCommitments
+    def __init__(
+        self,
+        shares: tuple,
+        coefficients: Tuple[Tuple[int, int], ...],
+        commit: Callable[[int, int], GroupElement],
+    ):
+        self.shares = shares
+        #: ``(a_j, b_j)``: the coefficients of ``f`` and ``r`` at each degree.
+        self._coefficients = coefficients
+        self._commit = commit
+
+    @cached_property
+    def commitments(self) -> PedersenCommitments:
+        """The public check values, computed on first read and then kept."""
+        return PedersenCommitments(tuple(self._commit(a, b) for a, b in self._coefficients))
 
 
 class PedersenVSS:
@@ -82,14 +105,13 @@ class PedersenVSS:
         # f(x) shares the secret, r(x) shares the blinding value.
         f_coeffs = [secret] + [self.group.random_scalar(rng) for _ in range(self.threshold - 1)]
         r_coeffs = [blinding] + [self.group.random_scalar(rng) for _ in range(self.threshold - 1)]
-        commitments = tuple(
-            self._pedersen_commit(a, b) for a, b in zip(f_coeffs, r_coeffs, strict=True)
-        )
         shares = tuple(
             PedersenShare(i, self._evaluate(f_coeffs, i), self._evaluate(r_coeffs, i))
             for i in range(1, self.num_shares + 1)
         )
-        return PedersenDealing(shares, PedersenCommitments(commitments))
+        return PedersenDealing(
+            shares, tuple(zip(f_coeffs, r_coeffs, strict=True)), self._pedersen_commit
+        )
 
     def _evaluate(self, coefficients: Sequence[int], x: int) -> int:
         result = 0

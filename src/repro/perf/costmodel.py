@@ -441,8 +441,8 @@ class AdmissionCosts:
 
     exponent_bits: int = 256
     security_bits: int = 64
-    #: multiplications per fixed-base exponentiation with a window-5 table
-    fixed_base_multiplications: float = 52.0
+    #: table products per fixed-base exponentiation: the bytes of a 256-bit exponent
+    fixed_base_multiplications: float = 32.0
     #: distinct signer keys appearing in one batch (the other VC nodes)
     num_signers: int = 4
 

@@ -1,5 +1,6 @@
 """ElectionEngine: phase drivers, typed event ordering, legacy equivalence."""
 
+import gc
 import warnings
 
 import pytest
@@ -79,6 +80,36 @@ class TestEngineRun:
         assert [(type(e).__name__, e.sim_time) for e in first.events] == [
             (type(e).__name__, e.sim_time) for e in second.events
         ]
+
+
+class TestSetupHeapFrozenForTheRun:
+    """The set-up data sits in the collector's permanent generation from the
+    end of the setup phase until ``close()``, and never past it."""
+
+    def test_frozen_from_setup_to_close(self):
+        engine = ElectionEngine(ScenarioSpec.preset("paper_baseline"))
+        ctx = engine.begin(CHOICES)
+        engine.run_phase(engine.driver("setup"), ctx)
+        assert gc.get_freeze_count() > 0
+        engine.run_phase(engine.driver("voting"), ctx)
+        assert gc.get_freeze_count() > 0
+        engine.close()
+        assert gc.get_freeze_count() == 0
+        engine.close()  # idempotent
+        assert gc.get_freeze_count() == 0
+        assert engine.outcome().receipts_obtained == 5
+
+    def test_nothing_frozen_after_a_run(self):
+        outcome = ElectionEngine(ScenarioSpec.preset("paper_baseline")).run(CHOICES)
+        assert outcome.audit_report.passed
+        assert gc.get_freeze_count() == 0
+
+    def test_nothing_frozen_after_a_run_whose_voting_phase_raises(self):
+        engine = ElectionEngine(ScenarioSpec.preset("paper_baseline"))
+        with pytest.raises(ValueError, match="one choice per voter"):
+            engine.run(["option-1"])
+        assert engine.ctx.setup is not None  # set-up ran, so the heap was frozen
+        assert gc.get_freeze_count() == 0
 
 
 class TestEventOrdering:
@@ -191,3 +222,4 @@ class TestCoordinatorShim:
         tally = coordinator.run_trustee_phase()
         assert tally.as_dict() == {"option-1": 1, "option-2": 1}
         assert coordinator.run_audit().passed
+        coordinator.engine.close()

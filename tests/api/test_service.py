@@ -1,10 +1,13 @@
 """MultiElectionService: shared-scheduler multiplexing with full isolation."""
 
+import gc
+
 import pytest
 
 from repro.api import (
     ElectionEngine,
     MultiElectionService,
+    PhaseDriver,
     PhaseStarted,
     ScenarioSpec,
 )
@@ -57,6 +60,25 @@ class TestRunAll:
             ("city", "setup"), ("stress", "setup"),
             ("city", "voting"), ("stress", "voting"),
         ]
+
+
+    def test_nothing_stays_frozen_after_run_all(self, multiplexed_reports):
+        assert gc.get_freeze_count() == 0
+
+    def test_a_failed_phase_still_closes_every_member(self):
+        class FailingVoting(PhaseDriver):
+            name = "voting"
+
+            def execute(self, ctx):
+                raise RuntimeError("voting failed")
+
+        service = MultiElectionService()
+        service.add(_spec_a(), CHOICES_A)
+        service.engine("city").drivers[1] = FailingVoting()
+        with pytest.raises(RuntimeError, match="voting failed"):
+            service.run_all()
+        assert service.engine("city").ctx.setup is not None
+        assert gc.get_freeze_count() == 0
 
 
 class TestIsolation:

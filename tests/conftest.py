@@ -33,6 +33,26 @@ def rng():
     return RandomSource(42)
 
 
+@pytest.fixture()
+def count_table_lookups(monkeypatch):
+    """``count_table_lookups(group)`` starts counting that backend's fixed-base
+    table lookups and returns the counter, a one-element list."""
+
+    def install(group):
+        table = type(group.fixed_base(group.generator()))
+        original = table.power
+        count = [0]
+
+        def counted(self, exponent):
+            count[0] += 1
+            return original(self, exponent)
+
+        monkeypatch.setattr(table, "power", counted)
+        return count
+
+    return install
+
+
 @pytest.fixture(scope="session")
 def small_spec():
     """A small but fully fault-tolerant scenario: 4 VC, 3 BB, 3 trustees."""

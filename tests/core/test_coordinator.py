@@ -89,6 +89,7 @@ class TestAbstentions:
         coordinator.run_voting_phase()
         tally = coordinator.run_trustee_phase()
         report = coordinator.run_audit()
+        coordinator.engine.close()
         from repro.core.coordinator import ElectionOutcome
 
         return ElectionOutcome(
@@ -127,6 +128,7 @@ class TestCoordinatorValidation:
         coordinator.run_setup()
         with pytest.raises(ValueError):
             coordinator.build_components(["option-1"])
+        coordinator.engine.close()
 
     def test_trustee_phase_without_votes_uploaded_returns_none(self):
         params = ElectionParameters.small_test_election(num_voters=2, num_options=2)
@@ -135,3 +137,4 @@ class TestCoordinatorValidation:
         coordinator.build_components(["option-1", "option-2"])
         # Voting phase never ran: the BB has no vote set, trustees cannot work.
         assert coordinator.run_trustee_phase() is None
+        coordinator.engine.close()

@@ -1,12 +1,15 @@
 """Tests for the Election Authority setup."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.ballot import PART_A, PART_B
 from repro.core.ea import ElectionAuthority, bb_node_id, trustee_id, vc_node_id, voter_id
 from repro.core.election import ElectionParameters
 from repro.crypto.commitments import CommitmentOpening, OptionEncodingScheme
-from repro.crypto.pedersen_vss import PedersenVSS
+from repro.crypto.pedersen_vss import PedersenDealing, PedersenVSS
 from repro.crypto.shamir import ShamirSecretSharing, SigningDealer
 from repro.crypto.signatures import SignatureScheme
 from repro.crypto.utils import RandomSource
@@ -201,3 +204,53 @@ class TestSetupExponentiations:
         serial = setup.ballots[0].serial
         assert setup.bb_init.ballots[serial].rows[PART_A][0].proof_announcement is not None
         assert calls == {"__pow__": 0, "inverse": 0}
+
+    @pytest.mark.parametrize("num_options", [2, 3])
+    def test_setup_pays_only_for_what_a_component_receives(
+        self, group, count_table_lookups, num_options
+    ):
+        """Table lookups per ballot row: ``3m`` for the option-encoding
+        commitment, ``5m + 2`` for the proof's first move, ``Nv`` for the
+        signed receipt shares -- and none for trustee data: the ``4 * m * ht``
+        Pedersen check values per row that no component receives are not
+        computed (513fed7 paid them: 469 and 985 here instead of 277 and 553)."""
+        lookups = count_table_lookups(group)
+        params = ElectionParameters.small_test_election(num_voters=3, num_options=num_options)
+        num_vc = params.thresholds.num_vc
+        m = num_options
+        rows = params.num_voters * 2 * m
+        # ElGamal key, dealer key, one key per collector and trustee, and one
+        # signed msk share per collector.
+        keys = 2 + 2 * num_vc + params.thresholds.num_trustees
+
+        def setup_lookups(**flags):
+            lookups[0] = 0
+            ElectionAuthority(params, group=group, rng=RandomSource(3), **flags).setup()
+            return lookups[0]
+
+        full = rows * (3 * m + (5 * m + 2) + num_vc) + keys
+        assert full == {2: 277, 3: 553}[m]
+        assert setup_lookups() == full
+        assert setup_lookups(include_trustee_data=False) == full
+        assert setup_lookups(include_proofs=False) == rows * (3 * m + num_vc) + keys
+
+    def test_no_dealing_outlives_its_use(self, group, monkeypatch):
+        """A dealing holds its two sharing polynomials.  The EA takes the
+        share tuple and drops the dealing on the spot: whenever the next
+        secret is dealt every earlier dealing is already dead, and none is
+        reachable from (or left behind by) ``setup()``."""
+        dealt = []
+        original = PedersenVSS.deal
+
+        def deal(self, secret, rng=None):
+            assert not [ref for ref in dealt if ref() is not None]
+            dealing = original(self, secret, rng=rng)
+            dealt.append(weakref.ref(dealing))
+            return dealing
+
+        monkeypatch.setattr(PedersenVSS, "deal", deal)
+        params = ElectionParameters.small_test_election(num_voters=2, num_options=2)
+        setup = ElectionAuthority(params, group=group, rng=RandomSource(3)).setup()
+        assert len(dealt) == 2 * 2 * 2 * 2 * 2  # ballots x parts x rows x 2m secrets
+        assert setup.trustee_init[trustee_id(0)].ballots
+        assert not [obj for obj in gc.get_objects() if isinstance(obj, PedersenDealing)]

@@ -7,9 +7,12 @@ Consensus without the full end-to-end machinery.
 
 import pytest
 
+from repro.analysis.determinism import safety_violations
+from repro.api import ScenarioSpec
 from repro.core.ea import ElectionAuthority, vc_node_id
 from repro.core.election import ElectionParameters
 from repro.core.messages import VoteReceipt, VoteRejected, VoteRequest
+from repro.core.outcome import ElectionOutcome
 from repro.core.vote_collector import BallotStatus, VoteCollectorNode, endorsement_message
 from repro.crypto.utils import RandomSource
 from repro.net.adversary import NetworkConditions
@@ -123,6 +126,65 @@ class TestVotingProtocol:
         network.run_until_idle()
         assert len(voter.receipts) == 1
         assert any(r.reason == "ballot already used" for r in voter.rejections)
+
+    @pytest.mark.parametrize("endorse_batch", [1, 4], ids=["single", "batcher"])
+    def test_two_codes_of_one_ballot_racing_for_one_collector(self, vc_setup, endorse_batch):
+        """Two VOTE requests naming different valid codes of one ballot reach
+        VC-0 before its endorsement quorum (a voter's own client can do this).
+        At 513fed7 the second overwrote ``record.location`` while the round
+        stayed open for the first, so every endorsement was dropped: no
+        receipt, no rejection, and the ballot NOT_VOTED on every node."""
+        _, setup = vc_setup
+        params = ElectionParameters.small_test_election(
+            num_voters=3, num_options=2, election_end=500.0, endorse_batch_size=endorse_batch
+        )
+        network, nodes, first = build_vc_network(params, setup)
+        second = ProbeVoter("probe-voter-2")
+        network.register(second)
+        ballot = setup.ballots[2]
+        line, other_line = ballot.part_a.lines[0], ballot.part_b.lines[1]
+        for voter, code in ((first, line.vote_code), (second, other_line.vote_code)):
+            nodes[0].on_message(Message(
+                sender=voter.node_id, receiver=nodes[0].node_id,
+                payload=VoteRequest(ballot.serial, code, voter.node_id),
+            ))
+        assert nodes[0].ballots[ballot.serial].status is BallotStatus.NOT_VOTED
+        network.run_until_idle()
+        assert [r.receipt for r in first.receipts] == [line.receipt]
+        assert first.rejections == []
+        assert second.receipts == []
+        assert [r.reason for r in second.rejections] == ["ballot already used"]
+        for node in nodes:
+            record = node.ballots[ballot.serial]
+            assert record.status is BallotStatus.VOTED
+            assert record.used_vote_code == line.vote_code
+        for node in nodes:
+            node.end_election()
+        network.run_until_idle(max_events=2_000_000)
+        assert all(
+            node.final_vote_set == ((ballot.serial, line.vote_code),) for node in nodes
+        )
+        outcome = ElectionOutcome(
+            setup=setup, network=network, vote_collectors=nodes, bb_nodes=[], trustees=[],
+            voters=[], tally=None, audit_report=None,
+        )
+        spec = ScenarioSpec(options=tuple(params.options), num_voters=3, num_vc=4)
+        assert safety_violations(outcome, spec) == []
+
+    def test_same_code_twice_before_the_quorum_answers_both_voters(self, vc_setup):
+        """A repeat of the code the open round is for only joins the waiters."""
+        params, setup = vc_setup
+        network, nodes, first = build_vc_network(params, setup)
+        second = ProbeVoter("probe-voter-2")
+        network.register(second)
+        ballot = setup.ballots[2]
+        line = ballot.part_a.lines[0]
+        first.cast("VC-0", ballot.serial, line.vote_code)
+        second.cast("VC-0", ballot.serial, line.vote_code)
+        network.run_until_idle()
+        for voter in (first, second):
+            assert [r.receipt for r in voter.receipts] == [line.receipt]
+            assert voter.rejections == []
 
     def test_vote_outside_election_hours_rejected(self, group):
         params = ElectionParameters.small_test_election(

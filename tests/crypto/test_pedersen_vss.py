@@ -3,6 +3,7 @@
 import pytest
 
 from repro.crypto.pedersen_vss import PedersenShare, PedersenVSS
+from repro.crypto.registry import available_backends, get_group
 from repro.crypto.utils import RandomSource
 
 
@@ -90,3 +91,46 @@ class TestHomomorphism:
         large = PedersenVSS(3, 4, group).deal(1, rng=RandomSource(32))
         with pytest.raises(ValueError):
             _ = small.commitments * large.commitments
+
+
+@pytest.fixture(params=available_backends())
+def backend_group(request):
+    return get_group(request.param)
+
+
+class TestCommitmentsOnFirstRead:
+    """``deal`` evaluates shares; the check values exist once someone reads them."""
+
+    def test_dealt_shares_verify_and_corrupted_ones_do_not(self, backend_group):
+        vss = PedersenVSS(3, 5, backend_group)
+        dealing = vss.deal(4321, rng=RandomSource(40))
+        for share in dealing.shares:
+            assert vss.verify_share(share, dealing.commitments)
+        share = dealing.shares[3]
+        assert not vss.verify_share(
+            PedersenShare(share.index, share.value + 1, share.blinding), dealing.commitments
+        )
+        assert not vss.verify_share(
+            PedersenShare(share.index, share.value, share.blinding + 1), dealing.commitments
+        )
+
+    def test_deal_costs_no_lookup_and_commitments_cost_theirs_once(
+        self, backend_group, count_table_lookups
+    ):
+        lookups = count_table_lookups(backend_group)
+        vss = PedersenVSS(3, 5, backend_group)
+        dealing = vss.deal(99, rng=RandomSource(41))
+        assert lookups[0] == 0
+        first = dealing.commitments
+        assert len(first.commitments) == 3
+        assert lookups[0] == 2 * 3
+        assert dealing.commitments is first
+        assert lookups[0] == 2 * 3
+
+    def test_seeded_dealers_agree(self, backend_group):
+        first = PedersenVSS(2, 3, backend_group).deal(7, rng=RandomSource(42))
+        second = PedersenVSS(2, 3, backend_group).deal(7, rng=RandomSource(42))
+        assert first.shares == second.shares
+        assert first.commitments == second.commitments
+        other = PedersenVSS(2, 3, backend_group).deal(7, rng=RandomSource(43))
+        assert other.shares != first.shares and other.commitments != first.commitments

@@ -6,6 +6,7 @@ import pytest
 
 from repro.crypto.group import Group, GroupElement, SchnorrGroup
 from repro.perf.costmodel import (
+    AdmissionCosts,
     AuditCosts,
     BandwidthCosts,
     ConsensusCosts,
@@ -175,6 +176,36 @@ def measured_consensus():
         for shape, (num_vc, num_ballots, block) in SHAPES.items()
         for batched in (False, True)
     }
+
+
+class TestAdmissionCosts:
+    """Endorsement batching against byte-digit tables: the serial side is two
+    32-product lookups, so the aggregate equation wins less than it did against
+    the window-5 table (52 products) the model used to assume."""
+
+    def test_fixed_base_matches_the_audit_model_and_the_kernel(self):
+        assert AdmissionCosts().fixed_base_multiplications == 256 / 8
+        assert AdmissionCosts().fixed_base_multiplications == (
+            AuditCosts().fixed_base_multiplications
+        )
+
+    def test_prediction_at_the_production_batch_size(self):
+        # bench_voting_throughput.py measures 1.54x at 64 items / 4 signers;
+        # the old constant predicted 2.53x.
+        assert AdmissionCosts().batch_speedup(64) == pytest.approx(1.62, abs=0.005)
+        assert CostModel().endorse_batching_speedup(64) == AdmissionCosts().batch_speedup(64)
+        assert AdmissionCosts(fixed_base_multiplications=52.0).batch_speedup(64) == (
+            pytest.approx(2.53, abs=0.005)
+        )
+
+    def test_a_quorum_sized_batch_loses_to_single_verifies(self):
+        # A UCERT: 5 endorsements from 5 signers (measured 0.73x).
+        assert AdmissionCosts(num_signers=5).batch_speedup(5) < 1.0
+
+    def test_speedup_grows_with_the_batch(self):
+        speedups = [AdmissionCosts().batch_speedup(size) for size in (8, 32, 64, 256)]
+        assert speedups == sorted(speedups)
+        assert speedups[0] < 1.0 < speedups[1]
 
 
 class TestModelsAgainstAMeasuredRun:
