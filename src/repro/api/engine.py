@@ -62,6 +62,11 @@ from repro.net.simulator import Network
 from repro.net.transport import Transport
 from repro.perf.parallel import ParallelConfig
 
+#: Runs whose set-up heap sits in the collector's permanent generation.
+#: ``gc.freeze()`` is process-wide: members of a MultiElectionService share
+#: one permanent generation, which goes back when the last of them closes.
+_frozen_runs = 0
+
 
 @dataclass
 class EngineContext:
@@ -103,6 +108,8 @@ class EngineContext:
     #: majority-read + re-verified shard-commit report (sharded runs only).
     shard_commits: Optional[object] = None
     phase_timings: Dict[str, float] = field(default_factory=dict)
+    #: this run is counted in ``_frozen_runs``
+    heap_frozen: bool = False
 
     @property
     def sim_now(self) -> float:
@@ -171,8 +178,13 @@ class SetupDriver(PhaseDriver):
         # The set-up data is long-lived, immutable and acyclic: splice it into
         # the permanent generation (O(1)) so no later full collection walks
         # it.  No gc.collect() first: that would walk the whole process heap
-        # once per election.  ElectionEngine.close() unfreezes.
+        # once per election.  ElectionEngine.close() unfreezes with the last
+        # frozen run of the process.
+        global _frozen_runs
         gc.freeze()
+        if not ctx.heap_frozen:
+            ctx.heap_frozen = True
+            _frozen_runs += 1
 
 
 class VotingDriver(PhaseDriver):
@@ -583,14 +595,22 @@ class ElectionEngine:
     def close(self) -> None:
         """Release the current run's transport resources (sockets, loops) and
         hand the set-up heap frozen by :class:`SetupDriver` back to the
-        collector.
+        collector -- once no other run of this process holds a frozen one.
 
         Idempotent; byte/message counters on the run's network survive, so
         outcomes remain fully inspectable after closing.
         """
-        gc.unfreeze()
-        if self.ctx is not None and self.ctx.transport is not None:
-            self.ctx.transport.close()
+        global _frozen_runs
+        ctx = self.ctx
+        if ctx is None:
+            return
+        if ctx.heap_frozen:
+            ctx.heap_frozen = False
+            _frozen_runs -= 1
+            if _frozen_runs == 0:
+                gc.unfreeze()
+        if ctx.transport is not None:
+            ctx.transport.close()
 
     def outcome(self) -> ElectionOutcome:
         """Package the current context into an :class:`ElectionOutcome`."""

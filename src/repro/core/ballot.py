@@ -15,7 +15,8 @@ from it:
   the cryptographic payload (option-encoding commitment + ZK first move),
   rows shuffled with the same permutation.
 * :class:`TrusteeBallotView` -- a trustee's shares of the commitment openings
-  and of the zero-knowledge prover state.
+  and of the zero-knowledge prover state, as two packed scalar blocks per
+  part (the layout is on the class).
 """
 
 from __future__ import annotations
@@ -148,34 +149,34 @@ class BbBallotView:
 
 
 @dataclass(frozen=True)
-class TrusteeBallotRow:
-    """A trustee's shares for one shuffled ballot row.
+class TrusteeBallotView:
+    """A trustee's initialization data for one ballot: two blocks per part.
 
-    ``opening_value_shares``/``opening_randomness_shares`` are Pedersen shares
-    of the commitment opening (one per option coordinate).  ``zk_state_shares``
-    are Shamir shares of the affine coefficients that let the trustees jointly
-    complete the Chaum-Pedersen proofs once the voter-coin challenge is known
-    (see :mod:`repro.core.trustee`).
+    A block is the trustee's evaluations ``f(i)`` of the EA's sharing
+    polynomials as fixed-width big-endian scalars mod ``q``
+    (:func:`repro.crypto.shamir.pack_scalars`), the part's shuffled rows one
+    after the other.  The evaluation point ``i`` is stored nowhere: it is the
+    trustee's position in ``BbInitData.trustee_public_keys``.  Per row of an
+    ``m``-option election:
+
+    * ``opening`` -- ``4m`` scalars, the Pedersen pairs ``f(i), r(i)`` of the
+      commitment opening: per option the plaintext coordinate's pair, then
+      per option the randomness coordinate's pair;
+    * ``zk`` -- ``8m + 2`` scalars, the Shamir shares of the affine
+      coefficients ``const, lin`` of every final-move component of the
+      Chaum-Pedersen proof, in the order of
+      :meth:`repro.core.ea.ElectionAuthority._zk_affine_coefficients`
+      (empty when the election publishes no proofs).
     """
 
-    commitment: "OptionCommitment"
-    opening_value_shares: Tuple["PedersenShare", ...]
-    opening_randomness_shares: Tuple["PedersenShare", ...]
-    zk_state_shares: Dict[str, "Share"]
-
-
-@dataclass(frozen=True)
-class TrusteeBallotView:
-    """A trustee's initialization data for one ballot."""
-
     serial: int
-    rows: Dict[str, Tuple[TrusteeBallotRow, ...]]
+    opening: Dict[str, bytes]  # part name -> rows * 4m scalars
+    zk: Dict[str, bytes]  # part name -> rows * (8m + 2) scalars, or b""
 
 
 # The forward-referenced types are imported lazily to avoid import cycles in
 # documentation tools; runtime users always construct these via the EA.
 from repro.crypto.commitments import OptionCommitment  # noqa: E402  (re-export for typing)
-from repro.crypto.pedersen_vss import PedersenShare  # noqa: E402
-from repro.crypto.shamir import Share, SignedShare  # noqa: E402
+from repro.crypto.shamir import SignedShare  # noqa: E402
 from repro.crypto.symmetric import EncryptedVoteCode, SaltedHashCommitment  # noqa: E402
 from repro.crypto.zkp import BallotProofAnnouncement  # noqa: E402

@@ -27,8 +27,7 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import TYPE_CHECKING, Callable, Dict, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.ballot import PARTS
 from repro.core.ea import BbInitData
@@ -40,11 +39,15 @@ from repro.core.tally import (
     open_tally,
     voter_coin_challenge,
 )
-from repro.core.trustee import BbElectionView, TrusteeSubmission
+from repro.core.trustee import BbElectionView, PartKey, TrusteeSubmission, locate_cast_rows
 from repro.crypto.commitments import CommitmentOpening, OptionEncodingScheme
 from repro.crypto.group import Group
-from repro.crypto.pedersen_vss import PedersenVSS
-from repro.crypto.shamir import ShamirSecretSharing, SigningDealer
+from repro.crypto.shamir import (
+    ShamirSecretSharing,
+    SigningDealer,
+    reconstruct_scalars,
+    scalar_width,
+)
 from repro.crypto.signatures import SignatureScheme
 from repro.crypto.symmetric import VoteCodeCipher
 from repro.crypto.utils import int_to_bytes
@@ -92,6 +95,8 @@ class BulletinBoardNode(SimNode):
         self.scheme = OptionEncodingScheme(
             params.num_options, init.commitment_public_key, group
         )
+        #: bytes per scalar of a trustee's blocks
+        self.scalar_width = scalar_width(group.order)
 
         # Mutable published state.
         self.vote_set_submissions: Dict[str, Tuple[Tuple[int, bytes], ...]] = {}
@@ -164,6 +169,11 @@ class BulletinBoardNode(SimNode):
         public = self.init.trustee_public_keys.get(submission.trustee_id)
         if public is None or submission.signature is None:
             return
+        # What must be opened and proved follows from this node's agreed vote
+        # set and the decrypted codes; before it has both it can judge no
+        # submission, and what it stores it later reconstructs from.
+        if self.election_view() is None:
+            return
         # Shape first: the digest of a submission keyed by anything but
         # (serial, part) pairs is not defined.
         if not self._well_formed(submission):
@@ -177,68 +187,64 @@ class BulletinBoardNode(SimNode):
         ):
             self._finalize_result()
 
-    # What a stored submission must look like: _finalize_result indexes it
-    # blindly and it stays stored, while a signature only says who sent it --
-    # and the paper tolerates Nt - ht trustees that send anything.  Each
-    # predicate may rely on the ones before it.
+    # What a stored submission must look like: _finalize_result cuts it up by
+    # position and it stays stored, while a signature only says who sent it --
+    # and the paper tolerates Nt - ht trustees that send anything.  A block
+    # has no room for an evaluation point, so "shares on another trustee's
+    # point" is not among the things that can be sent.  Each predicate may
+    # rely on the ones before it.
 
     def _well_formed(self, submission: TrusteeSubmission) -> bool:
         return (
-            self._rows_match_ballots(submission)
-            and self._rows_complete(submission)
-            and self._tally_complete(submission)
-            and self._on_own_point(submission)
+            self._parts_as_agreed(submission)
+            and self._blocks_sized(submission)
+            and self._tally_sized(submission)
         )
 
-    def _ballot_rows(self, key: object) -> Optional[Sequence]:
-        """This node's rows of ballot part ``(serial, part)``; ``None`` for any other key."""
-        if not (isinstance(key, tuple) and len(key) == 2):
-            return None
-        view = self.init.ballots.get(key[0])
-        return None if view is None else view.rows.get(key[1])
+    def _expected_parts(self) -> Tuple[Set[PartKey], Set[PartKey]]:
+        """The ``(serial, part)`` sets this node's agreed vote set says must be
+        opened and proved: what an honest trustee's submission is keyed by."""
+        cast_rows, discarded = self._cast_rows()
+        opened: Set[PartKey] = set()
+        proved: Set[PartKey] = set()
+        for serial in self.init.ballots:
+            if serial in discarded:
+                continue
+            cast = cast_rows.get(serial)
+            for part_name in PARTS:
+                used = cast is not None and cast[0] == part_name
+                (proved if used else opened).add((serial, part_name))
+        return opened, proved
 
-    def _rows_match_ballots(self, submission: TrusteeSubmission) -> bool:
-        """Every ``(serial, part)`` is a part of a known ballot, with all its rows."""
-        for shares in (submission.opening_shares, submission.proof_shares):
-            for key, rows in shares.items():
-                published = self._ballot_rows(key)
-                if published is None or len(rows) != len(published):
-                    return False
-        return True
-
-    def _rows_complete(self, submission: TrusteeSubmission) -> bool:
-        """Opening rows carry one share per option and side, proof rows exactly
-        the components of this election's proofs (none when it publishes none)."""
-        num_options = self.params.num_options
-        for rows in submission.opening_shares.values():
-            for row in rows:
-                if not len(row.value_shares) == len(row.randomness_shares) == num_options:
-                    return False
-        names = {"sum:s"}.union(
-            f"or{index}:{component}"
-            for index in range(num_options)
-            for component in ("c0", "c1", "s0", "s1")
+    def _parts_as_agreed(self, submission: TrusteeSubmission) -> bool:
+        """Exactly the agreed parts are opened and proved: a submission that
+        leaves one out is as unusable as one that adds a part of no ballot."""
+        opened, proved = self._expected_parts()
+        return submission.opening_shares.keys() == opened and (
+            submission.proof_shares.keys() == proved
         )
-        for key, rows in submission.proof_shares.items():
-            for row, published in zip(rows, self._ballot_rows(key), strict=True):
-                expected = names if published.proof_announcement is not None else set()
-                if row.component_shares.keys() != expected:
-                    return False
+
+    def _blocks_sized(self, submission: TrusteeSubmission) -> bool:
+        """Every block is ``bytes`` of the part's rows times the row's scalars:
+        ``4m`` per opening row, ``4m + 1`` per proof row -- none where the
+        part publishes no proof announcement."""
+        row = 4 * self.params.num_options * self.scalar_width
+        for key, block in submission.opening_shares.items():
+            rows = self.init.ballots[key[0]].rows[key[1]]
+            if not (isinstance(block, bytes) and len(block) == len(rows) * row):
+                return False
+        for key, block in submission.proof_shares.items():
+            rows = self.init.ballots[key[0]].rows[key[1]]
+            proofs = len(rows) if rows[0].proof_announcement is not None else 0
+            if not (isinstance(block, bytes) and len(block) == proofs * (row + self.scalar_width)):
+                return False
         return True
 
-    def _tally_complete(self, submission: TrusteeSubmission) -> bool:
-        """Tally shares: none (nothing was cast) or one per option and side."""
-        sizes = {len(submission.tally_value_shares), len(submission.tally_randomness_shares)}
-        return sizes in ({0}, {self.params.num_options})
-
-    def _on_own_point(self, submission: TrusteeSubmission) -> bool:
-        """Every share sits on the evaluation point the EA dealt to this
-        trustee.  On another trustee's point it would leave the threshold one
-        share short, or, arriving first, pass for that trustee's shares."""
-        # The EA deals point k to the k-th trustee it generates a key for
-        # (``ElectionAuthority.setup``) and lists the keys in that order.
-        point = list(self.init.trustee_public_keys).index(submission.trustee_id) + 1
-        return set(map(attrgetter("index"), submission.shares())) <= {point}
+    def _tally_sized(self, submission: TrusteeSubmission) -> bool:
+        """The tally block is one opening row, or empty when nothing was cast."""
+        row = 4 * self.params.num_options * self.scalar_width
+        block = submission.tally_share
+        return isinstance(block, bytes) and len(block) == (row if self.cast_row_locations() else 0)
 
     # ------------------------------------------------------------------ result computation
 
@@ -251,71 +257,59 @@ class BulletinBoardNode(SimNode):
             decrypted_vote_codes=self.decrypted_vote_codes,
         )
 
+    def _cast_rows(self) -> Tuple[Dict[int, Tuple[str, int]], List[int]]:
+        """Each voted serial's (part, row) of the cast vote code, and the
+        serials the agreed vote set makes unusable -- as the trustees see them
+        (:func:`repro.core.trustee.locate_cast_rows`)."""
+        view = self.election_view()
+        return ({}, []) if view is None else locate_cast_rows(view, self.init.ballots)
+
     def cast_row_locations(self) -> Dict[int, Tuple[str, int]]:
         """Map each voted serial to the (part, row) of the cast vote code."""
-        locations: Dict[int, Tuple[str, int]] = {}
-        if self.accepted_vote_set is None:
-            return locations
-        for serial, code in self.accepted_vote_set:
-            decrypted = self.decrypted_vote_codes.get(serial, {})
-            for part_name, codes in decrypted.items():
-                for index, candidate in enumerate(codes):
-                    if candidate == code:
-                        locations[serial] = (part_name, index)
-        return locations
+        return self._cast_rows()[0]
 
     def _finalize_result(self) -> None:
         """Reconstruct openings, proofs and the tally from trustee submissions."""
-        submissions = list(self.trustee_submissions.values())
         threshold = self.thresholds.trustee_threshold
-        pedersen = PedersenVSS(threshold, self.thresholds.num_trustees, self.group)
-        zk_sss = ShamirSecretSharing(
-            threshold, self.thresholds.num_trustees, prime=self.group.order
-        )
+        submissions = list(self.trustee_submissions.values())[:threshold]
+        # The EA deals point k to the k-th trustee it generates a key for
+        # (``ElectionAuthority.setup``) and lists the keys in that order.
+        order = list(self.init.trustee_public_keys)
+        points = [order.index(submission.trustee_id) + 1 for submission in submissions]
+        q, width, m = self.group.order, self.scalar_width, self.params.num_options
+
+        def secrets(blocks: Sequence[bytes], row: int) -> List[List[int]]:
+            """The blocks' reconstructed scalars, ``row`` of them per ballot row."""
+            scalars = reconstruct_scalars(points, blocks, width, q)
+            return [scalars[at:at + row] for at in range(0, len(scalars), row)]
+
+        def opening(row: Sequence[int]) -> CommitmentOpening:
+            # Pedersen pairs f, r: the secret is f(0); r(0) blinded the check values.
+            return CommitmentOpening(tuple(row[0:2 * m:2]), tuple(row[2 * m::2]))
 
         cast_locations = self.cast_row_locations()
         cast_parts = {serial: part for serial, (part, _) in cast_locations.items()}
         challenge = voter_coin_challenge(self.group, cast_parts)
+        opened, proved = self._expected_parts()
 
-        # Reconstruct openings for every (serial, part) all submissions agree to
-        # open.  Each zip transposes once: the part's rows, then a row's
-        # shares, across submissions.
-        openings: Dict[Tuple[int, str], Tuple[CommitmentOpening, ...]] = {}
-        opening_keys = set.intersection(
-            *(set(submission.opening_shares) for submission in submissions)
-        ) if submissions else set()
-        for key in sorted(opening_keys):
-            openings[key] = tuple(
-                CommitmentOpening(
-                    tuple(
-                        pedersen.reconstruct(shares)
-                        for shares in zip(*(row.value_shares for row in rows), strict=True)
-                    ),
-                    tuple(
-                        pedersen.reconstruct(shares)
-                        for shares in zip(*(row.randomness_shares for row in rows), strict=True)
-                    ),
-                )
-                for rows in zip(
-                    *(submission.opening_shares[key] for submission in submissions), strict=True
-                )
+        openings: Dict[PartKey, Tuple[CommitmentOpening, ...]] = {
+            key: tuple(
+                opening(row)
+                for row in secrets([s.opening_shares[key] for s in submissions], 4 * m)
             )
-
-        # Reconstruct the ZK final moves for used parts.
-        proof_responses: Dict[Tuple[int, str], Tuple[BallotProofResponse, ...]] = {}
-        proof_keys = set.intersection(
-            *(set(submission.proof_shares) for submission in submissions)
-        ) if submissions else set()
-        for key in sorted(proof_keys):
-            proof_responses[key] = tuple(
-                self._assemble_proof_response({
-                    name: zk_sss.reconstruct([row.component_shares[name] for row in rows])
-                    for name in rows[0].component_shares
-                })
-                for rows in zip(
-                    *(submission.proof_shares[key] for submission in submissions), strict=True
+            for key in sorted(opened)
+        }
+        # The ZK final moves for used parts: per option c0, c1, s0, s1, then the sum's s.
+        proof_responses: Dict[PartKey, Tuple[BallotProofResponse, ...]] = {
+            key: tuple(
+                BallotProofResponse(
+                    tuple(OrProofResponse(*row[at:at + 4]) for at in range(0, 4 * m, 4)),
+                    SumProofResponse(row[4 * m]),
                 )
+                for row in secrets([s.proof_shares[key] for s in submissions], 4 * m + 1)
             )
+            for key in sorted(proved)
+        }
 
         # Reconstruct the tally opening and verify it against the combined commitment.
         tally_commitments = []
@@ -327,19 +321,9 @@ class BulletinBoardNode(SimNode):
             total_votes=0,
         )
         tally_opening: Optional[CommitmentOpening] = None
-        if tally_commitments and all(submission.tally_value_shares for submission in submissions):
-            opening = CommitmentOpening(
-                tuple(
-                    pedersen.reconstruct(shares)
-                    for shares in zip(*(s.tally_value_shares for s in submissions), strict=True)
-                ),
-                tuple(
-                    pedersen.reconstruct(shares)
-                    for shares in zip(
-                        *(s.tally_randomness_shares for s in submissions), strict=True
-                    )
-                ),
-            )
+        if tally_commitments:
+            (tally_row,) = secrets([s.tally_share for s in submissions], 4 * m)
+            tally_opening = opening(tally_row)
             if self.params.num_shards > 1:
                 # Shard-by-shard combination plus the two-phase commit record.
                 # The ciphertext product is associative, so the combined
@@ -348,8 +332,7 @@ class BulletinBoardNode(SimNode):
                 combined = self._combine_sharded(cast_locations)
             else:
                 combined = combine_tally_commitments(self.scheme, tally_commitments)
-            tally = open_tally(self.scheme, combined, opening, self.params.options)
-            tally_opening = opening
+            tally = open_tally(self.scheme, combined, tally_opening, self.params.options)
 
         self.result = PublishedResult(
             tally=tally,
@@ -413,23 +396,6 @@ class BulletinBoardNode(SimNode):
             global_record=global_record,
         )
         return global_record.combined
-
-    def _assemble_proof_response(self, components: Mapping[str, int]) -> BallotProofResponse:
-        """Build a BallotProofResponse from reconstructed transcript components."""
-        or_responses = []
-        index = 0
-        while f"or{index}:c0" in components:
-            or_responses.append(
-                OrProofResponse(
-                    challenge0=components[f"or{index}:c0"],
-                    challenge1=components[f"or{index}:c1"],
-                    response0=components[f"or{index}:s0"],
-                    response1=components[f"or{index}:s1"],
-                )
-            )
-            index += 1
-        sum_response = SumProofResponse(components.get("sum:s", 0))
-        return BallotProofResponse(tuple(or_responses), sum_response)
 
     # ------------------------------------------------------------------ public reads
 

@@ -30,8 +30,13 @@ from repro.core.bulletin_board import BulletinBoardNode
 from repro.core.messages import Announce, Endorse, Endorsement, VotePending, VscBatch
 from repro.core.trustee import Trustee, TrusteeSubmission
 from repro.core.vote_collector import VoteCollectorNode, endorsement_message
-from repro.crypto.pedersen_vss import PedersenShare
-from repro.crypto.shamir import Share, SignedShare
+from repro.crypto.shamir import (
+    Share,
+    SignedShare,
+    pack_scalars,
+    scalar_width,
+    unpack_scalars,
+)
 from repro.net.channels import Message
 
 
@@ -151,13 +156,11 @@ class CorruptTrustee(Trustee):
 
     def produce_submission(self, bb_view) -> TrusteeSubmission:
         submission = super().produce_submission(bb_view)
-        corrupted = replace(
-            submission,
-            tally_value_shares=tuple(
-                PedersenShare(share.index, share.value + 1, share.blinding)
-                for share in submission.tally_value_shares
-            ),
-        )
+        width = scalar_width(self.q)
+        scalars = unpack_scalars(submission.tally_share, width)
+        if scalars:  # nothing cast, nothing to corrupt
+            scalars[0] = (scalars[0] + 1) % self.q
+        corrupted = replace(submission, tally_share=pack_scalars(scalars, width))
         # Re-sign so the signature check passes and only the share corruption
         # remains detectable (via the failed opening of the combined commitment).
         return corrupted.signed(

@@ -13,9 +13,11 @@ running election.  Concretely it generates:
 * the VC initialization data: per node, a signed Shamir share of ``msk`` and,
   per ballot row, the salted hash commitment to the vote code and a signed
   share of the receipt (threshold ``Nv - fv``),
-* the trustee initialization data: per ballot row, Pedersen VSS shares of the
-  commitment opening and Shamir shares of the zero-knowledge prover state
-  (threshold ``ht``),
+* the trustee initialization data: per ballot part, one block of Pedersen VSS
+  shares of the rows' commitment openings and one of Shamir shares of their
+  zero-knowledge prover state (threshold ``ht``) -- fixed-width scalars
+  packed as they are dealt, laid out as
+  :class:`repro.core.ballot.TrusteeBallotView` says,
 * all key pairs: VC signing keys, trustee signing keys, the dealer key used
   to sign shares, and the ElGamal commitment key (whose secret is discarded).
 
@@ -25,8 +27,9 @@ EA pays ``3m`` fixed-base table lookups for the option-encoding commitment,
 shares -- each of them part of something a component receives.  The Pedersen
 VSS check values of the ``2m`` dealings per row (``4 * m * ht`` lookups) are
 *not* computed: no component's initialization data carries them (see
-"Deviations from the paper" in ``docs/ARCHITECTURE.md``), so each dealing is
-reduced to its share tuple on the spot and no sharing polynomial outlives its
+"Deviations from the paper" in ``docs/ARCHITECTURE.md``), so the EA asks for
+the evaluations alone, packs each trustee's scalars of the row into bytes on
+the spot, and no sharing polynomial -- and no per-share object -- outlives its
 row.
 """
 
@@ -44,7 +47,6 @@ from repro.core.ballot import (
     BallotPart,
     BbBallotRow,
     BbBallotView,
-    TrusteeBallotRow,
     TrusteeBallotView,
     VcBallotRow,
     VcBallotView,
@@ -54,7 +56,7 @@ from repro.crypto.commitments import OptionEncodingScheme
 from repro.crypto.elgamal import LiftedElGamal
 from repro.crypto.group import Group, default_group
 from repro.crypto.pedersen_vss import PedersenVSS
-from repro.crypto.shamir import ShamirSecretSharing, SigningDealer
+from repro.crypto.shamir import ShamirSecretSharing, SigningDealer, pack_scalars, scalar_width
 from repro.crypto.signatures import SchnorrKeyPair, SignatureScheme
 from repro.crypto.symmetric import (
     VoteCodeCipher,
@@ -244,26 +246,14 @@ class ElectionAuthority:
             bb_ballots[serial] = BbBallotView(serial, bb_rows)
             if self.include_trustee_data:
                 for t_index, node in enumerate(trustee_keys):
-                    rows = {
-                        part_name: tuple(
-                            TrusteeBallotRow(
-                                commitment=row["commitment"],
-                                opening_value_shares=tuple(
-                                    shares[t_index] for shares in row["value_shares"]
-                                ),
-                                opening_randomness_shares=tuple(
-                                    shares[t_index] for shares in row["randomness_shares"]
-                                ),
-                                zk_state_shares={
-                                    name: shares[t_index]
-                                    for name, shares in row["zk_coefficient_shares"].items()
-                                },
-                            )
-                            for row in artifacts["rows"]
-                        )
-                        for part_name, artifacts in per_part_artifacts.items()
-                    }
-                    trustee_ballots[node][serial] = TrusteeBallotView(serial, rows)
+                    opening, zk = (
+                        {
+                            part_name: b"".join(row[kind][t_index] for row in artifacts["rows"])
+                            for part_name, artifacts in per_part_artifacts.items()
+                        }
+                        for kind in ("opening_blocks", "zk_blocks")
+                    )
+                    trustee_ballots[node][serial] = TrusteeBallotView(serial, opening, zk)
 
         vc_init = {
             node: VcInitData(
@@ -395,25 +385,28 @@ class ElectionAuthority:
         # BB side: encrypted vote code + commitment + ZK first move.
         encrypted_vote_code = cipher.encrypt(vote_code, rng=self.rng)
         commitment, opening = scheme.commit_option(option_index, rng=self.rng)
-        announcement, zk_coefficients = None, {}
+        announcement, zk_coefficients = None, []
         if self.include_proofs:
             announcement, state = prover.first_move(commitment, opening, rng=self.rng)
             zk_coefficients = self._zk_affine_coefficients(state)
 
         # Trustee side: Pedersen shares of the opening, Shamir shares of the
-        # affine ZK coefficients.  Only the share tuples are kept: a dealing
-        # holds its sharing polynomials, which must not outlive the row.
-        value_shares, randomness_shares, zk_coefficient_shares = [], [], {}
+        # affine ZK coefficients -- per trustee, one packed block of each.
+        # Only the bytes are kept: no sharing polynomial outlives the row.
+        opening_blocks: List[bytes] = []
+        zk_blocks: List[bytes] = []
         if self.include_trustee_data:
-            value_shares = [pedersen.deal(value, rng=self.rng).shares for value in opening.values]
-            randomness_shares = [
-                pedersen.deal(randomness, rng=self.rng).shares
-                for randomness in opening.randomness
+            width = scalar_width(self.group.order)
+            opening_pairs = [
+                pedersen.evaluations(secret, rng=self.rng)[0]
+                for secret in (*opening.values, *opening.randomness)
             ]
-            zk_coefficient_shares = {
-                name: zk_sharer.share(value, rng=self.rng)
-                for name, value in zk_coefficients.items()
-            }
+            zk_values = [zk_sharer.evaluations(value, rng=self.rng) for value in zk_coefficients]
+            for t_index in range(pedersen.num_shares):
+                opening_blocks.append(pack_scalars(
+                    (scalar for pairs in opening_pairs for scalar in pairs[t_index]), width
+                ))
+                zk_blocks.append(pack_scalars((values[t_index] for values in zk_values), width))
 
         return {
             "code_commitment": code_commitment,
@@ -421,12 +414,11 @@ class ElectionAuthority:
             "encrypted_vote_code": encrypted_vote_code,
             "commitment": commitment,
             "announcement": announcement,
-            "value_shares": value_shares,
-            "randomness_shares": randomness_shares,
-            "zk_coefficient_shares": zk_coefficient_shares,
+            "opening_blocks": opening_blocks,
+            "zk_blocks": zk_blocks,
         }
 
-    def _zk_affine_coefficients(self, state) -> Dict[str, int]:
+    def _zk_affine_coefficients(self, state) -> List[int]:
         """Express every final-move component as an affine function of the challenge.
 
         For each Sigma-OR proof the transcript components (c0, c1, s0, s1) are
@@ -435,34 +427,21 @@ class ElectionAuthority:
         shared among the trustees.  For the real branch ``b``:
         ``c_b = c - c_fake`` and ``s_b = nonce + (c - c_fake) * r``; for the
         simulated branch the components are constants.
+
+        Returns ``8m + 2`` scalars, ``const, lin`` adjacent: per option
+        ``c0, c1, s0, s1``, then the sum proof's ``s``.  This order is the
+        layout of a trustee's zk block.
         """
         q = self.group.order
-        coefficients: Dict[str, int] = {}
-        for index, (bit, randomness, nonce, fake_challenge, fake_response) in enumerate(
-            state.or_state
-        ):
-            prefix = f"or{index}"
-            if bit == 0:
-                coefficients[f"{prefix}:c0:const"] = (-fake_challenge) % q
-                coefficients[f"{prefix}:c0:lin"] = 1
-                coefficients[f"{prefix}:c1:const"] = fake_challenge % q
-                coefficients[f"{prefix}:c1:lin"] = 0
-                coefficients[f"{prefix}:s0:const"] = (nonce - fake_challenge * randomness) % q
-                coefficients[f"{prefix}:s0:lin"] = randomness % q
-                coefficients[f"{prefix}:s1:const"] = fake_response % q
-                coefficients[f"{prefix}:s1:lin"] = 0
-            else:
-                coefficients[f"{prefix}:c0:const"] = fake_challenge % q
-                coefficients[f"{prefix}:c0:lin"] = 0
-                coefficients[f"{prefix}:c1:const"] = (-fake_challenge) % q
-                coefficients[f"{prefix}:c1:lin"] = 1
-                coefficients[f"{prefix}:s0:const"] = fake_response % q
-                coefficients[f"{prefix}:s0:lin"] = 0
-                coefficients[f"{prefix}:s1:const"] = (nonce - fake_challenge * randomness) % q
-                coefficients[f"{prefix}:s1:lin"] = randomness % q
-        total_randomness = sum(state.opening.randomness) % q
-        coefficients["sum:s:const"] = state.sum_nonce % q
-        coefficients["sum:s:lin"] = total_randomness
+        coefficients: List[int] = []
+        for bit, randomness, nonce, fake_challenge, fake_response in state.or_state:
+            # (challenge const, lin, response const, lin) of each branch
+            real = ((-fake_challenge) % q, 1, (nonce - fake_challenge * randomness) % q,
+                    randomness % q)
+            fake = (fake_challenge % q, 0, fake_response % q, 0)
+            zero, one = (real, fake) if bit == 0 else (fake, real)
+            coefficients += (*zero[:2], *one[:2], *zero[2:], *one[2:])
+        coefficients += (state.sum_nonce % q, sum(state.opening.randomness) % q)
         return coefficients
 
 

@@ -15,55 +15,45 @@ After the election each trustee (Section III-H):
    ``E_tally`` and posts the result ``T_l`` -- its share of the opening of the
    homomorphic total.
 
-The zero-knowledge final moves are computed from the affine-coefficient
-shares dealt by the EA: every transcript component is an affine function of
-the challenge, so a trustee's share of the component is simply
-``share(const) + challenge * share(lin)`` -- see
-:meth:`repro.core.ea.ElectionAuthority._zk_affine_coefficients`.
+Everything a trustee holds and posts is a *block*: fixed-width big-endian
+scalars mod ``q``, the rows of a ballot part one after the other, with no
+evaluation point (it is the trustee's position in the BB's key list).  Per row
+of an ``m``-option election:
+
+* an *opening* block (step 3) is the ``4m`` scalars the EA dealt
+  (:class:`repro.core.ballot.TrusteeBallotView`), posted by reference;
+* a *proof* block (step 2) holds ``4m + 1`` scalars -- per option ``c0, c1,
+  s0, s1``, then the sum proof's ``s``.  Every transcript component is an
+  affine function of the challenge, so a trustee's share of it is
+  ``share(const) + challenge * share(lin)``: adjacent scalars of the dealt zk
+  block, see :meth:`repro.core.ea.ElectionAuthority._zk_affine_coefficients`;
+* the *tally* block (step 4) is one opening row: the position-wise sum mod
+  ``q`` of the cast rows' ``4m`` scalars.
 
 What a trustee posts is a :class:`TrusteeSubmission`: an immutable value that
 is built in one constructor call, signed by attaching the signature to a copy,
-and encodes its canonical bytes once however many BB nodes ask for the digest.
+and hashes the bytes it holds once however many BB nodes ask for the digest.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import chain
+from operator import add
 from types import MappingProxyType
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.core.ballot import PARTS
 from repro.core.ea import TrusteeInitData
 from repro.core.election import ElectionParameters
 from repro.core.tally import voter_coin_challenge
 from repro.crypto.group import Group
-from repro.crypto.pedersen_vss import PedersenShare
-from repro.crypto.shamir import Share
+from repro.crypto.shamir import pack_scalars, scalar_width, unpack_scalars
 from repro.crypto.signatures import SignatureScheme
 from repro.crypto.utils import sha256
 
-
-@dataclass(frozen=True)
-class RowOpeningShares:
-    """A trustee's opening shares for one ballot row (one share per coordinate)."""
-
-    value_shares: Tuple[PedersenShare, ...]
-    randomness_shares: Tuple[PedersenShare, ...]
-
-
-@dataclass(frozen=True)
-class RowProofShares:
-    """A trustee's shares of the ZK final-move components for one ballot row."""
-
-    component_shares: Mapping[str, Share]
-
-    def __post_init__(self) -> None:
-        # A read-only view of a private copy: see TrusteeSubmission.
-        object.__setattr__(
-            self, "component_shares", MappingProxyType(dict(self.component_shares))
-        )
+#: ``(serial, part name)``: the key of a block
+PartKey = Tuple[int, str]
 
 
 @dataclass(frozen=True)
@@ -71,27 +61,22 @@ class TrusteeSubmission:
     """Everything one trustee posts to the BB nodes after the election.
 
     An immutable value: the fields cannot be assigned, the two maps are
-    read-only views of private copies, and everything below them is a tuple
-    or a frozen dataclass.  That is what lets :meth:`digest` encode the
-    submission once per object -- by the trustee that signs it -- while every
-    BB node that verifies the signature still asks for the digest itself.
-    Change a submission with :func:`dataclasses.replace`; the new object has
-    no stored digest.
+    read-only views of private copies, and what they hold is ``bytes``.  That
+    is what lets :meth:`digest` hash the submission once per object -- by the
+    trustee that signs it -- while every BB node that verifies the signature
+    still asks for the digest itself.  Change a submission with
+    :func:`dataclasses.replace`; the new object has no stored digest.
     """
 
     trustee_id: str
     challenge: int
-    #: (serial, part) -> per-row opening shares, for parts that get opened
-    opening_shares: Mapping[Tuple[int, str], Tuple[RowOpeningShares, ...]] = field(
-        default_factory=dict
-    )
-    #: (serial, part) -> per-row proof-component shares, for used parts
-    proof_shares: Mapping[Tuple[int, str], Tuple[RowProofShares, ...]] = field(
-        default_factory=dict
-    )
-    #: the trustee's share of the opening of the homomorphic total
-    tally_value_shares: Tuple[PedersenShare, ...] = ()
-    tally_randomness_shares: Tuple[PedersenShare, ...] = ()
+    #: (serial, part) -> the part's opening block, for parts that get opened
+    opening_shares: Mapping[PartKey, bytes] = field(default_factory=dict)
+    #: (serial, part) -> the part's proof block, for used parts
+    proof_shares: Mapping[PartKey, bytes] = field(default_factory=dict)
+    #: the trustee's share of the opening of the homomorphic total: one
+    #: opening row, or empty when nothing was cast
+    tally_share: bytes = b""
     #: ballots the trustee discarded as invalid
     discarded: Tuple[int, ...] = ()
     #: over :meth:`digest`, which does not cover it
@@ -99,24 +84,8 @@ class TrusteeSubmission:
 
     def __post_init__(self) -> None:
         for name in ("opening_shares", "proof_shares"):
-            rows = {key: tuple(value) for key, value in getattr(self, name).items()}
-            object.__setattr__(self, name, MappingProxyType(rows))
-        for name in ("tally_value_shares", "tally_randomness_shares", "discarded"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
-
-    def shares(self) -> Iterator[object]:
-        """Every share the submission carries, lazily (chained in C: a BB node
-        looks at each of the ~10^4 shares of each submission it receives)."""
-        opened = chain.from_iterable(self.opening_shares.values())
-        proved = chain.from_iterable(self.proof_shares.values())
-        return chain(
-            chain.from_iterable(
-                side for row in opened for side in (row.value_shares, row.randomness_shares)
-            ),
-            chain.from_iterable(row.component_shares.values() for row in proved),
-            self.tally_value_shares,
-            self.tally_randomness_shares,
-        )
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
+        object.__setattr__(self, "discarded", tuple(self.discarded))
 
     def signed(self, signature: object) -> "TrusteeSubmission":
         """A copy carrying ``signature``, with this object's stored digest if
@@ -129,13 +98,15 @@ class TrusteeSubmission:
     def digest(self) -> bytes:
         """Deterministic digest of the submission, used for signing.
 
-        The digest hashes the canonical wire encoding of every share (via
-        :func:`repro.net.codec.signing_bytes`), interleaved with typed section
-        markers, so two structurally different submissions can never produce
-        the same byte string -- the old ``:``/``|``-joined text rendering gave
-        no such guarantee for adversarially chosen components.
+        The digest hashes the canonical wire encoding
+        (:func:`repro.net.codec.signing_bytes`) of the identity, the challenge
+        and, section by section, every key with the block stored under it.
+        Each part is typed and length-prefixed and each section starts with
+        its entry count, so the byte string parses back in one way only: a
+        scalar moved from the end of one block to the start of the next, or a
+        block moved to another key or section, is another digest.
 
-        Encoded on the first call and kept on the object.
+        Hashed on the first call and kept on the object.
         """
         return self._digest
 
@@ -146,33 +117,13 @@ class TrusteeSubmission:
         # Imported lazily: the codec registers this package's message types.
         from repro.net.codec import signing_bytes
 
-        # Every variable-length share sequence is length-prefixed, so the
-        # flattened part list parses deterministically left to right: a share
-        # can never silently migrate across a row / value-vs-randomness /
-        # section boundary while keeping the same digest.
         parts: List[object] = [self.trustee_id, self.challenge]
-        for key in sorted(self.opening_shares):
-            serial, part = key
-            rows = self.opening_shares[key]
-            parts.extend(("open", serial, part, len(rows)))
-            for row in rows:
-                parts.append(len(row.value_shares))
-                parts.extend(row.value_shares)
-                parts.append(len(row.randomness_shares))
-                parts.extend(row.randomness_shares)
-        for key in sorted(self.proof_shares):
-            serial, part = key
-            rows = self.proof_shares[key]
-            parts.extend(("proof", serial, part, len(rows)))
-            for row in rows:
-                parts.append(len(row.component_shares))
-                for name in sorted(row.component_shares):
-                    parts.extend((name, row.component_shares[name]))
-        parts.extend(("tally", len(self.tally_value_shares)))
-        parts.extend(self.tally_value_shares)
-        parts.append(len(self.tally_randomness_shares))
-        parts.extend(self.tally_randomness_shares)
-        parts.extend(("discarded", len(self.discarded)))
+        for section, blocks in (("open", self.opening_shares), ("proof", self.proof_shares)):
+            parts.extend((section, len(blocks)))
+            for key in sorted(blocks):
+                serial, part = key
+                parts.extend((serial, part, blocks[key]))
+        parts.extend(("tally", self.tally_share, "discarded", len(self.discarded)))
         parts.extend(sorted(self.discarded))
         return sha256(signing_bytes(b"trustee-submission", *parts))
 
@@ -185,6 +136,44 @@ class BbElectionView:
     vote_set: Tuple[Tuple[int, bytes], ...]
     #: serial -> part name -> tuple of decrypted vote codes (in shuffled row order)
     decrypted_vote_codes: Mapping[int, Mapping[str, Tuple[bytes, ...]]]
+
+
+def locate_cast_rows(
+    bb_view: BbElectionView, ballots: Mapping[int, object]
+) -> Tuple[Dict[int, Tuple[str, int]], List[int]]:
+    """Map each voted serial to (part, row index) of the cast vote code.
+
+    Returns ``(cast_rows, discarded_serials)``.  A ballot is discarded when
+    the vote set contains more than one entry for it, it is not one of
+    ``ballots``, or the cast code cannot be located/matched consistently.
+    Trustees and BB nodes both call this, so they agree on which parts get
+    opened and which proved.
+    """
+    entries: Dict[int, List[bytes]] = {}
+    for serial, vote_code in bb_view.vote_set:
+        entries.setdefault(serial, []).append(vote_code)
+
+    cast_rows: Dict[int, Tuple[str, int]] = {}
+    discarded: List[int] = []
+    for serial, codes in entries.items():
+        if len(codes) != 1 or serial not in ballots:
+            discarded.append(serial)
+            continue
+        code = codes[0]
+        decrypted = bb_view.decrypted_vote_codes.get(serial, {})
+        matches = [
+            (part_name, index)
+            for part_name, part_codes in decrypted.items()
+            for index, candidate in enumerate(part_codes)
+            if candidate == code
+        ]
+        if len(matches) != 1:
+            # The cast code either does not exist in the ballot or appears
+            # in more than one row -- both indicate a corrupted setup.
+            discarded.append(serial)
+            continue
+        cast_rows[serial] = matches[0]
+    return cast_rows, discarded
 
 
 class Trustee:
@@ -207,109 +196,44 @@ class Trustee:
 
     def produce_submission(self, bb_view: BbElectionView) -> TrusteeSubmission:
         """Verify the BB data and compute this trustee's complete submission."""
-        cast_rows, cast_parts, discarded = self._locate_cast_rows(bb_view)
-        challenge = voter_coin_challenge(self.group, cast_parts)
-        opening_shares: Dict[Tuple[int, str], Tuple[RowOpeningShares, ...]] = {}
-        proof_shares: Dict[Tuple[int, str], Tuple[RowProofShares, ...]] = {}
-        tally_value_shares: Optional[List[PedersenShare]] = None
-        tally_randomness_shares: Optional[List[PedersenShare]] = None
+        cast_rows, discarded = locate_cast_rows(bb_view, self.init.ballots)
+        challenge = voter_coin_challenge(
+            self.group, {serial: part for serial, (part, _) in cast_rows.items()}
+        )
+        q, width = self.q, scalar_width(self.q)
+        row_bytes = 4 * self.params.num_options * width
+        opening_shares: Dict[PartKey, bytes] = {}
+        proof_shares: Dict[PartKey, bytes] = {}
+        tally: Optional[List[int]] = None
 
         for serial, view in self.init.ballots.items():
             if serial in discarded:
                 continue
             cast = cast_rows.get(serial)
             for part_name in PARTS:
-                rows = view.rows[part_name]
-                if cast is not None and cast[0] == part_name:
-                    # Used part: complete the ZK proofs; the cast row joins E_tally.
-                    proof_shares[(serial, part_name)] = tuple(
-                        self._proof_shares_for_row(row, challenge) for row in rows
-                    )
-                    cast_row = rows[cast[1]]
-                    value_shares = list(cast_row.opening_value_shares)
-                    randomness_shares = list(cast_row.opening_randomness_shares)
-                    if tally_value_shares is None:
-                        tally_value_shares = value_shares
-                        tally_randomness_shares = randomness_shares
-                    else:
-                        tally_value_shares = [
-                            a + b for a, b in zip(tally_value_shares, value_shares, strict=True)
-                        ]
-                        tally_randomness_shares = [
-                            a + b
-                            for a, b in zip(
-                                tally_randomness_shares, randomness_shares, strict=True
-                            )
-                        ]
-                else:
+                opening = view.opening[part_name]
+                if cast is None or cast[0] != part_name:
                     # Unused part (or unvoted ballot): open every row.
-                    opening_shares[(serial, part_name)] = tuple(
-                        RowOpeningShares(row.opening_value_shares, row.opening_randomness_shares)
-                        for row in rows
-                    )
+                    opening_shares[(serial, part_name)] = opening
+                    continue
+                # Used part: complete the ZK proofs; the cast row joins E_tally.
+                zk = unpack_scalars(view.zk[part_name], width)
+                proof_shares[(serial, part_name)] = pack_scalars(
+                    [(const + challenge * lin) % q for const, lin in zip(zk[::2], zk[1::2])],
+                    width,
+                )
+                at = cast[1] * row_bytes
+                cast_row = unpack_scalars(opening[at:at + row_bytes], width)
+                tally = cast_row if tally is None else list(map(add, tally, cast_row))
 
         unsigned = TrusteeSubmission(
             self.trustee_id,
             challenge,
             opening_shares,
             proof_shares,
-            tuple(tally_value_shares or ()),
-            tuple(tally_randomness_shares or ()),
+            pack_scalars((scalar % q for scalar in tally), width) if tally else b"",
             tuple(sorted(discarded)),
         )
         return unsigned.signed(
             self.signature_scheme.sign(self.init.signing_keys, unsigned.digest())
         )
-
-    # -- helpers -------------------------------------------------------------------
-
-    def _locate_cast_rows(
-        self, bb_view: BbElectionView
-    ) -> Tuple[Dict[int, Tuple[str, int]], Dict[int, str], List[int]]:
-        """Map each voted serial to (part, row index) of the cast vote code.
-
-        Returns ``(cast_rows, cast_parts, discarded_serials)``.  A ballot is
-        discarded when the vote set contains more than one entry for it or the
-        cast code cannot be located/matched consistently.
-        """
-        entries: Dict[int, List[bytes]] = {}
-        for serial, vote_code in bb_view.vote_set:
-            entries.setdefault(serial, []).append(vote_code)
-
-        cast_rows: Dict[int, Tuple[str, int]] = {}
-        cast_parts: Dict[int, str] = {}
-        discarded: List[int] = []
-        for serial, codes in entries.items():
-            if len(codes) != 1 or serial not in self.init.ballots:
-                discarded.append(serial)
-                continue
-            code = codes[0]
-            decrypted = bb_view.decrypted_vote_codes.get(serial, {})
-            matches = [
-                (part_name, index)
-                for part_name, part_codes in decrypted.items()
-                for index, candidate in enumerate(part_codes)
-                if candidate == code
-            ]
-            if len(matches) != 1:
-                # The cast code either does not exist in the ballot or appears
-                # in more than one row -- both indicate a corrupted setup.
-                discarded.append(serial)
-                continue
-            cast_rows[serial] = matches[0]
-            cast_parts[serial] = matches[0][0]
-        return cast_rows, cast_parts, discarded
-
-    def _proof_shares_for_row(self, row, challenge: int) -> RowProofShares:
-        """Evaluate the affine coefficient shares at the challenge."""
-        shares: Dict[str, Share] = {}
-        grouped: Dict[str, Dict[str, Share]] = {}
-        for name, share in row.zk_state_shares.items():
-            component, kind = name.rsplit(":", 1)
-            grouped.setdefault(component, {})[kind] = share
-        for component, parts in grouped.items():
-            const_share = parts["const"]
-            lin_share = parts["lin"]
-            value = (const_share.value + challenge * lin_share.value) % self.q
-            shares[component] = Share(const_share.index, value)
-        return RowProofShares(shares)

@@ -18,13 +18,20 @@ distributes none (``docs/ARCHITECTURE.md``, "Deviations from the paper"), so
 its set-up, which deals ``2 * m`` secrets per ballot row, pays for no
 commitment it then drops.  Until it dies a dealing holds its two sharing
 polynomials; a dealer keeps the shares it delivers, not the dealing.
+
+:meth:`PedersenVSS.evaluations` is the one dealing loop and returns bare
+scalars; :meth:`PedersenVSS.deal` boxes its output.  The EA calls the former
+and packs the pairs ``f(i), r(i)`` into per-trustee ``bytes`` blocks
+(:func:`repro.crypto.shamir.pack_scalars`), which a BB node reconstructs by
+position (:func:`repro.crypto.shamir.reconstruct_scalars`);
+:meth:`PedersenVSS.reconstruct` stays as the per-share reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.crypto.group import Group, GroupElement, default_group
 from repro.crypto.shamir import lagrange_at_zero
@@ -97,21 +104,31 @@ class PedersenVSS:
 
     # -- dealing -------------------------------------------------------------
 
-    def deal(self, secret: int, rng: Optional[RandomSource] = None) -> PedersenDealing:
-        """Share ``secret`` among ``num_shares`` parties."""
+    def evaluations(
+        self, secret: int, rng: Optional[RandomSource] = None
+    ) -> Tuple[List[Tuple[int, int]], Tuple[Tuple[int, int], ...]]:
+        """Fresh sharing polynomials ``f`` (of ``secret``) and ``r`` (of a random
+        blinding value): the pairs ``(f(i), r(i))`` for ``i = 1..num_shares``,
+        and the coefficient pairs ``(a_j, b_j)`` the check values commit to."""
         rng = rng or default_random()
         secret %= self.q
         blinding = self.group.random_scalar(rng)
-        # f(x) shares the secret, r(x) shares the blinding value.
         f_coeffs = [secret] + [self.group.random_scalar(rng) for _ in range(self.threshold - 1)]
         r_coeffs = [blinding] + [self.group.random_scalar(rng) for _ in range(self.threshold - 1)]
-        shares = tuple(
-            PedersenShare(i, self._evaluate(f_coeffs, i), self._evaluate(r_coeffs, i))
+        pairs = [
+            (self._evaluate(f_coeffs, i), self._evaluate(r_coeffs, i))
             for i in range(1, self.num_shares + 1)
+        ]
+        return pairs, tuple(zip(f_coeffs, r_coeffs, strict=True))
+
+    def deal(self, secret: int, rng: Optional[RandomSource] = None) -> PedersenDealing:
+        """Share ``secret`` among ``num_shares`` parties."""
+        pairs, coefficients = self.evaluations(secret, rng)
+        shares = tuple(
+            PedersenShare(index, value, blinding)
+            for index, (value, blinding) in enumerate(pairs, start=1)
         )
-        return PedersenDealing(
-            shares, tuple(zip(f_coeffs, r_coeffs, strict=True)), self._pedersen_commit
-        )
+        return PedersenDealing(shares, coefficients, self._pedersen_commit)
 
     def _evaluate(self, coefficients: Sequence[int], x: int) -> int:
         result = 0

@@ -13,13 +13,21 @@ over a prime field where the dealer (the EA) signs each share, yielding a
 signature so any node can check that a share it receives from another node was
 genuinely produced by the EA, which is what lets the receipt-reconstruction
 step reject garbage shares injected by Byzantine nodes.
+
+The trustees' shares (thousands per trustee, never signed one by one) take
+another form: *blocks*, fixed-width big-endian scalars packed into ``bytes``
+with no evaluation point (:func:`pack_scalars`, :func:`reconstruct_scalars`).
+:meth:`ShamirSecretSharing.evaluations` is the one dealing loop under both
+forms; :meth:`ShamirSecretSharing.reconstruct` is the per-share reference the
+block routine is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import mul
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.crypto.signatures import SchnorrKeyPair, SchnorrSignature, SignatureScheme
 from repro.crypto.utils import RandomSource, default_random
@@ -49,6 +57,43 @@ def lagrange_at_zero(indices: Tuple[int, ...], prime: int) -> Tuple[int, ...]:
             denominator = (denominator * (xi - xj)) % prime
         coefficients.append(numerator * pow(denominator, -1, prime) % prime)
     return tuple(coefficients)
+
+
+def scalar_width(prime: int) -> int:
+    """Bytes of one fixed-width big-endian scalar of ``GF(prime)``."""
+    return (prime.bit_length() + 7) // 8
+
+
+def pack_scalars(values: Iterable[int], width: int) -> bytes:
+    """A *block*: the scalars as fixed-width big-endian bytes, in order.
+
+    ``int()`` because a gmpy2-backed group hands out ``mpz`` scalars.
+    """
+    return b"".join([int(value).to_bytes(width, "big") for value in values])
+
+
+def unpack_scalars(block: bytes, width: int) -> List[int]:
+    """The scalars of a block, in order."""
+    from_bytes = int.from_bytes
+    return [from_bytes(block[at:at + width], "big") for at in range(0, len(block), width)]
+
+
+def reconstruct_scalars(
+    points: Sequence[int], blocks: Sequence[bytes], width: int, prime: int
+) -> List[int]:
+    """The secrets of position-aligned blocks of evaluations.
+
+    ``blocks[k]`` holds ``f_0(x_k), f_1(x_k), ...`` for the evaluation point
+    ``x_k = points[k]``; the result is ``f_0(0), f_1(0), ...``.  The points
+    are carried by no block: a holder's point is its position among the
+    holders.  Every point counts, so pass exactly the threshold's worth.
+    """
+    coefficients = lagrange_at_zero(tuple(points), prime)
+    columns = [unpack_scalars(block, width) for block in blocks]
+    return [
+        sum(map(mul, coefficients, evaluations)) % prime
+        for evaluations in zip(*columns, strict=True)
+    ]
 
 
 @dataclass(frozen=True)
@@ -103,16 +148,20 @@ class ShamirSecretSharing:
 
     # -- sharing ------------------------------------------------------------
 
-    def share(self, secret: int, rng: Optional[RandomSource] = None) -> List[Share]:
-        """Split ``secret`` into ``num_shares`` shares of threshold ``threshold``."""
+    def evaluations(self, secret: int, rng: Optional[RandomSource] = None) -> List[int]:
+        """``f(1), ..., f(num_shares)`` of a fresh sharing polynomial of ``secret``."""
         rng = rng or default_random()
         secret %= self.prime
         coefficients = [secret] + [
             rng.randint_below(self.prime) for _ in range(self.threshold - 1)
         ]
+        return [self._evaluate(coefficients, x) for x in range(1, self.num_shares + 1)]
+
+    def share(self, secret: int, rng: Optional[RandomSource] = None) -> List[Share]:
+        """Split ``secret`` into ``num_shares`` shares of threshold ``threshold``."""
         return [
-            Share(index, self._evaluate(coefficients, index))
-            for index in range(1, self.num_shares + 1)
+            Share(index, value)
+            for index, value in enumerate(self.evaluations(secret, rng), start=1)
         ]
 
     def _evaluate(self, coefficients: Sequence[int], x: int) -> int:

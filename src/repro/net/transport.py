@@ -26,13 +26,14 @@ paper-style bandwidth figures in ``benchmarks/bench_wire_bandwidth.py``.
 
 from __future__ import annotations
 
-import asyncio
 from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from repro.net.channels import Message
 from repro.net.codec import FRAME_HEADER_LEN, MessageCodec, default_codec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    import asyncio  # at run time: bound by the first TcpLoopbackTransport
+
     from repro.net.simulator import Network
 
 
@@ -108,6 +109,11 @@ class TcpLoopbackTransport(Transport):
 
     def __init__(self, codec: Optional[MessageCodec] = None, host: str = "127.0.0.1"):
         super().__init__(codec or default_codec())
+        # Imported by the first transport over real sockets, for the whole
+        # module: a simulated run does not pay for asyncio (~40 ms, ~11 MiB).
+        global asyncio
+        import asyncio
+
         self.host = host
         self.loop = asyncio.new_event_loop()
         self._servers: Dict[str, asyncio.AbstractServer] = {}

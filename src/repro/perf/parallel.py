@@ -31,11 +31,25 @@ module-level classes (the usual pickle restriction).
 from __future__ import annotations
 
 import os
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 from repro.crypto.utils import default_random, sha256
+
+if TYPE_CHECKING:  # annotations only; see parallel_chunk_map for the runtime import
+    from concurrent.futures import Future, ProcessPoolExecutor
 
 ItemT = TypeVar("ItemT")
 ResultT = TypeVar("ResultT")
@@ -144,6 +158,10 @@ def parallel_chunk_map(
         return [chunk_fn(chunk, seed) for chunk, seed in zip(chunks, seeds, strict=True)]
     workers = min(config.resolved_workers(), len(chunks))
     tasks = list(zip(chunks, seeds, strict=True))
+    # Imported where a pool is built: a single-process run does not pay for
+    # concurrent.futures.process and multiprocessing (~30 ms, ~5 MiB).
+    from concurrent.futures import ProcessPoolExecutor
+
     # The chunk function crosses the process boundary exactly once, via the
     # worker initializer; each submitted task pickles only (chunk, seed).
     with ProcessPoolExecutor(
@@ -288,6 +306,8 @@ class WarmProcessPool:
 
     def _ensure(self) -> ProcessPoolExecutor:
         if self._executor is None:
+            from concurrent.futures import ProcessPoolExecutor  # see parallel_chunk_map
+
             self._executor = ProcessPoolExecutor(
                 max_workers=self.workers,
                 initializer=self.initializer,
@@ -321,6 +341,8 @@ class WarmProcessPool:
         if max_inflight is None:
             max_inflight = 2 * self.workers
         max_inflight = max(1, max_inflight)
+        from concurrent.futures import FIRST_COMPLETED, wait
+
         executor = self._ensure()
         backlog = iter(queue)
         pending: Dict[Future, ItemT] = {}

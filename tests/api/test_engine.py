@@ -99,6 +99,35 @@ class TestSetupHeapFrozenForTheRun:
         assert gc.get_freeze_count() == 0
         assert engine.outcome().receipts_obtained == 5
 
+    def test_the_last_of_two_frozen_engines_unfreezes(self):
+        """``gc.freeze()`` is process-wide.  At 1b95dde the first engine to
+        close handed back the set-up heap of every other run in the process
+        (the members of a ``MultiElectionService`` close one after the other)."""
+        first = ElectionEngine(ScenarioSpec.preset("paper_baseline"))
+        second = ElectionEngine(ScenarioSpec.preset("paper_baseline", seed=2))
+        for engine in (first, second):
+            engine.run_phase(engine.driver("setup"), engine.begin(CHOICES))
+        assert gc.get_freeze_count() > 0
+        first.close()
+        assert gc.get_freeze_count() > 0  # the second run's heap stays put
+        first.close()  # idempotent: does not count twice
+        assert gc.get_freeze_count() > 0
+        second.close()
+        assert gc.get_freeze_count() == 0
+        second.close()
+        assert gc.get_freeze_count() == 0
+
+    def test_closing_before_setup_touches_nothing(self):
+        frozen = ElectionEngine(ScenarioSpec.preset("paper_baseline"))
+        frozen.run_phase(frozen.driver("setup"), frozen.begin(CHOICES))
+        idle = ElectionEngine(ScenarioSpec.preset("paper_baseline"))
+        idle.close()  # never begun
+        idle.begin(CHOICES)
+        idle.close()  # begun, set-up not run
+        assert gc.get_freeze_count() > 0
+        frozen.close()
+        assert gc.get_freeze_count() == 0
+
     def test_nothing_frozen_after_a_run(self):
         outcome = ElectionEngine(ScenarioSpec.preset("paper_baseline")).run(CHOICES)
         assert outcome.audit_report.passed

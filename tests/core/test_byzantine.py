@@ -146,7 +146,8 @@ class TestByzantineTrustee:
         for bb in outcome.bb_nodes:
             stored = bb.trustee_submissions["T-2"]
             honest = bb.trustee_submissions["T-0"]
-            assert len(stored.tally_value_shares) == len(honest.tally_value_shares) == 2
+            # One opening row of a 2-option election: 4 * 2 scalars.
+            assert len(stored.tally_share) == len(honest.tally_share) == 8 * bb.scalar_width
             assert bb.signature_scheme.verify(
                 bb.init.trustee_public_keys["T-2"], stored.digest(), stored.signature
             )

@@ -4,16 +4,33 @@ import gc
 import weakref
 
 import pytest
+from share_blocks import boxed_trustee_view, setup_walk_hash, trustee_rows
 
 from repro.core.ballot import PART_A, PART_B
 from repro.core.ea import ElectionAuthority, bb_node_id, trustee_id, vc_node_id, voter_id
 from repro.core.election import ElectionParameters
 from repro.crypto.commitments import CommitmentOpening, OptionEncodingScheme
 from repro.crypto.pedersen_vss import PedersenDealing, PedersenVSS
-from repro.crypto.shamir import ShamirSecretSharing, SigningDealer
+from repro.crypto.registry import get_group
+from repro.crypto.shamir import ShamirSecretSharing, SigningDealer, scalar_width
 from repro.crypto.signatures import SignatureScheme
 from repro.crypto.utils import RandomSource
-from repro.crypto.zkp import BallotCorrectnessVerifier, fiat_shamir_challenge
+from repro.crypto.zkp import (
+    BallotCorrectnessVerifier,
+    BallotProofResponse,
+    OrProofResponse,
+    SumProofResponse,
+    fiat_shamir_challenge,
+)
+
+
+def boxed_rows(setup, serial, part, row_index):
+    """Every trustee's view of one shuffled ballot row, boxed by the test-side unpacker."""
+    width = scalar_width(setup.group.order)
+    return [
+        trustee_rows(init.ballots[serial], part, setup.params.num_options, width, point)[row_index]
+        for point, init in enumerate(setup.trustee_init.values(), start=1)
+    ]
 
 
 class TestIdentifiers:
@@ -109,20 +126,18 @@ class TestSecretSharingConsistency:
         option_index = small_setup.params.option_index(
             ballot.part_b.lines[permutation[row_index]].option
         )
-        trustee_views = [
-            init.ballots[ballot.serial].rows[PART_B][row_index]
-            for init in small_setup.trustee_init.values()
-        ]
+        trustee_views = boxed_rows(small_setup, ballot.serial, PART_B, row_index)
         values = tuple(
-            pedersen.reconstruct([view.opening_value_shares[coord] for view in trustee_views])
+            pedersen.reconstruct([view.value_shares[coord] for view in trustee_views])
             for coord in range(small_setup.params.num_options)
         )
         randomness = tuple(
-            pedersen.reconstruct([view.opening_randomness_shares[coord] for view in trustee_views])
+            pedersen.reconstruct([view.randomness_shares[coord] for view in trustee_views])
             for coord in range(small_setup.params.num_options)
         )
         opening = CommitmentOpening(values, randomness)
-        assert scheme.verify_opening(trustee_views[0].commitment, opening)
+        commitment = small_setup.bb_init.ballots[ballot.serial].rows[PART_B][row_index].commitment
+        assert scheme.verify_opening(commitment, opening)
         assert list(values) == scheme.unit_vector(option_index)
 
     def test_zk_first_moves_verify_with_reconstructed_state(self, small_setup, group):
@@ -134,26 +149,22 @@ class TestSecretSharingConsistency:
         verifier = BallotCorrectnessVerifier(small_setup.commitment_public_key, group)
         serial = small_setup.ballots[0].serial
         bb_row = small_setup.bb_init.ballots[serial].rows[PART_A][0]
-        trustee_rows = [
-            init.ballots[serial].rows[PART_A][0] for init in small_setup.trustee_init.values()
-        ]
+        zk_rows = [row.zk_shares for row in boxed_rows(small_setup, serial, PART_A, 0)]
         challenge = fiat_shamir_challenge(group, bb_row.commitment, bb_row.proof_announcement)
-        # Reconstruct each affine coefficient, evaluate at the challenge and
-        # assemble the response exactly like the BB does.
-        components = {}
-        grouped = {}
-        for name in trustee_rows[0].zk_state_shares:
-            component, kind = name.rsplit(":", 1)
-            grouped.setdefault(component, {})[kind] = [
-                row.zk_state_shares[name] for row in trustee_rows
-            ]
-        for component, kinds in grouped.items():
-            const = zk_sss.reconstruct(kinds["const"])
-            lin = zk_sss.reconstruct(kinds["lin"])
-            components[component] = (const + challenge * lin) % group.order
-        from repro.core.bulletin_board import BulletinBoardNode
-
-        response = BulletinBoardNode._assemble_proof_response(None, components)
+        # Reconstruct each affine coefficient (const, lin adjacent), evaluate
+        # at the challenge and assemble the response by position like the BB
+        # does: per option c0, c1, s0, s1, then the sum proof's s.
+        coefficients = [zk_sss.reconstruct(shares) for shares in zip(*zk_rows, strict=True)]
+        num_options = small_setup.params.num_options
+        assert len(coefficients) == 8 * num_options + 2
+        components = [
+            (const + challenge * lin) % group.order
+            for const, lin in zip(coefficients[::2], coefficients[1::2], strict=True)
+        ]
+        response = BallotProofResponse(
+            tuple(OrProofResponse(*components[at:at + 4]) for at in range(0, 4 * num_options, 4)),
+            SumProofResponse(components[4 * num_options]),
+        )
         assert verifier.verify(bb_row.commitment, bb_row.proof_announcement, challenge, response)
 
 
@@ -235,22 +246,56 @@ class TestSetupExponentiations:
         assert setup_lookups(include_proofs=False) == rows * (3 * m + num_vc) + keys
 
     def test_no_dealing_outlives_its_use(self, group, monkeypatch):
-        """A dealing holds its two sharing polynomials.  The EA takes the
-        share tuple and drops the dealing on the spot: whenever the next
-        secret is dealt every earlier dealing is already dead, and none is
-        reachable from (or left behind by) ``setup()``."""
+        """A dealing holds its two sharing polynomials.  The EA asks for the
+        evaluations alone and packs them on the spot: whenever the next
+        secret is dealt no dealing (and no coefficient tuple of an earlier
+        one) is alive, and none is reachable from (or left behind by)
+        ``setup()``."""
         dealt = []
-        original = PedersenVSS.deal
+        original = PedersenVSS.evaluations
 
-        def deal(self, secret, rng=None):
+        def evaluations(self, secret, rng=None):
             assert not [ref for ref in dealt if ref() is not None]
-            dealing = original(self, secret, rng=rng)
-            dealt.append(weakref.ref(dealing))
-            return dealing
+            assert not [obj for obj in gc.get_objects() if isinstance(obj, PedersenDealing)]
+            pairs, coefficients = original(self, secret, rng=rng)
+            kept = Coefficients(coefficients)
+            dealt.append(weakref.ref(kept))
+            return pairs, kept
 
-        monkeypatch.setattr(PedersenVSS, "deal", deal)
+        class Coefficients(list):
+            """A sequence that can be weakly referenced (a tuple cannot)."""
+
+        monkeypatch.setattr(PedersenVSS, "evaluations", evaluations)
         params = ElectionParameters.small_test_election(num_voters=2, num_options=2)
         setup = ElectionAuthority(params, group=group, rng=RandomSource(3)).setup()
         assert len(dealt) == 2 * 2 * 2 * 2 * 2  # ballots x parts x rows x 2m secrets
         assert setup.trustee_init[trustee_id(0)].ballots
         assert not [obj for obj in gc.get_objects() if isinstance(obj, PedersenDealing)]
+
+
+#: ``setup_walk_hash`` of ``ElectionAuthority(small_test_election(3 voters, 3
+#: options), rng=RandomSource(11))`` at 1b95dde -- the commit before trustee
+#: views became packed blocks -- with that commit's views rendered share by
+#: share (``PedersenShare`` / ``Share`` as ``(index, value[, blinding])``).
+#: Dealer key and signature nonces are outside the walk: OS RNG on both sides.
+GOLDEN_SETUP_WALKS = {
+    ("schnorr", True): "1ed96ab079c3cb0e175f308af83d45672126774e486193c51fc340fec81b1031",
+    ("schnorr", False): "2b426180e105d37ea1e753f6579fa322bb48bb777fb94d7ca359f880d5bddf21",
+    ("ed25519", True): "5c23ab2370c777bcd1c11235fb4a1cc331d6c768289c39bda1e37d9364a7b3f7",
+    ("ed25519", False): "2999f87e5192f52cce1731ec9c63c0fa97a1e02e7e96d28712ba87d1ffcee0e3",
+}
+
+
+class TestSeededSetupEqualsTheParents:
+    @pytest.mark.parametrize(("backend", "include_proofs"), list(GOLDEN_SETUP_WALKS))
+    def test_same_draws_same_ballots_same_views(self, backend, include_proofs):
+        """The packed dealing draws the parent's scalars in the parent's order:
+        ballots, VC, BB and trustee views (read through the test-side
+        unpacker, point = the trustee's position) and permutations are the
+        parent's, value for value."""
+        params = ElectionParameters.small_test_election(num_voters=3, num_options=3)
+        setup = ElectionAuthority(
+            params, group=get_group(backend), rng=RandomSource(11), include_proofs=include_proofs
+        ).setup()
+        walked = setup_walk_hash(setup, boxed_trustee_view(setup))
+        assert walked == GOLDEN_SETUP_WALKS[(backend, include_proofs)]

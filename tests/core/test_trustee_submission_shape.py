@@ -1,26 +1,40 @@
 """One faulty trustee must not stop result publication.
 
-A BB node stores every submission it accepts and reconstructs from all of
-them by position, so a validly *signed* submission of the wrong shape used to
-raise out of ``receive_trustee_submission`` -- and, staying stored, out of
-every later honest one: no tally although the paper tolerates ``Nt - ht``
-faulty trustees.  Each case below is such a submission, signed with the real
-trustee key.  A dropped row, a one-element tally tuple, a dropped proof
-component and shares on another trustee's point raised (``IndexError``,
-``KeyError: 'or0:c0'``, ``ValueError: need at least 2 shares, got 1``) or
-silently shrank the published proof at 868e6e2; the other cases are what else
-the same predicates refuse.
+A BB node stores every submission it accepts and cuts all of them up by
+position, so a validly *signed* submission of the wrong shape used to raise out
+of ``receive_trustee_submission`` -- and, staying stored, out of every later
+honest one: no tally although the paper tolerates ``Nt - ht`` faulty trustees.
+Each case below is such a submission, signed with the real trustee key.
+
+A submission is packed scalar blocks (``repro.core.trustee``), so its shape is
+a matter of lengths and key sets: a block one byte, one scalar or one row short
+or long, a block under a key the agreed vote set does not call for, a key left
+out, a tally block of another length, a value that is not ``bytes``.  The cases
+of 868e6e2 map onto these -- a dropped row or coordinate is a short block, a
+dropped or added proof component a proof block one scalar short or long, a
+part of no ballot an unknown key.  What that commit called "shares on another
+trustee's point" has no counterpart: a block carries no evaluation point, the
+BB derives it from the signed ``trustee_id``
+(``test_a_faulty_trustee_cannot_shadow_an_honest_one`` keeps the behaviour).
+
+A submission that *omits* a ``(serial, part)`` key was stored at 1b95dde and
+silently shrank what every BB published (``_finalize_result`` took the key
+intersection); ``TestOmittedParts`` is its reproducer.
 """
 
 from dataclasses import replace
 
 import pytest
 
+from repro.api import ElectionEngine, ScenarioSpec
+from repro.api.spec import CryptoProfile
 from repro.core.bulletin_board import BulletinBoardNode, MajorityReader
-from repro.core.trustee import RowProofShares
+from repro.core.trustee import Trustee
+from repro.crypto.shamir import scalar_width
 from repro.crypto.signatures import SignatureScheme
+from repro.net.codec import WireFormatError
 
-FAULTY, POINT_OF_ANOTHER = "T-0", 2  # T-1 holds evaluation point 2
+FAULTY = "T-0"
 
 
 @pytest.fixture(scope="module")
@@ -29,117 +43,131 @@ def honest(small_outcome, small_params):
     return {t.trustee_id: t.produce_submission(view) for t in small_outcome.trustees}
 
 
-def on_point(share, point=POINT_OF_ANOTHER):
-    return replace(share, index=point)
+@pytest.fixture(scope="module")
+def sizes(small_params, group):
+    """``(bytes per scalar, bytes per opening row)`` of the shared election."""
+    width = scalar_width(group.order)
+    return width, 4 * small_params.num_options * width
 
 
-def without_last_row(mapping):
-    key, rows = next(iter(mapping.items()))
-    return {**mapping, key: rows[:-1]}
+def with_first(mapping, change):
+    key, block = next(iter(mapping.items()))
+    return {**mapping, key: change(block)}
 
 
-def with_first_row(mapping, change):
-    key, rows = next(iter(mapping.items()))
-    return {**mapping, key: (change(rows[0]), *rows[1:])}
-
-
-def components(change):
-    return lambda row: RowProofShares(change(dict(row.component_shares)))
-
-
-def all_on_point(s):
-    return replace(
-        s,
-        opening_shares={
-            key: tuple(
-                replace(
-                    row,
-                    value_shares=tuple(map(on_point, row.value_shares)),
-                    randomness_shares=tuple(map(on_point, row.randomness_shares)),
-                )
-                for row in rows
-            )
-            for key, rows in s.opening_shares.items()
-        },
-        proof_shares={
-            key: tuple(
-                RowProofShares({n: on_point(c) for n, c in row.component_shares.items()})
-                for row in rows
-            )
-            for key, rows in s.proof_shares.items()
-        },
-        tally_value_shares=tuple(map(on_point, s.tally_value_shares)),
-        tally_randomness_shares=tuple(map(on_point, s.tally_randomness_shares)),
-    )
+def without_first(mapping):
+    return dict(list(mapping.items())[1:])
 
 
 def some_serial(s):
     return next(iter(s.opening_shares))[0]
 
 
-#: name -> (the predicate that refuses it, submission -> malformed submission)
-MALFORMED = {
-    "row dropped from an opened part": (
-        "_rows_match_ballots",
-        lambda s: replace(s, opening_shares=without_last_row(s.opening_shares)),
-    ),
-    "row dropped from a proved part": (
-        "_rows_match_ballots",
-        lambda s: replace(s, proof_shares=without_last_row(s.proof_shares)),
-    ),
-    "part of no ballot opened": (
-        "_rows_match_ballots",
-        lambda s: replace(s, opening_shares={**s.opening_shares, (some_serial(s), "C"): ()}),
-    ),
-    "coordinate dropped from an opening row": (
-        "_rows_complete",
-        lambda s: replace(s, opening_shares=with_first_row(
-            s.opening_shares, lambda row: replace(row, value_shares=row.value_shares[:-1]))),
-    ),
-    "proof component dropped": (
-        "_rows_complete",
-        lambda s: replace(s, proof_shares=with_first_row(
-            s.proof_shares,
-            components(lambda c: {n: v for n, v in c.items() if n != "or0:c0"}))),
-    ),
-    "proof component added": (
-        "_rows_complete",
-        lambda s: replace(s, proof_shares=with_first_row(
-            s.proof_shares, components(lambda c: {**c, "or9:c0": c["or0:c0"]}))),
-    ),
-    "one-element tally value shares": (
-        "_tally_complete",
-        lambda s: replace(s, tally_value_shares=s.tally_value_shares[:1]),
-    ),
-    "tally randomness shares missing": (
-        "_tally_complete",
-        lambda s: replace(s, tally_randomness_shares=()),
-    ),
-    "every share on another trustee's point": ("_on_own_point", all_on_point),
-    "one tally share on another trustee's point": (
-        "_on_own_point",
-        lambda s: replace(s, tally_value_shares=(
-            on_point(s.tally_value_shares[0]), *s.tally_value_shares[1:])),
-    ),
-    "one proof share on a point nobody holds": (
-        "_on_own_point",
-        lambda s: replace(s, proof_shares=with_first_row(
-            s.proof_shares, components(lambda c: {**c, "sum:s": on_point(c["sum:s"], 9)}))),
-    ),
-}
+def values_swapped(s):
+    """An opened part carries a proved part's block and the other way round."""
+    opened_key, opened = next(iter(s.opening_shares.items()))
+    proved_key, proved = next(iter(s.proof_shares.items()))
+    return replace(
+        s,
+        opening_shares={**s.opening_shares, opened_key: proved},
+        proof_shares={**s.proof_shares, proved_key: opened},
+    )
+
+
+def malformed_cases(width, row):
+    """name -> (the predicate that refuses it, submission -> malformed submission)"""
+    cases = {}
+    for field, scalars_per_row in (("opening_shares", 0), ("proof_shares", 1)):
+        row_bytes = row + scalars_per_row * width
+        for name, change in {
+            "one byte short": lambda b: b[:-1],
+            "one byte long": lambda b: b + b"\x00",
+            "one scalar short": lambda b: b[:-width],
+            "one scalar long": lambda b: b + b"\x00" * width,
+            "one row short": lambda b, n=row_bytes: b[:-n],
+            "one row long": lambda b, n=row_bytes: b + b[:n],
+            "empty": lambda b: b"",
+            "a bytearray": bytearray,
+            "a str of its length": lambda b: b.decode("latin-1"),
+        }.items():
+            cases[f"{field}: block {name}"] = (
+                "_blocks_sized",
+                lambda s, field=field, change=change: replace(
+                    s, **{field: with_first(getattr(s, field), change)}
+                ),
+            )
+    cases.update({
+        "opening and proof blocks swapped": ("_blocks_sized", values_swapped),
+        "part of no ballot opened": (
+            "_parts_as_agreed",
+            lambda s: replace(s, opening_shares={**s.opening_shares, (some_serial(s), "C"): b""}),
+        ),
+        "part of an unknown ballot proved": (
+            "_parts_as_agreed",
+            lambda s: replace(s, proof_shares={**s.proof_shares, (7, "A"): b""}),
+        ),
+        "used part opened as well as proved": (
+            "_parts_as_agreed",
+            lambda s: replace(s, opening_shares={
+                **s.opening_shares, next(iter(s.proof_shares)): b"\x00" * 2 * row
+            }),
+        ),
+        "opened part left out": (
+            "_parts_as_agreed",
+            lambda s: replace(s, opening_shares=without_first(s.opening_shares)),
+        ),
+        "proved part left out": (
+            "_parts_as_agreed",
+            lambda s: replace(s, proof_shares=without_first(s.proof_shares)),
+        ),
+        "nothing opened, nothing proved": (
+            "_parts_as_agreed",
+            lambda s: replace(s, opening_shares={}, proof_shares={}),
+        ),
+        "tally block one scalar short": (
+            "_tally_sized",
+            lambda s: replace(s, tally_share=s.tally_share[:-width]),
+        ),
+        "tally block one byte long": (
+            "_tally_sized",
+            lambda s: replace(s, tally_share=s.tally_share + b"\x00"),
+        ),
+        "tally block of two rows": (
+            "_tally_sized",
+            lambda s: replace(s, tally_share=s.tally_share * 2),
+        ),
+        "tally block missing though votes were cast": (
+            "_tally_sized",
+            lambda s: replace(s, tally_share=b""),
+        ),
+        "tally block a bytearray": (
+            "_tally_sized",
+            lambda s: replace(s, tally_share=bytearray(s.tally_share)),
+        ),
+    })
+    return cases
+
+
+#: the case names, for parametrisation (the sizes do not change the names)
+MALFORMED = list(malformed_cases(32, 256))
+
+
+def resigned(submission, small_outcome, group):
+    """``submission`` signed with T-0's real key."""
+    keys = small_outcome.trustees[0].init.signing_keys
+    scheme = SignatureScheme(group)
+    made = submission.signed(scheme.sign(keys, submission.digest()))
+    assert scheme.verify(keys.public, made.digest(), made.signature)
+    return made
 
 
 @pytest.fixture(scope="module")
-def malformed(honest, small_outcome, group):
-    """Every case applied to T-0's submission and re-signed with T-0's key."""
-    keys = small_outcome.trustees[0].init.signing_keys
-    scheme = SignatureScheme(group)
-    made = {}
-    for name, (_, change) in MALFORMED.items():
-        changed = change(honest[FAULTY])
-        made[name] = changed.signed(scheme.sign(keys, changed.digest()))
-        assert scheme.verify(keys.public, made[name].digest(), made[name].signature)
-    return made
+def malformed(honest, sizes, small_outcome, group):
+    """name -> (refusing predicate, the case applied to T-0's submission and re-signed)"""
+    return {
+        name: (predicate, resigned(change(honest[FAULTY]), small_outcome, group))
+        for name, (predicate, change) in malformed_cases(*sizes).items()
+    }
 
 
 def deliver(small_outcome, small_params, group, honest, faulty, position):
@@ -163,16 +191,18 @@ def check_dropped_and_published(bb, small_outcome):
     reference = small_outcome.bb_nodes[0].result
     assert bb.result.openings == reference.openings
     assert bb.result.proof_responses == reference.proof_responses
+    assert bb.result.tally_opening == reference.tally_opening
     assert bb.verify_proofs()
 
 
 @pytest.mark.parametrize("position", [0, 1], ids=["delivered-first", "delivered-second"])
-@pytest.mark.parametrize("case", list(MALFORMED))
+@pytest.mark.parametrize("case", MALFORMED)
 class TestMalformedSubmissionIsDropped:
     def test_dropped_without_raising_and_the_tally_is_published(
         self, case, position, malformed, honest, small_outcome, small_params, group
     ):
-        bb = deliver(small_outcome, small_params, group, honest, malformed[case], position)
+        _, faulty = malformed[case]
+        bb = deliver(small_outcome, small_params, group, honest, faulty, position)
         check_dropped_and_published(bb, small_outcome)
 
     def test_red_when_its_check_always_passes(
@@ -181,64 +211,183 @@ class TestMalformedSubmissionIsDropped:
     ):
         """The same scenario with the refusing predicate stubbed to ``True``
         raises or fails one of the assertions above."""
-        predicate, _ = MALFORMED[case]
+        predicate, faulty = malformed[case]
         monkeypatch.setattr(BulletinBoardNode, predicate, lambda self, submission: True)
         with pytest.raises(Exception):  # noqa: B017 - any failure will do: that is the point
-            bb = deliver(small_outcome, small_params, group, honest, malformed[case], position)
+            bb = deliver(small_outcome, small_params, group, honest, faulty, position)
             check_dropped_and_published(bb, small_outcome)
 
 
-class TestKeyThatIsNoBallotPart:
-    """A map keyed by a bare serial next to the ``(serial, part)`` pairs has no
-    digest (the keys do not sort), so no signature over it can be made or
-    checked: the node must refuse it before it asks for the digest."""
+def test_the_cases_cover_every_clause():
+    assert {predicate for predicate, _ in malformed_cases(32, 256).values()} == {
+        "_parts_as_agreed", "_blocks_sized", "_tally_sized"
+    }
 
-    @pytest.fixture()
-    def unkeyed(self, honest):
-        s = honest[FAULTY]
-        return replace(s, proof_shares={**s.proof_shares, some_serial(s): ()})
 
-    def test_dropped_before_the_digest_is_asked_for(self, unkeyed, honest, small_outcome,
-                                                    small_params, group):
-        with pytest.raises(TypeError):
-            unkeyed.digest()
-        bb = deliver(small_outcome, small_params, group, honest, unkeyed, 0)
+#: name -> (the predicate that refuses it, submission -> submission without a digest)
+UNDIGESTABLE = {
+    # The keys do not sort.
+    "a bare serial among the (serial, part) keys": (
+        "_parts_as_agreed",
+        lambda s: replace(s, proof_shares={**s.proof_shares, some_serial(s): b""}),
+    ),
+    # Not a signable part.
+    "a block that is a tuple of scalars": (
+        "_blocks_sized",
+        lambda s: replace(s, opening_shares=with_first(s.opening_shares, tuple)),
+    ),
+    "a block that is None": (
+        "_blocks_sized",
+        lambda s: replace(s, proof_shares=with_first(s.proof_shares, lambda b: None)),
+    ),
+    "a tally block that is a tuple of scalars": (
+        "_tally_sized",
+        lambda s: replace(s, tally_share=tuple(s.tally_share)),
+    ),
+}
+
+
+@pytest.mark.parametrize("position", [0, 1], ids=["delivered-first", "delivered-second"])
+@pytest.mark.parametrize("case", list(UNDIGESTABLE))
+class TestWhatHasNoDigest:
+    """No signature over such a submission can be made or checked: the node
+    must refuse it before it asks for the digest."""
+
+    def test_dropped_before_the_digest_is_asked_for(self, case, position, honest,
+                                                    small_outcome, small_params, group):
+        _, change = UNDIGESTABLE[case]
+        undigestable = change(honest[FAULTY])
+        with pytest.raises((TypeError, WireFormatError)):
+            undigestable.digest()
+        bb = deliver(small_outcome, small_params, group, honest, undigestable, position)
         check_dropped_and_published(bb, small_outcome)
 
-    def test_red_when_its_check_always_passes(self, unkeyed, honest, small_outcome,
+    def test_red_when_its_check_always_passes(self, case, position, honest, small_outcome,
                                               small_params, group, monkeypatch):
-        monkeypatch.setattr(BulletinBoardNode, "_rows_match_ballots", lambda self, s: True)
-        with pytest.raises(TypeError):
-            deliver(small_outcome, small_params, group, honest, unkeyed, 0)
+        predicate, change = UNDIGESTABLE[case]
+        monkeypatch.setattr(BulletinBoardNode, predicate, lambda self, s: True)
+        with pytest.raises((TypeError, WireFormatError)):
+            deliver(small_outcome, small_params, group, honest, change(honest[FAULTY]), position)
 
 
 class TestWellFormedSubmissionsStillCount:
-    def test_honest_submissions_pass_every_check(self, honest, small_outcome, small_params,
-                                                 group):
-        bb = BulletinBoardNode("BB-ok", small_outcome.setup.bb_init, small_params, group)
+    def test_honest_submissions_pass_every_check(self, honest, small_outcome):
+        bb = small_outcome.bb_nodes[0]
         for submission in honest.values():
             assert bb._well_formed(submission)
 
-    def test_a_faulty_trustee_cannot_shadow_an_honest_one(self, malformed, honest,
-                                                          small_outcome, small_params, group):
-        """Shares re-indexed to T-1's point and delivered first must not make
-        the node take them for T-1's, nor refuse T-1 for arriving second."""
-        squatter = malformed["every share on another trustee's point"]
+    def test_a_faulty_trustee_cannot_shadow_an_honest_one(self, honest, small_outcome,
+                                                          small_params, group):
+        """A block names no evaluation point: the only way to pass shares off
+        as T-1's is to put T-1's name on them.  T-0 doing so with its own key,
+        delivered first, must not make the node take them for T-1's, nor
+        refuse T-1 for arriving second."""
+        squatter = resigned(replace(honest[FAULTY], trustee_id="T-1"), small_outcome, group)
         bb = deliver(small_outcome, small_params, group, honest, squatter, 0)
         assert bb.trustee_submissions["T-1"] is honest["T-1"]
+        check_dropped_and_published(bb, small_outcome)
 
-    def test_election_without_proofs_accepts_rows_without_components(self):
-        """``include_proofs=False``: the EA deals no proof coefficients, so an
-        honest row has no components and the BB must expect none."""
-        from repro.api import ElectionEngine, ScenarioSpec
-        from repro.api.spec import CryptoProfile
 
-        spec = ScenarioSpec(
-            options=("a", "b"), num_voters=2, num_vc=4, num_bb=3, num_trustees=3,
-            trustee_threshold=2, election_end=200.0, seed=9,
-            crypto=CryptoProfile(include_proofs=False),
+# -- an election that publishes no proofs ------------------------------------------
+
+
+def proofless_spec(**changes):
+    return ScenarioSpec(
+        options=("a", "b"), num_voters=2, num_vc=4, num_bb=3, num_trustees=3,
+        trustee_threshold=2, election_end=200.0, seed=9,
+        crypto=CryptoProfile(include_proofs=False),
+    ).derive(**changes)
+
+
+class ProofSendingTrustee(Trustee):
+    """Posts a full-sized proof block where the election publishes no proof."""
+
+    def produce_submission(self, bb_view):
+        submission = super().produce_submission(bb_view)
+        width = scalar_width(self.q)
+        rows = self.params.num_options
+        block = b"\x01" * (rows * (4 * self.params.num_options + 1) * width)
+        changed = replace(
+            submission, proof_shares={key: block for key in submission.proof_shares}
         )
-        outcome = ElectionEngine(spec).run(["a", "b"])
+        return changed.signed(
+            self.signature_scheme.sign(self.init.signing_keys, changed.digest())
+        )
+
+
+class TestElectionWithoutProofs:
+    def test_accepts_empty_proof_blocks(self):
+        """``include_proofs=False``: the EA deals no proof coefficients, so an
+        honest proof block is empty and the BB must expect exactly that."""
+        outcome = ElectionEngine(proofless_spec()).run(["a", "b"])
         assert outcome.tally.as_dict() == {"a": 1, "b": 1}
         for bb in outcome.bb_nodes:
             assert sorted(bb.trustee_submissions) == ["T-0", "T-1", "T-2"]
+            assert set(bb.trustee_submissions["T-0"].proof_shares.values()) == {b""}
+
+    def test_drops_a_proof_block(self):
+        engine = ElectionEngine(proofless_spec(), trustee_classes={"T-0": ProofSendingTrustee})
+        outcome = engine.run(["a", "b"])
+        assert outcome.tally.as_dict() == {"a": 1, "b": 1}
+        for bb in outcome.bb_nodes:
+            assert sorted(bb.trustee_submissions) == ["T-1", "T-2"]
+
+
+# -- a trustee that leaves parts out -------------------------------------------------
+
+
+class OmittingTrustee(Trustee):
+    """Validly signs a submission without its first opened and first proved part."""
+
+    def produce_submission(self, bb_view):
+        submission = super().produce_submission(bb_view)
+        changed = replace(
+            submission,
+            opening_shares=without_first(submission.opening_shares),
+            proof_shares=without_first(submission.proof_shares),
+        )
+        return changed.signed(
+            self.signature_scheme.sign(self.init.signing_keys, changed.digest())
+        )
+
+
+class TestOmittedParts:
+    """Red at 1b95dde (the omission was stored and every BB published the key
+    intersection: one opened and one proved part fewer, and the audit failed
+    for everybody), red again with ``_parts_as_agreed`` stubbed to ``True``."""
+
+    CHOICES = ["option-1", "option-2", "option-1", "option-1"]
+
+    def run(self, small_spec, **changes):
+        # T-0 is delivered first: the tally phase walks the trustees in order.
+        engine = ElectionEngine(
+            small_spec.derive(**changes), trustee_classes={"T-0": OmittingTrustee}
+        )
+        return engine.run(self.CHOICES)
+
+    def test_delivered_first_of_two_of_three_changes_nothing_published(
+        self, small_spec, small_outcome
+    ):
+        outcome = self.run(small_spec)
+        reference = small_outcome.bb_nodes[0].result
+        assert len(reference.openings) == 4 and len(reference.proof_responses) == 4
+        for bb in outcome.bb_nodes:
+            assert sorted(bb.trustee_submissions) == ["T-1", "T-2"]
+            assert bb.result.openings == reference.openings
+            assert bb.result.proof_responses == reference.proof_responses
+            assert bb.result.tally_opening == reference.tally_opening
+        assert outcome.tally.as_dict() == small_outcome.tally.as_dict()
+        assert outcome.audit_report.passed
+
+    def test_with_every_trustee_needed_there_is_no_result_and_nothing_raises(self, small_spec):
+        outcome = self.run(small_spec, trustee_threshold=3)
+        assert outcome.tally is None
+        for bb in outcome.bb_nodes:
+            assert sorted(bb.trustee_submissions) == ["T-1", "T-2"]
+            assert bb.result is None
+
+    def test_red_when_the_key_sets_are_not_compared(self, small_spec, monkeypatch):
+        monkeypatch.setattr(BulletinBoardNode, "_parts_as_agreed", lambda self, s: True)
+        with pytest.raises(Exception):  # noqa: B017 - a KeyError out of _finalize_result today
+            outcome = self.run(small_spec)
+            assert outcome.audit_report.passed
