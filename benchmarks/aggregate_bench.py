@@ -4,8 +4,8 @@ Reads every ``benchmarks/results/*.json`` the sharded benchmarks produce
 (``sharded_pipeline.json``, ``sharded_parallel.json``) and writes
 ``BENCH_SHARDED.json`` at the repository root: one self-contained record of
 the scale pipeline's current numbers -- untraced ballots/s and traced peak
-bytes per configuration, the parallel speedup over one worker and over the
-sequential pipeline, the core count the worker sweep had -- stamped with the
+bytes per configuration, the pooled speedup over the sequential (one-worker,
+inline) run, the core count the worker sweep had -- stamped with the
 git revision (``+dirty`` when the working tree differs from it) and an ISO
 date, so a reviewer (or the nightly CI artifact) can read the pipeline's
 health without digging through the raw per-benchmark rows.
@@ -79,13 +79,11 @@ def summarize_pipeline(rows: list) -> list:
 def summarize_parallel(rows: list) -> dict:
     """Worker sweep + speedups from ``sharded_parallel.json``.
 
-    Speedups are computed from the recorded ballots/s, both against the
-    one-worker pooled run (isolates scheduling overhead) and against the
-    sequential pipeline (the end-to-end win).
+    Speedups are computed from the recorded ballots/s against the
+    sequential row: the one driver at ``workers=1``, slices inline.
     """
     sequential = next((r for r in rows if r["mode"] == "sequential"), None)
     parallel = [r for r in rows if r["mode"] == "parallel"]
-    one_worker = next((r for r in parallel if r["workers"] == 1), None)
     sweep = []
     for row in parallel:
         entry = {
@@ -97,10 +95,6 @@ def summarize_parallel(rows: list) -> dict:
             "peak_inflight": row["peak_inflight"],
             "verified": row["verified"],
         }
-        if one_worker and one_worker["ballots_per_s"]:
-            entry["speedup_vs_1_worker"] = round(
-                row["ballots_per_s"] / one_worker["ballots_per_s"], 2
-            )
         if sequential and sequential["ballots_per_s"]:
             entry["speedup_vs_sequential"] = round(
                 row["ballots_per_s"] / sequential["ballots_per_s"], 2

@@ -2,11 +2,12 @@
 
 The sharded pipeline (:mod:`repro.shard`) exists to take the election far
 beyond what the full-crypto simulator can hold in memory: ballot-range shards
-run sequentially with their own collectors and superblock Vote Set Consensus,
-so the working set follows the *shard* size while the electorate grows
-arbitrarily.  This benchmark runs the same election (same seed, same election
-id, hence bit-identical ballot derivations) at 1, 4 and 16 shards through
-``MultiElectionService.run_sharded`` and records, per shard count:
+run one at a time (``sharding.workers == 1``) with their own collectors and
+superblock Vote Set Consensus, so the working set follows the *shard* size
+while the electorate grows arbitrarily.  This benchmark runs the same election
+(same seed, same election id, hence bit-identical ballot derivations) at 1, 4
+and 16 shards through ``MultiElectionService.run_sharded`` and records, per
+shard count:
 
 * ``ballots_per_s``   -- end-to-end pipeline throughput of an *untraced* run;
 * ``peak_traced_bytes`` -- tracemalloc peak of Python allocations during a
@@ -29,19 +30,22 @@ Gates (CI runs this with ``SHARD_SMOKE=1`` at 100k ballots; the full run is
 3. sublinear memory: the 16-shard peak is at least 2x below the 1-shard
    peak at the same electorate (working set follows the shard, not n).
 
-The parallel sweep (``test_parallel_worker_sweep``) runs the *same* 16-shard
-election with shard slices on a warm process pool at 1, 2 and 4 workers
-(:class:`repro.shard.ParallelShardedElectionDriver`) and gates:
+The worker sweep (``test_parallel_worker_sweep``) runs the *same* 16-shard
+election through the one :class:`repro.shard.ShardedElectionDriver` at
+``sharding.workers`` 1 (slices inline, the sequential reference row), 2 and 4
+(the same slices on a warm process pool) and gates:
 
 1. every run's cross-shard commit verifies;
 2. the global commit record is **bit-identical** (canonical wire frame) for
-   every worker count against the sequential pipeline;
-3. on a machine with >= 4 cores, 4 workers deliver at least 2x the
-   sequential ballots/s (skipped -- not silently passed -- on smaller
-   machines, where the speedup is physically impossible);
-4. the parent-process traced peak with ``max_inflight_shards=2`` stays
-   within 1.5x of the sequential peak: streaming the merge keeps the
-   parent's working set at O(inflight x record).
+   every worker count against the inline run;
+3. the inflight bound (``max_inflight_shards=2``) is honoured, and reached
+   from 2 workers on;
+4. the parent-process traced peak of a pooled run stays within 1.5x of the
+   inline peak: streaming the merge keeps the parent's working set at
+   O(inflight x record);
+5. on a machine with >= 4 cores, 4 workers deliver at least 2x the inline
+   ballots/s (skipped -- not silently passed -- on smaller machines, where
+   the speedup is physically impossible).
 
 Results land in ``benchmarks/results/sharded_pipeline.json`` and
 ``benchmarks/results/sharded_parallel.json``.
@@ -57,7 +61,7 @@ import pytest
 from repro.api import MultiElectionService, ScenarioSpec, ShardingProfile
 from repro.net.codec import MessageCodec
 from repro.perf.memory import MemoryTracker
-from repro.shard import ParallelShardedElectionDriver, ShardedElectionDriver
+from repro.shard import ShardedElectionDriver
 
 SMOKE = os.environ.get("SHARD_SMOKE") == "1"
 NUM_BALLOTS = 100_000 if SMOKE else 1_000_000
@@ -159,49 +163,24 @@ def test_sharded_pipeline_throughput_and_memory(benchmark, results_sink):
 
 
 def run_worker_sweep():
-    """One 16-shard election: sequential, then 1/2/4 pooled workers."""
-    spec = BASE.derive(
-        sharding=ShardingProfile(
-            num_shards=PARALLEL_SHARDS,
-            scale_batch_size=BASE.sharding.scale_batch_size,
-            scale_turnout=BASE.sharding.scale_turnout,
-        )
-    )
-    codec = MessageCodec(group=spec.crypto.build_group())
+    """One 16-shard election at 1 (inline), 2 and 4 (pooled) workers."""
+    codec = MessageCodec(group=BASE.crypto.build_group())
     tracker = MemoryTracker()
     rows = []
     frames = {}
-
-    sequential, traced, peak = timed_then_traced(
-        tracker,
-        "sequential",
-        lambda: ShardedElectionDriver(spec, num_ballots=NUM_BALLOTS).run(),
-    )
-    frames["sequential"] = codec.encode(sequential.global_record)
-    rows.append(
-        {
-            "mode": "sequential",
-            "workers": 0,
-            "num_shards": PARALLEL_SHARDS,
-            "num_ballots": NUM_BALLOTS,
-            "verified": sequential.report.ok and traced.report.ok,
-            "ballots_per_s": round(sequential.ballots_per_s, 1),
-            "duration_s": round(sequential.duration_s, 3),
-            "peak_inflight": 1,
-            "peak_traced_bytes": peak,
-            "cpu_count": CPU_COUNT,
-        }
-    )
-
     for workers in WORKER_COUNTS:
-
-        def run(workers=workers):
-            driver = ParallelShardedElectionDriver(
-                spec,
-                num_ballots=NUM_BALLOTS,
+        spec = BASE.derive(
+            sharding=ShardingProfile(
+                num_shards=PARALLEL_SHARDS,
+                scale_batch_size=BASE.sharding.scale_batch_size,
+                scale_turnout=BASE.sharding.scale_turnout,
                 workers=workers,
                 max_inflight_shards=MAX_INFLIGHT,
             )
+        )
+
+        def run(spec=spec):
+            driver = ShardedElectionDriver(spec, num_ballots=NUM_BALLOTS)
             return driver, driver.run()
 
         (driver, outcome), (_, traced), peak = timed_then_traced(
@@ -210,7 +189,8 @@ def run_worker_sweep():
         frames[workers] = codec.encode(outcome.global_record)
         rows.append(
             {
-                "mode": "parallel",
+                # one worker runs the slices inline: the sequential pipeline
+                "mode": "sequential" if workers == 1 else "parallel",
                 "workers": workers,
                 "num_shards": PARALLEL_SHARDS,
                 "num_ballots": NUM_BALLOTS,
@@ -227,7 +207,7 @@ def run_worker_sweep():
 
 @pytest.mark.benchmark(group="shard")
 def test_parallel_worker_sweep(benchmark, results_sink):
-    """Warm-pool shard execution at 1/2/4 workers vs the sequential pipeline."""
+    """The one driver at 1 (inline) / 2 / 4 (warm pool) workers."""
     save, show = results_sink
     rows, frames = benchmark.pedantic(run_worker_sweep, rounds=1, iterations=1)
     save("sharded_parallel", rows)
@@ -245,37 +225,37 @@ def test_parallel_worker_sweep(benchmark, results_sink):
     # the strongest equality the system defines (tally, commitments, digests
     # and signatures all live inside the frame).
     for workers in WORKER_COUNTS:
-        assert frames[workers] == frames["sequential"], (
+        assert frames[workers] == frames[1], (
             f"global commit record at {workers} workers diverged from the "
-            f"sequential pipeline"
+            f"inline run"
         )
 
     # Gate 3: the inflight bound was honored (and actually exercised beyond
     # one shard at a time once there are >= 2 workers).
-    by_workers = {row["workers"]: row for row in rows if row["mode"] == "parallel"}
+    by_workers = {row["workers"]: row for row in rows}
     for workers in WORKER_COUNTS:
         assert by_workers[workers]["peak_inflight"] <= MAX_INFLIGHT
     assert by_workers[2]["peak_inflight"] == MAX_INFLIGHT
 
     # Gate 4: streaming merge keeps the parent's traced peak flat -- within
-    # 1.5x of the sequential pipeline's peak even with shards in flight.
+    # 1.5x of the inline run's peak even with shards in flight.
     # (Worker-side allocations live in other processes; the parent holds
     # only O(inflight) wire frames and openings.)
-    sequential_peak = rows[0]["peak_traced_bytes"]
-    for workers in WORKER_COUNTS:
+    sequential_peak = by_workers[1]["peak_traced_bytes"]
+    for workers in WORKER_COUNTS[1:]:
         peak = by_workers[workers]["peak_traced_bytes"]
         assert peak <= PARALLEL_MEMORY_GATE * sequential_peak, (
             f"{workers}-worker parent peak {peak:,}B exceeds "
             f"{PARALLEL_MEMORY_GATE}x the sequential peak {sequential_peak:,}B"
         )
 
-    # Gate 5: >= 2x ballots/s at 4 workers vs sequential.  Only meaningful
+    # Gate 5: >= 2x ballots/s at 4 workers vs the inline run.  Only meaningful
     # where 4 workers can actually run in parallel; on smaller machines the
     # sweep still runs (invariance gates above), but the speedup assertion
     # would be physically impossible, so it is skipped loudly rather than
     # passed silently.
     if CPU_COUNT >= 4:
-        speedup = by_workers[4]["ballots_per_s"] / rows[0]["ballots_per_s"]
+        speedup = by_workers[4]["ballots_per_s"] / by_workers[1]["ballots_per_s"]
         assert speedup >= SPEEDUP_GATE, (
             f"4 workers delivered only {speedup:.2f}x the sequential "
             f"throughput (gate: {SPEEDUP_GATE}x)"

@@ -1,8 +1,8 @@
 """Event-driven election engine built from pluggable phase drivers.
 
-:class:`ElectionEngine` replaces the coordinator's hardwired phase sequence
-with five :class:`PhaseDriver` steps -- setup, voting, consensus, tally,
-audit -- run in order over a shared :class:`EngineContext`.  Around every
+:class:`ElectionEngine` is the one phase sequencer: :class:`PhaseDriver`
+steps -- setup, voting, consensus, tally, merge, audit -- run in order over a
+shared :class:`EngineContext`.  Around every
 driver the engine emits the typed events of :mod:`repro.api.events`
 (``PhaseStarted`` / ``PhaseCompleted`` plus the driver's own events such as
 ``BallotAccepted`` and ``ConsensusDecided``), so benchmarks, the load
@@ -14,9 +14,6 @@ Drivers split their work into ``prepare`` (build state), ``schedule``
 multi-election service can interleave the simulated phases of several
 elections on one shared scheduler; ``run`` composes the three for the
 single-election path.
-
-The deprecated :class:`repro.core.coordinator.ElectionCoordinator` is a thin
-shim over this engine.
 """
 
 from __future__ import annotations
@@ -449,8 +446,7 @@ class ElectionEngine:
     The spec is the declarative source of truth; the keyword overrides exist
     as injection points for pre-built objects (a shared group, a hand-crafted
     adversary, custom node classes) and take precedence over the spec's
-    corresponding declarative fields.  The deprecated coordinator shim uses
-    them to keep its old constructor working.
+    corresponding declarative fields.
     """
 
     def __init__(

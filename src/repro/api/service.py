@@ -34,7 +34,6 @@ from repro.core.outcome import ElectionOutcome
 from repro.net.simulator import Network
 from repro.perf.parallel import ParallelConfig
 from repro.shard.driver import ShardedElectionDriver, ShardedElectionOutcome
-from repro.shard.parallel_driver import ParallelShardedElectionDriver
 
 
 @dataclass
@@ -229,24 +228,18 @@ class MultiElectionService:
         Vote Set Consensus with O(shard) state, and the cross-shard commit
         layer verifies and combines the per-shard tallies homomorphically.
         ``num_ballots`` overrides the spec's electorate (``registered_ballots``
-        falling back to ``num_voters``).  With ``sharding.workers == 1``
-        shards run sequentially, so peak memory follows the shard size, not
-        the electorate; with ``workers > 1`` shard slices run concurrently on
-        a warm process pool (bounded by ``sharding.max_inflight_shards``)
-        with bit-identical outcomes.
+        falling back to ``num_voters``).  ``sharding.workers`` only decides
+        where the one driver runs its shard slices -- in this process one at
+        a time (1: peak memory follows the shard size, not the electorate) or
+        on a warm process pool bounded by ``sharding.max_inflight_shards`` --
+        and never what comes out.
         """
         name = name or spec.election_id
         if name in self.sharded_reports:
             raise ValueError(f"a sharded election named {name!r} already ran")
         if spec.election_id != name:
             spec = spec.derive(election_id=name)
-        driver_cls = (
-            ParallelShardedElectionDriver
-            if spec.sharding.parallel
-            else ShardedElectionDriver
-        )
-        driver = driver_cls(spec, num_ballots=num_ballots, on_shard=on_shard)
-        outcome = driver.run()
+        outcome = ShardedElectionDriver(spec, num_ballots=num_ballots, on_shard=on_shard).run()
         report = ShardedElectionReport(name=name, spec=spec, outcome=outcome)
         self.sharded_reports[name] = report
         return report

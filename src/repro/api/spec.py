@@ -2,8 +2,7 @@
 
 A :class:`ScenarioSpec` is a frozen, composable description of *one* election
 run: what is being voted on, how the replicated subsystems are sized, and how
-the five orthogonal concerns that used to sprawl across
-``ElectionParameters`` and the coordinator constructor are configured:
+its orthogonal concerns are configured:
 
 * :class:`ConsensusConfig` -- Vote Set Consensus batching;
 * :class:`AuditConfig`     -- end-of-election audit strategy and parallelism;
@@ -754,26 +753,13 @@ class CryptoProfile:
     ``to_dict``/``from_dict`` round-trips.  ``include_proofs=False`` skips
     ballot-correctness proof generation during setup, which speeds up
     scenarios that never audit.
-
-    ``group`` is the deprecated pre-registry spelling of ``backend`` and is
-    still accepted (both as a keyword and in ``from_dict`` payloads).
     """
 
     backend: str = "schnorr"
     include_proofs: bool = True
-    #: deprecated alias for ``backend``; normalized away in ``__post_init__``
-    group: Optional[str] = None
 
     def __post_init__(self) -> None:
-        name = self.backend
-        if self.group is not None:
-            if self.backend != "schnorr" and self.backend != self.group:
-                raise ValueError(
-                    "pass either backend= or the deprecated group=, not both"
-                )
-            name = self.group
-            object.__setattr__(self, "group", None)
-        object.__setattr__(self, "backend", resolve_backend_name(name))
+        object.__setattr__(self, "backend", resolve_backend_name(self.backend))
 
     def build_group(self) -> Group:
         return get_group(self.backend)
@@ -783,9 +769,8 @@ class CryptoProfile:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "CryptoProfile":
-        name = data.get("backend", data.get("group", "schnorr"))
         return cls(
-            backend=str(name),
+            backend=str(data.get("backend", "schnorr")),
             include_proofs=bool(data.get("include_proofs", True)),
         )
 
@@ -806,14 +791,12 @@ class ShardingProfile:
     Vote Set Consensus superblock size, and the deterministic turnout
     fraction of the derived electorate.
 
-    ``workers`` selects the execution mode of the scale pipeline: 1 (the
-    default) runs shards sequentially in-process; >1 runs shard slices
-    concurrently on a warm process pool
-    (:class:`repro.shard.ParallelShardedElectionDriver`) with outcomes
-    bit-identical to the sequential run by construction.
-    ``max_inflight_shards`` bounds how many shards may be pending at once
-    under the pool (``None`` = twice the worker count), capping the
-    parallel run's peak memory at O(inflight x shard).
+    ``workers`` says where :class:`repro.shard.ShardedElectionDriver` runs
+    the shard slices: 1 (the default) maps them in-process one at a time; >1
+    runs the same slice function on a warm process pool, with outcomes
+    bit-identical by construction.  ``max_inflight_shards`` bounds how many
+    shards may be pending at once under the pool (``None`` = twice the worker
+    count), capping a pooled run's peak memory at O(inflight x shard).
     """
 
     num_shards: int = 1
@@ -840,11 +823,6 @@ class ShardingProfile:
     @property
     def enabled(self) -> bool:
         return self.num_shards > 1
-
-    @property
-    def parallel(self) -> bool:
-        """Whether the scale pipeline runs shard slices on a process pool."""
-        return self.workers > 1
 
     def plan(self, num_serials: int):
         """The shard plan over serials ``[0, num_serials)``."""
@@ -1160,7 +1138,6 @@ class ScenarioSpec:
             database=costmodel.DatabaseCosts() if self.storage == "postgres" else None,
             num_ballots=self.electorate,
             num_options=self.num_options,
-            num_shards=self.sharding.num_shards,
         )
         kwargs.update(overrides)
         return costmodel.CostModel(**kwargs)
@@ -1208,8 +1185,7 @@ class ScenarioSpec:
 def paper_baseline() -> ScenarioSpec:
     """The paper's per-ballot protocol on the default small deployment.
 
-    Matches the historical ``ElectionCoordinator`` defaults exactly: one
-    consensus instance per ballot, batched audit on one worker, LAN
+    One consensus instance per ballot, batched audit on one worker, LAN
     conditions, honest everything.
     """
     return ScenarioSpec(

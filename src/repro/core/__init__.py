@@ -1,14 +1,14 @@
 """The D-DEMOS protocol: Election Authority, Vote Collectors, Bulletin Board,
-Trustees, Voters and Auditors, plus a coordinator that runs complete elections
-on the discrete-event network simulator.
+Trustees, Voters and Auditors.  ``repro.api.ElectionEngine`` runs complete
+elections of them on the discrete-event network simulator.
 """
 
 from repro.core.auditor import Auditor, AuditReport
 from repro.core.ballot import Ballot, BallotLine, BallotPart
 from repro.core.bulletin_board import BulletinBoardNode, MajorityReader
-from repro.core.coordinator import ElectionCoordinator, ElectionOutcome
 from repro.core.ea import ElectionAuthority, ElectionSetup
 from repro.core.election import ElectionParameters, FaultThresholds
+from repro.core.outcome import ElectionOutcome
 from repro.core.trustee import Trustee
 from repro.core.vote_collector import VoteCollectorNode
 from repro.core.voter import VoterClient
@@ -28,6 +28,5 @@ __all__ = [
     "VoterClient",
     "Auditor",
     "AuditReport",
-    "ElectionCoordinator",
     "ElectionOutcome",
 ]

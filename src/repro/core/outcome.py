@@ -1,9 +1,8 @@
 """The result object an election run produces.
 
-:class:`ElectionOutcome` used to live inside ``repro.core.coordinator``; it
-moved here so both the new event-driven engine (:mod:`repro.api.engine`) and
-the deprecated :class:`~repro.core.coordinator.ElectionCoordinator` shim can
-return the same type without importing each other.
+:class:`ElectionOutcome` lives in ``repro.core`` so the engine
+(:mod:`repro.api.engine`) can return it and the analysis layer can read it
+without importing the api package.
 """
 
 from __future__ import annotations
@@ -33,8 +32,7 @@ class ElectionOutcome:
     voters: List[VoterClient]
     tally: Optional[TallyResult]
     audit_report: Optional[AuditReport]
-    #: typed progress events emitted by the engine, in emission order (empty
-    #: when the run came through the deprecated coordinator phase methods).
+    #: typed progress events emitted by the engine, in emission order.
     events: List = field(default_factory=list)
     #: per-phase durations in *simulated* time (seconds of network time), so
     #: they are deterministic for a fixed scenario seed.

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.crypto.group import Group, GroupElement, _warn_direct_construction
+from repro.crypto.group import Group, GroupElement
 from repro.crypto.utils import sha256
 
 #: field prime 2^255 - 19
@@ -131,7 +131,6 @@ class Ed25519Group(Group):
     element_bytes = 32
 
     def __init__(self):
-        _warn_direct_construction(type(self))
         self.p = _P
         self.order = _L
         self.d = _D

@@ -31,7 +31,6 @@ from repro.crypto.group import (
     SchnorrElement,
     SchnorrFixedBase,
     SchnorrGroup,
-    _factory_construction,
     default_group,
 )
 
@@ -128,9 +127,8 @@ def make_gmpy2_group(p: Optional[int] = None, g: Optional[int] = None):
     the equivalent pure-python group (the process-wide default instance when
     no parameters are given), so the backend name is always usable.
     """
-    with _factory_construction():
-        if HAVE_GMPY2:
-            return Gmpy2SchnorrGroup(p=p, g=g)
-        if p is None and g is None:
-            return default_group()
-        return SchnorrGroup(p=p, g=g)
+    if HAVE_GMPY2:
+        return Gmpy2SchnorrGroup(p=p, g=g)
+    if p is None and g is None:
+        return default_group()
+    return SchnorrGroup(p=p, g=g)

@@ -20,52 +20,20 @@ Ed25519 twisted Edwards group with 32-byte compressed elements
 (:mod:`repro.crypto.ed25519`, ``"ed25519"``).
 
 Construct groups through :func:`repro.crypto.get_group` -- the registry in
-:mod:`repro.crypto.registry` -- rather than by instantiating backend classes
-directly; direct construction still works but emits a
-:class:`DeprecationWarning` (mirroring the coordinator shim of PR 3).  All
-protocol code (ElGamal, commitments, zero-knowledge proofs, Pedersen VSS,
-Schnorr signatures, batch verification) is written once against the abstract
-interface and runs over any registered backend.
+:mod:`repro.crypto.registry` -- so backend selection stays name-driven and
+parameterless groups share one warm instance.  All protocol code (ElGamal,
+commitments, zero-knowledge proofs, Pedersen VSS, Schnorr signatures, batch
+verification) is written once against the abstract interface and runs over
+any registered backend.
 """
 
 from __future__ import annotations
 
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.crypto.utils import RandomSource, default_random, hash_to_scalar, sha256
-
-#: Depth counter of registry-factory construction; when zero, instantiating a
-#: backend class directly warns (see :func:`repro.crypto.registry.get_group`).
-_FACTORY_DEPTH = 0
-
-
-class _factory_construction:
-    """Context manager marking group construction as registry-sanctioned."""
-
-    def __enter__(self) -> "_factory_construction":
-        global _FACTORY_DEPTH
-        _FACTORY_DEPTH += 1
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        global _FACTORY_DEPTH
-        _FACTORY_DEPTH -= 1
-
-
-def _warn_direct_construction(cls: type) -> None:
-    """Emit the deprecation warning for direct backend instantiation."""
-    if _FACTORY_DEPTH == 0:
-        warnings.warn(
-            f"constructing {cls.__name__} directly is deprecated; use "
-            "repro.crypto.get_group(name, **params) so backend selection "
-            "stays registry-driven",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
 
 class GroupElement:
     """Abstract element of a prime-order group (written multiplicatively)."""
@@ -446,7 +414,6 @@ class SchnorrGroup(Group):
     PRECOMPUTE_AFTER_USES = 32
 
     def __init__(self, p: Optional[int] = None, g: Optional[int] = None):
-        _warn_direct_construction(type(self))
         self.p = p if p is not None else self._DEFAULT_P
         self.order = (self.p - 1) // 2
         self.element_bytes = (self.p.bit_length() + 7) // 8 + 1
@@ -639,7 +606,6 @@ class EcGroup(Group):
     """secp256k1 written multiplicatively (point addition is ``*``)."""
 
     def __init__(self):
-        _warn_direct_construction(type(self))
         self.p = _SECP256K1_P
         self.a = _SECP256K1_A
         self.b = _SECP256K1_B
@@ -723,7 +689,6 @@ def default_group() -> SchnorrGroup:
     """Return the process-wide default group (pure-python Schnorr backend)."""
     global _DEFAULT_GROUP
     if _DEFAULT_GROUP is None:
-        with _factory_construction():
-            _DEFAULT_GROUP = SchnorrGroup()
+        _DEFAULT_GROUP = SchnorrGroup()
         _DEFAULT_GROUP.backend_name = "schnorr"
     return _DEFAULT_GROUP

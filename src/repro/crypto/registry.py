@@ -23,9 +23,7 @@ parameters always constructs a fresh group.  ``CryptoProfile.backend`` in
 :mod:`repro.api.spec` validates against this registry, so scenario configs
 and backend selection can never drift apart.
 
-Third-party backends can be added with :func:`register_backend`; the factory
-is invoked inside the registry's construction context so backend classes that
-warn on direct construction stay silent.
+Third-party backends can be added with :func:`register_backend`.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.crypto.group import Group, _factory_construction, default_group
+from repro.crypto.group import Group, default_group
 
 
 @dataclass(frozen=True)
@@ -76,9 +74,7 @@ def register_backend(
 ) -> None:
     """Register a named group backend.
 
-    ``factory(**params)`` must return a :class:`Group`.  It is invoked inside
-    the registry construction context, so backends that deprecation-warn on
-    direct instantiation construct silently through the registry.
+    ``factory(**params)`` must return a :class:`Group`.
     """
     key = name.lower()
     with _LOCK:
@@ -137,8 +133,7 @@ def get_group(name: str = "schnorr", **params: object) -> Group:
         if cached is not None:
             return cached
     entry = _REGISTRY[canonical]
-    with _factory_construction():
-        group = entry.factory(**params)
+    group = entry.factory(**params)
     if group.backend_name is None:
         group.backend_name = canonical
     if not params:

@@ -44,13 +44,13 @@ from repro.perf.costmodel import (
     DatabaseCosts,
     MachineSpec,
     NetworkProfile,
-    ShardingCosts,
 )
 from repro.perf.loadsim import LoadResult, OpenLoopResult, VoteCollectionLoadSimulator
 from repro.perf.memory import MemorySample, MemoryTracker, current_rss_bytes
 from repro.perf.parallel import (
     ParallelConfig,
     PoolTaskError,
+    PoolWorkerDied,
     WarmProcessPool,
     parallel_map,
     parallel_reduce,
@@ -81,7 +81,7 @@ __all__ = [
     "current_rss_bytes",
     "ParallelConfig",
     "PoolTaskError",
-    "ShardingCosts",
+    "PoolWorkerDied",
     "WarmProcessPool",
     "parallel_map",
     "parallel_reduce",

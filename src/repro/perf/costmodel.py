@@ -472,47 +472,6 @@ class AdmissionCosts:
 
 
 @dataclass(frozen=True)
-class ShardingCosts:
-    """Wall-clock model of the sharded scale pipeline (sequential + pooled).
-
-    The pipeline splits into an embarrassingly parallel part -- the per-shard
-    slices (admission hashing, superblock VSC, streaming tally) -- and a
-    serial part that cannot parallelize: the cross-shard PREPARE folds, the
-    COMMIT's batch-verified openings, and opening the merged tally.  That is
-    exactly Amdahl's law with per-worker pool spin-up as the parallel
-    overhead term; :meth:`CostModel.sharded_wall_clock_estimate` applies it
-    to a concrete electorate.
-
-    Defaults are calibrated against ``bench_sharded_pipeline.py`` on the
-    pure-python backend (~50k ballots/s sequential -> ~0.02 ms/ballot).
-    """
-
-    #: per-ballot slice cost: ~4 SHA-256 for derivation/admission plus the
-    #: amortized consensus and streaming-tally additions.
-    slice_ms_per_ballot: float = 0.02
-    #: per-shard serial cost: PREPARE fold + its share of the batched
-    #: opening verification and digest binding.
-    merge_ms_per_shard: float = 2.5
-    #: one-off serial cost: coverage check, global record, final tally open.
-    commit_overhead_ms: float = 5.0
-    #: forking a worker and running its warm-up initializer (group build,
-    #: fixed-base tables).  Workers fork and warm *concurrently*, so the
-    #: wall-clock estimate charges this once per parallel run, not once per
-    #: worker -- but it is still the per-worker CPU cost, hence the name.
-    spinup_ms_per_worker: float = 120.0
-
-    def __post_init__(self) -> None:
-        for name in (
-            "slice_ms_per_ballot",
-            "merge_ms_per_shard",
-            "commit_overhead_ms",
-            "spinup_ms_per_worker",
-        ):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} cannot be negative")
-
-
-@dataclass(frozen=True)
 class MachineSpec:
     """The physical machines hosting the VC nodes (the paper used 4)."""
 
@@ -557,7 +516,6 @@ class CostModel:
     consensus: ConsensusCosts = field(default_factory=ConsensusCosts)
     bandwidth: BandwidthCosts = field(default_factory=BandwidthCosts)
     admission: AdmissionCosts = field(default_factory=AdmissionCosts)
-    sharding: ShardingCosts = field(default_factory=ShardingCosts)
     database: Optional[DatabaseCosts] = None
     num_ballots: int = 200_000
     num_options: int = 4
@@ -565,8 +523,6 @@ class CostModel:
     #: (the historical model), >1 scales the endorsement-verification stages
     #: by the predicted small-exponent batch speedup.
     endorse_batch_size: int = 1
-    #: ballot-range shards of the scale pipeline (1 = unsharded).
-    num_shards: int = 1
 
     # -- per-stage CPU / disk work (all in milliseconds) ------------------------------
 
@@ -719,40 +675,3 @@ class CostModel:
             + self.helper_vote_pending_ms(num_vc)
             + self.responder_reconstruct_ms(num_vc)
         )
-
-    def sharded_wall_clock_estimate(
-        self, workers: int, num_shards: Optional[int] = None
-    ) -> float:
-        """Predicted wall clock (seconds) of the sharded pipeline.
-
-        Amdahl's law for the scale pipeline: the shard slices are
-        embarrassingly parallel and run in ``ceil(num_shards / workers)``
-        waves, while the cross-shard merge (PREPARE folds, batched opening
-        verification, final tally open) stays serial, and parallel runs pay
-        one pool spin-up (workers fork and warm concurrently, so wall clock
-        sees a single warm-up regardless of the worker count).  At
-        ``workers == 1`` this reduces to the sequential estimate with zero
-        spin-up.
-        """
-        if workers < 1:
-            raise ValueError("workers must be at least 1")
-        shards = self.num_shards if num_shards is None else num_shards
-        if shards < 1:
-            raise ValueError("num_shards must be at least 1")
-        costs = self.sharding
-        effective = min(workers, shards)
-        waves = -(-shards // effective)  # ceil division
-        ballots_per_shard = self.num_ballots / shards
-        parallel_s = waves * ballots_per_shard * costs.slice_ms_per_ballot / 1000.0
-        serial_s = (
-            shards * costs.merge_ms_per_shard + costs.commit_overhead_ms
-        ) / 1000.0
-        spinup_s = costs.spinup_ms_per_worker / 1000.0 if workers > 1 else 0.0
-        return parallel_s + serial_s + spinup_s
-
-    def sharded_speedup_estimate(
-        self, workers: int, num_shards: Optional[int] = None
-    ) -> float:
-        """Predicted speedup of ``workers`` over the sequential pipeline."""
-        base = self.sharded_wall_clock_estimate(1, num_shards)
-        return base / self.sharded_wall_clock_estimate(workers, num_shards)

@@ -4,22 +4,25 @@ BB reconstruction, auditor re-verification and tally opening are
 embarrassingly parallel: the work is a large list of independent checks
 (signatures, commitment openings, zero-knowledge proofs) or an associative
 reduction (the homomorphic tally product).  This module provides the one
-scheduling primitive all of them share:
+scheduling primitive all of them share, and the one process pool of the
+package:
 
+* :class:`WarmProcessPool` -- the only place a ``ProcessPoolExecutor`` is
+  built, warmed, bounded, failed and shut down.  Workers run a one-time
+  initializer (group construction, fixed-base tables, the chunk function) and
+  then serve many submissions; :meth:`WarmProcessPool.imap_unordered` streams
+  results back in completion order under a bounded-inflight submission
+  window.  The shard driver keeps one for a whole election (or borrows a
+  shared one); :func:`parallel_chunk_map` owns one for the call;
 * :func:`parallel_map` / :func:`parallel_chunk_map` -- order-preserving maps
-  over a ``ProcessPoolExecutor``, with a **deterministic serial fallback**
-  when the input is small (the pool's fork/pickle overhead dwarfs the work)
-  or when ``workers == 1``;
+  over such a pool, with a **deterministic serial fallback** when the input is
+  small (the pool's fork/pickle overhead dwarfs the work) or when
+  ``workers == 1``;
 * :func:`parallel_reduce` -- a chunked tree reduction for associative
   operators (each worker folds one chunk; the parent folds the partials);
 * :func:`chunk_seeds` -- deterministic per-chunk RNG seeds, so randomized
   work (e.g. the small exponents of batch verification) is reproducible for
-  a fixed ``(base_seed, chunk_size)`` regardless of the worker count;
-* :class:`WarmProcessPool` -- a *persistent* pool for long-lived pipelines
-  (the parallel shard driver): workers run a one-time initializer (group
-  construction, fixed-base tables) and then serve many submissions, with
-  :meth:`WarmProcessPool.imap_unordered` streaming results back in
-  completion order under a bounded-inflight submission window.
+  a fixed ``(base_seed, chunk_size)`` regardless of the worker count.
 
 Workers receive *chunks*, not single items, so pickling cost is paid once
 per chunk; the chunk function itself crosses the process boundary exactly
@@ -48,7 +51,7 @@ from typing import (
 
 from repro.crypto.utils import default_random, sha256
 
-if TYPE_CHECKING:  # annotations only; see parallel_chunk_map for the runtime import
+if TYPE_CHECKING:  # annotations only; see WarmProcessPool._ensure for the runtime import
     from concurrent.futures import Future, ProcessPoolExecutor
 
 ItemT = TypeVar("ItemT")
@@ -156,33 +159,23 @@ def parallel_chunk_map(
     seeds = chunk_seeds(config.base_seed, len(chunks))
     if config.use_serial(len(items)):
         return [chunk_fn(chunk, seed) for chunk, seed in zip(chunks, seeds, strict=True)]
-    workers = min(config.resolved_workers(), len(chunks))
-    tasks = list(zip(chunks, seeds, strict=True))
-    # Imported where a pool is built: a single-process run does not pay for
-    # concurrent.futures.process and multiprocessing (~30 ms, ~5 MiB).
-    from concurrent.futures import ProcessPoolExecutor
-
     # The chunk function crosses the process boundary exactly once, via the
-    # worker initializer; each submitted task pickles only (chunk, seed).
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_init_chunk_worker, initargs=(chunk_fn,)
+    # worker initializer; each submitted task pickles only (index, chunk, seed).
+    results: List[Any] = [None] * len(chunks)
+    with WarmProcessPool(
+        workers=min(config.resolved_workers(), len(chunks)),
+        initializer=_init_chunk_worker,
+        initargs=(chunk_fn,),
     ) as pool:
-        return list(
-            pool.map(_call_chunk, tasks, chunksize=submit_chunksize(len(tasks), workers))
-        )
-
-
-def submit_chunksize(num_tasks: int, workers: int) -> int:
-    """``chunksize`` for ``pool.map``: ~4 submission batches per worker.
-
-    Batching submissions amortizes the executor's per-task queue/wakeup
-    overhead without hurting load balance (each worker still gets several
-    batches).  This only groups *submissions*; chunk boundaries -- and
-    therefore per-chunk seeds and results -- are untouched.
-    """
-    if num_tasks < 1 or workers < 1:
-        raise ValueError("num_tasks and workers must be at least 1")
-    return max(1, num_tasks // (workers * 4))
+        try:
+            for (index, _, _), result in pool.imap_unordered(
+                _call_chunk, zip(range(len(chunks)), chunks, seeds, strict=True)
+            ):
+                results[index] = result
+        except PoolTaskError as exc:
+            # What the serial path would have raised: the chunk function's own error.
+            raise exc.__cause__
+    return results
 
 
 #: per-worker chunk function installed by :func:`_init_chunk_worker`.
@@ -195,11 +188,11 @@ def _init_chunk_worker(chunk_fn: Callable) -> None:
     _CHUNK_WORKER_FN = chunk_fn
 
 
-def _call_chunk(packed: Tuple[Sequence[ItemT], int]) -> ResultT:
-    """Module-level trampoline: ``pool.map`` needs a top-level function."""
+def _call_chunk(packed: Tuple[int, Sequence[ItemT], int]) -> ResultT:
+    """Module-level trampoline: the pool needs a top-level function."""
     if _CHUNK_WORKER_FN is None:
         raise RuntimeError("chunk worker used before its initializer ran")
-    chunk, seed = packed
+    _, chunk, seed = packed
     return _CHUNK_WORKER_FN(chunk, seed)
 
 
@@ -271,15 +264,28 @@ class PoolTaskError(RuntimeError):
         self.task = task
 
 
+class PoolWorkerDied(RuntimeError):
+    """A worker process died (killed, ``os._exit``, out of memory) mid-drive.
+
+    The executor cannot say which task the dead worker was running, so
+    ``tasks`` lists every task that was submitted and not yet yielded -- one
+    of them took the worker down, the others are innocent.
+    """
+
+    def __init__(self, tasks: Sequence[Any]):
+        super().__init__(f"a pool worker died with {len(tasks)} task(s) in flight: {tasks!r}")
+        self.tasks = list(tasks)
+
+
 class WarmProcessPool:
     """A persistent process pool whose workers warm up exactly once.
 
-    ``ProcessPoolExecutor`` as used by :func:`parallel_chunk_map` lives for
-    one map call; pipelines that issue many rounds of work (the parallel
-    shard driver, pool-reusing tests) want the opposite: spawn workers once,
-    run ``initializer(*initargs)`` in each (group construction, fixed-base
-    tables, scheme derivation -- the expensive per-process state), then keep
-    submitting until :meth:`shutdown`.
+    Spawn workers once, run ``initializer(*initargs)`` in each (group
+    construction, fixed-base tables, scheme derivation -- the expensive
+    per-process state), then keep submitting until :meth:`shutdown`: the shape
+    pipelines that issue many rounds of work want (the shard driver,
+    pool-reusing tests), and the one :func:`parallel_chunk_map` uses for a
+    single round.
 
     The executor is created lazily on first use, so constructing a pool is
     free; ``initargs`` stays exposed as a fingerprint letting callers verify
@@ -306,7 +312,9 @@ class WarmProcessPool:
 
     def _ensure(self) -> ProcessPoolExecutor:
         if self._executor is None:
-            from concurrent.futures import ProcessPoolExecutor  # see parallel_chunk_map
+            # Imported where a pool is built: a single-process run does not pay
+            # for concurrent.futures.process and multiprocessing (~30 ms, ~5 MiB).
+            from concurrent.futures import ProcessPoolExecutor
 
             self._executor = ProcessPoolExecutor(
                 max_workers=self.workers,
@@ -331,8 +339,10 @@ class WarmProcessPool:
         at any moment -- submission is demand-driven, so peak memory for
         task payloads and un-consumed results is O(inflight), not O(tasks).
         A worker exception cancels everything still pending and raises
-        :class:`PoolTaskError` naming the failed task; the pool itself stays
-        usable afterwards.
+        :class:`PoolTaskError` naming the failed task; a worker *death* raises
+        :class:`PoolWorkerDied` listing the tasks in flight and drops the
+        broken executor.  Either way the pool stays usable: after a death the
+        next use spawns and re-warms fresh workers.
         """
         queue = list(tasks)
         self.peak_inflight = 0
@@ -341,9 +351,10 @@ class WarmProcessPool:
         if max_inflight is None:
             max_inflight = 2 * self.workers
         max_inflight = max(1, max_inflight)
-        from concurrent.futures import FIRST_COMPLETED, wait
-
         executor = self._ensure()
+        from concurrent.futures import FIRST_COMPLETED, wait
+        from concurrent.futures.process import BrokenProcessPool
+
         backlog = iter(queue)
         pending: Dict[Future, ItemT] = {}
 
@@ -355,23 +366,33 @@ class WarmProcessPool:
             self.peak_inflight = max(self.peak_inflight, len(pending))
             return True
 
-        while len(pending) < max_inflight and submit_next():
-            pass
-        while pending:
-            done, _ = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                task = pending.pop(future)
-                try:
-                    result = future.result()
-                except BaseException as exc:
-                    for straggler in pending:
-                        straggler.cancel()
-                    raise PoolTaskError(task, exc) from exc
-                # Refill before yielding: the next slice starts while the
-                # caller is still folding this one into the merge.
-                while len(pending) < max_inflight and submit_next():
-                    pass
-                yield task, result
+        try:
+            while len(pending) < max_inflight and submit_next():
+                pass
+            while pending:
+                done, _ = wait(pending, return_when=FIRST_COMPLETED)
+                for future in done:
+                    try:
+                        result = future.result()
+                    except BrokenProcessPool:
+                        raise
+                    except Exception as exc:
+                        raise PoolTaskError(pending.pop(future), exc) from exc
+                    task = pending.pop(future)
+                    # Refill before yielding: the next slice starts while the
+                    # caller is still folding this one into the merge.
+                    while len(pending) < max_inflight and submit_next():
+                        pass
+                    yield task, result
+        except BrokenProcessPool as exc:
+            # Every pending future fails with this error, whichever the dead
+            # worker ran, and ``submit`` raises it from then on.
+            self.shutdown(wait_for_workers=False)
+            raise PoolWorkerDied(list(pending.values())) from exc
+        finally:
+            # A failed or abandoned drive leaves nothing queued behind it.
+            for straggler in pending:
+                straggler.cancel()
 
     def shutdown(self, wait_for_workers: bool = True) -> None:
         """Stop the workers; the next use spawns (and re-warms) fresh ones."""

@@ -7,13 +7,13 @@ per-shard tally commitments and combines them homomorphically into the global
 tally (``streaming``) without ever materializing all ballots at once.
 """
 
-from repro.shard.driver import ShardedElectionDriver, ShardedElectionOutcome
-from repro.shard.merge import CrossShardCommit, ShardCommitReport, verify_shard_records
-from repro.shard.parallel_driver import (
-    ParallelShardedElectionDriver,
+from repro.shard.driver import (
     ShardExecutionError,
+    ShardedElectionDriver,
+    ShardedElectionOutcome,
     shard_worker_pool,
 )
+from repro.shard.merge import CrossShardCommit, ShardCommitReport, verify_shard_records
 from repro.shard.partition import ShardPlan, ShardRange, sharded_partition
 from repro.shard.records import GlobalCommitRecord, ShardCommitRecord
 from repro.shard.shard_runner import ShardRunner, ShardSliceResult, VoteCodeRejected
@@ -40,7 +40,6 @@ __all__ = [
     "VoteCodeRejected",
     "ShardedElectionDriver",
     "ShardedElectionOutcome",
-    "ParallelShardedElectionDriver",
     "ShardExecutionError",
     "shard_worker_pool",
 ]

@@ -2,11 +2,35 @@
 
 ``ShardedElectionDriver`` is the scale pipeline behind
 ``MultiElectionService.run_sharded``: it derives the shard plan from the
-scenario's electorate, runs one :class:`ShardRunner` per range *sequentially*
-(so at most one shard's working set is alive at a time — that is the O(shard)
-memory claim), streams each shard's commitment into the cross-shard commit,
-and finishes with the two-phase commit, an independent re-verification of the
-published records, and the opened global tally.
+scenario's electorate, runs one :class:`ShardRunner` slice per range, streams
+each slice's commitment into the cross-shard commit, and finishes with the
+two-phase commit, an independent re-verification of the published records,
+and the opened global tally.  There is one driver and one slice function;
+``spec.sharding.workers`` only decides where the slices run:
+
+inline      ``workers == 1``: the slice function is mapped over the plan in
+            this process, lazily, so at most one shard's working set is alive
+            at a time (the O(shard) memory claim).  No process is spawned,
+            nothing is serialized and neither ``concurrent.futures`` nor
+            ``multiprocessing`` is imported.
+
+pooled      ``workers > 1``: the same slice function runs on a
+            :class:`~repro.perf.parallel.WarmProcessPool` whose initializer
+            builds the group, its fixed-base tables and the commitment scheme
+            *once per worker process* from ``(backend, num_options, seed)``,
+            so that state never crosses a process boundary.  Results come
+            back as **codec frames + opening scalars**
+            (:meth:`ShardSliceResult.to_wire_dict`), never pickled group
+            elements: gmpy2 ``mpz`` values have no pickle-stable identity and
+            the curve backends carry backend-specific element classes.
+
+Either way finished slices fold into :meth:`CrossShardCommit.prepare` in
+*completion* order.  Every slice is a pure function of ``(seed, election_id,
+shard_range, scheme)`` and group multiplication commutes, so the global commit
+record, its digests and the tally are bit-identical for every worker count and
+completion order.  ``sharding.max_inflight_shards`` bounds how many slices may
+be pending on the pool, so the parent holds O(inflight x record) and each
+worker O(shard).
 
 The driver deliberately depends only on duck-typed spec fields (``options``,
 ``electorate``, ``election_id``, ``seed``, ``crypto``, ``sharding``), not on
@@ -16,18 +40,29 @@ The driver deliberately depends only on duck-typed spec fields (``options``,
 from __future__ import annotations
 
 import time
+from contextlib import closing
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Iterator, List, Mapping, Optional, Tuple
 
 from repro.core.tally import TallyResult
 from repro.crypto.commitments import OptionEncodingScheme
 from repro.crypto.group import Group
+from repro.crypto.registry import get_group
 from repro.crypto.utils import int_to_bytes
-from repro.net.codec import MessageCodec, default_codec
+from repro.net.codec import MessageCodec
+from repro.perf.parallel import PoolTaskError, WarmProcessPool
 from repro.shard.merge import CrossShardCommit, ShardCommitReport, verify_shard_records
-from repro.shard.partition import ShardPlan
+from repro.shard.partition import ShardPlan, ShardRange
 from repro.shard.records import GlobalCommitRecord
 from repro.shard.shard_runner import ShardRunner, ShardSliceResult
+
+
+class ShardExecutionError(RuntimeError):
+    """A shard's slice raised; names the shard, the slice's error is ``__cause__``."""
+
+    def __init__(self, shard_id: int, cause: BaseException):
+        super().__init__(f"shard {shard_id} failed: {cause}")
+        self.shard_id = shard_id
 
 
 def derive_scheme(group: Group, num_options: int, seed: int) -> OptionEncodingScheme:
@@ -43,39 +78,69 @@ def derive_scheme(group: Group, num_options: int, seed: int) -> OptionEncodingSc
     return OptionEncodingScheme(num_options, public_key, group)
 
 
-def commit_and_verify(
-    merge: CrossShardCommit,
-    scheme: OptionEncodingScheme,
-    election_id: str,
-    options: Tuple[str, ...],
-    codec: MessageCodec,
-):
-    """COMMIT phase shared by both drivers: commit, re-verify, open the tally.
+# -- the slice -----------------------------------------------------------------
 
-    Returns ``(tally, global_record, report)``; raises if the published
-    commit fails the independent re-verification.
+@dataclass
+class _SliceState:
+    """What every slice of one election shares; built once per process."""
+
+    scheme: OptionEncodingScheme
+    seed: int
+    election_id: str
+    codec: MessageCodec
+
+
+def _run_slice(state: _SliceState, task: dict) -> ShardSliceResult:
+    """One shard's election slice (the only place a ``ShardRunner`` is built)."""
+    return ShardRunner(
+        ShardRange(task["shard_id"], task["lo"], task["hi"]),
+        scheme=state.scheme,
+        seed=state.seed,
+        election_id=state.election_id,
+        num_collectors=task["num_collectors"],
+        consensus_batch_size=task["consensus_batch_size"],
+        turnout=task["turnout"],
+        codec=state.codec,
+        tampered_codes=task["tampered_codes"],
+    ).run()
+
+
+#: a pool worker's state: installed by the initializer, which receives only
+#: picklable primitives, and shared by every slice that lands on the worker.
+_WORKER: Optional[_SliceState] = None
+
+
+def _init_shard_worker(backend: str, num_options: int, seed: int, election_id: str) -> None:
+    """Once per worker process: group + fixed-base tables + scheme."""
+    global _WORKER
+    scheme = derive_scheme(get_group(backend), num_options, seed)
+    _WORKER = _SliceState(scheme, seed, election_id, MessageCodec(group=scheme.group))
+
+
+def _run_slice_in_worker(task: dict) -> dict:
+    """:func:`_run_slice` on the worker's state, in process-boundary wire form."""
+    if _WORKER is None:
+        raise RuntimeError("shard worker used before its initializer ran")
+    return _run_slice(_WORKER, task).to_wire_dict()
+
+
+def worker_initargs(spec) -> tuple:
+    """The (picklable) identity a pool must be warmed with for ``spec``."""
+    return (spec.crypto.backend, len(spec.options), int(spec.seed), spec.election_id)
+
+
+def shard_worker_pool(spec) -> WarmProcessPool:
+    """A warm pool of ``spec.sharding.workers`` workers initialized for ``spec``'s election.
+
+    Reusable across any number of :class:`ShardedElectionDriver` runs of the
+    *same* election identity (backend, options, seed, id) -- hand it to the
+    driver's ``pool=`` to amortize worker warm-up.
     """
-    global_record = merge.commit(election_id)
-    records = tuple(merge.records_in_order())
-    problems = tuple(verify_shard_records(scheme, records, global_record, codec))
-    tally = merge.open_merged_tally(options)
-    report = ShardCommitReport(records, global_record, problems)
-    if not report.ok:
-        raise RuntimeError(f"cross-shard commit failed verification: {list(problems)}")
-    return tally, global_record, report
-
-
-def shard_stat_row(result: ShardSliceResult) -> dict:
-    """The per-shard statistics row both drivers publish in ``shard_stats``."""
-    return {
-        "shard_id": result.shard_id,
-        "ballots_registered": result.record.ballots_registered,
-        "ballots_cast": result.ballots_cast,
-        "messages_sent": result.messages_sent,
-        "superblocks_fast": result.superblocks_fast,
-        "superblocks_fallback": result.superblocks_fallback,
-        "duration_s": result.duration_s,
-    }
+    return WarmProcessPool(
+        workers=spec.sharding.workers,
+        initializer=_init_shard_worker,
+        initargs=worker_initargs(spec),
+    )
 
 
 @dataclass
@@ -115,7 +180,14 @@ class ShardedElectionOutcome:
 
 
 class ShardedElectionDriver:
-    """Run an election of any size through the sharded pipeline."""
+    """Run an election of any size through the sharded pipeline.
+
+    ``pool`` injects the executor of a pooled run (``spec.sharding.workers >
+    1``): a :func:`shard_worker_pool` warmed for this election, which the
+    driver borrows and leaves running.  Without it a pooled run starts its own
+    pool and shuts it down.  ``tampered_codes`` is the fault-injection hook:
+    serial -> the (wrong) code that voter submits.
+    """
 
     def __init__(
         self,
@@ -123,50 +195,118 @@ class ShardedElectionDriver:
         num_ballots: Optional[int] = None,
         codec: Optional[MessageCodec] = None,
         on_shard: Optional[Callable[[ShardSliceResult], None]] = None,
+        pool: Optional[WarmProcessPool] = None,
+        tampered_codes: Optional[Mapping[int, bytes]] = None,
     ):
         self.spec = spec
         self.num_ballots = int(num_ballots if num_ballots is not None else spec.electorate)
         if self.num_ballots < 1:
             raise ValueError("a sharded election needs at least one ballot")
-        self.codec = codec or default_codec()
+        self.codec = codec
         self.on_shard = on_shard
         self.sharding = spec.sharding
         self.plan = ShardPlan.split(0, self.num_ballots, self.sharding.num_shards)
+        self.tampered_codes = dict(tampered_codes or {})
+        if pool is not None and pool.initargs != worker_initargs(spec):
+            raise ValueError(
+                f"pool was warmed for {pool.initargs}, "
+                f"this election needs {worker_initargs(spec)}"
+            )
+        self._pool = pool
+        #: highest number of simultaneously in-flight shards during the last
+        #: run (what the memory-bound tests assert on); 1 for an inline run.
+        self.peak_inflight = 0
 
-    def build_scheme(self) -> OptionEncodingScheme:
-        """The commitment scheme for this driver's election (see :func:`derive_scheme`)."""
-        return derive_scheme(
-            self.spec.crypto.build_group(), len(self.spec.options), self.spec.seed
-        )
+    def _tasks(self) -> List[dict]:
+        return [
+            {
+                "shard_id": shard.shard_id,
+                "lo": shard.lo,
+                "hi": shard.hi,
+                "num_collectors": self.sharding.scale_collectors,
+                "consensus_batch_size": self.sharding.scale_batch_size,
+                "turnout": self.sharding.scale_turnout,
+                "tampered_codes": {
+                    serial: code
+                    for serial, code in self.tampered_codes.items()
+                    if serial in shard
+                },
+            }
+            for shard in self.plan.ranges
+        ]
+
+    def _inline_slices(self, state: _SliceState) -> Iterator[ShardSliceResult]:
+        """The slices run here, one at a time: the runner (opinion/decision
+        dicts included) dies before the next starts."""
+        self.peak_inflight = 1
+        for task in self._tasks():
+            try:
+                result = _run_slice(state, task)
+            except Exception as exc:
+                raise ShardExecutionError(task["shard_id"], exc) from exc
+            yield result
+
+    def _pooled_slices(self, codec: MessageCodec) -> Iterator[ShardSliceResult]:
+        """The slices run on the pool, decoded into this process's group.
+
+        A slice that raises is named; a killed worker is not pinned on a shard
+        (:class:`~repro.perf.parallel.PoolWorkerDied` lists what was in flight).
+        """
+        pool = self._pool or shard_worker_pool(self.spec)
+        try:
+            for _, wire in pool.imap_unordered(
+                _run_slice_in_worker,
+                self._tasks(),
+                max_inflight=self.sharding.max_inflight_shards,
+            ):
+                yield ShardSliceResult.from_wire_dict(wire, codec)
+        except PoolTaskError as exc:
+            raise ShardExecutionError(exc.task["shard_id"], exc.__cause__) from exc.__cause__
+        finally:
+            self.peak_inflight = pool.peak_inflight
+            if pool is not self._pool:
+                pool.shutdown()
 
     def run(self) -> ShardedElectionOutcome:
         started = time.perf_counter()
-        scheme = self.build_scheme()
-        merge = CrossShardCommit(scheme, codec=self.codec)
-        shard_stats: List[dict] = []
-        for shard in self.plan.ranges:
-            runner = ShardRunner(
-                shard,
-                scheme=scheme,
-                seed=self.spec.seed,
-                election_id=self.spec.election_id,
-                num_collectors=self.sharding.scale_collectors,
-                consensus_batch_size=self.sharding.scale_batch_size,
-                turnout=self.sharding.scale_turnout,
-                codec=self.codec,
-            )
-            result = runner.run()
-            merge.prepare(result.record, result.opening)
-            shard_stats.append(shard_stat_row(result))
-            if self.on_shard is not None:
-                self.on_shard(result)
-            # The runner (opinion/decision dicts included) dies here; only the
-            # O(num_options) record + opening survive into the merge.
-            del runner, result
-
-        tally, global_record, report = commit_and_verify(
-            merge, scheme, self.spec.election_id, tuple(self.spec.options), self.codec
+        scheme = derive_scheme(
+            self.spec.crypto.build_group(), len(self.spec.options), self.spec.seed
         )
+        codec = self.codec or MessageCodec(group=scheme.group)
+        merge = CrossShardCommit(scheme, codec=codec)
+        if self.sharding.workers == 1:
+            slices = self._inline_slices(
+                _SliceState(scheme, self.spec.seed, self.spec.election_id, codec)
+            )
+        else:
+            slices = self._pooled_slices(codec)
+        shard_stats: List[dict] = []
+        with closing(slices):  # an owned pool stops here even when the merge raises
+            for result in slices:
+                # Only the O(num_options) record + opening survive into the merge.
+                merge.prepare(result.record, result.opening)
+                shard_stats.append(
+                    {
+                        "shard_id": result.shard_id,
+                        "ballots_registered": result.record.ballots_registered,
+                        "ballots_cast": result.ballots_cast,
+                        "messages_sent": result.messages_sent,
+                        "superblocks_fast": result.superblocks_fast,
+                        "superblocks_fallback": result.superblocks_fallback,
+                        "duration_s": result.duration_s,
+                    }
+                )
+                if self.on_shard is not None:
+                    self.on_shard(result)
+
+        # COMMIT: commit, re-verify what was published, open the tally.
+        global_record = merge.commit(self.spec.election_id)
+        records = tuple(merge.records_in_order())
+        problems = tuple(verify_shard_records(scheme, records, global_record, codec))
+        tally = merge.open_merged_tally(tuple(self.spec.options))
+        report = ShardCommitReport(records, global_record, problems)
+        if not report.ok:
+            raise RuntimeError(f"cross-shard commit failed verification: {list(problems)}")
         return ShardedElectionOutcome(
             election_id=self.spec.election_id,
             options=tuple(self.spec.options),

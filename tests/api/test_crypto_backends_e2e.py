@@ -70,15 +70,9 @@ class TestBackendRoundTrip:
         assert restored.crypto.backend == backend
         assert restored == spec
 
-    def test_legacy_group_alias_normalizes(self):
-        assert CryptoProfile(group="ec").backend == "secp256k1"
-        assert CryptoProfile(group="schnorr") == CryptoProfile()
-        # Old serialized profiles round-trip onto the new field.
-        assert CryptoProfile.from_dict({"group": "ec"}).backend == "secp256k1"
-
-    def test_conflicting_backend_and_group_rejected(self):
-        with pytest.raises(ValueError, match="not both"):
-            CryptoProfile(backend="ed25519", group="ec")
+    def test_registry_alias_normalizes(self):
+        assert CryptoProfile(backend="ec").backend == "secp256k1"
+        assert CryptoProfile.from_dict({"backend": "ec"}).backend == "secp256k1"
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown crypto backend"):

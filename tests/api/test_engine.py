@@ -1,10 +1,12 @@
-"""ElectionEngine: phase drivers, typed event ordering, legacy equivalence."""
+"""ElectionEngine: phase drivers, typed event ordering, pinned legacy outcome."""
 
 import gc
 import warnings
 
 import pytest
+from engine_runs import run_parameters
 
+from repro.analysis.determinism import outcome_hash
 from repro.api import (
     AuditCompleted,
     AuditConfig,
@@ -18,7 +20,6 @@ from repro.api import (
     TallyComputed,
 )
 from repro.api.events import RecordingObserver
-from repro.core.coordinator import ElectionCoordinator
 from repro.core.election import ElectionParameters
 
 CHOICES = ["option-1", "option-3", "option-1", "option-2", "option-1"]
@@ -203,6 +204,10 @@ class TestEventOrdering:
 class TestPresetEquivalence:
     """`paper_baseline` reproduces what the old coordinator defaults produced."""
 
+    #: ``outcome_hash`` of the deleted coordinator's ``run_election(CHOICES)`` on
+    #: ``legacy_params`` at seed 2024, captured at b416e94 (the last commit with it).
+    OLD_COORDINATOR_HASH = "a51be5c047906ad92e944cb38e3aa3e02a18676edbbac80008328bc2d775be51"
+
     def test_paper_baseline_matches_old_coordinator_defaults(self):
         spec = ScenarioSpec.preset("paper_baseline", seed=2024)
         new_outcome = ElectionEngine(spec).run(CHOICES)
@@ -210,10 +215,8 @@ class TestPresetEquivalence:
         legacy_params = ElectionParameters.small_test_election(
             num_voters=5, num_options=3, election_end=500.0
         )
-        coordinator = ElectionCoordinator(legacy_params, seed=2024)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            old_outcome = coordinator.run_election(CHOICES)
+        old_outcome = run_parameters(legacy_params, CHOICES, seed=2024)
+        assert outcome_hash(old_outcome) == self.OLD_COORDINATOR_HASH
 
         assert new_outcome.tally.as_dict() == old_outcome.tally.as_dict()
         assert new_outcome.audit_report.passed == old_outcome.audit_report.passed
@@ -229,14 +232,14 @@ class TestPresetEquivalence:
         assert params.batch_audit is spec.audit.batch
 
 
-class TestCoordinatorShim:
-    def test_run_election_emits_deprecation_warning(self):
+class TestLegacyParameters:
+    def test_a_run_of_lifted_parameters_warns_about_nothing(self):
         params = ElectionParameters.small_test_election(
             num_voters=2, num_options=2, election_end=200.0
         )
-        coordinator = ElectionCoordinator(params, seed=3)
-        with pytest.warns(DeprecationWarning, match="ScenarioSpec"):
-            outcome = coordinator.run_election(["option-1", "option-2"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outcome = run_parameters(params, ["option-1", "option-2"], seed=3)
         assert outcome.tally is not None
         assert outcome.audit_report.passed
 
@@ -244,11 +247,13 @@ class TestCoordinatorShim:
         params = ElectionParameters.small_test_election(
             num_voters=2, num_options=2, election_end=200.0
         )
-        coordinator = ElectionCoordinator(params, seed=3)
-        coordinator.run_setup()
-        coordinator.build_components(["option-1", "option-2"])
-        coordinator.run_voting_phase()
-        tally = coordinator.run_trustee_phase()
-        assert tally.as_dict() == {"option-1": 1, "option-2": 1}
-        assert coordinator.run_audit().passed
-        coordinator.engine.close()
+        engine = ElectionEngine(ScenarioSpec.from_election_parameters(params, seed=3))
+        ctx = engine.begin(["option-1", "option-2"])
+        try:
+            for name in ("setup", "voting", "consensus", "tally"):
+                engine.driver(name).run(ctx)
+            assert ctx.tally.as_dict() == {"option-1": 1, "option-2": 1}
+            engine.driver("audit").run(ctx)
+            assert ctx.audit_report.passed
+        finally:
+            engine.close()

@@ -57,7 +57,7 @@ class TestValidation:
         with pytest.raises(ValueError):
             NetworkProfile(drop_rate=1.5)
         with pytest.raises(ValueError):
-            CryptoProfile(group="rsa")
+            CryptoProfile(backend="rsa")
 
     def test_unknown_behavior_rejected(self):
         with pytest.raises(ValueError, match="unknown VC behaviour"):
@@ -245,7 +245,6 @@ class TestShardingProfile:
         assert profile.num_shards == 1
         assert not profile.enabled
         assert profile.workers == 1
-        assert not profile.parallel
         assert profile.max_inflight_shards is None
 
     def test_validates_fields(self):
@@ -259,12 +258,6 @@ class TestShardingProfile:
             ShardingProfile(workers=0)
         with pytest.raises(ValueError):
             ShardingProfile(max_inflight_shards=0)
-
-    def test_parallel_requires_more_than_one_worker(self):
-        assert not ShardingProfile(workers=1).parallel
-        assert ShardingProfile(workers=2).parallel
-        # an inflight cap alone does not switch execution modes
-        assert not ShardingProfile(max_inflight_shards=2).parallel
 
     def test_round_trips_through_dicts(self):
         profile = ShardingProfile(num_shards=8, scale_batch_size=256, scale_turnout=0.7)

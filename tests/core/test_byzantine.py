@@ -7,6 +7,7 @@ the published result are unaffected.
 """
 
 import pytest
+from engine_runs import run_parameters
 
 from repro.api import AdversaryProfile, ElectionEngine, ScenarioSpec
 from repro.core.byzantine import (
@@ -16,7 +17,6 @@ from repro.core.byzantine import (
     SilentVoteCollector,
     WithholdingBulletinBoard,
 )
-from repro.core.coordinator import ElectionCoordinator
 from repro.core.election import ElectionParameters
 
 
@@ -25,14 +25,14 @@ def run_faulty_election(vc_classes=None, bb_classes=None, seed=41):
         num_voters=3, num_options=2, num_vc=4, num_bb=3,
         num_trustees=3, trustee_threshold=2, election_end=300.0,
     )
-    coordinator = ElectionCoordinator(
+    return run_parameters(
         params,
+        ["option-1", "option-2", "option-1"],
         seed=seed,
+        voter_patience=10.0,
         vc_node_classes=vc_classes or {},
         bb_node_classes=bb_classes or {},
     )
-    choices = ["option-1", "option-2", "option-1"]
-    return coordinator.run_election(choices, voter_patience=10.0)
 
 
 class TestByzantineVoteCollectors:

@@ -1,9 +1,13 @@
 """End-to-end integration tests for complete election runs."""
 
-import pytest
+import dataclasses
 
+import pytest
+from engine_runs import run_parameters
+
+from repro.api import ElectionEngine, ScenarioSpec
+from repro.api.engine import VotingDriver, default_drivers
 from repro.core.ballot import PART_A, PART_B
-from repro.core.coordinator import ElectionCoordinator
 from repro.core.election import ElectionParameters
 
 
@@ -50,9 +54,10 @@ class TestControlledPartChoices:
         params = ElectionParameters.small_test_election(
             num_voters=3, num_options=2, election_end=200.0
         )
-        coordinator = ElectionCoordinator(params, seed=23)
-        return coordinator.run_election(
+        return run_parameters(
+            params,
             ["option-2", "option-2", "option-1"],
+            seed=23,
             voter_parts=[PART_A, PART_B, PART_A],
         )
 
@@ -81,27 +86,19 @@ class TestAbstentions:
         params = ElectionParameters.small_test_election(
             num_voters=3, num_options=2, election_end=200.0
         )
-        coordinator = ElectionCoordinator(params, seed=31)
-        coordinator.run_setup()
-        coordinator.build_components(["option-1", "option-1", "option-2"])
-        # Remove the last voter's start: simply never schedule it.
-        abstainer = coordinator.voters.pop()
-        coordinator.run_voting_phase()
-        tally = coordinator.run_trustee_phase()
-        report = coordinator.run_audit()
-        coordinator.engine.close()
-        from repro.core.coordinator import ElectionOutcome
 
-        return ElectionOutcome(
-            setup=coordinator.setup,
-            network=coordinator.network,
-            vote_collectors=coordinator.vote_collectors,
-            bb_nodes=coordinator.bb_nodes,
-            trustees=coordinator.trustees,
-            voters=coordinator.voters + [abstainer],
-            tally=tally,
-            audit_report=report,
-        )
+        class LastVoterAbstains(VotingDriver):
+            """Remove the last voter's start: simply never schedule it."""
+
+            def schedule(self, ctx):
+                self.abstainer = ctx.voters.pop()
+                super().schedule(ctx)
+
+        drivers = default_drivers()
+        voting = drivers[1] = LastVoterAbstains()
+        spec = ScenarioSpec.from_election_parameters(params, seed=31)
+        outcome = ElectionEngine(spec, drivers=drivers).run(["option-1", "option-1", "option-2"])
+        return dataclasses.replace(outcome, voters=outcome.voters + [voting.abstainer])
 
     def test_only_cast_votes_are_tallied(self, abstention_outcome):
         assert abstention_outcome.tally.as_dict() == {"option-1": 2, "option-2": 0}
@@ -121,20 +118,22 @@ class TestAbstentions:
         assert abstention_outcome.audit_report.passed
 
 
-class TestCoordinatorValidation:
+class TestPhaseValidation:
     def test_choice_count_must_match_voters(self):
         params = ElectionParameters.small_test_election(num_voters=2, num_options=2)
-        coordinator = ElectionCoordinator(params, seed=1)
-        coordinator.run_setup()
         with pytest.raises(ValueError):
-            coordinator.build_components(["option-1"])
-        coordinator.engine.close()
+            run_parameters(params, ["option-1"], seed=1)
 
     def test_trustee_phase_without_votes_uploaded_returns_none(self):
         params = ElectionParameters.small_test_election(num_voters=2, num_options=2)
-        coordinator = ElectionCoordinator(params, seed=1, include_proofs=False)
-        coordinator.run_setup()
-        coordinator.build_components(["option-1", "option-2"])
-        # Voting phase never ran: the BB has no vote set, trustees cannot work.
-        assert coordinator.run_trustee_phase() is None
-        coordinator.engine.close()
+        spec = ScenarioSpec.from_election_parameters(params, seed=1)
+        engine = ElectionEngine(spec, include_proofs=False)
+        ctx = engine.begin(["option-1", "option-2"])
+        try:
+            engine.driver("setup").run(ctx)
+            engine.driver("voting").prepare(ctx)
+            # Voting phase never ran: the BB has no vote set, trustees cannot work.
+            engine.driver("tally").run(ctx)
+            assert ctx.tally is None
+        finally:
+            engine.close()

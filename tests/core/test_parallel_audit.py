@@ -1,9 +1,9 @@
 """Tests for the batched/parallel end-of-election audit and tally pipeline."""
 
 import pytest
+from engine_runs import run_parameters
 
 from repro.core.auditor import Auditor
-from repro.core.coordinator import ElectionCoordinator
 from repro.core.election import ElectionParameters
 from repro.core.tally import combine_tally_commitments, open_tally, open_tally_parallel
 from repro.crypto.commitments import CommitmentOpening, OptionEncodingScheme
@@ -17,9 +17,7 @@ def batch_outcome():
     params = ElectionParameters.small_test_election(
         num_voters=4, num_options=2, election_end=200.0
     )
-    coordinator = ElectionCoordinator(params, seed=13)
-    choices = ["option-1", "option-2", "option-2", "option-1"]
-    return coordinator.run_election(choices)
+    return run_parameters(params, ["option-1", "option-2", "option-2", "option-1"], seed=13)
 
 
 class TestVerifyAll:
@@ -78,8 +76,9 @@ class TestTamperDetection:
         params = ElectionParameters.small_test_election(
             num_voters=4, num_options=2, election_end=200.0
         )
-        coordinator = ElectionCoordinator(params, seed=17)
-        return coordinator.run_election(["option-1", "option-1", "option-2", "option-2"])
+        return run_parameters(
+            params, ["option-1", "option-1", "option-2", "option-2"], seed=17
+        )
 
     def test_corrupted_opening_is_located(self, tampered_outcome, group):
         serial = part = None
@@ -171,8 +170,7 @@ class TestElectionParameterKnobs:
         params = ElectionParameters.small_test_election(
             num_voters=3, num_options=2, election_end=200.0, batch_audit=False
         )
-        coordinator = ElectionCoordinator(params, seed=19)
-        outcome = coordinator.run_election(["option-1", "option-2", "option-1"])
+        outcome = run_parameters(params, ["option-1", "option-2", "option-1"], seed=19)
         assert outcome.audit_report.passed
         # The per-item path records no phase timings.
         assert outcome.audit_timings == {}

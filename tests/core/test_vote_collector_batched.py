@@ -9,10 +9,10 @@ agreement.
 """
 
 import pytest
+from engine_runs import run_parameters
 
 from repro.consensus.bracha import BinaryConsensusInstance
 from repro.core.byzantine import UcertWithholdingVoteCollector
-from repro.core.coordinator import ElectionCoordinator
 from repro.core.ea import ElectionAuthority, vc_node_id
 from repro.core.election import ElectionParameters
 from repro.core.messages import Announce, VoteRequest, VscBatch
@@ -33,8 +33,7 @@ def run_outcome(batch_size, seed=11):
     )
     # Pin the EA randomness so every batch size sees the *same* ballots
     # (serials, vote codes) and the final vote sets are comparable.
-    coordinator = ElectionCoordinator(params, seed=seed, rng=RandomSource(99))
-    return coordinator, coordinator.run_election(CHOICES)
+    return run_parameters(params, CHOICES, seed=seed, rng=RandomSource(99))
 
 
 class TestBatchedElections:
@@ -44,8 +43,8 @@ class TestBatchedElections:
 
     @pytest.mark.parametrize("batch_size", [2, 3, 100])
     def test_batched_vote_set_identical_to_per_ballot(self, baseline, batch_size):
-        _, base_outcome = baseline
-        _, outcome = run_outcome(batch_size=batch_size)
+        base_outcome = baseline
+        outcome = run_outcome(batch_size=batch_size)
         reference = base_outcome.vote_collectors[0].final_vote_set
         assert reference is not None and len(reference) == len(CHOICES)
         for node in outcome.vote_collectors:
@@ -54,7 +53,7 @@ class TestBatchedElections:
         assert outcome.audit_report is not None and outcome.audit_report.passed
 
     def test_batch_size_one_runs_classic_per_ballot_protocol(self, baseline):
-        _, outcome = baseline
+        outcome = baseline
         stats = outcome.consensus_stats
         assert stats["superblocks"] == 0
         assert stats["per_ballot_instances"] == 4 * len(CHOICES)
@@ -65,7 +64,7 @@ class TestBatchedElections:
         assert stats["envelope_messages"] > stats["envelopes_sent"]
 
     def test_batch_larger_than_ballot_count_uses_one_superblock(self):
-        _, outcome = run_outcome(batch_size=10_000)
+        outcome = run_outcome(batch_size=10_000)
         stats = outcome.consensus_stats
         assert stats["superblocks"] == 4  # one block per VC node
         assert stats["superblocks_fast"] == 4
@@ -85,9 +84,9 @@ class TestBatchedElections:
             return original(instance, sender, message)
 
         monkeypatch.setattr(BinaryConsensusInstance, "handle", counting)
-        _, base_outcome = run_outcome(batch_size=1)
+        base_outcome = run_outcome(batch_size=1)
         per_ballot_calls, handled["calls"] = handled["calls"], 0
-        _, outcome = run_outcome(batch_size=100)
+        outcome = run_outcome(batch_size=100)
         superblock_calls = handled["calls"]
 
         assert base_outcome.consensus_stats["per_ballot_instances"] == 4 * len(CHOICES)
@@ -101,7 +100,7 @@ class TestBatchedElections:
             assert node.final_vote_set == reference
 
     def test_all_blocks_fast_in_honest_run(self):
-        _, outcome = run_outcome(batch_size=3)
+        outcome = run_outcome(batch_size=3)
         stats = outcome.consensus_stats
         assert stats["superblocks"] == 4 * 2  # two blocks of three ballots per node
         assert stats["superblocks_fast"] == stats["superblocks"]

@@ -1,12 +1,9 @@
-"""The named crypto backend registry and the construction deprecation shim."""
-
-import warnings
+"""The named crypto backend registry."""
 
 import pytest
 
-from repro.crypto.ed25519 import Ed25519Group
 from repro.crypto.gmpy2_backend import HAVE_GMPY2, Gmpy2SchnorrGroup
-from repro.crypto.group import EcGroup, Group, SchnorrGroup, default_group
+from repro.crypto.group import Group, SchnorrGroup, default_group
 from repro.crypto.registry import (
     available_backends,
     backend_info,
@@ -70,24 +67,10 @@ class TestGetGroup:
             # Graceful degradation: the name stays usable without gmpy2.
             assert isinstance(group, SchnorrGroup)
 
-    def test_factory_construction_does_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            get_group("schnorr")
-            get_group("ed25519")
-            get_group("schnorr", g=16)
 
-
-class TestDeprecationShim:
-    @pytest.mark.parametrize("cls", [SchnorrGroup, EcGroup, Ed25519Group])
-    def test_direct_construction_warns(self, cls):
-        with pytest.warns(DeprecationWarning, match="get_group"):
-            cls()
-
+class TestDirectConstruction:
     def test_direct_construction_still_works(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            group = SchnorrGroup()
+        group = SchnorrGroup()
         assert group.power_g(3) == group.generator() ** 3
 
 
@@ -97,7 +80,6 @@ class TestRegisterBackend:
 
         def factory(**params):
             calls.append(params)
-            # Direct construction is sanctioned inside a registered factory.
             return SchnorrGroup(g=16)
 
         register_backend(

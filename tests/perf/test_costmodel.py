@@ -15,7 +15,6 @@ from repro.perf.costmodel import (
     DatabaseCosts,
     MachineSpec,
     NetworkProfile,
-    ShardingCosts,
 )
 
 
@@ -372,69 +371,3 @@ class TestCostModel:
     def test_crypto_costs_are_positive(self):
         costs = CryptoCosts()
         assert costs.sign_ms > 0 and costs.verify_ms > 0 and costs.hash_ms > 0
-
-
-class TestShardedWallClock:
-    """The Amdahl model behind ``sharded_wall_clock_estimate``."""
-
-    def model(self, **kwargs):
-        defaults = dict(num_ballots=1_000_000, num_shards=16)
-        defaults.update(kwargs)
-        return CostModel(**defaults)
-
-    def test_negative_sharding_costs_rejected(self):
-        with pytest.raises(ValueError):
-            ShardingCosts(slice_ms_per_ballot=-0.1)
-        with pytest.raises(ValueError):
-            ShardingCosts(spinup_ms_per_worker=-1.0)
-
-    def test_invalid_arguments_rejected(self):
-        model = self.model()
-        with pytest.raises(ValueError):
-            model.sharded_wall_clock_estimate(0)
-        with pytest.raises(ValueError):
-            model.sharded_wall_clock_estimate(2, num_shards=0)
-
-    def test_one_worker_pays_no_spinup(self):
-        model = self.model()
-        costs = model.sharding
-        expected = (
-            model.num_ballots * costs.slice_ms_per_ballot
-            + model.num_shards * costs.merge_ms_per_shard
-            + costs.commit_overhead_ms
-        ) / 1000.0
-        assert model.sharded_wall_clock_estimate(1) == pytest.approx(expected)
-
-    def test_estimate_shrinks_with_workers_on_large_elections(self):
-        model = self.model()
-        estimates = [model.sharded_wall_clock_estimate(w) for w in (1, 2, 4, 8)]
-        assert estimates == sorted(estimates, reverse=True)
-
-    def test_serial_fraction_caps_the_speedup(self):
-        """Amdahl: even infinitely many workers cannot beat the serial merge."""
-        model = self.model()
-        costs = model.sharding
-        serial_s = (
-            model.num_shards * costs.merge_ms_per_shard + costs.commit_overhead_ms
-        ) / 1000.0
-        assert model.sharded_wall_clock_estimate(model.num_shards) > serial_s
-        ceiling = model.sharded_wall_clock_estimate(1) / serial_s
-        assert model.sharded_speedup_estimate(model.num_shards) < ceiling
-
-    def test_workers_beyond_shards_add_nothing(self):
-        """Extra workers past the shard count have no slices to take, and
-        the pool warms concurrently, so wall clock does not move."""
-        model = self.model(num_shards=4)
-        assert model.sharded_wall_clock_estimate(8) == pytest.approx(
-            model.sharded_wall_clock_estimate(4)
-        )
-
-    def test_spinup_makes_small_elections_slower_in_parallel(self):
-        model = self.model(num_ballots=2_000)
-        assert model.sharded_speedup_estimate(4) < 1.0
-
-    def test_speedup_above_2x_at_4_workers_on_the_benchmark_shape(self):
-        """The model predicts the CI gate: 100k ballots, 16 shards, 4 workers
-        should clear 2x over the sequential pipeline."""
-        model = self.model(num_ballots=100_000)
-        assert model.sharded_speedup_estimate(4) >= 2.0

@@ -10,13 +10,13 @@ from repro.perf.parallel import (
     DEFAULT_MAX_CHUNK,
     ParallelConfig,
     PoolTaskError,
+    PoolWorkerDied,
     WarmProcessPool,
     chunk_seeds,
     parallel_chunk_map,
     parallel_map,
     parallel_reduce,
     split_chunks,
-    submit_chunksize,
 )
 
 
@@ -53,6 +53,18 @@ def fail_on_seven(value):
     if value == 7:
         raise ValueError("seven is right out")
     return value
+
+
+def die_on_three(value):
+    """Kills its worker process outright: no exception, no cleanup."""
+    if value == 3:
+        os._exit(1)
+    time.sleep(0.01)
+    return value * value
+
+
+def chunk_dies_on_three(chunk, seed):
+    return [die_on_three(value) for value in chunk]
 
 
 class TestConfig:
@@ -150,21 +162,6 @@ class TestMapAndReduce:
             parallel_reduce(operator.add, [])
 
 
-class TestSubmitChunksize:
-    def test_four_batches_per_worker(self):
-        assert submit_chunksize(80, 2) == 10
-        assert submit_chunksize(400, 4) == 25
-
-    def test_never_below_one(self):
-        assert submit_chunksize(3, 8) == 1
-
-    def test_invalid_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            submit_chunksize(0, 2)
-        with pytest.raises(ValueError):
-            submit_chunksize(10, 0)
-
-
 class TestWarmProcessPool:
     def test_lazy_start_and_shutdown(self):
         pool = WarmProcessPool(workers=1)
@@ -218,6 +215,34 @@ class TestWarmProcessPool:
             assert isinstance(excinfo.value.__cause__, ValueError)
             # the pool survives the failure
             assert dict(pool.imap_unordered(square, [3])) == {3: 9}
+
+    def test_killed_worker_lists_the_tasks_in_flight_and_the_pool_respawns(self):
+        """Red at b416e94: the error blamed whichever future ``wait`` handed
+        back first (task 5 of 6) and the next drive raised BrokenProcessPool."""
+        with WarmProcessPool(workers=2, initializer=_warm, initargs=("hot",)) as pool:
+            with pytest.raises(PoolWorkerDied) as excinfo:
+                list(pool.imap_unordered(die_on_three, range(6), max_inflight=2))
+            assert 3 in excinfo.value.tasks
+            assert 1 <= len(excinfo.value.tasks) <= 2
+            assert not isinstance(excinfo.value, PoolTaskError)
+            assert not pool.started  # the broken executor is gone ...
+            # ... and the next drive spawns and re-warms fresh workers
+            results = dict(pool.imap_unordered(read_warmed, range(6)))
+            assert results == {task: ("hot", task) for task in range(6)}
+
+    def test_killed_worker_under_chunk_map_raises_the_same_error(self):
+        config = ParallelConfig(workers=2, chunk_size=1, serial_threshold=1)
+        with pytest.raises(PoolWorkerDied):
+            parallel_chunk_map(chunk_dies_on_three, list(range(6)), config)
+        # a pool is owned per call, so the next call is unaffected
+        assert parallel_map(square, list(range(6)), config) == [v * v for v in range(6)]
+
+    def test_chunk_error_under_the_pool_is_the_chunk_functions_own(self):
+        """One failure surface: what the serial path raises, the pool raises."""
+        for workers in (1, 2):
+            config = ParallelConfig(workers=workers, chunk_size=2, serial_threshold=1)
+            with pytest.raises(ValueError, match="seven is right out"):
+                parallel_map(fail_on_seven, list(range(10)), config)
 
     def test_resolves_default_worker_count(self):
         pool = WarmProcessPool()

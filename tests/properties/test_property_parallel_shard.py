@@ -1,12 +1,14 @@
-"""Property: parallel shard execution is invisible in the outcome.
+"""Property: where the shard slices run is invisible in the outcome.
 
 For any shard split, any worker count and every registered crypto backend,
-the parallel driver's global commit record must be **bit-identical** (as a
-canonical codec frame, which transitively covers the tally, the combined
-commitment, every per-shard digest and the binding digest) to the sequential
-driver's record for the same spec.  One warm pool per backend is shared by
-all examples -- the driver guarantees correctness for arbitrary completion
-orders, so reusing workers across examples only widens the schedules tested.
+the driver's global commit record must be **bit-identical** (as a canonical
+codec frame, which transitively covers the tally, the combined commitment,
+every per-shard digest and the binding digest) to the inline (``workers=1``)
+run of the same spec -- which ``tests/shard/test_parallel_driver.py`` pins to
+the parent commit's sequential driver.  One warm pool per backend is shared by
+all pooled examples -- the driver guarantees correctness for arbitrary
+completion orders, so reusing workers across examples only widens the
+schedules tested.
 """
 
 import pytest
@@ -16,8 +18,7 @@ from hypothesis import strategies as st
 from repro.api.spec import CryptoProfile, ScenarioSpec, ShardingProfile
 from repro.crypto.registry import available_backends
 from repro.net.codec import MessageCodec
-from repro.shard import ParallelShardedElectionDriver, ShardedElectionDriver
-from repro.shard.parallel_driver import shard_worker_pool
+from repro.shard import ShardedElectionDriver, shard_worker_pool
 
 SEED = 29
 ELECTION_ID = "prop-parallel"
@@ -28,14 +29,17 @@ relaxed = settings(
 )
 
 
-def spec_for(backend: str, num_shards: int, workers: int) -> ScenarioSpec:
+def spec_for(backend: str, num_shards: int, workers: int, max_inflight=None) -> ScenarioSpec:
     return ScenarioSpec(
         options=("yes", "no"),
         election_id=ELECTION_ID,
         seed=SEED,
         crypto=CryptoProfile(backend=backend),
         sharding=ShardingProfile(
-            num_shards=num_shards, workers=workers, scale_batch_size=16
+            num_shards=num_shards,
+            workers=workers,
+            max_inflight_shards=max_inflight,
+            scale_batch_size=16,
         ),
     )
 
@@ -47,9 +51,7 @@ def pools():
 
     def pool_for(backend: str):
         if backend not in created:
-            created[backend] = shard_worker_pool(
-                spec_for(backend, 1, 2), workers=2
-            )
+            created[backend] = shard_worker_pool(spec_for(backend, 1, 2))
         return created[backend]
 
     yield pool_for
@@ -57,22 +59,24 @@ def pools():
         pool.shutdown()
 
 
-# The sequential reference for (backend, num_shards) is deterministic, so
+# The inline reference for (backend, num_shards) is deterministic, so
 # memoize it across examples instead of re-running the whole pipeline.
-_SEQUENTIAL_FRAMES = {}
+_INLINE_FRAMES = {}
 
 
-def sequential_frame(backend: str, num_shards: int) -> bytes:
+def inline_frame(backend: str, num_shards: int):
     key = (backend, num_shards)
-    if key not in _SEQUENTIAL_FRAMES:
+    if key not in _INLINE_FRAMES:
         spec = spec_for(backend, num_shards, workers=1)
-        outcome = ShardedElectionDriver(spec, num_ballots=NUM_BALLOTS).run()
+        driver = ShardedElectionDriver(spec, num_ballots=NUM_BALLOTS)
+        outcome = driver.run()
+        assert driver.peak_inflight == 1
         codec = MessageCodec(group=spec.crypto.build_group())
-        _SEQUENTIAL_FRAMES[key] = (
+        _INLINE_FRAMES[key] = (
             codec.encode(outcome.global_record),
             outcome.tally.as_dict(),
         )
-    return _SEQUENTIAL_FRAMES[key]
+    return _INLINE_FRAMES[key]
 
 
 @relaxed
@@ -85,16 +89,19 @@ def sequential_frame(backend: str, num_shards: int) -> bytes:
 def test_parallel_outcome_is_bit_identical_to_sequential(
     pools, backend, num_shards, workers, max_inflight
 ):
-    spec = spec_for(backend, num_shards, workers)
-    outcome = ParallelShardedElectionDriver(
-        spec,
-        num_ballots=NUM_BALLOTS,
-        pool=pools(backend),
-        workers=workers,
-        max_inflight_shards=max_inflight,
-    ).run()
+    spec = spec_for(backend, num_shards, workers, max_inflight)
+    pool = pools(backend)
+    was_started = pool.started
+    driver = ShardedElectionDriver(spec, num_ballots=NUM_BALLOTS, pool=pool)
+    outcome = driver.run()
+    if workers == 1:
+        # inline: nothing was handed to the pool, one shard alive at a time
+        assert pool.started == was_started
+        assert driver.peak_inflight == 1
+    else:
+        assert 1 <= driver.peak_inflight <= (max_inflight or 2 * pool.workers)
     codec = MessageCodec(group=spec.crypto.build_group())
-    frame, tally = sequential_frame(backend, num_shards)
+    frame, tally = inline_frame(backend, num_shards)
     assert outcome.report.ok
     assert codec.encode(outcome.global_record) == frame
     assert outcome.tally.as_dict() == tally
@@ -108,9 +115,10 @@ def test_parallel_outcome_is_bit_identical_to_sequential(
 def test_wire_digest_binding_matches_sequential(pools, backend, num_shards):
     """The per-shard record digests bound into the global record -- the
     auditors' handle on the shards -- are also invariant."""
-    spec = spec_for(backend, num_shards, workers=2)
-    parallel = ParallelShardedElectionDriver(
-        spec, num_ballots=NUM_BALLOTS, pool=pools(backend)
+    pooled = ShardedElectionDriver(
+        spec_for(backend, num_shards, workers=2), num_ballots=NUM_BALLOTS, pool=pools(backend)
     ).run()
-    sequential = ShardedElectionDriver(spec, num_ballots=NUM_BALLOTS).run()
-    assert parallel.global_record.shard_digests == sequential.global_record.shard_digests
+    inline = ShardedElectionDriver(
+        spec_for(backend, num_shards, workers=1), num_ballots=NUM_BALLOTS
+    ).run()
+    assert pooled.global_record.shard_digests == inline.global_record.shard_digests
