@@ -132,9 +132,9 @@ def run_sweep():
             ),
             "baseline_consensus_frames": base_family["consensus_frames"],
             "baseline_slowest_round": max(
-                state.instance.round
+                instance.round
                 for node in baseline.vote_collectors
-                for state in node.consensus.values()
+                for instance in node.vsc.instances.values()
             ),
             "batched_consensus_frames": batch_family["consensus_frames"],
             "model_baseline_consensus_bytes": round(

@@ -12,19 +12,22 @@ efficiency.  This package provides:
 * :mod:`repro.consensus.batching` -- a message batching layer that packs many
   per-ballot instances into single network messages, mirroring the paper's
   "binary consensus in batches of arbitrary size".
+* :mod:`repro.consensus.vote_set_consensus` -- the one engine that decides a
+  node's ballot set with those two, under a vote collector or a bare cluster.
 """
 
 from repro.consensus.batching import BatchEnvelope, ConsensusBatcher
 from repro.consensus.bracha import BinaryConsensusInstance
-from repro.consensus.interfaces import Aux, BVal, ConsensusMessage, DecisionCallback, Finish
+from repro.consensus.interfaces import Aux, BVal, ConsensusMessage, Finish
+from repro.consensus.vote_set_consensus import VoteSetConsensus
 
 __all__ = [
     "ConsensusMessage",
     "BVal",
     "Aux",
     "Finish",
-    "DecisionCallback",
     "BinaryConsensusInstance",
     "BatchEnvelope",
     "ConsensusBatcher",
+    "VoteSetConsensus",
 ]

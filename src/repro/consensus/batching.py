@@ -49,15 +49,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 from repro.consensus.bracha import BinaryConsensusInstance
 from repro.consensus.interfaces import ConsensusMessage
 
-#: Prefix of superblock instance identifiers ("sb|<block index>"); hosts use it
-#: to route consensus traffic either to a superblock or to a per-ballot
-#: instance.
-SUPERBLOCK_PREFIX = "sb|"
-
 
 def superblock_id(index: int) -> str:
-    """Canonical instance id of the ``index``-th superblock."""
-    return f"{SUPERBLOCK_PREFIX}{index}"
+    """Canonical instance id of the ``index``-th superblock ("sb|<index>"; no
+    serial's decimal instance id can collide with it)."""
+    return f"sb|{index}"
 
 
 def partition_serials(serials: Sequence[int], batch_size: int) -> List[Tuple[int, ...]]:
@@ -188,6 +184,7 @@ class SuperblockConsensus:
 
     The host supplies:
 
+    * ``bits`` -- its opinion vector, one byte (0 or 1) per serial of the block;
     * ``broadcast(message)`` -- send a :class:`ConsensusMessage` to every
       participant including the host itself (loopback through the network);
     * ``schedule(delay, callback)`` -- a one-shot timer, used to grant a grace
@@ -200,6 +197,9 @@ class SuperblockConsensus:
     Exactly one of ``on_resolve`` / ``on_fallback`` fires per block.
     """
 
+    #: grace period (host timer units) for proposals that disagree or are late
+    grace = 8.0
+
     def __init__(
         self,
         block_id: str,
@@ -207,13 +207,11 @@ class SuperblockConsensus:
         node_id: str,
         num_nodes: int,
         num_faulty: int,
-        opinions: Dict[int, int],
+        bits: bytes,
         broadcast: Callable[[ConsensusMessage], None],
         schedule: Callable[[float, Callable[[], None]], None],
         on_resolve: Callable[["SuperblockConsensus", Dict[int, int]], None],
         on_fallback: Callable[["SuperblockConsensus"], None],
-        coin: Optional[Callable[[str, int], int]] = None,
-        grace: float = 8.0,
     ):
         self.block_id = block_id
         self.serials = tuple(serials)
@@ -221,12 +219,11 @@ class SuperblockConsensus:
         self.n = num_nodes
         self.f = num_faulty
         self.quorum = num_nodes - num_faulty
-        self.bits = bytes(map(opinions.__getitem__, self.serials))
+        self.bits = bits
         self.broadcast = broadcast
         self.schedule = schedule
         self.on_resolve = on_resolve
         self.on_fallback = on_fallback
-        self.grace = grace
 
         #: reliably delivered opinion vectors, by origin node
         self.proposals: Dict[str, bytes] = {}
@@ -234,7 +231,6 @@ class SuperblockConsensus:
         self.proposed: Optional[int] = None
         self.decided: Optional[int] = None
         self.resolved = False
-        self.fallback = False
         self._grace_pending = False
         self.instance = BinaryConsensusInstance(
             instance_id=block_id,
@@ -243,7 +239,6 @@ class SuperblockConsensus:
             num_faulty=num_faulty,
             broadcast=broadcast,
             on_decide=self._on_decide,
-            coin=coin,
         )
 
     # -- public API -------------------------------------------------------------
@@ -346,7 +341,6 @@ class SuperblockConsensus:
             return
         self.decided = value
         if value == 0:
-            self.fallback = True
             self.on_fallback(self)
         else:
             self._try_fast_resolve()

@@ -1,19 +1,15 @@
-"""In-memory consensus cluster for benchmarks and consensus-layer tests.
+"""In-memory consensus cluster for benchmarks, the shard slice and consensus tests.
 
 Running Vote Set Consensus for tens of thousands of ballots through the full
 discrete-event simulator (with signatures, UCERTs and receipt shares) is far
 too slow to benchmark the *consensus* layer itself.  :class:`ConsensusCluster`
-strips everything else away: ``n`` nodes exchange consensus messages through a
-synchronous FIFO router, each node holds a per-ballot opinion bit, and the
-cluster runs either
-
-* **per-ballot mode** (``batch_size == 1``): one
-  :class:`~repro.consensus.bracha.BinaryConsensusInstance` per ballot, the
-  paper's baseline; or
-* **superblock mode** (``batch_size > 1``): one
-  :class:`~repro.consensus.batching.SuperblockConsensus` per block of
-  ``batch_size`` ballots, falling back to per-ballot instances for blocks
-  that decide ``0``.
+runs the vote collectors' own engine
+(:class:`~repro.consensus.vote_set_consensus.VoteSetConsensus`) behind a
+crypto-free router: ``n`` engines exchange consensus messages through a
+synchronous FIFO queue, each reads its per-ballot opinion bit from a dict and
+writes its decisions to another, and every opinion is ready when the run
+starts.  ``batch_size == 1`` is the paper's one binary consensus per ballot;
+``batch_size > 1`` hands the engine consecutive blocks of that many serials.
 
 Every point-to-point message is counted, which is what
 ``benchmarks/bench_batched_consensus.py`` and the batching tests compare.
@@ -25,11 +21,15 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.consensus.batching import SuperblockConsensus, partition_serials, superblock_id
-from repro.consensus.bracha import BinaryConsensusInstance
+from repro.consensus.batching import partition_serials
 from repro.consensus.interfaces import ConsensusMessage
+from repro.consensus.vote_set_consensus import VoteSetConsensus
+
+#: deliveries after which a run is declared a message storm
+MAX_STEPS = 50_000_000
 
 
 @dataclass
@@ -56,160 +56,75 @@ class ClusterResult:
         return tuple(sorted(s for s, bit in self.decisions[0].items() if bit == 1))
 
 
-class _ClusterNode:
-    """One consensus participant: per-ballot instances and/or superblocks."""
-
-    def __init__(self, index: int, cluster: "ConsensusCluster"):
-        self.node_id = f"N{index}"
-        self.cluster = cluster
-        self.opinions: Dict[int, int] = {}
-        self.decisions: Dict[int, int] = {}
-        self.instances: Dict[str, BinaryConsensusInstance] = {}
-        self.superblocks: Dict[str, SuperblockConsensus] = {}
-        self.superblocks_fast = 0
-        self.superblocks_fallback = 0
-
-    # -- wiring ------------------------------------------------------------------
-
-    def _broadcast(self, message: ConsensusMessage) -> None:
-        self.cluster.broadcast(self.node_id, message)
-
-    def _schedule(self, _delay: float, callback: Callable[[], None]) -> None:
-        self.cluster.timers.append(callback)
-
-    def _per_ballot_instance(self, serial: int) -> BinaryConsensusInstance:
-        instance_id = str(serial)
-        if instance_id not in self.instances:
-            def on_decide(instance_id_: str, value: int, _serial=serial) -> None:
-                self.decisions.setdefault(_serial, value)
-
-            self.instances[instance_id] = BinaryConsensusInstance(
-                instance_id=instance_id,
-                node_id=self.node_id,
-                num_nodes=self.cluster.num_nodes,
-                num_faulty=self.cluster.num_faulty,
-                broadcast=self._broadcast,
-                on_decide=on_decide,
-            )
-        return self.instances[instance_id]
-
-    # -- startup -----------------------------------------------------------------
-
-    def start(self, opinions: Dict[int, int]) -> None:
-        self.opinions = dict(opinions)
-        if self.cluster.batch_size <= 1:
-            for serial, bit in self.opinions.items():
-                self._per_ballot_instance(serial).propose(bit)
-            return
-        blocks = partition_serials(list(self.opinions), self.cluster.batch_size)
-        for index, serials in enumerate(blocks):
-            block_id = superblock_id(index)
-            block = SuperblockConsensus(
-                block_id=block_id,
-                serials=serials,
-                node_id=self.node_id,
-                num_nodes=self.cluster.num_nodes,
-                num_faulty=self.cluster.num_faulty,
-                opinions=self.opinions,
-                broadcast=self._broadcast,
-                schedule=self._schedule,
-                on_resolve=self._on_resolve,
-                on_fallback=self._on_fallback,
-            )
-            self.superblocks[block_id] = block
-            block.start()
-
-    # -- superblock callbacks ------------------------------------------------------
-
-    def _on_resolve(self, block: SuperblockConsensus, bits: Dict[int, int]) -> None:
-        self.superblocks_fast += 1
-        for serial, bit in bits.items():
-            self.decisions.setdefault(serial, bit)
-
-    def _on_fallback(self, block: SuperblockConsensus) -> None:
-        self.superblocks_fallback += 1
-        for serial in block.serials:
-            self._per_ballot_instance(serial).propose(self.opinions[serial])
-
-    def release(self) -> None:
-        """Drop every reference that closes a cycle through this node.
-
-        ``node -> block/instance -> bound callback -> node`` and ``node <->
-        cluster`` would otherwise keep the opinion and decision dicts alive
-        until a full cyclic collection.
-        """
-        for block in self.superblocks.values():
-            block.close()
-        self.superblocks.clear()
-        self.instances.clear()
-        self.cluster = None
-
-    # -- delivery ------------------------------------------------------------------
-
-    def deliver(self, sender: str, message: ConsensusMessage) -> None:
-        instance_id = message.instance
-        if instance_id in self.superblocks:
-            self.superblocks[instance_id].handle(sender, message)
-            return
-        serial = int(instance_id)
-        self._per_ballot_instance(serial).handle(sender, message)
-
-
 class ConsensusCluster:
-    """``n`` consensus nodes around a message-counting synchronous router."""
+    """``n`` consensus engines around a message-counting synchronous router."""
 
-    def __init__(self, num_nodes: int = 4, batch_size: int = 1,
-                 num_faulty: Optional[int] = None, silent: Sequence[int] = ()):
+    def __init__(self, num_nodes: int = 4, batch_size: int = 1, silent: Sequence[int] = ()):
         if num_nodes < 1:
             raise ValueError("need at least one node")
         self.num_nodes = num_nodes
-        self.num_faulty = num_faulty if num_faulty is not None else (num_nodes - 1) // 3
         self.batch_size = batch_size
         #: indices of nodes that never speak (model crashed/Byzantine-silent)
         self.silent = set(silent)
-        self.nodes = [_ClusterNode(index, self) for index in range(num_nodes)]
-        self._node_by_id = {node.node_id: node for node in self.nodes}
+        self.node_ids = [f"N{index}" for index in range(num_nodes)]
         self.queue: Deque[Tuple[str, str, ConsensusMessage]] = deque()
         self.timers: List[Callable[[], None]] = []
         self.messages_sent = 0
+        self._ran = False
 
     def broadcast(self, sender: str, message: ConsensusMessage) -> None:
-        if int(sender[1:]) in self.silent:
-            return
-        for node in self.nodes:
+        for destination in self.node_ids:
             self.messages_sent += 1
-            self.queue.append((node.node_id, sender, message))
+            self.queue.append((destination, sender, message))
 
     def run(
         self,
         opinions: Dict[int, int],
         per_node_opinions: Optional[Sequence[Dict[int, int]]] = None,
-        max_steps: int = 50_000_000,
     ) -> ClusterResult:
         """Run consensus to quiescence and return decisions plus statistics.
 
         ``opinions`` is the default opinion vector; ``per_node_opinions`` can
         override it per node (same serial keys) to model disagreement.  The
-        nodes are released when the run ends: a cluster runs once.
+        engines are closed when the run ends: a cluster runs once.
         """
-        if self.nodes[0].cluster is None:  # released by an earlier run
+        if self._ran:
             raise RuntimeError("a ConsensusCluster runs once")
-        for index, node in enumerate(self.nodes):
+        self._ran = True
+        blocks = partition_serials(list(opinions), self.batch_size) if self.batch_size > 1 else ()
+        if per_node_opinions is None:
+            per_node_opinions = [opinions] * self.num_nodes
+        engines: Dict[str, VoteSetConsensus] = {}
+        decisions: List[Dict[int, int]] = []
+        for index, (node_id, node_opinions) in enumerate(
+            zip(self.node_ids, per_node_opinions, strict=True)
+        ):
             if index in self.silent:
                 continue
-            node_opinions = (
-                per_node_opinions[index] if per_node_opinions is not None else opinions
+            decided: Dict[int, int] = {}
+            decisions.append(decided)
+            engines[node_id] = VoteSetConsensus(
+                node_id=node_id,
+                num_nodes=self.num_nodes,
+                num_faulty=(self.num_nodes - 1) // 3,
+                serials=node_opinions,
+                blocks=blocks,
+                broadcast=partial(self.broadcast, node_id),
+                schedule=lambda _delay, callback: self.timers.append(callback),
+                opinion_of=node_opinions.__getitem__,
+                on_decide=decided.setdefault,
             )
-            node.start(node_opinions)
+        for engine in engines.values():
+            engine.ready_all()
         steps = 0
         while self.queue or self.timers:
             while self.queue:
                 destination, sender, message = self.queue.popleft()
-                receiver = self._node_by_id[destination]
-                if int(destination[1:]) not in self.silent:
-                    receiver.deliver(sender, message)
+                engine = engines.get(destination)
+                if engine is not None:  # silent nodes hear nothing either
+                    engine.handle(sender, message)
                 steps += 1
-                if steps > max_steps:
+                if steps > MAX_STEPS:
                     raise RuntimeError("cluster did not quiesce; message storm?")
             # Queue drained: every in-flight message was handled, so pending
             # grace timers (waiting for slow proposals) may now fire.
@@ -217,14 +132,13 @@ class ConsensusCluster:
             for callback in pending:
                 callback()
         result = ClusterResult(
-            decisions=[node.decisions for index, node in enumerate(self.nodes)
-                       if index not in self.silent],
+            decisions=decisions,
             messages_sent=self.messages_sent,
-            superblocks_fast=sum(node.superblocks_fast for node in self.nodes),
-            superblocks_fallback=sum(node.superblocks_fallback for node in self.nodes),
+            superblocks_fast=sum(engine.superblocks_fast for engine in engines.values()),
+            superblocks_fallback=sum(engine.superblocks_fallback for engine in engines.values()),
         )
         # The caller's ``del cluster`` must free a shard's consensus state at
         # once: the scale pipeline's O(shard) memory depends on it.
-        for node in self.nodes:
-            node.release()
+        for engine in engines.values():
+            engine.close()
         return result

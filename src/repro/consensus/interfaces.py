@@ -1,9 +1,8 @@
-"""Message types and callback interfaces for the consensus layer."""
+"""Message types of the consensus layer."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 
 @dataclass(frozen=True)
@@ -39,8 +38,3 @@ class Finish(ConsensusMessage):
     """Decision announcement; lets lagging nodes terminate."""
 
     value: int = 0
-
-
-#: Called exactly once per instance when the local node decides:
-#: ``callback(instance_id, decided_value)``.
-DecisionCallback = Callable[[str, int], None]

@@ -95,7 +95,7 @@ class EquivocatingVoteCollector(VoteCollectorNode):
         for serial in self.ballots:
             self._consensus_record(serial)
             self._batcher.enqueue(Announce(serial, None, None, self.node_id))
-        self._flush_vsc()
+        self._batcher.flush()
 
 
 class UcertWithholdingVoteCollector(VoteCollectorNode):

@@ -24,19 +24,12 @@ honest nodes receive whole steps at once and their instances advance together.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.consensus.batching import (
-    SUPERBLOCK_PREFIX,
-    ConsensusBatcher,
-    SuperblockConsensus,
-    partition_serials,
-    superblock_id,
-)
-from repro.consensus.bracha import BinaryConsensusInstance
-from repro.consensus.interfaces import ConsensusMessage
+from repro.consensus.batching import ConsensusBatcher, partition_serials
+from repro.consensus.vote_set_consensus import VoteSetConsensus
 from repro.core.admission import (
     AdmissionQueue,
     AdmissionStats,
@@ -93,17 +86,17 @@ class BallotRecord:
     waiting_voters: List[str] = field(default_factory=list)
     #: endorsements collected while we act as responder
     endorsements: Dict[str, Endorsement] = field(default_factory=dict)
-    endorse_requested: bool = False
+    #: the code we asked our peers to endorse (``None``: no ENDORSE round open)
+    endorse_code: Optional[bytes] = None
     vote_p_sent: bool = False
 
 
 @dataclass
 class ConsensusRecord:
-    """Per-ballot Vote Set Consensus state."""
+    """Per-ballot Vote Set Consensus state the collector keeps: the ANNOUNCEs
+    before the engine runs, the decision and the recovered code after."""
 
     announces: Dict[str, Announce] = field(default_factory=dict)
-    instance: Optional[BinaryConsensusInstance] = None
-    proposed: bool = False
     decided: Optional[int] = None
     resolved: bool = False
     final_vote_code: Optional[bytes] = None
@@ -112,7 +105,8 @@ class ConsensusRecord:
 
 @dataclass
 class VscStats:
-    """Counters describing how Vote Set Consensus was carried out on a node."""
+    """Counters describing how Vote Set Consensus was carried out on a node
+    (a reading of the engine's, the outbound queue's and the node's counters)."""
 
     #: per-ballot binary consensus instances this node actually proposed in
     per_ballot_instances: int = 0
@@ -130,15 +124,7 @@ class VscStats:
     envelope_messages: int = 0
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "per_ballot_instances": self.per_ballot_instances,
-            "superblocks": self.superblocks,
-            "superblocks_fast": self.superblocks_fast,
-            "superblocks_fallback": self.superblocks_fallback,
-            "recover_requests": self.recover_requests,
-            "envelopes_sent": self.envelopes_sent,
-            "envelope_messages": self.envelope_messages,
-        }
+        return asdict(self)
 
 
 @lru_cache(maxsize=1 << 16)
@@ -192,21 +178,16 @@ class VoteCollectorNode(SimNode):
         self.final_vote_set: Optional[Tuple[Tuple[int, bytes], ...]] = None
         self.uploaded = False
 
-        # Superblock (batched) Vote Set Consensus state.  The block partition
-        # is derived from the (identical) ballot set, so every honest node
-        # computes the same blocks without coordination.
-        self.batch_size = params.consensus_batch_size
-        self.superblocks: Dict[str, SuperblockConsensus] = {}
-        self._block_serials: Dict[str, Tuple[int, ...]] = {}
-        self._serial_to_block: Dict[int, str] = {}
-        self._sb_pending_announces: Dict[str, Set[int]] = {}
-        self._sb_buffer: Dict[str, List[Tuple[str, ConsensusMessage]]] = {}
         #: the one outbound queue for traffic addressed to every VC node
         self._batcher = ConsensusBatcher(
             len(self.peers),
             lambda envelope: self.broadcast(self.peers, VscBatch(envelope, self.node_id)),
         )
-        if self.batch_size > 1:
+        # Superblock (batched) Vote Set Consensus.  The block partition is
+        # derived from the (identical) ballot set, so every honest node
+        # computes the same blocks without coordination.
+        self._vsc_blocks: List[Tuple[int, ...]] = []
+        if params.consensus_batch_size > 1:
             # With sharding, blocks never cross shard boundaries: each shard's
             # Vote Set Consensus instances stay independent, which is what
             # lets the BB combine the tally shard by shard.  The sharded
@@ -216,17 +197,12 @@ class VoteCollectorNode(SimNode):
                 # Imported lazily: repro.shard depends on core modules.
                 from repro.shard.partition import sharded_partition
 
-                blocks = sharded_partition(
-                    init.ballots, params.num_shards, self.batch_size
+                self._vsc_blocks = sharded_partition(
+                    init.ballots, params.num_shards, params.consensus_batch_size
                 )
             else:
-                blocks = partition_serials(init.ballots, self.batch_size)
-            for index, block in enumerate(blocks):
-                block_id = superblock_id(index)
-                self._block_serials[block_id] = block
-                self._sb_pending_announces[block_id] = set(block)
-                for serial in block:
-                    self._serial_to_block[serial] = block_id
+                self._vsc_blocks = partition_serials(init.ballots, params.consensus_batch_size)
+        self.vsc = self._new_vsc()
 
         # Voting-phase admission pipeline (see repro.core.admission).  The
         # per-signer verification tables are built once here: every peer key
@@ -278,7 +254,7 @@ class VoteCollectorNode(SimNode):
         # Statistics (used by tests and the performance harness).
         self.receipts_issued = 0
         self.votes_rejected = 0
-        self.vsc_stats = VscStats()
+        self.recover_requests = 0
 
         # Crash/recovery bookkeeping (driven by the chaos harness).
         self.crashes = 0
@@ -304,12 +280,13 @@ class VoteCollectorNode(SimNode):
                 if isinstance(element, Announce):
                     self._on_announce(message.sender, element)
                 else:
-                    self._on_consensus_message(message.sender, element)
+                    self.vsc.handle(message.sender, element)
         elif isinstance(payload, RecoverRequest):
             self._on_recover_request(payload)
         elif isinstance(payload, RecoverResponse):
             self._on_recover_response(payload)
-        self._flush_vsc()
+        # What this handler step queued leaves as one frame to every VC node.
+        self._batcher.flush()
 
     # ------------------------------------------------------------------ voting
 
@@ -361,7 +338,7 @@ class VoteCollectorNode(SimNode):
                       channel=ChannelKind.PUBLIC)
             self.votes_rejected += 1
             return
-        if record.endorse_requested and location != record.location:
+        if record.endorse_code is not None and location != record.location:
             # An endorsement round is open for another code of this ballot.
             # Moving ``location`` would make _endorsement_wanted drop every
             # endorsement of that code while nobody endorses this one.
@@ -372,8 +349,8 @@ class VoteCollectorNode(SimNode):
         # Become the responder: ask every VC node to endorse this vote code.
         record.location = location
         record.waiting_voters.append(voter)
-        if not record.endorse_requested:
-            record.endorse_requested = True
+        if record.endorse_code is None:
+            record.endorse_code = request.vote_code
             self.broadcast(self.peers, Endorse(request.serial, request.vote_code))
 
     def _on_endorse(self, sender: str, request: Endorse) -> None:
@@ -401,14 +378,10 @@ class VoteCollectorNode(SimNode):
         record = self.ballots.get(endorsement.serial)
         if record is None or record.status is not BallotStatus.NOT_VOTED:
             return False
-        if not record.endorse_requested or record.location is None:
-            return False
         # Only the code this node asked its peers to endorse counts: a valid
         # signature over another code of the ballot (an equivocating peer)
         # would otherwise fill the quorum of a certificate nobody accepts.
-        part, index = record.location
-        row = self.init.ballots[endorsement.serial].rows[part][index]
-        return row.code_commitment.matches(endorsement.vote_code)
+        return record.endorse_code is not None and endorsement.vote_code == record.endorse_code
 
     def _on_endorsement(self, sender: str, endorsement: Endorsement) -> None:
         """Collect endorsements; at Nv - fv form the UCERT and disclose our share.
@@ -436,20 +409,19 @@ class VoteCollectorNode(SimNode):
         record.endorsements[endorsement.signer] = endorsement
         if len(record.endorsements) < self.quorum:
             return
-        vote_code = endorsement.vote_code
+        # The certificate is for the code we asked about, whichever endorsement
+        # completed the quorum.
+        vote_code = record.endorse_code
         ucert = UniquenessCertificate(
             endorsement.serial, vote_code, tuple(record.endorsements.values())
         )
         record.ucert = ucert
         record.status = BallotStatus.PENDING
         record.used_vote_code = vote_code
-        if all(
-            e.serial == ucert.serial and e.vote_code == vote_code for e in ucert.endorsements
-        ):
-            # A quorum of distinct signers, each checked on its way in, all
-            # over this (serial, code): what verify_ucert tests, so our own
-            # VOTE_P looping back is a memo hit.
-            self._ucert_cache[self._ucert_key(ucert)] = True
+        # A quorum of distinct signers, each checked on its way in, all over
+        # this (serial, code): what verify_ucert tests, so our own VOTE_P
+        # looping back is a memo hit.
+        self._ucert_cache[self._ucert_key(ucert)] = True
         self._disclose_share(endorsement.serial, record, vote_code, ucert)
 
     def _disclose_share(
@@ -589,11 +561,12 @@ class VoteCollectorNode(SimNode):
             vote_code = record.used_vote_code if record.ucert is not None else None
             ucert = record.ucert if vote_code is not None else None
             self._batcher.enqueue(Announce(serial, vote_code, ucert, self.node_id))
-        # Announces may have raced ahead of our own election end; any block
-        # whose members already have a quorum of them can start immediately.
-        for block_id in list(self._sb_pending_announces):
-            self._maybe_start_superblock(block_id)
-        self._flush_vsc()
+        # Announces may have raced ahead of our own election end; any ballot
+        # that already has a quorum of them is ready now.
+        for serial, state in self.consensus.items():
+            if len(state.announces) >= self.quorum:
+                self.vsc.ready(serial)
+        self._batcher.flush()
 
     def _consensus_record(self, serial: int) -> Optional[ConsensusRecord]:
         """Consensus state of one of our ballots; ``None`` for any other serial
@@ -617,125 +590,45 @@ class VoteCollectorNode(SimNode):
                 record.ucert = announce.ucert
                 if record.status is BallotStatus.NOT_VOTED:
                     record.status = BallotStatus.PENDING
-        if len(state.announces) < self.quorum:
-            return
-        if self.batch_size > 1:
-            # Batched mode: a ballot with a quorum of announces is "ready";
-            # its superblock starts once every member ballot is ready.
-            block_id = self._serial_to_block.get(announce.serial)
-            pending = self._sb_pending_announces.get(block_id)
-            if pending is not None:
-                pending.discard(announce.serial)
-                self._maybe_start_superblock(block_id)
-        elif self.vsc_started and not state.proposed:
-            self._start_consensus(announce.serial, state)
+        if self.vsc_started and len(state.announces) >= self.quorum:
+            # A quorum of announces after our own election end: the opinion
+            # on this ballot is ready for the engine.
+            self.vsc.ready(announce.serial)
 
-    def _start_consensus(self, serial: int, state: ConsensusRecord) -> None:
-        state.proposed = True
-        self.vsc_stats.per_ballot_instances += 1
-        record = self.ballots.get(serial)
-        opinion = 1 if (record is not None and record.ucert is not None) else 0
-        instance = self._ensure_instance(serial, state)
-        instance.propose(opinion)
-
-    def _flush_vsc(self) -> None:
-        """Send what this handler step queued as one frame to every VC node."""
-        self._batcher.flush()
-        self.vsc_stats.envelopes_sent = self._batcher.envelopes_sent
-        self.vsc_stats.envelope_messages = self._batcher.messages_sent
-
-    def _ensure_instance(self, serial: int, state: ConsensusRecord) -> BinaryConsensusInstance:
-        if state.instance is None:
-            instance_id = str(serial)
-
-            def on_decide(instance_id_: str, value: int, _serial=serial) -> None:
-                self._on_consensus_decision(_serial, value)
-
-            state.instance = BinaryConsensusInstance(
-                instance_id=instance_id,
-                node_id=self.node_id,
-                num_nodes=self.num_vc,
-                num_faulty=self.thresholds.max_faulty_vc,
-                broadcast=self._batcher.enqueue,
-                on_decide=on_decide,
-            )
-        return state.instance
-
-    # -- superblock (batched) mode ------------------------------------------------
-
-    def _maybe_start_superblock(self, block_id: str) -> None:
-        """Start a block once VSC began and all its ballots have announce quorums."""
-        if not self.vsc_started or block_id in self.superblocks:
-            return
-        pending = self._sb_pending_announces.get(block_id)
-        if pending is None or pending:
-            return
-        del self._sb_pending_announces[block_id]
-        serials = self._block_serials[block_id]
-        opinions = {
-            serial: 1 if self.ballots[serial].ucert is not None else 0
-            for serial in serials
-        }
-        self.vsc_stats.superblocks += 1
-        block = SuperblockConsensus(
-            block_id=block_id,
-            serials=serials,
+    def _new_vsc(self) -> VoteSetConsensus:
+        """A fresh engine: everything between "ready" and "decided"."""
+        return VoteSetConsensus(
             node_id=self.node_id,
             num_nodes=self.num_vc,
             num_faulty=self.thresholds.max_faulty_vc,
-            opinions=opinions,
+            serials=self.init.ballots,
+            blocks=self._vsc_blocks,
             broadcast=self._batcher.enqueue,
             schedule=self._vsc_schedule,
-            on_resolve=self._on_superblock_resolve,
-            on_fallback=self._on_superblock_fallback,
+            # "Voted" exactly when we hold a uniqueness certificate for the ballot.
+            opinion_of=lambda serial: int(self.ballots[serial].ucert is not None),
+            on_decide=self._on_consensus_decision,
         )
-        self.superblocks[block_id] = block
-        block.start()
-        for sender, message in self._sb_buffer.pop(block_id, []):
-            block.handle(sender, message)
+
+    @property
+    def vsc_stats(self) -> VscStats:
+        vsc, batcher = self.vsc, self._batcher
+        return VscStats(
+            per_ballot_instances=vsc.per_ballot_instances,
+            superblocks=vsc.superblocks,
+            superblocks_fast=vsc.superblocks_fast,
+            superblocks_fallback=vsc.superblocks_fallback,
+            recover_requests=self.recover_requests,
+            envelopes_sent=batcher.envelopes_sent,
+            envelope_messages=batcher.messages_sent,
+        )
 
     def _vsc_schedule(self, delay: float, callback) -> None:
         def fire() -> None:
             callback()
-            self._flush_vsc()
+            self._batcher.flush()
 
         self.set_timer(delay, fire, description="superblock-grace")
-
-    def _on_superblock_resolve(self, block: SuperblockConsensus, bits: Dict[int, int]) -> None:
-        """Fast path: the whole block was decided by one consensus instance."""
-        self.vsc_stats.superblocks_fast += 1
-        for serial, bit in bits.items():
-            self._on_consensus_decision(serial, bit)
-
-    def _on_superblock_fallback(self, block: SuperblockConsensus) -> None:
-        """Slow path: run classic per-ballot consensus for the block's ballots."""
-        self.vsc_stats.superblocks_fallback += 1
-        for serial in block.serials:
-            state = self._consensus_record(serial)
-            if not state.proposed:
-                self._start_consensus(serial, state)
-
-    def _on_consensus_message(self, sender: str, message: ConsensusMessage) -> None:
-        if message.instance.startswith(SUPERBLOCK_PREFIX):
-            block = self.superblocks.get(message.instance)
-            if block is None:
-                # The peer's election end (or its announces) outran ours;
-                # buffer until our own superblock exists.  Only ids from our
-                # own partition are kept -- anything else is Byzantine junk
-                # that would otherwise accumulate forever.
-                if message.instance in self._block_serials:
-                    self._sb_buffer.setdefault(message.instance, []).append((sender, message))
-                return
-            block.handle(sender, message)
-            return
-        try:
-            serial = int(message.instance)
-        except ValueError:
-            return  # neither a superblock id nor a serial: Byzantine junk
-        state = self._consensus_record(serial)
-        if state is not None:
-            # Handling before propose() is safe: the instance is made on demand.
-            self._ensure_instance(serial, state).handle(sender, message)
 
     def _on_consensus_decision(self, serial: int, value: int) -> None:
         state = self._consensus_record(serial)
@@ -753,7 +646,7 @@ class VoteCollectorNode(SimNode):
             elif not state.recover_requested:
                 # We decided "voted" without knowing the winning code: recover.
                 state.recover_requested = True
-                self.vsc_stats.recover_requests += 1
+                self.recover_requests += 1
                 self.broadcast(self.peers, RecoverRequest(serial, self.node_id))
         self._maybe_finish_vsc()
 
@@ -877,16 +770,11 @@ class VoteCollectorNode(SimNode):
         self.vsc_started = False
         self.final_vote_set = None
         self.uploaded = False
-        self.superblocks = {}
-        self._sb_buffer = {}
+        self.vsc = self._new_vsc()
         self._admission.reset()
         if self._endorse_batcher is not None:
             self._endorse_batcher.reset()
         self._ucert_cache = {}
-        if self.batch_size > 1:
-            self._sb_pending_announces = {
-                block_id: set(serials) for block_id, serials in self._block_serials.items()
-            }
 
         # Replay the durable entries.
         for entry in snapshot.entries:

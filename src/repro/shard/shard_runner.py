@@ -15,7 +15,7 @@ admission   The responsible collector hashes the *submitted* code under the
             and commitments are dropped once every cast ballot is admitted.
 
 consensus   The shard's own collectors run superblock Vote Set Consensus
-            (``consensus/batching.py`` via ``ConsensusCluster``) over the
+            (the collectors' engine, behind ``ConsensusCluster``) over the
             admitted-ballot opinion vector, so agreement messages are
             amortized across ``consensus_batch_size`` ballots.
 

@@ -78,14 +78,14 @@ class TestSuperblockAgreement:
 class TestClusterRunsOnce:
     @pytest.mark.parametrize("batch_size", [1, 16], ids=["per-ballot", "superblock"])
     def test_second_run_raises_before_touching_a_node(self, batch_size):
-        """``run`` releases the nodes; at 513fed7 a second call died inside
-        ``_ClusterNode.start`` with an AttributeError on ``None.batch_size``."""
+        """``run`` closes its engines; at 513fed7 a second call died inside a
+        released node with an AttributeError on ``None.batch_size``."""
         cluster = ConsensusCluster(num_nodes=4, batch_size=batch_size)
         first = cluster.run(opinions_for(20))
         assert first.agreed
         with pytest.raises(RuntimeError, match="a ConsensusCluster runs once"):
             cluster.run(opinions_for(7))
-        assert all(node.opinions == opinions_for(20) for node in cluster.nodes)
+        assert all(decided == opinions_for(20) for decided in first.decisions)
         assert cluster.messages_sent == first.messages_sent
 
 

@@ -233,16 +233,18 @@ class TestByzantineSuperblock:
         if reference:
             assert reference == ((ballot.serial, line.vote_code),)
 
-    def test_junk_superblock_ids_are_not_buffered(self):
-        """Messages for block ids outside our partition must be dropped, not
-        accumulated forever (a Byzantine flooding vector)."""
+    def test_junk_instance_ids_do_not_raise_out_of_on_message(self):
+        """A frame whose elements name no block of ours and no serial is
+        dropped by the engine (``tests/consensus/test_vote_set_consensus.py``
+        pins what it keeps); the collector must survive delivering it."""
+        from repro.consensus.batching import BatchEnvelope
         from repro.consensus.interfaces import BVal
 
         network, nodes, setup = build_byzantine_network(batch_size=100, reveal_to=())
         honest = nodes[1]
-        honest._on_consensus_message("VC-0", BVal("sb|999", 1, 1))
-        honest._on_consensus_message("VC-0", BVal("sb|garbage", 1, 0))
-        assert honest._sb_buffer == {}
-        # A genuine block id is still buffered until the block starts.
-        honest._on_consensus_message("VC-0", BVal("sb|0", 1, 1))
-        assert list(honest._sb_buffer) == ["sb|0"]
+        junk = tuple(BVal(instance, 1, 1) for instance in ("sb|999", "sb|garbage", "x", ""))
+        honest.on_message(
+            Message("VC-0", honest.node_id, VscBatch(BatchEnvelope(junk), "VC-0"))
+        )
+        assert honest.vsc.instances == {} and honest.vsc.running == {}
+        assert list(honest.vsc.buffered.values()) == [[]]

@@ -310,6 +310,28 @@ class TestResponderMarksItsOwnUcertVerified:
         fresh = VoteCollectorNode(setup.vc_init["VC-1"], node.params)
         assert fresh.verify_ucert(ucert)
 
+    def test_the_certificate_is_for_the_requested_code_whoever_completes_it(
+        self, setup, endorse_batch_size, monkeypatch
+    ):
+        """The certificate's code is the one the ENDORSE round asked about, by
+        construction and not only because ``_endorsement_wanted`` filters the
+        arrivals: with that guard stubbed to accept, a validly signed
+        endorsement of another code of the ballot arriving last named the
+        certificate's (and the ballot's) code at eb94cf0."""
+        monkeypatch.setattr(VoteCollectorNode, "_endorsement_wanted", lambda node, e: True)
+        network, node, ballot, line = self.responder(setup, endorse_batch_size)
+        other = ballot.part_a.lines[1].vote_code
+        for endorsement in (
+            sign_endorsement(setup, "VC-1", ballot.serial, line.vote_code),
+            sign_endorsement(setup, "VC-2", ballot.serial, other),
+        ):
+            deliver(node, endorsement.signer, endorsement)
+        network.run_until_idle()
+        record = node.ballots[ballot.serial]
+        assert record.ucert is not None  # the stubbed guard let the quorum fill
+        assert record.ucert.vote_code == line.vote_code
+        assert record.used_vote_code == line.vote_code
+
     def test_relabelled_endorsement_does_not_share_a_memo_entry(self, setup, endorse_batch_size):
         """The memo key covers every field ``verify_ucert`` reads: a certificate
         whose inner endorsement is relabelled to another code is another key."""

@@ -103,7 +103,7 @@ def run_collectors(params, setup, voted, *, prepare=None, seed=5):
 
 def slowest_round(nodes):
     return max(
-        state.instance.round for node in nodes for state in node.consensus.values()
+        instance.round for node in nodes for instance in node.vsc.instances.values()
     )
 
 

@@ -2,9 +2,10 @@
 
 The scale pipeline's O(shard) memory claim needs every shard's consensus state
 (four opinion and four decision dicts per 4-collector cluster) to die when the
-shard ends.  The nodes, blocks and instances of a cluster reference each other
-through bound callbacks, so without the teardown in ``ConsensusCluster.run``
-they survive as cyclic garbage until some later full collection.  These tests
+shard ends.  The engines, blocks and instances of a cluster reference each other
+through bound callbacks, so without ``VoteSetConsensus.close`` at the end of
+``ConsensusCluster.run`` they survive as cyclic garbage until some later full
+collection.  These tests
 run with the cyclic collector off and require nothing to be left for it.
 """
 
@@ -16,12 +17,15 @@ import pytest
 
 from repro.consensus.batching import SuperblockConsensus
 from repro.consensus.bracha import BinaryConsensusInstance
-from repro.consensus.cluster import ConsensusCluster, _ClusterNode
+from repro.consensus.cluster import ConsensusCluster
+from repro.consensus.vote_set_consensus import VoteSetConsensus
 from repro.shard.driver import derive_scheme
 from repro.shard.partition import ShardRange
 from repro.shard.shard_runner import ShardRunner
 
-CONSENSUS_TYPES = (ConsensusCluster, _ClusterNode, SuperblockConsensus, BinaryConsensusInstance)
+CONSENSUS_TYPES = (
+    ConsensusCluster, VoteSetConsensus, SuperblockConsensus, BinaryConsensusInstance,
+)
 
 
 @contextmanager
@@ -47,24 +51,20 @@ def cyclic_collector_off():
 
 @pytest.fixture()
 def tracked(monkeypatch):
-    """Weak references to every cluster, node, block and Bracha instance built."""
-    refs = {"cluster": [], "node": [], "block": [], "instance": []}
+    """Weak references to every cluster, engine, block and Bracha instance built."""
+    refs = {"cluster": [], "engine": [], "block": [], "instance": []}
 
-    def track(cls, kind, also=lambda self: ()):
+    def track(cls, kind):
         original = cls.__init__
 
         def init(self, *args, **kwargs):
             original(self, *args, **kwargs)
             refs[kind].append(weakref.ref(self))
-            also(self)
 
         monkeypatch.setattr(cls, "__init__", init)
 
-    track(
-        ConsensusCluster,
-        "cluster",
-        also=lambda cluster: refs["node"].extend(map(weakref.ref, cluster.nodes)),
-    )
+    track(ConsensusCluster, "cluster")
+    track(VoteSetConsensus, "engine")
     track(SuperblockConsensus, "block")
     track(BinaryConsensusInstance, "instance")
     return refs
