@@ -9,6 +9,14 @@ driver the engine emits the typed events of :mod:`repro.api.events`
 simulator and future async/real-network drivers observe a run by subscribing
 instead of monkey-patching.
 
+The :class:`ScenarioSpec` is the one description of a run.  The drivers read
+its blocks where they need them (``spec.crypto.include_proofs`` at set-up,
+``spec.network`` / ``spec.adversary`` / ``spec.voter_patience`` /
+``spec.stagger`` when the voting network is built, ``spec.audit`` for the
+audit) and the nodes read ``ctx.params``, which carries the spec's own
+``consensus`` / ``admission`` / ``audit`` objects; the engine restates none of
+them as a keyword or a context field.
+
 Drivers split their work into ``prepare`` (build state), ``schedule``
 (enqueue simulator events) and ``execute`` (consume simulated time) so the
 multi-election service can interleave the simulated phases of several
@@ -53,7 +61,6 @@ from repro.core.vote_collector import VoteCollectorNode
 from repro.core.voter import VoterClient
 from repro.crypto.group import Group
 from repro.crypto.utils import RandomSource
-from repro.net.adversary import Adversary, NetworkConditions
 from repro.net.chaos import ChaosController
 from repro.net.simulator import Network
 from repro.net.transport import Transport
@@ -74,12 +81,9 @@ class EngineContext:
     group: Group
     rng: RandomSource
     bus: EventBus
-    conditions: NetworkConditions
-    adversary: Adversary
     vc_node_classes: Dict[str, Type[VoteCollectorNode]]
     bb_node_classes: Dict[str, Type[BulletinBoardNode]]
     trustee_classes: Dict[str, Type[Trustee]]
-    include_proofs: bool = True
     #: shared parallel-audit schedule (the multi-election service injects one
     #: config so every member election draws on the same worker budget).
     parallel: Optional[ParallelConfig] = None
@@ -89,8 +93,6 @@ class EngineContext:
 
     choices: Optional[Sequence[str]] = None
     voter_parts: Optional[Sequence[str]] = None
-    voter_patience: float = 50.0
-    stagger: float = 0.5
 
     setup: Optional[ElectionSetup] = None
     network: Optional[Network] = None
@@ -169,7 +171,7 @@ class SetupDriver(PhaseDriver):
             ctx.params,
             group=ctx.group,
             rng=ctx.rng,
-            include_proofs=ctx.include_proofs,
+            include_proofs=ctx.spec.crypto.include_proofs,
         )
         ctx.setup = authority.setup()
         # The set-up data is long-lived, immutable and acyclic: splice it into
@@ -201,9 +203,11 @@ class VotingDriver(PhaseDriver):
         params = ctx.params
         if len(ctx.choices) != params.num_voters:
             raise ValueError("need exactly one choice per voter")
-        setup = ctx.setup
+        setup, spec = ctx.setup, ctx.spec
         ctx.network = Network(
-            conditions=ctx.conditions, adversary=ctx.adversary, transport=ctx.transport
+            conditions=spec.network.conditions(seed=spec.seed),
+            adversary=spec.adversary.build_adversary(),
+            transport=ctx.transport,
         )
         ctx.bus.set_clock(lambda: ctx.network.now)
 
@@ -235,16 +239,16 @@ class VotingDriver(PhaseDriver):
                 setup.ballots[index],
                 vc_ids,
                 choice,
-                patience=ctx.voter_patience,
+                patience=spec.voter_patience,
                 part_choice=part,
-                seed=ctx.spec.seed + index,
+                seed=spec.seed + index,
             )
             ctx.voters.append(voter)
             ctx.network.register(voter)
 
-        if not ctx.spec.faults.is_empty:
+        if not spec.faults.is_empty:
             ctx.chaos = ChaosController(
-                ctx.spec.faults,
+                spec.faults,
                 ctx.network,
                 vote_collectors=ctx.vote_collectors,
                 bb_nodes=ctx.bb_nodes,
@@ -254,7 +258,7 @@ class VotingDriver(PhaseDriver):
     def schedule(self, ctx: EngineContext) -> None:
         for index, voter in enumerate(ctx.voters):
             ctx.network.schedule(
-                index * ctx.stagger, voter.start_voting, description="voter-start"
+                index * ctx.spec.stagger, voter.start_voting, description="voter-start"
             )
         if ctx.chaos is not None:
             ctx.chaos.install()
@@ -443,10 +447,12 @@ def default_drivers() -> List[PhaseDriver]:
 class ElectionEngine:
     """Runs a :class:`ScenarioSpec` through pluggable phase drivers.
 
-    The spec is the declarative source of truth; the keyword overrides exist
-    as injection points for pre-built objects (a shared group, a hand-crafted
-    adversary, custom node classes) and take precedence over the spec's
-    corresponding declarative fields.
+    The spec is the one description of the run: the drivers and the nodes read
+    its blocks directly.  The keywords are injection points for pre-built
+    objects the spec cannot carry -- a driver sequence, observers, a shared
+    group, a pinned RNG, node classes (merged over the adversary profile's),
+    a shared parallel schedule, a transport -- which is how tests substitute
+    fakes; none of them restates a spec field.
     """
 
     def __init__(
@@ -456,13 +462,10 @@ class ElectionEngine:
         drivers: Optional[Sequence[PhaseDriver]] = None,
         observers: Sequence[Observer] = (),
         group: Optional[Group] = None,
-        conditions: Optional[NetworkConditions] = None,
-        adversary: Optional[Adversary] = None,
         rng: Optional[RandomSource] = None,
         vc_node_classes: Optional[Dict[str, Type[VoteCollectorNode]]] = None,
         bb_node_classes: Optional[Dict[str, Type[BulletinBoardNode]]] = None,
         trustee_classes: Optional[Dict[str, Type[Trustee]]] = None,
-        include_proofs: Optional[bool] = None,
         parallel: Optional[ParallelConfig] = None,
         transport: Optional[Transport] = None,
     ):
@@ -474,13 +477,10 @@ class ElectionEngine:
         for observer in observers:
             self.bus.subscribe(observer)
         self._group = group
-        self._conditions = conditions
-        self._adversary = adversary
         self._rng = rng
         self._vc_node_classes = vc_node_classes
         self._bb_node_classes = bb_node_classes
         self._trustee_classes = trustee_classes
-        self._include_proofs = include_proofs
         self._parallel = parallel
         self._transport = transport
         self.ctx: Optional[EngineContext] = None
@@ -502,15 +502,12 @@ class ElectionEngine:
         self,
         choices: Optional[Sequence[str]] = None,
         voter_parts: Optional[Sequence[str]] = None,
-        voter_patience: Optional[float] = None,
-        stagger: Optional[float] = None,
     ) -> EngineContext:
-        """Create a fresh run context (resetting any previous run's state and events)."""
+        """Create a fresh run context: closes the previous run (its frozen heap
+        and transport would otherwise be stranded) and resets its events."""
+        self.close()
         self.bus.reset()
         spec = self.spec
-        adversary = self._adversary if self._adversary is not None else (
-            spec.adversary.build_adversary()
-        )
         vc_classes = dict(spec.adversary.vc_classes())
         bb_classes = dict(spec.adversary.bb_classes())
         trustee_classes = dict(spec.adversary.trustee_classes())
@@ -529,22 +526,13 @@ class ElectionEngine:
             group=group,
             rng=self._rng if self._rng is not None else RandomSource(spec.seed),
             bus=self.bus,
-            conditions=self._conditions
-            if self._conditions is not None
-            else spec.network.conditions(seed=spec.seed),
-            adversary=adversary,
             vc_node_classes=vc_classes,
             bb_node_classes=bb_classes,
             trustee_classes=trustee_classes,
-            include_proofs=self._include_proofs
-            if self._include_proofs is not None
-            else spec.crypto.include_proofs,
             parallel=self._parallel,
             transport=transport,
             choices=choices,
             voter_parts=voter_parts,
-            voter_patience=spec.voter_patience if voter_patience is None else voter_patience,
-            stagger=spec.stagger if stagger is None else stagger,
         )
         return self.ctx
 
@@ -568,16 +556,10 @@ class ElectionEngine:
         self.bus.emit(PhaseCompleted(phase=driver.name, sim_duration=duration))
 
     def run(
-        self,
-        choices: Sequence[str],
-        voter_parts: Optional[Sequence[str]] = None,
-        voter_patience: Optional[float] = None,
-        stagger: Optional[float] = None,
+        self, choices: Sequence[str], voter_parts: Optional[Sequence[str]] = None
     ) -> ElectionOutcome:
         """Run every phase in order and return the outcome."""
-        ctx = self.begin(
-            choices, voter_parts=voter_parts, voter_patience=voter_patience, stagger=stagger
-        )
+        ctx = self.begin(choices, voter_parts=voter_parts)
         try:
             for driver in self.drivers:
                 if driver.should_run(ctx):

@@ -145,10 +145,6 @@ class EventBus:
             observer(stamped)
         return stamped
 
-    def of_type(self, event_type: type) -> List[ElectionEvent]:
-        """Recorded events of one type, in emission order."""
-        return [event for event in self.history if isinstance(event, event_type)]
-
 
 @dataclass
 class RecordingObserver:

@@ -17,18 +17,32 @@ its orthogonal concerns are configured:
 * :class:`TransportProfile` -- how message bytes travel (in-memory reference
   passing, canonical wire encoding with byte accounting, or real TCP
   loopback sockets);
+* :class:`FaultPlan`       -- timed crash / recover / partition / loss-burst /
+  clock-skew events;
 * :class:`ShardingProfile` -- ballot-range sharding of the pipeline: how many
   contiguous serial-range shards the electorate splits into, and how each
   shard's election slice is sized in the scale pipeline
   (:class:`repro.shard.ShardedElectionDriver`).
 
-Specs validate eagerly, round-trip through plain dicts (``to_dict`` /
-``from_dict``), and ship with named presets (``paper_baseline``,
-``batched_fast``, ``byzantine_stress``, ``national_scale``).  They are the
-single source every runner consumes: :class:`repro.api.engine.ElectionEngine`
-for full cryptographic runs on the simulator, and
-:meth:`ScenarioSpec.load_simulator` / :meth:`ScenarioSpec.cost_model` for the
-calibrated capacity-planning experiments of Figures 4 and 5.
+**A field is declared once.**  The first three blocks are the ones protocol
+nodes read, so they are defined in :mod:`repro.core.election` (and re-exported
+here); :meth:`ScenarioSpec.to_election_parameters` hands those very instances
+to the core layer, which reads ``params.consensus.batch_size``,
+``params.admission.queue_depth``... with no flattened copy in between.  Every
+block validates itself in ``__post_init__`` and inherits ``to_dict`` /
+``from_dict`` from :class:`repro.core.election.DictCodec`, which derives both
+from the dataclass fields and their declared types: no class in this module
+names a field in a serialiser.  ``from_dict`` takes a missing key as the
+field's default and raises ``ValueError`` (block and key named) for an unknown
+key, a scalar of another type than the declared one (``"false"`` is no bool),
+or a string where a sequence is declared.
+
+Specs ship with named presets (``paper_baseline``, ``batched_fast``,
+``byzantine_stress``, ``national_scale``).  They are the single source every
+runner consumes: :class:`repro.api.engine.ElectionEngine` for full
+cryptographic runs on the simulator, and :meth:`ScenarioSpec.load_simulator` /
+:meth:`ScenarioSpec.cost_model` for the calibrated capacity-planning
+experiments of Figures 4 and 5.
 """
 
 from __future__ import annotations
@@ -36,7 +50,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Type, Union
+from typing import Any, Dict, Mapping, Optional, Tuple, Type, Union
 
 from repro.core.bulletin_board import BulletinBoardNode
 from repro.core.byzantine import (
@@ -47,9 +61,15 @@ from repro.core.byzantine import (
     UcertWithholdingVoteCollector,
     WithholdingBulletinBoard,
 )
-from repro.core.admission import validate_admission_flags
 from repro.core.ea import bb_node_id, trustee_id, vc_node_id, voter_id
-from repro.core.election import ElectionParameters, FaultThresholds, validate_audit_flags
+from repro.core.election import (
+    AdmissionProfile,
+    AuditConfig,
+    ConsensusConfig,
+    DictCodec,
+    ElectionParameters,
+    FaultThresholds,
+)
 from repro.core.trustee import Trustee
 from repro.core.vote_collector import VoteCollectorNode
 from repro.crypto.group import Group
@@ -61,7 +81,7 @@ from repro.perf import costmodel
 from repro.perf.loadsim import VoteCollectionLoadSimulator
 
 #: Registry of named Byzantine behaviours, so adversary profiles serialize as
-#: strings instead of classes.  Extend via :func:`register_vc_behavior` etc.
+#: strings instead of classes (:func:`register_vc_behavior` adds a VC one).
 VC_BEHAVIORS: Dict[str, Type[VoteCollectorNode]] = {
     "silent": SilentVoteCollector,
     "equivocating": EquivocatingVoteCollector,
@@ -81,139 +101,8 @@ def register_vc_behavior(name: str, cls: Type[VoteCollectorNode]) -> None:
     VC_BEHAVIORS[name] = cls
 
 
-def register_bb_behavior(name: str, cls: Type[BulletinBoardNode]) -> None:
-    """Register a custom BB behaviour usable from :class:`AdversaryProfile`."""
-    BB_BEHAVIORS[name] = cls
-
-
-def register_trustee_behavior(name: str, cls: Type[Trustee]) -> None:
-    """Register a custom trustee behaviour usable from :class:`AdversaryProfile`."""
-    TRUSTEE_BEHAVIORS[name] = cls
-
-
 @dataclass(frozen=True)
-class ConsensusConfig:
-    """Vote Set Consensus configuration.
-
-    ``batch_size=1`` runs the paper's one binary consensus instance per
-    ballot; larger values decide whole superblocks per instance, falling back
-    to per-ballot consensus for blocks with disagreement.
-    """
-
-    batch_size: int = 1
-
-    def __post_init__(self) -> None:
-        if self.batch_size < 1:
-            raise ValueError("consensus batch size must be at least 1")
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"batch_size": self.batch_size}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ConsensusConfig":
-        return cls(batch_size=int(data.get("batch_size", 1)))
-
-
-@dataclass(frozen=True)
-class AuditConfig:
-    """End-of-election audit configuration.
-
-    ``batch=True`` verifies openings/proofs with randomized batch equations
-    across ``workers`` processes (``None`` = one per core); ``batch=False``
-    runs the per-item reference audit.  ``enabled=False`` skips the audit
-    phase entirely (the engine still runs setup through tally).
-    """
-
-    enabled: bool = True
-    batch: bool = True
-    workers: Optional[int] = 1
-    security_bits: int = 64
-
-    def __post_init__(self) -> None:
-        validate_audit_flags(self.workers, self.security_bits)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "enabled": self.enabled,
-            "batch": self.batch,
-            "workers": self.workers,
-            "security_bits": self.security_bits,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "AuditConfig":
-        workers = data.get("workers", 1)
-        return cls(
-            enabled=bool(data.get("enabled", True)),
-            batch=bool(data.get("batch", True)),
-            workers=None if workers is None else int(workers),
-            security_bits=int(data.get("security_bits", 64)),
-        )
-
-
-@dataclass(frozen=True)
-class AdmissionProfile:
-    """Voting-phase admission pipeline configuration (see :mod:`repro.core.admission`).
-
-    ``endorse_batch_size=1`` verifies every incoming ENDORSEMENT signature
-    one at a time (the paper's path); larger values verify up to that many
-    signatures per small-exponent aggregate equation, flushing partial
-    batches after ``batch_window_s`` of simulated time.  ``queue_depth``
-    bounds the admission queue in front of the VOTE handler (``None`` =
-    unbounded); above it the queue **sheds** requests with a retry hint the
-    voter client honours, or **blocks** (keeps queueing, modelling transport
-    backpressure), per ``policy``.  ``service_ms`` is the modelled admission
-    service time per request; 0 admits inline, which is the historical
-    behaviour and never builds a backlog.
-    """
-
-    queue_depth: Optional[int] = None
-    policy: str = "shed"
-    service_ms: float = 0.0
-    endorse_batch_size: int = 1
-    batch_window_s: float = 0.05
-
-    def __post_init__(self) -> None:
-        validate_admission_flags(
-            self.queue_depth,
-            self.policy,
-            self.service_ms / 1000.0,
-            self.endorse_batch_size,
-            self.batch_window_s,
-        )
-
-    @property
-    def batching_enabled(self) -> bool:
-        return self.endorse_batch_size > 1
-
-    @classmethod
-    def batched(cls, batch_size: int = 32, **overrides: Any) -> "AdmissionProfile":
-        """Batched endorsement verification with the default open queue."""
-        return cls(endorse_batch_size=batch_size, **overrides)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "queue_depth": self.queue_depth,
-            "policy": self.policy,
-            "service_ms": self.service_ms,
-            "endorse_batch_size": self.endorse_batch_size,
-            "batch_window_s": self.batch_window_s,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "AdmissionProfile":
-        depth = data.get("queue_depth")
-        return cls(
-            queue_depth=None if depth is None else int(depth),
-            policy=str(data.get("policy", "shed")),
-            service_ms=float(data.get("service_ms", 0.0)),
-            endorse_batch_size=int(data.get("endorse_batch_size", 1)),
-            batch_window_s=float(data.get("batch_window_s", 0.05)),
-        )
-
-
-@dataclass(frozen=True)
-class NetworkProfile:
+class NetworkProfile(DictCodec):
     """Network behaviour of a scenario, for both runners.
 
     The simulator fields (``base_latency_s``, ``jitter_s``, ``drop_rate``,
@@ -282,35 +171,9 @@ class NetworkProfile:
             name=self.kind,
         )
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "base_latency_s": self.base_latency_s,
-            "jitter_s": self.jitter_s,
-            "drop_rate": self.drop_rate,
-            "duplicate_rate": self.duplicate_rate,
-            "max_delay_s": self.max_delay_s,
-            "client_to_vc_ms": self.client_to_vc_ms,
-            "inter_vc_ms": self.inter_vc_ms,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "NetworkProfile":
-        max_delay = data.get("max_delay_s")
-        return cls(
-            kind=str(data.get("kind", "lan")),
-            base_latency_s=float(data.get("base_latency_s", 0.0002)),
-            jitter_s=float(data.get("jitter_s", 0.0001)),
-            drop_rate=float(data.get("drop_rate", 0.0)),
-            duplicate_rate=float(data.get("duplicate_rate", 0.0)),
-            max_delay_s=None if max_delay is None else float(max_delay),
-            client_to_vc_ms=float(data.get("client_to_vc_ms", 0.25)),
-            inter_vc_ms=float(data.get("inter_vc_ms", 0.25)),
-        )
-
 
 @dataclass(frozen=True)
-class AdversaryProfile:
+class AdversaryProfile(DictCodec):
     """Which nodes misbehave, by node id and registered behaviour name.
 
     Behaviour names resolve through the module registries
@@ -370,25 +233,6 @@ class AdversaryProfile:
             blocked_links=set(self.blocked_links),
         )
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "vc_behaviors": dict(self.vc_behaviors),
-            "bb_behaviors": dict(self.bb_behaviors),
-            "trustee_behaviors": dict(self.trustee_behaviors),
-            "blocked_links": [list(link) for link in self.blocked_links],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "AdversaryProfile":
-        return cls(
-            vc_behaviors=dict(data.get("vc_behaviors", {})),
-            bb_behaviors=dict(data.get("bb_behaviors", {})),
-            trustee_behaviors=dict(data.get("trustee_behaviors", {})),
-            blocked_links=tuple(
-                (str(s), str(r)) for s, r in data.get("blocked_links", ())
-            ),
-        )
-
 
 # ---------------------------------------------------------------------------
 # Timed fault injection (chaos scenarios)
@@ -396,13 +240,15 @@ class AdversaryProfile:
 
 
 @dataclass(frozen=True)
-class CrashNode:
+class CrashNode(DictCodec):
     """Crash a vote-collector process at simulated time ``t``.
 
     The node stops receiving messages and loses its in-memory timers; its
     durable state is snapshotted through the wire codec at crash time, as if
     taken from write-ahead storage.
     """
+
+    KIND = "crash"
 
     t: float
     node: str
@@ -411,18 +257,17 @@ class CrashNode:
         if not math.isfinite(self.t) or self.t < 0:
             raise ValueError("crash time must be a finite non-negative number")
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"kind": "crash", "t": self.t, "node": self.node}
-
 
 @dataclass(frozen=True)
-class RecoverNode:
+class RecoverNode(DictCodec):
     """Restart a previously crashed node at ``t`` from its crash snapshot.
 
     If the election has already closed when the node comes back, it catches
     up by majority-reading the agreed vote set from the Bulletin Board
     instead of joining the (finished) consensus instances.
     """
+
+    KIND = "recover"
 
     t: float
     node: str
@@ -431,18 +276,17 @@ class RecoverNode:
         if not math.isfinite(self.t) or self.t < 0:
             raise ValueError("recovery time must be a finite non-negative number")
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"kind": "recover", "t": self.t, "node": self.node}
-
 
 @dataclass(frozen=True)
-class Partition:
+class Partition(DictCodec):
     """Split the named nodes into disconnected groups for a time window.
 
     Every cross-group link is blocked (both directions) at ``t_start`` and
     healed at ``t_end``.  Links blocked independently (e.g. by an
     :class:`AdversaryProfile`) are untouched by the heal.
     """
+
+    KIND = "partition"
 
     t_start: float
     t_end: float
@@ -472,23 +316,17 @@ class Partition:
         """Every node this partition touches."""
         return frozenset(node for group in self.groups for node in group)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": "partition",
-            "t_start": self.t_start,
-            "t_end": self.t_end,
-            "groups": [list(group) for group in self.groups],
-        }
-
 
 @dataclass(frozen=True)
-class LossBurst:
+class LossBurst(DictCodec):
     """Raise the network drop rate to ``rate`` for a time window.
 
     The previous drop rate is restored at ``t_end``; the latency/loss RNG
     stream continues uninterrupted across both edges (see
     :meth:`repro.net.adversary.NetworkConditions.replace`).
     """
+
+    KIND = "loss_burst"
 
     t_start: float
     t_end: float
@@ -502,23 +340,17 @@ class LossBurst:
         if not 0.0 < self.rate < 1.0:
             raise ValueError("loss burst rate must be in (0, 1)")
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": "loss_burst",
-            "t_start": self.t_start,
-            "t_end": self.t_end,
-            "rate": self.rate,
-        }
-
 
 @dataclass(frozen=True)
-class ClockSkew:
+class ClockSkew(DictCodec):
     """Set a node's internal clock drift to ``drift`` at time ``t``.
 
     The liveness model only bounds honest drift by ``Delta``; a skewed clock
     shifts when the node *believes* voting hours end, which is exactly the
     hazard the paper's timed assumptions guard.
     """
+
+    KIND = "clock_skew"
 
     node: str
     drift: float
@@ -530,31 +362,11 @@ class ClockSkew:
         if not math.isfinite(self.t) or self.t < 0:
             raise ValueError("skew time must be a finite non-negative number")
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"kind": "clock_skew", "node": self.node, "drift": self.drift, "t": self.t}
-
 
 FaultEvent = Union[CrashNode, RecoverNode, Partition, LossBurst, ClockSkew]
 
-_FAULT_KINDS: Dict[str, Any] = {
-    "crash": lambda d: CrashNode(t=float(d["t"]), node=str(d["node"])),
-    "recover": lambda d: RecoverNode(t=float(d["t"]), node=str(d["node"])),
-    "partition": lambda d: Partition(
-        t_start=float(d["t_start"]),
-        t_end=float(d["t_end"]),
-        groups=tuple(tuple(str(n) for n in group) for group in d["groups"]),
-    ),
-    "loss_burst": lambda d: LossBurst(
-        t_start=float(d["t_start"]), t_end=float(d["t_end"]), rate=float(d["rate"])
-    ),
-    "clock_skew": lambda d: ClockSkew(
-        node=str(d["node"]), drift=float(d["drift"]), t=float(d.get("t", 0.0))
-    ),
-}
-
-
 @dataclass(frozen=True)
-class FaultPlan:
+class FaultPlan(DictCodec):
     """A validated schedule of timed fault events for one election run.
 
     The plan is declarative and serializable; at run time the
@@ -653,33 +465,9 @@ class FaultPlan:
         """The plan's events of the given types, in schedule order."""
         return tuple(e for e in self.events if isinstance(e, kinds))
 
-    # -- serialization ----------------------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "events": [event.to_dict() for event in self.events],
-            "expect_failure": self.expect_failure,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FaultPlan":
-        events = []
-        for entry in data.get("events", ()):
-            kind = entry.get("kind")
-            factory = _FAULT_KINDS.get(kind)
-            if factory is None:
-                raise ValueError(
-                    f"unknown fault-event kind {kind!r}; known: {sorted(_FAULT_KINDS)}"
-                )
-            events.append(factory(entry))
-        return cls(
-            events=tuple(events),
-            expect_failure=bool(data.get("expect_failure", False)),
-        )
-
 
 @dataclass(frozen=True)
-class TransportProfile:
+class TransportProfile(DictCodec):
     """How protocol messages travel between simulated nodes.
 
     ``backend`` picks the delivery mechanism:
@@ -728,20 +516,9 @@ class TransportProfile:
             return InProcessTransport(codec=MessageCodec(group=group))
         return InProcessTransport()
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"backend": self.backend, "wire_format": self.wire_format}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "TransportProfile":
-        backend = str(data.get("backend", "memory"))
-        return cls(
-            backend=backend,
-            wire_format=bool(data.get("wire_format", backend == "tcp")),
-        )
-
 
 @dataclass(frozen=True)
-class CryptoProfile:
+class CryptoProfile(DictCodec):
     """Cryptographic backend selection.
 
     ``backend`` names a group backend in the crypto registry
@@ -764,19 +541,9 @@ class CryptoProfile:
     def build_group(self) -> Group:
         return get_group(self.backend)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"backend": self.backend, "include_proofs": self.include_proofs}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "CryptoProfile":
-        return cls(
-            backend=str(data.get("backend", "schnorr")),
-            include_proofs=bool(data.get("include_proofs", True)),
-        )
-
 
 @dataclass(frozen=True)
-class ShardingProfile:
+class ShardingProfile(DictCodec):
     """Ballot-range sharding of the election pipeline.
 
     ``num_shards`` splits the ballot-serial space into that many contiguous
@@ -830,31 +597,9 @@ class ShardingProfile:
 
         return ShardPlan.split(0, num_serials, self.num_shards)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "num_shards": self.num_shards,
-            "scale_collectors": self.scale_collectors,
-            "scale_batch_size": self.scale_batch_size,
-            "scale_turnout": self.scale_turnout,
-            "workers": self.workers,
-            "max_inflight_shards": self.max_inflight_shards,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ShardingProfile":
-        max_inflight = data.get("max_inflight_shards")
-        return cls(
-            num_shards=int(data.get("num_shards", 1)),
-            scale_collectors=int(data.get("scale_collectors", 4)),
-            scale_batch_size=int(data.get("scale_batch_size", 1024)),
-            scale_turnout=float(data.get("scale_turnout", 1.0)),
-            workers=int(data.get("workers", 1)),
-            max_inflight_shards=None if max_inflight is None else int(max_inflight),
-        )
-
 
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(DictCodec):
     """One complete, validated election scenario."""
 
     options: Tuple[str, ...] = ("option-1", "option-2")
@@ -996,7 +741,8 @@ class ScenarioSpec:
         return self.registered_ballots if self.registered_ballots is not None else self.num_voters
 
     def to_election_parameters(self) -> ElectionParameters:
-        """The core-layer parameter object this spec describes."""
+        """The core-layer parameter object this spec describes; it carries this
+        spec's own ``consensus`` / ``admission`` / ``audit`` blocks."""
         return ElectionParameters(
             options=self.options,
             num_voters=self.num_voters,
@@ -1006,128 +752,15 @@ class ScenarioSpec:
             election_start=self.election_start,
             election_end=self.election_end,
             election_id=self.election_id,
-            consensus_batch_size=self.consensus.batch_size,
-            batch_audit=self.audit.batch,
-            audit_workers=self.audit.workers,
-            batch_security_bits=self.audit.security_bits,
+            consensus=self.consensus,
+            admission=self.admission,
+            audit=self.audit,
             num_shards=self.sharding.num_shards,
-            endorse_batch_size=self.admission.endorse_batch_size,
-            endorse_batch_window=self.admission.batch_window_s,
-            admission_queue_depth=self.admission.queue_depth,
-            admission_policy=self.admission.policy,
-            admission_service_s=self.admission.service_ms / 1000.0,
-        )
-
-    @classmethod
-    def from_election_parameters(
-        cls,
-        params: ElectionParameters,
-        *,
-        seed: int = 7,
-        audit_enabled: bool = True,
-        network: Optional[NetworkProfile] = None,
-        adversary: Optional[AdversaryProfile] = None,
-        crypto: Optional[CryptoProfile] = None,
-        voter_patience: float = 50.0,
-        stagger: float = 0.5,
-    ) -> "ScenarioSpec":
-        """Lift a legacy :class:`ElectionParameters` into a scenario spec."""
-        return cls(
-            options=tuple(params.options),
-            num_voters=params.num_voters,
-            num_vc=params.thresholds.num_vc,
-            num_bb=params.thresholds.num_bb,
-            num_trustees=params.thresholds.num_trustees,
-            trustee_threshold=params.thresholds.trustee_threshold,
-            election_id=params.election_id,
-            election_start=params.election_start,
-            election_end=params.election_end,
-            seed=seed,
-            voter_patience=voter_patience,
-            stagger=stagger,
-            consensus=ConsensusConfig(batch_size=params.consensus_batch_size),
-            admission=AdmissionProfile(
-                queue_depth=params.admission_queue_depth,
-                policy=params.admission_policy,
-                service_ms=params.admission_service_s * 1000.0,
-                endorse_batch_size=params.endorse_batch_size,
-                batch_window_s=params.endorse_batch_window,
-            ),
-            audit=AuditConfig(
-                enabled=audit_enabled,
-                batch=params.batch_audit,
-                workers=params.audit_workers,
-                security_bits=params.batch_security_bits,
-            ),
-            network=network or NetworkProfile.lan(),
-            adversary=adversary or AdversaryProfile(),
-            crypto=crypto or CryptoProfile(),
-            sharding=ShardingProfile(num_shards=params.num_shards),
         )
 
     def derive(self, **changes: Any) -> "ScenarioSpec":
         """A copy of this spec with the given fields replaced (re-validated)."""
         return dataclasses.replace(self, **changes)
-
-    # -- serialization ----------------------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        """A JSON-compatible plain-dict encoding of the whole scenario."""
-        return {
-            "options": list(self.options),
-            "num_voters": self.num_voters,
-            "num_vc": self.num_vc,
-            "num_bb": self.num_bb,
-            "num_trustees": self.num_trustees,
-            "trustee_threshold": self.trustee_threshold,
-            "election_id": self.election_id,
-            "election_start": self.election_start,
-            "election_end": self.election_end,
-            "seed": self.seed,
-            "voter_patience": self.voter_patience,
-            "stagger": self.stagger,
-            "registered_ballots": self.registered_ballots,
-            "storage": self.storage,
-            "consensus": self.consensus.to_dict(),
-            "audit": self.audit.to_dict(),
-            "admission": self.admission.to_dict(),
-            "network": self.network.to_dict(),
-            "adversary": self.adversary.to_dict(),
-            "crypto": self.crypto.to_dict(),
-            "transport": self.transport.to_dict(),
-            "faults": self.faults.to_dict(),
-            "sharding": self.sharding.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioSpec":
-        """Rebuild a spec from :meth:`to_dict` output (full validation applies)."""
-        registered = data.get("registered_ballots")
-        return cls(
-            options=tuple(data.get("options", ("option-1", "option-2"))),
-            num_voters=int(data.get("num_voters", 4)),
-            num_vc=int(data.get("num_vc", 4)),
-            num_bb=int(data.get("num_bb", 3)),
-            num_trustees=int(data.get("num_trustees", 3)),
-            trustee_threshold=int(data.get("trustee_threshold", 2)),
-            election_id=str(data.get("election_id", "election-1")),
-            election_start=float(data.get("election_start", 0.0)),
-            election_end=float(data.get("election_end", 1_000.0)),
-            seed=int(data.get("seed", 7)),
-            voter_patience=float(data.get("voter_patience", 50.0)),
-            stagger=float(data.get("stagger", 0.5)),
-            registered_ballots=None if registered is None else int(registered),
-            storage=str(data.get("storage", "memory")),
-            consensus=ConsensusConfig.from_dict(data.get("consensus", {})),
-            audit=AuditConfig.from_dict(data.get("audit", {})),
-            admission=AdmissionProfile.from_dict(data.get("admission", {})),
-            network=NetworkProfile.from_dict(data.get("network", {})),
-            adversary=AdversaryProfile.from_dict(data.get("adversary", {})),
-            crypto=CryptoProfile.from_dict(data.get("crypto", {})),
-            transport=TransportProfile.from_dict(data.get("transport", {})),
-            faults=FaultPlan.from_dict(data.get("faults", {})),
-            sharding=ShardingProfile.from_dict(data.get("sharding", {})),
-        )
 
     # -- capacity-planning runners ----------------------------------------------
 

@@ -15,7 +15,7 @@ Two cooperating mechanisms implement that sentence here:
 
 2. **Superblocks** (:class:`SuperblockConsensus`).  Instead of one binary
    consensus instance per ballot, ballots are grouped into fixed superblocks
-   of ``consensus_batch_size`` serials.  Each node reliably broadcasts its
+   of ``ConsensusConfig.batch_size`` serials.  Each node reliably broadcasts its
    per-ballot opinion *vector* for the block (a Bracha echo/ready broadcast,
    so a Byzantine node cannot show different vectors to different peers) and
    one binary consensus instance then decides, for the whole block at once,

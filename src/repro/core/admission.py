@@ -37,6 +37,14 @@ against adversarial provers, keeps its unpredictable RNG.
 :class:`AdmissionStats` mirrors :class:`repro.core.vote_collector.VscStats`
 and is aggregated over all VC nodes by
 :attr:`repro.core.outcome.ElectionOutcome.admission_stats`.
+
+Both mechanisms take plain values and trust them: the bounds (depth >= 1, a
+known policy, a positive window...) are checked once, where the values are
+declared -- :class:`repro.core.election.AdmissionProfile` -- and the collector
+reads them off that block.  A uniqueness certificate is *not* batched: its
+``Nv - fv`` signatures are verified one by one on every path, because the
+aggregate equation measured slower than the single verifies at quorum size
+(docs/ARCHITECTURE.md, "Voting-phase admission pipeline").
 """
 
 from __future__ import annotations
@@ -45,7 +53,7 @@ import hashlib
 import re
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 #: Overload policies of the admission queue.
 POLICY_SHED = "shed"
@@ -71,31 +79,6 @@ def parse_retry_hint(reason: str) -> Optional[float]:
         return None
     match = _RETRY_RE.search(reason)
     return float(match.group(1)) if match else 0.0
-
-
-def validate_admission_flags(
-    queue_depth: Optional[int],
-    policy: str,
-    service_s: float,
-    batch_size: int,
-    batch_window_s: float,
-) -> None:
-    """Shared bounds check for the admission knobs.
-
-    Single source of truth used by both
-    :class:`repro.core.election.ElectionParameters` and the API layer's
-    ``AdmissionProfile``.
-    """
-    if queue_depth is not None and queue_depth < 1:
-        raise ValueError("admission queue depth must be at least 1 (or None for unbounded)")
-    if policy not in ADMISSION_POLICIES:
-        raise ValueError(f"admission policy must be one of {ADMISSION_POLICIES}")
-    if service_s < 0:
-        raise ValueError("admission service time cannot be negative")
-    if batch_size < 1:
-        raise ValueError("endorsement batch size must be at least 1")
-    if batch_window_s <= 0:
-        raise ValueError("endorsement batch window must be positive")
 
 
 def node_batch_seed(node_id: str) -> int:
@@ -160,7 +143,6 @@ class AdmissionQueue:
         policy: str = POLICY_SHED,
         service_s: float = 0.0,
     ):
-        validate_admission_flags(depth, policy, service_s, 1, 1.0)
         self.node = node
         self.stats = stats
         self.on_admit = on_admit
@@ -238,7 +220,6 @@ class EndorsementBatcher:
         batch_size: int,
         window_s: float,
     ):
-        validate_admission_flags(None, POLICY_SHED, 0.0, batch_size, window_s)
         self.node = node
         self.verifier = verifier
         self.stats = stats
@@ -303,31 +284,3 @@ class EndorsementBatcher:
         """Drop pending items (process restart loses the in-memory batch)."""
         self._pending.clear()
         self._timer_armed = False
-
-
-def batch_verify_signers(
-    verifier,
-    endorsements: Sequence,
-    public_key_of: Callable[[str], Optional[object]],
-    message_of: Callable[[object], bytes],
-) -> set:
-    """The set of signers whose endorsement signatures verify, batched.
-
-    Used by the UCERT checker: one aggregate equation replaces ``quorum``
-    individual verifications, with bisection keeping per-item verdicts exact.
-    """
-    from repro.crypto.batch_verify import SignatureItem
-
-    items = []
-    for endorsement in endorsements:
-        public = public_key_of(endorsement.signer)
-        if public is None:
-            continue
-        items.append((endorsement.signer, SignatureItem(
-            public, message_of(endorsement), endorsement.signature
-        )))
-    if not items:
-        return set()
-    outcome = verifier.verify_signatures([item for _signer, item in items])
-    bad = set(outcome.bad_indices)
-    return {signer for index, (signer, _item) in enumerate(items) if index not in bad}

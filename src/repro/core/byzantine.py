@@ -146,10 +146,6 @@ class WithholdingBulletinBoard(BulletinBoardNode):
     def election_view(self):
         return None
 
-    @property
-    def visible_result(self):
-        return None
-
 
 class CorruptTrustee(Trustee):
     """A trustee that corrupts its tally shares (detected when opening fails)."""

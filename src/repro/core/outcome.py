@@ -55,7 +55,7 @@ class ElectionOutcome:
         """Aggregate Vote Set Consensus counters across all VC nodes.
 
         Keys match :class:`repro.core.vote_collector.VscStats`; with
-        ``consensus_batch_size > 1`` the superblock counters show how many
+        ``consensus.batch_size > 1`` the superblock counters show how many
         blocks took the fast path versus falling back to per-ballot consensus.
         """
         totals: Dict[str, int] = {}

@@ -34,7 +34,6 @@ from repro.core.admission import (
     AdmissionQueue,
     AdmissionStats,
     EndorsementBatcher,
-    batch_verify_signers,
     node_batch_seed,
     shed_reason,
 )
@@ -110,7 +109,7 @@ class VscStats:
 
     #: per-ballot binary consensus instances this node actually proposed in
     per_ballot_instances: int = 0
-    #: superblocks started (0 when ``consensus_batch_size == 1``)
+    #: superblocks started (0 when ``consensus.batch_size == 1``)
     superblocks: int = 0
     #: superblocks resolved on the fast path (one instance for the whole block)
     superblocks_fast: int = 0
@@ -187,7 +186,8 @@ class VoteCollectorNode(SimNode):
         # derived from the (identical) ballot set, so every honest node
         # computes the same blocks without coordination.
         self._vsc_blocks: List[Tuple[int, ...]] = []
-        if params.consensus_batch_size > 1:
+        batch_size = params.consensus.batch_size
+        if batch_size > 1:
             # With sharding, blocks never cross shard boundaries: each shard's
             # Vote Set Consensus instances stay independent, which is what
             # lets the BB combine the tally shard by shard.  The sharded
@@ -197,11 +197,9 @@ class VoteCollectorNode(SimNode):
                 # Imported lazily: repro.shard depends on core modules.
                 from repro.shard.partition import sharded_partition
 
-                self._vsc_blocks = sharded_partition(
-                    init.ballots, params.num_shards, params.consensus_batch_size
-                )
+                self._vsc_blocks = sharded_partition(init.ballots, params.num_shards, batch_size)
             else:
-                self._vsc_blocks = partition_serials(init.ballots, params.consensus_batch_size)
+                self._vsc_blocks = partition_serials(init.ballots, batch_size)
         self.vsc = self._new_vsc()
 
         # Voting-phase admission pipeline (see repro.core.admission).  The
@@ -212,39 +210,38 @@ class VoteCollectorNode(SimNode):
         self.admission_stats = AdmissionStats()
         for public in (*self.init.vc_public_keys.values(), self.init.dealer_public_key):
             public.group.fixed_base(public)
-        self._batch_verifier = None
+        admission = params.admission
         self._endorse_batcher: Optional[EndorsementBatcher] = None
-        if params.endorse_batch_size > 1 and self.init.vc_public_keys:
+        if admission.endorse_batch_size > 1 and self.init.vc_public_keys:
             # Imported here so the core layer only pays for the batch
             # verifier when batching is switched on.
             from repro.crypto.batch_verify import BatchVerifier
             from repro.crypto.utils import RandomSource
 
             group = next(iter(self.init.vc_public_keys.values())).group
-            self._batch_verifier = BatchVerifier(
-                group,
-                security_bits=params.batch_security_bits,
-                rng=RandomSource(node_batch_seed(self.node_id)),
-            )
             self._endorse_batcher = EndorsementBatcher(
                 node=self,
-                verifier=self._batch_verifier,
+                verifier=BatchVerifier(
+                    group,
+                    security_bits=params.audit.security_bits,
+                    rng=RandomSource(node_batch_seed(self.node_id)),
+                ),
                 stats=self.admission_stats,
                 public_key_of=self.init.vc_public_keys.get,
                 message_of=lambda e: endorsement_message(e.serial, e.vote_code),
                 process=self._accept_endorsement,
                 wanted=self._endorsement_wanted,
-                batch_size=params.endorse_batch_size,
-                window_s=params.endorse_batch_window,
+                batch_size=admission.endorse_batch_size,
+                window_s=admission.batch_window_s,
             )
         self._admission = AdmissionQueue(
             node=self,
             stats=self.admission_stats,
             on_admit=self._on_vote_request,
             on_shed=self._shed_vote_request,
-            depth=params.admission_queue_depth,
-            policy=params.admission_policy,
-            service_s=params.admission_service_s,
+            depth=admission.queue_depth,
+            policy=admission.policy,
+            service_s=admission.service_ms / 1000.0,
         )
         #: memo of verified uniqueness certificates: the same UCERT is
         #: re-checked on every VOTE_P, ANNOUNCE and RECOVER-RESPONSE that
@@ -515,8 +512,9 @@ class VoteCollectorNode(SimNode):
 
         The verdict is memoized by certificate content: the same UCERT rides
         on every VOTE_P, ANNOUNCE and RECOVER-RESPONSE for its ballot, and
-        signature validity never changes.  On a miss with batching enabled,
-        the quorum of signatures is checked with one aggregate equation.
+        signature validity never changes.  A miss verifies the signatures one
+        by one, batching on or off: at quorum size the aggregate equation
+        costs more than the single verifies it would replace.
         """
         if ucert is None:
             return False
@@ -525,25 +523,16 @@ class VoteCollectorNode(SimNode):
         if cached is not None:
             self.admission_stats.ucert_cache_hits += 1
             return cached
-        consistent = [
-            e
-            for e in ucert.endorsements
-            if e.serial == ucert.serial and e.vote_code == ucert.vote_code
-        ]
         # Every consistent endorsement signs the certificate's own
         # (serial, vote code), so the signed bytes are built once.
         message = endorsement_message(ucert.serial, ucert.vote_code)
-        if self._batch_verifier is not None:
-            signers = batch_verify_signers(
-                self._batch_verifier,
-                consistent,
-                self.init.vc_public_keys.get,
-                lambda e: message,
-            )
-        else:
-            signers = {
-                e.signer for e in consistent if self._verify_endorsement(e, message)
-            }
+        signers = {
+            e.signer
+            for e in ucert.endorsements
+            if e.serial == ucert.serial
+            and e.vote_code == ucert.vote_code
+            and self._verify_endorsement(e, message)
+        }
         verdict = len(signers) >= self.quorum
         self._ucert_cache[key] = verdict
         return verdict

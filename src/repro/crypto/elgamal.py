@@ -83,15 +83,6 @@ class LiftedElGamal:
         b = self.group.power_g(message) * self.group.cached_power(public, r)
         return ElGamalCiphertext(a, b)
 
-    def reencrypt_randomness(
-        self,
-        public: GroupElement,
-        message: int,
-        randomness: int,
-    ) -> ElGamalCiphertext:
-        """Deterministic encryption used when verifying commitment openings."""
-        return self.encrypt(public, message, randomness=randomness)
-
     def decrypt_to_element(
         self, keypair: ElGamalKeyPair, ciphertext: ElGamalCiphertext
     ) -> GroupElement:

@@ -547,10 +547,6 @@ class CostModel:
         lookup += self.crypto.hash_ms * self.num_options
         return lookup
 
-    def _ballot_access_ms(self) -> float:
-        """Total (CPU + disk) cost of one ballot access."""
-        return self._ballot_access_cpu_ms() + self.ballot_access_disk_ms()
-
     def responder_initial_ms(self) -> float:
         """Stage 1: the responder validates the VOTE message (CPU part)."""
         return self._ballot_access_cpu_ms()
@@ -605,36 +601,6 @@ class CostModel:
         """Aggregate disk demand of one vote (every VC node accesses the ballot once)."""
         return num_vc * self.ballot_access_disk_ms()
 
-    # -- Vote Set Consensus message budget ---------------------------------------------
-
-    def vsc_message_estimate(self, num_vc: int, batch_size: int = 1) -> float:
-        """Consensus messages at election end for this model's electorate."""
-        return self.consensus.superblock_messages(num_vc, self.num_ballots, batch_size)
-
-    def vsc_batching_speedup(self, num_vc: int, batch_size: int) -> float:
-        """How many times fewer consensus messages batched VSC sends."""
-        return self.consensus.batching_speedup(num_vc, self.num_ballots, batch_size)
-
-    # -- byte-level bandwidth estimates -------------------------------------------
-
-    def per_vote_bytes_estimate(self, num_vc: int) -> float:
-        """Wire bytes one vote costs the VC subsystem (measured sizes)."""
-        return self.bandwidth.voting_bytes_per_vote(num_vc)
-
-    def vsc_bytes_estimate(
-        self, num_vc: int, batch_size: int = 1, turnout: float = 1.0
-    ) -> float:
-        """Wire bytes of Vote Set Consensus for this model's electorate."""
-        return self.bandwidth.consensus_bytes(
-            num_vc, self.num_ballots, batch_size, turnout
-        )
-
-    def vsc_byte_reduction(self, num_vc: int, batch_size: int) -> float:
-        """How many times fewer instance-traffic *bytes* batched VSC sends."""
-        return self.bandwidth.batching_byte_reduction(
-            num_vc, self.num_ballots, batch_size
-        )
-
     # -- analytic estimates (used as cross-checks and by the phase model) ------------
 
     def saturated_throughput_estimate(self, num_vc: int) -> float:
@@ -659,10 +625,6 @@ class CostModel:
         endorsement-verification stages on the critical path.
         """
         return self.saturated_throughput_estimate(num_vc) / num_vc
-
-    def endorse_batching_speedup(self, batch_size: Optional[int] = None) -> float:
-        """Predicted endorsement-verification speedup at this batch size."""
-        return self.admission.batch_speedup(batch_size or self.endorse_batch_size)
 
     def unloaded_latency_estimate_ms(self, num_vc: int) -> float:
         """Response time of a single vote on an idle system."""

@@ -154,9 +154,6 @@ class _Engine:
     def schedule(self, when: float, action: Callable[[float], None]) -> None:
         heapq.heappush(self._queue, (when, next(self._seq), action))
 
-    def schedule_in(self, delay_s: float, action: Callable[[float], None]) -> None:
-        self.schedule(self.now + delay_s, action)
-
     def run(self, should_stop: Callable[[], bool]) -> None:
         while self._queue and not should_stop():
             when, _, action = heapq.heappop(self._queue)

@@ -4,7 +4,7 @@ import gc
 import warnings
 
 import pytest
-from engine_runs import run_parameters
+from engine_runs import run_spec, small_spec
 
 from repro.analysis.determinism import outcome_hash
 from repro.api import (
@@ -18,9 +18,10 @@ from repro.api import (
     PhaseStarted,
     ScenarioSpec,
     TallyComputed,
+    TransportProfile,
 )
+from repro.api import engine as engine_module
 from repro.api.events import RecordingObserver
-from repro.core.election import ElectionParameters
 
 CHOICES = ["option-1", "option-3", "option-1", "option-2", "option-1"]
 
@@ -129,6 +130,26 @@ class TestSetupHeapFrozenForTheRun:
         frozen.close()
         assert gc.get_freeze_count() == 0
 
+    @pytest.mark.parametrize("transport", ["memory", "tcp"])
+    def test_a_second_begin_closes_the_run_it_replaces(self, transport):
+        """At 6c98857 ``begin()`` dropped a context that still held the frozen
+        heap (and an open transport): ``_frozen_runs`` stayed at 1 and the
+        permanent generation full for the rest of the process."""
+        profile = TransportProfile.tcp() if transport == "tcp" else TransportProfile.memory()
+        engine = ElectionEngine(ScenarioSpec.preset("paper_baseline", transport=profile))
+        first = engine.begin(CHOICES)
+        engine.run_phase(engine.driver("setup"), first)
+        engine.run_phase(engine.driver("voting"), first)  # the sockets are open
+        assert gc.get_freeze_count() > 0
+        outcome = engine.run(CHOICES)
+        assert outcome.audit_report.passed
+        assert engine.ctx is not first and not first.heap_frozen
+        assert engine_module._frozen_runs == 0
+        assert gc.get_freeze_count() == 0
+        if transport == "tcp":
+            assert first.transport._closed and first.transport.loop.is_closed()
+            assert not first.transport._servers and not first.transport._writers
+
     def test_nothing_frozen_after_a_run(self):
         outcome = ElectionEngine(ScenarioSpec.preset("paper_baseline")).run(CHOICES)
         assert outcome.audit_report.passed
@@ -212,10 +233,8 @@ class TestPresetEquivalence:
         spec = ScenarioSpec.preset("paper_baseline", seed=2024)
         new_outcome = ElectionEngine(spec).run(CHOICES)
 
-        legacy_params = ElectionParameters.small_test_election(
-            num_voters=5, num_options=3, election_end=500.0
-        )
-        old_outcome = run_parameters(legacy_params, CHOICES, seed=2024)
+        legacy_spec = small_spec(num_voters=5, num_options=3, election_end=500.0, seed=2024)
+        old_outcome = run_spec(legacy_spec, CHOICES)
         assert outcome_hash(old_outcome) == self.OLD_COORDINATOR_HASH
 
         assert new_outcome.tally.as_dict() == old_outcome.tally.as_dict()
@@ -228,26 +247,23 @@ class TestPresetEquivalence:
     def test_spec_flags_reach_the_election_parameters(self):
         spec = ScenarioSpec.preset("batched_fast")
         params = ElectionEngine(spec).begin().params
-        assert params.consensus_batch_size == spec.consensus.batch_size
-        assert params.batch_audit is spec.audit.batch
+        assert params.consensus.batch_size == spec.consensus.batch_size == 8
+        assert params.audit.batch is spec.audit.batch
 
 
 class TestLegacyParameters:
     def test_a_run_of_lifted_parameters_warns_about_nothing(self):
-        params = ElectionParameters.small_test_election(
-            num_voters=2, num_options=2, election_end=200.0
-        )
+        spec = small_spec(num_voters=2, num_options=2, election_end=200.0, seed=3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            outcome = run_parameters(params, ["option-1", "option-2"], seed=3)
+            outcome = run_spec(spec, ["option-1", "option-2"])
         assert outcome.tally is not None
         assert outcome.audit_report.passed
 
     def test_phase_methods_still_compose(self):
-        params = ElectionParameters.small_test_election(
-            num_voters=2, num_options=2, election_end=200.0
+        engine = ElectionEngine(
+            small_spec(num_voters=2, num_options=2, election_end=200.0, seed=3)
         )
-        engine = ElectionEngine(ScenarioSpec.from_election_parameters(params, seed=3))
         ctx = engine.begin(["option-1", "option-2"])
         try:
             for name in ("setup", "voting", "consensus", "tally"):

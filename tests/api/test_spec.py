@@ -1,11 +1,13 @@
 """ScenarioSpec: validation, serialization round-trips and presets."""
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.api import (
     PRESETS,
+    AdmissionProfile,
     AdversaryProfile,
     AuditConfig,
     ConsensusConfig,
@@ -123,16 +125,22 @@ class TestDerivedViews:
             audit=AuditConfig(batch=False, workers=2, security_bits=80),
         )
         params = spec.to_election_parameters()
-        assert params.consensus_batch_size == 4
-        assert params.batch_audit is False
-        assert params.audit_workers == 2
-        assert params.batch_security_bits == 80
+        assert params.consensus.batch_size == 4
+        assert params.audit.batch is False
+        assert params.audit.workers == 2
+        assert params.audit.security_bits == 80
 
-    def test_from_election_parameters_round_trips(self):
-        spec = ScenarioSpec.preset("batched_fast")
+    def test_election_parameters_hold_the_specs_own_blocks(self):
+        spec = ScenarioSpec.preset("batched_fast", admission=AdmissionProfile.batched(8))
         params = spec.to_election_parameters()
-        lifted = ScenarioSpec.from_election_parameters(params, seed=spec.seed)
-        assert lifted.to_election_parameters() == params
+        assert params.consensus is spec.consensus
+        assert params.admission is spec.admission
+        assert params.audit is spec.audit
+        flat = {f.name for f in dataclasses.fields(params)}
+        assert flat == {
+            "options", "num_voters", "thresholds", "election_start", "election_end",
+            "election_id", "consensus", "admission", "audit", "num_shards",
+        }
 
     def test_adversary_profile_resolves_classes(self):
         profile = AdversaryProfile(vc_behaviors={"VC-2": "silent"})
@@ -286,4 +294,3 @@ class TestShardingProfile:
         spec = ScenarioSpec(sharding=ShardingProfile(num_shards=4))
         params = spec.to_election_parameters()
         assert params.num_shards == 4
-        assert ScenarioSpec.from_election_parameters(params).sharding.num_shards == 4

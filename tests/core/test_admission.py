@@ -7,12 +7,11 @@ from repro.core.admission import (
     AdmissionQueue,
     AdmissionStats,
     EndorsementBatcher,
-    batch_verify_signers,
     node_batch_seed,
     parse_retry_hint,
     shed_reason,
-    validate_admission_flags,
 )
+from repro.core.election import AdmissionProfile
 from repro.core.messages import Endorsement
 from repro.core.vote_collector import endorsement_message
 from repro.crypto.batch_verify import BatchVerifier
@@ -51,17 +50,17 @@ class TestRetryHint:
         assert node_batch_seed("VC-0") != node_batch_seed("VC-1")
 
     def test_flag_validation(self):
-        validate_admission_flags(None, "shed", 0.0, 1, 0.05)
+        AdmissionProfile(None, "shed", 0.0, 1, 0.05)
         with pytest.raises(ValueError):
-            validate_admission_flags(0, "shed", 0.0, 1, 0.05)
+            AdmissionProfile(queue_depth=0)
         with pytest.raises(ValueError):
-            validate_admission_flags(None, "drop", 0.0, 1, 0.05)
+            AdmissionProfile(policy="drop")
         with pytest.raises(ValueError):
-            validate_admission_flags(None, "shed", -1.0, 1, 0.05)
+            AdmissionProfile(service_ms=-1.0)
         with pytest.raises(ValueError):
-            validate_admission_flags(None, "shed", 0.0, 0, 0.05)
+            AdmissionProfile(endorse_batch_size=0)
         with pytest.raises(ValueError):
-            validate_admission_flags(None, "shed", 0.0, 1, 0.0)
+            AdmissionProfile(batch_window_s=0.0)
         assert set(ADMISSION_POLICIES) == {"shed", "block"}
 
 
@@ -218,21 +217,3 @@ class TestEndorsementBatcher:
         batcher.add(endorsements[0])
         batcher.add(stranger)
         assert processed == [endorsements[0]]
-
-    def test_batch_verify_signers_matches_serial(self, group, signed_endorsements):
-        publics, endorsements = signed_endorsements
-        scheme = SignatureScheme(group)
-        forged = Endorsement(7, b"\x01" * 20, "VC-3", endorsements[0].signature)
-        mixed = endorsements[:3] + [forged]
-        signers = batch_verify_signers(
-            BatchVerifier(group, rng=RandomSource(9)),
-            mixed,
-            publics.get,
-            lambda e: endorsement_message(e.serial, e.vote_code),
-        )
-        serial = {
-            e.signer for e in mixed
-            if scheme.verify(publics[e.signer],
-                             endorsement_message(e.serial, e.vote_code), e.signature)
-        }
-        assert signers == serial == {"VC-0", "VC-1", "VC-2"}

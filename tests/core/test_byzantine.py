@@ -7,7 +7,7 @@ the published result are unaffected.
 """
 
 import pytest
-from engine_runs import run_parameters
+from engine_runs import run_spec, small_spec
 
 from repro.api import AdversaryProfile, ElectionEngine, ScenarioSpec
 from repro.core.byzantine import (
@@ -17,19 +17,17 @@ from repro.core.byzantine import (
     SilentVoteCollector,
     WithholdingBulletinBoard,
 )
-from repro.core.election import ElectionParameters
 
 
 def run_faulty_election(vc_classes=None, bb_classes=None, seed=41):
-    params = ElectionParameters.small_test_election(
+    spec = small_spec(
         num_voters=3, num_options=2, num_vc=4, num_bb=3,
         num_trustees=3, trustee_threshold=2, election_end=300.0,
+        seed=seed, voter_patience=10.0,
     )
-    return run_parameters(
-        params,
+    return run_spec(
+        spec,
         ["option-1", "option-2", "option-1"],
-        seed=seed,
-        voter_patience=10.0,
         vc_node_classes=vc_classes or {},
         bb_node_classes=bb_classes or {},
     )

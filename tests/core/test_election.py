@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.core.election import ElectionParameters, FaultThresholds
+from repro.core.election import (
+    AdmissionProfile,
+    AuditConfig,
+    ConsensusConfig,
+    ElectionParameters,
+    FaultThresholds,
+)
 
 
 class TestFaultThresholds:
@@ -62,9 +68,11 @@ class TestElectionParameters:
         for index, label in enumerate(params.options):
             assert params.option_index(label) == index
 
-    def test_small_test_election_forwards_batch_security_bits(self):
-        params = ElectionParameters.small_test_election(batch_security_bits=96)
-        assert params.batch_security_bits == 96
+    def test_small_test_election_forwards_the_blocks_by_reference(self):
+        audit = AuditConfig(security_bits=96)
+        params = ElectionParameters.small_test_election(audit=audit)
+        assert params.audit is audit
+        assert params.consensus == ConsensusConfig() and params.admission == AdmissionProfile()
 
     def test_rejects_non_finite_voting_hours(self):
         thresholds = FaultThresholds(4, 3, 3, 2)

@@ -3,12 +3,11 @@
 import dataclasses
 
 import pytest
-from engine_runs import run_parameters
+from engine_runs import run_spec, small_spec
 
-from repro.api import ElectionEngine, ScenarioSpec
+from repro.api import CryptoProfile, ElectionEngine
 from repro.api.engine import VotingDriver, default_drivers
 from repro.core.ballot import PART_A, PART_B
-from repro.core.election import ElectionParameters
 
 
 class TestHonestElection:
@@ -51,13 +50,9 @@ class TestControlledPartChoices:
 
     @pytest.fixture(scope="class")
     def pinned_outcome(self):
-        params = ElectionParameters.small_test_election(
-            num_voters=3, num_options=2, election_end=200.0
-        )
-        return run_parameters(
-            params,
+        return run_spec(
+            small_spec(num_voters=3, num_options=2, election_end=200.0, seed=23),
             ["option-2", "option-2", "option-1"],
-            seed=23,
             voter_parts=[PART_A, PART_B, PART_A],
         )
 
@@ -83,10 +78,6 @@ class TestAbstentions:
 
     @pytest.fixture(scope="class")
     def abstention_outcome(self):
-        params = ElectionParameters.small_test_election(
-            num_voters=3, num_options=2, election_end=200.0
-        )
-
         class LastVoterAbstains(VotingDriver):
             """Remove the last voter's start: simply never schedule it."""
 
@@ -96,7 +87,7 @@ class TestAbstentions:
 
         drivers = default_drivers()
         voting = drivers[1] = LastVoterAbstains()
-        spec = ScenarioSpec.from_election_parameters(params, seed=31)
+        spec = small_spec(num_voters=3, num_options=2, election_end=200.0, seed=31)
         outcome = ElectionEngine(spec, drivers=drivers).run(["option-1", "option-1", "option-2"])
         return dataclasses.replace(outcome, voters=outcome.voters + [voting.abstainer])
 
@@ -120,14 +111,14 @@ class TestAbstentions:
 
 class TestPhaseValidation:
     def test_choice_count_must_match_voters(self):
-        params = ElectionParameters.small_test_election(num_voters=2, num_options=2)
         with pytest.raises(ValueError):
-            run_parameters(params, ["option-1"], seed=1)
+            run_spec(small_spec(num_voters=2, num_options=2, seed=1), ["option-1"])
 
     def test_trustee_phase_without_votes_uploaded_returns_none(self):
-        params = ElectionParameters.small_test_election(num_voters=2, num_options=2)
-        spec = ScenarioSpec.from_election_parameters(params, seed=1)
-        engine = ElectionEngine(spec, include_proofs=False)
+        spec = small_spec(
+            num_voters=2, num_options=2, seed=1, crypto=CryptoProfile(include_proofs=False)
+        )
+        engine = ElectionEngine(spec)
         ctx = engine.begin(["option-1", "option-2"])
         try:
             engine.driver("setup").run(ctx)

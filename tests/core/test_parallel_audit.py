@@ -1,10 +1,10 @@
 """Tests for the batched/parallel end-of-election audit and tally pipeline."""
 
 import pytest
-from engine_runs import run_parameters
+from engine_runs import run_spec, small_spec
 
 from repro.core.auditor import Auditor
-from repro.core.election import ElectionParameters
+from repro.core.election import AuditConfig
 from repro.core.tally import combine_tally_commitments, open_tally, open_tally_parallel
 from repro.crypto.commitments import CommitmentOpening, OptionEncodingScheme
 from repro.crypto.utils import RandomSource
@@ -14,10 +14,8 @@ from repro.perf.parallel import ParallelConfig
 @pytest.fixture(scope="module")
 def batch_outcome():
     """A fresh honest election whose BB state this module may tamper with."""
-    params = ElectionParameters.small_test_election(
-        num_voters=4, num_options=2, election_end=200.0
-    )
-    return run_parameters(params, ["option-1", "option-2", "option-2", "option-1"], seed=13)
+    spec = small_spec(num_voters=4, num_options=2, election_end=200.0, seed=13)
+    return run_spec(spec, ["option-1", "option-2", "option-2", "option-1"])
 
 
 class TestVerifyAll:
@@ -73,12 +71,8 @@ class TestTamperDetection:
 
     @pytest.fixture()
     def tampered_outcome(self):
-        params = ElectionParameters.small_test_election(
-            num_voters=4, num_options=2, election_end=200.0
-        )
-        return run_parameters(
-            params, ["option-1", "option-1", "option-2", "option-2"], seed=17
-        )
+        spec = small_spec(num_voters=4, num_options=2, election_end=200.0, seed=17)
+        return run_spec(spec, ["option-1", "option-1", "option-2", "option-2"])
 
     def test_corrupted_opening_is_located(self, tampered_outcome, group):
         serial = part = None
@@ -167,22 +161,21 @@ class TestTallyHelpers:
 
 class TestElectionParameterKnobs:
     def test_per_item_reference_audit_still_available(self):
-        params = ElectionParameters.small_test_election(
-            num_voters=3, num_options=2, election_end=200.0, batch_audit=False
+        spec = small_spec(
+            num_voters=3, num_options=2, election_end=200.0, seed=19,
+            audit=AuditConfig(batch=False),
         )
-        outcome = run_parameters(params, ["option-1", "option-2", "option-1"], seed=19)
+        outcome = run_spec(spec, ["option-1", "option-2", "option-1"])
         assert outcome.audit_report.passed
         # The per-item path records no phase timings.
         assert outcome.audit_timings == {}
 
     def test_invalid_audit_workers_rejected(self):
         with pytest.raises(ValueError):
-            ElectionParameters.small_test_election(audit_workers=0)
+            AuditConfig(workers=0)
 
     def test_invalid_security_bits_rejected(self):
         import dataclasses
 
         with pytest.raises(ValueError):
-            dataclasses.replace(
-                ElectionParameters.small_test_election(), batch_security_bits=4
-            )
+            dataclasses.replace(AuditConfig(), security_bits=4)

@@ -10,7 +10,7 @@ import pytest
 from repro.analysis.determinism import safety_violations
 from repro.api import ScenarioSpec
 from repro.core.ea import ElectionAuthority, vc_node_id
-from repro.core.election import ElectionParameters
+from repro.core.election import AdmissionProfile, ElectionParameters
 from repro.core.messages import VoteReceipt, VoteRejected, VoteRequest
 from repro.core.outcome import ElectionOutcome
 from repro.core.vote_collector import BallotStatus, VoteCollectorNode, endorsement_message
@@ -62,6 +62,31 @@ def build_vc_network(params, setup, seed=3):
     voter = ProbeVoter("probe-voter")
     network.register(voter)
     return network, nodes, voter
+
+
+def test_a_collector_build_validates_the_admission_flags_once(vc_setup, monkeypatch):
+    """The profile checks its bounds when it is written down; the parameters,
+    the node, the queue and the batcher read the same object and re-check
+    nothing (four checks per collector until PR 24)."""
+    checks = []
+    original = AdmissionProfile.__post_init__
+
+    def counted(self):
+        checks.append(self)
+        original(self)
+
+    monkeypatch.setattr(AdmissionProfile, "__post_init__", counted)
+    _, setup = vc_setup
+    profile = AdmissionProfile(queue_depth=3, service_ms=2.0, endorse_batch_size=4)
+    params = ElectionParameters.small_test_election(
+        num_voters=3, num_options=2, election_end=500.0, admission=profile
+    )
+    _network, nodes, _voter = build_vc_network(params, setup)
+    assert checks == [profile]
+    for node in nodes:
+        assert node.params.admission is profile
+        assert (node._admission.depth, node._admission.service_s) == (3, 0.002)
+        assert node._endorse_batcher.batch_size == 4
 
 
 class TestVotingProtocol:
@@ -136,7 +161,8 @@ class TestVotingProtocol:
         receipt, no rejection, and the ballot NOT_VOTED on every node."""
         _, setup = vc_setup
         params = ElectionParameters.small_test_election(
-            num_voters=3, num_options=2, election_end=500.0, endorse_batch_size=endorse_batch
+            num_voters=3, num_options=2, election_end=500.0,
+            admission=AdmissionProfile(endorse_batch_size=endorse_batch),
         )
         network, nodes, first = build_vc_network(params, setup)
         second = ProbeVoter("probe-voter-2")

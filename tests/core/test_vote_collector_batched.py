@@ -1,6 +1,6 @@
 """Integration tests for batched (superblock) Vote Set Consensus on VC nodes.
 
-The acceptance property of the batching work: for any ``consensus_batch_size``
+The acceptance property of the batching work: for any ``consensus.batch_size``
 the final agreed vote set is identical to the per-ballot baseline, batch
 size 1 degenerates to the classic protocol, oversized batches collapse to a
 single superblock, and a Byzantine node splitting honest opinions inside a
@@ -9,12 +9,12 @@ agreement.
 """
 
 import pytest
-from engine_runs import run_parameters
+from engine_runs import run_spec, small_spec
 
 from repro.consensus.bracha import BinaryConsensusInstance
 from repro.core.byzantine import UcertWithholdingVoteCollector
 from repro.core.ea import ElectionAuthority, vc_node_id
-from repro.core.election import ElectionParameters
+from repro.core.election import ConsensusConfig, ElectionParameters
 from repro.core.messages import Announce, VoteRequest, VscBatch
 from repro.core.vote_collector import VoteCollectorNode
 from repro.crypto.utils import RandomSource
@@ -27,13 +27,13 @@ CHOICES = ["option-1", "option-2", "option-1", "option-1", "option-2", "option-1
 
 
 def run_outcome(batch_size, seed=11):
-    params = ElectionParameters.small_test_election(
-        num_voters=len(CHOICES), num_options=2, election_end=500.0,
-        consensus_batch_size=batch_size,
+    spec = small_spec(
+        num_voters=len(CHOICES), num_options=2, election_end=500.0, seed=seed,
+        consensus=ConsensusConfig(batch_size),
     )
     # Pin the EA randomness so every batch size sees the *same* ballots
     # (serials, vote codes) and the final vote sets are comparable.
-    return run_parameters(params, CHOICES, seed=seed, rng=RandomSource(99))
+    return run_spec(spec, CHOICES, rng=RandomSource(99))
 
 
 class TestBatchedElections:
@@ -161,7 +161,7 @@ def build_byzantine_network(batch_size, reveal_to, seed=23):
     """Four VC nodes where VC-0 withholds a UCERT and reveals it selectively."""
     params = ElectionParameters.small_test_election(
         num_voters=4, num_options=2, election_end=500.0,
-        consensus_batch_size=batch_size,
+        consensus=ConsensusConfig(batch_size),
     )
     setup = ElectionAuthority(
         params, rng=RandomSource(31), include_proofs=False, include_trustee_data=False,

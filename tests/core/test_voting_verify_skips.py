@@ -39,7 +39,7 @@ class ProbeVoter(SimNode):
 def make_params(endorse_batch_size=1):
     return ElectionParameters.small_test_election(
         num_voters=2, num_options=2, election_end=500.0,
-        endorse_batch_size=endorse_batch_size,
+        admission=AdmissionProfile(endorse_batch_size=endorse_batch_size),
     )
 
 

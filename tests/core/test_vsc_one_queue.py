@@ -57,7 +57,7 @@ class ProbeVoter(SimNode):
 def make_setup(group, num_ballots, num_vc, batch_size=1):
     params = ElectionParameters.small_test_election(
         num_voters=num_ballots, num_options=2, num_vc=num_vc, election_end=500.0,
-        consensus_batch_size=batch_size,
+        consensus=ConsensusConfig(batch_size),
     )
     setup = ElectionAuthority(
         params, group=group, rng=RandomSource(77),

@@ -36,10 +36,11 @@ class TestConsensusCosts:
         with pytest.raises(ValueError):
             ConsensusCosts().superblock_messages(4, 100, 0)
 
-    def test_cost_model_convenience_wrappers(self):
+    def test_cost_model_carries_the_consensus_costs(self):
         model = CostModel(num_ballots=10_000)
-        assert model.vsc_message_estimate(4, 256) < model.vsc_message_estimate(4, 1)
-        assert model.vsc_batching_speedup(4, 256) > 5.0
+        messages = model.consensus.superblock_messages
+        assert messages(4, model.num_ballots, 256) < messages(4, model.num_ballots, 1)
+        assert model.consensus.batching_speedup(4, model.num_ballots, 256) > 5.0
 
     def test_frames_follow_rounds_not_ballots(self):
         costs = ConsensusCosts()
@@ -192,7 +193,7 @@ class TestAdmissionCosts:
         # bench_voting_throughput.py measures 1.54x at 64 items / 4 signers;
         # the old constant predicted 2.53x.
         assert AdmissionCosts().batch_speedup(64) == pytest.approx(1.62, abs=0.005)
-        assert CostModel().endorse_batching_speedup(64) == AdmissionCosts().batch_speedup(64)
+        assert CostModel().admission.batch_speedup(64) == AdmissionCosts().batch_speedup(64)
         assert AdmissionCosts(fixed_base_multiplications=52.0).batch_speedup(64) == (
             pytest.approx(2.53, abs=0.005)
         )
@@ -286,11 +287,12 @@ class TestBandwidthCosts:
         with pytest.raises(ValueError):
             BandwidthCosts().superblock_consensus_bytes(4, 100, 0)
 
-    def test_cost_model_byte_wrappers(self):
+    def test_cost_model_carries_the_bandwidth_costs(self):
         model = CostModel(num_ballots=10_000)
-        assert model.vsc_bytes_estimate(4, 256) < model.vsc_bytes_estimate(4, 1)
-        assert model.vsc_byte_reduction(4, 256) > 1.0
-        assert model.per_vote_bytes_estimate(4) > 0
+        total = model.bandwidth.consensus_bytes
+        assert total(4, model.num_ballots, 256) < total(4, model.num_ballots, 1)
+        assert model.bandwidth.batching_byte_reduction(4, model.num_ballots, 256) > 1.0
+        assert model.bandwidth.voting_bytes_per_vote(4) > 0
 
     def test_total_consensus_bytes_include_the_frames(self):
         costs = BandwidthCosts()
