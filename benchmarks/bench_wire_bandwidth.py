@@ -216,7 +216,7 @@ def measure_backend_wire_sizes(label: str, name: str, params: dict) -> dict:
     keys = signer.keygen(rng)
     signature = signer.sign(keys, b"wire-size-probe")
     out = bytearray()
-    codec.encode_embedded(signature, out)
+    codec.encode_embedded(out, signature)
     signature_bytes = len(out)
     elgamal = LiftedElGamal(group)
     ek = elgamal.keygen(rng)

@@ -44,10 +44,29 @@ quorum vector nor force the expensive fallback.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    NewType,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.consensus.bracha import BinaryConsensusInstance
 from repro.consensus.interfaces import ConsensusMessage
+
+if TYPE_CHECKING:  # repro.core.messages imports this module
+    from repro.core.messages import Announce
+
+#: An opinion vector: one byte, 0 or 1, per ballot of a superblock.  Values
+#: are plain ``bytes``; the declared type tells the wire codec to refuse any
+#: other byte.
+OpinionBits = NewType("OpinionBits", bytes)
 
 
 def superblock_id(index: int) -> str:
@@ -76,8 +95,9 @@ def partition_serials(serials: Sequence[int], batch_size: int) -> List[Tuple[int
 class BatchEnvelope:
     """A bundle of consensus-phase messages travelling as one network message."""
 
-    #: :class:`ConsensusMessage` or host-level elements (``Announce``), in send order
-    messages: tuple
+    #: consensus messages and a vote collector's ANNOUNCEs, in send order
+    #: (the wire codec resolves ``Announce`` among the types registered before)
+    messages: Tuple[Union[ConsensusMessage, Announce], ...]
 
     def __len__(self) -> int:
         return len(self.messages)
@@ -149,7 +169,7 @@ class SuperblockSend(ConsensusMessage):
     """
 
     origin: str = ""
-    bits: bytes = b""
+    bits: OpinionBits = b""
 
 
 @dataclass(frozen=True)
@@ -157,7 +177,7 @@ class SuperblockEcho(ConsensusMessage):
     """Echo of an origin's vector (Bracha reliable-broadcast step 2)."""
 
     origin: str = ""
-    bits: bytes = b""
+    bits: OpinionBits = b""
 
 
 @dataclass(frozen=True)
@@ -165,7 +185,7 @@ class SuperblockReady(ConsensusMessage):
     """Ready for an origin's vector (Bracha reliable-broadcast step 3)."""
 
     origin: str = ""
-    bits: bytes = b""
+    bits: OpinionBits = b""
 
 
 @dataclass

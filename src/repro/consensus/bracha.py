@@ -11,9 +11,10 @@ implements the signature-free round structure of Mostefaoui, Moumen and
 Raynal (PODC 2014), which provides the same interface and guarantees
 (asynchronous, tolerates ``f < n/3`` Byzantine nodes, validity + agreement,
 probability-1 termination with a coin) and is substantially simpler to verify
-in pure Python.  The substitution is documented in DESIGN.md; nothing in
-D-DEMOS depends on the internals of the consensus primitive, only on its
-interface and on the validity/agreement/termination guarantees.
+in pure Python.  The substitution is listed in ``docs/ARCHITECTURE.md``,
+"Deviations from the paper"; nothing in D-DEMOS depends on the internals of
+the consensus primitive, only on its interface and on the
+validity/agreement/termination guarantees.
 
 Protocol sketch (per instance, per round ``r``):
 

@@ -57,7 +57,7 @@ from repro.crypto.zkp import (
     OrProofResponse,
     SumProofResponse,
 )
-from repro.net.channels import Message
+from repro.net.channels import ChannelKind, Message
 from repro.net.simulator import SimNode
 
 if TYPE_CHECKING:  # imported lazily at runtime: repro.shard sits above core
@@ -113,11 +113,15 @@ class BulletinBoardNode(SimNode):
     # ------------------------------------------------------------------ network writes (VC -> BB)
 
     def on_message(self, message: Message) -> None:
+        # Only the authenticated channel names the uploading collector; the
+        # ``sender`` field inside an upload is never trusted.
+        if message.channel is not ChannelKind.AUTHENTICATED:
+            return
         payload = message.payload
         if isinstance(payload, VoteSetUpload):
-            self.receive_vote_set(payload.sender, payload.vote_set)
+            self.receive_vote_set(message.sender, payload.vote_set)
         elif isinstance(payload, MskShareUpload):
-            self.receive_msk_share(payload.sender, payload.share)
+            self.receive_msk_share(message.sender, payload.share)
 
     def receive_vote_set(self, vc_node: str, vote_set: Tuple[Tuple[int, bytes], ...]) -> None:
         """Accept the final vote set once fv + 1 identical copies arrive."""

@@ -6,6 +6,11 @@ ENDORSE, ENDORSEMENT, VOTE_P, ANNOUNCE, RECOVER-REQUEST, RECOVER-RESPONSE for
 the vote-collection subsystem, plus the uploads VC nodes send to BB nodes at
 the end of the election and the :class:`VscBatch` frame that carries a VC
 node's ANNOUNCEs and binary-consensus traffic during Vote Set Consensus.
+
+The ``sender`` fields are part of the wire format and are not trusted: a
+receiver takes the sender from the authenticated channel
+(:attr:`repro.net.channels.Message.sender`), so a collector cannot speak for
+another by writing its name into a payload.
 """
 
 from __future__ import annotations

@@ -261,9 +261,14 @@ class VoteCollectorNode(SimNode):
     # ------------------------------------------------------------------ dispatch
 
     def on_message(self, message: Message) -> None:
+        # Only the authenticated channel names a peer collector; the
+        # ``sender`` fields inside payloads are never trusted.  Voters alone
+        # speak on the public channel, and only with VOTE requests.
         payload = message.payload
         if isinstance(payload, VoteRequest):
             self._admission.offer(message.sender, payload)
+        elif message.channel is not ChannelKind.AUTHENTICATED:
+            return
         elif isinstance(payload, Endorse):
             self._on_endorse(message.sender, payload)
         elif isinstance(payload, Endorsement):
@@ -271,15 +276,13 @@ class VoteCollectorNode(SimNode):
         elif isinstance(payload, VotePending):
             self._on_vote_pending(message.sender, payload)
         elif isinstance(payload, VscBatch):
-            # The authenticated channel names the sender; the ``sender``
-            # fields inside the frame are never trusted.
             for element in payload.envelope.messages:
                 if isinstance(element, Announce):
                     self._on_announce(message.sender, element)
                 else:
                     self.vsc.handle(message.sender, element)
         elif isinstance(payload, RecoverRequest):
-            self._on_recover_request(payload)
+            self._on_recover_request(message.sender, payload)
         elif isinstance(payload, RecoverResponse):
             self._on_recover_response(payload)
         # What this handler step queued leaves as one frame to every VC node.
@@ -468,10 +471,11 @@ class VoteCollectorNode(SimNode):
             # A valid UCERT exists for a different code than the one we hold;
             # with an honest EA this cannot happen (UCERT uniqueness), so drop.
             return
-        record.receipt_shares[pending.sender] = pending.receipt_share
+        record.receipt_shares[sender] = pending.receipt_share
         record.ucert = record.ucert or pending.ucert
         self._disclose_share(pending.serial, record, pending.vote_code, pending.ucert)
-        if len(record.receipt_shares) >= self.quorum:
+        # A replayed share repeats an index: count the distinct ones.
+        if len({signed.index for signed in record.receipt_shares.values()}) >= self.quorum:
             self._reconstruct_receipt(pending.serial, record)
 
     def _reconstruct_receipt(self, serial: int, record: BallotRecord) -> None:
@@ -639,12 +643,12 @@ class VoteCollectorNode(SimNode):
                 self.broadcast(self.peers, RecoverRequest(serial, self.node_id))
         self._maybe_finish_vsc()
 
-    def _on_recover_request(self, request: RecoverRequest) -> None:
+    def _on_recover_request(self, sender: str, request: RecoverRequest) -> None:
         record = self.ballots.get(request.serial)
         if record is None or record.ucert is None or record.used_vote_code is None:
             return
         self.send(
-            request.sender,
+            sender,
             RecoverResponse(request.serial, record.used_vote_code, record.ucert, self.node_id),
         )
 

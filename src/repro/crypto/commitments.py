@@ -14,7 +14,7 @@ shares of openings and combine them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.crypto.elgamal import ElGamalCiphertext, LiftedElGamal
 from repro.crypto.group import Group, GroupElement, default_group
@@ -40,7 +40,7 @@ class CommitmentOpening:
 class OptionCommitment:
     """A committed option encoding: one ciphertext per option coordinate."""
 
-    ciphertexts: tuple
+    ciphertexts: Tuple[ElGamalCiphertext, ...]
 
     def __len__(self) -> int:
         return len(self.ciphertexts)

@@ -400,8 +400,8 @@ class SchnorrGroup(Group):
     """
 
     # 256-bit safe prime p = 2q + 1 (q prime), generated with a Miller-Rabin
-    # search; see DESIGN.md.  g = 2^2 is a quadratic residue and therefore
-    # generates the order-q subgroup.
+    # search (docs/ARCHITECTURE.md, "Deviations from the paper").  g = 2^2 is
+    # a quadratic residue and therefore generates the order-q subgroup.
     _DEFAULT_P = 0x9F9B41D4CD3CC3DB42914B1DF5F84DA30C82ED1E4728E754FDA103B8924619F3
     _DEFAULT_G = 4
 

@@ -16,7 +16,7 @@ Two pieces of the paper live here:
   random 128-bit IV.  The interface, the key length (128 bits), the
   key-commitment check and the decrypt-after-reconstruction code path are all
   identical to the paper's; only the block cipher inside the keystream differs
-  (documented as substitution #1 in DESIGN.md).
+  (``docs/ARCHITECTURE.md``, "Deviations from the paper").
 """
 
 from __future__ import annotations

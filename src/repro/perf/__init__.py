@@ -23,7 +23,7 @@ package reproduces the evaluation with a calibrated *performance model*:
 
 Absolute numbers are not expected to match the authors' testbed; the curve
 shapes (who wins, where the knees are) are the reproduction target, as stated
-in DESIGN.md and EXPERIMENTS.md.
+in ``docs/ARCHITECTURE.md``, "Deviations from the paper".
 """
 
 from repro.perf.arrivals import (

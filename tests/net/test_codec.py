@@ -1,4 +1,20 @@
-"""Tests for the canonical wire format (frame layout, registry, strictness)."""
+"""Tests for the canonical wire format (frame layout, registry, strictness).
+
+``codec_goldens.json`` holds one frame per payload of :func:`all_type_payloads`
+(every registered type, every ``Optional`` field absent and present, every
+variable-length tuple empty and not, group elements of every backend), as the
+hand-written per-type encoders of e5b995c wrote them.  The field-derived codec
+must reproduce each byte for byte; regenerate the file only with a
+``VERSION`` bump.
+"""
+
+import dataclasses
+import json
+import typing
+import zlib
+from dataclasses import dataclass, make_dataclass
+from pathlib import Path
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import pytest
 
@@ -26,7 +42,9 @@ from repro.core.messages import (
     VoteSetUpload,
     VscBatch,
 )
-from repro.crypto.commitments import OptionEncodingScheme
+from repro.crypto.commitments import OptionCommitment, OptionEncodingScheme
+from repro.crypto.elgamal import ElGamalCiphertext
+from repro.crypto.group import GroupElement
 from repro.crypto.registry import get_group
 from repro.crypto.pedersen_vss import PedersenShare
 from repro.shard.records import GlobalCommitRecord, ShardCommitRecord
@@ -36,12 +54,15 @@ from repro.crypto.utils import RandomSource
 from repro.net.codec import (
     FRAME_HEADER_LEN,
     FRAME_OVERHEAD,
+    FRAME_TRAILER_LEN,
     MAGIC,
     MessageCodec,
     WireFormatError,
     default_codec,
     signing_bytes,
 )
+
+CODEC_GOLDENS = json.loads((Path(__file__).parent / "codec_goldens.json").read_text())
 
 
 @pytest.fixture(scope="module")
@@ -254,44 +275,72 @@ class TestStrictDecoding:
         assert codec.encode(Finish("1", 0)).startswith(MAGIC)
 
 
+@dataclass(frozen=True)
+class Ping:
+    """A payload outside the default registry, one field of every wire form."""
+
+    nonce: int
+    payload: bytes
+    note: str
+    urgent: bool
+    share: Optional[Share]
+    element: GroupElement
+    pairs: Tuple[Tuple[str, int], ...]
+    either: Union[Share, PedersenShare]
+
+
 class TestRegistry:
     def test_duplicate_tag_rejected(self):
         codec = MessageCodec()
-        with pytest.raises(ValueError):
-            codec.register(codec.tag_of(Endorse), int, lambda c, o, b: None, lambda c, r: 0)
+        with pytest.raises(ValueError, match="already registered for Endorse"):
+            codec.register(codec.tag_of(Endorse), Ping)
+        assert Ping not in codec.registered_types
 
     def test_duplicate_type_rejected(self):
         codec = MessageCodec()
-        with pytest.raises(ValueError):
-            codec.register(0x1234, Endorse, lambda c, o, b: None, lambda c, r: 0)
+        with pytest.raises(ValueError, match="Endorse already registered"):
+            codec.register(0x1234, Endorse)
 
     def test_custom_type_registration(self):
-        from dataclasses import dataclass
-
-        @dataclass(frozen=True)
-        class Ping:
-            nonce: int
-
         codec = MessageCodec()
-        codec.register(
-            0x7000,
-            Ping,
-            lambda c, obj, out: out.extend(obj.nonce.to_bytes(4, "big")),
-            lambda c, r: Ping(int.from_bytes(r.take(4), "big")),
+        codec.register(0x7000, Ping)
+        group = get_group("schnorr")
+        for ping in (
+            Ping(77, b"\x00", "ü", True, Share(1, 2), group.power_g(9), (), PedersenShare(1, 2, 3)),
+            Ping(-1, b"", "", False, None, group.identity(), (("a", 1), ("b", -2)), Share(3, 4)),
+        ):
+            assert codec.decode(codec.encode(ping)) == ping
+        # Ping's body is its fields in declaration order, nothing else.
+        frame = codec.encode(Ping(0, b"", "", True, None, group.identity(), (), Share(0, 0)))
+        element = group.identity().serialize()
+        share = codec.encode(Share(0, 0))[3:-4]
+        body = (
+            b"\x00" + bytes(4) + bytes(4) + bytes(4) + b"\x01" + b"\x00"
+            + len(element).to_bytes(4, "big") + element + bytes(4) + share
         )
-        assert codec.decode(codec.encode(Ping(77))) == Ping(77)
-
+        assert frame[3:-4] == (0x7000).to_bytes(2, "big") + len(body).to_bytes(4, "big") + body
 
     def test_mutable_type_rejected(self):
         """Decoded objects are shared between receivers, so they must be immutable."""
-        from dataclasses import dataclass
 
         @dataclass
         class Mutable:
             nonce: int
 
-        with pytest.raises(ValueError):
-            MessageCodec().register(0x7001, Mutable, lambda c, o, b: None, lambda c, r: 0)
+        with pytest.raises(ValueError, match="not a frozen dataclass"):
+            MessageCodec().register(0x7001, Mutable)
+
+    @pytest.mark.parametrize(
+        "declared", [float, tuple, dict, Any, Dict[str, int], List[int], Optional[float]],
+        ids=["float", "tuple", "dict", "Any", "Dict", "List", "Optional[float]"],
+    )
+    def test_field_without_wire_form_rejected(self, declared):
+        Unwired = make_dataclass("Unwired", [("ok", int), ("field", declared)], frozen=True)
+        codec = MessageCodec()
+        with pytest.raises(ValueError, match=r"Unwired\.field: .* has no wire form"):
+            codec.register(0x7002, Unwired)
+        assert Unwired not in codec.registered_types
+        assert 0x7002 not in {codec.tag_of(cls) for cls in codec.registered_types}
 
 
 class TestSigningBytes:
@@ -464,3 +513,210 @@ class TestGoldenFrames:
             b"endorse", payloads["endorse"], 5, "x", b"y"
         )
         assert signed.hex() == GOLDEN_HEX["signing"]
+
+
+#: backends whose elements the all-type goldens carry; ``schnorr-gmpy2`` is
+#: the pure backend where gmpy2 is absent and mpz-backed where it is installed
+GOLDEN_BACKENDS = ("schnorr", "schnorr-gmpy2", "secp256k1", "ed25519")
+
+
+def all_type_payloads():
+    """``name -> (backend, payload)``: every registered type at least once,
+    every ``Optional`` field both absent and present, every variable-length
+    tuple both empty and not, and the group-element payloads on every backend.
+    """
+    schnorr = get_group("schnorr")
+    code = b"code-bytes"
+    sig = SchnorrSignature(0x1234567890ABCDEF << 128, (1 << 255) - 19, schnorr.power_g(5))
+    bare = SchnorrSignature(1, 2, None)
+    endorsements = (Endorsement(7, code, "VC-1", sig), Endorsement(7, code, "VC-2", bare))
+    ucert = UniquenessCertificate(7, code, endorsements)
+    share = SignedShare(Share(2, (1 << 200) + 17), b"receipt|7|A|0", bare)
+    other_share = SignedShare(Share(3, 5), b"receipt|7|A|0", sig)
+    consensus = (
+        BVal("7", 0, 1), Aux("7", 2, 0), Finish("7", 1),
+        SuperblockSend("sb|0", "VC-0", b"\x01\x00\x01\x01"),
+        SuperblockEcho("sb|0", "VC-1", b"\x01\x00\x01\x01"),
+        SuperblockReady("sb|0", "VC-2", b"\x01\x00\x01\x01"),
+    )
+    full_entry = BallotStateEntry(
+        7, "voted", code, code, b"\x00" * 8, ucert, (("VC-1", share), ("VC-2", other_share))
+    )
+    bare_entry = BallotStateEntry(9, "not-voted", None, None, None, None, ())
+    payloads = {
+        "signature_bare": ("schnorr", bare),
+        "signature_signed_ints": ("schnorr", SchnorrSignature(-(1 << 70), 0, None)),
+        "share": ("schnorr", Share(2, (1 << 200) + 17)),
+        "signed_share": ("schnorr", share),
+        "pedersen_share": ("schnorr", PedersenShare(3, 11, (1 << 255) + 1)),
+        "vote_request": ("schnorr", VoteRequest(7, code, "V-0")),
+        "vote_request_unicode": ("schnorr", VoteRequest(0, b"", "vöter-ü")),
+        "vote_receipt": ("schnorr", VoteReceipt(7, code, b"\x00\x01" * 4)),
+        "vote_rejected": ("schnorr", VoteRejected(7, code, "outside voting hours")),
+        "endorse": ("schnorr", Endorse(7, code)),
+        "endorsement": ("schnorr", endorsements[0]),
+        "ucert": ("schnorr", ucert),
+        "ucert_empty": ("schnorr", UniquenessCertificate(7, code, ())),
+        "vote_pending": ("schnorr", VotePending(7, code, share, ucert, "VC-2")),
+        "announce": ("schnorr", Announce(7, code, ucert, "VC-0")),
+        "announce_code_only": ("schnorr", Announce(7, code, None, "VC-0")),
+        "announce_ucert_only": ("schnorr", Announce(7, None, ucert, "VC-0")),
+        "announce_empty": ("schnorr", Announce(8, None, None, "VC-0")),
+        "recover_request": ("schnorr", RecoverRequest(7, "VC-3")),
+        "recover_response": ("schnorr", RecoverResponse(7, code, ucert, "VC-3")),
+        "vsc_batch": (
+            "schnorr",
+            VscBatch(BatchEnvelope(consensus + (Announce(8, None, None, "VC-1"),)), "VC-1"),
+        ),
+        "vsc_batch_empty": ("schnorr", VscBatch(BatchEnvelope(()), "VC-1")),
+        "vote_set_upload": ("schnorr", VoteSetUpload(((7, code), (9, b"other")), "VC-2")),
+        "vote_set_upload_empty": ("schnorr", VoteSetUpload((), "VC-2")),
+        "msk_share_upload": ("schnorr", MskShareUpload(share, "VC-2")),
+        "ballot_state_full": ("schnorr", full_entry),
+        "ballot_state_bare": ("schnorr", bare_entry),
+        "vc_snapshot": ("schnorr", VcStateSnapshot("VC-0", True, (full_entry, bare_entry))),
+        "vc_snapshot_empty": ("schnorr", VcStateSnapshot("VC-0", False, ())),
+        "bval": ("schnorr", consensus[0]),
+        "aux": ("schnorr", consensus[1]),
+        "finish": ("schnorr", consensus[2]),
+        "superblock_send": ("schnorr", consensus[3]),
+        "superblock_echo": ("schnorr", consensus[4]),
+        "superblock_ready": ("schnorr", consensus[5]),
+        "superblock_send_empty": ("schnorr", SuperblockSend("sb|1", "VC-3", b"")),
+        "batch_envelope": ("schnorr", BatchEnvelope(consensus)),
+        "batch_envelope_empty": ("schnorr", BatchEnvelope(())),
+        "commitment_empty": ("schnorr", OptionCommitment(())),
+    }
+    for backend in GOLDEN_BACKENDS:
+        group = get_group(backend)
+        ciphertexts = (
+            ElGamalCiphertext(group.power_g(3), group.power_g(11)),
+            ElGamalCiphertext(group.identity(), group.generator()),
+        )
+        commitment = OptionCommitment(ciphertexts)
+        payloads.update({
+            f"{backend}/signature": (
+                backend, SchnorrSignature(sig.challenge, sig.response, group.power_g(5))
+            ),
+            f"{backend}/ciphertext": (backend, ciphertexts[0]),
+            f"{backend}/ciphertext_identity": (backend, ciphertexts[1]),
+            f"{backend}/commitment": (backend, commitment),
+            f"{backend}/shard_commit": (
+                backend,
+                ShardCommitRecord(2, 100, 150, 50, 37, commitment, b"\x11" * 32, "shard-2"),
+            ),
+            f"{backend}/global_commit": (
+                backend,
+                GlobalCommitRecord(
+                    "codec-goldens", 2, 80, commitment, (b"\x22" * 32, b"\x33" * 32)
+                ),
+            ),
+        })
+    return payloads
+
+
+@pytest.fixture(scope="module")
+def all_payloads():
+    return all_type_payloads()
+
+
+def declared_fields(cls):
+    """``(name, annotation)`` of a registered type's fields."""
+    hints = typing.get_type_hints(cls, localns={"Announce": Announce})
+    return [(f.name, hints[f.name]) for f in dataclasses.fields(cls)]
+
+
+def is_optional(declared):
+    return typing.get_origin(declared) is Union and type(None) in typing.get_args(declared)
+
+
+def is_sequence(declared):
+    args = typing.get_args(declared)
+    return typing.get_origin(declared) is tuple and len(args) == 2 and args[1] is Ellipsis
+
+
+class TestAllTypeGoldens:
+    def test_the_payloads_cover_every_registered_type(self, all_payloads):
+        assert sorted(all_payloads) == sorted(CODEC_GOLDENS)
+        covered = {type(payload) for _backend, payload in all_payloads.values()}
+        assert covered == set(MessageCodec().registered_types)
+        assert len(covered) == 30
+
+    def test_every_optional_is_absent_and_present_and_every_sequence_empty_and_not(
+        self, all_payloads
+    ):
+        # A global commit binds at least one shard digest by construction.
+        never_empty = {(GlobalCommitRecord, "shard_digests")}
+        for cls in MessageCodec().registered_types:
+            samples = [p for _b, p in all_payloads.values() if type(p) is cls]
+            for name, declared in declared_fields(cls):
+                values = [getattr(sample, name) for sample in samples]
+                if is_optional(declared):
+                    assert None in values and any(v is not None for v in values), (cls, name)
+                if is_sequence(declared) and (cls, name) not in never_empty:
+                    assert () in values and any(values), (cls, name)
+
+    @pytest.mark.parametrize("name", sorted(CODEC_GOLDENS))
+    def test_frame_is_byte_identical_and_round_trips(self, all_payloads, name):
+        backend, payload = all_payloads[name]
+        golden = bytes.fromhex(CODEC_GOLDENS[name])
+        assert MessageCodec(group=get_group(backend)).encode(payload) == golden
+        codec = MessageCodec(group=get_group(backend))
+        decoded = codec.decode(golden)
+        assert decoded == payload
+        assert codec.encode(decoded) == golden  # the decoded bodies are reused
+
+
+def with_byte(frame: bytes, at: int, value: int) -> bytes:
+    """``frame`` with one byte replaced and its checksum recomputed."""
+    body = bytearray(frame[:-FRAME_TRAILER_LEN])
+    body[at] = value
+    return bytes(body) + zlib.crc32(body).to_bytes(4, "big")
+
+
+def first_difference(one: bytes, other: bytes) -> int:
+    """The first body byte at which two frames of one type differ."""
+    return next(
+        at for at in range(FRAME_HEADER_LEN, min(len(one), len(other))) if one[at] != other[at]
+    )
+
+
+FLAG_FIELDS = [
+    (cls, name)
+    for cls in MessageCodec().registered_types
+    for name, declared in declared_fields(cls)
+    if is_optional(declared) or declared is bool
+]
+
+
+class TestFieldRefusals:
+    """The checks every hand-written decoder made, on every field they apply to."""
+
+    def test_the_flag_fields_are_the_seven_optionals_and_one_bool(self):
+        assert sorted((cls.__name__, name) for cls, name in FLAG_FIELDS) == [
+            ("Announce", "ucert"),
+            ("Announce", "vote_code"),
+            ("BallotStateEntry", "endorsed_code"),
+            ("BallotStateEntry", "receipt"),
+            ("BallotStateEntry", "ucert"),
+            ("BallotStateEntry", "used_vote_code"),
+            ("SchnorrSignature", "commitment"),
+            ("VcStateSnapshot", "voting_closed"),
+        ]
+
+    @pytest.mark.parametrize("stray", [2, 0xFF])
+    @pytest.mark.parametrize(
+        "cls, name", FLAG_FIELDS, ids=[f"{cls.__name__}.{name}" for cls, name in FLAG_FIELDS]
+    )
+    def test_a_marker_or_bool_byte_other_than_0_or_1(self, all_payloads, cls, name, stray):
+        codec = MessageCodec(group=get_group("schnorr"))
+        samples = [p for backend, p in all_payloads.values() if type(p) is cls]
+        # Two payloads that differ in this field alone: absent (or False) and
+        # present (or True); the first byte they differ in is its marker.
+        low = next(p for p in samples if not getattr(p, name))
+        high = next(getattr(p, name) for p in samples if getattr(p, name))
+        frame = codec.encode(low)
+        at = first_difference(frame, codec.encode(dataclasses.replace(low, **{name: high})))
+        assert frame[at] == 0
+        with pytest.raises(WireFormatError, match="invalid (optional marker|bool byte)"):
+            codec.decode(with_byte(frame, at, stray))
