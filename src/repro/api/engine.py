@@ -57,7 +57,7 @@ from repro.core.election import ElectionParameters
 from repro.core.outcome import ElectionOutcome
 from repro.core.tally import TallyResult
 from repro.core.trustee import Trustee
-from repro.core.vote_collector import VoteCollectorNode
+from repro.core.vote_collector import VoteCollectorNode, total_vsc_stats
 from repro.core.voter import VoterClient
 from repro.crypto.group import Group
 from repro.crypto.utils import RandomSource
@@ -304,14 +304,10 @@ class ConsensusDriver(PhaseDriver):
             for node in ctx.vote_collectors
             if getattr(node, "final_vote_set", None) is not None
         ]
-        stats: Dict[str, int] = {}
-        for node in ctx.vote_collectors:
-            for key, value in node.vsc_stats.as_dict().items():
-                stats[key] = stats.get(key, 0) + value
         ctx.bus.emit(
             ConsensusDecided(
                 vote_set_size=max((len(vs) for vs in vote_sets), default=0),
-                stats=stats,
+                stats=total_vsc_stats(ctx.vote_collectors),
             )
         )
 

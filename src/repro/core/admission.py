@@ -190,11 +190,6 @@ class AdmissionQueue:
         self.on_admit(sender, request)
         self._arm_drain()
 
-    def reset(self) -> None:
-        """Drop the in-memory backlog (process restart)."""
-        self._backlog.clear()
-        self._drain_armed = False
-
 
 class EndorsementBatcher:
     """Size/time-bounded batching of ENDORSEMENT signature verification.
@@ -231,9 +226,6 @@ class EndorsementBatcher:
         self.window_s = window_s
         self._pending: List[object] = []
         self._timer_armed = False
-
-    def __len__(self) -> int:
-        return len(self._pending)
 
     def add(self, endorsement) -> None:
         self._pending.append(endorsement)
@@ -279,8 +271,3 @@ class EndorsementBatcher:
         for index, (endorsement, _public) in enumerate(items):
             if index not in bad:
                 self.process(endorsement)
-
-    def reset(self) -> None:
-        """Drop pending items (process restart loses the in-memory batch)."""
-        self._pending.clear()
-        self._timer_armed = False

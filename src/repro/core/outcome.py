@@ -15,7 +15,7 @@ from repro.core.bulletin_board import BulletinBoardNode
 from repro.core.ea import ElectionSetup
 from repro.core.tally import TallyResult, expected_tally
 from repro.core.trustee import Trustee
-from repro.core.vote_collector import VoteCollectorNode
+from repro.core.vote_collector import VoteCollectorNode, total_vsc_stats
 from repro.core.voter import VoterClient
 from repro.net.simulator import Network
 
@@ -58,11 +58,7 @@ class ElectionOutcome:
         ``consensus.batch_size > 1`` the superblock counters show how many
         blocks took the fast path versus falling back to per-ballot consensus.
         """
-        totals: Dict[str, int] = {}
-        for node in self.vote_collectors:
-            for key, value in node.vsc_stats.as_dict().items():
-                totals[key] = totals.get(key, 0) + value
-        return totals
+        return total_vsc_stats(self.vote_collectors)
 
     @property
     def admission_stats(self) -> Dict[str, int]:

@@ -126,6 +126,15 @@ class VscStats:
         return asdict(self)
 
 
+def total_vsc_stats(nodes) -> Dict[str, int]:
+    """:class:`VscStats` summed over collectors, key by key."""
+    totals: Dict[str, int] = {}
+    for node in nodes:
+        for key, value in node.vsc_stats.as_dict().items():
+            totals[key] = totals.get(key, 0) + value
+    return totals
+
+
 @lru_cache(maxsize=1 << 16)
 def endorsement_message(serial: int, vote_code: bytes) -> bytes:
     """The byte string a VC node signs when endorsing a vote code.
@@ -164,24 +173,6 @@ class VoteCollectorNode(SimNode):
         self.signature_scheme = SignatureScheme()
         self.receipt_sss = ShamirSecretSharing(self.quorum, self.num_vc)
 
-        self.ballots: Dict[int, BallotRecord] = {
-            serial: BallotRecord() for serial in init.ballots
-        }
-        #: which vote code this node has endorsed per serial (at most one)
-        self.endorsed: Dict[int, bytes] = {}
-        self.voting_closed = False
-
-        # Vote Set Consensus state.
-        self.consensus: Dict[int, ConsensusRecord] = {}
-        self.vsc_started = False
-        self.final_vote_set: Optional[Tuple[Tuple[int, bytes], ...]] = None
-        self.uploaded = False
-
-        #: the one outbound queue for traffic addressed to every VC node
-        self._batcher = ConsensusBatcher(
-            len(self.peers),
-            lambda envelope: self.broadcast(self.peers, VscBatch(envelope, self.node_id)),
-        )
         # Superblock (batched) Vote Set Consensus.  The block partition is
         # derived from the (identical) ballot set, so every honest node
         # computes the same blocks without coordination.
@@ -200,17 +191,58 @@ class VoteCollectorNode(SimNode):
                 self._vsc_blocks = sharded_partition(init.ballots, params.num_shards, batch_size)
             else:
                 self._vsc_blocks = partition_serials(init.ballots, batch_size)
-        self.vsc = self._new_vsc()
-
-        # Voting-phase admission pipeline (see repro.core.admission).  The
-        # per-signer verification tables are built once here: every peer key
-        # verifies one signature per ballot and the dealer key one receipt
+        # The per-signer verification tables are built once here: every peer
+        # key verifies one signature per ballot and the dealer key one receipt
         # share per VOTE_P, so the tables always amortize and the hot path
         # never pays the lazy-promotion probes.
-        self.admission_stats = AdmissionStats()
         for public in (*self.init.vc_public_keys.values(), self.init.dealer_public_key):
             public.group.fixed_base(public)
-        admission = params.admission
+        self._boot(voting_closed=False)
+
+        # Crash/recovery bookkeeping (driven by the chaos harness).
+        self.crashes = 0
+        self.recovered_at: Optional[float] = None
+        self.caught_up_from_bb = False
+
+    def _boot(self, voting_closed: bool) -> None:
+        """Build every volatile structure: what a process (re)start holds
+        before any durable state is read back."""
+        #: identifies this start; timers armed under an older one are dead
+        self._boot_token = object()
+        self.ballots: Dict[int, BallotRecord] = {
+            serial: BallotRecord() for serial in self.init.ballots
+        }
+        #: which vote code this node has endorsed per serial (at most one)
+        self.endorsed: Dict[int, bytes] = {}
+        self.voting_closed = voting_closed
+
+        # Vote Set Consensus state.
+        self.consensus: Dict[int, ConsensusRecord] = {}
+        self.vsc_started = False
+        self.final_vote_set: Optional[Tuple[Tuple[int, bytes], ...]] = None
+        self.uploaded = False
+        #: the one outbound queue for traffic addressed to every VC node
+        self._batcher = ConsensusBatcher(
+            len(self.peers),
+            lambda envelope: self.broadcast(self.peers, VscBatch(envelope, self.node_id)),
+        )
+        #: everything between "ready" and "decided"
+        self.vsc = VoteSetConsensus(
+            node_id=self.node_id,
+            num_nodes=self.num_vc,
+            num_faulty=self.thresholds.max_faulty_vc,
+            serials=self.init.ballots,
+            blocks=self._vsc_blocks,
+            broadcast=self._batcher.enqueue,
+            schedule=self._vsc_schedule,
+            # "Voted" exactly when we hold a uniqueness certificate for the ballot.
+            opinion_of=lambda serial: int(self.ballots[serial].ucert is not None),
+            on_decide=self._on_consensus_decision,
+        )
+
+        # Voting-phase admission pipeline (see repro.core.admission).
+        self.admission_stats = AdmissionStats()
+        admission = self.params.admission
         self._endorse_batcher: Optional[EndorsementBatcher] = None
         if admission.endorse_batch_size > 1 and self.init.vc_public_keys:
             # Imported here so the core layer only pays for the batch
@@ -223,7 +255,7 @@ class VoteCollectorNode(SimNode):
                 node=self,
                 verifier=BatchVerifier(
                     group,
-                    security_bits=params.audit.security_bits,
+                    security_bits=self.params.audit.security_bits,
                     rng=RandomSource(node_batch_seed(self.node_id)),
                 ),
                 stats=self.admission_stats,
@@ -253,10 +285,16 @@ class VoteCollectorNode(SimNode):
         self.votes_rejected = 0
         self.recover_requests = 0
 
-        # Crash/recovery bookkeeping (driven by the chaos harness).
-        self.crashes = 0
-        self.recovered_at: Optional[float] = None
-        self.caught_up_from_bb = False
+    def set_timer(self, delay: float, callback, description: str = "timer") -> None:
+        """A timer of this start only: every collector timer serves volatile
+        state, so one armed before a restart fires as a no-op."""
+        boot = self._boot_token
+
+        def fire() -> None:
+            if self._boot_token is boot:
+                callback()
+
+        super().set_timer(delay, fire, description)
 
     # ------------------------------------------------------------------ dispatch
 
@@ -455,22 +493,29 @@ class VoteCollectorNode(SimNode):
             return
         if pending.ucert.serial != pending.serial or pending.ucert.vote_code != pending.vote_code:
             return
+        if record.status is BallotStatus.NOT_VOTED:
+            location = view.find_vote_code(pending.vote_code)
+        elif record.used_vote_code != pending.vote_code:
+            # A valid UCERT exists for a different code than the one we hold;
+            # with an honest EA this cannot happen (UCERT uniqueness), so drop.
+            return
+        else:
+            location = record.location or view.find_vote_code(pending.vote_code)
+        # The dealer signs every line's shares, so a valid signature alone
+        # would let a share of another row or serial into the reconstruction.
+        if location is None or (
+            pending.receipt_share.context != view.receipt_share_at(*location).context
+        ):
+            return
         if not SigningDealer.verify_share(
             self.signature_scheme, self.init.dealer_public_key, pending.receipt_share
         ):
             return
         if record.status is BallotStatus.NOT_VOTED:
-            location = view.find_vote_code(pending.vote_code)
-            if location is None:
-                return
             record.location = location
             record.status = BallotStatus.PENDING
             record.used_vote_code = pending.vote_code
             record.ucert = pending.ucert
-        elif record.used_vote_code != pending.vote_code:
-            # A valid UCERT exists for a different code than the one we hold;
-            # with an honest EA this cannot happen (UCERT uniqueness), so drop.
-            return
         record.receipt_shares[sender] = pending.receipt_share
         record.ucert = record.ucert or pending.ucert
         self._disclose_share(pending.serial, record, pending.vote_code, pending.ucert)
@@ -587,21 +632,6 @@ class VoteCollectorNode(SimNode):
             # A quorum of announces after our own election end: the opinion
             # on this ballot is ready for the engine.
             self.vsc.ready(announce.serial)
-
-    def _new_vsc(self) -> VoteSetConsensus:
-        """A fresh engine: everything between "ready" and "decided"."""
-        return VoteSetConsensus(
-            node_id=self.node_id,
-            num_nodes=self.num_vc,
-            num_faulty=self.thresholds.max_faulty_vc,
-            serials=self.init.ballots,
-            blocks=self._vsc_blocks,
-            broadcast=self._batcher.enqueue,
-            schedule=self._vsc_schedule,
-            # "Voted" exactly when we hold a uniqueness certificate for the ballot.
-            opinion_of=lambda serial: int(self.ballots[serial].ucert is not None),
-            on_decide=self._on_consensus_decision,
-        )
 
     @property
     def vsc_stats(self) -> VscStats:
@@ -739,9 +769,14 @@ class VoteCollectorNode(SimNode):
     def restore_state(self, data: bytes, codec=None) -> None:
         """Restart this node from a :meth:`snapshot_state` byte string.
 
-        Every volatile structure is reset to its boot state before the
-        durable entries are replayed, exactly as a process restart would
-        re-read its persisted ballots into a fresh heap.
+        The node boots as a fresh process would (:meth:`_boot`, the path the
+        constructor takes) and then replays the durable entries.  So every
+        counter describes the process since its last start: the VSC engine's
+        and outbound queue's, ``recover_requests``, ``receipts_issued``,
+        ``votes_rejected`` and ``admission_stats`` restart at zero.  The
+        crash bookkeeping (``crashes``, ``recovered_at``,
+        ``caught_up_from_bb``) is about the process, not held by it, and
+        carries over.
         """
         if codec is None:
             from repro.net.codec import default_codec
@@ -754,20 +789,7 @@ class VoteCollectorNode(SimNode):
             raise ValueError(
                 f"snapshot belongs to {snapshot.node_id!r}, not {self.node_id!r}"
             )
-
-        # Boot state: wipe everything volatile.
-        self.ballots = {serial: BallotRecord() for serial in self.init.ballots}
-        self.endorsed = {}
-        self.voting_closed = snapshot.voting_closed
-        self.consensus = {}
-        self.vsc_started = False
-        self.final_vote_set = None
-        self.uploaded = False
-        self.vsc = self._new_vsc()
-        self._admission.reset()
-        if self._endorse_batcher is not None:
-            self._endorse_batcher.reset()
-        self._ucert_cache = {}
+        self._boot(voting_closed=snapshot.voting_closed)
 
         # Replay the durable entries.
         for entry in snapshot.entries:

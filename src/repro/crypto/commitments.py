@@ -25,8 +25,8 @@ from repro.crypto.utils import RandomSource, default_random
 class CommitmentOpening:
     """Plaintext vector and per-coordinate randomness of a commitment."""
 
-    values: tuple
-    randomness: tuple
+    values: Tuple[int, ...]
+    randomness: Tuple[int, ...]
 
     def __add__(self, other: "CommitmentOpening") -> "CommitmentOpening":
         if len(self.values) != len(other.values):

@@ -604,9 +604,10 @@ def _default_types() -> Tuple[Tuple[int, Type], ...]:
     # Imported here, not at module load: repro.shard pulls this module in, so
     # a top-level import would be circular.  Registration runs per codec
     # instance, long after both modules are fully initialized.
-    from repro.crypto.commitments import OptionCommitment
+    from repro.crypto.commitments import CommitmentOpening, OptionCommitment
     from repro.crypto.elgamal import ElGamalCiphertext
     from repro.shard.records import GlobalCommitRecord, ShardCommitRecord
+    from repro.shard.shard_runner import ShardSliceResult
 
     return (
         # crypto building blocks (0x40..)
@@ -647,8 +648,11 @@ def _default_types() -> Tuple[Tuple[int, Type], ...]:
         # homomorphic-tally payloads (0x44..) and shard commits (0x60..)
         (0x44, ElGamalCiphertext),
         (0x45, OptionCommitment),
+        (0x46, CommitmentOpening),
         (0x60, ShardCommitRecord),
         (0x61, GlobalCommitRecord),
+        # a finished shard slice, worker process -> driver
+        (0x62, ShardSliceResult),
     )
 
 

@@ -18,11 +18,11 @@ pooled      ``workers > 1``: the same slice function runs on a
             :class:`~repro.perf.parallel.WarmProcessPool` whose initializer
             builds the group, its fixed-base tables and the commitment scheme
             *once per worker process* from ``(backend, num_options, seed)``,
-            so that state never crosses a process boundary.  Results come
-            back as **codec frames + opening scalars**
-            (:meth:`ShardSliceResult.to_wire_dict`), never pickled group
-            elements: gmpy2 ``mpz`` values have no pickle-stable identity and
-            the curve backends carry backend-specific element classes.
+            so that state never crosses a process boundary.  Each result
+            comes back as **one** ``ShardSliceResult`` **frame** (tag 0x62),
+            never as pickled group elements: gmpy2 ``mpz`` values have no
+            pickle-stable identity and the curve backends carry
+            backend-specific element classes.
 
 Either way finished slices fold into :meth:`CrossShardCommit.prepare` in
 *completion* order.  Every slice is a pure function of ``(seed, election_id,
@@ -49,10 +49,10 @@ from repro.crypto.commitments import OptionEncodingScheme
 from repro.crypto.group import Group
 from repro.crypto.registry import get_group
 from repro.crypto.utils import int_to_bytes
-from repro.net.codec import MessageCodec
+from repro.net.codec import MessageCodec, WireFormatError, default_codec
 from repro.perf.parallel import PoolTaskError, WarmProcessPool
 from repro.shard.merge import CrossShardCommit, ShardCommitReport, verify_shard_records
-from repro.shard.partition import ShardPlan, ShardRange
+from repro.shard.partition import ShardPlan
 from repro.shard.records import GlobalCommitRecord
 from repro.shard.shard_runner import ShardRunner, ShardSliceResult
 
@@ -87,20 +87,18 @@ class _SliceState:
     scheme: OptionEncodingScheme
     seed: int
     election_id: str
-    codec: MessageCodec
 
 
 def _run_slice(state: _SliceState, task: dict) -> ShardSliceResult:
     """One shard's election slice (the only place a ``ShardRunner`` is built)."""
     return ShardRunner(
-        ShardRange(task["shard_id"], task["lo"], task["hi"]),
+        task["shard"],
         scheme=state.scheme,
         seed=state.seed,
         election_id=state.election_id,
         num_collectors=task["num_collectors"],
         consensus_batch_size=task["consensus_batch_size"],
         turnout=task["turnout"],
-        codec=state.codec,
         tampered_codes=task["tampered_codes"],
     ).run()
 
@@ -113,15 +111,22 @@ _WORKER: Optional[_SliceState] = None
 def _init_shard_worker(backend: str, num_options: int, seed: int, election_id: str) -> None:
     """Once per worker process: group + fixed-base tables + scheme."""
     global _WORKER
-    scheme = derive_scheme(get_group(backend), num_options, seed)
-    _WORKER = _SliceState(scheme, seed, election_id, MessageCodec(group=scheme.group))
+    _WORKER = _SliceState(derive_scheme(get_group(backend), num_options, seed), seed, election_id)
 
 
-def _run_slice_in_worker(task: dict) -> dict:
-    """:func:`_run_slice` on the worker's state, in process-boundary wire form."""
+def _run_slice_in_worker(task: dict) -> bytes:
+    """:func:`_run_slice` on the worker's state, as one ``ShardSliceResult`` frame."""
     if _WORKER is None:
         raise RuntimeError("shard worker used before its initializer ran")
-    return _run_slice(_WORKER, task).to_wire_dict()
+    return default_codec().encode(_run_slice(_WORKER, task))
+
+
+def decode_slice(codec: MessageCodec, frame: bytes) -> ShardSliceResult:
+    """A pooled slice's result, its elements decoded into ``codec``'s group."""
+    result = codec.decode(frame)
+    if not isinstance(result, ShardSliceResult):
+        raise WireFormatError(f"expected a ShardSliceResult frame, got {type(result).__name__}")
+    return result
 
 
 def worker_initargs(spec) -> tuple:
@@ -220,9 +225,7 @@ class ShardedElectionDriver:
     def _tasks(self) -> List[dict]:
         return [
             {
-                "shard_id": shard.shard_id,
-                "lo": shard.lo,
-                "hi": shard.hi,
+                "shard": shard,
                 "num_collectors": self.sharding.scale_collectors,
                 "consensus_batch_size": self.sharding.scale_batch_size,
                 "turnout": self.sharding.scale_turnout,
@@ -243,7 +246,7 @@ class ShardedElectionDriver:
             try:
                 result = _run_slice(state, task)
             except Exception as exc:
-                raise ShardExecutionError(task["shard_id"], exc) from exc
+                raise ShardExecutionError(task["shard"].shard_id, exc) from exc
             yield result
 
     def _pooled_slices(self, codec: MessageCodec) -> Iterator[ShardSliceResult]:
@@ -254,14 +257,14 @@ class ShardedElectionDriver:
         """
         pool = self._pool or shard_worker_pool(self.spec)
         try:
-            for _, wire in pool.imap_unordered(
+            for _, frame in pool.imap_unordered(
                 _run_slice_in_worker,
                 self._tasks(),
                 max_inflight=self.sharding.max_inflight_shards,
             ):
-                yield ShardSliceResult.from_wire_dict(wire, codec)
+                yield decode_slice(codec, frame)
         except PoolTaskError as exc:
-            raise ShardExecutionError(exc.task["shard_id"], exc.__cause__) from exc.__cause__
+            raise ShardExecutionError(exc.task["shard"].shard_id, exc.__cause__) from exc.__cause__
         finally:
             self.peak_inflight = pool.peak_inflight
             if pool is not self._pool:
@@ -276,7 +279,7 @@ class ShardedElectionDriver:
         merge = CrossShardCommit(scheme, codec=codec)
         if self.sharding.workers == 1:
             slices = self._inline_slices(
-                _SliceState(scheme, self.spec.seed, self.spec.election_id, codec)
+                _SliceState(scheme, self.spec.seed, self.spec.election_id)
             )
         else:
             slices = self._pooled_slices(codec)
@@ -293,7 +296,7 @@ class ShardedElectionDriver:
                         "messages_sent": result.messages_sent,
                         "superblocks_fast": result.superblocks_fast,
                         "superblocks_fallback": result.superblocks_fallback,
-                        "duration_s": result.duration_s,
+                        "duration_s": result.duration_ns / 1e9,
                     }
                 )
                 if self.on_shard is not None:

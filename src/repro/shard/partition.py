@@ -47,13 +47,6 @@ class ShardRange:
     def span(self) -> int:
         return self.hi - self.lo
 
-    def to_dict(self) -> dict:
-        return {"shard_id": self.shard_id, "lo": self.lo, "hi": self.hi}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ShardRange":
-        return cls(int(data["shard_id"]), int(data["lo"]), int(data["hi"]))
-
 
 @dataclass(frozen=True)
 class ShardPlan:
@@ -158,15 +151,6 @@ class ShardPlan:
         for serial in serials:
             routed[self.shard_of(serial)].append(serial)
         return routed
-
-    # -- serialization ---------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {"ranges": [r.to_dict() for r in self.ranges]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ShardPlan":
-        return cls(tuple(ShardRange.from_dict(r) for r in data["ranges"]))
 
 
 def sharded_partition(

@@ -36,10 +36,11 @@ length-prefixed parts; a serial costs ``copy()`` + one ``update``.  The
 against them on each shard's first cast serial and the tests do over whole
 ranges.
 
-The result is a codec-framed :class:`ShardCommitRecord` (plus its opening)
-ready for the cross-shard merge.  Because per-ballot choices and randomness
-depend only on ``(seed, election_id, serial)``, the merged tally — counts
-*and* combined commitment — is identical for every shard count.
+The result is a :class:`ShardSliceResult`: the :class:`ShardCommitRecord`
+and its opening, ready for the cross-shard merge.  Because per-ballot
+choices and randomness depend only on ``(seed, election_id, serial)``, the
+merged tally — counts *and* combined commitment — is identical for every
+shard count.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from typing import Iterator, List, Mapping, Optional, Sequence, Tuple
 from repro.consensus.cluster import ConsensusCluster
 from repro.crypto.commitments import CommitmentOpening, OptionEncodingScheme
 from repro.crypto.utils import int_to_bytes, sha256
-from repro.net.codec import MessageCodec, WireFormatError, default_codec
 from repro.shard.partition import ShardRange
 from repro.shard.records import ShardCommitRecord
 from repro.shard.streaming import StreamingTally
@@ -123,16 +123,16 @@ class _CastBallots:
 
 @dataclass(frozen=True)
 class ShardSliceResult:
-    """Everything a shard hands to the merge layer, plus its statistics."""
+    """Everything a shard hands to the merge layer, plus its statistics: a
+    registered wire payload (tag 0x62), so a pooled slice returns as one frame."""
 
     record: ShardCommitRecord
     opening: CommitmentOpening
-    record_frame: bytes
     counts: Tuple[int, ...]
     messages_sent: int
     superblocks_fast: int
     superblocks_fallback: int
-    duration_s: float
+    duration_ns: int
 
     @property
     def shard_id(self) -> int:
@@ -141,57 +141,6 @@ class ShardSliceResult:
     @property
     def ballots_cast(self) -> int:
         return self.record.ballots_cast
-
-    # -- process-boundary transfer ---------------------------------------------
-
-    def to_wire_dict(self) -> dict:
-        """Codec frame + plain scalars: the process-boundary form.
-
-        Group elements must not cross a process boundary as pickles -- the
-        gmpy2 backend's ``mpz`` values have no pickle-stable identity and the
-        curve backends carry backend-specific element classes.  The record
-        travels as its canonical codec frame (tag 0x60) and the opening as
-        builtin ints, so the transfer works identically on every backend.
-        """
-        return {
-            "record_frame": self.record_frame,
-            "opening_values": tuple(int(v) for v in self.opening.values),
-            "opening_randomness": tuple(int(r) for r in self.opening.randomness),
-            "counts": tuple(int(count) for count in self.counts),
-            "messages_sent": self.messages_sent,
-            "superblocks_fast": self.superblocks_fast,
-            "superblocks_fallback": self.superblocks_fallback,
-            "duration_s": self.duration_s,
-        }
-
-    @classmethod
-    def from_wire_dict(
-        cls, data: Mapping, codec: Optional[MessageCodec] = None
-    ) -> "ShardSliceResult":
-        """Rebuild a result from :meth:`to_wire_dict` output.
-
-        Pass a codec constructed with the election's group so the decoded
-        commitment's elements live in the caller's backend.
-        """
-        codec = codec or default_codec()
-        frame = data["record_frame"]
-        record = codec.decode(frame)
-        if not isinstance(record, ShardCommitRecord):
-            raise WireFormatError(
-                f"expected a ShardCommitRecord frame, decoded {type(record).__name__}"
-            )
-        return cls(
-            record=record,
-            opening=CommitmentOpening(
-                tuple(data["opening_values"]), tuple(data["opening_randomness"])
-            ),
-            record_frame=frame,
-            counts=tuple(data["counts"]),
-            messages_sent=int(data["messages_sent"]),
-            superblocks_fast=int(data["superblocks_fast"]),
-            superblocks_fallback=int(data["superblocks_fallback"]),
-            duration_s=float(data["duration_s"]),
-        )
 
 
 class ShardRunner:
@@ -207,7 +156,6 @@ class ShardRunner:
         consensus_batch_size: int = 1024,
         turnout: float = 1.0,
         silent_collectors: Sequence[int] = (),
-        codec: Optional[MessageCodec] = None,
         tampered_codes: Optional[Mapping[int, bytes]] = None,
     ):
         if num_collectors < 1:
@@ -224,7 +172,6 @@ class ShardRunner:
         self.consensus_batch_size = consensus_batch_size
         self.turnout = turnout
         self.silent_collectors = tuple(silent_collectors)
-        self.codec = codec or default_codec()
         #: fault-injection hook: serial -> the (wrong) code that voter submits.
         self.tampered_codes = dict(tampered_codes or {})
         self._seed_bytes = int_to_bytes(seed)
@@ -381,7 +328,7 @@ class ShardRunner:
     # -- the slice -------------------------------------------------------------
 
     def run(self) -> ShardSliceResult:
-        started = time.perf_counter()
+        started = time.perf_counter_ns()
 
         # Phase 0: EA setup.  The salted commitment of every castable serial
         # is fixed before admission starts, so the admission check below
@@ -443,10 +390,9 @@ class ShardRunner:
         return ShardSliceResult(
             record=record,
             opening=tally.opening(),
-            record_frame=self.codec.encode(record),
             counts=tally.counts,
             messages_sent=outcome.messages_sent,
             superblocks_fast=outcome.superblocks_fast,
             superblocks_fallback=outcome.superblocks_fallback,
-            duration_s=time.perf_counter() - started,
+            duration_ns=time.perf_counter_ns() - started,
         )

@@ -106,8 +106,9 @@ class StreamingTally:
         return tuple(self._values)
 
     def opening(self) -> CommitmentOpening:
+        # Builtin ints (gmpy2 gives ``mpz``): the opening has a wire form.
         return CommitmentOpening(
-            tuple(self._values), tuple(r % self._order for r in self._randomness)
+            tuple(self._values), tuple(int(r % self._order) for r in self._randomness)
         )
 
     def commit(self) -> OptionCommitment:

@@ -120,14 +120,6 @@ class TestAdmissionQueue:
         assert len(admitted) == 4
         assert stats.peak_depth == 4
 
-    def test_reset_drops_backlog(self):
-        node, stats, admitted, _shed, queue = make_queue(depth=None)
-        queue.offer("V-0", 0)
-        queue.reset()
-        node.fire_all()
-        assert admitted == []
-        assert len(queue) == 0
-
 
 @pytest.fixture(scope="module")
 def signed_endorsements(group):

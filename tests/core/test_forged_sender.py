@@ -201,3 +201,46 @@ def test_the_recover_response_goes_to_the_channel_sender(replayed):
     node.send = lambda receiver, payload, channel=ChannelKind.AUTHENTICATED: sent.append(receiver)
     node.on_message(Message("VC-2", node.node_id, RecoverRequest(serial, "VC-1")))
     assert sent == ["VC-2"]
+
+
+@pytest.mark.parametrize("foreign", ["another row", "another serial"])
+def test_a_signed_receipt_share_of_another_ballot_line_is_dropped(group, foreign):
+    """VC-3 sends its dealer-signed share of another ballot line between the
+    honest shares.  The signature is valid, but the share belongs to another
+    sharing: mixed into the reconstruction it gives a wrong receipt."""
+    params = ElectionParameters.small_test_election(num_voters=2, num_options=2)
+    setup = ElectionAuthority(
+        params, group=group, rng=RandomSource(5), include_proofs=False,
+        include_trustee_data=False,
+    ).setup()
+    network = Network()
+    for index in range(params.thresholds.num_vc):
+        network.register(VoteCollectorNode(setup.vc_init[vc_node_id(index)], params))
+    node = network.nodes["VC-1"]
+    ballot, other_ballot = setup.ballots[:2]
+    line = ballot.part_a.lines[0]
+    serial, code = ballot.serial, line.vote_code
+    scheme = SignatureScheme(group)
+    ucert = UniquenessCertificate(serial, code, tuple(
+        Endorsement(serial, code, node_id, scheme.sign(
+            setup.vc_init[node_id].signing_keys, endorsement_message(serial, code)))
+        for node_id in ("VC-0", "VC-1", "VC-2")
+    ))
+    part, row = setup.vc_init["VC-1"].ballots[serial].find_vote_code(code)
+    shares = {
+        node_id: setup.vc_init[node_id].ballots[serial].receipt_share_at(part, row)
+        for node_id in ("VC-0", "VC-1", "VC-2")
+    }
+    if foreign == "another row":
+        shares["VC-3"] = setup.vc_init["VC-3"].ballots[serial].receipt_share_at(part, 1 - row)
+    else:
+        shares["VC-3"] = setup.vc_init["VC-3"].ballots[other_ballot.serial].receipt_share_at(
+            part, row
+        )
+    for sender in ("VC-0", "VC-3", "VC-2", "VC-1"):
+        pending = VotePending(serial, code, shares[sender], ucert, sender)
+        node.on_message(Message(sender, node.node_id, pending))
+    record = node.ballots[serial]
+    assert "VC-3" not in record.receipt_shares
+    assert record.status is BallotStatus.VOTED
+    assert record.receipt == line.receipt

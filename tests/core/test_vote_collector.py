@@ -5,15 +5,23 @@ network simulator, so they can inspect the voting protocol and Vote Set
 Consensus without the full end-to-end machinery.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.analysis.determinism import safety_violations
 from repro.api import ScenarioSpec
+from repro.core.admission import AdmissionStats
 from repro.core.ea import ElectionAuthority, vc_node_id
 from repro.core.election import AdmissionProfile, ElectionParameters
 from repro.core.messages import VoteReceipt, VoteRejected, VoteRequest
 from repro.core.outcome import ElectionOutcome
-from repro.core.vote_collector import BallotStatus, VoteCollectorNode, endorsement_message
+from repro.core.vote_collector import (
+    BallotStatus,
+    VoteCollectorNode,
+    VscStats,
+    endorsement_message,
+)
 from repro.crypto.utils import RandomSource
 from repro.net.adversary import NetworkConditions
 from repro.net.channels import ChannelKind, Message
@@ -348,6 +356,55 @@ class TestCrashSnapshot:
         assert node.consensus == {}
         assert node.final_vote_set is None
         assert not node.uploaded
+
+    def test_counters_describe_the_process_since_its_last_start(self, vc_setup):
+        """After a restore every counter restarts at zero (the node booted
+        again); the crash bookkeeping is about the process and carries over."""
+        params, setup, network, nodes, ballot, line = self.run_one_vote(vc_setup)
+        node, voter = nodes[0], network.nodes["probe-voter"]
+        voter.cast("VC-0", ballot.serial, b"\x00" * 20)
+        network.run_until_idle()
+        snapshot = node.snapshot_state()
+        # Decided "voted" on a ballot it holds no code for: one RECOVER-REQUEST.
+        node._on_consensus_decision(setup.ballots[1].serial, 1)
+        for peer in nodes:
+            peer.end_election()
+        network.run_until_idle(max_events=2_000_000)
+        # Per-ballot mode: the superblock counters are zero either way.
+        per_ballot = {"superblocks", "superblocks_fast", "superblocks_fallback"}
+        before = node.vsc_stats.as_dict()
+        assert sorted(before) == sorted(f.name for f in dataclasses.fields(VscStats))
+        assert all(before[name] for name in before if name not in per_ballot), before
+        assert (node.receipts_issued, node.votes_rejected) == (1, 1)
+        assert node.admission_stats.requests == 2
+        node.crashes, node.caught_up_from_bb = 1, True
+
+        node.restore_state(snapshot)
+        assert node.vsc_stats == VscStats()
+        assert (node.receipts_issued, node.votes_rejected, node.recover_requests) == (0, 0, 0)
+        assert node.admission_stats == AdmissionStats()
+        assert (node.crashes, node.caught_up_from_bb) == (1, True)
+        assert node.recovered_at == network.now
+
+    def test_a_restart_drops_the_admission_backlog(self, vc_setup):
+        """A VOTE queued before a crash is lost with the process, even when
+        the node is back before the queue's drain timer would have fired."""
+        params, setup = vc_setup
+        params = dataclasses.replace(params, admission=AdmissionProfile(service_ms=50.0))
+        network, nodes, voter = build_vc_network(params, setup)
+        node, ballot = nodes[0], setup.ballots[0]
+        voter.cast("VC-0", ballot.serial, ballot.part_a.lines[0].vote_code)
+        network.run(until=0.01)
+        assert (node.admission_stats.requests, node.admission_stats.admitted) == (1, 0)
+
+        snapshot = node.snapshot_state()
+        network.crash("VC-0")
+        node.restore_state(snapshot)
+        network.recover("VC-0")
+        network.run_until_idle()
+        assert node.admission_stats.admitted == 0
+        assert node.ballots[ballot.serial].status is BallotStatus.NOT_VOTED
+        assert voter.receipts == [] and voter.rejections == []
 
     def test_restore_rejects_foreign_snapshot(self, vc_setup):
         params, setup, network, nodes, *_ = self.run_one_vote(vc_setup)

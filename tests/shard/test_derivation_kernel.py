@@ -19,7 +19,7 @@ from repro.consensus.cluster import ClusterResult, ConsensusCluster
 from repro.crypto.commitments import OptionEncodingScheme
 from repro.crypto.registry import available_backends, get_group
 from repro.crypto.utils import int_to_bytes, sha256
-from repro.net.codec import MessageCodec
+from repro.net.codec import MessageCodec, default_codec
 from repro.shard.driver import ShardedElectionDriver, derive_scheme
 from repro.shard.partition import ShardRange
 from repro.shard.shard_runner import ShardRunner, VoteCodeRejected, _domain_state
@@ -172,7 +172,6 @@ def pinned_frames(backend):
         election_id=PIN_ELECTION_ID,
         consensus_batch_size=32,
         turnout=0.75,
-        codec=codec,
     ).run()
     spec = ScenarioSpec.preset(
         "national_scale",
@@ -183,7 +182,7 @@ def pinned_frames(backend):
     election = ShardedElectionDriver(spec, num_ballots=300, codec=codec).run()
     assert shard.record.ballots_cast == 63 and shard.counts == (16, 19, 28)
     assert election.tally.as_dict() == {"yes": 156, "no": 144}
-    return shard.record_frame, codec.encode(election.global_record)
+    return codec.encode(shard.record), codec.encode(election.global_record)
 
 
 @pytest.mark.parametrize("backend", available_backends())
@@ -245,7 +244,7 @@ class TestAdmissionReadsTheSubmittedCode:
         true_code = probe._vote_code(probe._ballot_digest(victim))
         honest = probe.run()
         explicit = self.runner(scheme, tampered_codes={victim: true_code}).run()
-        assert explicit.record_frame == honest.record_frame
+        assert default_codec().encode(explicit.record) == default_codec().encode(honest.record)
 
     def test_abstainer_submissions_are_never_read(self, scheme):
         probe = self.runner(scheme, turnout=0.5)
@@ -254,7 +253,7 @@ class TestAdmissionReadsTheSubmittedCode:
         assert cast and abstainers
         tampered = {abstainers[0]: b"never-submitted", abstainers[-1]: b""}
         result = self.runner(scheme, turnout=0.5, tampered_codes=tampered).run()
-        assert result.record_frame == probe.run().record_frame
+        assert default_codec().encode(result.record) == default_codec().encode(probe.run().record)
         assert result.record.ballots_cast == len(cast)
 
 

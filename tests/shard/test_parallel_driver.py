@@ -5,6 +5,7 @@ warm pool above), so every test that is not about the pool itself takes the
 worker count as a parameter.
 """
 
+import dataclasses
 import hashlib
 import os
 import subprocess
@@ -15,8 +16,9 @@ import pytest
 
 from repro.api import CryptoProfile, MultiElectionService, ScenarioSpec, ShardingProfile
 from repro.crypto.commitments import OptionEncodingScheme
+from repro.crypto.registry import get_group
 from repro.crypto.utils import int_to_bytes
-from repro.net.codec import MessageCodec, WireFormatError
+from repro.net.codec import MessageCodec, WireFormatError, default_codec
 from repro.perf.parallel import PoolWorkerDied
 from repro.shard import (
     ShardExecutionError,
@@ -28,7 +30,7 @@ from repro.shard import (
     shard_worker_pool,
 )
 from repro.shard import driver as driver_module
-from repro.shard.driver import worker_initargs
+from repro.shard.driver import decode_slice, derive_scheme, worker_initargs
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 NUM_BALLOTS = 240
@@ -109,7 +111,7 @@ _REAL_SLICE = driver_module._run_slice_in_worker
 
 def slice_that_kills_the_worker_of_shard_two(task):
     """Stands in for the pool-side slice function (pickled by name)."""
-    if task["shard_id"] == 2:
+    if task["shard"].shard_id == 2:
         os._exit(1)
     return _REAL_SLICE(task)
 
@@ -285,7 +287,7 @@ class TestWorkerFailure:
         )
         with pytest.raises(PoolWorkerDied) as excinfo:
             ShardedElectionDriver(spec, num_ballots=NUM_BALLOTS, pool=pool).run()
-        assert 2 in [task["shard_id"] for task in excinfo.value.tasks]
+        assert 2 in [task["shard"].shard_id for task in excinfo.value.tasks]
         assert not pool.started
         monkeypatch.undo()
         # the same pool object re-spawns and re-warms for the next election run
@@ -294,38 +296,66 @@ class TestWorkerFailure:
         assert encode(spec, outcome.global_record) == encode(spec, inline.global_record)
 
 
-class TestWireRoundTrip:
-    @pytest.fixture(scope="class")
-    def result(self, group):
-        scheme = OptionEncodingScheme(
-            2, group.power_g(group.hash_to_scalar(b"shard-pk", int_to_bytes(SEED))), group
-        )
-        return ShardRunner(
-            ShardRange(0, 0, 60), scheme=scheme, seed=SEED, election_id=ELECTION_ID
-        ).run()
+#: backends the slice frame round-trips on; ``schnorr-gmpy2`` is mpz-backed
+#: where gmpy2 is installed, which is where the slice's ``int`` step matters
+FRAME_BACKENDS = ("schnorr", "schnorr-gmpy2", "secp256k1", "ed25519")
 
-    def test_round_trip_is_lossless(self, result, group):
-        wire = result.to_wire_dict()
-        rebuilt = ShardSliceResult.from_wire_dict(wire, MessageCodec(group=group))
-        assert rebuilt.record == result.record
-        assert rebuilt.opening == result.opening
-        assert rebuilt.record_frame == result.record_frame
-        assert rebuilt.counts == result.counts
+#: ``ShardSliceResult`` of shard [0, 60) on ``schnorr``, seed 13, election
+#: "parallel-driver-test", with ``duration_ns`` set to 123456789: tag 0x62
+#: embedding the 0x60 record and the 0x46 opening
+PINNED_SLICE_HEX = (
+    "4457010062000001890060000000f50000000000000000000000000000013c00000000013c00000000013c00"
+    "45000000a40000000200440000004a0000002153470f3e22852b6bb45d3647c5118bbed7d35973492c5f96c1"
+    "ba21b6cf9105436b000000215361ef87b88a091fe002905b66d0d6a804d22c603476f9d9c55457338c1ef8df"
+    "8a00440000004a0000002153089958beb5a8e515fbaa9af66f3c85013f0f606c5e0cc437e07cad18ebcec3ee"
+    "0000002153866716c34d8f05569c54faf5289a516543c42fa7417acfd23f733bb286bfb1a4000000209fa742"
+    "1f2c59d82d06efd4cc4449cdc33f43de75847a76b8861ec8305e3ba43e0000000773686172642d3000460000"
+    "005d0000000200000000012000000000011c00000002000000001ff5f53f32d740c6ec44534cc0ef27c1bce6"
+    "d4f6d2c1abfc92882cbf36e0e516000000002034f11993b8779098aaf0d787088dc63fc18a242ae97a09ccec"
+    "ec345320c85eec0000000200000000012000000000011c000000000201500000000001040000000000000000"
+    "0004075bcd15e6bcf76a"
+)
 
-    def test_wire_dict_carries_only_primitives(self, result):
-        """The process-boundary form must never contain group elements."""
-        wire = result.to_wire_dict()
-        assert isinstance(wire["record_frame"], bytes)
-        assert all(type(v) is int for v in wire["opening_values"])
-        assert all(type(r) is int for r in wire["opening_randomness"])
-        assert all(type(c) is int for c in wire["counts"])
 
-    def test_non_record_frame_is_rejected(self, result, group):
-        codec = MessageCodec(group=group)
-        wire = dict(result.to_wire_dict())
-        wire["record_frame"] = codec.encode(result.record.commitment)
-        with pytest.raises(WireFormatError, match="ShardCommitRecord"):
-            ShardSliceResult.from_wire_dict(wire, codec)
+def slice_result(backend):
+    group = get_group(backend)
+    return ShardRunner(
+        ShardRange(0, 0, 60),
+        scheme=derive_scheme(group, 2, SEED),
+        seed=SEED,
+        election_id=ELECTION_ID,
+    ).run()
+
+
+class TestSliceFrame:
+    """A pooled slice's result crosses the process boundary as one frame."""
+
+    @pytest.mark.parametrize("backend", FRAME_BACKENDS)
+    def test_round_trip_is_lossless(self, backend):
+        result = slice_result(backend)
+        # The worker encodes with a group-less codec; the parent decodes into
+        # its own group.
+        frame = default_codec().encode(result)
+        # Record, opening, counts and every counter: the dataclass's fields.
+        assert decode_slice(MessageCodec(group=get_group(backend)), frame) == result
+
+    @pytest.mark.parametrize("backend", FRAME_BACKENDS)
+    def test_the_opening_holds_builtin_ints(self, backend):
+        opening = slice_result(backend).opening
+        assert all(type(v) is int for v in opening.values + opening.randomness)
+
+    def test_frame_is_byte_identical_to_the_pinned_one(self):
+        result = dataclasses.replace(slice_result("schnorr"), duration_ns=123456789)
+        assert default_codec().encode(result).hex() == PINNED_SLICE_HEX
+        codec = MessageCodec(group=get_group("schnorr"))
+        assert decode_slice(codec, bytes.fromhex(PINNED_SLICE_HEX)) == result
+
+    def test_a_frame_of_another_type_is_rejected(self):
+        record = slice_result("schnorr").record
+        codec = MessageCodec(group=get_group("schnorr"))
+        for payload in (record, record.commitment):
+            with pytest.raises(WireFormatError, match="expected a ShardSliceResult"):
+                decode_slice(codec, codec.encode(payload))
 
 
 class TestAdmissionCheck:
@@ -423,7 +453,7 @@ class TestServiceRouting:
             assert report.verified
             frames[workers] = (
                 encode(spec, report.outcome.global_record),
-                {result.shard_id: result.record_frame for result in seen},
+                {result.shard_id: encode(spec, result.record) for result in seen},
                 report.tally,
             )
         assert frames[2] == frames[1]

@@ -73,10 +73,6 @@ class TestShardPlan:
         serials = list(range(0, 1000, 13))
         assert ShardPlan.from_serials(serials, 8) == ShardPlan.from_serials(serials, 8)
 
-    def test_dict_round_trip(self):
-        plan = ShardPlan.split(5, 500, 7)
-        assert ShardPlan.from_dict(plan.to_dict()) == plan
-
 
 class TestShardedPartition:
     def test_blocks_never_cross_shard_boundaries(self):

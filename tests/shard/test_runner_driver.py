@@ -5,6 +5,7 @@ import pytest
 from repro.api import MultiElectionService, ScenarioSpec, ShardingProfile
 from repro.crypto.commitments import OptionEncodingScheme
 from repro.crypto.utils import int_to_bytes
+from repro.net.codec import default_codec
 from repro.shard.driver import ShardedElectionDriver
 from repro.shard.partition import ShardRange
 from repro.shard.shard_runner import ShardRunner
@@ -42,7 +43,7 @@ class TestShardRunner:
         second = run_shard(scheme, shard)
         assert first.record == second.record
         assert first.opening == second.opening
-        assert first.record_frame == second.record_frame
+        assert default_codec().encode(first.record) == default_codec().encode(second.record)
 
     def test_record_matches_opening(self, scheme):
         result = run_shard(scheme, ShardRange(0, 0, 60))
