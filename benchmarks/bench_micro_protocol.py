@@ -36,7 +36,8 @@ def test_bench_full_election_end_to_end(benchmark):
 @pytest.mark.benchmark(group="micro-protocol")
 def test_bench_vote_collection_only(benchmark):
     """The voting protocol alone (no proofs / trustee data), per vote."""
-    from repro.core.ea import ElectionAuthority, vc_node_id
+    from repro.core.ea import ElectionAuthority
+    from repro.core.election import vc_node_id
     from repro.core.messages import VoteRequest
     from repro.core.vote_collector import VoteCollectorNode
     from repro.crypto.utils import RandomSource

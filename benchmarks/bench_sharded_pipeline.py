@@ -31,7 +31,7 @@ Gates (CI runs this with ``SHARD_SMOKE=1`` at 100k ballots; the full run is
    peak at the same electorate (working set follows the shard, not n).
 
 The worker sweep (``test_parallel_worker_sweep``) runs the *same* 16-shard
-election through the one :class:`repro.shard.ShardedElectionDriver` at
+election through the one :class:`repro.shard.driver.ShardedElectionDriver` at
 ``sharding.workers`` 1 (slices inline, the sequential reference row), 2 and 4
 (the same slices on a warm process pool) and gates:
 
@@ -61,7 +61,7 @@ import pytest
 from repro.api import MultiElectionService, ScenarioSpec, ShardingProfile
 from repro.net.codec import MessageCodec
 from repro.perf.memory import MemoryTracker
-from repro.shard import ShardedElectionDriver
+from repro.shard.driver import ShardedElectionDriver
 
 SMOKE = os.environ.get("SHARD_SMOKE") == "1"
 NUM_BALLOTS = 100_000 if SMOKE else 1_000_000

@@ -27,7 +27,7 @@ import os
 from repro.analysis.liveness import receipt_probability_lower_bound, twait
 from repro.analysis.verification import safety_failure_probability_union
 from repro.api import ElectionEngine, NetworkProfile, ScenarioSpec
-from repro.perf.phases import phase_breakdown
+from repro.perf.costmodel import phase_breakdown
 
 SMOKE = bool(os.environ.get("EXAMPLES_SMOKE"))
 

@@ -16,10 +16,15 @@ The package is organised as follows:
   batched variant used for Vote Set Consensus.
 * :mod:`repro.core` -- the D-DEMOS protocol itself: Election Authority setup,
   Vote Collectors, Bulletin Board, Trustees, Voters and Auditors.
-* :mod:`repro.perf` -- the performance-model harness that regenerates the
-  paper's evaluation figures.
+* :mod:`repro.perf` -- measurement (phase timers, memory probes), the process
+  pools, and the fitted cost model of the paper's testbed, which no election
+  run imports.
+* :mod:`repro.shard` -- the sharded scale pipeline.
 * :mod:`repro.analysis` -- analytical results (liveness bounds of Table I,
   safety / verifiability / privacy bounds of Theorems 1-4).
+
+Only :mod:`repro.api` re-exports names, lazily; every other package is
+imported module by module, so a run loads only the code it executes.
 """
 
 __version__ = "1.0.0"

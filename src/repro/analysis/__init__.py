@@ -1,27 +1,8 @@
-"""Analytical results of the paper: liveness bounds (Theorem 1 / Table I),
-safety (Theorem 2 / Corollary 1), end-to-end verifiability (Theorem 3) and
-voter privacy (Theorem 4).
+"""Analytical results of the paper: liveness bounds (Theorem 1 / Table I,
+:mod:`repro.analysis.liveness`), safety (Theorem 2 / Corollary 1), end-to-end
+verifiability (Theorem 3) and voter privacy (Theorem 4)
+(:mod:`repro.analysis.verification`), plus the determinism and safety checks
+the chaos matrix runs (:mod:`repro.analysis.determinism`).
+
+Nothing is re-exported here: import each name from its defining module.
 """
-
-from repro.analysis.liveness import LivenessBound, TimeBound, liveness_table, twait
-from repro.analysis.verification import (
-    batch_soundness_error,
-    e2e_verifiability_error,
-    fraud_undetected_probability,
-    receipt_probability_lower_bound,
-    safety_failure_probability,
-    safety_failure_probability_union,
-)
-
-__all__ = [
-    "LivenessBound",
-    "TimeBound",
-    "liveness_table",
-    "twait",
-    "batch_soundness_error",
-    "e2e_verifiability_error",
-    "fraud_undetected_probability",
-    "safety_failure_probability",
-    "safety_failure_probability_union",
-    "receipt_probability_lower_bound",
-]

@@ -12,94 +12,44 @@ Three layers (see ``docs/ARCHITECTURE.md``):
 * :mod:`repro.api.service` -- :class:`MultiElectionService`, a facade that
   multiplexes N independent elections over one shared scheduler and process
   pool, with per-election RNG and timing isolation.
+
+``from repro.api import ElectionEngine, ScenarioSpec`` works for every name
+below, but each is looked up on first access: describing a run imports
+:mod:`repro.api.spec` alone, and the sharded pipeline never loads the engine.
 """
 
-from repro.api.engine import (
-    AuditDriver,
-    ConsensusDriver,
-    ElectionEngine,
-    EngineContext,
-    MergeDriver,
-    PhaseDriver,
-    SetupDriver,
-    TallyDriver,
-    VotingDriver,
-    default_drivers,
-)
-from repro.api.events import (
-    AuditCompleted,
-    BallotAccepted,
-    ConsensusDecided,
-    ElectionCompleted,
-    ElectionEvent,
-    EventBus,
-    PhaseCompleted,
-    PhaseStarted,
-    ShardMergeCompleted,
-    TallyComputed,
-)
-from repro.api.service import (
-    ElectionReport,
-    MultiElectionService,
-    ShardedElectionReport,
-)
-from repro.api.spec import (
-    PRESETS,
-    AdmissionProfile,
-    AdversaryProfile,
-    AuditConfig,
-    ClockSkew,
-    ConsensusConfig,
-    CrashNode,
-    CryptoProfile,
-    FaultPlan,
-    LossBurst,
-    NetworkProfile,
-    Partition,
-    RecoverNode,
-    ScenarioSpec,
-    ShardingProfile,
-    TransportProfile,
-)
-
-__all__ = [
-    "AdmissionProfile",
-    "AdversaryProfile",
-    "AuditConfig",
-    "AuditCompleted",
-    "AuditDriver",
-    "BallotAccepted",
-    "ClockSkew",
-    "ConsensusConfig",
-    "ConsensusDecided",
-    "ConsensusDriver",
-    "CrashNode",
-    "CryptoProfile",
-    "ElectionCompleted",
-    "ElectionEngine",
-    "ElectionEvent",
-    "ElectionReport",
-    "EngineContext",
-    "EventBus",
-    "FaultPlan",
-    "LossBurst",
-    "MergeDriver",
-    "MultiElectionService",
-    "NetworkProfile",
-    "PRESETS",
-    "Partition",
-    "PhaseCompleted",
-    "PhaseDriver",
-    "PhaseStarted",
-    "RecoverNode",
-    "ScenarioSpec",
-    "SetupDriver",
-    "ShardMergeCompleted",
-    "ShardedElectionReport",
-    "ShardingProfile",
-    "TallyComputed",
-    "TallyDriver",
+_SPEC = (
+    "PRESETS", "AdmissionProfile", "AdversaryProfile", "AuditConfig", "ClockSkew",
+    "ConsensusConfig", "CrashNode", "CryptoProfile", "FaultPlan", "LossBurst",
+    "NetworkProfile", "Partition", "RecoverNode", "ScenarioSpec", "ShardingProfile",
     "TransportProfile",
-    "VotingDriver",
-    "default_drivers",
-]
+)
+_ENGINE = (
+    "AuditDriver", "ConsensusDriver", "ElectionEngine", "EngineContext", "MergeDriver",
+    "PhaseDriver", "SetupDriver", "TallyDriver", "VotingDriver", "default_drivers",
+)
+_EVENTS = (
+    "AuditCompleted", "BallotAccepted", "ConsensusDecided", "ElectionCompleted",
+    "ElectionEvent", "EventBus", "PhaseCompleted", "PhaseStarted", "ShardMergeCompleted",
+    "TallyComputed",
+)
+_SERVICE = ("ElectionReport", "MultiElectionService", "ShardedElectionReport")
+
+#: exported name -> the module that defines it
+_HOMES = {
+    **dict.fromkeys(_SPEC, "repro.api.spec"),
+    **dict.fromkeys(_ENGINE, "repro.api.engine"),
+    **dict.fromkeys(_EVENTS, "repro.api.events"),
+    **dict.fromkeys(_SERVICE, "repro.api.service"),
+}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(home), name)

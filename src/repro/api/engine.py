@@ -45,15 +45,14 @@ from repro.api.events import (
 from repro.api.spec import ScenarioSpec
 from repro.core.auditor import Auditor
 from repro.core.bulletin_board import BulletinBoardNode, MajorityReader
-from repro.core.ea import (
-    ElectionAuthority,
-    ElectionSetup,
+from repro.core.ea import ElectionAuthority, ElectionSetup
+from repro.core.election import (
+    ElectionParameters,
     bb_node_id,
     trustee_id,
     vc_node_id,
     voter_id,
 )
-from repro.core.election import ElectionParameters
 from repro.core.outcome import ElectionOutcome
 from repro.core.tally import TallyResult
 from repro.core.trustee import Trustee

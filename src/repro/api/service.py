@@ -14,26 +14,26 @@ one worker budget.
 Isolation guarantee (tested): an election's outcome, event stream and
 per-phase simulated timings are identical whether it runs alone or
 multiplexed with any number of other elections.
+
+The engine and its events are imported by :meth:`MultiElectionService.add`
+and :meth:`MultiElectionService.run_all`, which use them: a service that only
+runs the sharded pipeline never loads the protocol nodes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.api.engine import ElectionEngine, EngineContext, PhaseDriver
-from repro.api.events import (
-    ElectionCompleted,
-    ElectionEvent,
-    Observer,
-    PhaseCompleted,
-    PhaseStarted,
-)
-from repro.api.spec import ScenarioSpec
-from repro.core.outcome import ElectionOutcome
-from repro.net.simulator import Network
 from repro.perf.parallel import ParallelConfig
 from repro.shard.driver import ShardedElectionDriver, ShardedElectionOutcome
+
+if TYPE_CHECKING:
+    from repro.api.engine import ElectionEngine, EngineContext, PhaseDriver
+    from repro.api.events import ElectionEvent, Observer
+    from repro.api.spec import ScenarioSpec
+    from repro.core.outcome import ElectionOutcome
+    from repro.net.simulator import Network
 
 
 @dataclass
@@ -119,6 +119,8 @@ class MultiElectionService:
         voter_parts: Optional[Sequence[str]] = None,
     ) -> str:
         """Register one election; returns its (unique) service-level name."""
+        from repro.api.engine import ElectionEngine
+
         name = name or spec.election_id
         if name in self._members:
             raise ValueError(f"an election named {name!r} is already registered")
@@ -155,6 +157,8 @@ class MultiElectionService:
         on one shared scheduler that always steps the network holding the
         globally earliest pending event.
         """
+        from repro.api.events import ElectionCompleted, PhaseCompleted, PhaseStarted
+
         members = list(self._members.values())
         if not members:
             return {}

@@ -22,7 +22,7 @@ its orthogonal concerns are configured:
 * :class:`ShardingProfile` -- ballot-range sharding of the pipeline: how many
   contiguous serial-range shards the electorate splits into, and how each
   shard's election slice is sized in the scale pipeline
-  (:class:`repro.shard.ShardedElectionDriver`).
+  (:class:`repro.shard.driver.ShardedElectionDriver`).
 
 **A field is declared once.**  The first three blocks are the ones protocol
 nodes read, so they are defined in :mod:`repro.core.election` (and re-exported
@@ -38,11 +38,20 @@ key, a scalar of another type than the declared one (``"false"`` is no bool),
 or a string where a sequence is declared.
 
 Specs ship with named presets (``paper_baseline``, ``batched_fast``,
-``byzantine_stress``, ``national_scale``).  They are the single source every
-runner consumes: :class:`repro.api.engine.ElectionEngine` for full
-cryptographic runs on the simulator, and :meth:`ScenarioSpec.load_simulator` /
-:meth:`ScenarioSpec.cost_model` for the calibrated capacity-planning
-experiments of Figures 4 and 5.
+``byzantine_stress``, ``national_scale``).  Two pipelines run them:
+:class:`repro.api.engine.ElectionEngine` (full cryptographic runs on the
+simulator) and ``MultiElectionService.run_sharded`` (the scale pipeline).
+:meth:`ScenarioSpec.cost_model`, :meth:`ScenarioSpec.load_simulator` and
+:meth:`ScenarioSpec.phase_breakdown` are no runners: they build the fitted
+model of the paper's testbed (:mod:`repro.perf.costmodel`) that the Figure 4/5
+benchmarks print.
+
+**This module is configuration only.**  It imports no node, transport,
+simulator or model code at module level: each method that builds one of those
+(:meth:`NetworkProfile.conditions`, :meth:`AdversaryProfile.build_adversary`,
+:meth:`TransportProfile.build_transport`, the model methods) imports it where
+it builds it, and behaviour names resolve through the registries of
+:mod:`repro.core.byzantine`, which load only when a profile names one.
 """
 
 from __future__ import annotations
@@ -50,18 +59,8 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Tuple, Type, Union
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Tuple, Union
 
-from repro.core.bulletin_board import BulletinBoardNode
-from repro.core.byzantine import (
-    CorruptTrustee,
-    EquivocatingVoteCollector,
-    ShareCorruptingVoteCollector,
-    SilentVoteCollector,
-    UcertWithholdingVoteCollector,
-    WithholdingBulletinBoard,
-)
-from repro.core.ea import bb_node_id, trustee_id, vc_node_id, voter_id
 from repro.core.election import (
     AdmissionProfile,
     AuditConfig,
@@ -69,36 +68,35 @@ from repro.core.election import (
     DictCodec,
     ElectionParameters,
     FaultThresholds,
+    bb_node_id,
+    trustee_id,
+    vc_node_id,
+    voter_id,
 )
-from repro.core.trustee import Trustee
-from repro.core.vote_collector import VoteCollectorNode
-from repro.crypto.group import Group
 from repro.crypto.registry import get_group, resolve_backend_name
-from repro.net.adversary import Adversary, NetworkConditions
-from repro.net.codec import MessageCodec
-from repro.net.transport import InProcessTransport, TcpLoopbackTransport, Transport
-from repro.perf import costmodel
-from repro.perf.loadsim import VoteCollectionLoadSimulator
 
-#: Registry of named Byzantine behaviours, so adversary profiles serialize as
-#: strings instead of classes (:func:`register_vc_behavior` adds a VC one).
-VC_BEHAVIORS: Dict[str, Type[VoteCollectorNode]] = {
-    "silent": SilentVoteCollector,
-    "equivocating": EquivocatingVoteCollector,
-    "share_corrupting": ShareCorruptingVoteCollector,
-    "ucert_withholding": UcertWithholdingVoteCollector,
-}
-BB_BEHAVIORS: Dict[str, Type[BulletinBoardNode]] = {
-    "withholding": WithholdingBulletinBoard,
-}
-TRUSTEE_BEHAVIORS: Dict[str, Type[Trustee]] = {
-    "corrupt": CorruptTrustee,
-}
+if TYPE_CHECKING:
+    from repro.crypto.group import Group
+    from repro.net.adversary import Adversary, NetworkConditions
+    from repro.net.transport import Transport
+    from repro.perf import costmodel
+    from repro.perf.loadsim import VoteCollectionLoadSimulator
 
 
-def register_vc_behavior(name: str, cls: Type[VoteCollectorNode]) -> None:
-    """Register a custom VC behaviour usable from :class:`AdversaryProfile`."""
-    VC_BEHAVIORS[name] = cls
+def _behavior_classes(kind: str, behaviors: Mapping[str, str]) -> Dict[str, type]:
+    """``node -> class`` for the ``kind`` ("VC", "BB" or "trustee") behaviours
+    named in ``behaviors``; ``ValueError`` for a name the registry lacks."""
+    if not behaviors:
+        return {}
+    from repro.core import byzantine
+
+    registry = getattr(byzantine, f"{kind.upper()}_BEHAVIORS")
+    for node, behavior in behaviors.items():
+        if behavior not in registry:
+            raise ValueError(
+                f"unknown {kind} behaviour {behavior!r} for {node}; known: {sorted(registry)}"
+            )
+    return {node: registry[behavior] for node, behavior in behaviors.items()}
 
 
 @dataclass(frozen=True)
@@ -154,6 +152,8 @@ class NetworkProfile(DictCodec):
 
     def conditions(self, seed: Optional[int] = None) -> NetworkConditions:
         """The discrete-event simulator view of this profile."""
+        from repro.net.adversary import NetworkConditions
+
         return NetworkConditions(
             base_latency=self.base_latency_s,
             jitter=self.jitter_s,
@@ -165,6 +165,8 @@ class NetworkProfile(DictCodec):
 
     def cost_profile(self) -> costmodel.NetworkProfile:
         """The calibrated cost-model view of this profile."""
+        from repro.perf import costmodel
+
         return costmodel.NetworkProfile(
             client_to_vc_ms=self.client_to_vc_ms,
             inter_vc_ms=self.inter_vc_ms,
@@ -176,10 +178,11 @@ class NetworkProfile(DictCodec):
 class AdversaryProfile(DictCodec):
     """Which nodes misbehave, by node id and registered behaviour name.
 
-    Behaviour names resolve through the module registries
-    (:data:`VC_BEHAVIORS`, :data:`BB_BEHAVIORS`, :data:`TRUSTEE_BEHAVIORS`),
-    keeping the profile serializable.  ``blocked_links`` are (sender,
-    receiver) pairs the network adversary silently drops.
+    Behaviour names resolve through the registries of
+    :mod:`repro.core.byzantine` (``VC_BEHAVIORS``, ``BB_BEHAVIORS``,
+    ``TRUSTEE_BEHAVIORS``), keeping the profile serializable; an unknown name
+    raises here, at construction.  ``blocked_links`` are (sender, receiver)
+    pairs the network adversary silently drops.
     """
 
     vc_behaviors: Mapping[str, str] = field(default_factory=dict)
@@ -188,24 +191,10 @@ class AdversaryProfile(DictCodec):
     blocked_links: Tuple[Tuple[str, str], ...] = ()
 
     def __post_init__(self) -> None:
-        for node, behavior in self.vc_behaviors.items():
-            if behavior not in VC_BEHAVIORS:
-                raise ValueError(
-                    f"unknown VC behaviour {behavior!r} for {node}; "
-                    f"known: {sorted(VC_BEHAVIORS)}"
-                )
-        for node, behavior in self.bb_behaviors.items():
-            if behavior not in BB_BEHAVIORS:
-                raise ValueError(
-                    f"unknown BB behaviour {behavior!r} for {node}; "
-                    f"known: {sorted(BB_BEHAVIORS)}"
-                )
-        for node, behavior in self.trustee_behaviors.items():
-            if behavior not in TRUSTEE_BEHAVIORS:
-                raise ValueError(
-                    f"unknown trustee behaviour {behavior!r} for {node}; "
-                    f"known: {sorted(TRUSTEE_BEHAVIORS)}"
-                )
+        # Resolve every name now, so an unknown one raises at construction.
+        self.vc_classes()
+        self.bb_classes()
+        self.trustee_classes()
 
     @property
     def is_honest(self) -> bool:
@@ -215,17 +204,19 @@ class AdversaryProfile(DictCodec):
             or self.blocked_links
         )
 
-    def vc_classes(self) -> Dict[str, Type[VoteCollectorNode]]:
-        return {node: VC_BEHAVIORS[name] for node, name in self.vc_behaviors.items()}
+    def vc_classes(self) -> Dict[str, type]:
+        return _behavior_classes("VC", self.vc_behaviors)
 
-    def bb_classes(self) -> Dict[str, Type[BulletinBoardNode]]:
-        return {node: BB_BEHAVIORS[name] for node, name in self.bb_behaviors.items()}
+    def bb_classes(self) -> Dict[str, type]:
+        return _behavior_classes("BB", self.bb_behaviors)
 
-    def trustee_classes(self) -> Dict[str, Type[Trustee]]:
-        return {node: TRUSTEE_BEHAVIORS[name] for node, name in self.trustee_behaviors.items()}
+    def trustee_classes(self) -> Dict[str, type]:
+        return _behavior_classes("trustee", self.trustee_behaviors)
 
     def build_adversary(self) -> Adversary:
         """The network-layer adversary implied by this profile."""
+        from repro.net.adversary import Adversary
+
         return Adversary(
             corrupted_vc=set(self.vc_behaviors),
             corrupted_bb=set(self.bb_behaviors),
@@ -510,6 +501,9 @@ class TransportProfile(DictCodec):
 
     def build_transport(self, group: Optional[Group] = None) -> Transport:
         """A fresh single-run transport implementing this profile."""
+        from repro.net.codec import MessageCodec
+        from repro.net.transport import InProcessTransport, TcpLoopbackTransport
+
         if self.backend == "tcp":
             return TcpLoopbackTransport(codec=MessageCodec(group=group))
         if self.wire_format:
@@ -522,7 +516,7 @@ class CryptoProfile(DictCodec):
     """Cryptographic backend selection.
 
     ``backend`` names a group backend in the crypto registry
-    (:func:`repro.crypto.get_group`): ``schnorr`` (pure-python reference, the
+    (:func:`repro.crypto.registry.get_group`): ``schnorr`` (pure-python reference, the
     default), ``schnorr-gmpy2`` (GMP-accelerated; falls back to pure python
     when gmpy2 is absent), ``secp256k1`` (legacy alias ``ec``), or
     ``ed25519`` (32-byte wire elements).  The name is validated against the
@@ -547,7 +541,7 @@ class ShardingProfile(DictCodec):
     """Ballot-range sharding of the election pipeline.
 
     ``num_shards`` splits the ballot-serial space into that many contiguous
-    ranges (a :class:`repro.shard.ShardPlan`).  With ``num_shards == 1`` the
+    ranges (a :class:`repro.shard.partition.ShardPlan`).  With ``num_shards == 1`` the
     pipeline is the classic unsharded run.  Sharding never changes the
     outcome: superblock partitions simply stop crossing shard boundaries and
     the tally commitment is combined shard-product by shard-product, both of
@@ -558,7 +552,7 @@ class ShardingProfile(DictCodec):
     Vote Set Consensus superblock size, and the deterministic turnout
     fraction of the derived electorate.
 
-    ``workers`` says where :class:`repro.shard.ShardedElectionDriver` runs
+    ``workers`` says where :class:`repro.shard.driver.ShardedElectionDriver` runs
     the shard slices: 1 (the default) maps them in-process one at a time; >1
     runs the same slice function on a warm process pool, with outcomes
     bit-identical by construction.  ``max_inflight_shards`` bounds how many
@@ -762,10 +756,12 @@ class ScenarioSpec(DictCodec):
         """A copy of this spec with the given fields replaced (re-validated)."""
         return dataclasses.replace(self, **changes)
 
-    # -- capacity-planning runners ----------------------------------------------
+    # -- the fitted model of the paper's testbed ---------------------------------
 
     def cost_model(self, **overrides: Any) -> costmodel.CostModel:
         """The calibrated cost model for this scenario's deployment shape."""
+        from repro.perf import costmodel
+
         kwargs: Dict[str, Any] = dict(
             network=self.network.cost_profile(),
             database=costmodel.DatabaseCosts() if self.storage == "postgres" else None,
@@ -782,6 +778,8 @@ class ScenarioSpec(DictCodec):
         **model_overrides: Any,
     ) -> VoteCollectionLoadSimulator:
         """A closed-loop load simulator for this scenario (Figures 4/5)."""
+        from repro.perf.loadsim import VoteCollectionLoadSimulator
+
         return VoteCollectionLoadSimulator(
             num_vc=self.num_vc,
             num_clients=num_clients,
@@ -791,7 +789,7 @@ class ScenarioSpec(DictCodec):
 
     def phase_breakdown(self, ballots_cast: int, **overrides: Any):
         """Per-phase durations of this deployment for ``ballots_cast`` votes (Figure 5c)."""
-        from repro.perf.phases import phase_breakdown
+        from repro.perf.costmodel import phase_breakdown
 
         kwargs: Dict[str, Any] = dict(
             registered_ballots=self.electorate,

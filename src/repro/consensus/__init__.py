@@ -13,21 +13,8 @@ efficiency.  This package provides:
   per-ballot instances into single network messages, mirroring the paper's
   "binary consensus in batches of arbitrary size".
 * :mod:`repro.consensus.vote_set_consensus` -- the one engine that decides a
-  node's ballot set with those two, under a vote collector or a bare cluster.
+  node's ballot set with those two, under a vote collector or a bare cluster
+  (:mod:`repro.consensus.cluster`).
+
+Nothing is re-exported here: import each name from its defining module.
 """
-
-from repro.consensus.batching import BatchEnvelope, ConsensusBatcher
-from repro.consensus.bracha import BinaryConsensusInstance
-from repro.consensus.interfaces import Aux, BVal, ConsensusMessage, Finish
-from repro.consensus.vote_set_consensus import VoteSetConsensus
-
-__all__ = [
-    "ConsensusMessage",
-    "BVal",
-    "Aux",
-    "Finish",
-    "BinaryConsensusInstance",
-    "BatchEnvelope",
-    "ConsensusBatcher",
-    "VoteSetConsensus",
-]

@@ -19,11 +19,15 @@ examples can demonstrate that the protocol guarantees survive them:
 * :class:`WithholdingBulletinBoard` -- a BB node that reports an empty/na
   state to readers, exercising the majority-read logic.
 * :class:`CorruptTrustee` -- submits corrupted opening shares.
+
+:data:`VC_BEHAVIORS`, :data:`BB_BEHAVIORS` and :data:`TRUSTEE_BEHAVIORS` name
+them for :class:`repro.api.spec.AdversaryProfile`.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from typing import Dict, Type
 
 from repro.consensus.batching import BatchEnvelope
 from repro.core.bulletin_board import BulletinBoardNode
@@ -162,3 +166,24 @@ class CorruptTrustee(Trustee):
         return corrupted.signed(
             self.signature_scheme.sign(self.init.signing_keys, corrupted.digest())
         )
+
+
+#: Registries of named behaviours, so adversary profiles serialize as strings
+#: instead of classes (:func:`register_vc_behavior` adds a VC one).
+VC_BEHAVIORS: Dict[str, Type[VoteCollectorNode]] = {
+    "silent": SilentVoteCollector,
+    "equivocating": EquivocatingVoteCollector,
+    "share_corrupting": ShareCorruptingVoteCollector,
+    "ucert_withholding": UcertWithholdingVoteCollector,
+}
+BB_BEHAVIORS: Dict[str, Type[BulletinBoardNode]] = {
+    "withholding": WithholdingBulletinBoard,
+}
+TRUSTEE_BEHAVIORS: Dict[str, Type[Trustee]] = {
+    "corrupt": CorruptTrustee,
+}
+
+
+def register_vc_behavior(name: str, cls: Type[VoteCollectorNode]) -> None:
+    """Register a custom VC behaviour usable from ``AdversaryProfile``."""
+    VC_BEHAVIORS[name] = cls

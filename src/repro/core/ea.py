@@ -51,7 +51,7 @@ from repro.core.ballot import (
     VcBallotRow,
     VcBallotView,
 )
-from repro.core.election import ElectionParameters
+from repro.core.election import ElectionParameters, trustee_id, vc_node_id
 from repro.crypto.commitments import OptionEncodingScheme
 from repro.crypto.elgamal import LiftedElGamal
 from repro.crypto.group import Group, default_group
@@ -66,26 +66,6 @@ from repro.crypto.symmetric import (
 )
 from repro.crypto.utils import RandomSource, bytes_to_int, default_random
 from repro.crypto.zkp import BallotCorrectnessProver
-
-
-def vc_node_id(index: int) -> str:
-    """Canonical identifier of the ``index``-th Vote Collector node."""
-    return f"VC-{index}"
-
-
-def bb_node_id(index: int) -> str:
-    """Canonical identifier of the ``index``-th Bulletin Board node."""
-    return f"BB-{index}"
-
-
-def trustee_id(index: int) -> str:
-    """Canonical identifier of the ``index``-th trustee."""
-    return f"T-{index}"
-
-
-def voter_id(index: int) -> str:
-    """Canonical identifier of the ``index``-th voter."""
-    return f"voter-{index}"
 
 
 @dataclass

@@ -11,7 +11,9 @@ whose sizes and fault thresholds must satisfy:
 
 :class:`ElectionParameters` is that definition plus the three blocks a node
 consults while it runs -- :class:`ConsensusConfig`, :class:`AdmissionProfile`,
-:class:`AuditConfig` -- and the shard count.  The blocks are declared here,
+:class:`AuditConfig` -- and the shard count, plus the canonical node names
+(:func:`vc_node_id`, :func:`bb_node_id`, :func:`trustee_id`,
+:func:`voter_id`).  The blocks are declared here,
 once: :class:`repro.api.spec.ScenarioSpec` holds the same classes and
 ``to_election_parameters()`` hands its own instances over, so a node reads
 ``params.consensus.batch_size`` off the very object the scenario was written
@@ -205,6 +207,26 @@ class AdmissionProfile(DictCodec):
     def batched(cls, batch_size: int = 32, **overrides: Any) -> "AdmissionProfile":
         """Batched endorsement verification with the default open queue."""
         return cls(endorse_batch_size=batch_size, **overrides)
+
+
+def vc_node_id(index: int) -> str:
+    """Canonical identifier of the ``index``-th Vote Collector node."""
+    return f"VC-{index}"
+
+
+def bb_node_id(index: int) -> str:
+    """Canonical identifier of the ``index``-th Bulletin Board node."""
+    return f"BB-{index}"
+
+
+def trustee_id(index: int) -> str:
+    """Canonical identifier of the ``index``-th trustee."""
+    return f"T-{index}"
+
+
+def voter_id(index: int) -> str:
+    """Canonical identifier of the ``index``-th voter."""
+    return f"voter-{index}"
 
 
 @dataclass(frozen=True)

@@ -37,8 +37,8 @@ from repro.core.admission import (
     node_batch_seed,
     shed_reason,
 )
-from repro.core.ea import VcInitData, bb_node_id, vc_node_id
-from repro.core.election import ElectionParameters
+from repro.core.ea import VcInitData
+from repro.core.election import ElectionParameters, bb_node_id, vc_node_id
 from repro.core.messages import (
     Announce,
     BallotStateEntry,

@@ -19,8 +19,8 @@ group (:mod:`repro.crypto.gmpy2_backend`, ``"schnorr-gmpy2"``) and the
 Ed25519 twisted Edwards group with 32-byte compressed elements
 (:mod:`repro.crypto.ed25519`, ``"ed25519"``).
 
-Construct groups through :func:`repro.crypto.get_group` -- the registry in
-:mod:`repro.crypto.registry` -- so backend selection stays name-driven and
+Construct groups through the registry,
+:func:`repro.crypto.registry.get_group`, so backend selection stays name-driven and
 parameterless groups share one warm instance.  All protocol code (ElGamal,
 commitments, zero-knowledge proofs, Pedersen VSS, Schnorr signatures, batch
 verification) is written once against the abstract interface and runs over
@@ -124,7 +124,7 @@ class Group:
     #: order of the group (a prime)
     order: int
 
-    #: registry name of the backend (set by :func:`repro.crypto.get_group`;
+    #: registry name of the backend (set by :func:`repro.crypto.registry.get_group`;
     #: ``None`` for directly constructed instances)
     backend_name: Optional[str] = None
 

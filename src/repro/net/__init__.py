@@ -6,30 +6,7 @@ but honest messages are eventually delivered; node clocks may drift from the
 global clock by at most a bound.  This package provides exactly that model as
 an in-process, deterministic discrete-event simulator so protocol executions
 are reproducible and the adversary is programmable.
+
+Nothing is re-exported here: import each name from its defining module
+(``repro.net.simulator``, ``repro.net.codec``, ``repro.net.transport``...).
 """
-
-from repro.net.adversary import Adversary, NetworkConditions
-from repro.net.channels import Channel, Message
-from repro.net.clock import GlobalClock, NodeClock
-from repro.net.codec import MessageCodec, WireFormatError, default_codec, signing_bytes
-from repro.net.simulator import Event, Network, SimNode
-from repro.net.transport import InProcessTransport, TcpLoopbackTransport, Transport
-
-__all__ = [
-    "GlobalClock",
-    "NodeClock",
-    "Message",
-    "MessageCodec",
-    "Channel",
-    "Network",
-    "SimNode",
-    "Event",
-    "Adversary",
-    "NetworkConditions",
-    "Transport",
-    "InProcessTransport",
-    "TcpLoopbackTransport",
-    "WireFormatError",
-    "default_codec",
-    "signing_bytes",
-]

@@ -1,91 +1,26 @@
-"""Performance-model harness.
+"""Measurement, process pools and the fitted model layer.
 
-The paper evaluates its prototype on a 12-machine cluster (4 hexa-core
-machines running VC nodes, 8 client machines), with PostgreSQL-backed or
-in-memory election data and either a Gigabit LAN or a netem-emulated WAN
-(25 ms inter-VC latency).  That hardware is not available here, so this
-package reproduces the evaluation with a calibrated *performance model*:
+What a run uses:
 
-* :mod:`repro.perf.costmodel` -- per-operation CPU costs (signatures, hashes,
-  share verification, database lookups) and the machine/network topology of
-  the paper's testbed.
-* :mod:`repro.perf.loadsim`  -- a discrete-event simulation of the
-  vote-collection protocol, closed-loop (``cc`` concurrent clients, the
-  paper's methodology behind Figures 4a-4f, 5a and 5b) or open-loop
-  (arrival-driven with bounded admission, behind the voting-throughput
-  benchmark).
-* :mod:`repro.perf.arrivals` -- seeded, composable arrival processes
-  (Poisson, diurnal, flash-crowd, slow-drip) for the open-loop mode.
-* :mod:`repro.perf.phases`   -- the phase-duration model behind Figure 5c,
-  plus the :class:`PhaseRecorder` measuring the real audit/tally phases.
 * :mod:`repro.perf.parallel` -- the chunked process-pool scheduler the
-  end-of-election audit and tally fan out over.
+  end-of-election audit and tally fan out over, and the warm pool of the
+  sharded pipeline.
+* :mod:`repro.perf.phases`   -- :class:`PhaseRecorder`, the measured wall
+  time of the audit/tally stages.
+* :mod:`repro.perf.memory`   -- resettable peak-memory probes.
 
-Absolute numbers are not expected to match the authors' testbed; the curve
-shapes (who wins, where the knees are) are the reproduction target, as stated
-in ``docs/ARCHITECTURE.md``, "Deviations from the paper".
+The fitted model layer, which no election run imports (only the Figure 4/5
+benchmarks and ``ScenarioSpec.cost_model`` / ``load_simulator`` /
+``phase_breakdown`` do):
+
+* :mod:`repro.perf.costmodel` -- per-operation CPU costs calibrated to the
+  paper's testbed, and the Figure 5c phase-duration model built on them.
+* :mod:`repro.perf.loadsim`  -- a discrete-event simulation of the
+  vote-collection protocol, closed-loop (the paper's methodology behind
+  Figures 4a-4f, 5a and 5b) or open-loop (arrival-driven with bounded
+  admission).
+* :mod:`repro.perf.arrivals` -- seeded arrival processes for the open-loop
+  mode.
+
+Nothing is re-exported here: import each name from its defining module.
 """
-
-from repro.perf.arrivals import (
-    DiurnalArrivals,
-    FlashCrowdArrivals,
-    PoissonArrivals,
-    SlowDripArrivals,
-    Superposition,
-    superpose,
-)
-from repro.perf.costmodel import (
-    AdmissionCosts,
-    AuditCosts,
-    BandwidthCosts,
-    ConsensusCosts,
-    CostModel,
-    CryptoCosts,
-    DatabaseCosts,
-    MachineSpec,
-    NetworkProfile,
-)
-from repro.perf.loadsim import LoadResult, OpenLoopResult, VoteCollectionLoadSimulator
-from repro.perf.memory import MemorySample, MemoryTracker, current_rss_bytes
-from repro.perf.parallel import (
-    ParallelConfig,
-    PoolTaskError,
-    PoolWorkerDied,
-    WarmProcessPool,
-    parallel_map,
-    parallel_reduce,
-)
-from repro.perf.phases import PhaseDurations, PhaseRecorder, phase_breakdown
-
-__all__ = [
-    "AdmissionCosts",
-    "AuditCosts",
-    "BandwidthCosts",
-    "ConsensusCosts",
-    "CryptoCosts",
-    "DatabaseCosts",
-    "DiurnalArrivals",
-    "FlashCrowdArrivals",
-    "MachineSpec",
-    "NetworkProfile",
-    "CostModel",
-    "LoadResult",
-    "OpenLoopResult",
-    "PoissonArrivals",
-    "SlowDripArrivals",
-    "Superposition",
-    "superpose",
-    "VoteCollectionLoadSimulator",
-    "MemorySample",
-    "MemoryTracker",
-    "current_rss_bytes",
-    "ParallelConfig",
-    "PoolTaskError",
-    "PoolWorkerDied",
-    "WarmProcessPool",
-    "parallel_map",
-    "parallel_reduce",
-    "PhaseDurations",
-    "PhaseRecorder",
-    "phase_breakdown",
-]

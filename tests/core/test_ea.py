@@ -7,8 +7,14 @@ import pytest
 from share_blocks import boxed_trustee_view, setup_walk_hash, trustee_rows
 
 from repro.core.ballot import PART_A, PART_B
-from repro.core.ea import ElectionAuthority, bb_node_id, trustee_id, vc_node_id, voter_id
-from repro.core.election import ElectionParameters
+from repro.core.ea import ElectionAuthority
+from repro.core.election import (
+    ElectionParameters,
+    bb_node_id,
+    trustee_id,
+    vc_node_id,
+    voter_id,
+)
 from repro.crypto.commitments import CommitmentOpening, OptionEncodingScheme
 from repro.crypto.pedersen_vss import PedersenDealing, PedersenVSS
 from repro.crypto.registry import get_group

@@ -14,8 +14,8 @@ import pytest
 
 from repro.analysis.determinism import default_choices, safety_violations
 from repro.api import ElectionEngine, ScenarioSpec
-from repro.core.ea import ElectionAuthority, vc_node_id
-from repro.core.election import ElectionParameters
+from repro.core.ea import ElectionAuthority
+from repro.core.election import ElectionParameters, vc_node_id
 from repro.core.messages import (
     Endorsement,
     MskShareUpload,

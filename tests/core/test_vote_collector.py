@@ -12,8 +12,8 @@ import pytest
 from repro.analysis.determinism import safety_violations
 from repro.api import ScenarioSpec
 from repro.core.admission import AdmissionStats
-from repro.core.ea import ElectionAuthority, vc_node_id
-from repro.core.election import AdmissionProfile, ElectionParameters
+from repro.core.ea import ElectionAuthority
+from repro.core.election import AdmissionProfile, ElectionParameters, vc_node_id
 from repro.core.messages import VoteReceipt, VoteRejected, VoteRequest
 from repro.core.outcome import ElectionOutcome
 from repro.core.vote_collector import (

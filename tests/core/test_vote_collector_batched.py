@@ -13,8 +13,8 @@ from engine_runs import run_spec, small_spec
 
 from repro.consensus.bracha import BinaryConsensusInstance
 from repro.core.byzantine import UcertWithholdingVoteCollector
-from repro.core.ea import ElectionAuthority, vc_node_id
-from repro.core.election import ConsensusConfig, ElectionParameters
+from repro.core.ea import ElectionAuthority
+from repro.core.election import ConsensusConfig, ElectionParameters, vc_node_id
 from repro.core.messages import Announce, VoteRequest, VscBatch
 from repro.core.vote_collector import VoteCollectorNode
 from repro.crypto.utils import RandomSource

@@ -95,7 +95,7 @@ class TestPatience:
         from repro.net.adversary import Adversary, NetworkConditions
         from repro.net.simulator import Network
         from repro.core.vote_collector import VoteCollectorNode
-        from repro.core.ea import vc_node_id
+        from repro.core.election import vc_node_id
 
         adversary = Adversary()
         network = Network(conditions=NetworkConditions(base_latency=0.001, seed=2),

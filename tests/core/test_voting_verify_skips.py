@@ -13,9 +13,9 @@ import pytest
 
 from repro.analysis.determinism import safety_violations
 from repro.api import AdmissionProfile, AdversaryProfile, ElectionEngine, ScenarioSpec
-from repro.api.spec import VC_BEHAVIORS, register_vc_behavior
-from repro.core.ea import ElectionAuthority, vc_node_id
-from repro.core.election import ElectionParameters
+from repro.core.byzantine import VC_BEHAVIORS, register_vc_behavior
+from repro.core.ea import ElectionAuthority
+from repro.core.election import ElectionParameters, vc_node_id
 from repro.core.messages import (
     Endorsement,
     UniquenessCertificate,

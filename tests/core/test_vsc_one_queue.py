@@ -18,12 +18,12 @@ from repro.api import (
     ElectionEngine,
     ScenarioSpec,
 )
-from repro.api.spec import VC_BEHAVIORS, register_vc_behavior
 from repro.consensus import bracha
 from repro.consensus.batching import BatchEnvelope, SuperblockSend
 from repro.consensus.interfaces import Aux, BVal, Finish
-from repro.core.ea import ElectionAuthority, vc_node_id
-from repro.core.election import ElectionParameters
+from repro.core.byzantine import VC_BEHAVIORS, register_vc_behavior
+from repro.core.ea import ElectionAuthority
+from repro.core.election import ElectionParameters, vc_node_id
 from repro.core.messages import (
     Announce,
     RecoverResponse,

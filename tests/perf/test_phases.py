@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.perf.phases import phase_breakdown, phase_sweep
+from repro.perf.costmodel import phase_breakdown, phase_sweep
 
 
 class TestPhaseBreakdown:

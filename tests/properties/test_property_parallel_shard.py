@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.api.spec import CryptoProfile, ScenarioSpec, ShardingProfile
 from repro.crypto.registry import available_backends
 from repro.net.codec import MessageCodec
-from repro.shard import ShardedElectionDriver, shard_worker_pool
+from repro.shard.driver import ShardedElectionDriver, shard_worker_pool
 
 SEED = 29
 ELECTION_ID = "prop-parallel"

@@ -20,17 +20,17 @@ from repro.crypto.registry import get_group
 from repro.crypto.utils import int_to_bytes
 from repro.net.codec import MessageCodec, WireFormatError, default_codec
 from repro.perf.parallel import PoolWorkerDied
-from repro.shard import (
-    ShardExecutionError,
-    ShardRange,
-    ShardRunner,
-    ShardSliceResult,
-    ShardedElectionDriver,
-    VoteCodeRejected,
-    shard_worker_pool,
-)
 from repro.shard import driver as driver_module
-from repro.shard.driver import decode_slice, derive_scheme, worker_initargs
+from repro.shard.driver import (
+    ShardExecutionError,
+    ShardedElectionDriver,
+    decode_slice,
+    derive_scheme,
+    shard_worker_pool,
+    worker_initargs,
+)
+from repro.shard.partition import ShardRange
+from repro.shard.shard_runner import ShardRunner, ShardSliceResult, VoteCodeRejected
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 NUM_BALLOTS = 240
