@@ -1,6 +1,6 @@
-"""Voting-phase admission pipeline: batched endorsements under realistic load.
+"""Voting-phase admission pipeline: batched endorsement verification.
 
-Three experiments behind the high-throughput admission pipeline:
+Two experiments behind the admission pipeline:
 
 * **verification gate** -- verify 10,000 ENDORSEMENT signatures per-message
   (warmed byte-digit fixed-base tables, the strongest serial baseline) and
@@ -17,11 +17,10 @@ Three experiments behind the high-throughput admission pipeline:
   batching on and off on *every* registered crypto backend and require
   identical outcome hashes, identical tallies and passing audits.  Batching
   may only change *when* an endorsement is verified, never the election's
-  observable results;
-* **open-loop sweep** -- drive the load simulator from seeded arrival
-  processes (Poisson, diurnal, flash crowd) over a grid of endorsement batch
-  sizes, recording sustained votes/s, p50/p95/p99 admission latency and the
-  shed rate under a bounded admission window.
+  observable results.
+
+The bounded admission queue under overload is measured on the real engine
+by ``bench_paper_figures.py``.
 
 Set ``BENCH_SMOKE=1`` for the CI smoke mode (smaller payloads, same >= 1.3x
 verification gate).  Results land in
@@ -44,13 +43,7 @@ from repro.crypto.batch_verify import BatchVerifier, SignatureItem
 from repro.crypto.registry import available_backends
 from repro.crypto.signatures import SignatureScheme
 from repro.crypto.utils import RandomSource
-from repro.perf.arrivals import (
-    DiurnalArrivals,
-    FlashCrowdArrivals,
-    PoissonArrivals,
-)
-from repro.perf.costmodel import AdmissionCosts, CostModel
-from repro.perf.loadsim import VoteCollectionLoadSimulator
+from repro.perf.costmodel import AdmissionCosts
 
 SMOKE = os.environ.get("BENCH_SMOKE") == "1"
 #: endorsement verifications of the throughput gate (the PR's 10k criterion)
@@ -62,26 +55,9 @@ GATE_BATCH_SIZE = 64
 TARGET_SPEEDUP = 1.3
 #: (items per batch, distinct signers, required speedup or None = reported only)
 GATE_SHAPES = ((GATE_BATCH_SIZE, 4, TARGET_SPEEDUP), (5, 5, None))
-#: endorsement batch sizes of the open-loop sweep
-BATCH_SIZES = (1, 64) if SMOKE else (1, 16, 64, 128)
-#: open-loop traffic duration and per-VC admission window
-SWEEP_DURATION_S = 4.0 if SMOKE else 12.0
-ADMISSION_DEPTH = 8
 CHOICES = ["option-1", "option-3", "option-1", "option-2", "option-1"]
 
 _rows: list = []
-
-
-def arrival_processes(rate_per_s: float):
-    """The sweep's traffic mixes, all seeded for reproducibility."""
-    return (
-        PoissonArrivals(rate_per_s=rate_per_s, seed=11),
-        DiurnalArrivals(mean_rate_per_s=rate_per_s, amplitude=0.7,
-                        period_s=SWEEP_DURATION_S, phase=0.0, seed=11),
-        FlashCrowdArrivals(base_rate_per_s=rate_per_s / 2.0, spike_factor=6.0,
-                           spike_start_s=SWEEP_DURATION_S / 4.0,
-                           spike_duration_s=SWEEP_DURATION_S / 4.0, seed=11),
-    )
 
 
 def make_endorsement_items(count: int, num_signers: int):
@@ -178,40 +154,11 @@ class TestBitIdenticalGate:
         })
 
 
-class TestOpenLoopSweep:
-    """Sustained votes/s and admission latency over batch size x traffic mix."""
-
-    def test_sweep(self):
-        for batch_size in BATCH_SIZES:
-            model = CostModel(endorse_batch_size=batch_size)
-            # Offer ~1.2x the predicted capacity so backpressure engages.
-            rate = 1.2 * model.saturated_throughput_estimate(4)
-            for process in arrival_processes(rate):
-                times = process.times(SWEEP_DURATION_S)
-                simulator = VoteCollectionLoadSimulator(4, 1, model, seed=3)
-                result = simulator.run_open_loop(
-                    times, admission_depth=ADMISSION_DEPTH, arrival_name=process.name
-                )
-                row = {"section": "open_loop", "batch_size": batch_size,
-                       "offered_rate_per_s": round(rate, 1),
-                       "predicted_votes_per_vc": round(
-                           model.sustained_votes_per_vc_estimate(4), 1)}
-                row.update(result.as_row())
-                _rows.append(row)
-
-        sweep = [r for r in _rows if r["section"] == "open_loop"]
-        assert len(sweep) == len(BATCH_SIZES) * 3
-        # Larger endorsement batches must sustain more votes per second
-        # under the same (capacity-relative) Poisson overload.
-        poisson = {r["batch_size"]: r for r in sweep if r["arrival_process"] == "poisson"}
-        assert poisson[max(BATCH_SIZES)]["throughput_ops"] > poisson[1]["throughput_ops"]
-
-
 def test_save_results(results_sink):
     save_results, print_table = results_sink
-    assert _rows, "gate and sweep tests must run before the results are saved"
+    assert _rows, "the gate tests must run before the results are saved"
     save_results("voting_throughput", _rows)
-    for section in ("verify_gate", "bit_identical", "open_loop"):
+    for section in ("verify_gate", "bit_identical"):
         rows = [r for r in _rows if r["section"] == section]
         if rows:
             print_table(f"voting throughput: {section}", rows)

@@ -1,16 +1,18 @@
 #!/usr/bin/env python3
-"""National-scale referendum: capacity planning with the performance model.
+"""National-scale referendum: measure the deployment shape, then rehearse it.
 
 The paper's motivating deployment is a national referendum (m = 2) with an
 electorate comparable to the 2012 US voting population (235 million).  The
-full cryptographic stack obviously cannot run 235 million simulated voters on
-a laptop, so this example does what an election operator would do with the
+full cryptographic stack cannot run 235 million simulated voters on a
+laptop, so this example does what an election operator would do with the
 library, starting from the ``national_scale`` scenario preset:
 
-1. size the Vote Collector deployment with the calibrated performance model
-   (how does throughput/latency change with the number of VC nodes, LAN vs
-   WAN, database-backed storage and electorate size?) -- every load simulator
-   is constructed straight from a derived :class:`ScenarioSpec`;
+1. measure how the number of VC nodes, on a LAN and on a WAN, changes the
+   cost of a vote: every row is a complete election of a few voters through
+   the :class:`ElectionEngine`, and prints the wall-clock ballots/s from the
+   end of set-up to the audited result and the median receipt latency in
+   simulated milliseconds (network delay only: the simulator charges no CPU
+   time to simulated time);
 2. compute the liveness/safety margins for the chosen deployment from the
    paper's theorems (patience window Twait, receipt guarantees, probability
    of losing a receipted vote);
@@ -23,42 +25,46 @@ Run with:  python examples/referendum_national_scale.py
 """
 
 import os
+import statistics
+import time
 
 from repro.analysis.liveness import receipt_probability_lower_bound, twait
 from repro.analysis.verification import safety_failure_probability_union
 from repro.api import ElectionEngine, NetworkProfile, ScenarioSpec
-from repro.perf.costmodel import phase_breakdown
 
 SMOKE = bool(os.environ.get("EXAMPLES_SMOKE"))
 
 BASE = ScenarioSpec.preset("national_scale")
 VC_SWEEP = (4, 7) if SMOKE else (4, 7, 10)
-TARGET_VOTES = 120 if SMOKE else 600
-WARMUP_VOTES = 30 if SMOKE else 100
+SWEEP_VOTERS = 8 if SMOKE else 30
 
 
-def capacity_planning() -> None:
-    print("=== 1. capacity planning (performance model) ===")
+def deployment_sweep() -> None:
+    print("=== 1. deployment shape (measured on the engine) ===")
     print(f"electorate: {BASE.electorate:,} registered voters, "
-          f"question: {'/'.join(BASE.options)}\n")
-    print("Nv   network  storage   throughput (votes/s)   mean latency (s)")
+          f"question: {'/'.join(BASE.options)}; {SWEEP_VOTERS} voters per run\n")
+    print("Nv   network  ballots/s (wall)   receipt p50 (simulated ms)")
     for num_vc in VC_SWEEP:
-        for network, storage in ((NetworkProfile.lan(), "memory"),
-                                 (NetworkProfile.wan(), "postgres")):
-            scenario = BASE.derive(
-                num_vc=num_vc, network=network, storage=storage, seed=11
-            )
-            sim = scenario.load_simulator(num_clients=400)
-            result = sim.run(target_votes=TARGET_VOTES, warmup_votes=WARMUP_VOTES)
-            print(f"{num_vc:<4} {network.kind:<8} {storage:<9} "
-                  f"{result.throughput_ops:>14.1f}        {result.mean_latency_s:>10.3f}")
-
-    phases = phase_breakdown(200_000, registered_ballots=BASE.electorate,
-                             num_vc=4, num_options=BASE.num_options)
-    print("\npost-election phases for 200,000 cast ballots (seconds):")
-    print(f"  vote set consensus      : {phases.vote_set_consensus_s:9.1f}")
-    print(f"  push to BB + enc. tally : {phases.push_to_bb_s:9.1f}")
-    print(f"  publish result          : {phases.publish_result_s:9.1f}")
+        for network in (NetworkProfile.lan(), NetworkProfile.wan()):
+            scenario = BASE.derive(num_vc=num_vc, network=network,
+                                   num_voters=SWEEP_VOTERS, seed=11)
+            engine = ElectionEngine(scenario)
+            ctx = engine.begin([BASE.options[i % 2] for i in range(SWEEP_VOTERS)])
+            try:
+                for driver in engine.drivers:
+                    if driver.name == "voting":  # the clock starts after set-up
+                        started = time.perf_counter()
+                    if driver.should_run(ctx):
+                        engine.run_phase(driver, ctx)
+            finally:
+                engine.close()
+            elapsed = time.perf_counter() - started
+            outcome = engine.outcome()
+            assert outcome.audit_report.passed
+            latency = statistics.median(
+                (v.completed_at - v.submitted_at) * 1000.0 for v in outcome.voters)
+            print(f"{num_vc:<4} {network.kind:<8} {SWEEP_VOTERS / elapsed:>13.1f}"
+                  f"      {latency:>14.1f}")
 
 
 def security_margins() -> None:
@@ -86,7 +92,7 @@ def scaled_down_real_run() -> None:
 
 
 def main() -> None:
-    capacity_planning()
+    deployment_sweep()
     security_margins()
     scaled_down_real_run()
 

@@ -17,8 +17,8 @@ The package is organised as follows:
 * :mod:`repro.core` -- the D-DEMOS protocol itself: Election Authority setup,
   Vote Collectors, Bulletin Board, Trustees, Voters and Auditors.
 * :mod:`repro.perf` -- measurement (phase timers, memory probes), the process
-  pools, and the fitted cost model of the paper's testbed, which no election
-  run imports.
+  pools, and the count models the tests hold to measured runs, which no
+  election run imports.
 * :mod:`repro.shard` -- the sharded scale pipeline.
 * :mod:`repro.analysis` -- analytical results (liveness bounds of Table I,
   safety / verifiability / privacy bounds of Theorems 1-4).

@@ -7,9 +7,8 @@ simulated rather than wall-clock time keeps event streams deterministic for a
 fixed scenario seed, which is what the isolation tests of the multi-election
 service rely on.
 
-Benchmarks, the load simulator and future async/real-network drivers
-subscribe through :class:`EventBus` instead of monkey-patching engine
-internals.
+Benchmarks and future async/real-network drivers subscribe through
+:class:`EventBus` instead of monkey-patching engine internals.
 """
 
 from __future__ import annotations

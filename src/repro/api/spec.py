@@ -9,8 +9,7 @@ its orthogonal concerns are configured:
 * :class:`AdmissionProfile` -- the voting-phase admission pipeline: batched
   endorsement verification and the bounded admission queue in front of the
   VOTE handler (shed-with-retry-hint vs. block);
-* :class:`NetworkProfile`  -- simulator latency/loss *and* the calibrated
-  cost-model latencies, kept coherent in one place;
+* :class:`NetworkProfile`  -- simulator latency, jitter, loss and duplication;
 * :class:`AdversaryProfile` -- which nodes misbehave and how (by name, so the
   spec stays serializable);
 * :class:`CryptoProfile`   -- group backend and proof generation;
@@ -41,17 +40,13 @@ Specs ship with named presets (``paper_baseline``, ``batched_fast``,
 ``byzantine_stress``, ``national_scale``).  Two pipelines run them:
 :class:`repro.api.engine.ElectionEngine` (full cryptographic runs on the
 simulator) and ``MultiElectionService.run_sharded`` (the scale pipeline).
-:meth:`ScenarioSpec.cost_model`, :meth:`ScenarioSpec.load_simulator` and
-:meth:`ScenarioSpec.phase_breakdown` are no runners: they build the fitted
-model of the paper's testbed (:mod:`repro.perf.costmodel`) that the Figure 4/5
-benchmarks print.
 
-**This module is configuration only.**  It imports no node, transport,
-simulator or model code at module level: each method that builds one of those
+**This module is configuration only.**  It imports no node, transport or
+simulator code at module level: each method that builds one of those
 (:meth:`NetworkProfile.conditions`, :meth:`AdversaryProfile.build_adversary`,
-:meth:`TransportProfile.build_transport`, the model methods) imports it where
-it builds it, and behaviour names resolve through the registries of
-:mod:`repro.core.byzantine`, which load only when a profile names one.
+:meth:`TransportProfile.build_transport`) imports it where it builds it, and
+behaviour names resolve through the registries of :mod:`repro.core.byzantine`,
+which load only when a profile names one.
 """
 
 from __future__ import annotations
@@ -79,8 +74,6 @@ if TYPE_CHECKING:
     from repro.crypto.group import Group
     from repro.net.adversary import Adversary, NetworkConditions
     from repro.net.transport import Transport
-    from repro.perf import costmodel
-    from repro.perf.loadsim import VoteCollectionLoadSimulator
 
 
 def _behavior_classes(kind: str, behaviors: Mapping[str, str]) -> Dict[str, type]:
@@ -101,14 +94,10 @@ def _behavior_classes(kind: str, behaviors: Mapping[str, str]) -> Dict[str, type
 
 @dataclass(frozen=True)
 class NetworkProfile(DictCodec):
-    """Network behaviour of a scenario, for both runners.
+    """Network behaviour of a scenario.
 
-    The simulator fields (``base_latency_s``, ``jitter_s``, ``drop_rate``,
-    ``duplicate_rate``, ``max_delay_s``) drive
-    :class:`repro.net.adversary.NetworkConditions`; the millisecond hop costs
-    (``client_to_vc_ms``, ``inter_vc_ms``) drive the calibrated
-    :class:`repro.perf.costmodel.NetworkProfile` used by the load simulator.
-    The ``lan()`` / ``wan()`` presets keep the two views coherent.
+    The fields drive :class:`repro.net.adversary.NetworkConditions`, the
+    simulator's per-message latency, jitter, loss and duplication.
     """
 
     kind: str = "lan"
@@ -117,8 +106,6 @@ class NetworkProfile(DictCodec):
     drop_rate: float = 0.0
     duplicate_rate: float = 0.0
     max_delay_s: Optional[float] = None
-    client_to_vc_ms: float = 0.25
-    inter_vc_ms: float = 0.25
 
     def __post_init__(self) -> None:
         if self.base_latency_s < 0 or self.jitter_s < 0:
@@ -129,8 +116,6 @@ class NetworkProfile(DictCodec):
             raise ValueError("duplicate rate must be in [0, 1)")
         if self.max_delay_s is not None and self.max_delay_s <= 0:
             raise ValueError("max delay must be positive when set")
-        if self.client_to_vc_ms < 0 or self.inter_vc_ms < 0:
-            raise ValueError("hop costs cannot be negative")
 
     @classmethod
     def lan(cls, **overrides: Any) -> "NetworkProfile":
@@ -139,14 +124,8 @@ class NetworkProfile(DictCodec):
 
     @classmethod
     def wan(cls, **overrides: Any) -> "NetworkProfile":
-        """Emulated WAN: 25 ms one-way inter-VC latency (US coast-to-coast)."""
-        defaults = dict(
-            kind="wan",
-            base_latency_s=0.025,
-            jitter_s=0.002,
-            client_to_vc_ms=0.25,
-            inter_vc_ms=25.0,
-        )
+        """Emulated WAN: 25 ms one-way latency (US coast-to-coast)."""
+        defaults = dict(kind="wan", base_latency_s=0.025, jitter_s=0.002)
         defaults.update(overrides)
         return cls(**defaults)
 
@@ -161,16 +140,6 @@ class NetworkProfile(DictCodec):
             duplicate_rate=self.duplicate_rate,
             max_delay=self.max_delay_s,
             seed=seed,
-        )
-
-    def cost_profile(self) -> costmodel.NetworkProfile:
-        """The calibrated cost-model view of this profile."""
-        from repro.perf import costmodel
-
-        return costmodel.NetworkProfile(
-            client_to_vc_ms=self.client_to_vc_ms,
-            inter_vc_ms=self.inter_vc_ms,
-            name=self.kind,
         )
 
 
@@ -610,12 +579,10 @@ class ScenarioSpec(DictCodec):
     seed: int = 7
     voter_patience: float = 50.0
     stagger: float = 0.5
-    #: electorate size for the capacity-planning cost model (defaults to the
-    #: number of simulated voters when unset); the full-crypto engine always
-    #: generates ``num_voters`` real ballots.
+    #: ballots the sharded pipeline derives when ``run_sharded`` is given no
+    #: count (defaults to the number of simulated voters when unset); the
+    #: full-crypto engine always generates ``num_voters`` real ballots.
     registered_ballots: Optional[int] = None
-    #: ballot storage of the modelled deployment: "memory" or "postgres".
-    storage: str = "memory"
     consensus: ConsensusConfig = field(default_factory=ConsensusConfig)
     audit: AuditConfig = field(default_factory=AuditConfig)
     admission: AdmissionProfile = field(default_factory=AdmissionProfile)
@@ -633,8 +600,6 @@ class ScenarioSpec(DictCodec):
             raise ValueError("voter patience must be positive")
         if self.stagger < 0:
             raise ValueError("voter stagger cannot be negative")
-        if self.storage not in ("memory", "postgres"):
-            raise ValueError("storage must be 'memory' or 'postgres'")
         if self.registered_ballots is not None and self.registered_ballots < self.num_voters:
             raise ValueError("registered ballots cannot be fewer than the simulated voters")
         # Delegate option/threshold/voting-hour validation to the core layer.
@@ -731,7 +696,7 @@ class ScenarioSpec(DictCodec):
 
     @property
     def electorate(self) -> int:
-        """Registered-electorate size used by the capacity-planning model."""
+        """Registered-electorate size: the sharded pipeline's default ballot count."""
         return self.registered_ballots if self.registered_ballots is not None else self.num_voters
 
     def to_election_parameters(self) -> ElectionParameters:
@@ -755,50 +720,6 @@ class ScenarioSpec(DictCodec):
     def derive(self, **changes: Any) -> "ScenarioSpec":
         """A copy of this spec with the given fields replaced (re-validated)."""
         return dataclasses.replace(self, **changes)
-
-    # -- the fitted model of the paper's testbed ---------------------------------
-
-    def cost_model(self, **overrides: Any) -> costmodel.CostModel:
-        """The calibrated cost model for this scenario's deployment shape."""
-        from repro.perf import costmodel
-
-        kwargs: Dict[str, Any] = dict(
-            network=self.network.cost_profile(),
-            database=costmodel.DatabaseCosts() if self.storage == "postgres" else None,
-            num_ballots=self.electorate,
-            num_options=self.num_options,
-        )
-        kwargs.update(overrides)
-        return costmodel.CostModel(**kwargs)
-
-    def load_simulator(
-        self,
-        num_clients: int,
-        seed: Optional[int] = None,
-        **model_overrides: Any,
-    ) -> VoteCollectionLoadSimulator:
-        """A closed-loop load simulator for this scenario (Figures 4/5)."""
-        from repro.perf.loadsim import VoteCollectionLoadSimulator
-
-        return VoteCollectionLoadSimulator(
-            num_vc=self.num_vc,
-            num_clients=num_clients,
-            cost_model=self.cost_model(**model_overrides),
-            seed=self.seed if seed is None else seed,
-        )
-
-    def phase_breakdown(self, ballots_cast: int, **overrides: Any):
-        """Per-phase durations of this deployment for ``ballots_cast`` votes (Figure 5c)."""
-        from repro.perf.costmodel import phase_breakdown
-
-        kwargs: Dict[str, Any] = dict(
-            registered_ballots=self.electorate,
-            num_vc=self.num_vc,
-            num_options=self.num_options,
-            cost_model=self.cost_model(),
-        )
-        kwargs.update(overrides)
-        return phase_breakdown(ballots_cast, **kwargs)
 
     # -- presets -----------------------------------------------------------------
 
@@ -869,10 +790,10 @@ def byzantine_stress() -> ScenarioSpec:
 def national_scale() -> ScenarioSpec:
     """The paper's motivating deployment: a national yes/no referendum.
 
-    The registered electorate matches the 2012 US voting population; the
-    full-crypto engine runs a scaled-down rehearsal (``num_voters``) while
-    :meth:`ScenarioSpec.cost_model` sizes the real deployment
-    (PostgreSQL-backed, Figure 5a shape).  The pipeline runs sharded — four
+    The registered electorate matches the 2012 US voting population: it is
+    the ballot count ``MultiElectionService.run_sharded`` derives by default,
+    while the full-crypto engine runs a scaled-down rehearsal
+    (``num_voters``).  The pipeline runs sharded — four
     ballot-range shards — which changes memory behaviour only: the rehearsal
     outcome hash is identical to the unsharded run (the determinism harness
     checks exactly that).
@@ -887,7 +808,6 @@ def national_scale() -> ScenarioSpec:
         election_id="national-referendum",
         election_end=500.0,
         registered_ballots=235_000_000,
-        storage="postgres",
         sharding=ShardingProfile(num_shards=4),
     )
 

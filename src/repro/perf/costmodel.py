@@ -1,70 +1,27 @@
-"""Calibrated cost model of the vote-collection protocol.
+"""Count models of this code, each held to a measurement.
 
-Every quantity is expressed in milliseconds of CPU time (for work) or
-milliseconds of one-way latency (for network hops).  The calibration targets
-the order of magnitude of the paper's testbed (hexa-core Xeon E5-2420 @
-1.9 GHz, MIRACL elliptic-curve operations, PostgreSQL storage); the exact
-values matter much less than the *structure* of the model:
+Every class here predicts a count the program makes, and a test or benchmark
+compares the prediction with the measured count:
 
-* per-vote CPU work grows roughly quadratically in the number of VC nodes
-  (every node verifies O(Nv) signatures/shares for every vote), which is what
-  produces the throughput decline of Figures 4b/4e;
-* the critical path of a vote contains a constant number of message rounds,
-  so WAN latency adds a constant to response time but does not reduce
-  saturated throughput (Figures 4d/4e vs 4a/4b);
-* database-backed experiments add a per-vote lookup cost that grows slowly
-  with the electorate size ``n`` (Figure 5a) and a per-row fetch cost
-  proportional to the number of options ``m`` (Figure 5b).
+* :class:`ConsensusCosts` -- Vote Set Consensus messages and ``VscBatch``
+  frames, held to wire elections in ``tests/perf/test_costmodel.py``;
+* :class:`BandwidthCosts` -- bytes of the canonical wire format, sized from
+  the live codec and held to the same elections;
+* :class:`AuditCosts` -- group products of a batched audit equation, held to
+  the products ``Group.multi_power`` makes;
+* :class:`AdmissionCosts` -- the batched endorsement-verification speedup,
+  printed beside the measured one by ``benchmarks/bench_voting_throughput.py``.
 
-The phase-duration model of Figure 5c (:func:`phase_breakdown`) is built on
-the same constants and lives at the end of this module.  No election run
-imports this module; the measured phase timer is
-:class:`repro.perf.phases.PhaseRecorder`.
+No election run imports this module.  The paper's figures are measured on
+the real engine (``benchmarks/bench_paper_figures.py``); the testbed
+constants of the paper (Xeon E5-2420, MIRACL, PostgreSQL) are documented,
+not modelled, in ``docs/ARCHITECTURE.md`` ("Deviations from the paper").
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
-
-
-@dataclass(frozen=True)
-class CryptoCosts:
-    """CPU cost (milliseconds) of the cryptographic operations on a VC node."""
-
-    sign_ms: float = 0.15
-    verify_ms: float = 0.20
-    hash_ms: float = 0.002
-    share_verify_ms: float = 0.20
-    share_reconstruct_ms: float = 0.05
-    request_overhead_ms: float = 0.10
-
-
-@dataclass(frozen=True)
-class DatabaseCosts:
-    """Cost of the PostgreSQL-backed ballot storage used in Figures 5a-5c.
-
-    ``lookup_ms(n)`` models locating a ballot among ``n`` (index traversal +
-    buffer-cache misses; grows slowly with ``n``).  ``row_disk_ms`` is the
-    additional disk time per ballot line fetched and ``row_cpu_ms`` the CPU
-    time to deserialize and hash-check it; both grow the per-vote cost mildly
-    and linearly in the number of options ``m`` (the only ``m`` effect the
-    paper reports for Figure 5b).
-    """
-
-    base_lookup_ms: float = 4.0
-    scale_exponent: float = 0.40
-    reference_ballots: float = 1e6
-    row_disk_ms: float = 0.05
-    row_cpu_ms: float = 0.10
-
-    def lookup_ms(self, num_ballots: int) -> float:
-        """Per-vote ballot lookup cost for an electorate of ``num_ballots``."""
-        if num_ballots <= 0:
-            raise ValueError("electorate size must be positive")
-        scale = (num_ballots / self.reference_ballots) ** self.scale_exponent
-        return self.base_lookup_ms * max(scale, 0.05)
 
 
 @dataclass(frozen=True)
@@ -251,27 +208,6 @@ class BandwidthCosts:
             frame_overhead_bytes=float(FRAME_OVERHEAD),
         )
 
-    # -- voting-phase bandwidth -------------------------------------------------
-
-    def voting_bytes_per_vote(self, num_vc: int) -> float:
-        """Bytes one vote puts on the wire across the whole VC subsystem.
-
-        VOTE + receipt on the public channel, one ENDORSE broadcast, ``Nv``
-        ENDORSEMENT replies and ``Nv`` VOTE_P multicasts of ``Nv`` messages
-        each on the private channels (the VOTE_P quadratic term dominates,
-        which is why response size barely moves with the electorate but grows
-        with ``Nv``).
-        """
-        return (
-            self.vote_request_bytes
-            + self.vote_receipt_bytes
-            + num_vc * self.endorse_bytes
-            + num_vc * self.endorsement_bytes
-            + num_vc * num_vc * self.vote_pending_bytes
-        )
-
-    # -- consensus-phase bandwidth ----------------------------------------------
-
     def announce_bytes(self, num_vc: int, num_ballots: int, turnout: float = 1.0) -> float:
         """Bytes of the ANNOUNCE exchange opening Vote Set Consensus."""
         per_ballot = (
@@ -315,14 +251,6 @@ class BandwidthCosts:
             self.announce_bytes(num_vc, num_ballots, turnout)
             + self.superblock_consensus_bytes(num_vc, num_ballots, batch_size)
             + self.consensus.frames(num_vc, num_ballots, batch_size) * self.envelope_frame_bytes
-        )
-
-    def batching_byte_reduction(
-        self, num_vc: int, num_ballots: int, batch_size: int
-    ) -> float:
-        """How many times fewer instance-traffic bytes superblock VSC sends."""
-        return self.per_ballot_consensus_bytes(num_vc, num_ballots) / (
-            self.superblock_consensus_bytes(num_vc, num_ballots, batch_size)
         )
 
 
@@ -474,290 +402,3 @@ class AdmissionCosts:
         if batched <= 0:
             return 1.0
         return self.serial_multiplications(batch_size) / batched
-
-
-@dataclass(frozen=True)
-class MachineSpec:
-    """The physical machines hosting the VC nodes (the paper used 4)."""
-
-    num_machines: int = 4
-    cores_per_machine: int = 6
-
-    def machine_of(self, vc_index: int) -> int:
-        """Round-robin placement of logical VC nodes onto physical machines."""
-        return vc_index % self.num_machines
-
-    @property
-    def total_cores(self) -> int:
-        return self.num_machines * self.cores_per_machine
-
-
-@dataclass(frozen=True)
-class NetworkProfile:
-    """One-way latency (ms) of the three kinds of links in the testbed."""
-
-    client_to_vc_ms: float = 0.25
-    inter_vc_ms: float = 0.25
-    name: str = "lan"
-
-    @classmethod
-    def lan(cls) -> "NetworkProfile":
-        """Gigabit-Ethernet cluster (sub-millisecond hops)."""
-        return cls(client_to_vc_ms=0.25, inter_vc_ms=0.25, name="lan")
-
-    @classmethod
-    def wan(cls) -> "NetworkProfile":
-        """netem-emulated WAN: 25 ms between VC nodes (clients stay local)."""
-        return cls(client_to_vc_ms=0.25, inter_vc_ms=25.0, name="wan")
-
-
-@dataclass(frozen=True)
-class CostModel:
-    """Everything the load simulator needs to cost one vote."""
-
-    crypto: CryptoCosts = field(default_factory=CryptoCosts)
-    machines: MachineSpec = field(default_factory=MachineSpec)
-    network: NetworkProfile = field(default_factory=NetworkProfile.lan)
-    consensus: ConsensusCosts = field(default_factory=ConsensusCosts)
-    bandwidth: BandwidthCosts = field(default_factory=BandwidthCosts)
-    admission: AdmissionCosts = field(default_factory=AdmissionCosts)
-    database: Optional[DatabaseCosts] = None
-    num_ballots: int = 200_000
-    num_options: int = 4
-    #: endorsement batch size on the VC nodes; 1 = per-message verification
-    #: (the historical model), >1 scales the endorsement-verification stages
-    #: by the predicted small-exponent batch speedup.
-    endorse_batch_size: int = 1
-
-    # -- per-stage CPU / disk work (all in milliseconds) ------------------------------
-
-    def ballot_access_disk_ms(self) -> float:
-        """Disk time of one ballot access (0 when election data is cached in memory)."""
-        if self.database is None:
-            return 0.0
-        return (
-            self.database.lookup_ms(self.num_ballots)
-            + self.database.row_disk_ms * self.num_options
-        )
-
-    def _ballot_access_cpu_ms(self) -> float:
-        """CPU time of locating the ballot and scanning its hashed vote codes."""
-        lookup = self.crypto.request_overhead_ms
-        if self.database is None:
-            # In-memory cache: only a dictionary lookup plus hashing.
-            lookup += 0.02 * math.log2(max(self.num_ballots, 2))
-        else:
-            lookup += self.database.row_cpu_ms * self.num_options
-        # On average half of the 2m hashed codes are scanned before a match.
-        lookup += self.crypto.hash_ms * self.num_options
-        return lookup
-
-    def responder_initial_ms(self) -> float:
-        """Stage 1: the responder validates the VOTE message (CPU part)."""
-        return self._ballot_access_cpu_ms()
-
-    def helper_endorse_ms(self) -> float:
-        """Stage 2 (per helper): validate the ENDORSE and sign an ENDORSEMENT (CPU part)."""
-        return self._ballot_access_cpu_ms() + self.crypto.sign_ms
-
-    def _endorsement_verify_discount(self) -> float:
-        """Verification-cost factor from endorsement batching (1.0 unbatched)."""
-        if self.endorse_batch_size <= 1:
-            return 1.0
-        return 1.0 / self.admission.batch_speedup(self.endorse_batch_size)
-
-    def responder_certificate_ms(self, num_vc: int) -> float:
-        """Stage 3: verify up to Nv-1 endorsements and assemble the UCERT."""
-        verify = (num_vc - 1) * self.crypto.verify_ms * self._endorsement_verify_discount()
-        return verify + self.crypto.request_overhead_ms
-
-    def helper_vote_pending_ms(self, num_vc: int) -> float:
-        """Stage 4 (per helper): verify the UCERT and the responder's share, sign own VOTE_P."""
-        quorum = num_vc - (num_vc - 1) // 3
-        return (
-            quorum * self.crypto.verify_ms * self._endorsement_verify_discount()
-            + self.crypto.share_verify_ms
-            + self.crypto.sign_ms
-        )
-
-    def responder_reconstruct_ms(self, num_vc: int) -> float:
-        """Stage 5: verify the quorum of shares and reconstruct the receipt."""
-        quorum = num_vc - (num_vc - 1) // 3
-        return quorum * self.crypto.share_verify_ms + self.crypto.share_reconstruct_ms
-
-    def helper_background_ms(self, num_vc: int) -> float:
-        """Off-critical-path work each helper still performs (its own reconstruction)."""
-        quorum = num_vc - (num_vc - 1) // 3
-        return quorum * self.crypto.share_verify_ms + self.crypto.share_reconstruct_ms
-
-    def per_vote_cpu_ms(self, num_vc: int) -> float:
-        """Aggregate CPU demand of one vote across the whole VC subsystem."""
-        helpers = num_vc - 1
-        return (
-            self.responder_initial_ms()
-            + helpers * self.helper_endorse_ms()
-            + self.responder_certificate_ms(num_vc)
-            + helpers * self.helper_vote_pending_ms(num_vc)
-            + self.responder_reconstruct_ms(num_vc)
-            + helpers * self.helper_background_ms(num_vc)
-        )
-
-    def per_vote_disk_ms(self, num_vc: int) -> float:
-        """Aggregate disk demand of one vote (every VC node accesses the ballot once)."""
-        return num_vc * self.ballot_access_disk_ms()
-
-    # -- analytic estimates (used as cross-checks and by the phase model) ------------
-
-    def saturated_throughput_estimate(self, num_vc: int) -> float:
-        """Upper-bound throughput (votes/s) when the bottleneck resource is saturated.
-
-        The bottleneck is either the pooled CPU cores or, for database-backed
-        deployments, the (one-per-machine) disks.
-        """
-        cpu_limit = self.machines.total_cores / (self.per_vote_cpu_ms(num_vc) / 1000.0)
-        disk_ms = self.per_vote_disk_ms(num_vc)
-        if disk_ms <= 0:
-            return cpu_limit
-        # One disk per machine; a vote consumes ``disk_ms`` of disk time in total.
-        disk_limit = self.machines.num_machines * 1000.0 / disk_ms
-        return min(cpu_limit, disk_limit)
-
-    def sustained_votes_per_vc_estimate(self, num_vc: int) -> float:
-        """Predicted sustained admission rate (votes/s) *per VC node*.
-
-        The per-node share of the saturated subsystem throughput; rises with
-        ``endorse_batch_size`` because batching shrinks the two
-        endorsement-verification stages on the critical path.
-        """
-        return self.saturated_throughput_estimate(num_vc) / num_vc
-
-    def unloaded_latency_estimate_ms(self, num_vc: int) -> float:
-        """Response time of a single vote on an idle system."""
-        hops = 2 * self.network.client_to_vc_ms + 4 * self.network.inter_vc_ms
-        return (
-            hops
-            + self.responder_initial_ms()
-            + self.helper_endorse_ms()
-            + self.responder_certificate_ms(num_vc)
-            + self.helper_vote_pending_ms(num_vc)
-            + self.responder_reconstruct_ms(num_vc)
-        )
-
-
-# -- the phase-duration model of Figure 5c -------------------------------------
-#
-# Figure 5c breaks the complete election into four phases and reports each
-# phase's duration as the number of cast ballots grows (4 VC nodes,
-# n = 200,000 ballots, m = 4 options, disk-backed storage):
-#
-# 1. Vote Collection -- ``ballots_cast / throughput``, the throughput from the
-#    same cost model as Figures 5a/5b;
-# 2. Vote Set Consensus -- one (batched) binary-consensus instance per
-#    *registered* ballot plus the ANNOUNCE exchange, spread over the VC cores;
-# 3. Push to BB and encrypted tally -- proportional to the cast ballots;
-# 4. Publish result -- the trustees' tally-opening shares, proportional to the
-#    cast ballots plus a constant for reconstruction and publication.
-
-
-@dataclass(frozen=True)
-class PhaseCosts:
-    """Per-ballot CPU costs (ms) of the post-election phases."""
-
-    consensus_per_registered_ballot_ms: float = 0.9
-    consensus_constant_s: float = 5.0
-    push_per_cast_ballot_ms: float = 1.6
-    push_constant_s: float = 3.0
-    publish_per_cast_ballot_ms: float = 0.7
-    publish_constant_s: float = 2.0
-
-
-@dataclass(frozen=True)
-class PhaseDurations:
-    """Durations (seconds) of the four phases of Figure 5c."""
-
-    ballots_cast: int
-    vote_collection_s: float
-    vote_set_consensus_s: float
-    push_to_bb_s: float
-    publish_result_s: float
-
-    def as_row(self) -> Dict[str, float]:
-        return {
-            "ballots_cast": self.ballots_cast,
-            "vote_collection_s": round(self.vote_collection_s, 1),
-            "vote_set_consensus_s": round(self.vote_set_consensus_s, 1),
-            "push_to_bb_s": round(self.push_to_bb_s, 1),
-            "publish_result_s": round(self.publish_result_s, 1),
-        }
-
-    @property
-    def total_s(self) -> float:
-        return (
-            self.vote_collection_s
-            + self.vote_set_consensus_s
-            + self.push_to_bb_s
-            + self.publish_result_s
-        )
-
-
-def phase_breakdown(
-    ballots_cast: int,
-    registered_ballots: int = 200_000,
-    num_vc: int = 4,
-    num_options: int = 4,
-    vote_collection_throughput: Optional[float] = None,
-    cost_model: Optional[CostModel] = None,
-    phase_costs: Optional[PhaseCosts] = None,
-) -> PhaseDurations:
-    """Compute the duration of every phase for a given number of cast ballots."""
-    if ballots_cast < 0 or registered_ballots < ballots_cast:
-        raise ValueError("cast ballots must be between 0 and the registered ballots")
-    costs = phase_costs or PhaseCosts()
-    model = cost_model or CostModel(
-        database=DatabaseCosts(), num_ballots=registered_ballots, num_options=num_options
-    )
-
-    if vote_collection_throughput is None:
-        vote_collection_throughput = model.saturated_throughput_estimate(num_vc)
-    vote_collection_s = ballots_cast / max(vote_collection_throughput, 1e-9)
-
-    # Vote Set Consensus covers every *registered* ballot (voted or not), but
-    # batching spreads the work across the VC machines.
-    total_cores = model.machines.total_cores
-    consensus_s = (
-        costs.consensus_constant_s
-        + registered_ballots * costs.consensus_per_registered_ballot_ms / 1000.0 / total_cores
-    )
-    push_s = (
-        costs.push_constant_s
-        + ballots_cast * costs.push_per_cast_ballot_ms / 1000.0 / model.machines.num_machines
-    )
-    publish_s = (
-        costs.publish_constant_s
-        + ballots_cast * costs.publish_per_cast_ballot_ms / 1000.0 / model.machines.num_machines
-    )
-    return PhaseDurations(
-        ballots_cast=ballots_cast,
-        vote_collection_s=vote_collection_s,
-        vote_set_consensus_s=consensus_s,
-        push_to_bb_s=push_s,
-        publish_result_s=publish_s,
-    )
-
-
-def phase_sweep(
-    cast_counts: Sequence[int],
-    registered_ballots: int = 200_000,
-    num_vc: int = 4,
-    num_options: int = 4,
-) -> List[PhaseDurations]:
-    """Figure 5c: the breakdown for several numbers of cast ballots."""
-    return [
-        phase_breakdown(
-            cast,
-            registered_ballots=registered_ballots,
-            num_vc=num_vc,
-            num_options=num_options,
-        )
-        for cast in cast_counts
-    ]

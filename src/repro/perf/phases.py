@@ -2,9 +2,7 @@
 
 The audit/tally pipeline wraps each of its stages in
 :meth:`PhaseRecorder.phase`, and :class:`repro.perf.memory.MemoryTracker`
-records into the same object.  The *modelled* phase durations of Figure 5c
-live with the rest of the fitted model, in :mod:`repro.perf.costmodel`
-(:func:`~repro.perf.costmodel.phase_breakdown`), so no audit imports it.
+records into the same object.
 """
 
 from __future__ import annotations

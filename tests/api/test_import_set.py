@@ -14,8 +14,8 @@ The elections that do use them are the existing tests of
 The same holds for this package's own modules.  No package ``__init__``
 re-exports its submodules (``repro.api`` resolves its names lazily), and
 ``repro.api.spec`` imports no node, transport or model code, so the sharded
-pipeline never loads the protocol nodes, the simulator or the fitted model
-layer (39 ``repro`` modules where it loaded 62), and an honest engine run
+pipeline never loads the protocol nodes, the simulator or the model module
+(39 ``repro`` modules where it loaded 62), and an honest engine run
 never loads the model layer, the service or the shard driver.  Nothing is
 imported after set-up either: the deferred imports are of code the run does
 not execute, so import time cannot move into the timed phases.  The first
@@ -31,8 +31,8 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 HEAVY = ("asyncio", "concurrent.futures.process", "multiprocessing")
-#: the fitted model of the paper's testbed: only the Figure 4/5 benchmarks use it
-MODEL = {"repro.perf.costmodel", "repro.perf.loadsim", "repro.perf.arrivals"}
+#: the count models: only their tests and the benchmarks use them
+MODEL = {"repro.perf.costmodel"}
 #: the full-protocol pipeline, which the sharded pipeline never runs
 PROTOCOL = {
     "repro.api.engine",

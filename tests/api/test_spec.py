@@ -19,7 +19,6 @@ from repro.api import (
 )
 from repro.core.byzantine import SilentVoteCollector
 from repro.net.adversary import NetworkConditions
-from repro.perf import costmodel
 
 
 class TestValidation:
@@ -41,7 +40,6 @@ class TestValidation:
             {"election_end": float("nan")},
             {"voter_patience": 0.0},
             {"stagger": -1.0},
-            {"storage": "mysql"},
             {"registered_ballots": 1},
         ],
     )
@@ -102,7 +100,6 @@ class TestRoundTrip:
             num_vc=7,
             seed=123,
             registered_ballots=50_000,
-            storage="postgres",
             consensus=ConsensusConfig(batch_size=4),
             audit=AuditConfig(enabled=False, batch=False, workers=None, security_bits=96),
             network=NetworkProfile.wan(drop_rate=0.01),
@@ -148,40 +145,10 @@ class TestDerivedViews:
         adversary = profile.build_adversary()
         assert adversary.is_corrupted("VC-2")
 
-    def test_network_profile_feeds_both_runners(self):
-        profile = NetworkProfile.wan()
-        conditions = profile.conditions(seed=3)
+    def test_network_profile_builds_the_simulator_conditions(self):
+        conditions = NetworkProfile.wan().conditions(seed=3)
         assert isinstance(conditions, NetworkConditions)
         assert conditions.base_latency == pytest.approx(0.025)
-        cost = profile.cost_profile()
-        assert isinstance(cost, costmodel.NetworkProfile)
-        assert cost.inter_vc_ms == pytest.approx(25.0)
-        assert cost.name == "wan"
-
-    def test_cost_model_uses_storage_and_electorate(self):
-        spec = ScenarioSpec.preset("national_scale")
-        model = spec.cost_model()
-        assert model.database is not None
-        assert model.num_ballots == 235_000_000
-        assert spec.derive(storage="memory").cost_model().database is None
-
-    def test_load_simulator_shape(self):
-        spec = ScenarioSpec(num_vc=7, registered_ballots=10_000)
-        sim = spec.load_simulator(num_clients=50)
-        assert sim.num_vc == 7
-        assert sim.num_clients == 50
-        assert sim.model.num_ballots == 10_000
-
-    def test_phase_breakdown_delegates_to_spec_shape(self):
-        spec = ScenarioSpec(
-            options=tuple(f"o{i}" for i in range(4)),
-            num_voters=4,
-            registered_ballots=200_000,
-            storage="postgres",
-        )
-        phases = spec.phase_breakdown(50_000)
-        assert phases.ballots_cast == 50_000
-        assert phases.vote_collection_s > 0
 
 
 class TestTransportProfile:

@@ -314,8 +314,8 @@ class TestResponderMarksItsOwnUcertVerified:
         self, setup, endorse_batch_size, monkeypatch
     ):
         """The certificate's code is the one the ENDORSE round asked about, by
-        construction and not only because ``_endorsement_wanted`` filters the
-        arrivals: with that guard stubbed to accept, a validly signed
+        construction and not only because ``_endorsement_wanted`` filters what
+        arrives: with that guard stubbed to accept, a validly signed
         endorsement of another code of the ballot arriving last named the
         certificate's (and the ballot's) code at eb94cf0."""
         monkeypatch.setattr(VoteCollectorNode, "_endorsement_wanted", lambda node, e: True)

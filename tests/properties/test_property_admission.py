@@ -1,7 +1,7 @@
 """Property-based tests (hypothesis) for the admission queue accounting.
 
 The defining property of the admission pipeline: no request is ever lost or
-double-counted.  Whatever interleaving of arrivals and drain-timer firings
+double-counted.  Whatever interleaving of requests and drain-timer firings
 occurs, ``requests == admitted + shed + backlog`` holds at every step, the
 backlog never exceeds the depth bound under the shed policy, and once the
 queue drains every offered request has been either admitted or shed.

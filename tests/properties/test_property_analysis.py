@@ -1,4 +1,4 @@
-"""Property-based tests for the analytical bounds and the cost model."""
+"""Property-based tests for the analytical bounds."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +9,6 @@ from repro.analysis.verification import (
     safety_failure_probability,
     safety_failure_probability_union,
 )
-from repro.perf.costmodel import CostModel, DatabaseCosts
 
 quick = settings(max_examples=50, deadline=None)
 
@@ -62,25 +61,3 @@ class TestBoundProperties:
         assert e2e_verifiability_error(theta + 1, d) <= error
         assert e2e_verifiability_error(theta, d + 1) <= error
 
-
-class TestCostModelProperties:
-    @quick
-    @given(num_vc=st.integers(min_value=4, max_value=40))
-    def test_per_vote_cpu_monotone_in_vc_count(self, num_vc):
-        model = CostModel()
-        assert model.per_vote_cpu_ms(num_vc + 1) > model.per_vote_cpu_ms(num_vc)
-
-    @quick
-    @given(
-        small=st.integers(min_value=10 ** 4, max_value=10 ** 7),
-        factor=st.integers(min_value=2, max_value=100),
-    )
-    def test_disk_throughput_monotone_in_electorate(self, small, factor):
-        a = CostModel(database=DatabaseCosts(), num_ballots=small)
-        b = CostModel(database=DatabaseCosts(), num_ballots=small * factor)
-        assert a.saturated_throughput_estimate(4) > b.saturated_throughput_estimate(4)
-
-    @quick
-    @given(num_vc=st.integers(min_value=4, max_value=40))
-    def test_throughput_estimate_positive(self, num_vc):
-        assert CostModel().saturated_throughput_estimate(num_vc) > 0

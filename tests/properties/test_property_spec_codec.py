@@ -67,8 +67,6 @@ networks = st.builds(
     drop_rate=finite(0.0, 0.9),
     duplicate_rate=finite(0.0, 0.9),
     max_delay_s=maybe(finite(0.001, 10.0)),
-    client_to_vc_ms=finite(0.0, 50.0),
-    inter_vc_ms=finite(0.0, 50.0),
 )
 adversaries = st.builds(
     AdversaryProfile,
@@ -127,7 +125,6 @@ specs = st.builds(
     voter_patience=finite(0.1, 100.0),
     stagger=finite(0.0, 2.0),
     registered_ballots=maybe(st.integers(min_value=50, max_value=10**9)),
-    storage=st.sampled_from(["memory", "postgres"]),
     consensus=consensus,
     audit=audits,
     admission=admissions,

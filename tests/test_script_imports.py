@@ -33,7 +33,7 @@ sys.exit(1 if failed else 0)
 
 
 def test_every_benchmark_and_example_script_imports():
-    assert len(SCRIPTS) >= 17  # 13 benchmarks, 4 examples
+    assert len(SCRIPTS) >= 13  # 9 benchmarks, 4 examples
     done = subprocess.run(
         [sys.executable, "-c", LOAD_EACH, *map(str, SCRIPTS)],
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
