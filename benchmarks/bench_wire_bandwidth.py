@@ -4,8 +4,9 @@ The paper reports byte-level bandwidth and message-size measurements from its
 Netty/TLS deployment.  This benchmark reproduces that axis on the canonical
 wire format (`repro.net.codec`): full-crypto elections run with the wire
 transport enabled (`TransportProfile.wire()`), so `Network.bytes_sent` counts
-the exact frames every protocol message occupies, and the delivery log is
-classified per message type:
+the exact frames every protocol message occupies, and the network's
+per-payload-type counters (`payload_bytes_sent`, `payload_copies_sent`) are
+grouped into message families:
 
 * electorate sweep with Nv = 4, per-ballot Vote Set Consensus (batch 1)
   against superblock consensus (batch 8) at every size;
@@ -63,6 +64,24 @@ CONSENSUS_TYPES = ("VscBatch", "RecoverRequest",
 UPLOAD_TYPES = ("VoteSetUpload", "MskShareUpload")
 
 
+def family_bytes(network) -> dict:
+    """Bytes sent per message family, and the consensus frames among them."""
+    by_family = {"voting": 0, "consensus": 0, "upload": 0, "other": 0}
+    for name, size in network.payload_bytes_sent.items():
+        if name in VOTING_TYPES:
+            by_family["voting"] += size
+        elif name in CONSENSUS_TYPES:
+            by_family["consensus"] += size
+        elif name in UPLOAD_TYPES:
+            by_family["upload"] += size
+        else:
+            by_family["other"] += size
+    by_family["consensus_frames"] = sum(
+        network.payload_copies_sent.get(name, 0) for name in CONSENSUS_TYPES
+    )
+    return by_family
+
+
 def run_wire_election(num_voters: int, batch_size: int):
     """One full-crypto election over the wire transport; returns measurements."""
     spec = ScenarioSpec(
@@ -90,21 +109,7 @@ def run_wire_election(num_voters: int, batch_size: int):
     finally:
         engine.close()
     outcome = engine.outcome()
-    by_family = {"voting": 0, "consensus": 0, "upload": 0, "other": 0, "consensus_frames": 0}
-    for record in outcome.network.delivery_log:
-        if record.duplicated:
-            continue
-        name = type(record.message.payload).__name__
-        if name in VOTING_TYPES:
-            by_family["voting"] += record.wire_bytes
-        elif name in CONSENSUS_TYPES:
-            by_family["consensus"] += record.wire_bytes
-            by_family["consensus_frames"] += 1
-        elif name in UPLOAD_TYPES:
-            by_family["upload"] += record.wire_bytes
-        else:
-            by_family["other"] += record.wire_bytes
-    return outcome, phase_bytes, by_family
+    return outcome, phase_bytes, family_bytes(outcome.network)
 
 
 def run_sweep():

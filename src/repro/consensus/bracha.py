@@ -111,6 +111,8 @@ class BinaryConsensusInstance:
         self.estimate = value
         self.round = 1
         self._start_round()
+        if self.halted:
+            self._rounds.clear()
 
     def handle(self, sender: str, message: ConsensusMessage) -> None:
         """Feed a consensus message received from ``sender`` into the instance."""
@@ -168,7 +170,12 @@ class BinaryConsensusInstance:
         if count >= self.f + 1 and self.decided is None:
             self._decide(message.value)
         if count >= self.n - self.f:
+            # ``handle`` ignores everything from now on, so the round state is
+            # dead weight -- unless ``propose`` has yet to run: it reads
+            # round 1 to decide whether to broadcast BVAL.
             self.halted = True
+            if self.started:
+                self._rounds.clear()
 
     def _maybe_progress(self, round_number: int) -> None:
         if not self.started or self.halted or round_number != self.round:

@@ -180,6 +180,7 @@ class BatchVerifier:
         """
         items = list(items)
         self._equations = 0
+        q = self.group.order
         scheme = SignatureScheme(self.group)
         bad: List[int] = []
         candidates: List[Tuple[int, SignatureItem]] = []
@@ -194,10 +195,10 @@ class BatchVerifier:
                 item.signature.commitment.serialize(),
                 item.message,
             )
-            # Strict equality (no reduction): the individual verifier compares
-            # the raw challenge against the hash, so a non-canonical scalar
-            # must fail here too for batch <=> individual agreement.
-            if expected != item.signature.challenge:
+            # Strict equality and range (no reduction): the individual
+            # verifier refuses a non-canonical challenge or response, so the
+            # batch must too for batch <=> individual agreement.
+            if expected != item.signature.challenge or not 0 <= item.signature.response < q:
                 bad.append(index)
                 continue
             candidates.append((index, item))

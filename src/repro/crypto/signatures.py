@@ -93,9 +93,13 @@ class SignatureScheme:
         endorsement, share and trustee submission), so ``X^c`` goes through a
         per-key fixed-base table just like ``g^s`` -- built lazily once the
         key proves hot, so one-shot keys keep plain ``pow`` speed.  As in
-        :meth:`sign`, the group comes from the public key.
+        :meth:`sign`, the group comes from the public key.  Only the canonical
+        response in ``[0, q)`` is accepted: every other residue of it would
+        verify too, giving one signature many encodings.
         """
         group = public.group
+        if not 0 <= signature.response < group.order:
+            return False
         # Recompute the commitment R = g^s / X^c as g^s * X^(q - c): negating
         # the exponent costs nothing, inverting the power is a modular inversion.
         commitment = group.power_g(signature.response) * group.cached_power(

@@ -56,7 +56,7 @@ class Message:
     deliver_time: float = 0.0
     message_id: int = field(default_factory=lambda: next(_MESSAGE_COUNTER))
     #: canonical wire encoding of ``payload`` (set by the transport when the
-    #: wire format is enabled; cleared again after delivery to bound memory)
+    #: wire format is enabled)
     wire_frame: Optional[bytes] = None
     #: size of the wire encoding in bytes (0 when the wire format is off)
     wire_bytes: int = 0
@@ -75,22 +75,3 @@ class Message:
             wire_bytes=self.wire_bytes,
         )
 
-
-@dataclass
-class DeliveryRecord:
-    """Trace entry recorded by the simulator for every sent message.
-
-    ``delivered_at`` is the global time of delivery, or ``None`` when the
-    message was dropped (dropped messages never have a delivery time; use
-    ``message.send_time`` for when the drop happened).
-    """
-
-    message: Message
-    delivered_at: Optional[float]
-    dropped: bool = False
-    duplicated: bool = False
-
-    @property
-    def wire_bytes(self) -> int:
-        """Bytes the message occupied on the wire (0 when the format is off)."""
-        return self.message.wire_bytes

@@ -66,6 +66,7 @@ from __future__ import annotations
 import dataclasses
 import typing
 import zlib
+from collections import OrderedDict
 from functools import partial
 from typing import Any, Callable, Dict, Optional, Tuple, Type, Union
 
@@ -305,10 +306,14 @@ def _fixed(writers: Tuple[Callable, ...], readers: Tuple[Callable, ...]) -> Tupl
     return write_fixed, read_fixed
 
 
-def _remember(table: Dict[Any, Any], key: Any, value: Any) -> None:
-    """Insert into an intern table, evicting the oldest entry at the bound."""
+def _remember(table: OrderedDict, key: Any, value: Any) -> None:
+    """Insert into an intern table, evicting the oldest entry at the bound.
+
+    An ``OrderedDict`` pops its oldest entry in O(1); ``next(iter(dict))``
+    walks every deleted slot at the front of a plain dict first.
+    """
     if len(table) >= INTERN_TABLE_MAX:
-        del table[next(iter(table))]
+        table.popitem(last=False)
     table[key] = value
 
 
@@ -333,10 +338,10 @@ class MessageCodec:
         #: class -> (tag, encode(out, obj)) and tag -> (class, decode(reader))
         self._encoders: Dict[Type, Tuple[int, Callable]] = {}
         self._decoders: Dict[int, Tuple[Type, Callable]] = {}
-        self._decoded: Dict[Tuple[int, bytes], Any] = {}
+        self._decoded: OrderedDict[Tuple[int, bytes], Any] = OrderedDict()
         #: values keep the object alive, so its ``id`` cannot be reused while
         #: the entry exists
-        self._bodies: Dict[int, Tuple[Any, bytes]] = {}
+        self._bodies: OrderedDict[int, Tuple[Any, bytes]] = OrderedDict()
         for tag, cls in _default_types():
             self.register(tag, cls)
 

@@ -16,7 +16,7 @@ import itertools
 from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, NamedTuple, Optional
 
 from repro.net.adversary import Adversary, NetworkConditions
-from repro.net.channels import ChannelKind, DeliveryRecord, Message
+from repro.net.channels import ChannelKind, Message
 from repro.net.clock import ClockRegistry, GlobalClock
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -114,7 +114,6 @@ class Network:
         self.nodes: Dict[str, SimNode] = {}
         self._queue: List[Event] = []
         self._sequence = itertools.count()
-        self.delivery_log: List[DeliveryRecord] = []
         self.messages_sent = 0
         self.messages_delivered = 0
         self.messages_dropped = 0
@@ -137,6 +136,10 @@ class Network:
         self.bytes_delivered = 0
         self.channel_bytes_sent: Dict[ChannelKind, int] = {kind: 0 for kind in ChannelKind}
         self.channel_bytes_delivered: Dict[ChannelKind, int] = {kind: 0 for kind in ChannelKind}
+        #: copies and bytes sent per payload class name, counted like
+        #: ``messages_sent`` / ``bytes_sent`` (adversarial duplicates excluded)
+        self.payload_copies_sent: Dict[str, int] = {}
+        self.payload_bytes_sent: Dict[str, int] = {}
 
     # -- registration ----------------------------------------------------------
 
@@ -208,6 +211,9 @@ class Network:
         self.messages_sent += copies
         self.bytes_sent += wire_bytes * copies
         self.channel_bytes_sent[channel] += wire_bytes * copies
+        name = type(payload).__name__
+        self.payload_copies_sent[name] = self.payload_copies_sent.get(name, 0) + copies
+        self.payload_bytes_sent[name] = self.payload_bytes_sent.get(name, 0) + wire_bytes * copies
         now = self.now
         for receiver in receivers:
             message = Message(
@@ -222,21 +228,14 @@ class Network:
             extra_delay = self.adversary.schedule(message)
             if extra_delay is None or self.conditions.should_drop():
                 self.messages_dropped += 1
-                # Drops never reach Transport.deliver, so release the frame
-                # here to keep the delivery log's memory bounded (wire_bytes
-                # keeps the size for accounting).
-                message.wire_frame = None
-                self.delivery_log.append(DeliveryRecord(message, None, dropped=True))
                 continue
             latency = self.conditions.sample_latency() + extra_delay
             self._enqueue_delivery(message, latency)
             if self.conditions.should_duplicate():
                 duplicate = message.duplicate()
-                self._enqueue_delivery(
-                    duplicate, self.conditions.sample_latency() + extra_delay, duplicated=True
-                )
+                self._enqueue_delivery(duplicate, self.conditions.sample_latency() + extra_delay)
 
-    def _enqueue_delivery(self, message: Message, latency: float, duplicated: bool = False) -> None:
+    def _enqueue_delivery(self, message: Message, latency: float) -> None:
         deliver_time = self.now + max(latency, 0.0)
         message.deliver_time = deliver_time
 
@@ -249,8 +248,6 @@ class Network:
                 # sender sees a drop (protocols retransmit, as the paper
                 # assumes).
                 self.messages_dropped += 1
-                message.wire_frame = None
-                self.delivery_log.append(DeliveryRecord(message, None, dropped=True))
                 return
             payload = self.transport.deliver(message)
             if payload is not message.payload:
@@ -258,9 +255,6 @@ class Network:
             self.messages_delivered += 1
             self.bytes_delivered += message.wire_bytes
             self.channel_bytes_delivered[message.channel] += message.wire_bytes
-            self.delivery_log.append(
-                DeliveryRecord(message, self.now, duplicated=duplicated)
-            )
             receiver.on_message(message)
 
         self.schedule_at(deliver_time, deliver, description=f"deliver->{message.receiver}")
@@ -338,11 +332,6 @@ class Network:
 
     # -- observability -------------------------------------------------------------
 
-    @property
-    def drop_log(self) -> List[DeliveryRecord]:
-        """Every dropped message's record (``delivered_at`` is ``None``)."""
-        return [record for record in self.delivery_log if record.dropped]
-
     def bandwidth_summary(self) -> Dict[str, Any]:
         """Byte/message counters in one dict (all zeros without a wire format)."""
         return {
@@ -360,6 +349,8 @@ class Network:
             "channel_bytes_delivered": {
                 kind.value: count for kind, count in self.channel_bytes_delivered.items()
             },
+            "payload_copies_sent": dict(self.payload_copies_sent),
+            "payload_bytes_sent": dict(self.payload_bytes_sent),
         }
 
     def close(self) -> None:

@@ -63,8 +63,8 @@ class Transport:
         """The canonical frame of ``payload``, or ``None`` without a wire format.
 
         Called once per send or broadcast; the network attaches the frame to
-        every receiver's message so :meth:`deliver` (and the delivery log)
-        account for the exact bytes, including for dropped messages.
+        every receiver's message and counts its exact bytes, including for
+        dropped messages.
         """
         if self.codec is None:
             return None
@@ -89,9 +89,7 @@ class InProcessTransport(Transport):
     def deliver(self, message: Message) -> Any:
         if self.codec is None or message.wire_frame is None:
             return message.payload
-        payload = self.codec.decode(message.wire_frame)
-        message.wire_frame = None  # bound the delivery log's memory
-        return payload
+        return self.codec.decode(message.wire_frame)
 
 
 class TcpLoopbackTransport(Transport):
@@ -164,7 +162,6 @@ class TcpLoopbackTransport(Transport):
             # The simulator drops sends to unregistered nodes; mirror that.
             return message.payload
         received = self.loop.run_until_complete(self._roundtrip(message))
-        message.wire_frame = None
         return self.codec.decode(received)
 
     async def _roundtrip(self, message: Message) -> bytes:

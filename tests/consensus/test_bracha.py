@@ -140,6 +140,32 @@ class TestTermination:
         assert all(host.instance.halted for host in honest)
 
 
+class TestHaltedInstanceFreesItsRounds:
+    def test_a_halted_proposed_instance_holds_no_rounds(self):
+        honest, _ = run_consensus(4, 1, [0, 1, 1, 0])
+        for host in honest:
+            assert host.instance.halted and host.instance.started
+            assert host.instance._rounds == {}
+
+    @pytest.mark.parametrize("proposal", [0, 1])
+    def test_halting_before_propose_keeps_what_propose_sends(self, proposal):
+        """Round 1 survives the halt until ``propose``, which broadcasts
+        BVAL(1, proposal) only if the instance has not echoed that value."""
+        sent = []
+        instance = BinaryConsensusInstance("x", "n", 4, 1, broadcast=sent.append)
+        for peer in ("p1", "p2"):
+            instance.handle(peer, BVal("x", 1, 1))  # f + 1 supporters: echoed
+        for peer in ("p1", "p2", "p3"):
+            instance.handle(peer, Finish("x", 1))  # n - f: halted
+        assert instance.halted and not instance.started
+        assert instance._rounds  # still needed by propose
+        before = list(sent)
+        instance.propose(proposal)
+        expected = [] if proposal == 1 else [BVal("x", 1, 0)]
+        assert sent == before + expected
+        assert instance._rounds == {}
+
+
 class TestInterfaceContracts:
     def test_requires_three_f_plus_one(self):
         with pytest.raises(ValueError):

@@ -90,15 +90,11 @@ def run_collectors(params, setup, voted, *, prepare=None, seed=5):
     assert len(voter.receipts) == voted
     if prepare is not None:
         prepare(nodes)
-    sent_before = len(network.delivery_log)
+    sent_before = network.payload_copies_sent.get("VscBatch", 0)
     for node in nodes:
         node.end_election()
     network.run_until_idle(max_events=5_000_000)
-    frames = sum(
-        isinstance(record.message.payload, VscBatch)
-        for record in network.delivery_log[sent_before:]
-    )
-    return nodes, voter, frames
+    return nodes, voter, network.payload_copies_sent["VscBatch"] - sent_before
 
 
 def slowest_round(nodes):

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.crypto.batch_verify import BatchVerifier, SignatureItem
 from repro.crypto.registry import available_backends, get_group
 from repro.crypto.signatures import SchnorrSignature, SignatureScheme
 from repro.crypto.utils import RandomSource
@@ -94,6 +95,25 @@ class TestVerifyOnEveryBackend:
         assert not scheme.verify(keys.public, b"msg", bad_challenge)
         assert not scheme.verify(keys.public, b"msh", signature)
         assert not scheme.verify(other.public, b"msg", signature)
+
+    @pytest.mark.parametrize("response", [
+        lambda s, q: s + q, lambda s, q: s - q, lambda s, q: -1, lambda s, q: q,
+    ], ids=["s+q", "s-q", "-1", "q"])
+    def test_refuses_a_response_outside_zero_to_q(self, signed, response):
+        """Every residue of ``s`` satisfies ``g^s == R * X^c``; only ``s``
+        itself is the signature, in the single and the batch path alike."""
+        scheme, keys, signature = signed
+        q = keys.public.group.order
+        value = response(signature.response, q)
+        honest = SignatureItem(keys.public, b"msg", signature)
+        verifier = BatchVerifier(keys.public.group, rng=RandomSource(5))
+        for commitment in (signature.commitment, None):
+            bad = replace(signature, response=value, commitment=commitment)
+            assert not scheme.verify(keys.public, b"msg", bad)
+            outcome = verifier.verify_signatures([honest, SignatureItem(keys.public, b"msg", bad)])
+            assert outcome.bad_indices == (1,)
+        assert scheme.verify(keys.public, b"msg", signature)
+        assert verifier.verify_signatures([honest, honest]).ok
 
     def test_challenge_congruent_to_zero(self, signed, monkeypatch):
         """``X^(q - c)`` is the identity for ``c = 0`` and ``c = q``: the hashed

@@ -135,7 +135,6 @@ def measured_consensus():
         ScenarioSpec,
         TransportProfile,
     )
-    from repro.core.messages import VscBatch
 
     def run(num_vc, num_ballots, batch_size):
         spec = ScenarioSpec(
@@ -149,14 +148,10 @@ def measured_consensus():
             transport=TransportProfile.wire(),
         )
         outcome = ElectionEngine(spec).run(["option-1", "option-2"] * (num_ballots // 2))
-        frames = [
-            record.wire_bytes
-            for record in outcome.network.delivery_log
-            if isinstance(record.message.payload, VscBatch) and not record.duplicated
-        ]
+        network = outcome.network
         return {
-            "frames": len(frames),
-            "bytes": sum(frames),
+            "frames": network.payload_copies_sent["VscBatch"],
+            "bytes": network.payload_bytes_sent["VscBatch"],
             "elements": outcome.consensus_stats["envelope_messages"],
         }
 

@@ -8,6 +8,9 @@ as one boxed object per scalar (``Share`` / ``PedersenShare`` plus their ints:
 a ballot retains ~70 KiB.  The gate sits between the two, so it fails at
 1b95dde and leaves room for an allocator or interpreter that rounds
 differently -- not for a per-scalar object coming back.
+
+The network keeps counters, not messages: a run's delivered messages (and,
+on the wire transport, their decoded payloads) are garbage once handled.
 """
 
 import gc
@@ -15,9 +18,11 @@ import tracemalloc
 
 import pytest
 
-from repro.api import ElectionEngine, ScenarioSpec
+from repro.analysis.determinism import default_choices
+from repro.api import ElectionEngine, ScenarioSpec, TransportProfile
 from repro.crypto.pedersen_vss import PedersenShare
 from repro.crypto.shamir import Share
+from repro.net.channels import Message
 
 #: bytes of traced heap one more ballot may retain after the ``setup`` phase
 GATE_PER_BALLOT = 110 * 1024
@@ -77,3 +82,20 @@ def test_no_boxed_share_in_trustee_data(small_outcome):
                 submission.opening_shares, submission.proof_shares, submission.tally_share
             )
             assert not [obj for obj in reachable(unsigned) if isinstance(obj, boxed)]
+
+
+def test_no_message_of_a_finished_run_stays_alive():
+    spec = ScenarioSpec.preset("paper_baseline", num_voters=20).derive(
+        transport=TransportProfile.wire()
+    )
+    first_id = Message("probe", "probe", None).message_id
+    outcome = ElectionEngine(spec).run(default_choices(spec))
+    last_id = Message("probe", "probe", None).message_id
+    assert outcome.audit_report.passed
+    assert outcome.network.messages_delivered > 20 * spec.num_vc  # the run really sent some
+    gc.collect()
+    alive = [
+        obj for obj in gc.get_objects()
+        if isinstance(obj, Message) and first_id < obj.message_id < last_id
+    ]
+    assert alive == [], f"{len(alive)} messages of the run are still reachable"

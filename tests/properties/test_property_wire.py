@@ -43,7 +43,7 @@ from repro.core.messages import (
 from repro.crypto.shamir import Share, SignedShare
 from repro.crypto.signatures import SchnorrSignature
 from repro.net import codec as codec_module
-from repro.net.codec import FRAME_HEADER_LEN, MessageCodec, WireFormatError
+from repro.net.codec import FRAME_HEADER_LEN, FRAME_TRAILER_LEN, MessageCodec, WireFormatError
 
 CODEC = MessageCodec()
 
@@ -308,3 +308,18 @@ def test_intern_table_stays_within_its_bound():
     # The oldest entries were evicted; their frames still decode (strictly, again).
     assert codec.decode(frames[0]).serial == 0
     assert codec.interned == codec_module.INTERN_TABLE_MAX
+
+
+def test_intern_table_keeps_the_newest_entries_in_insertion_order():
+    bound = codec_module.INTERN_TABLE_MAX
+    tag = CODEC.tag_of(Announce)
+    codec = MessageCodec()
+    keys = []
+    for serial in range(3 * bound):
+        # 64 vote-code bytes put the body in the interned size range; nothing
+        # embedded in it is interned itself.
+        frame = CODEC.encode(Announce(serial, bytes(64), None, "VC-1"))
+        assert codec.decode(frame).serial == serial
+        keys.append((tag, frame[FRAME_HEADER_LEN:-FRAME_TRAILER_LEN]))
+    assert list(codec._decoded) == keys[-bound:]
+    assert [obj for obj, _body in codec._bodies.values()] == list(codec._decoded.values())
