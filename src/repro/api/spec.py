@@ -186,12 +186,7 @@ class AdversaryProfile(DictCodec):
         """The network-layer adversary implied by this profile."""
         from repro.net.adversary import Adversary
 
-        return Adversary(
-            corrupted_vc=set(self.vc_behaviors),
-            corrupted_bb=set(self.bb_behaviors),
-            corrupted_trustees=set(self.trustee_behaviors),
-            blocked_links=set(self.blocked_links),
-        )
+        return Adversary(blocked_links=set(self.blocked_links))
 
 
 # ---------------------------------------------------------------------------

@@ -38,11 +38,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.bulletin_board import BulletinBoardNode, MajorityReader
 from repro.core.election import ElectionParameters
-from repro.core.tally import combine_tally_commitments, open_tally_parallel
+from repro.core.tally import open_tally
 from repro.core.voter import VoterAuditInfo
 from repro.crypto.batch_verify import (
     DEFAULT_SECURITY_BITS,
-    BatchVerifier,
     OpeningBatchTask,
     OpeningItem,
     ProofBatchTask,
@@ -169,7 +168,7 @@ class Auditor:
         with recorder.phase("proofs"):
             self._check_proofs_batched(report, commitment_key, result, ballots, parallel)
         with recorder.phase("tally"):
-            self._check_tally_opening(report, scheme, result, ballots, cast_locations, parallel)
+            self._check_tally_opening(report, scheme, result, ballots, cast_locations)
         with recorder.phase("delegations"):
             for info in delegations:
                 self.verify_delegation(info, report, vote_set, result)
@@ -232,9 +231,7 @@ class Auditor:
             serial, part = labels[index]
             report.record("e-proofs-valid", False, f"ballot {serial} part {part}: invalid proof")
 
-    def _check_tally_opening(
-        self, report, scheme, result, ballots, cast_locations, parallel
-    ) -> None:
+    def _check_tally_opening(self, report, scheme, result, ballots, cast_locations) -> None:
         """(h) the published tally opens the combined cast commitments."""
         commitments = [
             ballots[serial].rows[part][row_index].commitment
@@ -251,11 +248,9 @@ class Auditor:
         if result.tally_opening is None:
             report.record("h-tally-opening", False, "tally opening not published")
             return
-        combined = combine_tally_commitments(scheme, commitments, parallel=parallel)
-        verifier = BatchVerifier(self.group, self.security_bits)
         try:
-            reopened = open_tally_parallel(
-                scheme, combined, result.tally_opening, self.params.options, verifier
+            reopened = open_tally(
+                scheme, scheme.combine(commitments), result.tally_opening, self.params.options
             )
         except ValueError:
             report.record(

@@ -33,12 +33,7 @@ from repro.core.ballot import PARTS
 from repro.core.ea import BbInitData
 from repro.core.election import ElectionParameters
 from repro.core.messages import MskShareUpload, VoteSetUpload
-from repro.core.tally import (
-    TallyResult,
-    combine_tally_commitments,
-    open_tally,
-    voter_coin_challenge,
-)
+from repro.core.tally import TallyResult, open_tally, voter_coin_challenge
 from repro.core.trustee import BbElectionView, PartKey, TrusteeSubmission, locate_cast_rows
 from repro.crypto.commitments import CommitmentOpening, OptionEncodingScheme
 from repro.crypto.group import Group
@@ -335,7 +330,7 @@ class BulletinBoardNode(SimNode):
                 # product the unsharded path computes.
                 combined = self._combine_sharded(cast_locations)
             else:
-                combined = combine_tally_commitments(self.scheme, tally_commitments)
+                combined = self.scheme.combine(tally_commitments)
             tally = open_tally(self.scheme, combined, tally_opening, self.params.options)
 
         self.result = PublishedResult(
@@ -362,7 +357,6 @@ class BulletinBoardNode(SimNode):
         from repro.shard.merge import CrossShardCommit, ShardCommitReport
         from repro.shard.partition import ShardPlan
         from repro.shard.records import ShardCommitRecord
-        from repro.shard.streaming import StreamingCommitmentCombiner
 
         ordered_serials = sorted(self.init.ballots)
         plan = ShardPlan.from_serials(ordered_serials, self.params.num_shards)
@@ -371,11 +365,11 @@ class BulletinBoardNode(SimNode):
         cast_routed = plan.route(sorted(cast_locations))
         commit = CrossShardCommit(self.scheme)
         for shard in plan.ranges:
-            combiner = StreamingCommitmentCombiner(self.scheme)
+            commitments = []
             vote_set_hash = hashlib.sha256(b"bb-shard-vote-set")
             for serial in cast_routed[shard.shard_id]:
                 part, row_index = cast_locations[serial]
-                combiner.add(self.init.ballots[serial].rows[part][row_index].commitment)
+                commitments.append(self.init.ballots[serial].rows[part][row_index].commitment)
                 vote_set_hash.update(int_to_bytes(serial))
                 vote_set_hash.update(accepted_codes[serial])
             commit.prepare(
@@ -385,7 +379,7 @@ class BulletinBoardNode(SimNode):
                     serial_hi=shard.hi,
                     ballots_registered=len(registered[shard.shard_id]),
                     ballots_cast=len(cast_routed[shard.shard_id]),
-                    commitment=combiner.result(),
+                    commitment=self.scheme.combine(commitments),
                     vote_set_digest=vote_set_hash.digest(),
                     # The logical shard identity, not this replica's node id:
                     # every BB derives the same records from the agreed vote

@@ -4,6 +4,10 @@ The final election result is obtained by homomorphically multiplying the
 option-encoding commitments of every cast ballot row (the tally set
 ``E_tally``) and opening only that product, never an individual commitment.
 The opening itself is reconstructed from the trustees' Pedersen shares.
+Every party folds the product with :meth:`OptionEncodingScheme.combine`
+(openings with ``combine_openings``) and checks the opening with
+:func:`open_tally`: the BB, the auditor's check (h) and the cross-shard
+merge all redo the same computation.
 
 This module also derives the zero-knowledge challenge from the voters' A/B
 part choices: each voted ballot contributes one coin (0 for part A, 1 for
@@ -14,16 +18,13 @@ bounds the soundness error (Theorem 3).
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 from repro.core.ballot import PART_A, PART_B
-from repro.crypto.batch_verify import BatchVerifier, OpeningItem
 from repro.crypto.commitments import CommitmentOpening, OptionCommitment, OptionEncodingScheme
 from repro.crypto.group import Group
 from repro.crypto.zkp import challenge_from_voter_coins
-from repro.perf.parallel import ParallelConfig, parallel_reduce
 
 
 @dataclass(frozen=True)
@@ -67,24 +68,6 @@ def voter_coin_challenge(group: Group, cast_parts: Mapping[int, str]) -> int:
     return challenge_from_voter_coins(group, coins)
 
 
-def combine_tally_commitments(
-    scheme: OptionEncodingScheme,
-    commitments: Sequence[OptionCommitment],
-    parallel: Optional[ParallelConfig] = None,
-) -> OptionCommitment:
-    """Homomorphically multiply the commitments in the tally set ``E_tally``.
-
-    With a :class:`ParallelConfig` the product is computed as a chunked tree
-    reduction (each worker folds one chunk, the parent folds the partials);
-    the component-wise ciphertext product is associative, so the result is
-    identical to the serial left fold.
-    """
-    commitments = list(commitments)
-    if parallel is None or not commitments:
-        return scheme.combine(commitments)
-    return parallel_reduce(operator.mul, commitments, parallel)
-
-
 def open_tally(
     scheme: OptionEncodingScheme,
     combined: OptionCommitment,
@@ -98,32 +81,6 @@ def open_tally(
     BB state, and must never be silently accepted.
     """
     if not scheme.verify_opening(combined, opening):
-        raise ValueError("tally opening does not verify against the combined commitment")
-    counts = tuple(int(value) for value in opening.values)
-    return TallyResult(counts=counts, options=tuple(options), total_votes=sum(counts))
-
-
-def open_tally_parallel(
-    scheme: OptionEncodingScheme,
-    combined: OptionCommitment,
-    opening: CommitmentOpening,
-    options: Sequence[str],
-    batch_verifier: Optional[BatchVerifier] = None,
-    parallel: Optional[ParallelConfig] = None,
-) -> TallyResult:
-    """Batched/parallel form of :func:`open_tally`.
-
-    The per-coordinate opening checks of the combined commitment are folded
-    into one randomized batch equation (see
-    :mod:`repro.crypto.batch_verify`); ``parallel`` is accepted for symmetry
-    with :func:`combine_tally_commitments` so callers can thread one config
-    through the whole tally pipeline (the opening check itself is a single
-    small batch and always runs in-process).  Raises ``ValueError`` exactly
-    like :func:`open_tally` when the opening does not match.
-    """
-    verifier = batch_verifier or BatchVerifier(scheme.group)
-    outcome = verifier.verify_openings(scheme.public_key, [OpeningItem(combined, opening)])
-    if not outcome.ok:
         raise ValueError("tally opening does not verify against the combined commitment")
     counts = tuple(int(value) for value in opening.values)
     return TallyResult(counts=counts, options=tuple(options), total_votes=sum(counts))

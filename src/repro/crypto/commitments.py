@@ -119,10 +119,10 @@ class OptionEncodingScheme:
         self, commitment: OptionCommitment, opening: CommitmentOpening
     ) -> bool:
         """Check that (values, randomness) opens the commitment."""
-        if len(commitment) != len(opening.values):
+        if not len(commitment) == len(opening.values) == len(opening.randomness):
             return False
         for ciphertext, value, randomness in zip(
-            commitment.ciphertexts, opening.values, opening.randomness, strict=False
+            commitment.ciphertexts, opening.values, opening.randomness, strict=True
         ):
             if not self.elgamal.open(self.public_key, ciphertext, value, randomness):
                 return False

@@ -445,9 +445,16 @@ class SchnorrGroup(Group):
         return SchnorrElement(value % self.p, self)
 
     def deserialize(self, data: bytes) -> SchnorrElement:
+        # One encoding per element: exact length, value in [1, p), no reduction.
+        # (Subgroup membership costs a full exponentiation and is not checked.)
         if not data.startswith(b"S"):
             raise ValueError("not a Schnorr group element")
-        return self.element(int.from_bytes(data[1:], "big"))
+        if len(data) != self.element_bytes:
+            raise ValueError(f"Schnorr elements are exactly {self.element_bytes} bytes")
+        value = int.from_bytes(data[1:], "big")
+        if not 1 <= value < self.p:
+            raise ValueError("Schnorr element out of range [1, p)")
+        return self.element(value)
 
     def is_member(self, element: SchnorrElement) -> bool:
         """Check subgroup membership (value^q == 1 mod p)."""
@@ -673,13 +680,16 @@ class EcGroup(Group):
         return lhs == rhs
 
     def deserialize(self, data: bytes) -> EcPoint:
-        if not data.startswith(b"E"):
-            raise ValueError("not an EC point")
-        if data[1:2] == b"\x00":
+        if data == b"E\x00":
             return self._infinity
+        if len(data) != 66 or not data.startswith(b"E\x04"):
+            raise ValueError("not an EC point encoding")
         x = int.from_bytes(data[2:34], "big")
         y = int.from_bytes(data[34:66], "big")
-        return EcPoint(x, y, self)
+        point = EcPoint(x, y, self)
+        if x >= self.p or y >= self.p or not self.is_on_curve(point):
+            raise ValueError("not a point on secp256k1")
+        return point
 
 
 _DEFAULT_GROUP: Optional[SchnorrGroup] = None

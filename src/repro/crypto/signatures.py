@@ -95,7 +95,10 @@ class SignatureScheme:
         key proves hot, so one-shot keys keep plain ``pow`` speed.  As in
         :meth:`sign`, the group comes from the public key.  Only the canonical
         response in ``[0, q)`` is accepted: every other residue of it would
-        verify too, giving one signature many encodings.
+        verify too, giving one signature many encodings.  A carried
+        ``commitment`` must be the recomputed ``R``: the batch verifier hashes
+        the carried one, so accepting any other here would let the two paths
+        disagree.
         """
         group = public.group
         if not 0 <= signature.response < group.order:
@@ -105,6 +108,8 @@ class SignatureScheme:
         commitment = group.power_g(signature.response) * group.cached_power(
             public, group.order - signature.challenge
         )
+        if signature.commitment is not None and signature.commitment != commitment:
+            return False
         expected = group.hash_to_scalar(
             b"d-demos-schnorr-sig",
             public.serialize(),

@@ -9,9 +9,13 @@ simulator this is split into:
 * :class:`NetworkConditions` -- how long honest-to-honest messages take, and
   whether the (non-Byzantine part of the) network drops or duplicates them.
   When ``max_delay`` is set, delivery respects the liveness assumption.
-* :class:`Adversary` -- which nodes are corrupted, plus message scheduling
-  hooks (delay a specific message, drop messages between specific nodes,
-  partition honest nodes for a while) used by fault-injection tests.
+* :class:`Adversary` -- message scheduling hooks (delay a specific message,
+  drop messages between specific nodes, partition honest nodes for a while)
+  used by fault-injection tests and the chaos controller.
+
+Which nodes are corrupted, and how, is :class:`repro.api.spec.AdversaryProfile`;
+the thresholds are :class:`repro.core.election.FaultThresholds`; the LAN and
+WAN latency profiles are ``NetworkProfile.lan`` / ``NetworkProfile.wan``.
 """
 
 from __future__ import annotations
@@ -75,58 +79,15 @@ class NetworkConditions:
         """Decide whether the network duplicates this transmission."""
         return self.duplicate_rate > 0 and self._rng.random() < self.duplicate_rate
 
-    @classmethod
-    def lan(cls, seed: Optional[int] = None) -> "NetworkConditions":
-        """Gigabit-LAN profile (sub-millisecond latency), as in the paper's cluster."""
-        return cls(base_latency=0.0002, jitter=0.0001, seed=seed)
-
-    @classmethod
-    def wan(cls, seed: Optional[int] = None) -> "NetworkConditions":
-        """Emulated WAN profile: 25 ms one-way latency (US coast-to-coast)."""
-        return cls(base_latency=0.025, jitter=0.002, seed=seed)
-
 
 @dataclass
 class Adversary:
-    """Static-corruption Byzantine adversary with message-scheduling power."""
+    """Message-scheduling power of the Byzantine adversary."""
 
-    corrupted_vc: Set[str] = field(default_factory=set)
-    corrupted_bb: Set[str] = field(default_factory=set)
-    corrupted_trustees: Set[str] = field(default_factory=set)
-    corrupted_voters: Set[str] = field(default_factory=set)
     #: extra delay (seconds) applied to messages matching a predicate
     delay_rules: list = field(default_factory=list)
     #: pairs (sender, receiver) whose messages are silently dropped
     blocked_links: Set[tuple] = field(default_factory=set)
-    #: the subset of ``blocked_links`` installed by :meth:`partition`, so
-    #: healing a partition does not clear links blocked independently via
-    #: :meth:`block_link`
-    partition_links: Set[tuple] = field(default_factory=set)
-
-    # -- corruption queries -----------------------------------------------------
-
-    def is_corrupted(self, node_id: str) -> bool:
-        """Whether ``node_id`` is under adversarial control."""
-        return (
-            node_id in self.corrupted_vc
-            or node_id in self.corrupted_bb
-            or node_id in self.corrupted_trustees
-            or node_id in self.corrupted_voters
-        )
-
-    def corrupt_vc(self, node_ids: Iterable[str]) -> None:
-        self.corrupted_vc.update(node_ids)
-
-    def corrupt_bb(self, node_ids: Iterable[str]) -> None:
-        self.corrupted_bb.update(node_ids)
-
-    def corrupt_trustees(self, node_ids: Iterable[str]) -> None:
-        self.corrupted_trustees.update(node_ids)
-
-    def corrupt_voters(self, node_ids: Iterable[str]) -> None:
-        self.corrupted_voters.update(node_ids)
-
-    # -- message scheduling -----------------------------------------------------
 
     def block_link(self, sender: str, receiver: str) -> None:
         """Drop every message from ``sender`` to ``receiver`` until unblocked."""
@@ -134,14 +95,14 @@ class Adversary:
 
     def unblock_link(self, sender: str, receiver: str) -> None:
         self.blocked_links.discard((sender, receiver))
-        self.partition_links.discard((sender, receiver))
 
     def partition(self, group_a: Iterable[str], group_b: Iterable[str]) -> Set[tuple]:
         """Block every link between two groups of nodes (both directions).
 
         Returns the set of links this call installed (links that were already
         blocked for another reason are not included), so a caller can heal
-        exactly this partition.
+        exactly this partition with :meth:`heal_links` and leave links
+        blocked independently via :meth:`block_link` in force.
         """
         group_a, group_b = list(group_a), list(group_b)
         installed: Set[tuple] = set()
@@ -150,18 +111,8 @@ class Adversary:
                 for link in ((a, b), (b, a)):
                     if link not in self.blocked_links:
                         self.blocked_links.add(link)
-                        self.partition_links.add(link)
                         installed.add(link)
         return installed
-
-    def heal_partition(self) -> None:
-        """Remove every partition-created blocked link.
-
-        Links installed independently via :meth:`block_link` stay blocked --
-        healing a partition must not silently lift unrelated fault injection.
-        """
-        self.blocked_links -= self.partition_links
-        self.partition_links.clear()
 
     def heal_links(self, links: Iterable[tuple]) -> None:
         """Unblock exactly the given links (e.g. one timed partition's set)."""
@@ -181,20 +132,3 @@ class Adversary:
             if predicate(message):
                 extra += delay
         return extra
-
-    # -- fault-threshold checks (used by tests) ----------------------------------
-
-    @staticmethod
-    def vc_threshold_ok(num_vc: int, num_faulty: int) -> bool:
-        """``Nv >= 3 fv + 1``."""
-        return num_vc >= 3 * num_faulty + 1
-
-    @staticmethod
-    def bb_threshold_ok(num_bb: int, num_faulty: int) -> bool:
-        """``Nb >= 2 fb + 1``."""
-        return num_bb >= 2 * num_faulty + 1
-
-    @staticmethod
-    def trustee_threshold_ok(num_trustees: int, honest_threshold: int, num_faulty: int) -> bool:
-        """At least ``ht`` honest trustees must remain."""
-        return num_trustees - num_faulty >= honest_threshold

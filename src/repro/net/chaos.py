@@ -10,11 +10,11 @@ Crashing a vote collector snapshots its durable state through the wire codec
 (:meth:`~repro.core.vote_collector.VoteCollectorNode.snapshot_state`) -- the
 simulation equivalent of the process dying with its write-ahead state intact
 on disk.  Recovery restores that snapshot and, when the election has already
-closed by then, catches the node up from the Bulletin Board: once a majority
-(``fb + 1``) of BB nodes report the same agreed vote set, the recovered node
-adopts it as final and uploads its own copy plus its msk share, exactly the
-read-repair path the paper prescribes for nodes that missed Vote Set
-Consensus.
+closed by then, catches the node up from the Bulletin Board: once a
+:class:`~repro.core.bulletin_board.MajorityReader` sees ``fb + 1`` BB nodes
+report the same agreed vote set, the recovered node adopts it as final and
+uploads its own copy plus its msk share, exactly the read-repair path the
+paper prescribes for nodes that missed Vote Set Consensus.
 
 Every action the controller takes is appended to :attr:`ChaosController.log`
 with its simulated timestamp, and :meth:`report` summarises the run for the
@@ -23,8 +23,7 @@ with its simulated timestamp, and :meth:`report` summarises the run for the
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.api.spec import (
     ClockSkew,
@@ -34,6 +33,7 @@ from repro.api.spec import (
     Partition,
     RecoverNode,
 )
+from repro.core.bulletin_board import MajorityReader
 from repro.core.vote_collector import VoteCollectorNode
 from repro.net.simulator import Network
 
@@ -161,7 +161,13 @@ class ChaosController:
         )
 
     def _poll_bb(self, node: VoteCollectorNode, attempt: int) -> None:
-        vote_set = self._agreed_vote_set()
+        # The paper's reader rule: a vote set counts once fb + 1 BB nodes hold
+        # it; a node that raises gives no answer, one without a set yet None.
+        try:
+            reader = MajorityReader(self.bb_nodes, node.params)
+            vote_set = reader.read(lambda bb: bb.accepted_vote_set)
+        except ValueError:
+            vote_set = None
         if vote_set is not None:
             node.adopt_final_vote_set(vote_set)
             self._log(
@@ -175,21 +181,6 @@ class ChaosController:
             self._log("catchup-abandoned", node=node.node_id, attempts=attempt)
             return
         self._schedule_catchup(node, attempt + 1)
-
-    def _agreed_vote_set(self) -> Optional[Tuple[Tuple[int, bytes], ...]]:
-        """The vote set a majority (fb+1) of BB nodes agree on, if any."""
-        if not self.bb_nodes:
-            return None
-        majority = self.bb_nodes[0].params.thresholds.bb_majority
-        counts: Counter = Counter(
-            bb.accepted_vote_set
-            for bb in self.bb_nodes
-            if bb.accepted_vote_set is not None
-        )
-        for vote_set, count in counts.most_common():
-            if count >= majority:
-                return vote_set
-        return None
 
     # -- network faults ----------------------------------------------------------
 

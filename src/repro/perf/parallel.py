@@ -1,11 +1,10 @@
-"""Chunked process-pool work scheduler for the end-of-election phases.
+"""Chunked process-pool work scheduler for the end-of-election audit.
 
-BB reconstruction, auditor re-verification and tally opening are
-embarrassingly parallel: the work is a large list of independent checks
-(signatures, commitment openings, zero-knowledge proofs) or an associative
-reduction (the homomorphic tally product).  This module provides the one
-scheduling primitive all of them share, and the one process pool of the
-package:
+Auditor re-verification is embarrassingly parallel: the work is a large list
+of independent checks (commitment openings, zero-knowledge proofs).  This
+module provides the one scheduling primitive they share, and the one process
+pool of the package.  The homomorphic tally product is not scheduled here:
+it is one fold per election, done by ``OptionEncodingScheme.combine``.
 
 * :class:`WarmProcessPool` -- the only place a ``ProcessPoolExecutor`` is
   built, warmed, bounded, failed and shut down.  Workers run a one-time
@@ -14,12 +13,10 @@ package:
   results back in completion order under a bounded-inflight submission
   window.  The shard driver keeps one for a whole election (or borrows a
   shared one); :func:`parallel_chunk_map` owns one for the call;
-* :func:`parallel_map` / :func:`parallel_chunk_map` -- order-preserving maps
-  over such a pool, with a **deterministic serial fallback** when the input is
-  small (the pool's fork/pickle overhead dwarfs the work) or when
+* :func:`parallel_chunk_map` -- an order-preserving map of a chunk function
+  over such a pool, with a **deterministic serial fallback** when the input
+  is small (the pool's fork/pickle overhead dwarfs the work) or when
   ``workers == 1``;
-* :func:`parallel_reduce` -- a chunked tree reduction for associative
-  operators (each worker folds one chunk; the parent folds the partials);
 * :func:`chunk_seeds` -- deterministic per-chunk RNG seeds, so randomized
   work (e.g. the small exponents of batch verification) is reproducible for
   a fixed ``(base_seed, chunk_size)`` regardless of the worker count.
@@ -146,9 +143,9 @@ def parallel_chunk_map(
 ) -> List[ResultT]:
     """Apply ``chunk_fn(chunk, chunk_seed)`` to every chunk, in order.
 
-    This is the workhorse behind both :func:`parallel_map` and the batched
-    audit: the caller's function sees a whole chunk at once (so it can run
-    one batched check over it) plus that chunk's deterministic seed.
+    This is the workhorse behind the batched audit: the caller's function
+    sees a whole chunk at once (so it can run one batched check over it) plus
+    that chunk's deterministic seed.
     """
     config = config or ParallelConfig()
     items = list(items)
@@ -194,61 +191,6 @@ def _call_chunk(packed: Tuple[int, Sequence[ItemT], int]) -> ResultT:
         raise RuntimeError("chunk worker used before its initializer ran")
     _, chunk, seed = packed
     return _CHUNK_WORKER_FN(chunk, seed)
-
-
-def parallel_map(
-    fn: Callable[[ItemT], ResultT],
-    items: Sequence[ItemT],
-    config: Optional[ParallelConfig] = None,
-) -> List[ResultT]:
-    """Order-preserving map of ``fn`` over ``items`` (chunked under the hood)."""
-    per_chunk = parallel_chunk_map(_MapChunk(fn), items, config)
-    return [result for chunk_results in per_chunk for result in chunk_results]
-
-
-@dataclass(frozen=True)
-class _MapChunk:
-    """Picklable adapter turning a per-item function into a chunk function."""
-
-    fn: Callable
-
-    def __call__(self, chunk: Sequence, seed: int) -> list:
-        return [self.fn(item) for item in chunk]
-
-
-def parallel_reduce(
-    combine: Callable[[ResultT, ResultT], ResultT],
-    items: Sequence[ResultT],
-    config: Optional[ParallelConfig] = None,
-) -> ResultT:
-    """Fold ``items`` with an associative ``combine`` as a chunked tree.
-
-    Each chunk is folded where it lives (in a worker on the process path),
-    then the per-chunk partials are folded serially in the parent -- the
-    shape of the homomorphic tally product over the cast commitments.
-    Raises ``ValueError`` on empty input (there is no identity to return).
-    """
-    items = list(items)
-    if not items:
-        raise ValueError("cannot reduce an empty sequence")
-    partials = parallel_chunk_map(_ReduceChunk(combine), items, config)
-    total = partials[0]
-    for partial in partials[1:]:
-        total = combine(total, partial)
-    return total
-
-
-@dataclass(frozen=True)
-class _ReduceChunk:
-    """Picklable adapter folding one chunk with the caller's operator."""
-
-    combine: Callable
-
-    def __call__(self, chunk: Sequence, seed: int):
-        total = chunk[0]
-        for item in chunk[1:]:
-            total = self.combine(total, item)
-        return total
 
 
 class PoolTaskError(RuntimeError):

@@ -4,21 +4,23 @@ The merge layer is a two-phase commit over shard contributions:
 
 PREPARE   Each shard hands over its :class:`ShardCommitRecord` (serial range,
           ballot counts, combined tally commitment, vote-set digest) plus —
-          when the shard knows it — the opening of its commitment.  The
-          commitment is folded into the running global product immediately
-          (group multiplication commutes, so arrival order does not change
-          the resulting element), which is what lets shards stream in as
-          they complete instead of being buffered.
+          when the shard knows it — the opening of its commitment.  Each
+          contribution is checked for shape and kept: one record and one
+          opening per shard, O(num_options) each, so shards still stream in
+          as they complete instead of holding their ballots.
 
 COMMIT    Once the prepared ranges tile the serial space with no gaps,
           overlaps or duplicates, all collected openings are verified in one
-          randomized batch (``crypto.batch_verify``) and a
+          randomized batch (``crypto.batch_verify``), the shard commitments
+          are folded with :meth:`OptionEncodingScheme.combine` and a
           :class:`GlobalCommitRecord` is issued binding every shard record by
           its canonical wire digest.
 
-Because the ciphertext product is exact and associative, the combined
-commitment here is bit-identical to ``combine_tally_commitments`` over the
-flat per-ballot list — sharding changes memory, never the tally.
+Because the ciphertext product is exact, associative and commutative, the
+combined commitment here is bit-identical to ``scheme.combine`` over the flat
+per-ballot list — sharding changes memory, never the tally — and the merged
+opening is checked by the same :func:`repro.core.tally.open_tally` the
+unsharded BB uses.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from repro.crypto.commitments import CommitmentOpening, OptionEncodingScheme
 from repro.crypto.utils import sha256
 from repro.net.codec import MessageCodec, default_codec
 from repro.shard.records import GlobalCommitRecord, ShardCommitRecord
-from repro.shard.streaming import StreamingCommitmentCombiner, StreamingOpeningCombiner
 
 
 def record_digest(record: ShardCommitRecord, codec: Optional[MessageCodec] = None) -> bytes:
@@ -66,8 +67,24 @@ class MergeError(ValueError):
     """A shard contribution or the global commit failed verification."""
 
 
+def _coverage_problems(records: Sequence[ShardCommitRecord]) -> List[str]:
+    """Why ``records`` (in shard-id order) do not tile the serial space, if they don't."""
+    problems: List[str] = []
+    shard_ids = [r.shard_id for r in records]
+    if shard_ids != list(range(len(records))):
+        problems.append(f"shard ids {shard_ids} are not contiguous from 0")
+    for left, right in zip(records, records[1:], strict=False):
+        if left.serial_hi != right.serial_lo:
+            problems.append(
+                f"shards {left.shard_id} and {right.shard_id} do not tile "
+                f"the serial space: [{left.serial_lo}, {left.serial_hi}) "
+                f"then [{right.serial_lo}, {right.serial_hi})"
+            )
+    return problems
+
+
 class CrossShardCommit:
-    """Two-phase cross-shard commit with streaming combination."""
+    """Two-phase cross-shard commit over streamed shard contributions."""
 
     def __init__(
         self,
@@ -80,8 +97,6 @@ class CrossShardCommit:
         self._verifier = verifier or BatchVerifier(group=scheme.group)
         self._records: Dict[int, ShardCommitRecord] = {}
         self._openings: Dict[int, CommitmentOpening] = {}
-        self._combiner = StreamingCommitmentCombiner(scheme)
-        self._opening_combiner = StreamingOpeningCombiner(scheme)
 
     # -- phase one: PREPARE ----------------------------------------------------
 
@@ -90,7 +105,7 @@ class CrossShardCommit:
         record: ShardCommitRecord,
         opening: Optional[CommitmentOpening] = None,
     ) -> None:
-        """Accept one shard's contribution and fold it into the global product."""
+        """Check one shard's contribution for shape and keep it for the commit."""
         if record.shard_id in self._records:
             raise MergeError(f"shard {record.shard_id} prepared twice")
         if len(record.commitment) != self._scheme.num_options:
@@ -100,6 +115,13 @@ class CrossShardCommit:
                 f"expected {self._scheme.num_options}"
             )
         if opening is not None:
+            # Worker output is outside input: a malformed opening names its shard.
+            if not len(opening.values) == len(opening.randomness) == self._scheme.num_options:
+                raise MergeError(
+                    f"shard {record.shard_id}: opening has {len(opening.values)} values "
+                    f"and {len(opening.randomness)} randomness coordinates, "
+                    f"expected {self._scheme.num_options}"
+                )
             if sum(opening.values) != record.ballots_cast:
                 raise MergeError(
                     f"shard {record.shard_id}: opening sums to "
@@ -107,9 +129,7 @@ class CrossShardCommit:
                     f"{record.ballots_cast} cast ballots"
                 )
             self._openings[record.shard_id] = opening
-            self._opening_combiner.add(opening)
         self._records[record.shard_id] = record
-        self._combiner.add(record.commitment)
 
     @property
     def prepared(self) -> int:
@@ -123,20 +143,6 @@ class CrossShardCommit:
         return [self._records[shard_id] for shard_id in sorted(self._records)]
 
     # -- phase two: COMMIT -----------------------------------------------------
-
-    def _check_coverage(self) -> None:
-        records = self.records_in_order()
-        expected_ids = list(range(len(records)))
-        actual_ids = [r.shard_id for r in records]
-        if actual_ids != expected_ids:
-            raise MergeError(f"shard ids {actual_ids} are not contiguous from 0")
-        for left, right in zip(records, records[1:], strict=False):
-            if left.serial_hi != right.serial_lo:
-                raise MergeError(
-                    f"shards {left.shard_id} and {right.shard_id} do not tile "
-                    f"the serial space: [{left.serial_lo}, {left.serial_hi}) "
-                    f"then [{right.serial_lo}, {right.serial_hi})"
-                )
 
     def _verify_openings(self) -> None:
         items = [
@@ -154,15 +160,17 @@ class CrossShardCommit:
         """Verify coverage + openings and issue the global commit record."""
         if not self._records:
             raise MergeError("no shards prepared")
-        self._check_coverage()
-        self._verify_openings()
         records = self.records_in_order()
+        problems = _coverage_problems(records)
+        if problems:
+            raise MergeError("; ".join(problems))
+        self._verify_openings()
         digests = tuple(record_digest(r, self._codec) for r in records)
         return GlobalCommitRecord(
             election_id=election_id,
             num_shards=len(records),
             total_cast=self.total_cast,
-            combined=self._combiner.result(),
+            combined=self._scheme.combine([r.commitment for r in records]),
             shard_digests=digests,
         )
 
@@ -173,14 +181,17 @@ class CrossShardCommit:
         if len(self._openings) != len(self._records):
             missing = sorted(set(self._records) - set(self._openings))
             raise MergeError(f"shards {missing} prepared without openings")
-        return self._opening_combiner.result()
+        return self._scheme.combine_openings(
+            [self._openings[shard_id] for shard_id in sorted(self._openings)]
+        )
 
     def open_merged_tally(
         self, options: Sequence[str], opening: Optional[CommitmentOpening] = None
     ) -> TallyResult:
         """Open the combined commitment into the global :class:`TallyResult`."""
         opening = opening if opening is not None else self.combined_opening()
-        return open_tally(self._scheme, self._combiner.result(), opening, options)
+        combined = self._scheme.combine([r.commitment for r in self.records_in_order()])
+        return open_tally(self._scheme, combined, opening, options)
 
 
 def verify_shard_records(
@@ -196,30 +207,20 @@ def verify_shard_records(
     against the global record.  An empty list means the commit is sound.
     """
     codec = codec or default_codec()
-    problems: List[str] = []
     ordered = sorted(records, key=lambda r: r.shard_id)
-    if [r.shard_id for r in ordered] != list(range(len(ordered))):
-        problems.append("shard ids are not contiguous from 0")
+    problems = _coverage_problems(ordered)
     if global_record.num_shards != len(ordered):
         problems.append(
             f"global record claims {global_record.num_shards} shards, "
             f"saw {len(ordered)}"
         )
-    for left, right in zip(ordered, ordered[1:], strict=False):
-        if left.serial_hi != right.serial_lo:
-            problems.append(
-                f"shards {left.shard_id}/{right.shard_id} leave a serial gap"
-            )
     total_cast = sum(r.ballots_cast for r in ordered)
     if global_record.total_cast != total_cast:
         problems.append(
             f"global record claims {global_record.total_cast} cast ballots, "
             f"shard records sum to {total_cast}"
         )
-    combiner = StreamingCommitmentCombiner(scheme)
-    for record in ordered:
-        combiner.add(record.commitment)
-    if combiner.result() != global_record.combined:
+    if scheme.combine([r.commitment for r in ordered]) != global_record.combined:
         problems.append("recombined shard commitments do not match the global commitment")
     digests = tuple(record_digest(r, codec) for r in ordered)
     if digests != tuple(global_record.shard_digests):

@@ -1,75 +1,23 @@
-"""Incremental tally/commitment combination.
+"""O(num_options) homomorphic tally accumulator for one shard.
 
-Group multiplication is exact and associative, so folding commitments one at a
-time (or shard-product by shard-product) yields the *bit-identical* element
-that ``core.tally.combine_tally_commitments`` computes over the full list.
-That identity is what lets shards report one combined commitment each and the
-merge layer fold them as they complete, keeping memory O(shard).
-
-``StreamingTally`` goes one step further for the scale pipeline: instead of
-producing one ElGamal commitment per ballot (two exponentiations each), it
-accumulates the plaintext unit vectors and the per-coordinate randomness as
-integer sums and flushes to a *single* commitment per shard at the end, using
-``Enc(pk, Σv, Σr) = Π Enc(pk, v_i, r_i)`` — O(num_options) exponentiations for
-the whole shard.
+Instead of producing one ElGamal commitment per ballot (two exponentiations
+each), :class:`StreamingTally` accumulates the plaintext unit vectors and the
+per-coordinate randomness as integer sums and flushes to a *single*
+commitment per shard at the end, using
+``Enc(pk, Σv, Σr) = Π Enc(pk, v_i, r_i)`` — O(num_options) exponentiations
+for the whole shard.  Group multiplication is exact and associative, so that
+commitment is the bit-identical element ``OptionEncodingScheme.combine``
+computes over the shard's per-ballot commitments; the merge layer folds the
+shard commitments with the same ``combine``.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from repro.crypto.commitments import (
     CommitmentOpening,
     OptionCommitment,
     OptionEncodingScheme,
 )
-
-
-class StreamingCommitmentCombiner:
-    """Fold option commitments homomorphically, one at a time."""
-
-    def __init__(self, scheme: OptionEncodingScheme):
-        self._scheme = scheme
-        self._total: Optional[OptionCommitment] = None
-        self.count = 0
-
-    def add(self, commitment: OptionCommitment) -> None:
-        if len(commitment) != self._scheme.num_options:
-            raise ValueError(
-                f"commitment has {len(commitment)} coordinates, "
-                f"scheme expects {self._scheme.num_options}"
-            )
-        self._total = commitment if self._total is None else self._total * commitment
-        self.count += 1
-
-    def result(self) -> OptionCommitment:
-        """The combined commitment (the homomorphic identity when empty)."""
-        if self._total is None:
-            return self._scheme.combine([])
-        return self._total
-
-
-class StreamingOpeningCombiner:
-    """Fold commitment openings additively, one at a time."""
-
-    def __init__(self, scheme: OptionEncodingScheme):
-        self._scheme = scheme
-        self._total: Optional[CommitmentOpening] = None
-        self.count = 0
-
-    def add(self, opening: CommitmentOpening) -> None:
-        if len(opening.values) != self._scheme.num_options:
-            raise ValueError(
-                f"opening has {len(opening.values)} coordinates, "
-                f"scheme expects {self._scheme.num_options}"
-            )
-        self._total = opening if self._total is None else self._total + opening
-        self.count += 1
-
-    def result(self) -> CommitmentOpening:
-        if self._total is None:
-            return self._scheme.combine_openings([])
-        return self._total
 
 
 class StreamingTally:

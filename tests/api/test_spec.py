@@ -140,15 +140,18 @@ class TestDerivedViews:
         }
 
     def test_adversary_profile_resolves_classes(self):
-        profile = AdversaryProfile(vc_behaviors={"VC-2": "silent"})
+        profile = AdversaryProfile(
+            vc_behaviors={"VC-2": "silent"}, blocked_links=(("VC-0", "BB-1"),)
+        )
         assert profile.vc_classes() == {"VC-2": SilentVoteCollector}
         adversary = profile.build_adversary()
-        assert adversary.is_corrupted("VC-2")
+        assert adversary.blocked_links == {("VC-0", "BB-1")}
 
     def test_network_profile_builds_the_simulator_conditions(self):
         conditions = NetworkProfile.wan().conditions(seed=3)
         assert isinstance(conditions, NetworkConditions)
         assert conditions.base_latency == pytest.approx(0.025)
+        assert NetworkProfile.lan().conditions(seed=3).base_latency < conditions.base_latency
 
 
 class TestTransportProfile:

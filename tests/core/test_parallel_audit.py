@@ -5,9 +5,7 @@ from engine_runs import run_spec, small_spec
 
 from repro.core.auditor import Auditor
 from repro.core.election import AuditConfig
-from repro.core.tally import combine_tally_commitments, open_tally, open_tally_parallel
-from repro.crypto.commitments import CommitmentOpening, OptionEncodingScheme
-from repro.crypto.utils import RandomSource
+from repro.crypto.commitments import CommitmentOpening
 from repro.perf.parallel import ParallelConfig
 
 
@@ -123,40 +121,23 @@ class TestTamperDetection:
         report = Auditor(tampered_outcome.bb_nodes, params, group).verify_all()
         assert report.checks["h-tally-opening"] is False
 
-
-class TestTallyHelpers:
-    @pytest.fixture(scope="class")
-    def tally_fixture(self, group, elgamal_keys):
-        scheme = OptionEncodingScheme(3, elgamal_keys.public, group)
-        rng = RandomSource(23)
-        pairs = [scheme.commit_option(i % 3, rng) for i in range(9)]
-        commitments = [commitment for commitment, _ in pairs]
-        opening = scheme.combine_openings([opening for _, opening in pairs])
-        options = ("red", "green", "blue")
-        return scheme, commitments, opening, options
-
-    def test_parallel_combine_matches_serial(self, tally_fixture):
-        scheme, commitments, _, _ = tally_fixture
-        serial = combine_tally_commitments(scheme, commitments)
-        chunked = combine_tally_commitments(
-            scheme, commitments, parallel=ParallelConfig(workers=1, chunk_size=2)
-        )
-        assert serial == chunked
-
-    def test_open_tally_parallel_matches_open_tally(self, tally_fixture):
-        scheme, commitments, opening, options = tally_fixture
-        combined = combine_tally_commitments(scheme, commitments)
-        reference = open_tally(scheme, combined, opening, options)
-        batched = open_tally_parallel(scheme, combined, opening, options)
-        assert batched == reference
-        assert batched.total_votes == 9
-
-    def test_open_tally_parallel_rejects_bad_opening(self, tally_fixture):
-        scheme, commitments, opening, options = tally_fixture
-        combined = combine_tally_commitments(scheme, commitments)
-        forged = CommitmentOpening(opening.values, tuple(r + 1 for r in opening.randomness))
-        with pytest.raises(ValueError):
-            open_tally_parallel(scheme, combined, forged, options)
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda opening: tuple(r + 1 for r in opening.randomness),
+            lambda opening: opening.randomness[:1],
+        ],
+        ids=["shifted-randomness", "truncated-randomness"],
+    )
+    def test_corrupted_tally_opening_is_rejected(self, tampered_outcome, group, corrupt):
+        """Check (h) reopens the product through ``open_tally``, every coordinate."""
+        for node in tampered_outcome.bb_nodes:
+            opening = node.result.tally_opening
+            node.result.tally_opening = CommitmentOpening(opening.values, corrupt(opening))
+        params = tampered_outcome.setup.params
+        report = Auditor(tampered_outcome.bb_nodes, params, group).verify_all()
+        assert report.checks["h-tally-opening"] is False
+        assert any("does not match the cast commitments" in f for f in report.failures)
 
 
 class TestElectionParameterKnobs:

@@ -5,13 +5,12 @@ import pytest
 from repro.core.ballot import PART_A, PART_B
 from repro.core.tally import (
     TallyResult,
-    combine_tally_commitments,
     expected_tally,
     open_tally,
     part_coin,
     voter_coin_challenge,
 )
-from repro.crypto.commitments import OptionEncodingScheme
+from repro.crypto.commitments import CommitmentOpening, OptionEncodingScheme
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +64,7 @@ class TestHomomorphicOpening:
     def test_open_tally_counts_votes(self, scheme):
         votes = [0, 0, 2, 1, 0]
         commitments, openings = zip(*(scheme.commit_option(v) for v in votes), strict=True)
-        combined = combine_tally_commitments(scheme, commitments)
+        combined = scheme.combine(commitments)
         opening = scheme.combine_openings(list(openings))
         result = open_tally(scheme, combined, opening, ["a", "b", "c"])
         assert result.counts == (3, 1, 1)
@@ -73,13 +72,21 @@ class TestHomomorphicOpening:
 
     def test_open_tally_rejects_bad_opening(self, scheme):
         commitments, openings = zip(*(scheme.commit_option(v) for v in (0, 1)), strict=True)
-        combined = combine_tally_commitments(scheme, commitments)
+        combined = scheme.combine(commitments)
         bad_opening = openings[0]
         with pytest.raises(ValueError):
             open_tally(scheme, combined, bad_opening, ["a", "b", "c"])
 
+    def test_open_tally_rejects_truncated_randomness(self, scheme):
+        """Every coordinate is checked: a short randomness vector is no opening."""
+        commitments, openings = zip(*(scheme.commit_option(v) for v in (0, 1)), strict=True)
+        opening = scheme.combine_openings(list(openings))
+        truncated = CommitmentOpening(opening.values, opening.randomness[:1])
+        with pytest.raises(ValueError):
+            open_tally(scheme, scheme.combine(commitments), truncated, ["a", "b", "c"])
+
     def test_open_tally_of_single_vote(self, scheme):
         commitment, opening = scheme.commit_option(2)
-        combined = combine_tally_commitments(scheme, [commitment])
+        combined = scheme.combine([commitment])
         result = open_tally(scheme, combined, opening, ["a", "b", "c"])
         assert result.counts == (0, 0, 1)

@@ -115,6 +115,19 @@ class TestVerifyOnEveryBackend:
         assert scheme.verify(keys.public, b"msg", signature)
         assert verifier.verify_signatures([honest, honest]).ok
 
+    def test_refuses_a_carried_commitment_other_than_r(self, signed):
+        """The batch path hashes the carried ``R``; the single path must not
+        accept a signature whose carried ``R`` is junk either."""
+        scheme, keys, signature = signed
+        group = keys.public.group
+        junk = replace(signature, commitment=signature.commitment * group.generator())
+        assert not scheme.verify(keys.public, b"msg", junk)
+        honest = SignatureItem(keys.public, b"msg", signature)
+        outcome = BatchVerifier(group, rng=RandomSource(6)).verify_signatures(
+            [honest, SignatureItem(keys.public, b"msg", junk)]
+        )
+        assert outcome.bad_indices == (1,)
+
     def test_challenge_congruent_to_zero(self, signed, monkeypatch):
         """``X^(q - c)`` is the identity for ``c = 0`` and ``c = q``: the hashed
         commitment is ``g^s``, and neither value is accepted or raises."""

@@ -6,9 +6,12 @@ stream), the simulator's crash/recovery semantics, and the
 :class:`~repro.net.chaos.ChaosController`'s network-fault scheduling.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
-from repro.api.spec import ClockSkew, FaultPlan, LossBurst, Partition
+from repro.api.spec import ClockSkew, CrashNode, FaultPlan, LossBurst, Partition, RecoverNode
+from repro.core.election import FaultThresholds
 from repro.net.adversary import Adversary, NetworkConditions
 from repro.net.chaos import ChaosController
 from repro.net.simulator import Network, SimNode
@@ -44,11 +47,10 @@ def make_network(*node_ids, adversary=None, conditions=None):
 class TestHealPartitionPrecision:
     """Satellite regression: healing a partition must not lift other blocks."""
 
-    def test_heal_partition_keeps_independent_blocks(self):
+    def test_heal_links_keeps_independent_blocks(self):
         adversary = Adversary()
         adversary.block_link("a", "b")
-        adversary.partition(["a"], ["c"])
-        adversary.heal_partition()
+        adversary.heal_links(adversary.partition(["a"], ["c"]))
         assert ("a", "b") in adversary.blocked_links
         assert ("a", "c") not in adversary.blocked_links
         assert ("c", "a") not in adversary.blocked_links
@@ -59,10 +61,9 @@ class TestHealPartitionPrecision:
         installed = adversary.partition(["a"], ["b", "c"])
         # The pre-existing block is not part of the partition's link set...
         assert ("a", "b") not in installed
-        adversary.heal_partition()
+        adversary.heal_links(installed)
         # ...so healing leaves it in force.
-        assert ("a", "b") in adversary.blocked_links
-        assert adversary.partition_links == set()
+        assert adversary.blocked_links == {("a", "b")}
 
     def test_heal_links_heals_exactly_one_partition(self):
         adversary = Adversary()
@@ -73,12 +74,6 @@ class TestHealPartitionPrecision:
         assert ("c", "d") in adversary.blocked_links
         adversary.heal_links(second)
         assert adversary.blocked_links == set()
-
-    def test_unblock_link_clears_partition_bookkeeping(self):
-        adversary = Adversary()
-        adversary.partition(["a"], ["b"])
-        adversary.unblock_link("a", "b")
-        assert ("a", "b") not in adversary.partition_links
 
 
 class TestConditionsReplace:
@@ -281,3 +276,57 @@ class TestChaosControllerNetworkFaults:
         assert report["planned_events"] == [event.to_dict() for event in plan.events]
         assert [a["kind"] for a in report["actions"]] == ["loss-burst", "loss-restore"]
         assert report["still_crashed"] == []
+
+
+class StubCollector:
+    """The part of a vote collector the crash/recover/catch-up path touches."""
+
+    def __init__(self, node_id, params):
+        self.node_id = node_id
+        self.params = params
+        self.crashes = 0
+        self.recovered_at = None
+        self.caught_up_from_bb = False
+        self.adopted = None
+
+    def snapshot_state(self, codec=None):
+        return b"state"
+
+    def restore_state(self, snapshot, codec=None):
+        pass
+
+    def adopt_final_vote_set(self, vote_set):
+        self.adopted = vote_set
+        self.caught_up_from_bb = True
+
+
+class RaisingBulletinBoard:
+    """A Byzantine BB replica whose vote-set read blows up."""
+
+    def __init__(self, params):
+        self.params = params
+
+    @property
+    def accepted_vote_set(self):
+        raise RuntimeError("replica is lying in an unexpected way")
+
+
+class TestCatchupFromTheBulletinBoard:
+    def test_a_raising_bb_replica_is_no_answer(self):
+        """The catch-up read is the paper's majority read: one BB that raises
+        is skipped, and the two honest replicas (fb + 1 of 3) still agree."""
+        params = SimpleNamespace(thresholds=FaultThresholds(4, 3, 3, 2))
+        vote_set = ((1, b"code-1"), (2, b"code-2"))
+        honest = SimpleNamespace(params=params, accepted_vote_set=vote_set)
+        bb_nodes = [honest, RaisingBulletinBoard(params), honest]
+        network, _ = make_network("VC-0")
+        collector = StubCollector("VC-0", params)
+        plan = FaultPlan(events=(CrashNode(t=1.0, node="VC-0"), RecoverNode(t=6.0, node="VC-0")))
+        controller = ChaosController(
+            plan, network, vote_collectors=[collector], bb_nodes=bb_nodes, election_end=5.0
+        )
+        controller.install()
+        network.run_until_idle()
+        assert collector.adopted == vote_set
+        assert controller.report()["caught_up_from_bb"] == ["VC-0"]
+        assert [entry["kind"] for entry in controller.log] == ["crash", "recover", "catchup"]

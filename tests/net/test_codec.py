@@ -44,8 +44,8 @@ from repro.core.messages import (
 )
 from repro.crypto.commitments import CommitmentOpening, OptionCommitment, OptionEncodingScheme
 from repro.crypto.elgamal import ElGamalCiphertext
-from repro.crypto.group import GroupElement
-from repro.crypto.registry import get_group
+from repro.crypto.group import EcGroup, GroupElement, SchnorrGroup
+from repro.crypto.registry import available_backends, get_group
 from repro.crypto.pedersen_vss import PedersenShare
 from repro.shard.records import GlobalCommitRecord, ShardCommitRecord
 from repro.shard.shard_runner import ShardSliceResult
@@ -276,6 +276,50 @@ class TestStrictDecoding:
         # magic + version + tag + length + crc32
         assert FRAME_OVERHEAD == 13
         assert codec.encode(Finish("1", 0)).startswith(MAGIC)
+
+
+def malformed_elements(group) -> Dict[str, bytes]:
+    """Element encodings no serializer emits: one element, one byte string."""
+    good = group.generator().serialize()
+    if isinstance(group, SchnorrGroup):
+        width = len(good) - 1
+        value = int.from_bytes(good[1:], "big")
+        return {
+            "truncated": good[:-1],
+            "zero-padded": b"S\x00" + good[1:],
+            "v+p": b"S" + (value + group.p).to_bytes(width + 1, "big"),
+            "zero": b"S" + bytes(width),
+            "p": b"S" + group.p.to_bytes(width, "big"),
+        }
+    if isinstance(group, EcGroup):
+        # A point with a tiny x, so x + p still fits the 32-byte field.
+        for x in range(1, 100):
+            rhs = (pow(x, 3, group.p) + group.a * x + group.b) % group.p
+            y = pow(rhs, (group.p + 1) // 4, group.p)
+            if y * y % group.p == rhs:
+                break
+        return {
+            "truncated": good[:-1],
+            "off-curve": good[:-1] + bytes([good[-1] ^ 1]),
+            "x+p": b"E\x04" + (x + group.p).to_bytes(32, "big") + y.to_bytes(32, "big"),
+            "unknown-tag": b"E\x05" + good[2:],
+            "long-infinity": b"E\x00\x00",
+        }
+    return {"truncated": good[:-1], "y=p": group.p.to_bytes(32, "little")}
+
+
+@pytest.mark.parametrize("backend", available_backends())
+def test_non_canonical_group_elements_are_refused(backend):
+    """One encoding per element: wrong lengths, out-of-range values and
+    off-curve points raise ``WireFormatError`` instead of decoding."""
+    group = get_group(backend)
+    codec = MessageCodec(group=group)
+    element = group.generator() ** 5
+    assert codec.element_from_bytes(element.serialize()) == element
+    for name, data in malformed_elements(group).items():
+        with pytest.raises(WireFormatError):
+            codec.element_from_bytes(data)
+            pytest.fail(f"{backend}: {name} encoding decoded")
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,5 @@
 """Tests for the chunked process-pool scheduler and the warm pool."""
 
-import operator
 import os
 import time
 
@@ -14,8 +13,6 @@ from repro.perf.parallel import (
     WarmProcessPool,
     chunk_seeds,
     parallel_chunk_map,
-    parallel_map,
-    parallel_reduce,
     split_chunks,
 )
 
@@ -23,6 +20,14 @@ from repro.perf.parallel import (
 def square(value):
     """Module-level so the process-pool path can pickle it."""
     return value * value
+
+
+def chunk_squares(chunk, seed):
+    return [square(value) for value in chunk]
+
+
+def flat(per_chunk):
+    return [result for chunk_results in per_chunk for result in chunk_results]
 
 
 def chunk_sum_with_seed(chunk, seed):
@@ -53,6 +58,10 @@ def fail_on_seven(value):
     if value == 7:
         raise ValueError("seven is right out")
     return value
+
+
+def chunk_fail_on_seven(chunk, seed):
+    return [fail_on_seven(value) for value in chunk]
 
 
 def die_on_three(value):
@@ -131,35 +140,21 @@ class TestChunking:
         assert [seed for _, seed in first] != [seed for _, seed in second]
 
 
-class TestMapAndReduce:
+class TestChunkMap:
     def test_serial_map_preserves_order(self):
-        assert parallel_map(square, range(20)) == [v * v for v in range(20)]
+        per_chunk = parallel_chunk_map(chunk_squares, range(20), ParallelConfig(chunk_size=3))
+        assert flat(per_chunk) == [v * v for v in range(20)]
 
     def test_empty_input(self):
-        assert parallel_map(square, []) == []
         assert parallel_chunk_map(chunk_sum_with_seed, []) == []
 
     def test_process_pool_map_matches_serial(self):
         items = list(range(100))
-        expected = parallel_map(square, items, ParallelConfig(workers=1))
-        pooled = parallel_map(
-            square, items, ParallelConfig(workers=2, serial_threshold=1, chunk_size=25)
+        expected = parallel_chunk_map(chunk_squares, items, ParallelConfig(workers=1))
+        pooled = parallel_chunk_map(
+            chunk_squares, items, ParallelConfig(workers=2, serial_threshold=1, chunk_size=25)
         )
-        assert pooled == expected
-
-    def test_reduce_matches_serial_fold(self):
-        items = list(range(1, 50))
-        assert parallel_reduce(operator.add, items) == sum(items)
-        assert parallel_reduce(
-            operator.add, items, ParallelConfig(workers=2, serial_threshold=1, chunk_size=7)
-        ) == sum(items)
-
-    def test_reduce_single_item(self):
-        assert parallel_reduce(operator.add, [99]) == 99
-
-    def test_reduce_empty_raises(self):
-        with pytest.raises(ValueError):
-            parallel_reduce(operator.add, [])
+        assert flat(pooled) == flat(expected) == [v * v for v in items]
 
 
 class TestWarmProcessPool:
@@ -235,14 +230,16 @@ class TestWarmProcessPool:
         with pytest.raises(PoolWorkerDied):
             parallel_chunk_map(chunk_dies_on_three, list(range(6)), config)
         # a pool is owned per call, so the next call is unaffected
-        assert parallel_map(square, list(range(6)), config) == [v * v for v in range(6)]
+        assert flat(parallel_chunk_map(chunk_squares, list(range(6)), config)) == [
+            v * v for v in range(6)
+        ]
 
     def test_chunk_error_under_the_pool_is_the_chunk_functions_own(self):
         """One failure surface: what the serial path raises, the pool raises."""
         for workers in (1, 2):
             config = ParallelConfig(workers=workers, chunk_size=2, serial_threshold=1)
             with pytest.raises(ValueError, match="seven is right out"):
-                parallel_map(fail_on_seven, list(range(10)), config)
+                parallel_chunk_map(chunk_fail_on_seven, list(range(10)), config)
 
     def test_resolves_default_worker_count(self):
         pool = WarmProcessPool()

@@ -3,25 +3,22 @@
 The sharded pipeline's correctness rests on one algebraic fact: because group
 multiplication is exact, associative and commutative, folding ballot
 commitments shard-by-shard (in any split, in any order) yields the
-bit-identical element that ``combine_tally_commitments`` computes over the
-flat list.  Hypothesis drives random vote patterns and random shard splits
-against every registered crypto backend.
+bit-identical element that ``OptionEncodingScheme.combine`` computes over
+the flat list, and the summed openings open it through ``open_tally``.
+Hypothesis drives random vote patterns and random shard splits against every
+registered crypto backend.
 """
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.tally import combine_tally_commitments, open_tally
+from repro.core.tally import open_tally
 from repro.crypto.commitments import OptionEncodingScheme
 from repro.crypto.registry import available_backends, get_group
 from repro.crypto.utils import RandomSource
 from repro.shard.merge import CrossShardCommit
 from repro.shard.records import ShardCommitRecord
-from repro.shard.streaming import (
-    StreamingCommitmentCombiner,
-    StreamingOpeningCombiner,
-    StreamingTally,
-)
+from repro.shard.streaming import StreamingTally
 
 NUM_OPTIONS = 2
 
@@ -63,21 +60,17 @@ class TestStreamingEqualsFlat:
         scheme = SCHEMES[backend]
         rng = RandomSource(seed)
         ballots = [scheme.commit_option(option, rng) for option in pattern]
-        flat = combine_tally_commitments(scheme, [c for c, _ in ballots])
+        flat = scheme.combine([c for c, _ in ballots])
 
         bounds = split_points(pattern, splitter)
-        outer = StreamingCommitmentCombiner(scheme)
-        opening = StreamingOpeningCombiner(scheme)
-        for lo, hi in zip(bounds, bounds[1:], strict=False):
-            inner = StreamingCommitmentCombiner(scheme)
-            for commitment, _ in ballots[lo:hi]:
-                inner.add(commitment)
-            outer.add(inner.result())
-            for _, o in ballots[lo:hi]:
-                opening.add(o)
-        assert outer.result() == flat
+        shards = [ballots[lo:hi] for lo, hi in zip(bounds, bounds[1:], strict=False)]
+        products = [scheme.combine([c for c, _ in shard]) for shard in shards]
+        openings = [scheme.combine_openings([o for _, o in shard]) for shard in shards]
+        # Any arrival order of the shard products folds to the flat product.
+        assert scheme.combine(products) == flat
+        assert scheme.combine(products[::-1]) == flat
 
-        tally = open_tally(scheme, outer.result(), opening.result(), ("a", "b"))
+        tally = open_tally(scheme, flat, scheme.combine_openings(openings), ("a", "b"))
         assert tally.counts[0] == pattern.count(0)
         assert tally.counts[1] == pattern.count(1)
 

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.crypto.commitments import OptionEncodingScheme
+from repro.crypto.commitments import CommitmentOpening, OptionEncodingScheme
 from repro.crypto.utils import RandomSource
 from repro.shard.merge import (
     CrossShardCommit,
@@ -133,6 +133,23 @@ class TestCrossShardCommit:
         commit = CrossShardCommit(scheme)
         with pytest.raises(MergeError, match="opening sums"):
             commit.prepare(dataclasses.replace(record, ballots_cast=2), opening)
+
+    @pytest.mark.parametrize("shape", ["short-values", "long-values", "short-randomness"])
+    def test_rejects_an_opening_of_the_wrong_length(self, scheme, shards, shape):
+        """Worker output is outside input: a malformed opening is refused at
+        PREPARE with an error naming its shard, however its votes sum."""
+        record, opening = shards[1]
+        values, randomness = opening.values, opening.randomness
+        bad = {
+            "short-values": CommitmentOpening((sum(values),), randomness[:1]),
+            "long-values": CommitmentOpening(values + (0,), randomness + (0,)),
+            "short-randomness": CommitmentOpening(values, randomness[:1]),
+        }[shape]
+        commit = CrossShardCommit(scheme)
+        commit.prepare(*shards[0])
+        with pytest.raises(MergeError, match="shard 1: opening has"):
+            commit.prepare(record, bad)
+        assert commit.prepared == 1
 
     def test_batch_verification_catches_a_lying_shard(self, scheme, shards):
         commit = CrossShardCommit(scheme)

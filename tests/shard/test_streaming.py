@@ -1,15 +1,11 @@
-"""Streaming combiners: incremental folding equals all-at-once combination."""
+"""The shard tally accumulator, and shard products folding to the flat product."""
 
 import pytest
 
-from repro.core.tally import combine_tally_commitments, open_tally
+from repro.core.tally import open_tally
 from repro.crypto.commitments import OptionCommitment, OptionEncodingScheme
 from repro.crypto.utils import RandomSource
-from repro.shard.streaming import (
-    StreamingCommitmentCombiner,
-    StreamingOpeningCombiner,
-    StreamingTally,
-)
+from repro.shard.streaming import StreamingTally
 
 NUM_OPTIONS = 3
 
@@ -27,49 +23,29 @@ def ballots(scheme):
     return [scheme.commit_option(option, rng) for option in pattern]
 
 
-class TestStreamingCommitmentCombiner:
-    def test_matches_flat_combination(self, scheme, ballots):
-        combiner = StreamingCommitmentCombiner(scheme)
-        for commitment, _ in ballots:
-            combiner.add(commitment)
-        flat = combine_tally_commitments(scheme, [c for c, _ in ballots])
-        assert combiner.result() == flat
-        assert combiner.count == len(ballots)
-
-    def test_empty_is_the_homomorphic_identity(self, scheme, ballots):
-        identity = StreamingCommitmentCombiner(scheme).result()
-        single = ballots[0][0]
-        assert identity * single == single
+class TestShardProductsFold:
+    """The identities the merge layer relies on, stated on ``scheme.combine``."""
 
     def test_shard_products_fold_to_the_same_element(self, scheme, ballots):
         """Folding shard-by-shard equals folding ballot-by-ballot."""
-        flat = combine_tally_commitments(scheme, [c for c, _ in ballots])
-        outer = StreamingCommitmentCombiner(scheme)
-        for start in (0, 5, 9):
-            inner = StreamingCommitmentCombiner(scheme)
-            for commitment, _ in ballots[start : start + (5 if start == 0 else 4)]:
-                inner.add(commitment)
-            outer.add(inner.result())
-        assert outer.result() == flat
+        flat = scheme.combine([c for c, _ in ballots])
+        shards = [ballots[:5], ballots[5:9], ballots[9:]]
+        products = [scheme.combine([c for c, _ in shard]) for shard in shards]
+        assert scheme.combine(products) == flat
+        assert scheme.combine(products[::-1]) == flat
 
-    def test_rejects_wrong_width(self, scheme, group):
+    def test_summed_openings_open_the_product(self, scheme, ballots):
+        total = scheme.combine_openings([o for _, o in ballots])
+        assert list(total.values) == [3, 5, 4]
+        flat = scheme.combine([c for c, _ in ballots])
+        result = open_tally(scheme, flat, total, ("a", "b", "c"))
+        assert result.as_dict() == {"a": 3, "b": 5, "c": 4}
+
+    def test_rejects_wrong_width(self, scheme, ballots, group):
         other = OptionEncodingScheme(NUM_OPTIONS + 1, group.power_g(7), group)
         commitment, _ = other.commit_option(0, RandomSource(1))
         with pytest.raises(ValueError):
-            StreamingCommitmentCombiner(scheme).add(commitment)
-
-
-class TestStreamingOpeningCombiner:
-    def test_sums_values_and_randomness(self, scheme, ballots):
-        combiner = StreamingOpeningCombiner(scheme)
-        for _, opening in ballots:
-            combiner.add(opening)
-        total = combiner.result()
-        assert list(total.values) == [3, 5, 4]
-        # The summed opening must open the combined commitment.
-        flat = combine_tally_commitments(scheme, [c for c, _ in ballots])
-        result = open_tally(scheme, flat, total, ("a", "b", "c"))
-        assert result.as_dict() == {"a": 3, "b": 5, "c": 4}
+            scheme.combine([ballots[0][0], commitment])
 
 
 class TestStreamingTally:
@@ -78,7 +54,7 @@ class TestStreamingTally:
         rng = RandomSource(7)
         order = scheme.group.order
         tally = StreamingTally(scheme)
-        flat = StreamingCommitmentCombiner(scheme)
+        per_ballot = []
         for option in [2, 0, 1, 1, 2, 2, 0]:
             randomness = tuple(scheme.group.random_scalar(rng) for _ in range(NUM_OPTIONS))
             tally.add_vote(option, randomness)
@@ -87,9 +63,9 @@ class TestStreamingTally:
                 scheme.elgamal.encrypt(scheme.public_key, v, randomness=r)
                 for v, r in zip(vector, randomness, strict=True)
             )
-            flat.add(OptionCommitment(ciphertexts))
+            per_ballot.append(OptionCommitment(ciphertexts))
         assert tally.counts == (2, 2, 3)
-        assert tally.commit() == flat.result()
+        assert tally.commit() == scheme.combine(per_ballot)
 
     def test_opening_opens_the_commitment(self, scheme):
         rng = RandomSource(8)
