@@ -74,7 +74,7 @@ def make_signature_items(count):
     scheme = SignatureScheme()
     keys = scheme.keygen(group_rng)
     return [
-        SignatureItem(keys.public, f"endorsement-{i}".encode(), scheme.sign(keys, f"endorsement-{i}".encode(), group_rng))
+        SignatureItem(keys.public, f"endorsement-{i}".encode(), scheme.sign(keys, f"endorsement-{i}".encode()))
         for i in range(count)
     ]
 

@@ -72,7 +72,7 @@ def make_endorsement_items(count: int, num_signers: int):
     for i in range(count):
         pair = keys[f"VC-{i % num_signers}"]
         message = endorsement_message(i, bytes([i % 256]) * 20)
-        items.append(SignatureItem(pair.public, message, scheme.sign(pair, message, rng)))
+        items.append(SignatureItem(pair.public, message, scheme.sign(pair, message)))
     return scheme, items
 
 

@@ -61,6 +61,7 @@ from repro.core.voter import VoterClient
 from repro.crypto.group import Group
 from repro.crypto.utils import RandomSource
 from repro.net.chaos import ChaosController
+from repro.net.codec import default_codec
 from repro.net.simulator import Network
 from repro.net.transport import Transport
 from repro.perf.parallel import ParallelConfig
@@ -173,6 +174,10 @@ class SetupDriver(PhaseDriver):
             include_proofs=ctx.spec.crypto.include_proofs,
         )
         ctx.setup = authority.setup()
+        # Collectors and trustees sign through the process codec; its registry
+        # imports the modules of every registered type, so build it here,
+        # before the timed phases and before the freeze below.
+        default_codec()
         # The set-up data is long-lived, immutable and acyclic: splice it into
         # the permanent generation (O(1)) so no later full collection walks
         # it.  No gc.collect() first: that would walk the whole process heap

@@ -10,7 +10,8 @@ This module also defines the per-node *views* of a ballot that the EA derives
 from it:
 
 * :class:`VcBallotView` -- what a VC node stores: salted hash commitments to
-  the vote codes and its signed Shamir share of each receipt (rows shuffled).
+  the vote codes, its Shamir share of each receipt and the digests of every
+  node's share of it (rows shuffled).
 * :class:`BbBallotView` -- what a BB node publishes: encrypted vote codes and
   the cryptographic payload (option-encoding commitment + ZK first move),
   rows shuffled with the same permutation.
@@ -23,6 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
+
+from repro.crypto.shamir import Share, share_matches
 
 PART_A = "A"
 PART_B = "B"
@@ -100,12 +103,21 @@ class Ballot:
 # ---------------------------------------------------------------------------
 
 
+def receipt_context(serial: int, part: str) -> bytes:
+    """What the receipt shares of a ballot part are shares *of*: the context
+    of their digests (:func:`repro.crypto.shamir.share_digest`)."""
+    return b"receipt|%d|%s" % (serial, part.encode())
+
+
 @dataclass(frozen=True)
 class VcBallotRow:
-    """One shuffled row of a VC node's view: hash commitment + receipt share."""
+    """One shuffled row of a VC node's view: hash commitment, this node's
+    receipt share, and the digests of all ``Nv`` shares of the receipt (one
+    tuple, shared by every node's row)."""
 
     code_commitment: "SaltedHashCommitment"
-    receipt_share: "SignedShare"
+    receipt_share: Share
+    share_digests: Tuple[bytes, ...]
 
 
 @dataclass(frozen=True)
@@ -127,8 +139,15 @@ class VcBallotView:
                     return part_name, index
         return None
 
-    def receipt_share_at(self, part: str, index: int) -> "SignedShare":
+    def receipt_share_at(self, part: str, index: int) -> Share:
         return self.rows[part][index].receipt_share
+
+    def share_matches(self, part: str, index: int, share: Share) -> bool:
+        """Whether ``share`` is a node's genuine share of the receipt of row
+        ``index`` of ``part``, by the digests the EA handed out."""
+        return share_matches(
+            receipt_context(self.serial, part), self.rows[part][index].share_digests, share
+        )
 
 
 @dataclass(frozen=True)
@@ -177,6 +196,5 @@ class TrusteeBallotView:
 # The forward-referenced types are imported lazily to avoid import cycles in
 # documentation tools; runtime users always construct these via the EA.
 from repro.crypto.commitments import OptionCommitment  # noqa: E402  (re-export for typing)
-from repro.crypto.shamir import SignedShare  # noqa: E402
 from repro.crypto.symmetric import EncryptedVoteCode, SaltedHashCommitment  # noqa: E402
 from repro.crypto.zkp import BallotProofAnnouncement  # noqa: E402

@@ -39,9 +39,10 @@ from repro.crypto.commitments import CommitmentOpening, OptionEncodingScheme
 from repro.crypto.group import Group
 from repro.crypto.shamir import (
     ShamirSecretSharing,
-    SigningDealer,
+    Share,
     reconstruct_scalars,
     scalar_width,
+    share_matches,
 )
 from repro.crypto.signatures import SignatureScheme
 from repro.crypto.symmetric import VoteCodeCipher
@@ -96,7 +97,7 @@ class BulletinBoardNode(SimNode):
         # Mutable published state.
         self.vote_set_submissions: Dict[str, Tuple[Tuple[int, bytes], ...]] = {}
         self.accepted_vote_set: Optional[Tuple[Tuple[int, bytes], ...]] = None
-        self.msk_shares: Dict[str, object] = {}
+        self.msk_shares: Dict[str, Share] = {}
         self.msk: Optional[bytes] = None
         #: serial -> part -> tuple of decrypted vote codes (row order)
         self.decrypted_vote_codes: Dict[int, Dict[str, Tuple[bytes, ...]]] = {}
@@ -132,21 +133,23 @@ class BulletinBoardNode(SimNode):
                 self.accepted_vote_set = candidate
                 break
 
-    def receive_msk_share(self, vc_node: str, share) -> None:
-        """Collect msk shares; reconstruct and decrypt once Nv - fv arrive."""
+    def receive_msk_share(self, vc_node: str, share: Share) -> None:
+        """Collect msk shares the EA's digests vouch for; reconstruct and
+        decrypt once Nv - fv arrive."""
         if self.msk is not None or vc_node not in self.init.vc_public_keys:
             return
-        if not SigningDealer.verify_share(
-            self.signature_scheme, self.init.dealer_public_key, share
-        ):
+        if not share_matches(b"msk", self.init.msk_share_digests, share):
             return
         self.msk_shares[vc_node] = share
-        if len(self.msk_shares) < self.thresholds.vc_honest_quorum:
+        # A share replayed by another collector repeats an index: count the
+        # distinct ones.
+        shares = list(self.msk_shares.values())
+        if len({held.index for held in shares}) < self.thresholds.vc_honest_quorum:
             return
-        raw_shares = [signed.share for signed in self.msk_shares.values()]
-        candidate = int_to_bytes(self.msk_sss.reconstruct(raw_shares), 16)
+        candidate = int_to_bytes(self.msk_sss.reconstruct(shares), 16)
         if not self.init.key_commitment.matches(candidate):
-            # Wrong key (corrupted shares slipped through): wait for more shares.
+            # Not the key H_msk commits to (the paper's check; shares that
+            # match their digests always give it): wait for more shares.
             return
         self.msk = candidate
         self._decrypt_vote_codes()

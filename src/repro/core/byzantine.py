@@ -34,13 +34,7 @@ from repro.core.bulletin_board import BulletinBoardNode
 from repro.core.messages import Announce, Endorse, Endorsement, VotePending, VscBatch
 from repro.core.trustee import Trustee, TrusteeSubmission
 from repro.core.vote_collector import VoteCollectorNode, endorsement_message
-from repro.crypto.shamir import (
-    Share,
-    SignedShare,
-    pack_scalars,
-    scalar_width,
-    unpack_scalars,
-)
+from repro.crypto.shamir import Share, pack_scalars, scalar_width, unpack_scalars
 from repro.net.channels import Message
 
 
@@ -57,9 +51,9 @@ class SilentVoteCollector(VoteCollectorNode):
 class ShareCorruptingVoteCollector(VoteCollectorNode):
     """A VC node that discloses corrupted receipt shares.
 
-    The share value is flipped before broadcasting VOTE_P, but the EA's
-    signature is kept from the original share, so the signature check at the
-    receivers must reject it (the context/value no longer match).
+    The share value is changed before broadcasting VOTE_P while its index
+    stays, so the receivers' digest check must reject it: the share no longer
+    matches the digest the EA committed to for that index of the row.
     """
 
     def _disclose_share(self, serial, record, vote_code, ucert) -> None:
@@ -68,11 +62,7 @@ class ShareCorruptingVoteCollector(VoteCollectorNode):
         record.vote_p_sent = True
         part, index = record.location
         genuine = self.init.ballots[serial].receipt_share_at(part, index)
-        corrupted = SignedShare(
-            Share(genuine.share.index, (genuine.share.value + 1) % (2 ** 64)),
-            genuine.context,
-            genuine.signature,
-        )
+        corrupted = Share(genuine.index, (genuine.value + 1) % (2 ** 64))
         self.broadcast(
             self.peers, VotePending(serial, vote_code, corrupted, ucert, self.node_id)
         )

@@ -9,22 +9,23 @@ running election.  Concretely it generates:
 * the BB initialization data: per ballot and part, a *shuffled* list of
   ``<encrypted vote-code, payload>`` rows, where the payload is the
   option-encoding commitment and the first move of its Chaum-Pedersen proof,
-  plus the commitment ``(H_msk, salt_msk)`` to the vote-code encryption key,
-* the VC initialization data: per node, a signed Shamir share of ``msk`` and,
-  per ballot row, the salted hash commitment to the vote code and a signed
-  share of the receipt (threshold ``Nv - fv``),
+  plus the commitment ``(H_msk, salt_msk)`` to the vote-code encryption key
+  and the digests of the ``Nv`` shares of that key,
+* the VC initialization data: per node, a Shamir share of ``msk`` and, per
+  ballot row, the salted hash commitment to the vote code, a share of the
+  receipt (threshold ``Nv - fv``) and the digests of all ``Nv`` shares of it,
 * the trustee initialization data: per ballot part, one block of Pedersen VSS
   shares of the rows' commitment openings and one of Shamir shares of their
   zero-knowledge prover state (threshold ``ht``) -- fixed-width scalars
   packed as they are dealt, laid out as
   :class:`repro.core.ballot.TrusteeBallotView` says,
-* all key pairs: VC signing keys, trustee signing keys, the dealer key used
-  to sign shares, and the ElGamal commitment key (whose secret is discarded).
+* all key pairs: VC signing keys, trustee signing keys and the ElGamal
+  commitment key (whose secret is discarded).
 
 What is and is not computed.  Per ballot row of an ``m``-option election the
 EA pays ``3m`` fixed-base table lookups for the option-encoding commitment,
-``5m + 2`` for the proof's first move and ``Nv`` for the signed receipt
-shares -- each of them part of something a component receives.  The Pedersen
+``5m + 2`` for the proof's first move and none for the receipt shares (SHA-256
+digests) -- each of them part of something a component receives.  The Pedersen
 VSS check values of the ``2m`` dealings per row (``4 * m * ht`` lookups) are
 *not* computed: no component's initialization data carries them (see
 "Deviations from the paper" in ``docs/ARCHITECTURE.md``), so the EA asks for
@@ -50,13 +51,20 @@ from repro.core.ballot import (
     TrusteeBallotView,
     VcBallotRow,
     VcBallotView,
+    receipt_context,
 )
 from repro.core.election import ElectionParameters, trustee_id, vc_node_id
 from repro.crypto.commitments import OptionEncodingScheme
 from repro.crypto.elgamal import LiftedElGamal
 from repro.crypto.group import Group, default_group
 from repro.crypto.pedersen_vss import PedersenVSS
-from repro.crypto.shamir import ShamirSecretSharing, SigningDealer, pack_scalars, scalar_width
+from repro.crypto.shamir import (
+    ShamirSecretSharing,
+    Share,
+    ShareDealer,
+    pack_scalars,
+    scalar_width,
+)
 from repro.crypto.signatures import SchnorrKeyPair, SignatureScheme
 from repro.crypto.symmetric import (
     VoteCodeCipher,
@@ -74,10 +82,9 @@ class VcInitData:
 
     node_id: str
     signing_keys: SchnorrKeyPair
-    msk_share: "SignedShare"
+    msk_share: Share
     ballots: Dict[int, VcBallotView]
     vc_public_keys: Dict[str, object]
-    dealer_public_key: object
 
 
 @dataclass
@@ -89,7 +96,8 @@ class BbInitData:
     commitment_public_key: object
     vc_public_keys: Dict[str, object]
     trustee_public_keys: Dict[str, object]
-    dealer_public_key: object
+    #: digest of each VC node's share of ``msk``, by index (context ``b"msk"``)
+    msk_share_digests: Tuple[bytes, ...]
 
 
 @dataclass
@@ -173,8 +181,10 @@ class ElectionAuthority:
         msk = VoteCodeCipher.generate_key(self.rng)
         cipher = VoteCodeCipher(msk)
         key_commitment = cipher.key_commitment(self.rng)
-        receipt_dealer = SigningDealer(receipt_threshold, num_vc, group=self.group)
-        msk_shares = receipt_dealer.deal(bytes_to_int(msk), b"msk", rng=self.rng)
+        receipt_dealer = ShareDealer(receipt_threshold, num_vc)
+        msk_shares, msk_share_digests = receipt_dealer.deal(
+            bytes_to_int(msk), b"msk", rng=self.rng
+        )
 
         # Secret-sharing machinery for the trustees.
         pedersen = PedersenVSS(thresholds.trustee_threshold, thresholds.num_trustees, self.group)
@@ -206,6 +216,7 @@ class ElectionAuthority:
                         VcBallotRow(
                             code_commitment=row["code_commitment"],
                             receipt_share=row["receipt_shares"][vc_index],
+                            share_digests=row["share_digests"],
                         )
                         for row in artifacts["rows"]
                     )
@@ -242,7 +253,6 @@ class ElectionAuthority:
                 msk_share=msk_shares[index],
                 ballots=vc_ballots[node],
                 vc_public_keys=vc_public_keys,
-                dealer_public_key=receipt_dealer.public_key,
             )
             for index, node in enumerate(vc_keys)
         }
@@ -252,7 +262,7 @@ class ElectionAuthority:
             commitment_public_key=commitment_keys.public,
             vc_public_keys=vc_public_keys,
             trustee_public_keys=trustee_public_keys,
-            dealer_public_key=receipt_dealer.public_key,
+            msk_share_digests=msk_share_digests,
         )
         trustee_init = {
             node: TrusteeInitData(
@@ -294,7 +304,7 @@ class ElectionAuthority:
         scheme: OptionEncodingScheme,
         prover: BallotCorrectnessProver,
         cipher: VoteCodeCipher,
-        receipt_dealer: SigningDealer,
+        receipt_dealer: ShareDealer,
         pedersen: PedersenVSS,
         zk_sharer: ShamirSecretSharing,
     ) -> Tuple[Ballot, Dict[str, dict]]:
@@ -349,17 +359,15 @@ class ElectionAuthority:
         scheme: OptionEncodingScheme,
         prover: BallotCorrectnessProver,
         cipher: VoteCodeCipher,
-        receipt_dealer: SigningDealer,
+        receipt_dealer: ShareDealer,
         pedersen: PedersenVSS,
         zk_sharer: ShamirSecretSharing,
     ) -> dict:
         """Build every artifact derived from one ballot line."""
-        context = f"{serial}|{part_name}|{option_index}".encode()
-
-        # VC side: hash commitment + signed receipt shares.
+        # VC side: hash commitment + receipt shares and their digests.
         code_commitment = commit_vote_code(vote_code, rng=self.rng)
-        receipt_shares = receipt_dealer.deal(
-            bytes_to_int(receipt), b"receipt|" + context, rng=self.rng
+        receipt_shares, share_digests = receipt_dealer.deal(
+            bytes_to_int(receipt), receipt_context(serial, part_name), rng=self.rng
         )
 
         # BB side: encrypted vote code + commitment + ZK first move.
@@ -391,6 +399,7 @@ class ElectionAuthority:
         return {
             "code_commitment": code_commitment,
             "receipt_shares": receipt_shares,
+            "share_digests": share_digests,
             "encrypted_vote_code": encrypted_vote_code,
             "commitment": commitment,
             "announcement": announcement,
@@ -426,5 +435,4 @@ class ElectionAuthority:
 
 
 # Imported at the bottom to avoid a hard dependency cycle with ballot.py.
-from repro.crypto.shamir import SignedShare  # noqa: E402
 from repro.crypto.symmetric import KeyCommitment  # noqa: E402

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.consensus.batching import BatchEnvelope
-from repro.crypto.shamir import SignedShare
+from repro.crypto.shamir import Share
 from repro.crypto.signatures import SchnorrSignature
 
 
@@ -93,7 +93,7 @@ class VotePending:
 
     serial: int
     vote_code: bytes
-    receipt_share: SignedShare
+    receipt_share: Share
     ucert: UniquenessCertificate
     sender: str
 
@@ -158,7 +158,7 @@ class VoteSetUpload:
 class MskShareUpload:
     """A VC node's share of the master key protecting the BB's vote codes."""
 
-    share: SignedShare
+    share: Share
     sender: str
 
 
@@ -183,7 +183,7 @@ class BallotStateEntry:
     endorsed_code: Optional[bytes]
     receipt: Optional[bytes]
     ucert: Optional[UniquenessCertificate]
-    receipt_shares: Tuple[Tuple[str, SignedShare], ...]
+    receipt_shares: Tuple[Tuple[str, Share], ...]
 
 
 @dataclass(frozen=True)

@@ -56,7 +56,7 @@ from repro.core.messages import (
     VoteSetUpload,
     VscBatch,
 )
-from repro.crypto.shamir import ShamirSecretSharing, SignedShare, SigningDealer
+from repro.crypto.shamir import ShamirSecretSharing, Share
 from repro.crypto.signatures import SignatureScheme
 from repro.crypto.utils import int_to_bytes
 from repro.net.channels import ChannelKind, Message
@@ -78,7 +78,7 @@ class BallotRecord:
     status: BallotStatus = BallotStatus.NOT_VOTED
     used_vote_code: Optional[bytes] = None
     location: Optional[Tuple[str, int]] = None
-    receipt_shares: Dict[str, SignedShare] = field(default_factory=dict)
+    receipt_shares: Dict[str, Share] = field(default_factory=dict)
     ucert: Optional[UniquenessCertificate] = None
     receipt: Optional[bytes] = None
     #: voters waiting for a receipt for this ballot (we are their responder)
@@ -192,10 +192,9 @@ class VoteCollectorNode(SimNode):
             else:
                 self._vsc_blocks = partition_serials(init.ballots, batch_size)
         # The per-signer verification tables are built once here: every peer
-        # key verifies one signature per ballot and the dealer key one receipt
-        # share per VOTE_P, so the tables always amortize and the hot path
-        # never pays the lazy-promotion probes.
-        for public in (*self.init.vc_public_keys.values(), self.init.dealer_public_key):
+        # key verifies one signature per ballot, so the tables always amortize
+        # and the hot path never pays the lazy-promotion probes.
+        for public in self.init.vc_public_keys.values():
             public.group.fixed_base(public)
         self._boot(voting_closed=False)
 
@@ -486,8 +485,8 @@ class VoteCollectorNode(SimNode):
         if record is None or view is None:
             return
         if record.status is BallotStatus.VOTED:
-            # The receipt exists: one more share cannot change state, so its
-            # two signature checks (UCERT, dealer) are not paid for.
+            # The receipt exists: one more share cannot change state, so
+            # neither the UCERT's signatures nor the share's digest is checked.
             return
         if not self.verify_ucert(pending.ucert):
             return
@@ -501,15 +500,10 @@ class VoteCollectorNode(SimNode):
             return
         else:
             location = record.location or view.find_vote_code(pending.vote_code)
-        # The dealer signs every line's shares, so a valid signature alone
-        # would let a share of another row or serial into the reconstruction.
-        if location is None or (
-            pending.receipt_share.context != view.receipt_share_at(*location).context
-        ):
-            return
-        if not SigningDealer.verify_share(
-            self.signature_scheme, self.init.dealer_public_key, pending.receipt_share
-        ):
+        # The share must be the one the EA dealt for this row to the index it
+        # names: a share of another row or serial, or a changed value, misses
+        # the row's digest.
+        if location is None or not view.share_matches(*location, pending.receipt_share):
             return
         if record.status is BallotStatus.NOT_VOTED:
             record.location = location
@@ -520,13 +514,12 @@ class VoteCollectorNode(SimNode):
         record.ucert = record.ucert or pending.ucert
         self._disclose_share(pending.serial, record, pending.vote_code, pending.ucert)
         # A replayed share repeats an index: count the distinct ones.
-        if len({signed.index for signed in record.receipt_shares.values()}) >= self.quorum:
+        if len({share.index for share in record.receipt_shares.values()}) >= self.quorum:
             self._reconstruct_receipt(pending.serial, record)
 
     def _reconstruct_receipt(self, serial: int, record: BallotRecord) -> None:
         """Rebuild the 64-bit receipt from Nv - fv verified shares."""
-        shares = [signed.share for signed in record.receipt_shares.values()]
-        value = self.receipt_sss.reconstruct(shares)
+        value = self.receipt_sss.reconstruct(list(record.receipt_shares.values()))
         record.receipt = int_to_bytes(value, 8)
         record.status = BallotStatus.VOTED
         for voter in record.waiting_voters:

@@ -16,8 +16,8 @@ implemented from scratch on top of the Python standard library:
 * :mod:`repro.crypto.zkp` -- Chaum-Pedersen Sigma-OR proofs that a ciphertext
   encrypts 0 or 1 and that an encoded option vector sums to one.
 * :mod:`repro.crypto.pedersen_vss` -- Pedersen verifiable secret sharing.
-* :mod:`repro.crypto.shamir` -- Shamir secret sharing with a signing dealer
-  ("VSS with honest dealer" of the paper).
+* :mod:`repro.crypto.shamir` -- Shamir secret sharing with an honest dealer
+  that commits to every share by digest (the paper's dealer signs them).
 * :mod:`repro.crypto.signatures` -- Schnorr digital signatures.
 * :mod:`repro.crypto.symmetric` -- salted hash commitments and the symmetric
   vote-code encryption layer (SHA-256 CTR substitute for AES-128-CBC$).

@@ -1,4 +1,4 @@
-"""Shamir secret sharing with a signing dealer.
+"""Shamir secret sharing with an honest dealer that commits to every share.
 
 The paper secret-shares two kinds of values across the VC nodes:
 
@@ -7,30 +7,31 @@ The paper secret-shares two kinds of values across the VC nodes:
   VC nodes cooperates; and
 * the 128-bit master key ``msk`` protecting the encrypted vote codes on the BB.
 
-The implementation follows the paper's own prototype: plain Shamir sharing
-over a prime field where the dealer (the EA) signs each share, yielding a
-"verifiable secret sharing with honest dealer".  A share carries the dealer's
-signature so any node can check that a share it receives from another node was
-genuinely produced by the EA, which is what lets the receipt-reconstruction
-step reject garbage shares injected by Byzantine nodes.
+The paper's prototype has the dealer (the EA) sign each share, a "verifiable
+secret sharing with honest dealer".  Here the dealer commits to each share
+instead (:func:`share_digest`) and hands every holder the digests of all
+``Nv`` shares in its trusted initialization data, as Algorithm 1 already
+authenticates vote codes by hash commitments.  A node accepts a share another
+node sends iff :func:`share_matches` its digest, which is what lets receipt
+and ``msk`` reconstruction reject garbage shares injected by Byzantine nodes
+(see "Deviations from the paper" in ``docs/ARCHITECTURE.md``).
 
-The trustees' shares (thousands per trustee, never signed one by one) take
-another form: *blocks*, fixed-width big-endian scalars packed into ``bytes``
-with no evaluation point (:func:`pack_scalars`, :func:`reconstruct_scalars`).
-:meth:`ShamirSecretSharing.evaluations` is the one dealing loop under both
-forms; :meth:`ShamirSecretSharing.reconstruct` is the per-share reference the
-block routine is tested against.
+The trustees' shares (thousands per trustee, never committed to one by one)
+take another form: *blocks*, fixed-width big-endian scalars packed into
+``bytes`` with no evaluation point (:func:`pack_scalars`,
+:func:`reconstruct_scalars`).  :meth:`ShamirSecretSharing.evaluations` is the
+one dealing loop under both forms; :meth:`ShamirSecretSharing.reconstruct` is
+the per-share reference the block routine is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.crypto.signatures import SchnorrKeyPair, SchnorrSignature, SignatureScheme
-from repro.crypto.utils import RandomSource, default_random
+from repro.crypto.utils import RandomSource, default_random, sha256
 
 #: A prime slightly above 2^255; the field in which shares live.  It is large
 #: enough to hold 64-bit receipts, 128-bit keys and 160-bit vote codes.
@@ -107,31 +108,6 @@ class Share:
         return self.index.to_bytes(4, "big") + self.value.to_bytes(32, "big")
 
 
-@dataclass(frozen=True)
-class SignedShare:
-    """A Shamir share together with the dealer's signature and a context tag."""
-
-    share: Share
-    context: bytes
-    signature: SchnorrSignature
-
-    @property
-    def index(self) -> int:
-        return self.share.index
-
-    @property
-    def value(self) -> int:
-        return self.share.value
-
-    @cached_property
-    def signing_message(self) -> bytes:
-        """The bytes the dealer signed, built once per object (every receiver
-        of a VOTE_P verifies the same decoded share).  ``cached_property``
-        writes the instance ``__dict__``, not a field: equality, hashing and
-        the wire encoding do not see the memo."""
-        return share_signing_message(self.context, self.share)
-
-
 class ShamirSecretSharing:
     """Threshold secret sharing over ``GF(prime)``."""
 
@@ -189,68 +165,51 @@ class ShamirSecretSharing:
         ) % self.prime
 
 
-def share_signing_message(context: bytes, share: Share) -> bytes:
-    """Canonical byte string the dealer signs for one share.
-
-    Built from the wire codec's canonical encoding (domain tag + typed,
-    length-prefixed parts), so the signed bytes are unambiguous -- the old
-    ``context + b"|" + share.serialize()`` concatenation could collide when a
-    context itself contained a ``b"|"``.  Imported lazily because the codec
-    package registers this module's dataclasses.
-    """
-    from repro.net.codec import signing_bytes
-
-    return signing_bytes(b"dealer-share", context, share)
+def share_digest(context: bytes, share: Share) -> bytes:
+    """The dealer's commitment to one share: SHA-256 over a domain tag, the
+    ``context`` and the share's fixed-width encoding (length-prefixed parts,
+    so no two inputs collide).  The share must be encodable: an index below
+    ``2**32`` and a value below ``2**256``, as every dealt share is."""
+    return sha256(b"dealer-share", context, share.serialize())
 
 
-class SigningDealer:
-    """EA-side helper that shares secrets and signs every share."""
+def share_matches(context: bytes, digests: Sequence[bytes], share: Share) -> bool:
+    """Whether ``share`` is the dealt share its index names: ``digests[i - 1]``
+    is the dealer's digest of share ``i``.  An index outside ``1..len(digests)``
+    or a value no dealt share can have is refused before anything is hashed."""
+    index = share.index
+    return (
+        0 < index <= len(digests)
+        and 0 <= share.value < 1 << 256
+        and share_digest(context, share) == digests[index - 1]
+    )
 
-    def __init__(
-        self,
-        threshold: int,
-        num_shares: int,
-        dealer_keys: Optional[SchnorrKeyPair] = None,
-        prime: int = DEFAULT_PRIME,
-        group=None,
-    ):
+
+class ShareDealer:
+    """EA-side helper that shares secrets and commits to every share."""
+
+    def __init__(self, threshold: int, num_shares: int, prime: int = DEFAULT_PRIME):
         self.sss = ShamirSecretSharing(threshold, num_shares, prime)
-        self.scheme = SignatureScheme(group)
-        self.keys = dealer_keys or self.scheme.keygen()
-
-    @property
-    def public_key(self):
-        """The dealer's public verification key, handed to every node."""
-        return self.keys.public
 
     def deal(
         self, secret: int, context: bytes, rng: Optional[RandomSource] = None
-    ) -> List[SignedShare]:
-        """Share a secret and sign each share under a context tag.
-
-        The ``context`` binds a share to what it is a share *of* (for example
-        ``b"receipt|serial|part|row"``), preventing share-mixing attacks.
-        """
+    ) -> Tuple[List[Share], Tuple[bytes, ...]]:
+        """Share a secret; return the shares and their digests under
+        ``context``, which names what a share is a share *of* (for example
+        ``b"receipt|serial|part"``)."""
         shares = self.sss.share(secret, rng=rng)
-        signed = []
-        for share in shares:
-            message = share_signing_message(context, share)
-            signature = self.scheme.sign(self.keys, message)
-            signed.append(SignedShare(share, context, signature))
-        return signed
+        return shares, tuple(share_digest(context, share) for share in shares)
 
-    @staticmethod
-    def verify_share(
-        scheme: SignatureScheme, dealer_public, signed_share: SignedShare
-    ) -> bool:
-        """Check the dealer's signature on a share."""
-        return scheme.verify(dealer_public, signed_share.signing_message, signed_share.signature)
+    def reconstruct(
+        self, shares: Sequence[Share], context: bytes, digests: Sequence[bytes]
+    ) -> int:
+        """Reconstruct from the shares that match their digests, ignoring the rest."""
+        return self.sss.reconstruct(
+            [share for share in shares if share_matches(context, digests, share)]
+        )
 
-    def reconstruct(self, shares: Sequence[SignedShare]) -> int:
-        """Reconstruct from signed shares, ignoring invalid signatures."""
-        valid = [
-            signed.share
-            for signed in shares
-            if self.verify_share(self.scheme, self.keys.public, signed)
-        ]
-        return self.sss.reconstruct(valid)
+
+# ``benchmarks/e2e/trace.py`` traces ``SigningDealer.reconstruct`` under this,
+# the class's name while it signed every share; the alias goes with the next
+# change to that benchmark.
+SigningDealer = ShareDealer

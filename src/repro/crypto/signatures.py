@@ -1,11 +1,17 @@
 """Schnorr digital signatures over the shared group abstraction.
 
 The paper has the EA generate all public/private key pairs for the system
-components (no external PKI).  VC nodes sign ENDORSEMENT messages, trustee
-writes to the BB are verified by trustee keys, and the EA signs the Shamir
-shares it deals.  Any EUF-CMA signature scheme satisfies the model; we use
-Schnorr signatures because they reuse the group code already present for
-ElGamal and Pedersen commitments.
+components (no external PKI).  VC nodes sign ENDORSEMENT messages and
+trustee writes to the BB are verified by trustee keys; the Shamir shares the
+EA deals are authenticated by hash commitments, not signatures
+(:mod:`repro.crypto.shamir`).  Any EUF-CMA signature scheme satisfies the
+model; we use Schnorr signatures because they reuse the group code already
+present for ElGamal and Pedersen commitments.
+
+Nonces are derived, not drawn (deterministic nonces in the manner of RFC
+6979): ``k`` hashes the secret key, the public key and the message, so one
+key signs one message one way, a signature never depends on an RNG, and a
+seeded run's frames are the same bytes on every run.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.crypto.group import Group, GroupElement, default_group
-from repro.crypto.utils import RandomSource, default_random
+from repro.crypto.utils import RandomSource, default_random, int_to_bytes
 
 
 @dataclass(frozen=True)
@@ -58,26 +64,24 @@ class SignatureScheme:
         secret = self.group.random_scalar(rng)
         return SchnorrKeyPair(secret, self.group.power_g(secret))
 
-    def sign(
-        self,
-        keys: SchnorrKeyPair,
-        message: bytes,
-        rng: Optional[RandomSource] = None,
-    ) -> SchnorrSignature:
+    def sign(self, keys: SchnorrKeyPair, message: bytes) -> SchnorrSignature:
         """Sign ``message`` with the secret key.
 
         The arithmetic runs in the *key's* group, not the scheme's default:
         keys are minted by the EA in the scenario's backend group and then
         verified by nodes that may have been constructed without one, so the
-        key is the authoritative backend carrier.
+        key is the authoritative backend carrier.  The nonce is a hash of the
+        secret key, the public key and the message (see the module docs).
         """
-        rng = rng or default_random()
         group = keys.public.group
-        nonce = group.random_scalar(rng)
+        public = keys.public.serialize()
+        nonce = group.hash_to_scalar(
+            b"d-demos-schnorr-nonce", int_to_bytes(int(keys.secret)), public, message
+        )
         commitment = group.power_g(nonce)
         challenge = group.hash_to_scalar(
             b"d-demos-schnorr-sig",
-            keys.public.serialize(),
+            public,
             commitment.serialize(),
             message,
         )
@@ -90,7 +94,7 @@ class SignatureScheme:
         """Verify a signature on ``message`` under ``public``.
 
         Each signer's key verifies many signatures per election (one per
-        endorsement, share and trustee submission), so ``X^c`` goes through a
+        endorsement and trustee submission), so ``X^c`` goes through a
         per-key fixed-base table just like ``g^s`` -- built lazily once the
         key proves hot, so one-shot keys keep plain ``pow`` speed.  As in
         :meth:`sign`, the group comes from the public key.  Only the canonical

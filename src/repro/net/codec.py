@@ -8,8 +8,8 @@ versioned binary encoding shared by three consumers:
 * the :mod:`repro.net.transport` backends, which frame every simulated or
   TCP-delivered message with it (giving honest byte counts and a real
   socket-capable representation);
-* the signing sites (vote collectors endorsing vote codes, the EA's signing
-  dealer, trustees signing submissions), which sign canonical encodings via
+* the signing sites (vote collectors endorsing vote codes, trustees signing
+  submissions), which sign canonical encodings via
   :meth:`MessageCodec.signing_bytes` instead of ad-hoc byte concatenation;
 * the :class:`repro.perf.costmodel.BandwidthCosts` model, which measures
   representative encodings to predict bandwidth at paper scale.
@@ -97,7 +97,7 @@ from repro.core.messages import (
 )
 from repro.crypto.group import Group, GroupElement
 from repro.crypto.pedersen_vss import PedersenShare
-from repro.crypto.shamir import Share, SignedShare
+from repro.crypto.shamir import Share
 from repro.crypto.signatures import SchnorrSignature
 
 MAGIC = b"DW"
@@ -615,10 +615,11 @@ def _default_types() -> Tuple[Tuple[int, Type], ...]:
     from repro.shard.shard_runner import ShardSliceResult
 
     return (
-        # crypto building blocks (0x40..)
+        # crypto building blocks (0x40..).  0x42 (SignedShare, a share with
+        # the EA's signature) is retired: shares travel bare and are checked
+        # against the EA's digests.  Do not reuse the tag.
         (0x40, SchnorrSignature),
         (0x41, Share),
-        (0x42, SignedShare),
         (0x43, PedersenShare),
         # voter <-> VC (0x01..)
         (0x01, VoteRequest),

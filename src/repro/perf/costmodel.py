@@ -122,7 +122,7 @@ class BandwidthCosts:
     vote_receipt_bytes: float = 57.0
     endorse_bytes: float = 45.0
     endorsement_bytes: float = 171.0
-    vote_pending_bytes: float = 782.0
+    vote_pending_bytes: float = 636.0
     announce_voted_bytes: float = 582.0
     announce_empty_bytes: float = 24.0
     #: mean size of a BVAL / AUX / FINISH element
@@ -154,7 +154,7 @@ class BandwidthCosts:
             VoteRequest,
             VscBatch,
         )
-        from repro.crypto.shamir import Share, SignedShare
+        from repro.crypto.shamir import Share
         from repro.crypto.signatures import SignatureScheme
         from repro.crypto.utils import RandomSource
         from repro.net.codec import FRAME_OVERHEAD, default_codec
@@ -162,7 +162,7 @@ class BandwidthCosts:
         codec = codec or default_codec()
         scheme = SignatureScheme()
         keys = scheme.keygen(RandomSource(7))
-        signature = scheme.sign(keys, b"bandwidth-measurement", RandomSource(11))
+        signature = scheme.sign(keys, b"bandwidth-measurement")
         serial = 123_456
         vote_code = bytes(range(20))  # 160-bit vote codes (Section III-B)
         quorum = num_vc - (num_vc - 1) // 3
@@ -172,9 +172,7 @@ class BandwidthCosts:
             vote_code,
             tuple(Endorsement(serial, vote_code, f"VC-{i}", signature) for i in range(quorum)),
         )
-        signed_share = SignedShare(
-            Share(1, (1 << 254) + 3), b"receipt|123456|A|0", signature
-        )
+        share = Share(1, (1 << 254) + 3)
 
         def size(message) -> float:
             return float(len(codec.encode(message)))
@@ -198,7 +196,7 @@ class BandwidthCosts:
             vote_receipt_bytes=size(VoteReceipt(serial, vote_code, b"\x01" * 8)),
             endorse_bytes=size(Endorse(serial, vote_code)),
             endorsement_bytes=size(endorsement),
-            vote_pending_bytes=size(VotePending(serial, vote_code, signed_share, ucert, "VC-0")),
+            vote_pending_bytes=size(VotePending(serial, vote_code, share, ucert, "VC-0")),
             announce_voted_bytes=element(Announce(serial, vote_code, ucert, "VC-0")),
             announce_empty_bytes=element(Announce(serial, None, None, "VC-0")),
             consensus_message_bytes=consensus_elements,

@@ -130,7 +130,7 @@ def signed_endorsements(group):
     publics = {node: pair.public for node, pair in keys.items()}
     endorsements = [
         Endorsement(7, b"\x01" * 20, node,
-                    scheme.sign(pair, endorsement_message(7, b"\x01" * 20), rng))
+                    scheme.sign(pair, endorsement_message(7, b"\x01" * 20)))
         for node, pair in keys.items()
     ]
     return publics, endorsements

@@ -99,7 +99,7 @@ class TestSetupViews:
         from repro.crypto.utils import int_to_bytes
 
         thresholds = small_setup.params.thresholds
-        shares = [init.msk_share.share for init in small_setup.vc_init.values()]
+        shares = [init.msk_share for init in small_setup.vc_init.values()]
         msk = int_to_bytes(
             ShamirSecretSharing(thresholds.vc_honest_quorum, thresholds.num_vc).reconstruct(shares),
             16,

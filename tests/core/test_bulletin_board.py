@@ -10,6 +10,7 @@ from repro.core.byzantine import WithholdingBulletinBoard
 from repro.core.ea import ElectionAuthority
 from repro.core.election import ElectionParameters
 from repro.crypto.registry import get_group
+from repro.crypto.shamir import Share
 from repro.crypto.utils import RandomSource
 
 
@@ -67,18 +68,27 @@ class TestMskReconstruction:
         published = {code for codes in decrypted.values() for code in codes}
         assert published == set(ballot.all_vote_codes())
 
-    def test_corrupted_share_rejected_by_signature_check(self, fresh_bb, small_setup):
-        from repro.crypto.shamir import Share, SignedShare
-
+    def test_share_off_by_one_misses_its_digest(self, fresh_bb, small_setup):
+        """Red with ``share_matches`` stubbed to accept in the BB's module."""
         init = next(iter(small_setup.vc_init.values()))
         genuine = init.msk_share
-        corrupted = SignedShare(
-            Share(genuine.share.index, genuine.share.value + 1),
-            genuine.context,
-            genuine.signature,
-        )
-        fresh_bb.receive_msk_share(init.node_id, corrupted)
+        fresh_bb.receive_msk_share(init.node_id, Share(genuine.index, genuine.value + 1))
         assert fresh_bb.msk_shares == {}
+        fresh_bb.receive_msk_share(init.node_id, genuine)
+        assert fresh_bb.msk_shares == {init.node_id: genuine}
+
+    def test_a_replayed_share_does_not_count_twice(self, fresh_bb, small_setup, small_params):
+        """A collector uploading another's share adds no index: the quorum is
+        of distinct shares (the parent reconstructed from a short set and
+        raised out of the handler)."""
+        inits = list(small_setup.vc_init.values())
+        quorum = small_params.thresholds.vc_honest_quorum
+        for init in inits[: quorum - 1]:
+            fresh_bb.receive_msk_share(init.node_id, init.msk_share)
+        fresh_bb.receive_msk_share(inits[quorum - 1].node_id, inits[0].msk_share)
+        assert fresh_bb.msk is None
+        fresh_bb.receive_msk_share(inits[quorum].node_id, inits[quorum].msk_share)
+        assert small_setup.bb_init.key_commitment.matches(fresh_bb.msk)
 
 
 class TestPublishedResult:

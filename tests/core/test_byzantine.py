@@ -9,7 +9,7 @@ the published result are unaffected.
 import pytest
 from engine_runs import run_spec, small_spec
 
-from repro.api import AdversaryProfile, ElectionEngine, ScenarioSpec
+from repro.api import AdversaryProfile, CryptoProfile, ElectionEngine, ScenarioSpec
 from repro.core.byzantine import (
     CorruptTrustee,
     EquivocatingVoteCollector,
@@ -17,13 +17,15 @@ from repro.core.byzantine import (
     SilentVoteCollector,
     WithholdingBulletinBoard,
 )
+from repro.core.vote_collector import BallotStatus
+from repro.crypto.registry import available_backends
 
 
-def run_faulty_election(vc_classes=None, bb_classes=None, seed=41):
+def run_faulty_election(vc_classes=None, bb_classes=None, seed=41, backend="schnorr"):
     spec = small_spec(
         num_voters=3, num_options=2, num_vc=4, num_bb=3,
         num_trustees=3, trustee_threshold=2, election_end=300.0,
-        seed=seed, voter_patience=10.0,
+        seed=seed, voter_patience=10.0, crypto=CryptoProfile(backend=backend),
     )
     return run_spec(
         spec,
@@ -63,6 +65,23 @@ class TestByzantineVoteCollectors:
 
     def test_corrupted_shares_do_not_affect_tally(self, corrupting_outcome):
         assert corrupting_outcome.tally.as_dict() == {"option-1": 2, "option-2": 1}
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_no_corrupted_share_is_accepted(self, backend):
+        """Every share the corrupting collector discloses misses its row's
+        digest at every honest collector, on every backend; each honest
+        collector rebuilds every receipt from the three honest shares."""
+        outcome = run_faulty_election(
+            vc_classes={"VC-1": ShareCorruptingVoteCollector}, seed=43, backend=backend
+        )
+        assert outcome.receipts_obtained == 3 and outcome.all_receipts_valid
+        honest = [vc for vc in outcome.vote_collectors if vc.node_id != "VC-1"]
+        for vc in honest:
+            for record in vc.ballots.values():
+                if record.status is BallotStatus.VOTED:
+                    assert sorted(record.receipt_shares) == ["VC-0", "VC-2", "VC-3"]
+        assert sum(record.status is BallotStatus.VOTED
+                   for vc in honest for record in vc.ballots.values()) == 3 * len(honest)
 
     @pytest.fixture(scope="class")
     def equivocating_outcome(self):

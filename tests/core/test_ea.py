@@ -4,9 +4,9 @@ import gc
 import weakref
 
 import pytest
-from share_blocks import boxed_trustee_view, setup_walk_hash, trustee_rows
+from share_blocks import parent_shape, setup_walk_hash, trustee_rows
 
-from repro.core.ballot import PART_A, PART_B
+from repro.core.ballot import PART_A, PART_B, PARTS, receipt_context
 from repro.core.ea import ElectionAuthority
 from repro.core.election import (
     ElectionParameters,
@@ -18,8 +18,7 @@ from repro.core.election import (
 from repro.crypto.commitments import CommitmentOpening, OptionEncodingScheme
 from repro.crypto.pedersen_vss import PedersenDealing, PedersenVSS
 from repro.crypto.registry import get_group
-from repro.crypto.shamir import ShamirSecretSharing, SigningDealer, scalar_width
-from repro.crypto.signatures import SignatureScheme
+from repro.crypto.shamir import ShamirSecretSharing, scalar_width, share_digest
 from repro.crypto.utils import RandomSource
 from repro.crypto.zkp import (
     BallotCorrectnessVerifier,
@@ -92,18 +91,36 @@ class TestSecretSharingConsistency:
     def test_msk_shares_reconstruct_key_matching_bb_commitment(self, small_setup):
         thresholds = small_setup.params.thresholds
         sss = ShamirSecretSharing(thresholds.vc_honest_quorum, thresholds.num_vc)
-        shares = [init.msk_share.share for init in small_setup.vc_init.values()]
+        shares = [init.msk_share for init in small_setup.vc_init.values()]
         from repro.crypto.utils import int_to_bytes
 
         msk = int_to_bytes(sss.reconstruct(shares), 16)
         assert small_setup.bb_init.key_commitment.matches(msk)
 
-    def test_msk_shares_carry_valid_dealer_signatures(self, small_setup):
-        scheme = SignatureScheme()
-        for init in small_setup.vc_init.values():
-            assert SigningDealer.verify_share(
-                scheme, small_setup.bb_init.dealer_public_key, init.msk_share
-            )
+    def test_bb_holds_the_digest_of_every_msk_share(self, small_setup):
+        """Recomputed, not read back: share ``i``'s digest under ``msk`` is
+        entry ``i - 1``, in collector order."""
+        inits = list(small_setup.vc_init.values())
+        assert [init.msk_share.index for init in inits] == list(range(1, len(inits) + 1))
+        assert small_setup.bb_init.msk_share_digests == tuple(
+            share_digest(b"msk", init.msk_share) for init in inits
+        )
+
+    def test_every_row_holds_the_digests_of_every_receipt_share(self, small_setup):
+        """Per row, one tuple: the digests of all collectors' shares under
+        the ballot part's context, shared by every collector's view."""
+        inits = list(small_setup.vc_init.values())
+        for ballot in small_setup.ballots:
+            for part in PARTS:
+                for at in range(small_setup.params.num_options):
+                    rows = [init.ballots[ballot.serial].rows[part][at] for init in inits]
+                    assert [row.receipt_share.index for row in rows] == list(
+                        range(1, len(inits) + 1)
+                    )
+                    context = receipt_context(ballot.serial, part)
+                    digests = tuple(share_digest(context, row.receipt_share) for row in rows)
+                    assert all(row.share_digests is rows[0].share_digests for row in rows)
+                    assert rows[0].share_digests == digests
 
     def test_receipt_shares_reconstruct_printed_receipt(self, small_setup):
         thresholds = small_setup.params.thresholds
@@ -113,7 +130,7 @@ class TestSecretSharingConsistency:
         row_index = 0
         line = ballot.part_a.lines[permutation[row_index]]
         shares = [
-            init.ballots[ballot.serial].rows[PART_A][row_index].receipt_share.share
+            init.ballots[ballot.serial].rows[PART_A][row_index].receipt_share
             for init in small_setup.vc_init.values()
         ]
         from repro.crypto.utils import int_to_bytes
@@ -227,29 +244,29 @@ class TestSetupExponentiations:
         self, group, count_table_lookups, num_options
     ):
         """Table lookups per ballot row: ``3m`` for the option-encoding
-        commitment, ``5m + 2`` for the proof's first move, ``Nv`` for the
-        signed receipt shares -- and none for trustee data: the ``4 * m * ht``
-        Pedersen check values per row that no component receives are not
-        computed (513fed7 paid them: 469 and 985 here instead of 277 and 553)."""
+        commitment, ``5m + 2`` for the proof's first move -- none for the
+        receipt shares, which the EA commits to by digest instead of signing
+        (``Nv`` more per row at ca2940a) -- and none for trustee data: the
+        ``4 * m * ht`` Pedersen check values per row that no component
+        receives are not computed (513fed7 paid them)."""
         lookups = count_table_lookups(group)
         params = ElectionParameters.small_test_election(num_voters=3, num_options=num_options)
         num_vc = params.thresholds.num_vc
         m = num_options
         rows = params.num_voters * 2 * m
-        # ElGamal key, dealer key, one key per collector and trustee, and one
-        # signed msk share per collector.
-        keys = 2 + 2 * num_vc + params.thresholds.num_trustees
+        # ElGamal key and one key per collector and trustee.
+        keys = 1 + num_vc + params.thresholds.num_trustees
 
         def setup_lookups(**flags):
             lookups[0] = 0
             ElectionAuthority(params, group=group, rng=RandomSource(3), **flags).setup()
             return lookups[0]
 
-        full = rows * (3 * m + (5 * m + 2) + num_vc) + keys
-        assert full == {2: 277, 3: 553}[m]
+        full = rows * (3 * m + (5 * m + 2)) + keys
+        assert full == {2: 224, 3: 476}[m]
         assert setup_lookups() == full
         assert setup_lookups(include_trustee_data=False) == full
-        assert setup_lookups(include_proofs=False) == rows * (3 * m + num_vc) + keys
+        assert setup_lookups(include_proofs=False) == rows * 3 * m + keys
 
     def test_no_dealing_outlives_its_use(self, group, monkeypatch):
         """A dealing holds its two sharing polynomials.  The EA asks for the
@@ -282,8 +299,10 @@ class TestSetupExponentiations:
 #: ``setup_walk_hash`` of ``ElectionAuthority(small_test_election(3 voters, 3
 #: options), rng=RandomSource(11))`` at 1b95dde -- the commit before trustee
 #: views became packed blocks -- with that commit's views rendered share by
-#: share (``PedersenShare`` / ``Share`` as ``(index, value[, blinding])``).
-#: Dealer key and signature nonces are outside the walk: OS RNG on both sides.
+#: share (``PedersenShare`` / ``Share`` as ``(index, value[, blinding])``),
+#: and the collectors' and BB's init data in the shape they had while the EA
+#: signed each share (``share_blocks.parent_shape``).  The dealer key and the
+#: signatures are outside the walk: they came from the OS RNG.
 GOLDEN_SETUP_WALKS = {
     ("schnorr", True): "1ed96ab079c3cb0e175f308af83d45672126774e486193c51fc340fec81b1031",
     ("schnorr", False): "2b426180e105d37ea1e753f6579fa322bb48bb777fb94d7ca359f880d5bddf21",
@@ -303,5 +322,5 @@ class TestSeededSetupEqualsTheParents:
         setup = ElectionAuthority(
             params, group=get_group(backend), rng=RandomSource(11), include_proofs=include_proofs
         ).setup()
-        walked = setup_walk_hash(setup, boxed_trustee_view(setup))
+        walked = setup_walk_hash(setup, parent_shape(setup))
         assert walked == GOLDEN_SETUP_WALKS[(backend, include_proofs)]

@@ -1,9 +1,11 @@
-"""The two signature checks the voting phase no longer pays for, and the ones
-it must keep paying for.
+"""The checks the voting phase no longer pays for, and the ones it must keep
+paying for.
 
 * A VOTE_P for a ballot whose receipt already exists cannot change state, so
-  it returns before the UCERT and dealer-signature checks.  Before the receipt
-  exists both checks still gate every share.
+  it returns before the UCERT's signature checks and the share's digest
+  check.  Before the receipt exists both checks still gate every share: the
+  share must be the one the EA dealt for the row to the index it names
+  (:meth:`VcBallotView.share_matches`), one refusal per way it can miss.
 * A responder that assembled a UCERT from endorsements it verified one by one
   records the certificate as verified, so its own VOTE_P looping back is a
   memo hit.  Nothing else may put a certificate in that memo.
@@ -13,6 +15,7 @@ import pytest
 
 from repro.analysis.determinism import safety_violations
 from repro.api import AdmissionProfile, AdversaryProfile, ElectionEngine, ScenarioSpec
+from repro.core.ballot import VcBallotView
 from repro.core.byzantine import VC_BEHAVIORS, register_vc_behavior
 from repro.core.ea import ElectionAuthority
 from repro.core.election import ElectionParameters, vc_node_id
@@ -23,7 +26,7 @@ from repro.core.messages import (
     VoteRequest,
 )
 from repro.core.vote_collector import BallotStatus, VoteCollectorNode, endorsement_message
-from repro.crypto.shamir import Share, SignedShare
+from repro.crypto.shamir import Share
 from repro.crypto.signatures import SchnorrSignature, SignatureScheme
 from repro.crypto.utils import RandomSource
 from repro.net.adversary import NetworkConditions
@@ -94,8 +97,8 @@ def voted(setup):
     return ballot, line, record.ucert, shares
 
 
-def corrupted(share: SignedShare) -> SignedShare:
-    return SignedShare(Share(share.index, share.value + 1), share.context, share.signature)
+def corrupted(share: Share) -> Share:
+    return Share(share.index, share.value + 1)
 
 
 def forged(ucert: UniquenessCertificate) -> UniquenessCertificate:
@@ -109,18 +112,54 @@ def forged(ucert: UniquenessCertificate) -> UniquenessCertificate:
     )
 
 
+def other_row_share(setup, ballot, line, sender):
+    """``sender``'s genuine share of another row of the same ballot part."""
+    part, index = setup.vc_init[sender].ballots[ballot.serial].find_vote_code(line.vote_code)
+    return setup.vc_init[sender].ballots[ballot.serial].receipt_share_at(part, 1 - index)
+
+
+def other_serial_share(setup, ballot, line, sender):
+    """``sender``'s genuine share of the same row of another ballot."""
+    part, index = setup.vc_init[sender].ballots[ballot.serial].find_vote_code(line.vote_code)
+    other = setup.ballots[1].serial
+    return setup.vc_init[sender].ballots[other].receipt_share_at(part, index)
+
+
+#: one way each for a disclosed share to miss the row's digest; each is red
+#: with ``VcBallotView.share_matches`` stubbed to accept
+MISSES = {
+    "value-off-by-one": lambda setup, ballot, line, share: corrupted(share),
+    "index-0": lambda setup, ballot, line, share: Share(0, share.value),
+    "index-Nv+1": lambda setup, ballot, line, share: Share(
+        setup.params.thresholds.num_vc + 1, share.value
+    ),
+    "another-row-of-the-ballot": lambda setup, ballot, line, share: other_row_share(
+        setup, ballot, line, "VC-2"
+    ),
+    "same-row-of-another-serial": lambda setup, ballot, line, share: other_serial_share(
+        setup, ballot, line, "VC-2"
+    ),
+}
+
+
 class TestVotePendingBeforeTheReceipt:
     """Both checks still gate every share while the ballot is open."""
 
-    def test_corrupted_share_is_rejected(self, setup, voted):
+    @pytest.mark.parametrize("miss", sorted(MISSES))
+    def test_share_that_misses_the_digest_is_rejected(self, setup, voted, miss):
         ballot, line, ucert, shares = voted
         _network, nodes, _voter = build(setup)
         node = nodes["VC-1"]
-        bad = VotePending(ballot.serial, line.vote_code, corrupted(shares["VC-2"]), ucert, "VC-2")
-        deliver(node, "VC-2", bad)
+        share = MISSES[miss](setup, ballot, line, shares["VC-2"])
+        assert share != shares["VC-2"]
+        deliver(node, "VC-2", VotePending(ballot.serial, line.vote_code, share, ucert, "VC-2"))
         record = node.ballots[ballot.serial]
         assert record.status is BallotStatus.NOT_VOTED
         assert record.receipt_shares == {} and record.ucert is None
+        # The genuine share under the same certificate is taken.
+        deliver(node, "VC-2",
+                VotePending(ballot.serial, line.vote_code, shares["VC-2"], ucert, "VC-2"))
+        assert record.receipt_shares == {"VC-2": shares["VC-2"]}
 
     def test_forged_ucert_is_rejected(self, setup, voted):
         ballot, line, ucert, shares = voted
@@ -172,9 +211,10 @@ class TestVotePendingAfterTheReceipt:
         hits = node.admission_stats.ucert_cache_hits
 
         def must_not_verify(*args, **kwargs):
-            raise AssertionError("a late VOTE_P reached a signature check")
+            raise AssertionError("a late VOTE_P reached a signature or digest check")
 
         monkeypatch.setattr(SignatureScheme, "verify", must_not_verify)
+        monkeypatch.setattr(VcBallotView, "share_matches", must_not_verify)
         late = {
             "genuine": VotePending(ballot.serial, line.vote_code, shares["VC-3"], ucert, "VC-3"),
             "corrupted-share": VotePending(
@@ -398,3 +438,37 @@ def test_one_foreign_code_endorser_denies_nobody_a_receipt(foreign_code_behavior
             assert record.status is BallotStatus.VOTED
             assert "VC-1" not in {e.signer for e in record.ucert.endorsements}
             assert fresh.verify_ucert(record.ucert)
+
+
+def test_voting_checks_nv_times_quorum_signatures_per_cast_ballot(monkeypatch):
+    """Seven collectors, quorum five, every ballot cast: per ballot the
+    responder checks the five endorsements that complete its certificate and
+    each of the six other collectors checks the certificate's five signatures
+    once (the memo answers every later VOTE_P).  That is ``Nv * quorum`` = 35;
+    ca2940a also checked the EA's signature on every receipt share a
+    collector took, 70 in all."""
+    spec = ScenarioSpec.preset("paper_baseline", num_voters=6, seed=3).derive(
+        num_vc=7, options=("yes", "no"), stagger=0.005
+    )
+    engine = ElectionEngine(spec)
+    ctx = engine.begin(["yes", "no", "yes", "yes", "no", "yes"])
+    original = SignatureScheme.verify
+    calls = {}
+
+    def counted(scheme, public, message, signature):
+        calls[phase] = calls.get(phase, 0) + 1
+        return original(scheme, public, message, signature)
+
+    monkeypatch.setattr(SignatureScheme, "verify", counted)
+    try:
+        for driver in engine.drivers:
+            phase = driver.name
+            if driver.should_run(ctx):
+                engine.run_phase(driver, ctx)
+    finally:
+        engine.close()
+    outcome = engine.outcome()
+    assert sum(node.receipts_issued for node in outcome.vote_collectors) == 6
+    num_vc, quorum = 7, 5
+    assert spec.to_election_parameters().thresholds.vc_honest_quorum == quorum
+    assert calls["voting"] == 6 * num_vc * quorum

@@ -38,7 +38,7 @@ def signature_batch(group):
     rng = RandomSource(21)
     keys = scheme.keygen(rng)
     items = [
-        SignatureItem(keys.public, f"msg-{i}".encode(), scheme.sign(keys, f"msg-{i}".encode(), rng))
+        SignatureItem(keys.public, f"msg-{i}".encode(), scheme.sign(keys, f"msg-{i}".encode()))
         for i in range(NUM_SIGNATURES)
     ]
     return keys, items
@@ -307,7 +307,7 @@ class TestBatchesAboveTheBucketCrossover:
         signatures = [
             SignatureItem(
                 keys[i % 3].public, f"large-{i}".encode(),
-                signer.sign(keys[i % 3], f"large-{i}".encode(), rng),
+                signer.sign(keys[i % 3], f"large-{i}".encode()),
             )
             for i in range(LARGE)
         ]

@@ -1,4 +1,4 @@
-"""Tests for Shamir secret sharing and the signing dealer."""
+"""Tests for Shamir secret sharing and the dealer's share digests."""
 
 from itertools import permutations
 
@@ -8,11 +8,11 @@ from repro.crypto.pedersen_vss import PedersenVSS
 from repro.crypto.shamir import (
     ShamirSecretSharing,
     Share,
-    SignedShare,
-    SigningDealer,
+    ShareDealer,
     lagrange_at_zero,
+    share_digest,
+    share_matches,
 )
-from repro.crypto.signatures import SignatureScheme
 from repro.crypto.utils import RandomSource
 
 
@@ -150,119 +150,51 @@ class TestLagrangeAtZero:
             PedersenVSS(0, 3, group)
 
 
-class TestSigningDealer:
+class TestShareDealer:
     def test_deal_and_reconstruct(self):
-        dealer = SigningDealer(3, 4)
-        shares = dealer.deal(555, b"ctx", rng=RandomSource(1))
-        assert dealer.reconstruct(shares[:3]) == 555
+        dealer = ShareDealer(3, 4)
+        shares, digests = dealer.deal(555, b"ctx", rng=RandomSource(1))
+        assert dealer.reconstruct(shares[:3], b"ctx", digests) == 555
 
-    def test_shares_carry_valid_signatures(self):
-        dealer = SigningDealer(2, 3)
-        scheme = SignatureScheme()
-        shares = dealer.deal(7, b"receipt|1|A|0", rng=RandomSource(2))
+    def test_each_share_matches_its_digest(self):
+        shares, digests = ShareDealer(2, 3).deal(7, b"receipt|1|A", rng=RandomSource(2))
+        assert digests == tuple(share_digest(b"receipt|1|A", share) for share in shares)
+        assert len(set(digests)) == 3
         for share in shares:
-            assert SigningDealer.verify_share(scheme, dealer.public_key, share)
+            assert share_matches(b"receipt|1|A", digests, share)
 
-    def test_tampered_share_fails_verification(self):
-        dealer = SigningDealer(2, 3)
-        scheme = SignatureScheme()
-        shares = dealer.deal(7, b"ctx", rng=RandomSource(3))
+    def test_the_draws_are_the_plain_sharings(self):
+        """Committing draws nothing: the shares are ``ShamirSecretSharing``'s."""
+        shares, _digests = ShareDealer(2, 3).deal(7, b"ctx", rng=RandomSource(3))
+        assert shares == ShamirSecretSharing(2, 3).share(7, rng=RandomSource(3))
+
+    def test_tampered_value_misses(self):
+        shares, digests = ShareDealer(2, 3).deal(7, b"ctx", rng=RandomSource(3))
         genuine = shares[0]
-        tampered = SignedShare(
-            Share(genuine.share.index, genuine.share.value + 1),
-            genuine.context,
-            genuine.signature,
-        )
-        assert not SigningDealer.verify_share(scheme, dealer.public_key, tampered)
+        assert not share_matches(b"ctx", digests, Share(genuine.index, genuine.value + 1))
+
+    def test_another_index_misses(self):
+        shares, digests = ShareDealer(2, 3).deal(7, b"ctx", rng=RandomSource(3))
+        assert not share_matches(b"ctx", digests, Share(2, shares[0].value))
 
     def test_context_binding_prevents_share_reuse(self):
-        dealer = SigningDealer(2, 3)
-        scheme = SignatureScheme()
-        shares = dealer.deal(7, b"receipt|ballot-1", rng=RandomSource(4))
-        genuine = shares[0]
-        replayed = SignedShare(genuine.share, b"receipt|ballot-2", genuine.signature)
-        assert not SigningDealer.verify_share(scheme, dealer.public_key, replayed)
+        shares, digests = ShareDealer(2, 3).deal(7, b"receipt|ballot-1", rng=RandomSource(4))
+        assert not share_matches(b"receipt|ballot-2", digests, shares[0])
+
+    @pytest.mark.parametrize(
+        "index, value",
+        [(0, 1), (-1, 1), (4, 1), (1 << 40, 1), (1, -1), (1, 1 << 256)],
+        ids=["index-0", "index-negative", "index-Nv+1", "index-huge", "value-negative",
+             "value-too-wide"],
+    )
+    def test_out_of_range_shares_are_refused_without_hashing(self, index, value):
+        """Nothing is indexed or encoded out of range: no exception escapes."""
+        _shares, digests = ShareDealer(2, 3).deal(7, b"ctx", rng=RandomSource(3))
+        assert not share_matches(b"ctx", digests, Share(index, value))
 
     def test_reconstruct_ignores_invalid_shares(self):
-        dealer = SigningDealer(2, 4)
-        shares = dealer.deal(99, b"ctx", rng=RandomSource(5))
-        corrupted = SignedShare(
-            Share(shares[0].share.index, shares[0].share.value + 1),
-            shares[0].context,
-            shares[0].signature,
-        )
+        dealer = ShareDealer(2, 4)
+        shares, digests = dealer.deal(99, b"ctx", rng=RandomSource(5))
+        corrupted = Share(shares[0].index, shares[0].value + 1)
         # Two valid shares remain in the list; reconstruction still succeeds.
-        assert dealer.reconstruct([corrupted, shares[1], shares[2]]) == 99
-
-    def test_signed_share_exposes_index_and_value(self):
-        dealer = SigningDealer(2, 3)
-        shares = dealer.deal(5, b"ctx", rng=RandomSource(6))
-        assert shares[0].index == shares[0].share.index
-        assert shares[0].value == shares[0].share.value
-
-
-class TestSignedShareSigningMessageMemo:
-    """``SignedShare.signing_message``: built once per object, invisible to
-    equality, hashing and the wire format."""
-
-    @pytest.fixture()
-    def share(self):
-        return SigningDealer(2, 3).deal(31337, b"receipt|7|A|0", rng=RandomSource(5))[0]
-
-    def test_built_once_per_object(self, share, monkeypatch):
-        from repro.net.codec import MessageCodec
-
-        calls = []
-        original = MessageCodec.signing_bytes
-
-        def counting(codec, domain, *parts):
-            calls.append(domain)
-            return original(codec, domain, *parts)
-
-        monkeypatch.setattr(MessageCodec, "signing_bytes", counting)
-        dealer = SigningDealer(2, 3)
-        mine = dealer.deal(1, b"ctx")[0]
-        calls.clear()
-        for _ in range(7):  # one VOTE_P share, seven receivers
-            assert SigningDealer.verify_share(dealer.scheme, dealer.public_key, mine)
-        assert calls == [b"dealer-share"]
-        # Another object with the same content pays for its own.
-        twin = SignedShare(mine.share, mine.context, mine.signature)
-        assert SigningDealer.verify_share(dealer.scheme, dealer.public_key, twin)
-        assert calls == [b"dealer-share"] * 2
-
-    def test_memo_is_the_canonical_message(self, share):
-        from repro.crypto.shamir import share_signing_message
-
-        assert share.signing_message == share_signing_message(share.context, share.share)
-        moved = SignedShare(share.share, share.context + b"2", share.signature)
-        assert moved.signing_message != share.signing_message
-
-    def test_equality_hash_and_fields_ignore_the_memo(self, share):
-        import dataclasses
-
-        twin = SignedShare(share.share, share.context, share.signature)
-        _ = share.signing_message  # fill one side only
-        assert "signing_message" in vars(share) and "signing_message" not in vars(twin)
-        assert share == twin and hash(share) == hash(twin)
-        assert [f.name for f in dataclasses.fields(share)] == ["share", "context", "signature"]
-        assert dataclasses.replace(share, context=b"x").context == b"x"
-
-    def test_wire_and_signing_bytes_ignore_the_memo(self, share):
-        from repro.net.codec import MessageCodec, signing_bytes
-
-        twin = SignedShare(share.share, share.context, share.signature)
-        before = (MessageCodec().encode(share), signing_bytes(b"d", share))
-        _ = share.signing_message
-        assert (MessageCodec().encode(share), signing_bytes(b"d", share)) == before
-        assert MessageCodec().encode(twin) == before[0]
-        assert MessageCodec().decode(before[0]) == share
-
-    def test_still_frozen(self, share):
-        import dataclasses
-
-        _ = share.signing_message
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            share.signing_message = b"forged"
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            share.context = b"other"
+        assert dealer.reconstruct([corrupted, shares[1], shares[2]], b"ctx", digests) == 99

@@ -48,10 +48,15 @@ class TestSignatures:
         signature = scheme.sign(keys, b"")
         assert scheme.verify(keys.public, b"", signature)
 
-    def test_signatures_are_randomised(self, scheme, keys):
+    def test_nonces_are_derived_from_key_and_message(self, scheme, keys):
+        """One key signs one message one way; another message or another key
+        gets another nonce (a repeated nonce over two messages would reveal
+        the secret key)."""
         first = scheme.sign(keys, b"msg")
-        second = scheme.sign(keys, b"msg")
-        assert first.challenge != second.challenge or first.response != second.response
+        assert scheme.sign(keys, b"msg") == first
+        assert scheme.sign(keys, b"msg2").commitment != first.commitment
+        other = scheme.keygen(RandomSource(12))
+        assert scheme.sign(other, b"msg").commitment != first.commitment
 
     def test_keygen_relationship(self, scheme, group):
         keys = scheme.keygen(RandomSource(13))
@@ -79,7 +84,7 @@ class TestVerifyOnEveryBackend:
     def signed(self, backend):
         scheme = SignatureScheme(get_group(backend))
         keys = scheme.keygen(RandomSource(21))
-        return scheme, keys, scheme.sign(keys, b"msg", rng=RandomSource(22))
+        return scheme, keys, scheme.sign(keys, b"msg")
 
     def test_accepts_sign_output(self, signed):
         scheme, keys, signature = signed

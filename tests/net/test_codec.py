@@ -4,8 +4,11 @@
 (every registered type, every ``Optional`` field absent and present, every
 variable-length tuple empty and not, group elements of every backend), as the
 hand-written per-type encoders of e5b995c wrote them.  The field-derived codec
-must reproduce each byte for byte; regenerate the file only with a
-``VERSION`` bump.
+must reproduce each byte for byte.  Regenerate an entry only with a
+``VERSION`` bump, or when its payload's layout changes and the frames of the
+old layout are refused by tag: retiring ``SignedShare`` (tag 0x42) re-captured
+the four entries that embedded one (``vote_pending``, ``msk_share_upload``,
+``ballot_state_full``, ``vc_snapshot``), whose old frames no longer decode.
 """
 
 import dataclasses
@@ -49,7 +52,7 @@ from repro.crypto.registry import available_backends, get_group
 from repro.crypto.pedersen_vss import PedersenShare
 from repro.shard.records import GlobalCommitRecord, ShardCommitRecord
 from repro.shard.shard_runner import ShardSliceResult
-from repro.crypto.shamir import Share, SignedShare, SigningDealer
+from repro.crypto.shamir import Share
 from repro.crypto.signatures import SchnorrSignature, SignatureScheme
 from repro.crypto.utils import RandomSource
 from repro.net.codec import (
@@ -75,7 +78,7 @@ def codec():
 def signature():
     scheme = SignatureScheme()
     keys = scheme.keygen(RandomSource(3))
-    return scheme.sign(keys, b"wire-test", RandomSource(4))
+    return scheme.sign(keys, b"wire-test")
 
 
 @pytest.fixture(scope="module")
@@ -83,7 +86,7 @@ def sample_messages(signature):
     """One instance of every registered protocol payload."""
     endorsement = Endorsement(7, b"code-bytes", "VC-1", signature)
     ucert = UniquenessCertificate(7, b"code-bytes", (endorsement,))
-    signed_share = SignedShare(Share(2, (1 << 200) + 17), b"receipt|7|A|0", signature)
+    share = Share(2, (1 << 200) + 17)
     group = get_group("secp256k1")
     scheme = OptionEncodingScheme(2, group.power_g(5), group)
     commitment, opening = scheme.commit_option(1, RandomSource(9))
@@ -104,7 +107,7 @@ def sample_messages(signature):
         Endorse(7, b"code-bytes"),
         endorsement,
         ucert,
-        VotePending(7, b"code-bytes", signed_share, ucert, "VC-2"),
+        VotePending(7, b"code-bytes", share, ucert, "VC-2"),
         Announce(7, b"code-bytes", ucert, "VC-0"),
         Announce(8, None, None, "VC-0"),
         RecoverRequest(7, "VC-3"),
@@ -120,10 +123,10 @@ def sample_messages(signature):
             "VC-0",
         ),
         VoteSetUpload(((7, b"code-bytes"), (9, b"other")), "VC-2"),
-        MskShareUpload(signed_share, "VC-2"),
+        MskShareUpload(share, "VC-2"),
         BallotStateEntry(
             7, "voted", b"code-bytes", b"code-bytes", b"\x00" * 8, ucert,
-            (("VC-1", signed_share),),
+            (("VC-1", share),),
         ),
         VcStateSnapshot(
             "VC-0",
@@ -142,7 +145,6 @@ def sample_messages(signature):
         BatchEnvelope((Aux("3", 1, 1), SuperblockSend("sb|1", "VC-0", b"\x00\x01"))),
         signature,
         Share(1, 42),
-        SignedShare(Share(1, 42), b"ctx", signature),
         PedersenShare(3, 11, 29),
         commitment.ciphertexts[0],
         commitment,
@@ -181,7 +183,7 @@ class TestRoundTrip:
         group = get_group("secp256k1")
         scheme = SignatureScheme(group)
         keys = scheme.keygen(RandomSource(5))
-        sig = scheme.sign(keys, b"ec", RandomSource(6))
+        sig = scheme.sign(keys, b"ec")
         codec = MessageCodec(group=group)
         assert codec.decode(codec.encode(sig)) == sig
         # The group-less default codec infers the backend from the prefix.
@@ -252,6 +254,17 @@ class TestStrictDecoding:
         with pytest.raises(WireFormatError, match="unknown wire tag 0x000b"):
             codec.decode(frame)
         assert 0x0B not in {codec.tag_of(cls) for cls in codec.registered_types}
+
+    def test_retired_signed_share_tag_is_rejected(self, codec):
+        # Tag 0x42 carried a share with the EA's signature until shares
+        # travelled bare, checked against the EA's digests.  A VOTE_P that
+        # embedded one was valid then and must not decode now, and the tag
+        # must stay unassigned.
+        frame = bytes.fromhex(RETIRED_SIGNED_SHARE_VOTE_PENDING_HEX)
+        assert frame[3:5] == b"\x00\x07" and frame.count(b"\x00\x42\x00\x00\x00\x4f") == 1
+        with pytest.raises(WireFormatError, match="0x0042"):
+            codec.decode(frame)
+        assert 0x42 not in {codec.tag_of(cls) for cls in codec.registered_types}
 
     @pytest.mark.parametrize("cls", [SuperblockSend, SuperblockEcho, SuperblockReady])
     @pytest.mark.parametrize("stray", [2, 0x80, 0xFF])
@@ -412,19 +425,12 @@ class TestSigningBytes:
         two = signing_bytes(b"d", Share(1, 6))
         assert one != two
 
-    def test_dealer_share_signatures_use_canonical_encoding(self):
-        dealer = SigningDealer(2, 3)
-        (share, *_rest) = dealer.deal(999, b"ctx|with|pipes")
-        assert SigningDealer.verify_share(dealer.scheme, dealer.public_key, share)
-        # Moving a byte between context and share payload must not verify.
-        tampered = SignedShare(share.share, b"ctx|with|pipes2", share.signature)
-        assert not SigningDealer.verify_share(dealer.scheme, dealer.public_key, tampered)
-
 
 # Frames of the wire format at VERSION 1, captured from the codec before the
 # encode path was rewritten (back-patched lengths, reused bodies): a codec
 # change that moves one byte of any of them is a wire-format change and needs
-# a new VERSION.
+# a new VERSION -- or, as ``vote_pending`` when its share lost the EA's
+# signature, a layout whose old frames are refused by tag.
 GOLDEN_HEX = {
     "endorse": (
         "4457010004000000140000000001070000000a636f64652d6279746573bbe4e33f"
@@ -436,15 +442,14 @@ GOLDEN_HEX = {
         "0000000000000000000000000004003a3357b0"
     ),
     "vote_pending": (
-        "4457010007000001540000000001070000000a636f64652d627974657300420000004f004100000025000000"
-        "000102000000001a01000000000000000000000000000000000000000000000000110000000d726563656970"
-        "747c377c417c3000400000000d000000000101000000000102000006000000dd0000000001070000000a636f"
-        "64652d62797465730000000200050000008a0000000001070000000a636f64652d6279746573000000045643"
-        "2d3100400000006800000000181234567890abcdef0000000000000000000000000000000000000000207fff"
-        "ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffed0100000021530000000000000000"
-        "00000000000000000000000000000000000000000000040000050000002f0000000001070000000a636f6465"
-        "2d62797465730000000456432d3200400000000d000000000101000000000102000000000456432d324123dd"
-        "25"
+        "44570100070000012a0000000001070000000a636f64652d6279746573004100000025000000000102000000"
+        "001a01000000000000000000000000000000000000000000000000110006000000dd0000000001070000000a"
+        "636f64652d62797465730000000200050000008a0000000001070000000a636f64652d627974657300000004"
+        "56432d3100400000006800000000181234567890abcdef000000000000000000000000000000000000000020"
+        "7fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffed010000002153000000000000"
+        "000000000000000000000000000000000000000000000000040000050000002f0000000001070000000a636f"
+        "64652d62797465730000000456432d3200400000000d000000000101000000000102000000000456432d320c"
+        "ae6440"
     ),
     "announce": (
         "445701000800000101000000000107010000000a636f64652d6279746573010006000000dd00000000010700"
@@ -483,6 +488,20 @@ GOLDEN_HEX = {
 }
 
 
+#: ``VotePending`` of ``golden_payloads`` with its share signed, as VERSION 1
+#: framed it: the share embedded under tag 0x42
+RETIRED_SIGNED_SHARE_VOTE_PENDING_HEX = (
+    "4457010007000001540000000001070000000a636f64652d627974657300420000004f004100000025000000"
+    "000102000000001a01000000000000000000000000000000000000000000000000110000000d726563656970"
+    "747c377c417c3000400000000d000000000101000000000102000006000000dd0000000001070000000a636f"
+    "64652d62797465730000000200050000008a0000000001070000000a636f64652d6279746573000000045643"
+    "2d3100400000006800000000181234567890abcdef0000000000000000000000000000000000000000207fff"
+    "ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffed0100000021530000000000000000"
+    "00000000000000000000000000000000000000000000040000050000002f0000000001070000000a636f6465"
+    "2d62797465730000000456432d3200400000000d000000000101000000000102000000000456432d324123dd"
+    "25"
+)
+
 #: ``VscEnvelope(BVal("7", 1, 0), "VC-0")`` as VERSION 1 framed it under tag 0x0B
 RETIRED_VSC_ENVELOPE_HEX = (
     "445701000b0000001e002000000010000000013700000000010100000000000000000456432d3088d6e82a"
@@ -498,7 +517,7 @@ def golden_payloads():
     ucert = UniquenessCertificate(
         7, code, (Endorsement(7, code, "VC-1", sig), Endorsement(7, code, "VC-2", bare))
     )
-    share = SignedShare(Share(2, (1 << 200) + 17), b"receipt|7|A|0", bare)
+    share = Share(2, (1 << 200) + 17)
     consensus = (
         BVal("7", 0, 1), Aux("7", 0, 1), Finish("7", 1),
         SuperblockSend("sb|0", "VC-0", b"\x01\x00\x01\x01"),
@@ -578,8 +597,8 @@ def all_type_payloads():
     bare = SchnorrSignature(1, 2, None)
     endorsements = (Endorsement(7, code, "VC-1", sig), Endorsement(7, code, "VC-2", bare))
     ucert = UniquenessCertificate(7, code, endorsements)
-    share = SignedShare(Share(2, (1 << 200) + 17), b"receipt|7|A|0", bare)
-    other_share = SignedShare(Share(3, 5), b"receipt|7|A|0", sig)
+    share = Share(2, (1 << 200) + 17)
+    other_share = Share(3, 5)
     consensus = (
         BVal("7", 0, 1), Aux("7", 2, 0), Finish("7", 1),
         SuperblockSend("sb|0", "VC-0", b"\x01\x00\x01\x01"),
@@ -594,7 +613,6 @@ def all_type_payloads():
         "signature_bare": ("schnorr", bare),
         "signature_signed_ints": ("schnorr", SchnorrSignature(-(1 << 70), 0, None)),
         "share": ("schnorr", Share(2, (1 << 200) + 17)),
-        "signed_share": ("schnorr", share),
         "pedersen_share": ("schnorr", PedersenShare(3, 11, (1 << 255) + 1)),
         "vote_request": ("schnorr", VoteRequest(7, code, "V-0")),
         "vote_request_unicode": ("schnorr", VoteRequest(0, b"", "vöter-ü")),
@@ -692,7 +710,7 @@ class TestAllTypeGoldens:
         assert sorted(all_payloads) == sorted(CODEC_GOLDENS)
         covered = {type(payload) for _backend, payload in all_payloads.values()}
         assert covered | NOT_IN_GOLDENS == set(MessageCodec().registered_types)
-        assert len(covered) == 30
+        assert len(covered) == 29
 
     def test_every_optional_is_absent_and_present_and_every_sequence_empty_and_not(
         self, all_payloads

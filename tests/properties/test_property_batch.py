@@ -30,7 +30,7 @@ BATCH_SIZE = 10
 _RNG = RandomSource(33)
 SIGNATURE_ITEMS = tuple(
     SignatureItem(
-        SIGNING_KEYS.public, f"ballot-{i}".encode(), SIGNER.sign(SIGNING_KEYS, f"ballot-{i}".encode(), _RNG)
+        SIGNING_KEYS.public, f"ballot-{i}".encode(), SIGNER.sign(SIGNING_KEYS, f"ballot-{i}".encode())
     )
     for i in range(BATCH_SIZE)
 )

@@ -40,7 +40,7 @@ from repro.core.messages import (
     VoteSetUpload,
     VscBatch,
 )
-from repro.crypto.shamir import Share, SignedShare
+from repro.crypto.shamir import Share
 from repro.crypto.signatures import SchnorrSignature
 from repro.net import codec as codec_module
 from repro.net.codec import FRAME_HEADER_LEN, FRAME_TRAILER_LEN, MessageCodec, WireFormatError
@@ -59,9 +59,6 @@ signatures = st.builds(
     SchnorrSignature, challenge=scalars, response=scalars, commitment=st.none()
 )
 shares = st.builds(Share, index=st.integers(1, 1000), value=scalars)
-signed_shares = st.builds(
-    SignedShare, share=shares, context=st.binary(max_size=64), signature=signatures
-)
 endorsements = st.builds(
     Endorsement,
     serial=serials,
@@ -121,7 +118,7 @@ messages = st.one_of(
         VotePending,
         serial=serials,
         vote_code=vote_codes,
-        receipt_share=signed_shares,
+        receipt_share=shares,
         ucert=ucerts,
         sender=node_ids,
     ),
@@ -143,11 +140,10 @@ messages = st.one_of(
         vote_set=st.lists(st.tuples(serials, vote_codes), max_size=16).map(tuple),
         sender=node_ids,
     ),
-    st.builds(MskShareUpload, share=signed_shares, sender=node_ids),
+    st.builds(MskShareUpload, share=shares, sender=node_ids),
     consensus_messages,
     signatures,
     shares,
-    signed_shares,
 )
 
 

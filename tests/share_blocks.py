@@ -6,14 +6,19 @@ compare this with the per-share reference (``ShamirSecretSharing.reconstruct``
 / ``PedersenVSS.reconstruct`` over ``Share`` / ``PedersenShare``) cut the
 blocks up here.  Importable as ``share_blocks`` from every test directory
 (``tests/`` is on ``sys.path`` through its ``conftest.py``).
+
+:func:`setup_walk_hash` hashes a seeded set-up as an older commit laid it
+out; :func:`parent_shape` renders the packed trustee views share by share and
+the collectors' and BB's init data as they were while the EA signed shares.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-from typing import Callable, List, NamedTuple, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Tuple
 
+from repro.core import ballot, ea
 from repro.crypto.group import GroupElement
 from repro.crypto.pedersen_vss import PedersenShare
 from repro.crypto.shamir import Share
@@ -70,39 +75,41 @@ def trustee_rows(view, part: str, num_options: int, width: int, point: int) -> L
 # -- a canonical walk over an ``ElectionSetup`` -------------------------------------
 
 
-def canonical(obj, trustee_view: Callable):
+def canonical(obj, renderers: Dict[type, Callable]):
     """``obj`` as nested tuples of ints, bytes and strings.
 
-    Signatures are left out (their nonces come from the OS RNG) and so is
-    every ``dealer_public_key`` (the dealer key is drawn from the OS RNG too).
-    ``trustee_view(view)`` renders a ``TrusteeBallotView``: that is the one
-    structure whose layout differs between commits.
+    Signatures are left out (their nonces came from the OS RNG) and so is
+    every ``dealer_public_key`` (the dealer key was drawn from the OS RNG
+    too).  ``renderers[type(obj)](obj)``, where given, stands in for ``obj``:
+    it renders a structure whose layout differs between commits in an older
+    commit's shape (:func:`parent_shape`).
     """
-    if type(obj).__name__ == "TrusteeBallotView":
-        return trustee_view(obj)
+    render = renderers.get(type(obj))
+    if render is not None:
+        return canonical(render(obj), renderers)
     if isinstance(obj, GroupElement):
         return ("element", obj.serialize())
     if isinstance(obj, SchnorrSignature):
         return "signature"
     if dataclasses.is_dataclass(obj):
         return (type(obj).__name__,) + tuple(
-            (f.name, canonical(getattr(obj, f.name), trustee_view))
+            (f.name, canonical(getattr(obj, f.name), renderers))
             for f in dataclasses.fields(obj)
             if f.name != "dealer_public_key"
         )
     if isinstance(obj, dict):
         return tuple(sorted(
-            (canonical(key, trustee_view), canonical(value, trustee_view))
+            (canonical(key, renderers), canonical(value, renderers))
             for key, value in obj.items()
         ))
     if isinstance(obj, (list, tuple)):
-        return tuple(canonical(item, trustee_view) for item in obj)
+        return tuple(canonical(item, renderers) for item in obj)
     if isinstance(obj, (bytes, str)) or obj is None:
         return obj
     return int(obj)
 
 
-def setup_walk_hash(setup, trustee_view: Callable) -> str:
+def setup_walk_hash(setup, renderers: Dict[type, Callable]) -> str:
     """SHA-256 over everything a seeded ``ElectionAuthority.setup()`` returns
     that its ``RandomSource`` determines."""
     walked = canonical(
@@ -114,7 +121,7 @@ def setup_walk_hash(setup, trustee_view: Callable) -> str:
             setup.trustee_init,
             setup.permutations,
         ),
-        trustee_view,
+        renderers,
     )
     return hashlib.sha256(repr(walked).encode()).hexdigest()
 
@@ -157,3 +164,92 @@ def boxed_trustee_view(setup) -> Callable:
         )
 
     return render
+
+
+# -- the collectors' and BB's init data as the EA signed every share ----------------
+# Stand-ins with the names and fields the classes had while the EA signed each
+# share: the walk renders a dataclass by its name and fields.
+
+
+@dataclasses.dataclass(frozen=True)
+class SignedShare:
+    share: Share
+    context: bytes
+    signature: SchnorrSignature
+
+
+@dataclasses.dataclass(frozen=True)
+class VcBallotRow:
+    code_commitment: Any
+    receipt_share: SignedShare
+
+
+@dataclasses.dataclass(frozen=True)
+class VcBallotView:
+    serial: int
+    rows: Any
+
+
+@dataclasses.dataclass(frozen=True)
+class VcInitData:
+    node_id: str
+    signing_keys: Any
+    msk_share: SignedShare
+    ballots: Any
+    vc_public_keys: Any
+
+
+@dataclasses.dataclass(frozen=True)
+class BbInitData:
+    key_commitment: Any
+    ballots: Any
+    commitment_public_key: Any
+    vc_public_keys: Any
+    trustee_public_keys: Any
+
+
+#: the walk drops every signature to one placeholder
+NO_SIGNATURE = SchnorrSignature(0, 0)
+
+
+def parent_shape(setup) -> Dict[type, Callable]:
+    """Renderers giving a setup the shape it had while the EA signed each
+    share: trustee views boxed share by share (:func:`boxed_trustee_view`), a
+    receipt share as a ``SignedShare`` under the context
+    ``receipt|serial|part|option`` (the row's option before the shuffle, from
+    ``setup.permutations``), the ``msk`` share under ``msk``, and no digests."""
+
+    def vc_view(view):
+        rows = {
+            part: tuple(
+                VcBallotRow(row.code_commitment, SignedShare(
+                    row.receipt_share,
+                    b"receipt|%d|%s|%d" % (
+                        view.serial, part.encode(), setup.permutations[(view.serial, part)][at]
+                    ),
+                    NO_SIGNATURE,
+                ))
+                for at, row in enumerate(part_rows)
+            )
+            for part, part_rows in view.rows.items()
+        }
+        return VcBallotView(view.serial, rows)
+
+    def vc_init(init):
+        return VcInitData(
+            init.node_id, init.signing_keys, SignedShare(init.msk_share, b"msk", NO_SIGNATURE),
+            init.ballots, init.vc_public_keys,
+        )
+
+    def bb_init(init):
+        return BbInitData(
+            init.key_commitment, init.ballots, init.commitment_public_key,
+            init.vc_public_keys, init.trustee_public_keys,
+        )
+
+    return {
+        ballot.TrusteeBallotView: boxed_trustee_view(setup),
+        ballot.VcBallotView: vc_view,
+        ea.VcInitData: vc_init,
+        ea.BbInitData: bb_init,
+    }
