@@ -126,7 +126,6 @@ RFC3526_2048 = RFC3526_MODP_2048
 SWEEP_BACKENDS = [
     ("schnorr", "schnorr", {}),
     ("schnorr-gmpy2", "schnorr-gmpy2", {}),
-    ("ed25519", "ed25519", {}),
     ("secp256k1", "secp256k1", {}),
     ("schnorr-2048", "schnorr", {"p": RFC3526_2048, "g": 4}),
     ("schnorr-gmpy2-2048", "schnorr-gmpy2", {"p": RFC3526_2048, "g": 4}),

@@ -201,13 +201,11 @@ def test_wire_bandwidth_scaling(benchmark, results_sink):
 from repro.crypto.group import RFC3526_MODP_2048  # noqa: E402
 
 #: (row label, registry name, constructor params) -- schnorr-2048 is the
-#: security-equivalent parameterization of the multiplicative group, which is
-#: the honest baseline for the Ed25519 byte savings (the 256-bit default is a
-#: test-speed compromise, not a deployable modulus).
+#: deployment-grade parameterization of the multiplicative group (the 256-bit
+#: default is a test-speed compromise, not a deployable modulus).
 WIRE_BACKENDS = [
     ("schnorr", "schnorr", {}),
     ("schnorr-2048", "schnorr", {"p": RFC3526_MODP_2048, "g": 4}),
-    ("ed25519", "ed25519", {}),
 ]
 WIRE_OPTIONS = 3
 
@@ -242,7 +240,7 @@ def test_backend_wire_sizes(results_sink):
     save, show = results_sink
     rows = [measure_backend_wire_sizes(*entry) for entry in WIRE_BACKENDS]
     by_label = {row["backend"]: row for row in rows}
-    ed, s256, s2048 = by_label["ed25519"], by_label["schnorr"], by_label["schnorr-2048"]
+    s256, s2048 = by_label["schnorr"], by_label["schnorr-2048"]
     for row in rows:
         row["commitment_reduction_vs_2048"] = round(
             s2048["commitment_wire_bytes"] / row["commitment_wire_bytes"], 1
@@ -268,12 +266,4 @@ def test_backend_wire_sizes(results_sink):
         row["election_bytes_total"] = outcome.network.bytes_sent
     save("wire_backend_sizes", rows)
     show("Per-object wire bytes by crypto backend", rows)
-    # Gate: the EC backend must beat the multiplicative group on every
-    # measured object -- marginally at the toy 256-bit parameters, by ~8x at
-    # equivalent security.
-    assert ed["signature_wire_bytes"] < s256["signature_wire_bytes"] < s2048["signature_wire_bytes"]
-    assert ed["commitment_wire_bytes"] < s256["commitment_wire_bytes"]
-    assert ed["commitment_reduction_vs_2048"] >= 4.0
-    # And end-to-end: an ed25519 election must not cost more wire bytes than
-    # the same election on the 256-bit Schnorr group.
-    assert ed["election_bytes_total"] <= s256["election_bytes_total"]
+    assert s256["signature_wire_bytes"] < s2048["signature_wire_bytes"]

@@ -49,7 +49,7 @@ def main() -> None:
     # 2. An independent auditor verifies every delegation against the BB majority.
     params = spec.to_election_parameters()
     auditor = Auditor(outcome.bb_nodes, params, engine.ctx.group)
-    report = auditor.audit(delegations)
+    report = auditor.verify_all(delegations)
     print(f"auditor checks: {len(report.checks)} performed, all passed: {report.passed}")
 
     # 3. A forged delegation (swapped options, as a malicious EA would print)

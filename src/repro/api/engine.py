@@ -409,9 +409,6 @@ class AuditDriver(PhaseDriver):
             security_bits=audit.security_bits,
         )
         delegations = [voter.audit_info() for voter in ctx.voters if voter.receipt is not None]
-        if not audit.batch:
-            ctx.audit_report = auditor.audit(delegations)
-            return
         # base_seed stays None unless a config was injected: the batching
         # exponents must be unpredictable to whoever produced the proofs, or
         # the 2^-bits soundness bound dies.

@@ -482,12 +482,11 @@ class CryptoProfile(DictCodec):
     ``backend`` names a group backend in the crypto registry
     (:func:`repro.crypto.registry.get_group`): ``schnorr`` (pure-python reference, the
     default), ``schnorr-gmpy2`` (GMP-accelerated; falls back to pure python
-    when gmpy2 is absent), ``secp256k1`` (legacy alias ``ec``), or
-    ``ed25519`` (32-byte wire elements).  The name is validated against the
-    registry at construction time and stored canonically, so it survives
-    ``to_dict``/``from_dict`` round-trips.  ``include_proofs=False`` skips
-    ballot-correctness proof generation during setup, which speeds up
-    scenarios that never audit.
+    when gmpy2 is absent) or ``secp256k1`` (legacy alias ``ec``).  The name
+    is validated against the registry at construction time and stored
+    canonically, so it survives ``to_dict``/``from_dict`` round-trips.
+    ``include_proofs=False`` skips ballot-correctness proof generation during
+    setup, which speeds up scenarios that never audit.
     """
 
     backend: str = "schnorr"
@@ -759,7 +758,7 @@ def batched_fast() -> ScenarioSpec:
         election_id="batched-fast",
         election_end=500.0,
         consensus=ConsensusConfig(batch_size=8),
-        audit=AuditConfig(batch=True, workers=1, security_bits=64),
+        audit=AuditConfig(workers=1, security_bits=64),
     )
 
 

@@ -9,6 +9,11 @@ d) all the openings of the commitments are valid;
 e) all the zero-knowledge proofs associated with used ballot parts are
    completed and valid;
 
+plus, as Theorem 3's tally correctness needs,
+
+h) the published tally opens the homomorphic combination of the cast
+   commitments;
+
 and, when voters delegate their audit information:
 
 f) the submitted vote codes are consistent with the ones received from voters;
@@ -18,17 +23,13 @@ g) the openings of the unused ballot parts are consistent with the ones
 As the number of independent auditors grows, the probability that election
 fraud goes undetected shrinks exponentially (1/2 per audited ballot).
 
-Two execution strategies produce identical verdicts for checks (a)-(g):
-
-* :meth:`Auditor.audit` -- the reference implementation, verifying every
-  opening and proof one at a time;
-* :meth:`Auditor.verify_all` -- the production path: randomized batch
-  verification (:mod:`repro.crypto.batch_verify`) over a chunked process
-  pool (:mod:`repro.perf.parallel`), with failing batches bisected so the
-  report still names the exact culprit ballots, and per-phase wall-clock
-  timings.  It additionally performs check (h) -- the published tally must
-  open the homomorphic combination of the cast commitments -- so it can
-  fail a board the reference audit would pass.
+:meth:`Auditor.verify_all` runs them all: randomized batch verification
+(:mod:`repro.crypto.batch_verify`) of (d) and (e) over a chunked process pool
+(:mod:`repro.perf.parallel`), with failing batches bisected so the report
+still names the exact culprit ballots, and per-phase wall-clock timings.
+Every backend decodes only elements of its prime-order group, so a batch
+refuses exactly the items a one-at-a-time check would (but for the
+``2^-security_bits`` chance of a batch equation passing a forgery).
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from repro.crypto.batch_verify import (
 )
 from repro.crypto.commitments import OptionEncodingScheme
 from repro.crypto.group import Group
-from repro.crypto.zkp import BallotCorrectnessVerifier
 from repro.perf.parallel import ParallelConfig, parallel_chunk_map
 from repro.perf.phases import PhaseRecorder
 
@@ -61,7 +61,7 @@ class AuditReport:
 
     checks: Dict[str, bool] = field(default_factory=dict)
     failures: List[str] = field(default_factory=list)
-    #: measured wall-clock seconds per audit phase (verify_all only)
+    #: measured wall-clock seconds per audit phase
     timings: Dict[str, float] = field(default_factory=dict)
 
     @property
@@ -88,65 +88,22 @@ class Auditor:
         self.params = params
         self.group = group
         self.security_bits = security_bits
-        self.reader = MajorityReader(bb_nodes, params)
         # Any single honest node's static init data equals the majority's; we
         # still fetch the pieces we verify through the majority reader.
-        self._bb_nodes = list(bb_nodes)
+        self.reader = MajorityReader(bb_nodes, params)
 
     # -- full audit -------------------------------------------------------------
-
-    def audit(self, delegations: Sequence[VoterAuditInfo] = ()) -> AuditReport:
-        """Run checks (a)-(e), plus (f)-(g) for any delegating voters."""
-        report = AuditReport()
-        published = self._read_published(report)
-        if published is None:
-            return report
-        vote_set, decrypted, result = published
-
-        commitment_key = self.reader.read(lambda node: node.init.commitment_public_key)
-        scheme = OptionEncodingScheme(self.params.num_options, commitment_key, self.group)
-        verifier = BallotCorrectnessVerifier(commitment_key, self.group)
-
-        self._structural_checks(report, vote_set, decrypted)
-        self._check_openings(report, scheme, result)
-        self._check_proofs(report, verifier, result)
-        for info in delegations:
-            self.verify_delegation(info, report, vote_set, result)
-        return report
-
-    def _read_published(self, report: AuditReport):
-        """Majority-read the published end-of-election state, or record not-ready."""
-        vote_set = self.reader.read(lambda node: node.accepted_vote_set)
-        decrypted = self.reader.read(lambda node: node.decrypted_vote_codes)
-        result = self.reader.read(
-            lambda node: node.result if node.result is not None else None
-        )
-        if vote_set is None or result is None:
-            report.record("bb-ready", False, "BB has not published the final data yet")
-            return None
-        report.record("bb-ready", True)
-        return vote_set, decrypted, result
-
-    def _structural_checks(self, report, vote_set, decrypted) -> Dict[int, Tuple[str, int]]:
-        """Checks (a)-(c); returns the cast locations (c) derives."""
-        self._check_unique_vote_codes(report, decrypted)
-        self._check_single_submission(report, vote_set)
-        return self._check_single_part_used(report, vote_set, decrypted)
-
-    # -- batched / parallel audit -------------------------------------------------
 
     def verify_all(
         self,
         delegations: Sequence[VoterAuditInfo] = (),
         parallel: Optional[ParallelConfig] = None,
     ) -> AuditReport:
-        """Run the full audit with batch verification and optional parallelism.
+        """Run checks (a)-(e) and (h), plus (f)-(g) for any delegating voters.
 
-        Performs the same checks (a)-(g) as :meth:`audit` -- batch-verifying
-        the openings of (d) and the proofs of (e) chunk-wise over
-        ``parallel`` workers -- plus check (h): the published tally must open
-        the homomorphic combination of the cast rows' commitments.  Phase
-        durations land in ``report.timings``.
+        The openings of (d) and the proofs of (e) are batch-verified
+        chunk-wise over ``parallel`` workers.  Phase durations land in
+        ``report.timings``.
         """
         parallel = parallel or ParallelConfig()
         recorder = PhaseRecorder()
@@ -174,6 +131,25 @@ class Auditor:
                 self.verify_delegation(info, report, vote_set, result)
         report.timings = recorder.as_dict()
         return report
+
+    def _read_published(self, report: AuditReport):
+        """Majority-read the published end-of-election state, or record not-ready."""
+        vote_set = self.reader.read(lambda node: node.accepted_vote_set)
+        decrypted = self.reader.read(lambda node: node.decrypted_vote_codes)
+        result = self.reader.read(
+            lambda node: node.result if node.result is not None else None
+        )
+        if vote_set is None or result is None:
+            report.record("bb-ready", False, "BB has not published the final data yet")
+            return None
+        report.record("bb-ready", True)
+        return vote_set, decrypted, result
+
+    def _structural_checks(self, report, vote_set, decrypted) -> Dict[int, Tuple[str, int]]:
+        """Checks (a)-(c); returns the cast locations (c) derives."""
+        self._check_unique_vote_codes(report, decrypted)
+        self._check_single_submission(report, vote_set)
+        return self._check_single_part_used(report, vote_set, decrypted)
 
     def _check_openings_batched(self, report, scheme, result, ballots, parallel) -> None:
         """(d) batched: one randomized equation per chunk, bisected on failure."""
@@ -294,45 +270,6 @@ class Auditor:
             if location is not None:
                 cast_locations[serial] = location
         return cast_locations
-
-    def _check_openings(self, report: AuditReport, scheme, result) -> None:
-        """(d) every published commitment opening is valid and well formed."""
-        ballots = self.reader.read(lambda node: node.init.ballots)
-        for (serial, part), openings in result.openings.items():
-            rows = ballots[serial].rows[part]
-            if len(openings) != len(rows):
-                report.record("d-openings-complete", False, f"ballot {serial} part {part}")
-                continue
-            for row, opening in zip(rows, openings, strict=True):
-                ok = scheme.verify_opening(row.commitment, opening)
-                report.record(
-                    "d-valid-openings", ok, f"ballot {serial} part {part}: bad opening"
-                )
-                ok_unit = scheme.is_valid_option_encoding(opening)
-                report.record(
-                    "d-openings-are-unit-vectors",
-                    ok_unit,
-                    f"ballot {serial} part {part}: opening is not a unit vector",
-                )
-
-    def _check_proofs(self, report: AuditReport, verifier, result) -> None:
-        """(e) ZK proofs of used parts are complete and valid."""
-        ballots = self.reader.read(lambda node: node.init.ballots)
-        for (serial, part), responses in result.proof_responses.items():
-            rows = ballots[serial].rows[part]
-            if len(responses) != len(rows):
-                report.record("e-proofs-complete", False, f"ballot {serial} part {part}")
-                continue
-            for row, response in zip(rows, responses, strict=True):
-                if row.proof_announcement is None:
-                    report.record("e-proofs-complete", False, f"ballot {serial} part {part}")
-                    continue
-                ok = verifier.verify(
-                    row.commitment, row.proof_announcement, result.challenge, response
-                )
-                report.record(
-                    "e-proofs-valid", ok, f"ballot {serial} part {part}: invalid proof"
-                )
 
     # -- delegated verification ---------------------------------------------------
 

@@ -446,8 +446,9 @@ class MajorityReader:
         the caller should retry later, as the paper instructs.
         """
         # Replies are compared by equality, never by their printed form: a
-        # repr may truncate (ed25519 points print 8 of 32 bytes) or embed
-        # object addresses, and building it walks the whole ballot table.
+        # repr may differ between equal values (a Schnorr element prints
+        # whichever of x, p - x it holds) or embed object addresses, and
+        # building it walks the whole ballot table.
         groups: list = []  # [reply, copies], in first-seen order
         for node in self.bb_nodes:
             try:

@@ -147,18 +147,18 @@ class ConsensusConfig(DictCodec):
 class AuditConfig(DictCodec):
     """End-of-election audit configuration.
 
-    ``batch=True`` verifies openings/proofs with randomized batch equations
+    The audit verifies openings/proofs with randomized batch equations
     (:mod:`repro.crypto.batch_verify`) across ``workers`` processes (``None`` =
-    one per core); ``batch=False`` runs the per-item reference audit.
-    ``security_bits`` is the width of the random batching exponents: a forged
-    proof survives one batched equation with probability ``2^-security_bits``
-    (the collectors' endorsement batches use the same width).
+    one per core).  ``security_bits`` is the width of the random batching
+    exponents: every backend decodes only elements of its prime-order group,
+    so a forged opening or proof survives one batched equation with
+    probability ``2^-security_bits`` (the collectors' endorsement batches use
+    the same width).
     ``enabled=False`` skips the audit phase entirely (the engine still runs
     setup through tally).
     """
 
     enabled: bool = True
-    batch: bool = True
     workers: Optional[int] = 1
     security_bits: int = 64
 

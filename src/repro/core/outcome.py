@@ -88,7 +88,7 @@ class ElectionOutcome:
 
     @property
     def audit_timings(self) -> Dict[str, float]:
-        """Measured per-phase audit durations (empty for the per-item path)."""
+        """Measured per-phase audit durations (empty when no audit ran)."""
         if self.audit_report is None:
             return {}
         return dict(self.audit_report.timings)

@@ -6,10 +6,9 @@ implemented from scratch on top of the Python standard library:
 * :mod:`repro.crypto.group` -- prime-order group abstraction (abstract
   ``Group``/``GroupElement`` interface plus the pure-python Schnorr and
   secp256k1 backends).
-* :mod:`repro.crypto.registry` -- named backend registry behind
-  :func:`repro.crypto.registry.get_group`; also home of the gmpy2-accelerated
-  Schnorr backend (:mod:`repro.crypto.gmpy2_backend`) and the Ed25519 group
-  with 32-byte elements (:mod:`repro.crypto.ed25519`).
+* :mod:`repro.crypto.registry` -- the three named backends behind
+  :func:`repro.crypto.registry.get_group`: the two above and the
+  gmpy2-accelerated Schnorr group (:mod:`repro.crypto.gmpy2_backend`).
 * :mod:`repro.crypto.elgamal` -- lifted (additively homomorphic) ElGamal.
 * :mod:`repro.crypto.commitments` -- option-encoding commitments (vectors of
   lifted ElGamal ciphertexts) with component-wise homomorphic addition.

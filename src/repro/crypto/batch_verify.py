@@ -43,8 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.crypto.commitments import CommitmentOpening, OptionCommitment
-from repro.crypto.elgamal import LiftedElGamal
+from repro.crypto.commitments import CommitmentOpening, OptionCommitment, OptionEncodingScheme
 from repro.crypto.group import Group, GroupElement, default_group
 from repro.crypto.signatures import SchnorrSignature, SignatureScheme
 from repro.crypto.utils import RandomSource, default_random
@@ -433,16 +432,12 @@ class _SingleOpening:
 
     def __init__(self, public_key: GroupElement, group: Group):
         self.public_key = public_key
-        self.elgamal = LiftedElGamal(group)
+        self.group = group
 
     def __call__(self, item: OpeningItem) -> bool:
-        return all(
-            self.elgamal.open(self.public_key, ciphertext, value, randomness)
-            for ciphertext, value, randomness in zip(
-                item.commitment.ciphertexts, item.opening.values, item.opening.randomness,
-                strict=False,
-            )
-        )
+        # A leaf's item failed its own equation, so it has a coordinate.
+        scheme = OptionEncodingScheme(len(item.commitment), self.public_key, self.group)
+        return scheme.verify_opening(item.commitment, item.opening)
 
 
 # ---------------------------------------------------------------------------

@@ -49,8 +49,8 @@ except ImportError:  # pragma: no cover - the default environment
 class Gmpy2Element(SchnorrElement):
     """Schnorr-group element whose value is a ``gmpy2.mpz``.
 
-    Serialization, equality and hashing are inherited semantics: ``mpz``
-    compares and hashes identically to ``int``, and :meth:`serialize`
+    Serialization, equality and hashing are inherited: ``mpz`` compares and
+    hashes identically to ``int``, and :meth:`SchnorrElement.serialize`
     normalizes through ``int`` so wire bytes match the pure backend exactly.
     """
 
@@ -65,10 +65,6 @@ class Gmpy2Element(SchnorrElement):
 
     def inverse(self) -> "Gmpy2Element":
         return Gmpy2Element(gmpy2.invert(self.value, self.group.p), self.group)
-
-    def serialize(self) -> bytes:
-        length = (self.group.p.bit_length() + 7) // 8
-        return b"S" + int(self.value).to_bytes(length, "big")
 
 
 class Gmpy2FixedBase(SchnorrFixedBase):

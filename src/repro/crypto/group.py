@@ -7,17 +7,18 @@ exponentiation accelerators (:class:`FixedBasePrecomputation`,
 :meth:`Group.multi_power`, :meth:`Group.cached_power`) -- and two of the
 registered backends:
 
-* :class:`SchnorrGroup` -- a multiplicative subgroup of prime order ``q`` of
-  ``Z_p^*`` (registry name ``"schnorr"``).  The reference backend: pure
-  Python, fast enough for full end-to-end election tests.
+* :class:`SchnorrGroup` -- ``Z_p^*/{±1}``, of prime order ``q`` for a safe
+  prime ``p = 2q + 1``, with elements encoded as signed quadratic residues
+  (registry name ``"schnorr"``).  The reference backend: pure Python, fast
+  enough for full end-to-end election tests.
 * :class:`EcGroup` -- a pure-Python short-Weierstrass curve with the
   secp256k1 parameters (registry name ``"secp256k1"``, legacy alias
   ``"ec"``).  Affine arithmetic; kept as a cross-check backend.
 
-The other backends live in sibling modules: the gmpy2-accelerated Schnorr
-group (:mod:`repro.crypto.gmpy2_backend`, ``"schnorr-gmpy2"``) and the
-Ed25519 twisted Edwards group with 32-byte compressed elements
-(:mod:`repro.crypto.ed25519`, ``"ed25519"``).
+The third backend, the gmpy2-accelerated Schnorr group, lives in
+:mod:`repro.crypto.gmpy2_backend` (``"schnorr-gmpy2"``).  Every backend
+decodes only elements of its prime-order group, which is what makes the
+small-exponent batch tests of :mod:`repro.crypto.batch_verify` sound.
 
 Construct groups through the registry,
 :func:`repro.crypto.registry.get_group`, so backend selection stays name-driven and
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.crypto.utils import RandomSource, default_random, hash_to_scalar, sha256
 
@@ -265,11 +266,10 @@ class Group:
     #: scanning bits.  Counted in products, the scan pays ``terms * bits / 2``
     #: and the buckets ``ceil(bits / 8) * (terms + 510)``: equal at 170 terms
     #: for any exponent width.  Measured (64- and 255-bit exponents alike) the
-    #: curve backends cross earlier -- secp256k1 at ~85 terms, ed25519 at ~135
-    #: -- since most of a fold over sparsely filled buckets multiplies by the
-    #: identity, which is free on the first and cheap on the second.  128
-    #: keeps either within 5 % of its faster side; :class:`SchnorrGroup`
-    #: measures its own.
+    #: curve backend crosses earlier -- secp256k1 at ~85 terms -- since most of
+    #: a fold over sparsely filled buckets multiplies by the identity, which is
+    #: free there.  128 keeps it within 5 % of its faster side;
+    #: :class:`SchnorrGroup` measures its own.
     BUCKET_MIN_TERMS = 128
 
     def multi_power(self, pairs: Sequence[Tuple[GroupElement, int]]) -> GroupElement:
@@ -346,8 +346,8 @@ class Group:
 #: drops into :class:`SchnorrGroup` unchanged with ``g = 4`` generating the
 #: order-q quadratic-residue subgroup.  This is the deployment-grade
 #: parameterization; the 256-bit default below trades security margin for
-#: test speed.  Used by the benchmark sweeps for security-equivalent
-#: comparisons against the 32-byte Ed25519 backend.
+#: test speed.  Used by the benchmark sweeps for comparisons against the
+#: 256-bit default.
 RFC3526_MODP_2048 = int(
     "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD129024E088A67CC74"
     "020BBEA63B139B22514A08798E3404DDEF9519B3CD3A431B302B0A6DF25F1437"
@@ -363,7 +363,13 @@ RFC3526_MODP_2048 = int(
 
 @dataclass(frozen=True)
 class SchnorrElement(GroupElement):
-    """Element of a Schnorr group: an integer modulo ``p``."""
+    """Element of a Schnorr group: the class ``{x, p - x}`` of ``Z_p^*/{±1}``.
+
+    ``value`` is one representative in ``[1, p)``; products and powers run on
+    it in ``Z_p^*``.  Only :meth:`serialize`, equality and hashing read the
+    class's canonical member ``|x| = min(x, p - x)`` (Hofheinz-Kiltz signed
+    quadratic residues).
+    """
 
     value: int
     group: "SchnorrGroup"
@@ -381,18 +387,28 @@ class SchnorrElement(GroupElement):
         return SchnorrElement(pow(self.value, -1, self.group.p), self.group)
 
     def serialize(self) -> bytes:
-        length = (self.group.p.bit_length() + 7) // 8
-        return b"S" + self.value.to_bytes(length, "big")
+        p = self.group.p
+        value = int(self.value)
+        return b"S" + min(value, p - value).to_bytes((p.bit_length() + 7) // 8, "big")
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, SchnorrElement) and self.value == other.value
+        if not isinstance(other, SchnorrElement):
+            return False
+        v, w = self.value, other.value
+        return v == w or v + w == self.group.p
 
     def __hash__(self) -> int:
-        return hash(("schnorr", self.value))
+        return hash(("schnorr", min(self.value, self.group.p - self.value)))
 
 
 class SchnorrGroup(Group):
-    """Prime-order subgroup of ``Z_p^*`` with ``p = 2q + 1`` (safe prime).
+    """The group ``Z_p^*/{±1}`` of prime order ``q``, ``p = 2q + 1`` (safe prime).
+
+    ``q`` is odd, so ``p ≡ 3 (mod 4)`` and ``-1`` is not a square: each class
+    ``{x, p - x}`` holds exactly one quadratic residue, and the quotient is
+    isomorphic to the order-``q`` subgroup ``QR_p``.  Every value in
+    ``[1, q]`` encodes one element, so a decoded element needs no membership
+    check.
 
     The default parameters use a 256-bit safe prime, which keeps pure-Python
     exponentiation fast enough for full end-to-end election tests while still
@@ -445,20 +461,15 @@ class SchnorrGroup(Group):
         return SchnorrElement(value % self.p, self)
 
     def deserialize(self, data: bytes) -> SchnorrElement:
-        # One encoding per element: exact length, value in [1, p), no reduction.
-        # (Subgroup membership costs a full exponentiation and is not checked.)
+        # One encoding per element: exact length, |x| in [1, q], no reduction.
         if not data.startswith(b"S"):
             raise ValueError("not a Schnorr group element")
         if len(data) != self.element_bytes:
             raise ValueError(f"Schnorr elements are exactly {self.element_bytes} bytes")
         value = int.from_bytes(data[1:], "big")
-        if not 1 <= value < self.p:
-            raise ValueError("Schnorr element out of range [1, p)")
+        if not 1 <= value <= self.order:
+            raise ValueError("Schnorr element out of range [1, q]")
         return self.element(value)
-
-    def is_member(self, element: SchnorrElement) -> bool:
-        """Check subgroup membership (value^q == 1 mod p)."""
-        return pow(element.value, self.order, self.p) == 1
 
     def _build_fixed_base(self, element: SchnorrElement) -> "SchnorrFixedBase":
         return SchnorrFixedBase(element)

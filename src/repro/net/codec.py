@@ -582,16 +582,11 @@ class MessageCodec:
 def _group_for_serialized(data: bytes) -> Group:
     """Pick the shared registry group that can deserialize ``data``.
 
-    Ed25519 elements are bare 32-byte compressed points with no type prefix,
-    so the length check must come first: a compressed point can legitimately
-    begin with the byte that tags Schnorr elements.  Schnorr elements are 33
-    bytes (``b"S"`` + value) and secp256k1 points 2 or 66 (``b"E"`` + tag),
-    so the three encodings never collide.
+    Schnorr elements are 33 bytes (``b"S"`` + value) and secp256k1 points 2
+    or 66 (``b"E"`` + tag), so the prefix byte names the backend.
     """
     from repro.crypto.registry import get_group
 
-    if len(data) == 32:
-        return get_group("ed25519")
     if data[:1] == b"S":
         return get_group("schnorr")
     if data[:1] == b"E":

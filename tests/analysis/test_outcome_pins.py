@@ -47,10 +47,6 @@ BACKEND_PINS = {
         "2c528fcdca6c69724626322498a51e57ea198c1706b7cc0712709217c31692b2",
         "a13c7e5415905f49e61a38e21cc69a991b713bec8b2779ff5d007ea3cb114a95",
     ),
-    "ed25519": (
-        "cb7ebba9ff774ba784f41e96b918342a38fde9ec1a75e35063b1cdfc616ecd5e",
-        "f3d99a9d7fa080c35c4ebf9507c4082d95f5da550269797046d424733d8b720f",
-    ),
 }
 # Same group, same arithmetic, whether or not gmpy2 is installed.
 BACKEND_PINS["schnorr-gmpy2"] = BACKEND_PINS["schnorr"]

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.api import CryptoProfile, ElectionEngine, ScenarioSpec, TransportProfile
+from repro.api import CryptoProfile, ElectionEngine, ScenarioSpec
 from repro.crypto.gmpy2_backend import HAVE_GMPY2
 from repro.crypto.registry import get_group
 
@@ -22,7 +22,7 @@ def schnorr_outcome():
 
 
 class TestBackendElections:
-    @pytest.mark.parametrize("backend", ["schnorr-gmpy2", "ed25519"])
+    @pytest.mark.parametrize("backend", ["schnorr-gmpy2"])
     def test_paper_baseline_runs_with_audit(self, backend, schnorr_outcome):
         outcome = run_paper_baseline(backend)
         assert outcome.tally is not None
@@ -44,26 +44,9 @@ class TestBackendElections:
         else:
             assert group is get_group("schnorr")
 
-    def test_ed25519_over_wire_transport(self):
-        """32-byte elements survive the canonical wire format end to end."""
-        spec = ScenarioSpec(
-            options=("option-1", "option-2"),
-            num_voters=4,
-            election_end=500.0,
-            transport=TransportProfile.wire(),
-            crypto=CryptoProfile(backend="ed25519"),
-        )
-        outcome = ElectionEngine(spec).run(
-            ["option-1", "option-2", "option-1", "option-1"]
-        )
-        assert outcome.tally is not None
-        assert outcome.tally.as_dict()["option-1"] == 3
-
 
 class TestBackendRoundTrip:
-    @pytest.mark.parametrize(
-        "backend", ["schnorr", "schnorr-gmpy2", "secp256k1", "ed25519"]
-    )
+    @pytest.mark.parametrize("backend", ["schnorr", "schnorr-gmpy2", "secp256k1"])
     def test_backend_survives_spec_round_trip(self, backend):
         spec = ScenarioSpec(crypto=CryptoProfile(backend=backend))
         restored = ScenarioSpec.from_dict(json.loads(json.dumps(spec.to_dict())))

@@ -248,7 +248,7 @@ class TestPresetEquivalence:
         spec = ScenarioSpec.preset("batched_fast")
         params = ElectionEngine(spec).begin().params
         assert params.consensus.batch_size == spec.consensus.batch_size == 8
-        assert params.audit.batch is spec.audit.batch
+        assert params.audit is spec.audit
 
 
 class TestLegacyParameters:

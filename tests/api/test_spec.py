@@ -101,7 +101,7 @@ class TestRoundTrip:
             seed=123,
             registered_ballots=50_000,
             consensus=ConsensusConfig(batch_size=4),
-            audit=AuditConfig(enabled=False, batch=False, workers=None, security_bits=96),
+            audit=AuditConfig(enabled=False, workers=None, security_bits=96),
             network=NetworkProfile.wan(drop_rate=0.01),
             adversary=AdversaryProfile(
                 vc_behaviors={"VC-1": "silent"},
@@ -119,11 +119,10 @@ class TestDerivedViews:
     def test_election_parameters_carry_all_flags(self):
         spec = ScenarioSpec(
             consensus=ConsensusConfig(batch_size=4),
-            audit=AuditConfig(batch=False, workers=2, security_bits=80),
+            audit=AuditConfig(workers=2, security_bits=80),
         )
         params = spec.to_election_parameters()
         assert params.consensus.batch_size == 4
-        assert params.audit.batch is False
         assert params.audit.workers == 2
         assert params.audit.security_bits == 80
 

@@ -31,9 +31,10 @@ from repro.core import election as election_module
 from repro.core.election import DictCodec
 
 GOLDENS = json.loads((Path(__file__).parent / "spec_goldens.json").read_text())
-#: fields only the deleted testbed model read: every golden holds them, and
-#: they are the only keys a spec no longer emits
-DELETED_KEYS = ("storage", "network.client_to_vc_ms", "network.inter_vc_ms")
+#: fields of deleted code -- the testbed model's three and the per-item audit
+#: switch: every golden holds them, and they are the only keys a spec no
+#: longer emits
+DELETED_KEYS = ("storage", "network.client_to_vc_ms", "network.inter_vc_ms", "audit.batch")
 
 
 def without_deleted_keys(golden: str) -> str:
@@ -99,7 +100,9 @@ class TestFromDictRefuses:
         for block in blocks:
             holder, golden = holder[block], golden[block]
         holder[key] = golden[key]
-        owner = "NetworkProfile" if blocks else "ScenarioSpec"
+        owner = {(): "ScenarioSpec", ("network",): "NetworkProfile", ("audit",): "AuditConfig"}[
+            tuple(blocks)
+        ]
         with pytest.raises(ValueError, match=f"{owner}.*'{key}'"):
             ScenarioSpec.from_dict(old)
 

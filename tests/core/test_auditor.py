@@ -31,7 +31,7 @@ class TestAuditReport:
 
 class TestFullAudit:
     def test_honest_election_passes_all_checks(self, auditor):
-        report = auditor.audit()
+        report = auditor.verify_all()
         assert report.passed
         for name in (
             "a-unique-vote-codes",
@@ -42,10 +42,11 @@ class TestFullAudit:
             "e-proofs-valid",
         ):
             assert report.checks.get(name, True), name
+        assert report.checks["h-tally-opening"] is True
 
     def test_audit_with_delegations_passes(self, auditor, small_outcome):
         delegations = [voter.audit_info() for voter in small_outcome.voters]
-        report = auditor.audit(delegations)
+        report = auditor.verify_all(delegations)
         assert report.passed
         assert report.checks["f-cast-code-published"]
         assert report.checks["g-unused-part-consistent"]
@@ -91,7 +92,7 @@ class TestFullAudit:
             BulletinBoardNode(f"BB-f{i}", small_setup.bb_init, small_params, group)
             for i in range(3)
         ]
-        report = Auditor(fresh_nodes, small_params, group).audit()
+        report = Auditor(fresh_nodes, small_params, group).verify_all()
         assert not report.passed
         assert report.checks["bb-ready"] is False
 

@@ -159,21 +159,23 @@ class TestMajorityReader:
         assert set(view.decrypted_vote_codes) == set(small_outcome.setup.bb_init.ballots)
 
 
-def _alter_last_byte(point):
-    """Another valid ed25519 point whose 32-byte encoding differs only in the
-    last byte (the sign bit of x), far past anything a printed form shows."""
-    encoded = bytearray(point.serialize())
-    encoded[-1] ^= 0x80
-    return point.group.deserialize(bytes(encoded))
+def _alter_last_byte(element):
+    """Another schnorr element whose 33-byte encoding differs only in the last
+    byte, far past the prefix a printed form shows: every value in ``[1, q]``
+    decodes, and ``q`` is odd, so flipping the low bit of ``|x| > 1`` stays
+    in that range."""
+    encoded = bytearray(element.serialize())
+    encoded[-1] ^= 0x01
+    return element.group.deserialize(bytes(encoded))
 
 
 class TestMajorityReaderComparesByEquality:
-    """A Byzantine BB node that is first in node order alters one point of its
+    """A Byzantine BB node that is first in node order alters one element of its
     reply; the reader must not count it with the honest replies."""
 
     @pytest.fixture(scope="class")
     def election(self):
-        group = get_group("ed25519")
+        group = get_group("schnorr")
         params = ElectionParameters.small_test_election(num_voters=1, num_options=2)
         setup = ElectionAuthority(params, group=group, rng=RandomSource(4)).setup()
         return group, params, setup.bb_init

@@ -302,12 +302,12 @@ class TestSetupExponentiations:
 #: share (``PedersenShare`` / ``Share`` as ``(index, value[, blinding])``),
 #: and the collectors' and BB's init data in the shape they had while the EA
 #: signed each share (``share_blocks.parent_shape``).  The dealer key and the
-#: signatures are outside the walk: they came from the OS RNG.
+#: signatures are outside the walk: they came from the OS RNG.  Re-captured
+#: when schnorr elements became signed quadratic residues: the walk hashes
+#: each element's encoding, now ``min(x, p - x)``.
 GOLDEN_SETUP_WALKS = {
-    ("schnorr", True): "1ed96ab079c3cb0e175f308af83d45672126774e486193c51fc340fec81b1031",
-    ("schnorr", False): "2b426180e105d37ea1e753f6579fa322bb48bb777fb94d7ca359f880d5bddf21",
-    ("ed25519", True): "5c23ab2370c777bcd1c11235fb4a1cc331d6c768289c39bda1e37d9364a7b3f7",
-    ("ed25519", False): "2999f87e5192f52cce1731ec9c63c0fa97a1e02e7e96d28712ba87d1ffcee0e3",
+    ("schnorr", True): "a39fae5f959b484aeaab5607126fabccc06f0ecb61e12b35011829a6bc55626b",
+    ("schnorr", False): "f4f03fb4f70a1886316feb6ca654e5526752340adfc8ef0e8fd2c5eae6558fe6",
 }
 
 

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.crypto.group import FixedBasePrecomputation, SchnorrFixedBase, default_group
+from repro.crypto.group import (
+    FixedBasePrecomputation,
+    SchnorrElement,
+    SchnorrFixedBase,
+    default_group,
+)
 from repro.crypto.registry import get_group
 
 
@@ -23,7 +28,8 @@ class TestSchnorrGroup:
         assert group.second_generator() != group.generator()
 
     def test_second_generator_is_subgroup_member(self, group):
-        assert group.is_member(group.second_generator())
+        h = group.second_generator()
+        assert h ** group.order == group.identity()
 
     def test_multiplication_matches_exponent_addition(self, group):
         g = group.generator()
@@ -44,6 +50,26 @@ class TestSchnorrGroup:
     def test_serialize_roundtrip(self, group):
         element = group.generator() ** 12345
         assert group.deserialize(element.serialize()) == element
+
+    def test_both_signs_are_one_element(self, group):
+        """``x`` and ``p - x`` name one class of ``Z_p^*/{±1}``: equal, same
+        hash, same bytes, and the bytes carry ``min(x, p - x)``."""
+        element = group.generator() ** 12345
+        negated = SchnorrElement(group.p - element.value, group)
+        assert negated == element and hash(negated) == hash(element)
+        assert negated.serialize() == element.serialize()
+        assert 1 <= int.from_bytes(element.serialize()[1:], "big") <= group.order
+
+    @pytest.mark.parametrize("value", ["zero", "q + 1", "p - 1"])
+    def test_deserialize_refuses_values_outside_one_to_q(self, group, value):
+        encoded = {"zero": 0, "q + 1": group.order + 1, "p - 1": group.p - 1}[value]
+        with pytest.raises(ValueError, match=r"out of range \[1, q\]"):
+            group.deserialize(b"S" + encoded.to_bytes(group.element_bytes - 1, "big"))
+
+    def test_deserialize_accepts_q(self, group):
+        element = group.deserialize(b"S" + group.order.to_bytes(group.element_bytes - 1, "big"))
+        assert element ** group.order == group.identity()
+        assert element.serialize() == b"S" + group.order.to_bytes(group.element_bytes - 1, "big")
 
     def test_random_scalar_in_range(self, group, rng):
         for _ in range(20):

@@ -583,7 +583,7 @@ class TestGoldenFrames:
 
 #: backends whose elements the all-type goldens carry; ``schnorr-gmpy2`` is
 #: the pure backend where gmpy2 is absent and mpz-backed where it is installed
-GOLDEN_BACKENDS = ("schnorr", "schnorr-gmpy2", "secp256k1", "ed25519")
+GOLDEN_BACKENDS = ("schnorr", "schnorr-gmpy2", "secp256k1")
 
 
 def all_type_payloads():

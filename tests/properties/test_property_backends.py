@@ -34,7 +34,6 @@ FAST = get_group("schnorr-gmpy2")
 BACKENDS = {
     "schnorr": PURE,
     "schnorr-gmpy2": FAST,
-    "ed25519": get_group("ed25519"),
     "secp256k1": get_group("secp256k1"),
 }
 

@@ -17,7 +17,7 @@ from repro.crypto.group import Group, SchnorrGroup
 from repro.crypto.registry import get_group
 
 BACKENDS = {
-    name: get_group(name) for name in ("schnorr", "schnorr-gmpy2", "ed25519", "secp256k1")
+    name: get_group(name) for name in ("schnorr", "schnorr-gmpy2", "secp256k1")
 }
 POOL_SIZE = 12
 
@@ -131,7 +131,7 @@ class TestWhichEvaluationRuns:
     """Decided from ``len(pairs)`` alone: zero exponents count as terms, the
     width of the exponents does not enter."""
 
-    @pytest.mark.parametrize("name", ["schnorr", "ed25519"])
+    @pytest.mark.parametrize("name", ["schnorr", "secp256k1"])
     @pytest.mark.parametrize("exponent", [0, 3, 2**255 - 1], ids=["zero", "narrow", "wide"])
     def test_crossover_is_a_term_count(self, name, exponent, monkeypatch):
         group = BACKENDS[name]

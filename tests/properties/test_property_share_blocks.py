@@ -5,7 +5,7 @@ evaluations -- the layout of a trustee's shares from the EA's dealing to the
 BB's reconstruction.  ``ShamirSecretSharing.reconstruct`` and
 ``PedersenVSS.reconstruct`` over the same evaluations, boxed as ``Share`` /
 ``PedersenShare`` by the test-side unpacker (``tests/share_blocks.py``), are
-the reference it must equal: for all four backends, every ``ht``-of-``Nt`` up
+the reference it must equal: for all three backends, every ``ht``-of-``Nt`` up
 to 3-of-5 and every ``ht``-subset of the holders in every order.
 
 The gmpy2 CI leg runs this file against ``mpz`` group orders: blocks are
@@ -32,7 +32,7 @@ from repro.crypto.shamir import (
 )
 from repro.crypto.utils import RandomSource
 
-BACKENDS = ("schnorr", "schnorr-gmpy2", "ed25519", "secp256k1")
+BACKENDS = ("schnorr", "schnorr-gmpy2", "secp256k1")
 SHAPES = [(ht, nt) for ht in (1, 2, 3) for nt in range(ht, 6)]
 
 
@@ -116,7 +116,6 @@ class TestRoutineProperties:
 GOLDEN_DEALINGS = {
     "schnorr": "2d7d2dc12a38fbab360a8e12567b9aff9980135834e6affd8104825162244f53",
     "schnorr-gmpy2": "2d7d2dc12a38fbab360a8e12567b9aff9980135834e6affd8104825162244f53",
-    "ed25519": "5edd0ed68053b042baa4adbd484ee82fba7bb5b06b15802628896ca7d3cd3313",
     "secp256k1": "1927a28641438c0ac4c28e76f72af4017d622510be6eac4713f03819051ad4d0",
 }
 

@@ -47,7 +47,6 @@ consensus = st.builds(ConsensusConfig, batch_size=small_ints)
 audits = st.builds(
     AuditConfig,
     enabled=st.booleans(),
-    batch=st.booleans(),
     workers=maybe(small_ints),
     security_bits=st.integers(min_value=8, max_value=128),
 )
@@ -77,7 +76,7 @@ adversaries = st.builds(
 )
 cryptos = st.builds(
     CryptoProfile,
-    backend=st.sampled_from(["schnorr", "ec", "secp256k1", "ed25519"]),
+    backend=st.sampled_from(["schnorr", "ec", "secp256k1"]),
     include_proofs=st.booleans(),
 )
 transports = st.builds(
