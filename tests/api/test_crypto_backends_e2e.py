@@ -4,9 +4,9 @@ import json
 
 import pytest
 
-from repro.api import CryptoProfile, ElectionEngine, ScenarioSpec
+from repro.api import CryptoProfile, ElectionEngine, ScenarioSpec, TransportProfile
 from repro.crypto.gmpy2_backend import HAVE_GMPY2
-from repro.crypto.registry import get_group
+from repro.crypto.registry import available_backends, get_group
 
 CHOICES = ["option-1", "option-3", "option-1", "option-2", "option-1"]
 
@@ -22,7 +22,7 @@ def schnorr_outcome():
 
 
 class TestBackendElections:
-    @pytest.mark.parametrize("backend", ["schnorr-gmpy2"])
+    @pytest.mark.parametrize("backend", ["schnorr-gmpy2", "secp256k1"])
     def test_paper_baseline_runs_with_audit(self, backend, schnorr_outcome):
         outcome = run_paper_baseline(backend)
         assert outcome.tally is not None
@@ -43,6 +43,23 @@ class TestBackendElections:
             assert isinstance(group, Gmpy2SchnorrGroup)
         else:
             assert group is get_group("schnorr")
+
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_over_wire_transport(self, backend):
+        """Every backend's elements survive the canonical wire format end to end."""
+        spec = ScenarioSpec(
+            options=("option-1", "option-2"),
+            num_voters=4,
+            election_end=500.0,
+            transport=TransportProfile.wire(),
+            crypto=CryptoProfile(backend=backend),
+        )
+        outcome = ElectionEngine(spec).run(
+            ["option-1", "option-2", "option-1", "option-1"]
+        )
+        assert outcome.tally.as_dict() == {"option-1": 3, "option-2": 1}
+        assert outcome.audit_report.passed
 
 
 class TestBackendRoundTrip:

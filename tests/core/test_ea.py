@@ -304,11 +304,18 @@ class TestSetupExponentiations:
 #: signed each share (``share_blocks.parent_shape``).  The dealer key and the
 #: signatures are outside the walk: they came from the OS RNG.  Re-captured
 #: when schnorr elements became signed quadratic residues: the walk hashes
-#: each element's encoding, now ``min(x, p - x)``.
+#: each element's encoding, now ``min(x, p - x)``.  The ``secp256k1`` walks
+#: were captured before that change and still hold: it left the curve encoding
+#: as it was.
 GOLDEN_SETUP_WALKS = {
     ("schnorr", True): "a39fae5f959b484aeaab5607126fabccc06f0ecb61e12b35011829a6bc55626b",
     ("schnorr", False): "f4f03fb4f70a1886316feb6ca654e5526752340adfc8ef0e8fd2c5eae6558fe6",
+    ("secp256k1", True): "6e3bc555593250490fac2152965a4bec65e8c2bb752fc5600f01edecbdfeb213",
+    ("secp256k1", False): "3ec3386a792a85badb57bbc3b11b06837c2ce593d55cc209698b76bb3dd64bd9",
 }
+# Same group, same arithmetic, whether or not gmpy2 is installed.
+GOLDEN_SETUP_WALKS["schnorr-gmpy2", True] = GOLDEN_SETUP_WALKS["schnorr", True]
+GOLDEN_SETUP_WALKS["schnorr-gmpy2", False] = GOLDEN_SETUP_WALKS["schnorr", False]
 
 
 class TestSeededSetupEqualsTheParents:

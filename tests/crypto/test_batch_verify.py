@@ -414,6 +414,9 @@ AGREEMENT_CULPRIT = 11
 #: openings, 4.3 s for 32 proofs), and its tampered element is another group
 #: element, which only the 2^-64 soundness bound of each equation lets through.
 AGREEMENT_RUNS = {"secp256k1": 1}
+#: fresh batching RNGs for a Schnorr batch whose culprit carries the inverse
+#: of an element: every run bisects.
+INVERSE_RUNS = 20
 
 
 def other_encoding(element):
@@ -426,14 +429,31 @@ def other_encoding(element):
     return element.inverse()
 
 
-def replace_first_a(commitment):
-    first, *rest = commitment.ciphertexts
-    return replace(commitment, ciphertexts=(replace(first, a=other_encoding(first.a)), *rest))
+def tamper(kind, items, substitute):
+    """``items`` with one carried element of the culprit replaced by
+    ``substitute(element)``: a signature's commitment, an opening's first
+    ``ciphertext.a``, or a proof's first ``a0`` announcement."""
+    item = items[AGREEMENT_CULPRIT]
+    if kind == "signatures":
+        signature = replace(item.signature, commitment=substitute(item.signature.commitment))
+        tampered = replace(item, signature=signature)
+    elif kind == "openings":
+        first, *rest = item.commitment.ciphertexts
+        first = replace(first, a=substitute(first.a))
+        tampered = replace(item, commitment=replace(item.commitment, ciphertexts=(first, *rest)))
+    else:
+        first, *rest = item.announcement.or_announcements
+        first = replace(first, a0=substitute(first.a0))
+        announcement = replace(item.announcement, or_announcements=(first, *rest))
+        tampered = replace(item, announcement=announcement)
+    items = list(items)
+    items[AGREEMENT_CULPRIT] = tampered
+    return items
 
 
 @pytest.fixture(scope="module")
 def agreement_batches():
-    """``backend -> (public key, {kind: (honest items, tampered items)})``."""
+    """``backend -> (public key, {kind: honest items})``."""
     batches = {}
     for backend in available_backends():
         group = get_group(backend)
@@ -454,30 +474,7 @@ def agreement_batches():
             challenge = fiat_shamir_challenge(group, commitment, announcement)
             response = prover.respond(state, challenge)
             honest["proofs"].append(ProofItem(commitment, announcement, challenge, response))
-        item = honest["signatures"][AGREEMENT_CULPRIT]
-        commitment = other_encoding(item.signature.commitment)
-        tampered_signature = replace(item, signature=replace(item.signature, commitment=commitment))
-        item = honest["openings"][AGREEMENT_CULPRIT]
-        tampered_opening = replace(item, commitment=replace_first_a(item.commitment))
-        item = honest["proofs"][AGREEMENT_CULPRIT]
-        first, *rest = item.announcement.or_announcements
-        tampered_proof = replace(
-            item,
-            announcement=replace(
-                item.announcement,
-                or_announcements=(replace(first, a0=other_encoding(first.a0)), *rest),
-            ),
-        )
-        kinds = {}
-        for kind, tampered in (
-            ("signatures", tampered_signature),
-            ("openings", tampered_opening),
-            ("proofs", tampered_proof),
-        ):
-            items = list(honest[kind])
-            items[AGREEMENT_CULPRIT] = tampered
-            kinds[kind] = items
-        batches[backend] = (keys.public, kinds)
+        batches[backend] = (keys.public, honest)
     return batches
 
 
@@ -510,18 +507,36 @@ class TestBatchAgreesWithTheSingleCheck:
             return verifier.verify_openings(public, items)
         return verifier.verify_proofs(public, items)
 
-    @pytest.mark.parametrize("kind", ["signatures", "openings", "proofs"])
-    @pytest.mark.parametrize("backend", available_backends())
-    def test_verdicts_agree_over_fresh_rngs(self, agreement_batches, backend, kind):
-        public, kinds = agreement_batches[backend]
-        items = kinds[kind]
+    def disagreements(self, kind, public, items, runs):
+        """The indices the per-item check refuses, and in how many of
+        ``runs`` fresh batching RNGs the batch names others."""
         refused = tuple(
             index for index, item in enumerate(items) if not self.single(kind, public, item)
         )
-        runs = AGREEMENT_RUNS.get(backend, 200)
-        disagreements = sum(
+        differing = sum(
             self.batch(kind, public, items, seed).bad_indices != refused for seed in range(runs)
         )
-        assert disagreements == 0, f"{disagreements} of {runs} batch verdicts differ"
+        return refused, differing
+
+    @pytest.mark.parametrize("kind", ["signatures", "openings", "proofs"])
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_verdicts_agree_over_fresh_rngs(self, agreement_batches, backend, kind):
+        public, honest = agreement_batches[backend]
+        items = tamper(kind, honest[kind], other_encoding)
+        runs = AGREEMENT_RUNS.get(backend, 200)
+        refused, differing = self.disagreements(kind, public, items, runs)
+        assert differing == 0, f"{differing} of {runs} batch verdicts differ"
         # Schnorr: the other sign is the same element; secp256k1: another one.
         assert refused == (() if backend.startswith("schnorr") else (AGREEMENT_CULPRIT,))
+
+    @pytest.mark.parametrize("kind", ["signatures", "openings", "proofs"])
+    @pytest.mark.parametrize("backend", ["schnorr", "schnorr-gmpy2"])
+    def test_an_inverted_element_is_named_by_both(self, agreement_batches, backend, kind):
+        """On the Schnorr backends the other sign is harmless, so the element
+        an adversary must carry to change a verdict is another one: here the
+        inverse, which the batch bisects down to the culprit."""
+        public, honest = agreement_batches[backend]
+        items = tamper(kind, honest[kind], lambda element: element.inverse())
+        refused, differing = self.disagreements(kind, public, items, INVERSE_RUNS)
+        assert differing == 0, f"{differing} of {INVERSE_RUNS} batch verdicts differ"
+        assert refused == (AGREEMENT_CULPRIT,)

@@ -57,6 +57,10 @@ PARENT_GOLDENS = {
     ("secp256k1", 16): ("846a4ed135e6723d911d01345dc3caa60d43d03628eaf6d929543f2229e3f0c5",
                         "eabc087ad032a0542a9977472f60e225d1f55359ec1b38c4b5018f8a52368d9d"),
 }
+# Same group, same arithmetic, whether or not gmpy2 is installed.
+PARENT_GOLDENS.update(
+    {("schnorr-gmpy2", shards): PARENT_GOLDENS["schnorr", shards] for shards in (1, 4, 16)}
+)
 GOLDEN_TALLY = {"yes": 131, "no": 109}
 
 
