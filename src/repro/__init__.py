@@ -6,8 +6,8 @@ The package is organised as follows:
   :class:`~repro.api.spec.ScenarioSpec` configurations with named presets,
   the event-driven :class:`~repro.api.engine.ElectionEngine` built from
   pluggable phase drivers, and the
-  :class:`~repro.api.service.MultiElectionService` facade that multiplexes
-  many elections over one shared scheduler.
+  :class:`~repro.api.service.MultiElectionService` facade that runs many
+  elections through their engines, one after the other.
 * :mod:`repro.crypto` -- cryptographic substrates (group, ElGamal commitments,
   zero-knowledge proofs, secret sharing, signatures, symmetric layer).
 * :mod:`repro.net` -- deterministic discrete-event network simulation, clocks

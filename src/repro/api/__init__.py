@@ -8,10 +8,11 @@ Three layers (see ``docs/ARCHITECTURE.md``):
   ``CryptoProfile`` blocks, named presets, dict round-tripping);
 * :mod:`repro.api.engine` -- :class:`ElectionEngine`, an event-driven runner
   built from pluggable :class:`PhaseDriver` steps (setup, voting, consensus,
-  tally, merge, audit) that emits the typed events of :mod:`repro.api.events`;
+  tally, audit) that emits the typed events of :mod:`repro.api.events`;
 * :mod:`repro.api.service` -- :class:`MultiElectionService`, a facade that
-  multiplexes N independent elections over one shared scheduler and process
-  pool, with per-election RNG and timing isolation.
+  runs N independent elections one after the other through their engines,
+  sharing one process-pool configuration, with per-election RNG and timing
+  isolation, and the sharded scale pipeline.
 
 ``from repro.api import ElectionEngine, ScenarioSpec`` works for every name
 below, but each is looked up on first access: describing a run imports
@@ -25,13 +26,12 @@ _SPEC = (
     "TransportProfile",
 )
 _ENGINE = (
-    "AuditDriver", "ConsensusDriver", "ElectionEngine", "EngineContext", "MergeDriver",
-    "PhaseDriver", "SetupDriver", "TallyDriver", "VotingDriver", "default_drivers",
+    "AuditDriver", "ConsensusDriver", "ElectionEngine", "EngineContext", "PhaseDriver",
+    "SetupDriver", "TallyDriver", "VotingDriver", "default_drivers",
 )
 _EVENTS = (
     "AuditCompleted", "BallotAccepted", "ConsensusDecided", "ElectionCompleted",
-    "ElectionEvent", "EventBus", "PhaseCompleted", "PhaseStarted", "ShardMergeCompleted",
-    "TallyComputed",
+    "ElectionEvent", "EventBus", "PhaseCompleted", "PhaseStarted", "TallyComputed",
 )
 _SERVICE = ("ElectionReport", "MultiElectionService", "ShardedElectionReport")
 

@@ -1,13 +1,13 @@
 """Event-driven election engine built from pluggable phase drivers.
 
 :class:`ElectionEngine` is the one phase sequencer: :class:`PhaseDriver`
-steps -- setup, voting, consensus, tally, merge, audit -- run in order over a
-shared :class:`EngineContext`.  Around every
+steps -- setup, voting, consensus, tally, audit -- run in order over a shared
+:class:`EngineContext`, each through its one ``run(ctx)``.  Around every
 driver the engine emits the typed events of :mod:`repro.api.events`
 (``PhaseStarted`` / ``PhaseCompleted`` plus the driver's own events such as
-``BallotAccepted`` and ``ConsensusDecided``), so benchmarks, the load
-simulator and future async/real-network drivers observe a run by subscribing
-instead of monkey-patching.
+``BallotAccepted`` and ``ConsensusDecided``), so benchmarks, tests and the
+multi-election service observe a run by subscribing instead of
+monkey-patching.
 
 The :class:`ScenarioSpec` is the one description of a run.  The drivers read
 its blocks where they need them (``spec.crypto.include_proofs`` at set-up,
@@ -15,13 +15,8 @@ its blocks where they need them (``spec.crypto.include_proofs`` at set-up,
 ``spec.stagger`` when the voting network is built, ``spec.audit`` for the
 audit) and the nodes read ``ctx.params``, which carries the spec's own
 ``consensus`` / ``admission`` / ``audit`` objects; the engine restates none of
-them as a keyword or a context field.
-
-Drivers split their work into ``prepare`` (build state), ``schedule``
-(enqueue simulator events) and ``execute`` (consume simulated time) so the
-multi-election service can interleave the simulated phases of several
-elections on one shared scheduler; ``run`` composes the three for the
-single-election path.
+them as a keyword or a context field.  :func:`check_choices` refuses choices
+and part coins that no run could cast before any set-up work is done.
 """
 
 from __future__ import annotations
@@ -39,11 +34,11 @@ from repro.api.events import (
     Observer,
     PhaseCompleted,
     PhaseStarted,
-    ShardMergeCompleted,
     TallyComputed,
 )
 from repro.api.spec import ScenarioSpec
 from repro.core.auditor import Auditor
+from repro.core.ballot import PARTS
 from repro.core.bulletin_board import BulletinBoardNode, MajorityReader
 from repro.core.ea import ElectionAuthority, ElectionSetup
 from repro.core.election import (
@@ -67,8 +62,8 @@ from repro.net.transport import Transport
 from repro.perf.parallel import ParallelConfig
 
 #: Runs whose set-up heap sits in the collector's permanent generation.
-#: ``gc.freeze()`` is process-wide: members of a MultiElectionService share
-#: one permanent generation, which goes back when the last of them closes.
+#: ``gc.freeze()`` is process-wide: engines whose runs overlap share one
+#: permanent generation, which goes back when the last of them closes.
 _frozen_runs = 0
 
 
@@ -104,8 +99,6 @@ class EngineContext:
     voters: List[VoterClient] = field(default_factory=list)
     tally: Optional[TallyResult] = None
     audit_report: Optional[object] = None
-    #: majority-read + re-verified shard-commit report (sharded runs only).
-    shard_commits: Optional[object] = None
     phase_timings: Dict[str, float] = field(default_factory=dict)
     #: this run is counted in ``_frozen_runs``
     heap_frozen: bool = False
@@ -117,48 +110,18 @@ class EngineContext:
 
 
 class PhaseDriver:
-    """One pluggable step of an election run.
-
-    Subclasses override any of :meth:`prepare` / :meth:`schedule` /
-    :meth:`execute` / :meth:`finalize`; :meth:`run` composes them.  Only
-    ``execute`` may consume simulated time, which is what lets the
-    multi-election service substitute a shared scheduler for it.
-    """
+    """One pluggable step of an election run: :meth:`run` does the phase's
+    work on the shared context, and :meth:`should_run` says whether the
+    engine's full run includes it."""
 
     name: str = "phase"
-    #: whether :meth:`execute` advances the discrete-event simulation.  The
-    #: multi-election service substitutes its shared scheduler for the
-    #: ``execute`` step of exactly these drivers.
-    consumes_sim_time: bool = False
 
     def should_run(self, ctx: EngineContext) -> bool:
         """Whether the engine's full run includes this phase."""
         return True
 
-    def horizon(self, ctx: EngineContext) -> Optional[float]:
-        """Latest simulated time :meth:`execute` may reach (None = run to idle).
-
-        Only consulted when ``consumes_sim_time`` is True.
-        """
-        return None
-
-    def prepare(self, ctx: EngineContext) -> None:
-        """Build state (no simulated time passes)."""
-
-    def schedule(self, ctx: EngineContext) -> None:
-        """Enqueue simulator events for this phase."""
-
-    def execute(self, ctx: EngineContext) -> None:
-        """Advance the simulation / do the phase's blocking work."""
-
-    def finalize(self, ctx: EngineContext) -> None:
-        """Emit the phase's summary events and fold results into the context."""
-
     def run(self, ctx: EngineContext) -> None:
-        self.prepare(ctx)
-        self.schedule(ctx)
-        self.execute(ctx)
-        self.finalize(ctx)
+        """Do the phase's work and emit its summary events."""
 
 
 class SetupDriver(PhaseDriver):
@@ -166,7 +129,7 @@ class SetupDriver(PhaseDriver):
 
     name = "setup"
 
-    def execute(self, ctx: EngineContext) -> None:
+    def run(self, ctx: EngineContext) -> None:
         authority = ElectionAuthority(
             ctx.params,
             group=ctx.group,
@@ -194,19 +157,15 @@ class VotingDriver(PhaseDriver):
     """Phase 1+2: instantiate the deployment, let voters cast until close."""
 
     name = "voting"
-    consumes_sim_time = True
 
-    def horizon(self, ctx: EngineContext) -> Optional[float]:
-        return ctx.params.election_end
-
-    def prepare(self, ctx: EngineContext) -> None:
+    def deploy(self, ctx: EngineContext) -> None:
+        """Build the network and register the nodes and voters on it (no
+        simulated time passes)."""
         if ctx.setup is None:
             raise RuntimeError("the setup phase must run before voting")
         if ctx.choices is None:
             raise ValueError("an election run needs the voters' choices")
         params = ctx.params
-        if len(ctx.choices) != params.num_voters:
-            raise ValueError("need exactly one choice per voter")
         setup, spec = ctx.setup, ctx.spec
         ctx.network = Network(
             conditions=spec.network.conditions(seed=spec.seed),
@@ -259,18 +218,16 @@ class VotingDriver(PhaseDriver):
                 election_end=params.election_end,
             )
 
-    def schedule(self, ctx: EngineContext) -> None:
+    def run(self, ctx: EngineContext) -> None:
+        self.deploy(ctx)
         for index, voter in enumerate(ctx.voters):
             ctx.network.schedule(
                 index * ctx.spec.stagger, voter.start_voting, description="voter-start"
             )
         if ctx.chaos is not None:
             ctx.chaos.install()
+        ctx.network.run(until=ctx.params.election_end)
 
-    def execute(self, ctx: EngineContext) -> None:
-        ctx.network.run(until=self.horizon(ctx))
-
-    def finalize(self, ctx: EngineContext) -> None:
         accepted = [voter for voter in ctx.voters if voter.receipt is not None]
         accepted.sort(key=lambda v: (v.completed_at if v.completed_at is not None else 0.0))
         for voter in accepted:
@@ -288,9 +245,8 @@ class ConsensusDriver(PhaseDriver):
     """Phase 3: VC nodes freeze the vote set and run Vote Set Consensus."""
 
     name = "consensus"
-    consumes_sim_time = True
 
-    def schedule(self, ctx: EngineContext) -> None:
+    def run(self, ctx: EngineContext) -> None:
         end_time = ctx.params.election_end
         for node in ctx.vote_collectors:
             # Owned by the node: a VC that is crashed at election end misses
@@ -298,11 +254,8 @@ class ConsensusDriver(PhaseDriver):
             ctx.network.schedule_at(
                 end_time, node.end_election, description="election-end", owner=node.node_id
             )
-
-    def execute(self, ctx: EngineContext) -> None:
         ctx.network.run_until_idle()
 
-    def finalize(self, ctx: EngineContext) -> None:
         vote_sets = [
             node.final_vote_set
             for node in ctx.vote_collectors
@@ -321,7 +274,7 @@ class TallyDriver(PhaseDriver):
 
     name = "tally"
 
-    def execute(self, ctx: EngineContext) -> None:
+    def run(self, ctx: EngineContext) -> None:
         reader = MajorityReader(ctx.bb_nodes, ctx.params)
         try:
             view = reader.election_view()
@@ -336,60 +289,8 @@ class TallyDriver(PhaseDriver):
             ctx.tally = reader.tally()
         except ValueError:
             ctx.tally = None
-
-    def finalize(self, ctx: EngineContext) -> None:
-        if ctx.tally is not None:
-            ctx.bus.emit(TallyComputed(tally=ctx.tally.as_dict()))
-
-
-class MergeDriver(PhaseDriver):
-    """Phase 4b: verify the cross-shard commit published on the BB.
-
-    Runs only for sharded elections (``num_shards > 1``).  The driver
-    majority-reads the two-phase shard-commit report (PREPARE records plus
-    the global COMMIT) from the BB replicas and re-verifies it independently:
-    range coverage, cast-count consistency, record digests, and that the
-    recombined per-shard products equal the published global commitment.
-    The phase is always present in the default driver sequence — gated by
-    ``should_run`` — so sharded and unsharded members can share one
-    multi-election scheduler.
-    """
-
-    name = "merge"
-
-    def should_run(self, ctx: EngineContext) -> bool:
-        return ctx.params.num_shards > 1 and ctx.tally is not None
-
-    def execute(self, ctx: EngineContext) -> None:
-        from repro.shard.merge import ShardCommitReport, verify_shard_records
-
-        reader = MajorityReader(ctx.bb_nodes, ctx.params)
-        report = reader.read(lambda bb: bb.shard_commits)
-        if report is None or report.global_record is None:
-            ctx.shard_commits = ShardCommitReport(
-                records=(), global_record=None,
-                problems=("no shard-commit record reached a BB majority",),
-            )
             return
-        scheme = ctx.bb_nodes[0].scheme
-        problems = verify_shard_records(scheme, report.records, report.global_record)
-        ctx.shard_commits = ShardCommitReport(
-            records=report.records,
-            global_record=report.global_record,
-            problems=tuple(problems),
-        )
-
-    def finalize(self, ctx: EngineContext) -> None:
-        if ctx.shard_commits is not None:
-            ctx.bus.emit(
-                ShardMergeCompleted(
-                    num_shards=len(ctx.shard_commits.records),
-                    total_cast=sum(
-                        r.ballots_cast for r in ctx.shard_commits.records
-                    ),
-                    verified=ctx.shard_commits.ok,
-                )
-            )
+        ctx.bus.emit(TallyComputed(tally=ctx.tally.as_dict()))
 
 
 class AuditDriver(PhaseDriver):
@@ -400,7 +301,7 @@ class AuditDriver(PhaseDriver):
     def should_run(self, ctx: EngineContext) -> bool:
         return ctx.spec.audit.enabled and ctx.tally is not None
 
-    def execute(self, ctx: EngineContext) -> None:
+    def run(self, ctx: EngineContext) -> None:
         audit = ctx.spec.audit
         auditor = Auditor(
             ctx.bb_nodes,
@@ -414,31 +315,56 @@ class AuditDriver(PhaseDriver):
         # the 2^-bits soundness bound dies.
         parallel = ctx.parallel or ParallelConfig(workers=audit.workers)
         ctx.audit_report = auditor.verify_all(delegations, parallel=parallel)
-
-    def finalize(self, ctx: EngineContext) -> None:
-        if ctx.audit_report is not None:
-            ctx.bus.emit(
-                AuditCompleted(
-                    passed=ctx.audit_report.passed,
-                    checks=len(ctx.audit_report.checks),
-                )
+        ctx.bus.emit(
+            AuditCompleted(
+                passed=ctx.audit_report.passed,
+                checks=len(ctx.audit_report.checks),
             )
+        )
 
 
 def default_drivers() -> List[PhaseDriver]:
-    """The phase sequence: setup, voting, consensus, tally, merge, audit.
-
-    ``merge`` self-gates to sharded runs (``ShardingProfile.num_shards > 1``)
-    via ``should_run``, so the sequence is identical for every scenario.
-    """
+    """The phase sequence: setup, voting, consensus, tally, audit."""
     return [
         SetupDriver(),
         VotingDriver(),
         ConsensusDriver(),
         TallyDriver(),
-        MergeDriver(),
         AuditDriver(),
     ]
+
+
+def check_choices(
+    spec: ScenarioSpec,
+    choices: Sequence[str],
+    voter_parts: Optional[Sequence[str]] = None,
+) -> None:
+    """Refuse choices and part coins no run could cast, before any set-up.
+
+    ``choices`` must hold exactly one of ``spec.options`` per voter and
+    ``voter_parts`` (when given) exactly one of :data:`PARTS` per voter.  The
+    ``ValueError`` names the first voter index at fault.
+    """
+    voters = spec.num_voters
+    if len(choices) != voters:
+        raise ValueError(
+            f"election {spec.election_id!r} needs exactly {voters} choices (one choice "
+            f"per voter), got {len(choices)}: voter {min(len(choices), voters)} is unmatched"
+        )
+    for index, choice in enumerate(choices):
+        if choice not in spec.options:
+            raise ValueError(f"voter {index}: {choice!r} is not one of {spec.options}")
+    if voter_parts is None:
+        return
+    if len(voter_parts) != voters:
+        raise ValueError(
+            f"election {spec.election_id!r} needs exactly {voters} voter_parts (one part "
+            f"per voter), got {len(voter_parts)}: voter {min(len(voter_parts), voters)} "
+            "is unmatched"
+        )
+    for index, part in enumerate(voter_parts):
+        if part not in PARTS:
+            raise ValueError(f"voter {index}: ballot part {part!r} is not one of {PARTS}")
 
 
 class ElectionEngine:
@@ -500,8 +426,11 @@ class ElectionEngine:
         choices: Optional[Sequence[str]] = None,
         voter_parts: Optional[Sequence[str]] = None,
     ) -> EngineContext:
-        """Create a fresh run context: closes the previous run (its frozen heap
-        and transport would otherwise be stranded) and resets its events."""
+        """Create a fresh run context: refuses ``choices`` / ``voter_parts``
+        that :func:`check_choices` rejects, closes the previous run (its frozen
+        heap and transport would otherwise be stranded) and resets its events."""
+        if choices is not None:
+            check_choices(self.spec, choices, voter_parts)
         self.close()
         self.bus.reset()
         spec = self.spec
@@ -601,7 +530,6 @@ class ElectionEngine:
             voters=ctx.voters,
             tally=ctx.tally,
             audit_report=ctx.audit_report,
-            shard_commits=ctx.shard_commits,
             events=list(self.bus.history),
             phase_timings=dict(ctx.phase_timings),
             chaos_report=ctx.chaos.report() if ctx.chaos is not None else None,

@@ -72,15 +72,6 @@ class TallyComputed(ElectionEvent):
 
 
 @dataclass(frozen=True)
-class ShardMergeCompleted(ElectionEvent):
-    """The cross-shard commit was majority-read and re-verified."""
-
-    num_shards: int
-    total_cast: int
-    verified: bool
-
-
-@dataclass(frozen=True)
 class AuditCompleted(ElectionEvent):
     """The end-to-end audit finished."""
 

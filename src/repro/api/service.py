@@ -1,23 +1,21 @@
-"""Multi-election service: N independent elections on one shared scheduler.
+"""Multi-election service: N independent elections behind one facade.
 
-The paper's system is a long-lived service that runs many elections
-concurrently over the same replicated infrastructure.
-:class:`MultiElectionService` reproduces that deployment shape on the
-simulator: every registered :class:`~repro.api.spec.ScenarioSpec` gets its
-own engine, network and RNG stream (full per-election isolation), while the
-service multiplexes the *simulated* phases of all member elections over one
-shared scheduler -- stepping whichever election's network has the earliest
-pending event -- and hands every audit the same shared process-pool
-configuration, so the end-of-election verification of all elections draws on
-one worker budget.
+The paper's system is a long-lived service that runs many elections over the
+same replicated infrastructure.  :class:`MultiElectionService` reproduces
+that deployment shape on the simulator: every registered
+:class:`~repro.api.spec.ScenarioSpec` gets its own engine, network and RNG
+stream, :meth:`MultiElectionService.run_all` runs each member through its
+engine's one phase sequence (:meth:`ElectionEngine.run`), member after member
+in registration order, and every audit draws on the same shared process-pool
+configuration.
 
 Isolation guarantee (tested): an election's outcome, event stream and
-per-phase simulated timings are identical whether it runs alone or
-multiplexed with any number of other elections.
+per-phase simulated timings are identical whether it runs alone or as a
+member of a service with any number of other elections.
 
-The engine and its events are imported by :meth:`MultiElectionService.add`
-and :meth:`MultiElectionService.run_all`, which use them: a service that only
-runs the sharded pipeline never loads the protocol nodes.
+The engine is imported by :meth:`MultiElectionService.add`, which builds
+one: a service that only runs the sharded pipeline never loads the protocol
+nodes.
 """
 
 from __future__ import annotations
@@ -29,11 +27,10 @@ from repro.perf.parallel import ParallelConfig
 from repro.shard.driver import ShardedElectionDriver, ShardedElectionOutcome
 
 if TYPE_CHECKING:
-    from repro.api.engine import ElectionEngine, EngineContext, PhaseDriver
+    from repro.api.engine import ElectionEngine
     from repro.api.events import ElectionEvent, Observer
     from repro.api.spec import ScenarioSpec
     from repro.core.outcome import ElectionOutcome
-    from repro.net.simulator import Network
 
 
 @dataclass
@@ -85,7 +82,6 @@ class _Member:
     engine: ElectionEngine
     choices: Sequence[str]
     voter_parts: Optional[Sequence[str]]
-    ctx: Optional[EngineContext] = None
 
 
 class MultiElectionService:
@@ -102,7 +98,7 @@ class MultiElectionService:
         self.parallel = parallel or ParallelConfig(workers=audit_workers)
         self._members: Dict[str, _Member] = {}
         self._observers = list(observers)
-        #: merged event log across all elections, in global emission order
+        #: every member's events, member after member in registration order
         #: (events carry their ``election_id`` for demultiplexing).
         self.event_log: List[ElectionEvent] = []
         self.reports: Dict[str, ElectionReport] = {}
@@ -119,18 +115,14 @@ class MultiElectionService:
         voter_parts: Optional[Sequence[str]] = None,
     ) -> str:
         """Register one election; returns its (unique) service-level name."""
-        from repro.api.engine import ElectionEngine
+        from repro.api.engine import ElectionEngine, check_choices
 
         name = name or spec.election_id
         if name in self._members:
             raise ValueError(f"an election named {name!r} is already registered")
-        if len(choices) != spec.num_voters:
-            raise ValueError(
-                f"election {name!r} needs exactly {spec.num_voters} choices, "
-                f"got {len(choices)}"
-            )
         if spec.election_id != name:
             spec = spec.derive(election_id=name)
+        check_choices(spec, choices, voter_parts)
         engine = ElectionEngine(
             spec,
             parallel=self.parallel,
@@ -150,69 +142,18 @@ class MultiElectionService:
     # -- execution ---------------------------------------------------------------
 
     def run_all(self) -> Dict[str, ElectionReport]:
-        """Run every registered election to completion, multiplexed by phase.
+        """Run every registered election to completion, one after the other.
 
-        Non-simulated phases (setup, tally, audit) run round-robin; the
-        simulated phases (voting, consensus) of all elections are interleaved
-        on one shared scheduler that always steps the network holding the
-        globally earliest pending event.
+        Each member runs through :meth:`ElectionEngine.run` in registration
+        order, so a member's run is exactly its run alone.  A member whose run
+        raises stops the loop; the reports of the members before it stay in
+        :attr:`reports`, and its own engine has already closed.
         """
-        from repro.api.events import ElectionCompleted, PhaseCompleted, PhaseStarted
-
-        members = list(self._members.values())
-        if not members:
-            return {}
-        for member in members:
-            member.ctx = member.engine.begin(member.choices, voter_parts=member.voter_parts)
-
-        phase_names = [driver.name for driver in members[0].engine.drivers]
-        for member in members[1:]:
-            if [driver.name for driver in member.engine.drivers] != phase_names:
-                raise ValueError("all member elections must share one phase sequence")
-
-        try:
-            for index, phase in enumerate(phase_names):
-                live: List[Tuple[_Member, PhaseDriver, float]] = []
-                for member in members:
-                    driver = member.engine.drivers[index]
-                    if not driver.should_run(member.ctx):
-                        continue
-                    member.engine.bus.emit(PhaseStarted(phase=phase))
-                    started = member.ctx.sim_now
-                    driver.prepare(member.ctx)
-                    driver.schedule(member.ctx)
-                    live.append((member, driver, started))
-
-                simulated = [
-                    (member.ctx.network, driver.horizon(member.ctx))
-                    for member, driver, _ in live
-                    if driver.consumes_sim_time and member.ctx.network is not None
-                ]
-                if simulated:
-                    self._run_shared(simulated)
-                for member, driver, _ in live:
-                    if not driver.consumes_sim_time:
-                        driver.execute(member.ctx)
-
-                for member, driver, started in live:
-                    driver.finalize(member.ctx)
-                    duration = member.ctx.sim_now - started
-                    member.ctx.phase_timings[phase] = duration
-                    member.engine.bus.emit(PhaseCompleted(phase=phase, sim_duration=duration))
-        finally:
-            # Also after a failed phase: sockets and the frozen set-up heap are
-            # scoped to the run.
-            for member in members:
-                member.engine.close()
-
         self.reports = {}
-        for member in members:
-            receipts = sum(1 for voter in member.ctx.voters if voter.receipt is not None)
-            member.engine.bus.emit(ElectionCompleted(receipts=receipts))
+        for member in self._members.values():
+            outcome = member.engine.run(member.choices, voter_parts=member.voter_parts)
             self.reports[member.name] = ElectionReport(
-                name=member.name,
-                spec=member.engine.spec,
-                outcome=member.engine.outcome(),
+                name=member.name, spec=member.engine.spec, outcome=outcome
             )
         return self.reports
 
@@ -247,29 +188,3 @@ class MultiElectionService:
         report = ShardedElectionReport(name=name, spec=spec, outcome=outcome)
         self.sharded_reports[name] = report
         return report
-
-    # -- shared scheduler --------------------------------------------------------
-
-    @staticmethod
-    def _run_shared(networks: List[Tuple[Network, Optional[float]]]) -> None:
-        """Step the member networks in merged global-time order.
-
-        The member simulations are independent, so this interleaving produces
-        exactly the same per-election executions as running them one by one
-        -- which is the isolation property the service promises -- while
-        behaving like the single shared event loop of a real multi-election
-        deployment.
-        """
-        while True:
-            best = None
-            for network, until in networks:
-                when = network.next_event_time()
-                if when is None:
-                    continue
-                if until is not None and when > until:
-                    continue
-                if best is None or when < best[0]:
-                    best = (when, network)
-            if best is None:
-                return
-            best[1].step()

@@ -18,10 +18,10 @@ its orthogonal concerns are configured:
   loopback sockets);
 * :class:`FaultPlan`       -- timed crash / recover / partition / loss-burst /
   clock-skew events;
-* :class:`ShardingProfile` -- ballot-range sharding of the pipeline: how many
-  contiguous serial-range shards the electorate splits into, and how each
-  shard's election slice is sized in the scale pipeline
-  (:class:`repro.shard.driver.ShardedElectionDriver`).
+* :class:`ShardingProfile` -- the scale pipeline
+  (:class:`repro.shard.driver.ShardedElectionDriver`): how many contiguous
+  serial-range shards the electorate splits into, and how each shard's
+  election slice is sized and where it runs.
 
 **A field is declared once.**  The first three blocks are the ones protocol
 nodes read, so they are defined in :mod:`repro.core.election` (and re-exported
@@ -37,9 +37,11 @@ key, a scalar of another type than the declared one (``"false"`` is no bool),
 or a string where a sequence is declared.
 
 Specs ship with named presets (``paper_baseline``, ``batched_fast``,
-``byzantine_stress``, ``national_scale``).  Two pipelines run them:
-:class:`repro.api.engine.ElectionEngine` (full cryptographic runs on the
-simulator) and ``MultiElectionService.run_sharded`` (the scale pipeline).
+``byzantine_stress``, ``national_scale``).  Two pipelines run them, each
+reading its own blocks: :class:`repro.api.engine.ElectionEngine` (full
+cryptographic runs on the simulator; it never reads ``sharding``) and
+``MultiElectionService.run_sharded`` (the scale pipeline, steered by
+``sharding``).
 
 **This module is configuration only.**  It imports no node, transport or
 simulator code at module level: each method that builds one of those
@@ -501,14 +503,14 @@ class CryptoProfile(DictCodec):
 
 @dataclass(frozen=True)
 class ShardingProfile(DictCodec):
-    """Ballot-range sharding of the election pipeline.
+    """Ballot-range sharding of the scale pipeline.
 
+    Only ``MultiElectionService.run_sharded`` reads this block; the
+    full-crypto engine runs every election as one ballot range.
     ``num_shards`` splits the ballot-serial space into that many contiguous
-    ranges (a :class:`repro.shard.partition.ShardPlan`).  With ``num_shards == 1`` the
-    pipeline is the classic unsharded run.  Sharding never changes the
-    outcome: superblock partitions simply stop crossing shard boundaries and
-    the tally commitment is combined shard-product by shard-product, both of
-    which are exact regroupings of the same group products.
+    ranges (:meth:`repro.shard.partition.ShardPlan.split`).  The shard
+    products are regroupings of the one tally product, so the shard count
+    never changes the tally.
 
     The ``scale_*`` knobs size each shard's election slice in the scale
     pipeline (``MultiElectionService.run_sharded``): collectors per shard,
@@ -543,16 +545,6 @@ class ShardingProfile(DictCodec):
             raise ValueError("workers must be at least 1")
         if self.max_inflight_shards is not None and self.max_inflight_shards < 1:
             raise ValueError("max_inflight_shards must be at least 1 (or None)")
-
-    @property
-    def enabled(self) -> bool:
-        return self.num_shards > 1
-
-    def plan(self, num_serials: int):
-        """The shard plan over serials ``[0, num_serials)``."""
-        from repro.shard.partition import ShardPlan
-
-        return ShardPlan.split(0, num_serials, self.num_shards)
 
 
 @dataclass(frozen=True)
@@ -708,7 +700,6 @@ class ScenarioSpec(DictCodec):
             consensus=self.consensus,
             admission=self.admission,
             audit=self.audit,
-            num_shards=self.sharding.num_shards,
         )
 
     def derive(self, **changes: Any) -> "ScenarioSpec":
@@ -786,11 +777,8 @@ def national_scale() -> ScenarioSpec:
 
     The registered electorate matches the 2012 US voting population: it is
     the ballot count ``MultiElectionService.run_sharded`` derives by default,
-    while the full-crypto engine runs a scaled-down rehearsal
-    (``num_voters``).  The pipeline runs sharded — four
-    ballot-range shards — which changes memory behaviour only: the rehearsal
-    outcome hash is identical to the unsharded run (the determinism harness
-    checks exactly that).
+    split into four ballot-range shards, while the full-crypto engine runs a
+    scaled-down rehearsal (``num_voters``) that reads no sharding field.
     """
     return ScenarioSpec(
         options=("yes", "no"),

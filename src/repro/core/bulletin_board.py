@@ -24,10 +24,9 @@ Firefox extension.
 
 from __future__ import annotations
 
-import hashlib
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.ballot import PARTS
 from repro.core.ea import BbInitData
@@ -55,9 +54,6 @@ from repro.crypto.zkp import (
 )
 from repro.net.channels import ChannelKind, Message
 from repro.net.simulator import SimNode
-
-if TYPE_CHECKING:  # imported lazily at runtime: repro.shard sits above core
-    from repro.shard.merge import ShardCommitReport
 
 
 @dataclass
@@ -103,8 +99,6 @@ class BulletinBoardNode(SimNode):
         self.decrypted_vote_codes: Dict[int, Dict[str, Tuple[bytes, ...]]] = {}
         self.trustee_submissions: Dict[str, TrusteeSubmission] = {}
         self.result: Optional[PublishedResult] = None
-        #: two-phase shard-commit records (populated when ``num_shards > 1``)
-        self.shard_commits: Optional["ShardCommitReport"] = None
 
     # ------------------------------------------------------------------ network writes (VC -> BB)
 
@@ -326,14 +320,7 @@ class BulletinBoardNode(SimNode):
         if tally_commitments:
             (tally_row,) = secrets([s.tally_share for s in submissions], 4 * m)
             tally_opening = opening(tally_row)
-            if self.params.num_shards > 1:
-                # Shard-by-shard combination plus the two-phase commit record.
-                # The ciphertext product is associative, so the combined
-                # element (and hence the tally) is bit-identical to the flat
-                # product the unsharded path computes.
-                combined = self._combine_sharded(cast_locations)
-            else:
-                combined = self.scheme.combine(tally_commitments)
+            combined = self.scheme.combine(tally_commitments)
             tally = open_tally(self.scheme, combined, tally_opening, self.params.options)
 
         self.result = PublishedResult(
@@ -343,60 +330,6 @@ class BulletinBoardNode(SimNode):
             proof_responses=proof_responses,
             tally_opening=tally_opening,
         )
-
-    def _combine_sharded(self, cast_locations: Mapping[int, Tuple[str, int]]):
-        """Combine the tally per ballot-range shard and publish commit records.
-
-        PREPARE: each shard's cast commitments are folded into one per-shard
-        product and wrapped in a :class:`ShardCommitRecord` (serial range,
-        ballot counts, vote-set digest).  COMMIT: the cross-shard layer checks
-        that the ranges tile the serial space and issues the global record
-        binding every shard by its canonical wire digest.  Returns the
-        combined global commitment.
-        """
-        # Imported here, not at module load: repro.shard depends on core
-        # (tally, consensus), so the BB reaches up to it only when sharding
-        # is actually enabled.
-        from repro.shard.merge import CrossShardCommit, ShardCommitReport
-        from repro.shard.partition import ShardPlan
-        from repro.shard.records import ShardCommitRecord
-
-        ordered_serials = sorted(self.init.ballots)
-        plan = ShardPlan.from_serials(ordered_serials, self.params.num_shards)
-        registered = plan.route(ordered_serials)
-        accepted_codes = dict(self.accepted_vote_set or ())
-        cast_routed = plan.route(sorted(cast_locations))
-        commit = CrossShardCommit(self.scheme)
-        for shard in plan.ranges:
-            commitments = []
-            vote_set_hash = hashlib.sha256(b"bb-shard-vote-set")
-            for serial in cast_routed[shard.shard_id]:
-                part, row_index = cast_locations[serial]
-                commitments.append(self.init.ballots[serial].rows[part][row_index].commitment)
-                vote_set_hash.update(int_to_bytes(serial))
-                vote_set_hash.update(accepted_codes[serial])
-            commit.prepare(
-                ShardCommitRecord(
-                    shard_id=shard.shard_id,
-                    serial_lo=shard.lo,
-                    serial_hi=shard.hi,
-                    ballots_registered=len(registered[shard.shard_id]),
-                    ballots_cast=len(cast_routed[shard.shard_id]),
-                    commitment=self.scheme.combine(commitments),
-                    vote_set_digest=vote_set_hash.digest(),
-                    # The logical shard identity, not this replica's node id:
-                    # every BB derives the same records from the agreed vote
-                    # set, so they must be byte-identical across replicas for
-                    # the merge phase's majority read to converge.
-                    sender=f"shard-{shard.shard_id}",
-                )
-            )
-        global_record = commit.commit(self.params.election_id)
-        self.shard_commits = ShardCommitReport(
-            records=tuple(commit.records_in_order()),
-            global_record=global_record,
-        )
-        return global_record.combined
 
     # ------------------------------------------------------------------ public reads
 

@@ -11,7 +11,7 @@ whose sizes and fault thresholds must satisfy:
 
 :class:`ElectionParameters` is that definition plus the three blocks a node
 consults while it runs -- :class:`ConsensusConfig`, :class:`AdmissionProfile`,
-:class:`AuditConfig` -- and the shard count, plus the canonical node names
+:class:`AuditConfig` -- plus the canonical node names
 (:func:`vc_node_id`, :func:`bb_node_id`, :func:`trustee_id`,
 :func:`voter_id`).  The blocks are declared here,
 once: :class:`repro.api.spec.ScenarioSpec` holds the same classes and
@@ -288,11 +288,6 @@ class ElectionParameters:
     consensus: ConsensusConfig = field(default_factory=ConsensusConfig)
     admission: AdmissionProfile = field(default_factory=AdmissionProfile)
     audit: AuditConfig = field(default_factory=AuditConfig)
-    #: Ballot-range shards: 1 is the classic unsharded pipeline; S > 1 keeps
-    #: superblock partitions inside contiguous serial-range shards and makes
-    #: the BB combine the tally shard-product by shard-product, publishing a
-    #: two-phase shard-commit record (the outcome is unchanged either way).
-    num_shards: int = 1
 
     def __post_init__(self) -> None:
         if len(self.options) < 2:
@@ -305,8 +300,6 @@ class ElectionParameters:
             raise ValueError("voting hours must be finite timestamps")
         if self.election_end <= self.election_start:
             raise ValueError("election must end after it starts")
-        if self.num_shards < 1:
-            raise ValueError("num_shards must be at least 1")
         self.thresholds.validate()
         # O(1) label lookups for the hot option_index path (frozen dataclass,
         # so the cache is installed via object.__setattr__).

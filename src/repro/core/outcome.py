@@ -40,10 +40,6 @@ class ElectionOutcome:
     #: what the chaos controller did during the run (crashes, recoveries,
     #: partitions, catch-ups); ``None`` for runs without a fault plan.
     chaos_report: Optional[Dict] = None
-    #: majority-read, independently re-verified two-phase shard-commit report
-    #: (a :class:`repro.shard.merge.ShardCommitReport`); ``None`` for
-    #: unsharded runs.
-    shard_commits: Optional[object] = None
 
     @property
     def receipts_obtained(self) -> int:

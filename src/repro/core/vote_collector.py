@@ -179,18 +179,7 @@ class VoteCollectorNode(SimNode):
         self._vsc_blocks: List[Tuple[int, ...]] = []
         batch_size = params.consensus.batch_size
         if batch_size > 1:
-            # With sharding, blocks never cross shard boundaries: each shard's
-            # Vote Set Consensus instances stay independent, which is what
-            # lets the BB combine the tally shard by shard.  The sharded
-            # partition of an identical ballot set is itself identical, so no
-            # coordination is needed here either.
-            if params.num_shards > 1:
-                # Imported lazily: repro.shard depends on core modules.
-                from repro.shard.partition import sharded_partition
-
-                self._vsc_blocks = sharded_partition(init.ballots, params.num_shards, batch_size)
-            else:
-                self._vsc_blocks = partition_serials(init.ballots, batch_size)
+            self._vsc_blocks = partition_serials(init.ballots, batch_size)
         # The per-signer verification tables are built once here: every peer
         # key verifies one signature per ballot, so the tables always amortize
         # and the hot path never pays the lazy-promotion probes.

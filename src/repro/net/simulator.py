@@ -320,16 +320,6 @@ class Network:
         """Number of events still queued."""
         return len(self._queue)
 
-    def next_event_time(self) -> Optional[float]:
-        """Timestamp of the earliest queued event, or ``None`` when idle.
-
-        Used by schedulers that multiplex several independent networks (the
-        multi-election service) to step them in merged global-time order.
-        """
-        if not self._queue:
-            return None
-        return self._queue[0].time
-
     # -- observability -------------------------------------------------------------
 
     def bandwidth_summary(self) -> Dict[str, Any]:

@@ -202,8 +202,8 @@ def verify_shard_records(
 ) -> List[str]:
     """Independently re-check a published commit; returns problems found.
 
-    Used by the merge phase of the engine (and by auditors): recombines the
-    per-shard commitments, recomputes every record digest, and compares both
+    Used by the scale driver after every commit (and by auditors): recombines
+    the per-shard commitments, recomputes every record digest, and compares both
     against the global record.  An empty list means the commit is sound.
     """
     codec = codec or default_codec()

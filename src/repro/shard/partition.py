@@ -1,25 +1,16 @@
 """Ballot-serial-range shard plans.
 
 A ``ShardPlan`` splits the ballot-serial space into contiguous, non-overlapping
-half-open ranges ``[lo, hi)`` that jointly cover the whole space.  Every node
-that knows the registered serial set derives the *same* plan deterministically,
-so shard assignment needs no coordination: routing a serial is a binary search
-over range boundaries.
-
-Two constructors cover the two ways shards are born:
-
-- :meth:`ShardPlan.split` divides an abstract serial interval into (nearly)
-  equal spans — used by the scale pipeline where serials are dense.
-- :meth:`ShardPlan.from_serials` divides a concrete sorted serial set into
-  (nearly) equal *ballot counts* — used by the full-fidelity engine path where
-  registered serials may be sparse.
+half-open ranges ``[lo, hi)`` that jointly cover the whole space.  The scale
+pipeline's serials are dense, so :meth:`ShardPlan.split` divides the serial
+interval into (nearly) equal spans; every process that knows the interval and
+the shard count derives the *same* plan, with no coordination.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import List, Tuple
 
 
 @dataclass(frozen=True)
@@ -69,8 +60,6 @@ class ShardPlan:
                     f"shards {left.shard_id} and {right.shard_id} do not tile: "
                     f"[{left.lo}, {left.hi}) then [{right.lo}, {right.hi})"
                 )
-        # Cache the range starts for bisect-based routing.
-        object.__setattr__(self, "_starts", tuple(r.lo for r in self.ranges))
 
     # -- shape -----------------------------------------------------------------
 
@@ -109,67 +98,3 @@ class ShardPlan:
             ranges.append(ShardRange(shard_id, cursor, cursor + width))
             cursor += width
         return cls(tuple(ranges))
-
-    @classmethod
-    def from_serials(cls, serials: Sequence[int], num_shards: int) -> "ShardPlan":
-        """Split a sorted serial set into (nearly) equal ballot counts.
-
-        Range boundaries are taken from the serial values themselves, so every
-        node holding the same registered set derives the identical plan.
-        """
-        if not serials:
-            raise ValueError("cannot build a shard plan over zero serials")
-        if num_shards < 1:
-            raise ValueError("num_shards must be at least 1")
-        ordered = sorted(serials)
-        if ordered[0] < 0:
-            raise ValueError("ballot serials must be non-negative")
-        count = min(num_shards, len(ordered))
-        base, extra = divmod(len(ordered), count)
-        ranges: List[ShardRange] = []
-        start_index = 0
-        for shard_id in range(count):
-            size = base + (1 if shard_id < extra else 0)
-            lo = ordered[start_index] if shard_id > 0 else ordered[0]
-            next_index = start_index + size
-            hi = ordered[next_index] if next_index < len(ordered) else ordered[-1] + 1
-            ranges.append(ShardRange(shard_id, lo, hi))
-            start_index = next_index
-        return cls(tuple(ranges))
-
-    # -- routing ---------------------------------------------------------------
-
-    def shard_of(self, serial: int) -> int:
-        """Return the shard id owning ``serial`` (raises outside the plan)."""
-        if not self.lo <= serial < self.hi:
-            raise KeyError(f"serial {serial} outside shard plan [{self.lo}, {self.hi})")
-        return bisect.bisect_right(self._starts, serial) - 1
-
-    def route(self, serials: Iterable[int]) -> Dict[int, List[int]]:
-        """Group serials by owning shard, preserving input order per shard."""
-        routed: Dict[int, List[int]] = {r.shard_id: [] for r in self.ranges}
-        for serial in serials:
-            routed[self.shard_of(serial)].append(serial)
-        return routed
-
-
-def sharded_partition(
-    serials: Sequence[int], num_shards: int, batch_size: int
-) -> List[Tuple[int, ...]]:
-    """Partition serials into superblocks that never cross shard boundaries.
-
-    The result has the same shape as ``consensus.batching.partition_serials``
-    (sorted serials, consecutive chunks of at most ``batch_size``) except that
-    each block is wholly contained in one shard of the plan derived from the
-    serial set, so per-shard Vote Set Consensus instances stay independent.
-    """
-    if batch_size < 1:
-        raise ValueError("batch_size must be at least 1")
-    plan = ShardPlan.from_serials(serials, num_shards)
-    routed = plan.route(sorted(serials))
-    blocks: List[Tuple[int, ...]] = []
-    for shard in plan.ranges:
-        members = routed[shard.shard_id]
-        for start in range(0, len(members), batch_size):
-            blocks.append(tuple(members[start : start + batch_size]))
-    return blocks

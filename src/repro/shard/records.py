@@ -1,4 +1,4 @@
-"""Shard-commit records published on the bulletin board.
+"""Shard-commit records of the scale pipeline's cross-shard merge.
 
 The cross-shard merge is a two-phase commit: every shard first publishes a
 ``ShardCommitRecord`` (PREPARE) carrying its serial range, ballot counts, the

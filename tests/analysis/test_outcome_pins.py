@@ -8,7 +8,9 @@ protocol-observable value.  Pinned here, from runs of the parent commit:
   benchmark at seed 1 (receipts, every node's vote set, BB agreement, tally,
   audit verdict);
 * on each crypto backend, the vote set a small wire election agrees on, in
-  per-ballot and in superblock mode.
+  per-ballot and in superblock mode;
+* on each crypto backend, the outcome hash of the ``national_scale`` preset
+  at seed 5, in per-ballot and in superblock mode.
 """
 
 import hashlib
@@ -24,6 +26,7 @@ from repro.api import (
     CryptoProfile,
     ElectionEngine,
     ScenarioSpec,
+    ShardingProfile,
     TransportProfile,
 )
 from repro.core.messages import VoteSetUpload
@@ -50,6 +53,15 @@ BACKEND_PINS = {
 }
 # Same group, same arithmetic, whether or not gmpy2 is installed.
 BACKEND_PINS["schnorr-gmpy2"] = BACKEND_PINS["schnorr"]
+
+#: backend -> outcome hash of ``national_scale`` at seed 5, captured from a
+#: parent whose BB formed the tally product shard by shard (four ballot-range
+#: shards) and whose superblocks never crossed a shard boundary.
+NATIONAL_SCALE_HASHES = {
+    "schnorr": "1376f7ad3747c2c74e131b4446d859d60ba275c768b54d23c4a045ff38077384",
+    "secp256k1": "c38f5565f5421ddec05ef9f7f6be4b8c556742f9a799e925b7eef02b2e2dd3d5",
+}
+NATIONAL_SCALE_HASHES["schnorr-gmpy2"] = NATIONAL_SCALE_HASHES["schnorr"]
 
 CHOICES = ["option-1", "option-2", "option-1", "option-2", "option-2", "option-1"]
 
@@ -93,3 +105,28 @@ def test_final_vote_sets_are_the_parents_on_every_backend(backend, batch_size):
     assert len(vote_set) == len(CHOICES)
     digest = hashlib.sha256(default_codec().encode(VoteSetUpload(vote_set, "pin"))).hexdigest()
     assert (digest, outcome_hash(outcome)) == BACKEND_PINS[backend]
+
+
+@pytest.mark.parametrize("batch_size", [1, 4], ids=["per-ballot", "superblock"])
+@pytest.mark.parametrize("backend", sorted(NATIONAL_SCALE_HASHES))
+def test_national_scale_outcome_hash_is_the_parents(backend, batch_size):
+    spec = ScenarioSpec.preset("national_scale", seed=5).derive(
+        crypto=CryptoProfile(backend=backend),
+        consensus=ConsensusConfig(batch_size=batch_size),
+    )
+    outcome = ElectionEngine(spec).run(default_choices(spec))
+    assert outcome.receipts_obtained == spec.num_voters
+    assert outcome.audit_report.passed
+    assert outcome_hash(outcome) == NATIONAL_SCALE_HASHES[backend]
+
+
+@pytest.mark.parametrize("backend", sorted(NATIONAL_SCALE_HASHES))
+def test_national_scale_unsharded_has_the_sharded_parents_hash(backend):
+    """The sharding profile steers only the scale pipeline: the engine run of
+    ``national_scale`` at one shard is the parent's four-shard outcome."""
+    spec = ScenarioSpec.preset("national_scale", seed=5).derive(
+        crypto=CryptoProfile(backend=backend),
+        sharding=ShardingProfile(num_shards=1),
+    )
+    outcome = ElectionEngine(spec).run(default_choices(spec))
+    assert outcome_hash(outcome) == NATIONAL_SCALE_HASHES[backend]

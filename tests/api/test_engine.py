@@ -21,6 +21,7 @@ from repro.api import (
     TransportProfile,
 )
 from repro.api import engine as engine_module
+from repro.api.engine import VotingDriver, default_drivers
 from repro.api.events import RecordingObserver
 
 CHOICES = ["option-1", "option-3", "option-1", "option-2", "option-1"]
@@ -50,6 +51,25 @@ class TestEngineRun:
         engine = ElectionEngine(ScenarioSpec.preset("paper_baseline"))
         with pytest.raises(ValueError, match="one choice per voter"):
             engine.run(["option-1"])
+
+    @pytest.mark.parametrize(
+        "choices, voter_parts, voter",
+        [
+            (CHOICES, ["A", "B"], 2),
+            (CHOICES, ["A", "B", "C", "A", "B"], 2),
+            (CHOICES[:3] + ["option-9", "option-1"], None, 3),
+            (CHOICES, ["A", "B", "A", "B", "A", "B"], 5),
+        ],
+        ids=["parts-short", "unknown-part", "unknown-option", "parts-long"],
+    )
+    def test_bad_choices_are_refused_before_setup(self, choices, voter_parts, voter):
+        """At b961c62 each of these surfaced only after the EA set-up ran (an
+        IndexError, two KeyErrors) or not at all (extra parts ran silently)."""
+        engine = ElectionEngine(ScenarioSpec.preset("paper_baseline"))
+        with pytest.raises(ValueError, match=f"voter {voter}"):
+            engine.run(choices, voter_parts=voter_parts)
+        assert engine.ctx is None
+        assert gc.get_freeze_count() == 0
 
     def test_audit_can_be_disabled(self):
         spec = ScenarioSpec.preset("paper_baseline").derive(audit=AuditConfig(enabled=False))
@@ -156,9 +176,16 @@ class TestSetupHeapFrozenForTheRun:
         assert gc.get_freeze_count() == 0
 
     def test_nothing_frozen_after_a_run_whose_voting_phase_raises(self):
-        engine = ElectionEngine(ScenarioSpec.preset("paper_baseline"))
-        with pytest.raises(ValueError, match="one choice per voter"):
-            engine.run(["option-1"])
+        class FailingVoting(VotingDriver):
+            def run(self, ctx):
+                self.deploy(ctx)
+                raise RuntimeError("voting failed")
+
+        drivers = default_drivers()
+        drivers[1] = FailingVoting()
+        engine = ElectionEngine(ScenarioSpec.preset("paper_baseline"), drivers=drivers)
+        with pytest.raises(RuntimeError, match="voting failed"):
+            engine.run(CHOICES)
         assert engine.ctx.setup is not None  # set-up ran, so the heap was frozen
         assert gc.get_freeze_count() == 0
 

@@ -1,14 +1,14 @@
-"""MultiElectionService: shared-scheduler multiplexing with full isolation."""
+"""MultiElectionService: member elections run one after the other, in full isolation."""
 
 import gc
 
 import pytest
 
 from repro.api import (
+    ElectionCompleted,
     ElectionEngine,
     MultiElectionService,
     PhaseDriver,
-    PhaseStarted,
     ScenarioSpec,
 )
 
@@ -47,20 +47,12 @@ class TestRunAll:
             merged = [e for e in service.event_log if e.election_id == name]
             assert merged == report.outcome.events
 
-    def test_phases_are_interleaved_not_sequential(self, multiplexed_reports):
-        service, _ = multiplexed_reports
-        phase_starts = [
-            (e.election_id, e.phase)
-            for e in service.event_log
-            if isinstance(e, PhaseStarted)
-        ]
-        # Phase-level multiplexing: both elections enter each phase before
-        # either advances to the next one.
-        assert phase_starts[:4] == [
-            ("city", "setup"), ("stress", "setup"),
-            ("city", "voting"), ("stress", "voting"),
-        ]
-
+    def test_event_log_is_each_members_events_in_registration_order(
+        self, multiplexed_reports
+    ):
+        service, reports = multiplexed_reports
+        city, stress = reports["city"].outcome, reports["stress"].outcome
+        assert service.event_log == city.events + stress.events
 
     def test_nothing_stays_frozen_after_run_all(self, multiplexed_reports):
         assert gc.get_freeze_count() == 0
@@ -69,15 +61,23 @@ class TestRunAll:
         class FailingVoting(PhaseDriver):
             name = "voting"
 
-            def execute(self, ctx):
+            def run(self, ctx):
                 raise RuntimeError("voting failed")
 
         service = MultiElectionService()
         service.add(_spec_a(), CHOICES_A)
-        service.engine("city").drivers[1] = FailingVoting()
+        service.add(_spec_b(), CHOICES_B)
+        service.engine("stress").drivers[1] = FailingVoting()
         with pytest.raises(RuntimeError, match="voting failed"):
             service.run_all()
-        assert service.engine("city").ctx.setup is not None
+        # The member before the failing one ran to completion.
+        city = service.reports["city"]
+        assert city.tally == {"option-1": 3, "option-2": 1, "option-3": 1}
+        assert city.audit_passed
+        assert isinstance(city.outcome.events[-1], ElectionCompleted)
+        assert set(city.phase_timings) == {"setup", "voting", "consensus", "tally", "audit"}
+        assert "stress" not in service.reports
+        assert service.engine("stress").ctx.setup is not None
         assert gc.get_freeze_count() == 0
 
 
@@ -129,6 +129,22 @@ class TestRegistration:
         service = MultiElectionService()
         with pytest.raises(ValueError, match="needs exactly 5 choices"):
             service.add(_spec_a(), ["option-1"])
+
+    @pytest.mark.parametrize(
+        "choices, voter_parts, voter",
+        [
+            (CHOICES_A, ["A", "B"], 2),
+            (CHOICES_A, ["A", "B", "C", "A", "B"], 2),
+            (CHOICES_A[:3] + ["option-9", "option-1"], None, 3),
+            (CHOICES_A, ["A", "B", "A", "B", "A", "B"], 5),
+        ],
+        ids=["parts-short", "unknown-part", "unknown-option", "parts-long"],
+    )
+    def test_bad_choices_refused_at_add_time(self, choices, voter_parts, voter):
+        service = MultiElectionService()
+        with pytest.raises(ValueError, match=f"voter {voter}"):
+            service.add(_spec_a(), choices, voter_parts=voter_parts)
+        assert service.election_names == ()
 
     def test_explicit_name_overrides_election_id(self):
         service = MultiElectionService()

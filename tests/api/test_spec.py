@@ -135,7 +135,7 @@ class TestDerivedViews:
         flat = {f.name for f in dataclasses.fields(params)}
         assert flat == {
             "options", "num_voters", "thresholds", "election_start", "election_end",
-            "election_id", "consensus", "admission", "audit", "num_shards",
+            "election_id", "consensus", "admission", "audit",
         }
 
     def test_adversary_profile_resolves_classes(self):
@@ -212,7 +212,6 @@ class TestPresets:
 
     def test_national_scale_runs_sharded(self):
         spec = ScenarioSpec.preset("national_scale")
-        assert spec.sharding.enabled
         assert spec.sharding.num_shards > 1
 
 
@@ -220,7 +219,6 @@ class TestShardingProfile:
     def test_defaults_are_unsharded(self):
         profile = ShardingProfile()
         assert profile.num_shards == 1
-        assert not profile.enabled
         assert profile.workers == 1
         assert profile.max_inflight_shards is None
 
@@ -253,13 +251,3 @@ class TestShardingProfile:
         profile = ShardingProfile.from_dict({"num_shards": 4})
         assert profile.workers == 1
         assert profile.max_inflight_shards is None
-
-    def test_plan_covers_the_electorate(self):
-        plan = ShardingProfile(num_shards=4).plan(1000)
-        assert plan.num_shards == 4
-        assert (plan.lo, plan.hi) == (0, 1000)
-
-    def test_num_shards_survives_election_parameters(self):
-        spec = ScenarioSpec(sharding=ShardingProfile(num_shards=4))
-        params = spec.to_election_parameters()
-        assert params.num_shards == 4

@@ -81,9 +81,9 @@ class TestAbstentions:
         class LastVoterAbstains(VotingDriver):
             """Remove the last voter's start: simply never schedule it."""
 
-            def schedule(self, ctx):
+            def deploy(self, ctx):
+                super().deploy(ctx)
                 self.abstainer = ctx.voters.pop()
-                super().schedule(ctx)
 
         drivers = default_drivers()
         voting = drivers[1] = LastVoterAbstains()
@@ -114,6 +114,26 @@ class TestPhaseValidation:
         with pytest.raises(ValueError):
             run_spec(small_spec(num_voters=2, num_options=2, seed=1), ["option-1"])
 
+    def test_deploy_registers_the_deployment_without_advancing_time(self):
+        spec = small_spec(
+            num_voters=2, num_options=2, seed=1, crypto=CryptoProfile(include_proofs=False)
+        )
+        engine = ElectionEngine(spec)
+        ctx = engine.begin(["option-1", "option-2"])
+        try:
+            engine.driver("setup").run(ctx)
+            engine.driver("voting").deploy(ctx)
+            thresholds = ctx.params.thresholds
+            assert len(ctx.vote_collectors) == thresholds.num_vc
+            assert len(ctx.bb_nodes) == thresholds.num_bb
+            assert len(ctx.trustees) == thresholds.num_trustees
+            assert [voter.choice for voter in ctx.voters] == ["option-1", "option-2"]
+            assert ctx.sim_now == 0.0
+            assert ctx.network.messages_delivered == 0
+            assert all(voter.receipt is None for voter in ctx.voters)
+        finally:
+            engine.close()
+
     def test_trustee_phase_without_votes_uploaded_returns_none(self):
         spec = small_spec(
             num_voters=2, num_options=2, seed=1, crypto=CryptoProfile(include_proofs=False)
@@ -122,7 +142,7 @@ class TestPhaseValidation:
         ctx = engine.begin(["option-1", "option-2"])
         try:
             engine.driver("setup").run(ctx)
-            engine.driver("voting").prepare(ctx)
+            engine.driver("voting").deploy(ctx)
             # Voting phase never ran: the BB has no vote set, trustees cannot work.
             engine.driver("tally").run(ctx)
             assert ctx.tally is None
