@@ -57,7 +57,7 @@ from repro.core.messages import (
     VscBatch,
 )
 from repro.crypto.shamir import ShamirSecretSharing, Share
-from repro.crypto.signatures import SignatureScheme
+from repro.crypto.signatures import SchnorrSignature, SignatureScheme
 from repro.crypto.utils import int_to_bytes
 from repro.net.channels import ChannelKind, Message
 from repro.net.simulator import SimNode
@@ -202,6 +202,10 @@ class VoteCollectorNode(SimNode):
         }
         #: which vote code this node has endorsed per serial (at most one)
         self.endorsed: Dict[int, bytes] = {}
+        #: the signature this start issued per endorsed message: an
+        #: endorsement in our own name is accepted by comparison, not by
+        #: verifying it again (nonces are derived, so a re-signature is equal)
+        self._own_signatures: Dict[bytes, SchnorrSignature] = {}
         self.voting_closed = voting_closed
 
         # Vote Set Consensus state.
@@ -267,6 +271,10 @@ class VoteCollectorNode(SimNode):
         #: re-checked on every VOTE_P, ANNOUNCE and RECOVER-RESPONSE that
         #: carries it, and a certificate's validity never changes.
         self._ucert_cache: Dict[Tuple, bool] = {}
+        #: the same verdicts by object identity, looked up before the content
+        #: key is built; each value holds its certificate, so the ``id``
+        #: cannot be reused while the entry exists
+        self._ucert_seen: Dict[int, Tuple[UniquenessCertificate, bool]] = {}
 
         # Statistics (used by tests and the performance harness).
         self.receipts_issued = 0
@@ -392,9 +400,9 @@ class VoteCollectorNode(SimNode):
         if view.find_vote_code(request.vote_code) is None:
             return
         self.endorsed[request.serial] = request.vote_code
-        signature = self.signature_scheme.sign(
-            self.init.signing_keys, endorsement_message(request.serial, request.vote_code)
-        )
+        message = endorsement_message(request.serial, request.vote_code)
+        signature = self.signature_scheme.sign(self.init.signing_keys, message)
+        self._own_signatures[message] = signature
         self.send(sender, Endorsement(request.serial, request.vote_code, self.node_id, signature))
 
     def _endorsement_wanted(self, endorsement: Endorsement) -> bool:
@@ -447,7 +455,7 @@ class VoteCollectorNode(SimNode):
         # A quorum of distinct signers, each checked on its way in, all over
         # this (serial, code): what verify_ucert tests, so our own VOTE_P
         # looping back is a memo hit.
-        self._ucert_cache[self._ucert_key(ucert)] = True
+        self._remember_ucert(ucert, self._ucert_key(ucert), True)
         self._disclose_share(endorsement.serial, record, vote_code, ucert)
 
     def _disclose_share(
@@ -520,7 +528,17 @@ class VoteCollectorNode(SimNode):
     # ------------------------------------------------------------------ signature helpers
 
     def _verify_endorsement(self, endorsement: Endorsement, message: bytes) -> bool:
-        """Check the signer's signature on ``message`` (the endorsed bytes)."""
+        """Check the signer's signature on ``message`` (the endorsed bytes).
+
+        A signature in our own name equal to the one this start issued for
+        ``message`` is valid without the exponentiations; any other (or one
+        with no record, after a restart) is verified.
+        """
+        if (
+            endorsement.signer == self.node_id
+            and self._own_signatures.get(message) == endorsement.signature
+        ):
+            return True
         public = self.init.vc_public_keys.get(endorsement.signer)
         if public is None:
             return False
@@ -543,30 +561,40 @@ class VoteCollectorNode(SimNode):
 
         The verdict is memoized by certificate content: the same UCERT rides
         on every VOTE_P, ANNOUNCE and RECOVER-RESPONSE for its ballot, and
-        signature validity never changes.  A miss verifies the signatures one
-        by one, batching on or off: at quorum size the aggregate equation
+        signature validity never changes.  An object seen before is found by
+        identity (every copy of one broadcast is one decoded object), and
+        only then is the content key built.  A miss verifies the signatures
+        one by one, batching on or off: at quorum size the aggregate equation
         costs more than the single verifies it would replace.
         """
         if ucert is None:
             return False
-        key = self._ucert_key(ucert)
-        cached = self._ucert_cache.get(key)
-        if cached is not None:
+        seen = self._ucert_seen.get(id(ucert))
+        if seen is not None:
             self.admission_stats.ucert_cache_hits += 1
-            return cached
-        # Every consistent endorsement signs the certificate's own
-        # (serial, vote code), so the signed bytes are built once.
-        message = endorsement_message(ucert.serial, ucert.vote_code)
-        signers = {
-            e.signer
-            for e in ucert.endorsements
-            if e.serial == ucert.serial
-            and e.vote_code == ucert.vote_code
-            and self._verify_endorsement(e, message)
-        }
-        verdict = len(signers) >= self.quorum
-        self._ucert_cache[key] = verdict
+            return seen[1]
+        key = self._ucert_key(ucert)
+        verdict = self._ucert_cache.get(key)
+        if verdict is not None:
+            self.admission_stats.ucert_cache_hits += 1
+        else:
+            # Every consistent endorsement signs the certificate's own
+            # (serial, vote code), so the signed bytes are built once.
+            message = endorsement_message(ucert.serial, ucert.vote_code)
+            signers = {
+                e.signer
+                for e in ucert.endorsements
+                if e.serial == ucert.serial
+                and e.vote_code == ucert.vote_code
+                and self._verify_endorsement(e, message)
+            }
+            verdict = len(signers) >= self.quorum
+        self._remember_ucert(ucert, key, verdict)
         return verdict
+
+    def _remember_ucert(self, ucert: UniquenessCertificate, key: Tuple, verdict: bool) -> None:
+        self._ucert_cache[key] = verdict
+        self._ucert_seen[id(ucert)] = (ucert, verdict)
 
     # ------------------------------------------------------------------ Vote Set Consensus
 

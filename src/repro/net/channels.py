@@ -38,6 +38,24 @@ class Channel:
 _MESSAGE_COUNTER = itertools.count()
 
 
+class WireFrame:
+    """The canonical frame of one send or broadcast, shared by all its copies.
+
+    ``decoded`` is the payload the first delivered copy parsed out of
+    ``data`` (``None`` until then).  Every later copy, adversarial duplicates
+    included, is handed that same object: decoded payloads are frozen
+    dataclasses, exactly as shareable as the one in-memory delivery passes
+    by reference.  A frame that fails to decode leaves ``decoded`` unset, so
+    every copy of it fails again.
+    """
+
+    __slots__ = ("data", "decoded")
+
+    def __init__(self, data: bytes):
+        self.data = data
+        self.decoded: Any = None
+
+
 @dataclass
 class Message:
     """A protocol message in flight.
@@ -55,9 +73,9 @@ class Message:
     send_time: float = 0.0
     deliver_time: float = 0.0
     message_id: int = field(default_factory=lambda: next(_MESSAGE_COUNTER))
-    #: canonical wire encoding of ``payload`` (set by the transport when the
-    #: wire format is enabled)
-    wire_frame: Optional[bytes] = None
+    #: canonical wire encoding of ``payload``, one object per send or
+    #: broadcast (set by the network when the transport has a wire format)
+    wire_frame: Optional[WireFrame] = None
     #: size of the wire encoding in bytes (0 when the wire format is off)
     wire_bytes: int = 0
 

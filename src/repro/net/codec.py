@@ -52,13 +52,14 @@ annotations, so a layout is written down once, in the dataclass::
 ``register`` refuses a field with any other type (``float``, a bare ``tuple``,
 ``dict``, ``Any``) and names it.
 
-Repeated sub-objects are decoded once.  The same uniqueness certificate rides
-on every VOTE_P and ANNOUNCE of its ballot and a broadcast frame reaches every
-collector, so each :class:`MessageCodec` keeps a bounded table from ``(tag,
-body bytes)`` to the object those bytes strictly decoded to (see
-:meth:`MessageCodec.decode_embedded`).  Magic, version, CRC and trailing-byte
-checks still run on every frame; only the re-parsing of a body this codec has
-already parsed, byte for byte, is skipped.
+Repeated sub-objects are decoded once.  A broadcast frame is parsed once, by
+the first of its copies the transport delivers (:mod:`repro.net.transport`),
+but the same uniqueness certificate rides on every VOTE_P and ANNOUNCE of its
+ballot, in frames of its own, so each :class:`MessageCodec` keeps a bounded
+table from ``(tag, body bytes)`` to the object those bytes strictly decoded to
+(see :meth:`MessageCodec.decode_embedded`).  Magic, version, CRC and
+trailing-byte checks run on every frame decoded; only the re-parsing of a
+body this codec has already parsed, byte for byte, is skipped.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ import itertools
 from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, NamedTuple, Optional
 
 from repro.net.adversary import Adversary, NetworkConditions
-from repro.net.channels import ChannelKind, Message
+from repro.net.channels import ChannelKind, Message, WireFrame
 from repro.net.clock import ClockRegistry, GlobalClock
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -189,7 +189,9 @@ class Network:
         """Submit one payload to every receiver, serialising it once.
 
         The transport frames the payload a single time; every receiver then
-        gets its own :class:`Message` around that frame and its own
+        gets its own :class:`Message` around that one
+        :class:`~repro.net.channels.WireFrame` (so the frame is also parsed
+        at most once, by the first copy delivered) and its own
         adversary / drop / latency / duplicate decisions, drawn in receiver
         order -- exactly the random stream ``len(receivers)`` separate
         :meth:`submit` calls would draw.
@@ -202,10 +204,10 @@ class Network:
         if not receivers:
             return
         copies = len(receivers)
-        frame = self.transport.encode(payload)
-        wire_bytes = 0
-        if frame is not None:
-            wire_bytes = len(frame)
+        frame, wire_bytes = None, 0
+        data = self.transport.encode(payload)
+        if data is not None:
+            frame, wire_bytes = WireFrame(data), len(data)
             self.transport.frames_sent += copies
         # "Sent" counts every submitted copy, dropped or not.
         self.messages_sent += copies

@@ -7,9 +7,10 @@ travel.  Two backends ship:
 * :class:`InProcessTransport` -- the historical in-memory delivery.  With a
   :class:`~repro.net.codec.MessageCodec` attached, every payload is encoded
   to its canonical frame at send time (so the simulator counts real wire
-  bytes) and every receiver decodes its frame again at delivery (so nothing
-  undeclared ever crosses the boundary); without one, payloads are handed
-  over by reference, exactly as before.
+  bytes) and the first delivered copy of a send or broadcast decodes that
+  frame (so nothing undeclared ever crosses the boundary); every later copy,
+  duplicates included, receives the same decoded object.  Without a codec,
+  payloads are handed over by reference, exactly as before.
 * :class:`TcpLoopbackTransport` -- every registered node gets a real asyncio
   TCP server on the loopback interface, and every delivery pushes the
   message's canonical frame through an actual socket pair before the decoded
@@ -22,6 +23,8 @@ A payload is framed once per send or broadcast (:meth:`Transport.encode`);
 the network hands that one frame to every receiver's message, so the frame
 size feeds the per-channel byte counters that are the raw material of the
 paper-style bandwidth figures in ``benchmarks/bench_wire_bandwidth.py``.
+``frames_encoded`` and ``frames_decoded`` count the two ends: in memory, a
+run without drops parses exactly as many frames as it encodes.
 """
 
 from __future__ import annotations
@@ -51,6 +54,8 @@ class Transport:
         self.frames_sent = 0
         #: payloads actually serialised; a broadcast encodes once for all receivers
         self.frames_encoded = 0
+        #: frames parsed back into payloads (:meth:`decode` calls)
+        self.frames_decoded = 0
 
     def attach(self, network: "Network") -> None:
         """Called once by the network that owns this transport."""
@@ -71,6 +76,11 @@ class Transport:
         self.frames_encoded += 1
         return self.codec.encode(payload)
 
+    def decode(self, data: bytes) -> Any:
+        """Parse one frame back into its payload (counted in ``frames_decoded``)."""
+        self.frames_decoded += 1
+        return self.codec.decode(data)
+
     def deliver(self, message: Message) -> Any:
         """Carry the message to its receiver; return the payload to dispatch."""
         return message.payload
@@ -87,9 +97,12 @@ class InProcessTransport(Transport):
         self.name = "memory+wire" if codec is not None else "memory"
 
     def deliver(self, message: Message) -> Any:
-        if self.codec is None or message.wire_frame is None:
+        frame = message.wire_frame
+        if frame is None:  # no wire format
             return message.payload
-        return self.codec.decode(message.wire_frame)
+        if frame.decoded is None:
+            frame.decoded = self.decode(frame.data)
+        return frame.decoded
 
 
 class TcpLoopbackTransport(Transport):
@@ -162,11 +175,11 @@ class TcpLoopbackTransport(Transport):
             # The simulator drops sends to unregistered nodes; mirror that.
             return message.payload
         received = self.loop.run_until_complete(self._roundtrip(message))
-        return self.codec.decode(received)
+        return self.decode(received)
 
     async def _roundtrip(self, message: Message) -> bytes:
         writer = await self._writer_for(message.sender, message.receiver)
-        writer.write(message.wire_frame)
+        writer.write(message.wire_frame.data)
         await writer.drain()
         return await self._inboxes[message.receiver].get()
 

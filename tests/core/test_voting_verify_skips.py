@@ -9,6 +9,9 @@ paying for.
 * A responder that assembled a UCERT from endorsements it verified one by one
   records the certificate as verified, so its own VOTE_P looping back is a
   memo hit.  Nothing else may put a certificate in that memo.
+* An endorsement in a collector's own name is checked by comparing it with
+  the signature that collector issued; only an equal one is spared the
+  verification, and a restarted node, which has no record, verifies.
 """
 
 import pytest
@@ -20,6 +23,7 @@ from repro.core.byzantine import VC_BEHAVIORS, register_vc_behavior
 from repro.core.ea import ElectionAuthority
 from repro.core.election import ElectionParameters, vc_node_id
 from repro.core.messages import (
+    Endorse,
     Endorsement,
     UniquenessCertificate,
     VotePending,
@@ -441,12 +445,18 @@ def test_one_foreign_code_endorser_denies_nobody_a_receipt(foreign_code_behavior
 
 
 def test_voting_checks_nv_times_quorum_signatures_per_cast_ballot(monkeypatch):
-    """Seven collectors, quorum five, every ballot cast: per ballot the
-    responder checks the five endorsements that complete its certificate and
+    """Seven collectors, quorum five, every ballot cast.  Per ballot the
+    responder takes the five endorsements that complete its certificate and
     each of the six other collectors checks the certificate's five signatures
-    once (the memo answers every later VOTE_P).  That is ``Nv * quorum`` = 35;
-    ca2940a also checked the EA's signature on every receipt share a
-    collector took, 70 in all."""
+    once (the memo answers every later VOTE_P): ``Nv * quorum`` = 35 checks.
+    One of each node's five is its own signature, which it compares with the
+    one it issued instead of verifying: the responder's own endorsement, and
+    for each of the other four signers its entry in the certificate.  That
+    removes ``quorum`` = 5 checks, leaving ``Nv * quorum - quorum =
+    (Nv - 1) * quorum`` = 30 per ballot, 180 for six ballots; in this run
+    every responder is among its own certificate's signers.  Verifying one's
+    own signatures too made it 35 per ballot; ca2940a also checked the EA's
+    signature on every receipt share a collector took, 70 in all."""
     spec = ScenarioSpec.preset("paper_baseline", num_voters=6, seed=3).derive(
         num_vc=7, options=("yes", "no"), stagger=0.005
     )
@@ -471,4 +481,156 @@ def test_voting_checks_nv_times_quorum_signatures_per_cast_ballot(monkeypatch):
     assert sum(node.receipts_issued for node in outcome.vote_collectors) == 6
     num_vc, quorum = 7, 5
     assert spec.to_election_parameters().thresholds.vc_honest_quorum == quorum
-    assert calls["voting"] == 6 * num_vc * quorum
+    assert calls["voting"] == 6 * (num_vc - 1) * quorum
+
+
+def counting_verifies(monkeypatch):
+    """Patch ``SignatureScheme.verify`` to record each signer's key it checks."""
+    checked = []
+    original = SignatureScheme.verify
+
+    def counted(scheme, public, message, signature):
+        checked.append(public)
+        return original(scheme, public, message, signature)
+
+    monkeypatch.setattr(SignatureScheme, "verify", counted)
+    return checked
+
+
+@pytest.mark.parametrize("endorse_batch_size", [1, 4], ids=["single", "batcher"])
+class TestOwnSignatureIsComparedNotVerified:
+    """A collector accepts an endorsement in its own name without verifying it
+    only if it equals the signature it issued for that message."""
+
+    def endorsing(self, setup, endorse_batch_size):
+        """VC-1 after endorsing ballot 0's first code for VC-0."""
+        _network, nodes, _voter = build(setup, endorse_batch_size=endorse_batch_size)
+        ballot = setup.ballots[0]
+        vote_code = ballot.part_a.lines[0].vote_code
+        node = nodes["VC-1"]
+        deliver(node, "VC-0", Endorse(ballot.serial, vote_code))
+        assert node.endorsed == {ballot.serial: vote_code}
+        genuine = {
+            signer: sign_endorsement(setup, signer, ballot.serial, vote_code)
+            for signer in ("VC-0", "VC-1", "VC-2", "VC-3")
+        }
+        return node, ballot.serial, vote_code, genuine
+
+    @pytest.mark.parametrize("kind", ["wrong", "relabelled"])
+    def test_a_certificate_with_a_bad_own_endorsement_is_refused(
+        self, setup, endorse_batch_size, kind, monkeypatch
+    ):
+        node, serial, vote_code, genuine = self.endorsing(setup, endorse_batch_size)
+        own = genuine["VC-1"].signature
+        bad = {
+            "wrong": SchnorrSignature(own.challenge, own.response + 1, own.commitment),
+            # VC-3's valid signature over the same bytes, under VC-1's name
+            "relabelled": genuine["VC-3"].signature,
+        }[kind]
+        ucert = UniquenessCertificate(serial, vote_code, (
+            genuine["VC-0"], Endorsement(serial, vote_code, "VC-1", bad), genuine["VC-2"],
+        ))
+        assert not node.verify_ucert(ucert)
+        # The genuine certificate is accepted; the node's own entry in it is
+        # the one signature it does not verify.
+        checked = counting_verifies(monkeypatch)
+        keys = setup.vc_init["VC-1"].vc_public_keys
+        honest = UniquenessCertificate(
+            serial, vote_code, (genuine["VC-0"], genuine["VC-1"], genuine["VC-2"])
+        )
+        assert node.verify_ucert(honest)
+        assert checked == [keys["VC-0"], keys["VC-2"]]
+
+    def test_its_own_signature_under_another_name_is_refused(self, setup, endorse_batch_size):
+        node, serial, vote_code, genuine = self.endorsing(setup, endorse_batch_size)
+        ucert = UniquenessCertificate(serial, vote_code, (
+            genuine["VC-0"],
+            genuine["VC-2"],
+            Endorsement(serial, vote_code, "VC-3", genuine["VC-1"].signature),
+        ))
+        assert not node.verify_ucert(ucert)
+
+    def test_a_bad_endorsement_in_the_responders_name_is_not_collected(
+        self, setup, endorse_batch_size
+    ):
+        """VC-0 endorses its own request; a second endorsement in its name
+        with VC-1's signature must not replace that one in the certificate."""
+        network, nodes, voter = build(
+            setup, endorse_batch_size=endorse_batch_size, only={"VC-0"}
+        )
+        ballot = setup.ballots[0]
+        line = ballot.part_a.lines[0]
+        cast(voter, "VC-0", ballot, line)
+        network.run_until_idle()
+        node = nodes["VC-0"]
+        record = node.ballots[ballot.serial]
+        issued = record.endorsements["VC-0"]
+        genuine = {
+            signer: sign_endorsement(setup, signer, ballot.serial, line.vote_code)
+            for signer in ("VC-1", "VC-2")
+        }
+        relabelled = Endorsement(
+            ballot.serial, line.vote_code, "VC-0", genuine["VC-1"].signature
+        )
+        for endorsement in (relabelled, genuine["VC-1"], genuine["VC-2"]):
+            deliver(node, "VC-0" if endorsement is relabelled else endorsement.signer,
+                    endorsement)
+            network.run_until_idle()
+        assert record.ucert is not None
+        assert {e.signer: e for e in record.ucert.endorsements}["VC-0"] == issued
+        fresh = VoteCollectorNode(setup.vc_init["VC-3"], node.params)
+        assert fresh.verify_ucert(record.ucert)
+
+    def test_a_restored_node_verifies_its_own_endorsement(
+        self, setup, endorse_batch_size, monkeypatch
+    ):
+        node, serial, vote_code, genuine = self.endorsing(setup, endorse_batch_size)
+        snapshot = node.snapshot_state()
+        ucert = UniquenessCertificate(
+            serial, vote_code, (genuine["VC-0"], genuine["VC-1"], genuine["VC-2"])
+        )
+        keys = setup.vc_init["VC-1"].vc_public_keys
+        checked = counting_verifies(monkeypatch)
+        assert node.verify_ucert(ucert)
+        assert keys["VC-1"] not in checked and len(checked) == 2
+        node.restore_state(snapshot)
+        assert node.endorsed == {serial: vote_code}  # durable; the signature is not
+        checked.clear()
+        assert node.verify_ucert(ucert)
+        assert checked == [keys["VC-0"], keys["VC-1"], keys["VC-2"]]
+        wrong = genuine["VC-1"].signature
+        forged_own = UniquenessCertificate(serial, vote_code, (
+            genuine["VC-0"],
+            Endorsement(serial, vote_code, "VC-1", SchnorrSignature(
+                wrong.challenge, wrong.response + 1, wrong.commitment)),
+            genuine["VC-2"],
+        ))
+        assert not node.verify_ucert(forged_own)
+
+
+def test_a_certificate_seen_before_is_found_by_identity(setup, monkeypatch):
+    """The content key is built only for an object the memo has not held;
+    an equal certificate in another object is a content hit.  Both count as
+    memo hits."""
+    _network, nodes, _voter = build(setup)
+    node = nodes["VC-1"]
+    ballot = setup.ballots[0]
+    vote_code = ballot.part_a.lines[0].vote_code
+    ucert = UniquenessCertificate(ballot.serial, vote_code, tuple(
+        sign_endorsement(setup, signer, ballot.serial, vote_code)
+        for signer in ("VC-0", "VC-2", "VC-3")
+    ))
+    assert node.verify_ucert(ucert)
+    assert node.admission_stats.ucert_cache_hits == 0
+
+    def no_key(ucert):
+        raise AssertionError("content key built for a certificate held by identity")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(VoteCollectorNode, "_ucert_key", staticmethod(no_key))
+        assert node.verify_ucert(ucert)
+    assert node.admission_stats.ucert_cache_hits == 1
+    copy = UniquenessCertificate(ucert.serial, ucert.vote_code, ucert.endorsements)
+    checked = counting_verifies(monkeypatch)
+    assert node.verify_ucert(copy)
+    assert checked == [] and node.admission_stats.ucert_cache_hits == 2

@@ -14,7 +14,7 @@ from repro.api import (
 from repro.core.messages import Announce, VscBatch
 from repro.net.adversary import NetworkConditions
 from repro.net.channels import ChannelKind
-from repro.net.codec import FRAME_OVERHEAD, MessageCodec
+from repro.net.codec import FRAME_HEADER_LEN, FRAME_OVERHEAD, MessageCodec, WireFormatError
 from repro.net.simulator import Network, SimNode
 from repro.net.transport import InProcessTransport, TcpLoopbackTransport
 
@@ -251,15 +251,82 @@ class TestBroadcast:
         assert network.transport.frames_encoded == 0
         assert network.messages_sent == 0
 
-    def test_every_receiver_decodes_its_own_frame(self):
-        network, a, b = wire_network()
-        c = Sink("c")
-        network.register(c)
-        a.broadcast(["b", "c"], PAYLOAD)
+
+
+class CorruptingTransport(InProcessTransport):
+    """Frames every payload with one body byte flipped: the CRC check fails."""
+
+    def encode(self, payload):
+        frame = bytearray(super().encode(payload))
+        frame[FRAME_HEADER_LEN] ^= 0x01
+        return bytes(frame)
+
+
+class TestOneParsePerBroadcast:
+    """The first delivered copy of a send or broadcast decodes its frame;
+    every other copy gets that object.  Red at the parent, where every copy
+    decoded its frame again."""
+
+    def duplicating_network(self, transport):
+        network = Network(
+            conditions=NetworkConditions(base_latency=0.001, duplicate_rate=1.0, seed=5),
+            transport=transport,
+        )
+        nodes = [Sink(name) for name in ("a", "b", "c", "d")]
+        network.register_all(nodes)
+        return network, nodes
+
+    def test_every_receiver_and_duplicate_gets_the_same_object(self):
+        network, (a, *receivers) = self.duplicating_network(
+            InProcessTransport(codec=MessageCodec())
+        )
+        a.broadcast(["b", "c", "d"], PAYLOAD)
         network.run_until_idle()
-        assert b.received[0].payload == c.received[0].payload == PAYLOAD
-        assert b.received[0].payload is not PAYLOAD
-        assert c.received[0].payload is not PAYLOAD
+        delivered = [message.payload for node in receivers for message in node.received]
+        assert len(delivered) == 6  # three receivers, every copy duplicated
+        assert delivered[0] == PAYLOAD and delivered[0] is not PAYLOAD
+        assert all(payload is delivered[0] for payload in delivered)
+        assert network.transport.frames_encoded == network.transport.frames_decoded == 1
+
+    def test_separate_sends_are_parsed_separately(self):
+        network, a, b = wire_network()
+        a.send("b", PAYLOAD)
+        a.send("b", PAYLOAD)
+        network.run_until_idle()
+        first, second = (message.payload for message in b.received)
+        assert first == second and first is not second
+        assert network.transport.frames_decoded == 2
+
+    def test_a_frame_that_fails_to_decode_raises_at_every_delivery(self):
+        network, (a, *receivers) = self.duplicating_network(
+            CorruptingTransport(codec=MessageCodec())
+        )
+        a.broadcast(["b", "c", "d"], PAYLOAD)
+        failures = 0
+        while network.pending_events():
+            with pytest.raises(WireFormatError, match="checksum"):
+                network.step()
+            failures += 1
+        assert failures == 6
+        assert network.transport.frames_decoded == 6  # nothing was cached
+        assert all(node.received == [] for node in receivers)
+
+    def test_an_election_without_drops_decodes_each_frame_once(
+        self, small_wire_spec, monkeypatch
+    ):
+        decodes = []
+        decode = MessageCodec.decode
+
+        def counting(codec, frame):
+            decodes.append(len(frame))
+            return decode(codec, frame)
+
+        monkeypatch.setattr(MessageCodec, "decode", counting)
+        outcome = ElectionEngine(small_wire_spec).run(CHOICES)
+        network, transport = outcome.network, outcome.network.transport
+        assert outcome.audit_report.passed and network.messages_dropped == 0
+        assert len(decodes) == transport.frames_decoded == transport.frames_encoded
+        assert transport.frames_sent > 2 * transport.frames_encoded
 
 
 @pytest.fixture(scope="module")
