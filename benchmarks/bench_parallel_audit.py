@@ -21,6 +21,7 @@ Results land in ``benchmarks/results/parallel_audit.json``; see
 
 from __future__ import annotations
 
+import gc
 import os
 import pickle
 import time
@@ -99,6 +100,10 @@ def make_proof_and_opening_items(num_proofs, num_openings):
 
 
 def timed(fn):
+    # Collect first, so that no generation-2 pass owed to the garbage of
+    # whatever ran before lands inside the timed region (~16 ms: enough to
+    # halve a smoke-sized speedup on either side).
+    gc.collect()
     started = time.perf_counter()
     result = fn()
     return result, time.perf_counter() - started

@@ -11,12 +11,17 @@ a fresh interpreter so no run inherits another's heap, and reports per size:
 * the peak resident set size of the run's process (``ru_maxrss``);
 * ``frames_encoded`` / ``frames_decoded`` of the wire transport: with no
   drops every broadcast is parsed once, so the two must be equal;
+* the strict body parses per payload type (every body the codec parsed
+  rather than found in its intern table), counted by wrapping the codec's
+  body decoders from this probe.  For certificates and endorsements it also
+  counts the distinct bodies parsed: one parse per object is the gate;
 * the outcome hash, which must equal that of the same scenario on the
   in-memory transport (also run in its own process).
 
 Sizes: 100, 400 and 1,600 voters (one to two minutes on a 2-vCPU VM);
 ``BENCH_SMOKE=1`` runs 24 voters for the CI job.  Only exact counts and
-hashes are gated, never wall time.  Results land in
+hashes are gated, never wall time: the parse counters add one Python call
+per parsed body, the same on every tree the probe runs against.  Results land in
 ``benchmarks/results/wire_scaling.json``.
 
 Run one size by hand (one JSON row on stdout)::
@@ -36,6 +41,8 @@ import time
 SMOKE = os.environ.get("BENCH_SMOKE") == "1"
 VOTER_COUNTS = (24,) if SMOKE else (100, 400, 1_600)
 SEED = 1
+#: payload types whose distinct parsed bodies are counted too
+ONE_PARSE_PER_OBJECT = ("UniquenessCertificate", "Endorsement")
 
 
 def build_spec(num_voters: int, transport: str, seed: int = SEED):
@@ -50,6 +57,38 @@ def build_spec(num_voters: int, transport: str, seed: int = SEED):
     )
 
 
+def count_body_parses():
+    """Count the strict body parses of every codec built from now on.
+
+    Wraps ``MessageCodec._body_codec``, which builds each registered type's
+    body decoder: every call of a decoder is one body parsed from bytes (an
+    intern-table hit calls none).  Returns the parse counter by type name and,
+    for ``ONE_PARSE_PER_OBJECT``, the set of hashes of the bodies parsed.
+    """
+    from collections import Counter
+
+    from repro.net.codec import MessageCodec
+
+    parses = Counter()
+    bodies = {name: set() for name in ONE_PARSE_PER_OBJECT}
+    build = MessageCodec._body_codec
+
+    def body_codec(codec, cls):
+        encode, decode = build(codec, cls)
+        name, seen = cls.__name__, bodies.get(cls.__name__)
+
+        def counted(reader):
+            parses[name] += 1
+            if seen is not None:
+                seen.add(hash(reader.data[reader.pos:reader.end]))
+            return decode(reader)
+
+        return encode, counted
+
+    MessageCodec._body_codec = body_codec
+    return parses, bodies
+
+
 def run_child(num_voters: int, transport: str) -> dict:
     """One election in this process: phase walls, RSS, transport counters."""
     import resource
@@ -57,6 +96,7 @@ def run_child(num_voters: int, transport: str) -> dict:
     from repro.analysis.determinism import default_choices, outcome_hash
     from repro.api import ElectionEngine
 
+    parses, bodies = count_body_parses()
     spec = build_spec(num_voters, transport)
     engine = ElectionEngine(spec)
     ctx = engine.begin(default_choices(spec))
@@ -83,6 +123,8 @@ def run_child(num_voters: int, transport: str) -> dict:
         "messages_dropped": network.messages_dropped,
         "frames_encoded": network.transport.frames_encoded,
         "frames_decoded": network.transport.frames_decoded,
+        "body_parses": dict(sorted(parses.items())),
+        "distinct_bodies": {name: len(seen) for name, seen in bodies.items()},
         "outcome_hash": outcome_hash(outcome),
     }
 
@@ -110,6 +152,9 @@ def test_wire_cost_per_ballot_against_the_electorate(results_sink):
             "memory ms/ballot": memory["ms_per_ballot"],
             "encoded": wire["frames_encoded"],
             "decoded": wire["frames_decoded"],
+            "body parses": sum(wire["body_parses"].values()),
+            "ucert parses": wire["body_parses"].get("UniquenessCertificate", 0),
+            "endorsement parses": wire["body_parses"].get("Endorsement", 0),
             "hash": wire["outcome_hash"][:12],
         })
     print_table("engine_wire shape against the electorate (7 collectors, seed 1)", table)
@@ -122,6 +167,12 @@ def test_wire_cost_per_ballot_against_the_electorate(results_sink):
         # One parse per broadcast: nothing is dropped on this LAN profile.
         assert wire["messages_dropped"] == 0, row
         assert wire["frames_decoded"] == wire["frames_encoded"] > 0, row
+        # One parse per object: every certificate and every endorsement body
+        # is parsed once, however many frames carry it.  A voter per ballot
+        # and no retries on this profile: one certificate per voter.
+        for name in ONE_PARSE_PER_OBJECT:
+            assert wire["body_parses"][name] == wire["distinct_bodies"][name], (name, row)
+        assert wire["distinct_bodies"]["UniquenessCertificate"] == wire["voters"], row
 
 
 if __name__ == "__main__":

@@ -227,6 +227,11 @@ class VotingDriver(PhaseDriver):
         if ctx.chaos is not None:
             ctx.chaos.install()
         ctx.network.run(until=ctx.params.election_end)
+        if ctx.heap_frozen:
+            # The voting state (ballot records, certificates, receipts) lives
+            # to the end of the run too: freeze it as set-up's heap is, so the
+            # consensus, tally and audit phases' full collections skip it.
+            gc.freeze()
 
         accepted = [voter for voter in ctx.voters if voter.receipt is not None]
         accepted.sort(key=lambda v: (v.completed_at if v.completed_at is not None else 0.0))

@@ -11,11 +11,26 @@ ANNOUNCE quorums, RECOVER and the upload) and the crypto-free
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Callable, Collection, Dict, List, Sequence, Set, Tuple
+from typing import Callable, Collection, Dict, List, Sequence, Set, Tuple, Union
 
 from repro.consensus.batching import SuperblockConsensus, superblock_id
 from repro.consensus.bracha import BinaryConsensusInstance
 from repro.consensus.interfaces import ConsensusMessage
+
+
+class HaltedInstance:
+    """What the engine keeps of a halted per-ballot instance: its last round
+    and its decision.  A halted :class:`BinaryConsensusInstance` ignores every
+    message and propose, so nothing else of it (FINISH senders, callbacks into
+    the engine) is read again."""
+
+    __slots__ = ("round", "decided")
+    started = True
+    halted = True
+
+    def __init__(self, instance: BinaryConsensusInstance):
+        self.round = instance.round
+        self.decided = instance.decided
 
 
 class VoteSetConsensus:
@@ -73,8 +88,9 @@ class VoteSetConsensus:
         }
         #: started superblocks by block id
         self.running: Dict[str, SuperblockConsensus] = {}
-        #: per-ballot instances by serial (made by a propose or a peer's message)
-        self.instances: Dict[int, BinaryConsensusInstance] = {}
+        #: per-ballot instances by serial (made by a propose or a peer's
+        #: message); a halted one is replaced by its :class:`HaltedInstance`
+        self.instances: Dict[int, Union[BinaryConsensusInstance, HaltedInstance]] = {}
 
         #: per-ballot instances this node proposed in
         self.per_ballot_instances = 0
@@ -133,7 +149,10 @@ class VoteSetConsensus:
             return
         if serial in self.serials:
             # Handling before propose() is safe: the instance is made on demand.
-            self._instance(serial).handle(sender, message)
+            instance = self._instance(serial)
+            if not instance.halted:
+                instance.handle(sender, message)
+                self._retire_if_halted(serial, instance)
 
     def close(self) -> None:
         """Cut ``engine -> block/instance -> callback -> engine``.
@@ -148,7 +167,7 @@ class VoteSetConsensus:
 
     # -- per-ballot instances -------------------------------------------------------
 
-    def _instance(self, serial: int) -> BinaryConsensusInstance:
+    def _instance(self, serial: int) -> Union[BinaryConsensusInstance, HaltedInstance]:
         instance = self.instances.get(serial)
         if instance is None:
             instance = self.instances[serial] = BinaryConsensusInstance(
@@ -164,6 +183,13 @@ class VoteSetConsensus:
         if not instance.started:
             self.per_ballot_instances += 1
             instance.propose(self.opinion_of(serial))
+            self._retire_if_halted(serial, instance)
+
+    def _retire_if_halted(self, serial: int, instance: BinaryConsensusInstance) -> None:
+        # An instance that halts before it proposed keeps its round-1 state,
+        # which its propose still reads; it is retired after the propose.
+        if instance.halted and instance.started:
+            self.instances[serial] = HaltedInstance(instance)
 
     # -- superblocks ----------------------------------------------------------------
 

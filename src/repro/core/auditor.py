@@ -127,8 +127,10 @@ class Auditor:
         with recorder.phase("tally"):
             self._check_tally_opening(report, scheme, result, ballots, cast_locations)
         with recorder.phase("delegations"):
+            # One set and one majority read for every delegation, not one each.
+            cast_codes = set(vote_set)
             for info in delegations:
-                self.verify_delegation(info, report, vote_set, result)
+                self.verify_delegation(info, report, cast_codes, result, decrypted)
         report.timings = recorder.as_dict()
         return report
 
@@ -279,8 +281,15 @@ class Auditor:
         report: Optional[AuditReport] = None,
         vote_set=None,
         result=None,
+        decrypted=None,
     ) -> AuditReport:
-        """(f)+(g): check a delegating voter's cast code and unused part."""
+        """(f)+(g): check a delegating voter's cast code and unused part.
+
+        ``vote_set``, ``result`` and ``decrypted`` are what the majority
+        reader returns for the BB's published state (``vote_set`` may be any
+        collection of its ``(serial, vote code)`` pairs); each one omitted is
+        read here.
+        """
         report = report if report is not None else AuditReport()
         if vote_set is None:
             vote_set = self.reader.read(lambda node: node.accepted_vote_set)
@@ -293,13 +302,14 @@ class Auditor:
             return report
 
         # (f) the cast vote code appears in the published vote set.
-        cast_ok = (info.serial, info.cast_vote_code) in set(vote_set)
+        cast_ok = (info.serial, info.cast_vote_code) in vote_set
         report.record("f-cast-code-published", cast_ok, f"ballot {info.serial}")
 
         # (g) the opened unused part matches what the voter received.
         key = (info.serial, info.unused_part_name)
         openings = result.openings.get(key)
-        decrypted = self.reader.read(lambda node: node.decrypted_vote_codes)
+        if decrypted is None:
+            decrypted = self.reader.read(lambda node: node.decrypted_vote_codes)
         codes = decrypted.get(info.serial, {}).get(info.unused_part_name)
         if openings is None or codes is None:
             report.record("g-unused-part-opened", False, f"ballot {info.serial}: not opened")

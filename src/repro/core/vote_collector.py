@@ -26,7 +26,7 @@ from __future__ import annotations
 import enum
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.consensus.batching import ConsensusBatcher, partition_serials
 from repro.consensus.vote_set_consensus import VoteSetConsensus
@@ -92,10 +92,11 @@ class BallotRecord:
 
 @dataclass
 class ConsensusRecord:
-    """Per-ballot Vote Set Consensus state the collector keeps: the ANNOUNCEs
-    before the engine runs, the decision and the recovered code after."""
+    """Per-ballot Vote Set Consensus state the collector keeps: who has
+    ANNOUNCEd before the engine runs, the decision and the recovered code
+    after.  An announce's content is used once, on arrival."""
 
-    announces: Dict[str, Announce] = field(default_factory=dict)
+    announces: Set[str] = field(default_factory=set)
     decided: Optional[int] = None
     resolved: bool = False
     final_vote_code: Optional[bytes] = None
@@ -629,7 +630,7 @@ class VoteCollectorNode(SimNode):
         state = self._consensus_record(announce.serial)
         if state is None or sender in state.announces:
             return
-        state.announces[sender] = announce
+        state.announces.add(sender)
         # Adopt any valid vote code we did not know about.
         if announce.vote_code is not None and self.verify_ucert(announce.ucert):
             record = self.ballots.get(announce.serial)

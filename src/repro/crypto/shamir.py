@@ -157,7 +157,9 @@ class ShamirSecretSharing:
             raise ValueError(
                 f"need at least {self.threshold} shares, got {len(unique)}"
             )
-        indices = tuple(unique)[: self.threshold]
+        # The first ``threshold`` shares to arrive, in index order: the memo
+        # of ``lagrange_at_zero`` then sees one key per subset, not per order.
+        indices = tuple(sorted(tuple(unique)[: self.threshold]))
         coefficients = lagrange_at_zero(indices, self.prime)
         return sum(
             unique[index] * coefficient

@@ -55,19 +55,21 @@ annotations, so a layout is written down once, in the dataclass::
 Repeated sub-objects are decoded once.  A broadcast frame is parsed once, by
 the first of its copies the transport delivers (:mod:`repro.net.transport`),
 but the same uniqueness certificate rides on every VOTE_P and ANNOUNCE of its
-ballot, in frames of its own, so each :class:`MessageCodec` keeps a bounded
-table from ``(tag, body bytes)`` to the object those bytes strictly decoded to
-(see :meth:`MessageCodec.decode_embedded`).  Magic, version, CRC and
-trailing-byte checks run on every frame decoded; only the re-parsing of a
-body this codec has already parsed, byte for byte, is skipped.
+ballot, in frames of its own, so each :class:`MessageCodec` keeps a table
+from ``(tag, body bytes)`` to the object those bytes strictly decoded to (see
+:meth:`MessageCodec.decode_embedded`).  An entry lives exactly as long as its
+object: the table holds the object weakly, and the entry leaves when the
+object dies.  Magic, version, CRC and trailing-byte checks run on every frame
+decoded; only the re-parsing of a body this codec has already parsed, byte
+for byte, into an object that is still alive, is skipped.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import typing
+import weakref
 import zlib
-from collections import OrderedDict
 from functools import partial
 from typing import Any, Callable, Dict, Optional, Tuple, Type, Union
 
@@ -111,11 +113,10 @@ FRAME_TRAILER_LEN = 4
 FRAME_OVERHEAD = FRAME_HEADER_LEN + FRAME_TRAILER_LEN
 _FRAME_PREFIX = MAGIC + bytes([VERSION])
 
-#: entries a codec's intern table may hold (oldest evicted first)
-INTERN_TABLE_MAX = 4096
 #: embedded bodies outside this size range are not interned: re-parsing a
-#: smaller one costs less than hashing it, and a larger one (a state snapshot)
-#: would pin its bytes in the table for little chance of a repeat
+#: smaller one costs less than hashing it, and a larger one (a state snapshot,
+#: an election-end envelope) would keep a second copy of its bytes alive with
+#: it for little chance of a repeat
 INTERN_MIN_BODY = 64
 INTERN_MAX_BODY = 8192
 
@@ -307,15 +308,11 @@ def _fixed(writers: Tuple[Callable, ...], readers: Tuple[Callable, ...]) -> Tupl
     return write_fixed, read_fixed
 
 
-def _remember(table: OrderedDict, key: Any, value: Any) -> None:
-    """Insert into an intern table, evicting the oldest entry at the bound.
+class _Interned(weakref.ref):
+    """An intern-table entry: a weak reference to a decoded object that
+    carries its keys in both indexes, ``(tag, body bytes)`` and ``id``."""
 
-    An ``OrderedDict`` pops its oldest entry in O(1); ``next(iter(dict))``
-    walks every deleted slot at the front of a plain dict first.
-    """
-    if len(table) >= INTERN_TABLE_MAX:
-        table.popitem(last=False)
-    table[key] = value
+    __slots__ = ("key", "ident")
 
 
 class MessageCodec:
@@ -326,12 +323,14 @@ class MessageCodec:
     backend is inferred from the element's self-describing serialization
     prefix (``b"S"`` Schnorr, ``b"E"`` secp256k1).
 
-    Each instance owns a bounded intern table (``INTERN_TABLE_MAX`` entries,
-    oldest evicted first), filled by :meth:`decode_embedded` and indexed both
-    ways: ``(tag, body bytes) -> object`` so the same bytes are parsed once,
-    and ``id(object) -> (object, body bytes)`` so :meth:`encode_embedded` can
-    re-emit the body of an object this codec decoded (a collector forwarding
-    the certificate it received) without walking it again.
+    Each instance owns an intern table, filled by :meth:`decode_embedded` and
+    indexed both ways: ``(tag, body bytes) -> object`` so the same bytes are
+    parsed once, and ``id(object) -> body bytes`` so :meth:`encode_embedded`
+    can re-emit the body of an object this codec decoded (a collector
+    forwarding the certificate it received) without walking it again.  Both
+    indexes hold one weak reference per entry, whose callback removes the
+    entry from both when its object dies: the table keeps what the run still
+    holds, and nothing else.  It has no size bound to tune.
     """
 
     def __init__(self, group: Optional[Group] = None):
@@ -339,12 +338,21 @@ class MessageCodec:
         #: class -> (tag, encode(out, obj)) and tag -> (class, decode(reader))
         self._encoders: Dict[Type, Tuple[int, Callable]] = {}
         self._decoders: Dict[int, Tuple[Type, Callable]] = {}
-        self._decoded: OrderedDict[Tuple[int, bytes], Any] = OrderedDict()
-        #: values keep the object alive, so its ``id`` cannot be reused while
-        #: the entry exists
-        self._bodies: OrderedDict[int, Tuple[Any, bytes]] = OrderedDict()
+        #: the intern table's two indexes, one shared entry per decoded object;
+        #: an object's ``id`` cannot be reused before its entry's callback ran
+        self._decoded: Dict[Tuple[int, bytes], _Interned] = {}
+        self._bodies: Dict[int, _Interned] = {}
+        #: every entry's callback (one bound method, not one per entry)
+        self._forget = self._forget_entry
         for tag, cls in _default_types():
             self.register(tag, cls)
+
+    def _forget_entry(self, entry: _Interned) -> None:
+        """An entry's object died: the entry leaves both indexes."""
+        if self._decoded.get(entry.key) is entry:
+            del self._decoded[entry.key]
+        if self._bodies.get(entry.ident) is entry:
+            del self._bodies[entry.ident]
 
     # -- registry ---------------------------------------------------------------
 
@@ -427,7 +435,7 @@ class MessageCodec:
 
     @property
     def interned(self) -> int:
-        """Entries in the intern table (never above ``INTERN_TABLE_MAX``)."""
+        """Entries in the intern table: decoded objects still alive."""
         return len(self._decoded)
 
     # -- top-level frames -------------------------------------------------------
@@ -480,8 +488,8 @@ class MessageCodec:
         tag, encode = entry
         _w_u16(out, tag)
         known = self._bodies.get(id(obj))
-        if known is not None and known[0] is obj:
-            _w_vbytes(out, known[1])
+        if known is not None and known() is obj:
+            _w_vbytes(out, known.key[1])
             return
         # Reserve the length field and back-patch it once the body is written
         # straight into ``out``.
@@ -504,6 +512,8 @@ class MessageCodec:
         registry and group), and every registered type is a frozen dataclass,
         so a hit returns precisely what decoding again would build -- the
         table can skip work but never accept bytes strict decoding rejects.
+        A hit is the very object the entry was written for: the entry holds
+        it weakly and leaves the table when it dies.
         """
         tag = reader.u16()
         entry = self._decoders.get(tag)
@@ -523,17 +533,21 @@ class MessageCodec:
         key = None
         if INTERN_MIN_BODY <= end - start <= INTERN_MAX_BODY:
             key = (tag, reader.data[start:end])
-            obj = self._decoded.get(key)
-            if obj is not None:
-                reader.pos = end
-                return obj
+            known = self._decoded.get(key)
+            if known is not None:
+                obj = known()
+                if obj is not None:
+                    reader.pos = end
+                    return obj
         sub = _Reader(reader.data, start=start, end=end)
         obj = decode(sub)
         if sub.pos != end:
             raise WireFormatError(f"embedded {cls.__name__} has trailing bytes")
         if key is not None:
-            _remember(self._decoded, key, obj)
-            _remember(self._bodies, id(obj), (obj, key[1]))
+            entry = _Interned(obj, self._forget)
+            entry.key = key
+            entry.ident = id(obj)
+            self._decoded[key] = self._bodies[entry.ident] = entry
         reader.pos = end
         return obj
 

@@ -106,16 +106,20 @@ class TestEngineRun:
 
 class TestSetupHeapFrozenForTheRun:
     """The set-up data sits in the collector's permanent generation from the
-    end of the setup phase until ``close()``, and never past it."""
+    end of the setup phase until ``close()``, and never past it; the voting
+    state joins it at the end of the voting phase."""
 
     def test_frozen_from_setup_to_close(self):
         engine = ElectionEngine(ScenarioSpec.preset("paper_baseline"))
-        ctx = engine.begin(CHOICES)
-        engine.run_phase(engine.driver("setup"), ctx)
-        assert gc.get_freeze_count() > 0
-        engine.run_phase(engine.driver("voting"), ctx)
-        assert gc.get_freeze_count() > 0
-        engine.close()
+        try:
+            ctx = engine.begin(CHOICES)
+            engine.run_phase(engine.driver("setup"), ctx)
+            after_setup = gc.get_freeze_count()
+            assert after_setup > 0
+            engine.run_phase(engine.driver("voting"), ctx)
+            assert gc.get_freeze_count() > after_setup
+        finally:
+            engine.close()
         assert gc.get_freeze_count() == 0
         engine.close()  # idempotent
         assert gc.get_freeze_count() == 0
@@ -127,17 +131,22 @@ class TestSetupHeapFrozenForTheRun:
         (the members of a ``MultiElectionService`` close one after the other)."""
         first = ElectionEngine(ScenarioSpec.preset("paper_baseline"))
         second = ElectionEngine(ScenarioSpec.preset("paper_baseline", seed=2))
-        for engine in (first, second):
-            engine.run_phase(engine.driver("setup"), engine.begin(CHOICES))
-        assert gc.get_freeze_count() > 0
-        first.close()
-        assert gc.get_freeze_count() > 0  # the second run's heap stays put
-        first.close()  # idempotent: does not count twice
-        assert gc.get_freeze_count() > 0
-        second.close()
-        assert gc.get_freeze_count() == 0
-        second.close()
-        assert gc.get_freeze_count() == 0
+        try:
+            for engine in (first, second):
+                engine.run_phase(engine.driver("setup"), engine.begin(CHOICES))
+            assert gc.get_freeze_count() > 0
+            first.close()
+            assert gc.get_freeze_count() > 0  # the second run's heap stays put
+            first.close()  # idempotent: does not count twice
+            assert gc.get_freeze_count() > 0
+            second.close()
+            assert gc.get_freeze_count() == 0
+            second.close()
+            assert gc.get_freeze_count() == 0
+        finally:
+            # A failed assertion must not leave the heap frozen for later tests.
+            first.close()
+            second.close()
 
     def test_closing_before_setup_touches_nothing(self):
         frozen = ElectionEngine(ScenarioSpec.preset("paper_baseline"))

@@ -5,7 +5,8 @@ messages through one FIFO queue (grace timers fire when it drains).  What is
 pinned here is what both hosts rely on: junk instance ids leave no state,
 traffic for a block that has not started waits and is replayed in order, a
 per-ballot message may arrive before the local propose, every serial is
-decided once, and the counters say which path a block took.
+decided once, the counters say which path a block took, and a halted
+per-ballot instance leaves only its round and decision behind.
 """
 
 from collections import deque
@@ -14,8 +15,9 @@ from functools import partial
 import pytest
 
 from repro.consensus.batching import SuperblockConsensus, SuperblockSend, partition_serials
+from repro.consensus.bracha import BinaryConsensusInstance
 from repro.consensus.interfaces import Aux, BVal, Finish
-from repro.consensus.vote_set_consensus import VoteSetConsensus
+from repro.consensus.vote_set_consensus import HaltedInstance, VoteSetConsensus
 
 NODES = ("N0", "N1", "N2", "N3")
 
@@ -208,3 +210,56 @@ class TestDecisionsAndCounters:
         engine.close()
         assert engine.running == {} and engine.instances == {}
         assert engine.superblocks_fallback == 1  # the counters outlive the state
+
+
+class TestHaltedInstances:
+    def test_a_halted_instance_keeps_its_round_and_decision_and_nothing_else(self, monkeypatch):
+        # The rounds the instances reached, read just before they are replaced.
+        rounds = {}
+        retire = VoteSetConsensus._retire_if_halted
+
+        def spy(engine, serial, instance):
+            if instance.halted and instance.started:
+                rounds[(engine._member["node_id"], serial)] = instance.round
+            retire(engine, serial, instance)
+
+        monkeypatch.setattr(VoteSetConsensus, "_retire_if_halted", spy)
+        net = Loopback(unanimous(6), batch_size=1)
+        for engine in net.engines:
+            engine.ready_all()
+        net.run()
+        for node_id, engine, log in zip(NODES, net.engines, net.decided, strict=True):
+            assert set(engine.instances) == set(net.opinions[0])
+            for serial, instance in engine.instances.items():
+                assert type(instance) is HaltedInstance
+                assert instance.round == rounds[(node_id, serial)] >= 1
+                assert (serial, instance.decided) in log
+                # Two ints and no ``__dict__``: no callback leads back to the engine.
+                assert not hasattr(instance, "__dict__")
+
+    def test_messages_for_a_halted_instance_are_ignored(self):
+        net = Loopback(unanimous(2), batch_size=1)
+        for engine in net.engines:
+            engine.ready_all()
+        net.run()
+        engine = net.engines[0]
+        before = dict(engine.instances)
+        for message in (BVal("100", 1, 1), Aux("100", 7, 0), Finish("100", 1)):
+            engine.handle("N1", message)
+        assert engine.instances == before and not net.queue
+        engine.ready(100)  # and a late propose starts nothing
+        assert engine.per_ballot_instances == 2 and not net.queue
+
+    def test_an_instance_halted_before_its_propose_is_kept_until_then(self):
+        """Its round-1 state decides whether the propose broadcasts BVAL."""
+        net = Loopback(unanimous(3), batch_size=1)
+        late = net.engines[0]
+        for engine in net.engines[1:]:
+            engine.ready_all()
+        net.run()
+        for instance in late.instances.values():
+            assert type(instance) is BinaryConsensusInstance
+            assert instance.halted and not instance.started
+        late.ready_all()
+        net.run()
+        assert all(type(i) is HaltedInstance for i in late.instances.values())

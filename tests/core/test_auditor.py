@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.auditor import Auditor, AuditReport, fraud_detection_probability
+from repro.core.bulletin_board import MajorityReader
 from repro.core.voter import VoterAuditInfo
 
 
@@ -50,6 +51,29 @@ class TestFullAudit:
         assert report.passed
         assert report.checks["f-cast-code-published"]
         assert report.checks["g-unused-part-consistent"]
+
+    def test_delegations_cost_no_majority_read_of_their_own(
+        self, auditor, small_outcome, monkeypatch
+    ):
+        """``verify_all`` hands every delegation what it already read; one
+        read of the vote set and one of the decrypted codes per delegation
+        made the delegations quadratic in the electorate."""
+        reads = []
+        read = MajorityReader.read
+
+        def counted(reader, accessor):
+            reads.append(accessor)
+            return read(reader, accessor)
+
+        monkeypatch.setattr(MajorityReader, "read", counted)
+        auditor.verify_all()
+        without = len(reads)
+        reads.clear()
+        delegations = [voter.audit_info() for voter in small_outcome.voters]
+        assert len(delegations) > 1
+        report = auditor.verify_all(delegations)
+        assert report.passed and report.checks["g-unused-part-consistent"]
+        assert len(reads) == without
 
     def test_delegation_with_wrong_cast_code_fails(self, auditor, small_outcome):
         voter = small_outcome.voters[0]

@@ -10,7 +10,7 @@ import dataclasses
 import pytest
 
 from repro.analysis.determinism import safety_violations
-from repro.api import ScenarioSpec
+from repro.api import ElectionEngine, ScenarioSpec
 from repro.core.admission import AdmissionStats
 from repro.core.ea import ElectionAuthority
 from repro.core.election import AdmissionProfile, ElectionParameters, vc_node_id
@@ -22,6 +22,7 @@ from repro.core.vote_collector import (
     VscStats,
     endorsement_message,
 )
+from repro.crypto.shamir import lagrange_at_zero
 from repro.crypto.utils import RandomSource
 from repro.net.adversary import NetworkConditions
 from repro.net.channels import ChannelKind, Message
@@ -259,6 +260,28 @@ class TestVotingProtocol:
             record.ucert.serial, record.ucert.vote_code, record.ucert.endorsements[:1]
         )
         assert not nodes[0].verify_ucert(trimmed)
+
+
+def test_receipts_cost_one_coefficient_tuple_per_share_subset():
+    """Seven collectors each rebuild every receipt from the first Nv - fv = 5
+    shares to arrive, in network order.  The Lagrange coefficients depend on
+    the subset alone, so the run computes at most C(7, 5) = 21 of them; keyed
+    by arrival order it would compute one per order seen (up to 5! * 21)."""
+    spec = ScenarioSpec.preset("paper_baseline", num_voters=20).derive(
+        num_vc=7, options=("yes", "no")
+    )
+    engine = ElectionEngine(spec)
+    ctx = engine.begin(["yes", "no"] * 10)
+    try:
+        engine.run_phase(engine.driver("setup"), ctx)
+        lagrange_at_zero.cache_clear()
+        engine.run_phase(engine.driver("voting"), ctx)
+        info = lagrange_at_zero.cache_info()
+    finally:
+        engine.close()
+    assert all(voter.receipt_valid for voter in ctx.voters)
+    assert info.hits + info.misses == 7 * 20  # every collector, every ballot
+    assert info.misses <= 21
 
 
 class TestVoteSetConsensus:

@@ -131,6 +131,18 @@ class TestLagrangeAtZero:
         info = lagrange_at_zero.cache_info()
         assert (info.misses, info.hits) == (1, 19)
 
+    def test_one_entry_per_subset_whatever_the_arrival_order(self):
+        """Receipt shares arrive in network order; the memo key is the sorted
+        subset, so 3-of-5 in all 60 orders computes C(5, 3) = 10 coefficient
+        tuples, not 60."""
+        lagrange_at_zero.cache_clear()
+        sss = ShamirSecretSharing(3, 5)
+        shares = sss.share(4242, rng=RandomSource(16))
+        for chosen in permutations(range(5), 3):
+            assert sss.reconstruct([shares[i] for i in chosen]) == 4242
+        info = lagrange_at_zero.cache_info()
+        assert (info.misses, info.hits) == (10, 50)
+
     def test_refusals_are_unchanged(self, group):
         sss = ShamirSecretSharing(3, 5)
         shares = sss.share(42, rng=RandomSource(14))

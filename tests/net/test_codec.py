@@ -544,9 +544,11 @@ class TestGoldenFrames:
     def test_golden_frames_decode_to_the_payloads(self, golden_payloads):
         group, payloads = golden_payloads
         codec = MessageCodec(group=group)
+        held = []  # keeps the first pass's objects, and so their entries, alive
         for _ in range(2):  # cold, then through the intern table
             for name, payload in payloads.items():
-                assert codec.decode(bytes.fromhex(GOLDEN_HEX[name])) == payload, name
+                held.append(codec.decode(bytes.fromhex(GOLDEN_HEX[name])))
+                assert held[-1] == payload, name
 
     def test_decoded_objects_re_encode_to_the_same_frame(self, golden_payloads):
         """The reused-body path: the codec re-emits the bodies it decoded."""

@@ -7,13 +7,17 @@ Two defining properties of the codec:
   byte strings, unicode node ids, deep nesting);
 * **strict rejection** -- truncated, bit-flipped and unknown-tag frames never
   decode to anything; they raise :class:`WireFormatError`;
-* **interning is invisible** -- a codec whose intern table is warm (and, with
-  a small bound, constantly evicting) accepts, rejects and returns exactly
-  what a fresh codec does, for well-formed and for damaged frames alike.
+* **interning is invisible** -- a codec whose intern table is warm accepts,
+  rejects and returns exactly what a fresh codec does, for well-formed and
+  for damaged frames alike;
+* **an entry lives as long as its object** -- the table holds decoded objects
+  weakly: an entry leaves both of its indexes when its object dies, and a
+  body whose object is still held decodes to that very object however much
+  else was decoded in between.
 """
 
+import gc
 import zlib
-from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -220,19 +224,25 @@ def verdict(codec: MessageCodec, frame: bytes):
         return WireFormatError
 
 
-@given(batch=st.lists(messages, min_size=1, max_size=8), bound=st.sampled_from((2, 5, 4096)))
+def interned_body(frame: bytes) -> bool:
+    """Whether a frame's top-level body is in the intern table's size range."""
+    body_len = len(frame) - FRAME_HEADER_LEN - FRAME_TRAILER_LEN
+    return codec_module.INTERN_MIN_BODY <= body_len <= codec_module.INTERN_MAX_BODY
+
+
+@given(batch=st.lists(messages, min_size=1, max_size=8))
 @settings(max_examples=150, deadline=None)
-def test_warm_intern_table_decodes_like_a_fresh_codec(batch, bound):
+def test_warm_intern_table_decodes_like_a_fresh_codec(batch):
     frames = [MessageCodec().encode(message) for message in batch]
-    with mock.patch.object(codec_module, "INTERN_TABLE_MAX", bound):
-        warm = MessageCodec()
-        for _ in range(2):  # the second sweep runs against a warm table
-            for frame, message in zip(frames, batch, strict=True):
-                decoded = warm.decode(frame)
-                assert decoded == MessageCodec().decode(frame) == message
-                # Re-encoding a decoded object re-emits the interned bodies.
-                assert warm.encode(decoded) == warm.encode(message) == frame
-                assert warm.interned <= bound
+    warm = MessageCodec()
+    held = [warm.decode(frame) for frame in frames]  # the table stays warm
+    for frame, message, first in zip(frames, batch, held, strict=True):
+        decoded = warm.decode(frame)
+        assert decoded == MessageCodec().decode(frame) == message
+        if interned_body(frame):
+            assert decoded is first
+        # Re-encoding a decoded object re-emits the interned bodies.
+        assert warm.encode(decoded) == warm.encode(message) == frame
 
 
 @given(message=messages, data=st.data())
@@ -242,7 +252,8 @@ def test_damaged_frames_get_the_same_verdict_from_a_warm_table(message, data):
     CRC cannot mask what the payload checks (and the intern table) decide."""
     frame = MessageCodec().encode(message)
     warm = MessageCodec()
-    assert warm.decode(frame) == message
+    held = warm.decode(frame)  # held, so its entries stay in the table
+    assert held == message
     body = bytearray(frame[:-4])
     damage = data.draw(st.sampled_from(("truncate", "flip", "insert", "append")))
     index = data.draw(st.integers(min_value=3, max_value=len(body) - 1))
@@ -261,7 +272,10 @@ def test_damaged_frames_get_the_same_verdict_from_a_warm_table(message, data):
         # The payload is shorter / longer than the frame header declares.
         assert expected is WireFormatError
     # The damaged frame left nothing behind that changes the genuine one.
-    assert warm.decode(frame) == message
+    again = warm.decode(frame)
+    assert again == message
+    if interned_body(frame):
+        assert again is held
 
 
 @given(endorsement=endorsements, data=st.data())
@@ -271,7 +285,8 @@ def test_non_minimal_integers_rejected_with_a_warm_table(endorsement, data):
     table is keyed by bytes, so the padded body misses and is strictly rejected."""
     frame = MessageCodec().encode(endorsement)
     warm = MessageCodec()
-    assert warm.decode(frame) == endorsement
+    held = warm.decode(frame)  # its body, and its signature's, stay interned
+    assert held == endorsement
     # Body layout: sign byte, u32 magnitude length, magnitude, ...
     length_at = FRAME_HEADER_LEN + 1
     magnitude_len = int.from_bytes(frame[length_at:length_at + 4], "big")
@@ -289,33 +304,61 @@ def test_non_minimal_integers_rejected_with_a_warm_table(endorsement, data):
     assert warm.decode(frame) == endorsement
 
 
-def test_intern_table_stays_within_its_bound():
-    signature = SchnorrSignature(2**255 - 19, 2**254 + 7, None)
-    frames = [
-        CODEC.encode(Endorsement(serial, b"vote-code-bytes", "VC-1", signature))
-        for serial in range(codec_module.INTERN_TABLE_MAX + 300)
-    ]
-    codec = MessageCodec()
-    assert codec.interned == 0
-    for serial, frame in enumerate(frames):
-        assert codec.decode(frame).serial == serial
-        assert codec.interned <= codec_module.INTERN_TABLE_MAX
-    assert codec.interned == codec_module.INTERN_TABLE_MAX
-    # The oldest entries were evicted; their frames still decode (strictly, again).
-    assert codec.decode(frames[0]).serial == 0
-    assert codec.interned == codec_module.INTERN_TABLE_MAX
+def announce_frame(serial: int) -> bytes:
+    """An ANNOUNCE frame whose body alone is interned: 64 vote-code bytes put
+    it in the interned size range, and nothing is embedded in it."""
+    return CODEC.encode(Announce(serial, bytes(64), None, "VC-1"))
 
 
-def test_intern_table_keeps_the_newest_entries_in_insertion_order():
-    bound = codec_module.INTERN_TABLE_MAX
-    tag = CODEC.tag_of(Announce)
+def test_an_entry_leaves_both_indexes_when_its_object_dies():
     codec = MessageCodec()
-    keys = []
-    for serial in range(3 * bound):
-        # 64 vote-code bytes put the body in the interned size range; nothing
-        # embedded in it is interned itself.
-        frame = CODEC.encode(Announce(serial, bytes(64), None, "VC-1"))
-        assert codec.decode(frame).serial == serial
-        keys.append((tag, frame[FRAME_HEADER_LEN:-FRAME_TRAILER_LEN]))
-    assert list(codec._decoded) == keys[-bound:]
-    assert [obj for obj, _body in codec._bodies.values()] == list(codec._decoded.values())
+    frame = announce_frame(7)
+    announce = codec.decode(frame)
+    key = (CODEC.tag_of(Announce), frame[FRAME_HEADER_LEN:-FRAME_TRAILER_LEN])
+    (entry,) = codec._decoded.values()
+    assert codec._decoded == {key: entry} and codec._bodies == {id(announce): entry}
+    assert entry() is announce and entry.key == key
+    # Re-encoding reads the body back from the ``id`` index.
+    assert codec.encode(announce) == frame
+    del announce
+    assert codec.interned == 0 and codec._decoded == {} and codec._bodies == {}
+    # A certificate's endorsements and signatures live as long as it does.
+    ucert = UniquenessCertificate(
+        3, b"code" * 16,
+        tuple(
+            Endorsement(3, b"code" * 16, f"VC-{i}", SchnorrSignature(2**255 - i, 2**254 + i, None))
+            for i in range(3)
+        ),
+    )
+    held = codec.decode(CODEC.encode(ucert))
+    assert codec.interned == 7  # the certificate, 3 endorsements, 3 signatures
+    endorsement = held.endorsements[0]
+    del held
+    assert codec.interned == 2 and len(codec._bodies) == 2  # one endorsement, its signature
+    del endorsement
+    assert codec.interned == 0 and codec._bodies == {}
+
+
+def test_entries_die_with_a_reference_cycle_too():
+    """Objects freed by the cyclic collector take their entries with them."""
+    codec = MessageCodec()
+    holder = [codec.decode(announce_frame(1))]
+    holder.append(holder)  # only the cyclic collector frees the announce
+    del holder
+    gc.collect()
+    assert codec.interned == 0 and codec._bodies == {}
+
+
+def test_a_held_body_decodes_to_the_same_object_after_5000_unrelated_bodies():
+    """The table has no count bound: what is still held is still found."""
+    codec = MessageCodec()
+    frame = announce_frame(0)
+    held = codec.decode(frame)
+    for serial in range(1, 5_001):
+        assert codec.decode(announce_frame(serial)).serial == serial
+    assert codec.interned == 1  # the unrelated objects died with their entries
+    assert codec.decode(frame) is held
+    kept = [codec.decode(announce_frame(serial)) for serial in range(1, 5_001)]
+    assert codec.interned == 5_001
+    assert codec.decode(frame) is held and codec.decode(announce_frame(1)) is kept[0]
+
