@@ -5,9 +5,9 @@ The package is organised as follows:
 * :mod:`repro.api` -- the public, scenario-driven API: declarative
   :class:`~repro.api.spec.ScenarioSpec` configurations with named presets,
   the event-driven :class:`~repro.api.engine.ElectionEngine` built from
-  pluggable phase drivers, and the
-  :class:`~repro.api.service.MultiElectionService` facade that runs many
-  elections through their engines, one after the other.
+  pluggable phase drivers (one run per election), and the
+  :class:`~repro.api.service.MultiElectionService` entry point of the
+  sharded scale pipeline.
 * :mod:`repro.crypto` -- cryptographic substrates (group, ElGamal commitments,
   zero-knowledge proofs, secret sharing, signatures, symmetric layer).
 * :mod:`repro.net` -- deterministic discrete-event network simulation, clocks

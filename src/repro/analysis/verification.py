@@ -1,4 +1,4 @@
-"""Safety, end-to-end verifiability and privacy bounds (Theorems 2-4).
+"""Safety and end-to-end verifiability bounds (Theorems 2-3).
 
 These are the closed-form probability bounds the paper proves; having them as
 code lets the benchmarks and examples report concrete numbers for concrete
@@ -63,62 +63,3 @@ def fraud_undetected_probability(num_auditors: int) -> float:
     if num_auditors < 0:
         raise ValueError("the number of auditors cannot be negative")
     return 2.0 ** (-num_auditors)
-
-
-def batch_soundness_error(security_bits: int, num_equations: int = 1) -> float:
-    """Soundness error of randomized small-exponent batch verification.
-
-    One aggregated equation with independent ``security_bits``-wide random
-    exponents accepts a batch containing at least one invalid item with
-    probability at most ``2^-security_bits`` (small-exponent batching, the
-    Schwartz-Zippel argument in the exponent).  An audit that evaluates
-    ``num_equations`` such equations (chunks plus bisection steps) fails to
-    flag a forged proof with probability at most the union bound
-    ``num_equations * 2^-security_bits`` -- at the default 64 bits and a
-    million equations that is still below ``10^-13``.
-    """
-    if security_bits < 1 or num_equations < 0:
-        raise ValueError("invalid batch verification parameters")
-    return min(1.0, num_equations * 2.0 ** (-security_bits))
-
-
-def receipt_probability_lower_bound(patience_windows: int) -> float:
-    """Theorem 1, condition 2 (re-exported here for convenience)."""
-    from repro.analysis.liveness import receipt_probability_lower_bound as bound
-
-    return bound(patience_windows)
-
-
-def privacy_adversary_work_bound(
-    num_corrupted_voters: int, num_voters: int, num_options: int
-) -> float:
-    """Theorem 4: the (log2) work factor of the privacy reduction.
-
-    The reduction guesses the corrupted voters' coins (``2^phi`` attempts) and
-    the election tally (``(n+1)^m`` attempts); privacy holds as long as this
-    stays far below the ``2^{lambda^c}`` hardness of the commitment scheme.
-    Returns ``log2(n^2 (n+1)^m 2^phi)``.
-    """
-    import math
-
-    if num_corrupted_voters < 0 or num_voters < 1 or num_options < 1:
-        raise ValueError("invalid parameters")
-    return (
-        2 * math.log2(max(num_voters, 2))
-        + num_options * math.log2(num_voters + 1)
-        + num_corrupted_voters
-    )
-
-
-def minimum_vc_nodes(num_faulty: int) -> int:
-    """Smallest ``Nv`` tolerating ``fv`` Byzantine vote collectors (3fv + 1)."""
-    if num_faulty < 0:
-        raise ValueError("the number of faulty nodes cannot be negative")
-    return 3 * num_faulty + 1
-
-
-def minimum_bb_nodes(num_faulty: int) -> int:
-    """Smallest ``Nb`` tolerating ``fb`` Byzantine bulletin boards (2fb + 1)."""
-    if num_faulty < 0:
-        raise ValueError("the number of faulty nodes cannot be negative")
-    return 2 * num_faulty + 1

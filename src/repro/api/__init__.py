@@ -9,10 +9,9 @@ Three layers (see ``docs/ARCHITECTURE.md``):
 * :mod:`repro.api.engine` -- :class:`ElectionEngine`, an event-driven runner
   built from pluggable :class:`PhaseDriver` steps (setup, voting, consensus,
   tally, audit) that emits the typed events of :mod:`repro.api.events`;
-* :mod:`repro.api.service` -- :class:`MultiElectionService`, a facade that
-  runs N independent elections one after the other through their engines,
-  sharing one process-pool configuration, with per-election RNG and timing
-  isolation, and the sharded scale pipeline.
+* :mod:`repro.api.service` -- :class:`MultiElectionService`, the entry
+  point of the sharded scale pipeline (a full-protocol election is one
+  engine run; several are several runs, each isolated from the others).
 
 ``from repro.api import ElectionEngine, ScenarioSpec`` works for every name
 below, but each is looked up on first access: describing a run imports
@@ -33,7 +32,7 @@ _EVENTS = (
     "AuditCompleted", "BallotAccepted", "ConsensusDecided", "ElectionCompleted",
     "ElectionEvent", "EventBus", "PhaseCompleted", "PhaseStarted", "TallyComputed",
 )
-_SERVICE = ("ElectionReport", "MultiElectionService", "ShardedElectionReport")
+_SERVICE = ("MultiElectionService", "ShardedElectionReport")
 
 #: exported name -> the module that defines it
 _HOMES = {

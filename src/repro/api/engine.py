@@ -5,9 +5,8 @@ steps -- setup, voting, consensus, tally, audit -- run in order over a shared
 :class:`EngineContext`, each through its one ``run(ctx)``.  Around every
 driver the engine emits the typed events of :mod:`repro.api.events`
 (``PhaseStarted`` / ``PhaseCompleted`` plus the driver's own events such as
-``BallotAccepted`` and ``ConsensusDecided``), so benchmarks, tests and the
-multi-election service observe a run by subscribing instead of
-monkey-patching.
+``BallotAccepted`` and ``ConsensusDecided``), so benchmarks and tests observe
+a run by subscribing instead of monkey-patching.
 
 The :class:`ScenarioSpec` is the one description of a run.  The drivers read
 its blocks where they need them (``spec.crypto.include_proofs`` at set-up,
@@ -79,9 +78,6 @@ class EngineContext:
     vc_node_classes: Dict[str, Type[VoteCollectorNode]]
     bb_node_classes: Dict[str, Type[BulletinBoardNode]]
     trustee_classes: Dict[str, Type[Trustee]]
-    #: shared parallel-audit schedule (the multi-election service injects one
-    #: config so every member election draws on the same worker budget).
-    parallel: Optional[ParallelConfig] = None
     #: transport the voting network will use (built from the spec's
     #: ``TransportProfile``; single-run -- TCP backends own real sockets).
     transport: Optional[Transport] = None
@@ -315,10 +311,9 @@ class AuditDriver(PhaseDriver):
             security_bits=audit.security_bits,
         )
         delegations = [voter.audit_info() for voter in ctx.voters if voter.receipt is not None]
-        # base_seed stays None unless a config was injected: the batching
-        # exponents must be unpredictable to whoever produced the proofs, or
-        # the 2^-bits soundness bound dies.
-        parallel = ctx.parallel or ParallelConfig(workers=audit.workers)
+        # base_seed stays None: the batching exponents must be unpredictable
+        # to whoever produced the proofs, or the 2^-bits soundness bound dies.
+        parallel = ParallelConfig(workers=audit.workers)
         ctx.audit_report = auditor.verify_all(delegations, parallel=parallel)
         ctx.bus.emit(
             AuditCompleted(
@@ -377,10 +372,10 @@ class ElectionEngine:
 
     The spec is the one description of the run: the drivers and the nodes read
     its blocks directly.  The keywords are injection points for pre-built
-    objects the spec cannot carry -- a driver sequence, observers, a shared
-    group, a pinned RNG, node classes (merged over the adversary profile's),
-    a shared parallel schedule, a transport -- which is how tests substitute
-    fakes; none of them restates a spec field.
+    objects the spec cannot carry -- a driver sequence, a shared group, a
+    pinned RNG, node classes (merged over the adversary profile's), a
+    transport -- which is how tests substitute fakes; none of them restates a
+    spec field.  Observers join through :meth:`subscribe`.
     """
 
     def __init__(
@@ -388,13 +383,11 @@ class ElectionEngine:
         spec: ScenarioSpec,
         *,
         drivers: Optional[Sequence[PhaseDriver]] = None,
-        observers: Sequence[Observer] = (),
         group: Optional[Group] = None,
         rng: Optional[RandomSource] = None,
         vc_node_classes: Optional[Dict[str, Type[VoteCollectorNode]]] = None,
         bb_node_classes: Optional[Dict[str, Type[BulletinBoardNode]]] = None,
         trustee_classes: Optional[Dict[str, Type[Trustee]]] = None,
-        parallel: Optional[ParallelConfig] = None,
         transport: Optional[Transport] = None,
     ):
         self.spec = spec
@@ -402,14 +395,11 @@ class ElectionEngine:
             list(drivers) if drivers is not None else default_drivers()
         )
         self.bus = EventBus(spec.election_id)
-        for observer in observers:
-            self.bus.subscribe(observer)
         self._group = group
         self._rng = rng
         self._vc_node_classes = vc_node_classes
         self._bb_node_classes = bb_node_classes
         self._trustee_classes = trustee_classes
-        self._parallel = parallel
         self._transport = transport
         self.ctx: Optional[EngineContext] = None
 
@@ -460,7 +450,6 @@ class ElectionEngine:
             vc_node_classes=vc_classes,
             bb_node_classes=bb_classes,
             trustee_classes=trustee_classes,
-            parallel=self._parallel,
             transport=transport,
             choices=choices,
             voter_parts=voter_parts,

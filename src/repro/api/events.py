@@ -4,8 +4,7 @@ Every observable moment of an election run is a frozen dataclass carrying the
 election it belongs to, a monotonically increasing per-election ``sequence``
 number and the *simulated* network time at which it happened.  Using
 simulated rather than wall-clock time keeps event streams deterministic for a
-fixed scenario seed, which is what the isolation tests of the multi-election
-service rely on.
+fixed scenario seed, which is what the engine's isolation tests rely on.
 
 Benchmarks and future async/real-network drivers subscribe through
 :class:`EventBus` instead of monkey-patching engine internals.
@@ -13,8 +12,8 @@ Benchmarks and future async/real-network drivers subscribe through
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, List, Mapping, Tuple
+from dataclasses import dataclass, replace
+from typing import Callable, List, Mapping
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -134,17 +133,3 @@ class EventBus:
         for observer in self._observers:
             observer(stamped)
         return stamped
-
-
-@dataclass
-class RecordingObserver:
-    """Convenience observer collecting events (useful in tests and benchmarks)."""
-
-    events: List[ElectionEvent] = field(default_factory=list)
-
-    def __call__(self, event: ElectionEvent) -> None:
-        self.events.append(event)
-
-    def phases(self) -> Tuple[str, ...]:
-        """Names of the phases seen so far, in start order."""
-        return tuple(e.phase for e in self.events if isinstance(e, PhaseStarted))

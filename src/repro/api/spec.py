@@ -167,14 +167,6 @@ class AdversaryProfile(DictCodec):
         self.bb_classes()
         self.trustee_classes()
 
-    @property
-    def is_honest(self) -> bool:
-        """True when no node misbehaves and no links are blocked."""
-        return not (
-            self.vc_behaviors or self.bb_behaviors or self.trustee_behaviors
-            or self.blocked_links
-        )
-
     def vc_classes(self) -> Dict[str, type]:
         return _behavior_classes("VC", self.vc_behaviors)
 
@@ -403,24 +395,6 @@ class FaultPlan(DictCodec):
     def crashed_nodes(self) -> frozenset:
         """Every node the plan crashes at some point."""
         return frozenset(e.node for e in self.events if isinstance(e, CrashNode))
-
-    @property
-    def unrecovered_nodes(self) -> frozenset:
-        """Nodes left crashed at the end of the plan."""
-        down: set = set()
-        for event in sorted(
-            (e for e in self.events if isinstance(e, (CrashNode, RecoverNode))),
-            key=lambda e: (e.t, isinstance(e, RecoverNode)),
-        ):
-            if isinstance(event, CrashNode):
-                down.add(event.node)
-            else:
-                down.discard(event.node)
-        return frozenset(down)
-
-    def events_of(self, *kinds: type) -> Tuple[FaultEvent, ...]:
-        """The plan's events of the given types, in schedule order."""
-        return tuple(e for e in self.events if isinstance(e, kinds))
 
 
 @dataclass(frozen=True)

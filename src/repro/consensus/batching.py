@@ -143,16 +143,6 @@ class ConsensusBatcher:
         self.messages_sent += len(envelope) * self.fanout
         self._broadcast(envelope)
 
-    @property
-    def pending_count(self) -> int:
-        """Number of queued (not yet flushed) messages."""
-        return len(self._pending)
-
-    @staticmethod
-    def unpack(envelope: BatchEnvelope) -> tuple:
-        """Return the individual elements inside an envelope."""
-        return envelope.messages
-
 
 # ---------------------------------------------------------------------------
 # Superblock Vote Set Consensus

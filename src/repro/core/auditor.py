@@ -21,7 +21,8 @@ g) the openings of the unused ballot parts are consistent with the ones
    received from voters.
 
 As the number of independent auditors grows, the probability that election
-fraud goes undetected shrinks exponentially (1/2 per audited ballot).
+fraud goes undetected shrinks exponentially (1/2 per audited ballot,
+:func:`repro.analysis.verification.fraud_undetected_probability`).
 
 :meth:`Auditor.verify_all` runs them all: randomized batch verification
 (:mod:`repro.crypto.batch_verify`) of (d) and (e) over a chunked process pool
@@ -330,15 +331,3 @@ class Auditor:
         consistent = published == expected
         report.record("g-unused-part-consistent", consistent, f"ballot {info.serial}")
         return report
-
-
-def fraud_detection_probability(num_auditors: int) -> float:
-    """Probability that ballot fraud is detected by at least one of ``num_auditors``.
-
-    Each audited ballot catches a malicious EA with probability 1/2, so fraud
-    goes undetected with probability ``2^-num_auditors`` (the paper's example:
-    10 auditors leave only 1/1024 ~ 0.00097 undetected probability).
-    """
-    if num_auditors < 0:
-        raise ValueError("the number of auditors cannot be negative")
-    return 1.0 - 0.5 ** num_auditors

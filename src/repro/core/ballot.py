@@ -23,7 +23,7 @@ from it:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.crypto.shamir import Share, share_matches
 
@@ -84,18 +84,6 @@ class Ballot:
     @property
     def parts(self) -> Tuple[BallotPart, BallotPart]:
         return (self.part_a, self.part_b)
-
-    def all_vote_codes(self) -> List[bytes]:
-        """Every vote code printed on the ballot (both parts)."""
-        return [line.vote_code for part in self.parts for line in part.lines]
-
-    def locate_vote_code(self, vote_code: bytes) -> Optional[Tuple[str, int]]:
-        """Return ``(part name, line index)`` of a vote code, if present."""
-        for part in self.parts:
-            for index, line in enumerate(part.lines):
-                if line.vote_code == vote_code:
-                    return part.name, index
-        return None
 
 
 # ---------------------------------------------------------------------------

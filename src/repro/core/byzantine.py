@@ -159,7 +159,7 @@ class CorruptTrustee(Trustee):
 
 
 #: Registries of named behaviours, so adversary profiles serialize as strings
-#: instead of classes (:func:`register_vc_behavior` adds a VC one).
+#: instead of classes.
 VC_BEHAVIORS: Dict[str, Type[VoteCollectorNode]] = {
     "silent": SilentVoteCollector,
     "equivocating": EquivocatingVoteCollector,
@@ -172,8 +172,3 @@ BB_BEHAVIORS: Dict[str, Type[BulletinBoardNode]] = {
 TRUSTEE_BEHAVIORS: Dict[str, Type[Trustee]] = {
     "corrupt": CorruptTrustee,
 }
-
-
-def register_vc_behavior(name: str, cls: Type[VoteCollectorNode]) -> None:
-    """Register a custom VC behaviour usable from ``AdversaryProfile``."""
-    VC_BEHAVIORS[name] = cls

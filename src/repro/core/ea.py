@@ -130,12 +130,6 @@ class ElectionSetup:
     #: test-suite can cross-check views; a real EA would destroy them).
     permutations: Dict[Tuple[int, str], Tuple[int, ...]] = field(default_factory=dict)
 
-    def ballot_by_serial(self, serial: int) -> Ballot:
-        for ballot in self.ballots:
-            if ballot.serial == serial:
-                return ballot
-        raise KeyError(f"no ballot with serial {serial}")
-
 
 class ElectionAuthority:
     """Runs the trusted setup of Section III-D and returns :class:`ElectionSetup`."""

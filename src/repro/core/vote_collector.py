@@ -729,9 +729,8 @@ class VoteCollectorNode(SimNode):
         self._upload_vote_set(vote_set)
 
     def _upload_vote_set(self, vote_set: Tuple[Tuple[int, bytes], ...]) -> None:
-        for bb in self.bb_nodes:
-            self.send(bb, VoteSetUpload(vote_set, self.node_id))
-            self.send(bb, MskShareUpload(self.init.msk_share, self.node_id))
+        self.broadcast(self.bb_nodes, VoteSetUpload(vote_set, self.node_id))
+        self.broadcast(self.bb_nodes, MskShareUpload(self.init.msk_share, self.node_id))
 
     # ------------------------------------------------------------------ crash / recovery
 

@@ -13,9 +13,10 @@ the addresses of the VC nodes, and votes *without performing any cryptography*:
 5. when a receipt arrives she compares it with the one printed on her ballot
    next to the chosen vote code -- a match is her recorded-as-cast assurance.
 
-After the election the voter (or an auditor she delegates to) verifies on the
-BB that her cast vote code is in the tally set and that the opened, unused
-part of her ballot matches what was printed.
+After the election the voter delegates :meth:`VoterClient.audit_info` to an
+auditor, whose :meth:`repro.core.auditor.Auditor.verify_delegation` checks on
+the BB that the cast vote code is in the tally set and that the opened, unused
+part of the ballot matches what was printed.
 """
 
 from __future__ import annotations
@@ -176,15 +177,3 @@ class VoterClient(SimNode):
             unused_part_name=self.unused_part_name,
             unused_part_lines=unused.lines,
         )
-
-    def verify_on_bb(self, vote_set, opened_unused_part_options: Sequence[str]) -> bool:
-        """The voter's own post-election checks (Section III-F).
-
-        ``vote_set`` is the published set of <serial, vote-code> tuples;
-        ``opened_unused_part_options`` is the option labels, in the voter's
-        canonical ballot order, recovered from the opened unused part.
-        """
-        cast_ok = (self.ballot.serial, self.vote_code) in set(vote_set)
-        expected = [line.option for line in self.ballot.part(self.unused_part_name).lines]
-        unused_ok = list(opened_unused_part_options) == expected
-        return cast_ok and unused_ok

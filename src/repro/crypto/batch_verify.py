@@ -13,8 +13,9 @@ batching) collapse ``N`` such checks into a handful of multi-exponentiations:
 
 If every individual equation holds, the aggregate holds for *any* choice of
 ``z_i``; if any is violated, the aggregate survives with probability at most
-``2^-security_bits`` (the standard Schwartz-Zippel argument in the exponent,
-see :func:`repro.analysis.verification.batch_soundness_error`).  The
+``2^-security_bits`` (the standard Schwartz-Zippel argument in the exponent;
+an audit of ``k`` equations errs with probability at most ``k *
+2^-security_bits``).  The
 aggregate costs one fixed-base exponentiation per distinct fixed base
 (``g`` and the public key) plus one :meth:`Group.multi_power` whose
 variable-base factors carry only ``security_bits``-wide exponents -- which is

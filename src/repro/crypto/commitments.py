@@ -157,7 +157,3 @@ class OptionEncodingScheme:
         for opening in openings[1:]:
             total = total + opening
         return total
-
-    def tally_from_opening(self, opening: CommitmentOpening) -> List[int]:
-        """Interpret a (combined) opening as a per-option tally."""
-        return list(opening.values)

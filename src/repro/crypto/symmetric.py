@@ -56,11 +56,6 @@ def commit_vote_code(
     return SaltedHashCommitment(sha256(vote_code, salt), salt)
 
 
-def verify_vote_code(commitment: SaltedHashCommitment, vote_code: bytes) -> bool:
-    """Check a submitted vote code against a stored hash commitment."""
-    return commitment.matches(vote_code)
-
-
 @dataclass(frozen=True)
 class KeyCommitment:
     """``(H_msk, salt_msk)`` handed to every BB node at setup."""

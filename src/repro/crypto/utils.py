@@ -11,7 +11,7 @@ import hashlib
 import hmac
 import os
 import random
-from typing import Iterable, Optional
+from typing import Optional
 
 
 class RandomSource:
@@ -85,11 +85,6 @@ def sha256(*parts: bytes) -> bytes:
     return h.digest()
 
 
-def sha256_int(*parts: bytes) -> int:
-    """Hash ``parts`` and return the digest as an integer."""
-    return int.from_bytes(sha256(*parts), "big")
-
-
 def hash_to_scalar(modulus: int, *parts: bytes) -> int:
     """Hash ``parts`` into a scalar in ``[0, modulus)``.
 
@@ -124,16 +119,3 @@ def bytes_to_int(data: bytes) -> int:
 def constant_time_equals(a: bytes, b: bytes) -> bool:
     """Compare two byte strings without leaking the mismatch position."""
     return hmac.compare_digest(a, b)
-
-
-def modular_inverse(value: int, modulus: int) -> int:
-    """Return the inverse of ``value`` modulo ``modulus``."""
-    return pow(value, -1, modulus)
-
-
-def product_mod(values: Iterable[int], modulus: int) -> int:
-    """Multiply ``values`` modulo ``modulus``."""
-    result = 1
-    for value in values:
-        result = (result * value) % modulus
-    return result

@@ -22,19 +22,6 @@ class ChannelKind(Enum):
     PUBLIC = "public"
 
 
-@dataclass(frozen=True)
-class Channel:
-    """A directed link between two named endpoints."""
-
-    sender: str
-    receiver: str
-    kind: ChannelKind = ChannelKind.AUTHENTICATED
-
-    @property
-    def is_authenticated(self) -> bool:
-        return self.kind is ChannelKind.AUTHENTICATED
-
-
 _MESSAGE_COUNTER = itertools.count()
 
 

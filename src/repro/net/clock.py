@@ -29,13 +29,6 @@ class GlobalClock:
         """Current global time."""
         return self._now
 
-    def advance(self, amount: float = 1.0) -> float:
-        """``Inc(Clock)``: advance the global clock."""
-        if amount < 0:
-            raise ValueError("time cannot flow backwards")
-        self._now += amount
-        return self._now
-
     def advance_to(self, timestamp: float) -> float:
         """Move the global clock forward to ``timestamp`` (never backwards)."""
         if timestamp > self._now:
@@ -77,15 +70,6 @@ class NodeClock:
             raise ValueError("drift bound violated")
         self._drift = drift
 
-    def advance(self, amount: float = 1.0) -> float:
-        """``Inc(Clock[X])``: advance only this node's clock (drift grows)."""
-        if amount < 0:
-            raise ValueError("time cannot flow backwards")
-        if self._max_drift is not None and self._drift + amount > self._max_drift:
-            raise ValueError("drift bound violated")
-        self._drift += amount
-        return self.now
-
 
 class ClockRegistry:
     """Book-keeping of every node's clock, used by the simulator and tests."""
@@ -104,14 +88,3 @@ class ClockRegistry:
     def clock_of(self, node_id: str) -> NodeClock:
         """Return the clock of a registered node."""
         return self._clocks[node_id]
-
-    def init_all(self) -> None:
-        """Run ``Init(X)`` on every registered node."""
-        for clock in self._clocks.values():
-            clock.init()
-
-    def max_abs_drift(self) -> float:
-        """Largest absolute drift across registered nodes (the observed Delta)."""
-        if not self._clocks:
-            return 0.0
-        return max(abs(clock.drift) for clock in self._clocks.values())

@@ -147,15 +147,11 @@ class Network:
         """Add a node to the simulation."""
         if node.node_id in self.nodes:
             raise ValueError(f"duplicate node id {node.node_id!r}")
-        self.nodes[node.node_id] = node
         self.clocks.register(node.node_id, drift=clock_drift)
+        self.nodes[node.node_id] = node
         self.transport.register(node.node_id)
         node.attach(self)
         return node
-
-    def register_all(self, nodes: Iterable[SimNode]) -> None:
-        for node in nodes:
-            self.register(node)
 
     @property
     def now(self) -> float:
@@ -173,9 +169,6 @@ class Network:
     def recover(self, node_id: str) -> None:
         """Bring a crashed node back; messages start flowing to it again."""
         self.crashed_nodes.discard(node_id)
-
-    def is_crashed(self, node_id: str) -> bool:
-        return node_id in self.crashed_nodes
 
     # -- sending ---------------------------------------------------------------
 
@@ -317,10 +310,6 @@ class Network:
     def run_until_idle(self, max_events: int = 1_000_000) -> int:
         """Run until no events remain."""
         return self.run(max_events=max_events)
-
-    def pending_events(self) -> int:
-        """Number of events still queued."""
-        return len(self._queue)
 
     # -- observability -------------------------------------------------------------
 

@@ -87,7 +87,8 @@ class MemoryTracker:
             run_election(shards=16)
         with tracker.track("run-1-shard"):
             run_election(shards=1)
-        assert tracker.peak_traced("run-16-shards") < tracker.peak_traced("run-1-shard") / 2
+        peaks = {name: sample.peak_traced_bytes for name, sample in tracker.samples.items()}
+        assert peaks["run-16-shards"] < peaks["run-1-shard"] / 2
 
     Blocks may not nest (tracemalloc has one global peak counter); re-entering
     a name keeps the maximum peak seen for that name.  If tracemalloc was
@@ -139,14 +140,6 @@ class MemoryTracker:
                 self.recorder.timings[name] = (
                     self.recorder.timings.get(name, 0.0) + duration
                 )
-
-    def peak_traced(self, name: str) -> int:
-        """The tracemalloc peak (bytes) recorded for ``name``."""
-        return self.samples[name].peak_traced_bytes
-
-    def peak_rss(self, name: str) -> int:
-        """The ru_maxrss reading (bytes) recorded at ``name``'s block exit."""
-        return self.samples[name].peak_rss_bytes
 
     def as_dict(self) -> Dict[str, Dict[str, float]]:
         """``{block name: sample dict}`` for JSON reports."""

@@ -132,10 +132,6 @@ class CrossShardCommit:
         self._records[record.shard_id] = record
 
     @property
-    def prepared(self) -> int:
-        return len(self._records)
-
-    @property
     def total_cast(self) -> int:
         return sum(r.ballots_cast for r in self._records.values())
 

@@ -1,13 +1,10 @@
-"""Tests for the safety / verifiability / privacy bounds (Theorems 2-4)."""
+"""Tests for the safety and verifiability bounds (Theorems 2-3)."""
 
 import pytest
 
 from repro.analysis.verification import (
     e2e_verifiability_error,
     fraud_undetected_probability,
-    minimum_bb_nodes,
-    minimum_vc_nodes,
-    privacy_adversary_work_bound,
     safety_failure_probability,
     safety_failure_probability_union,
 )
@@ -56,6 +53,16 @@ class TestVerifiability:
     def test_error_capped_at_one(self):
         assert e2e_verifiability_error(0, 0) == 1.0
 
+    @pytest.mark.parametrize("auditors", [0, 1, 2, 10])
+    def test_each_auditor_halves_the_undetected_probability(self, auditors):
+        """Each delegated auditor opens the part the EA did not cheat on with
+        probability 1/2, independently of the others."""
+        assert fraud_undetected_probability(auditors) == 2.0 ** -auditors
+        if auditors:
+            assert fraud_undetected_probability(auditors) == pytest.approx(
+                fraud_undetected_probability(auditors - 1) / 2
+            )
+
     def test_fraud_undetected_matches_paper_example(self):
         assert fraud_undetected_probability(10) == pytest.approx(0.0009765625)
 
@@ -64,29 +71,3 @@ class TestVerifiability:
             e2e_verifiability_error(-1, 1)
         with pytest.raises(ValueError):
             fraud_undetected_probability(-1)
-
-
-class TestPrivacyAndThresholds:
-    def test_privacy_work_bound_grows_with_corruption(self):
-        assert privacy_adversary_work_bound(64, 1000, 5) > privacy_adversary_work_bound(8, 1000, 5)
-
-    def test_privacy_work_bound_is_polynomial_for_small_phi(self):
-        # For phi = 40 corrupted voters, 1M voters and 5 options the reduction
-        # runs in well under 2^200 steps, far below a 256-bit hardness level.
-        assert privacy_adversary_work_bound(40, 1_000_000, 5) < 256
-
-    def test_privacy_rejects_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            privacy_adversary_work_bound(-1, 10, 2)
-
-    def test_minimum_subsystem_sizes(self):
-        assert minimum_vc_nodes(1) == 4
-        assert minimum_vc_nodes(5) == 16
-        assert minimum_bb_nodes(1) == 3
-        assert minimum_bb_nodes(3) == 7
-
-    def test_minimum_sizes_reject_negative(self):
-        with pytest.raises(ValueError):
-            minimum_vc_nodes(-1)
-        with pytest.raises(ValueError):
-            minimum_bb_nodes(-1)

@@ -1,163 +1,170 @@
-"""MultiElectionService: member elections run one after the other, in full isolation."""
+"""Elections run one after another in one process are isolated from each other.
+
+Several full-protocol elections are several ``ElectionEngine(spec).run``
+calls.  What a run produces -- its outcome hash, its event stream, its
+simulated phase timings and its network traffic -- must be exactly what the
+same run produces alone, in a fresh interpreter, whatever ran before it in
+the process (including a run that failed).
+"""
 
 import gc
+import json
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
-from repro.api import (
-    ElectionCompleted,
-    ElectionEngine,
-    MultiElectionService,
-    PhaseDriver,
-    ScenarioSpec,
-)
+from repro.analysis.determinism import outcome_hash
+from repro.api import ElectionEngine, PhaseDriver, ScenarioSpec
+from repro.core.auditor import Auditor
+from repro.core.election import AuditConfig
 
-CHOICES_A = ["option-1", "option-3", "option-1", "option-2", "option-1"]
-CHOICES_B = ["option-1", "option-2", "option-1", "option-1"]
-
-
-def _spec_a(seed=21):
-    return ScenarioSpec.preset("paper_baseline", seed=seed, election_id="city")
+ROOT = Path(__file__).resolve().parents[2]
+CHOICES = {
+    "city": ["option-1", "option-3", "option-1", "option-2", "option-1"],
+    "stress": ["option-1", "option-2", "option-1", "option-1"],
+}
+PRESETS = {"city": ("paper_baseline", 21), "stress": ("byzantine_stress", 22)}
 
 
-def _spec_b(seed=22):
-    return ScenarioSpec.preset("byzantine_stress", seed=seed, election_id="stress")
+def spec_of(name, seed=None):
+    preset, default_seed = PRESETS[name]
+    return ScenarioSpec.preset(preset, seed=seed or default_seed, election_id=name)
+
+
+def fingerprint(outcome):
+    """Everything a run must reproduce regardless of the runs before it."""
+    return {
+        "hash": outcome_hash(outcome),
+        "events": [[type(e).__name__, e.sequence, e.sim_time] for e in outcome.events],
+        "phase_timings": outcome.phase_timings,
+        "traffic": [outcome.network.messages_sent, outcome.network.messages_delivered],
+    }
+
+
+def run(name, seed=None):
+    return ElectionEngine(spec_of(name, seed)).run(CHOICES[name])
+
+
+@lru_cache(maxsize=None)
+def alone(name):
+    """:func:`fingerprint` of ``name``'s run as the only run of a fresh interpreter."""
+    code = (
+        f"import json, sys\nsys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+        "from test_service import fingerprint, run\n"
+        f"print(json.dumps(fingerprint(run({name!r}))))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, check=True,
+    )
+    return json.loads(done.stdout)
 
 
 @pytest.fixture(scope="module")
-def multiplexed_reports():
-    service = MultiElectionService()
-    service.add(_spec_a(), CHOICES_A)
-    service.add(_spec_b(), CHOICES_B)
-    return service, service.run_all()
+def observed_runs():
+    """``city`` then ``stress``, in this process, with one observer
+    subscribed to both engines: ``(outcomes by name, the observer's log)``."""
+    log, outcomes = [], {}
+    for name in ("city", "stress"):
+        engine = ElectionEngine(spec_of(name))
+        engine.subscribe(log.append)
+        outcomes[name] = engine.run(CHOICES[name])
+    return outcomes, log
 
 
-class TestRunAll:
-    def test_every_election_completes(self, multiplexed_reports):
-        _, reports = multiplexed_reports
-        assert set(reports) == {"city", "stress"}
-        assert reports["city"].tally == {"option-1": 3, "option-2": 1, "option-3": 1}
-        assert reports["stress"].tally == {"option-1": 3, "option-2": 1}
-        assert all(r.audit_passed for r in reports.values())
+@pytest.fixture(scope="module")
+def one_after_another(observed_runs):
+    return observed_runs[0]
 
-    def test_merged_event_log_is_demultiplexable(self, multiplexed_reports):
-        service, reports = multiplexed_reports
-        assert {e.election_id for e in service.event_log} == {"city", "stress"}
-        for name, report in reports.items():
-            merged = [e for e in service.event_log if e.election_id == name]
-            assert merged == report.outcome.events
 
-    def test_event_log_is_each_members_events_in_registration_order(
-        self, multiplexed_reports
-    ):
-        service, reports = multiplexed_reports
-        city, stress = reports["city"].outcome, reports["stress"].outcome
-        assert service.event_log == city.events + stress.events
+@pytest.fixture(scope="module")
+def shared_log(observed_runs):
+    return observed_runs[1]
 
-    def test_nothing_stays_frozen_after_run_all(self, multiplexed_reports):
-        assert gc.get_freeze_count() == 0
 
-    def test_a_failed_phase_still_closes_every_member(self):
-        class FailingVoting(PhaseDriver):
-            name = "voting"
-
-            def run(self, ctx):
-                raise RuntimeError("voting failed")
-
-        service = MultiElectionService()
-        service.add(_spec_a(), CHOICES_A)
-        service.add(_spec_b(), CHOICES_B)
-        service.engine("stress").drivers[1] = FailingVoting()
-        with pytest.raises(RuntimeError, match="voting failed"):
-            service.run_all()
-        # The member before the failing one ran to completion.
-        city = service.reports["city"]
-        assert city.tally == {"option-1": 3, "option-2": 1, "option-3": 1}
-        assert city.audit_passed
-        assert isinstance(city.outcome.events[-1], ElectionCompleted)
-        assert set(city.phase_timings) == {"setup", "voting", "consensus", "tally", "audit"}
-        assert "stress" not in service.reports
-        assert service.engine("stress").ctx.setup is not None
-        assert gc.get_freeze_count() == 0
+def as_json(value):
+    return json.loads(json.dumps(value))
 
 
 class TestIsolation:
-    """An election behaves identically alone and multiplexed with others."""
+    def test_every_election_completes(self, one_after_another):
+        city, stress = one_after_another["city"], one_after_another["stress"]
+        assert city.tally.as_dict() == {"option-1": 3, "option-2": 1, "option-3": 1}
+        assert stress.tally.as_dict() == {"option-1": 3, "option-2": 1}
+        assert city.audit_report.passed and stress.audit_report.passed
 
-    def test_outcome_rng_and_timings_unchanged_by_cohabitation(self, multiplexed_reports):
-        _, reports = multiplexed_reports
-        solo = ElectionEngine(_spec_a()).run(CHOICES_A)
-        multi = reports["city"].outcome
-        # Same RNG streams: identical ballots (serials are random draws),
-        # identical tally, identical receipts.
-        assert [b.serial for b in solo.setup.ballots] == [
-            b.serial for b in multi.setup.ballots
-        ]
-        assert solo.tally.as_dict() == multi.tally.as_dict()
-        assert solo.receipts_obtained == multi.receipts_obtained
-        # Same simulated phase timings, to the float.
-        assert solo.phase_timings == multi.phase_timings
-        # Same event stream (sequence numbers and simulated timestamps).
-        assert [(type(e).__name__, e.sequence, e.sim_time) for e in solo.events] == [
-            (type(e).__name__, e.sequence, e.sim_time) for e in multi.events
-        ]
+    @pytest.mark.parametrize("name", ["city", "stress"])
+    def test_a_run_is_the_same_alone_and_after_another(self, one_after_another, name):
+        assert as_json(fingerprint(one_after_another[name])) == alone(name)
 
-    def test_elections_with_different_seeds_diverge(self, multiplexed_reports):
-        _, reports = multiplexed_reports
-        other = ElectionEngine(_spec_a(seed=99)).run(CHOICES_A)
-        multi = reports["city"].outcome
-        assert [b.serial for b in other.setup.ballots] != [
-            b.serial for b in multi.setup.ballots
-        ]
+    def test_elections_with_different_seeds_diverge(self, one_after_another):
+        other = run("city", seed=99)
+        city = one_after_another["city"]
+        assert [b.serial for b in other.setup.ballots] != [b.serial for b in city.setup.ballots]
+        assert outcome_hash(other) != outcome_hash(city)
 
-    def test_network_traffic_is_per_election(self, multiplexed_reports):
-        _, reports = multiplexed_reports
-        solo = ElectionEngine(_spec_b()).run(CHOICES_B)
-        multi = reports["stress"].outcome
-        assert solo.network.messages_sent == multi.network.messages_sent
-        assert solo.network.messages_delivered == multi.network.messages_delivered
+    def test_network_traffic_is_per_engine(self, one_after_another):
+        city, stress = one_after_another["city"], one_after_another["stress"]
+        assert city.network is not stress.network
+        assert [city.network.messages_sent, city.network.messages_delivered] == (
+            alone("city")["traffic"]
+        )
+
+    def test_nothing_stays_frozen_after_the_runs(self, one_after_another):
+        assert gc.get_freeze_count() == 0
 
 
-class TestRegistration:
-    def test_duplicate_names_rejected(self):
-        service = MultiElectionService()
-        service.add(_spec_a(), CHOICES_A)
-        with pytest.raises(ValueError, match="already registered"):
-            service.add(_spec_a(), CHOICES_A)
+class TestObservers:
+    """One observer subscribed to several engines sees each run's own stream."""
 
-    def test_choice_count_validated_at_add_time(self):
-        service = MultiElectionService()
-        with pytest.raises(ValueError, match="needs exactly 5 choices"):
-            service.add(_spec_a(), ["option-1"])
+    def test_the_log_is_each_runs_events_in_run_order(self, one_after_another, shared_log):
+        city, stress = one_after_another["city"], one_after_another["stress"]
+        assert shared_log == city.events + stress.events
 
-    @pytest.mark.parametrize(
-        "choices, voter_parts, voter",
-        [
-            (CHOICES_A, ["A", "B"], 2),
-            (CHOICES_A, ["A", "B", "C", "A", "B"], 2),
-            (CHOICES_A[:3] + ["option-9", "option-1"], None, 3),
-            (CHOICES_A, ["A", "B", "A", "B", "A", "B"], 5),
-        ],
-        ids=["parts-short", "unknown-part", "unknown-option", "parts-long"],
-    )
-    def test_bad_choices_refused_at_add_time(self, choices, voter_parts, voter):
-        service = MultiElectionService()
-        with pytest.raises(ValueError, match=f"voter {voter}"):
-            service.add(_spec_a(), choices, voter_parts=voter_parts)
-        assert service.election_names == ()
+    def test_the_log_is_demultiplexable_by_election_id(self, one_after_another, shared_log):
+        assert {event.election_id for event in shared_log} == {"city", "stress"}
+        for name, outcome in one_after_another.items():
+            assert [e for e in shared_log if e.election_id == name] == outcome.events
 
-    def test_explicit_name_overrides_election_id(self):
-        service = MultiElectionService()
-        name = service.add(_spec_a(), CHOICES_A, name="override")
-        assert name == "override"
-        assert service.engine("override").spec.election_id == "override"
+    def test_the_audit_runs_on_the_specs_schedule(self, monkeypatch):
+        """``spec.audit`` alone decides the audit's worker budget and batch
+        width, and the batching exponents stay unseeded (predictable ones
+        void the ``2^-bits`` soundness bound)."""
+        requested = []
+        verify_all = Auditor.verify_all
 
-    def test_empty_service_runs(self):
-        assert MultiElectionService().run_all() == {}
+        def spy(self, delegations, parallel=None):
+            requested.append((parallel, self.security_bits))
+            # Record the schedule the engine asked for, verify in-process.
+            return verify_all(self, delegations, parallel=replace(parallel, workers=1))
 
-    def test_shared_parallel_config_reaches_every_audit(self):
-        service = MultiElectionService(audit_workers=1)
-        service.add(_spec_a(), CHOICES_A)
-        service.add(_spec_b(), CHOICES_B)
-        for name in service.election_names:
-            assert service.engine(name)._parallel is service.parallel
+        monkeypatch.setattr(Auditor, "verify_all", spy)
+        spec = spec_of("city").derive(audit=AuditConfig(workers=3, security_bits=80))
+        outcome = ElectionEngine(spec).run(CHOICES["city"])
+        assert outcome.audit_report.passed
+        ((schedule, bits),) = requested
+        assert (schedule.workers, bits) == (3, 80)
+        assert schedule.base_seed is None
+
+
+def test_a_failed_phase_closes_its_run_and_leaves_the_next_one_unchanged():
+    class FailingVoting(PhaseDriver):
+        name = "voting"
+
+        def run(self, ctx):
+            raise RuntimeError("voting failed")
+
+    failing = ElectionEngine(spec_of("stress"))
+    failing.drivers[1] = FailingVoting()
+    with pytest.raises(RuntimeError, match="voting failed"):
+        failing.run(CHOICES["stress"])
+    assert failing.ctx.setup is not None
+    assert gc.get_freeze_count() == 0
+    assert as_json(fingerprint(run("city"))) == alone("city")
+    assert gc.get_freeze_count() == 0

@@ -206,7 +206,7 @@ class TestPresets:
 
     def test_byzantine_stress_is_within_thresholds(self):
         spec = ScenarioSpec.preset("byzantine_stress")
-        assert not spec.adversary.is_honest
+        assert spec.adversary.vc_behaviors
         assert len(spec.adversary.vc_behaviors) <= (spec.num_vc - 1) // 3
         assert len(spec.adversary.bb_behaviors) <= (spec.num_bb - 1) // 2
 

@@ -20,7 +20,6 @@ class TestBatching:
         batcher.enqueue(BVal("1", 1, 0))
         batcher.enqueue(Aux("1", 1, 0))
         assert sent == []
-        assert batcher.pending_count == 2
         batcher.flush()
         assert len(sent) == 1
         assert len(sent[0]) == 2
@@ -31,15 +30,16 @@ class TestBatching:
         for message in messages:
             batcher.enqueue(message)
         batcher.flush()
+        batcher.flush()
         assert sent == [BatchEnvelope(messages)]
-        assert batcher.pending_count == 0
 
     def test_auto_flush_at_max_batch(self):
         batcher, sent = make_batcher(max_batch=3)
         for i in range(3):
             batcher.enqueue(BVal(str(i), 1, 0))
         assert len(sent) == 1
-        assert batcher.pending_count == 0
+        batcher.flush()
+        assert len(sent) == 1
 
     def test_messages_after_a_flush_start_a_new_envelope(self):
         batcher, sent = make_batcher(max_batch=2)
@@ -47,11 +47,6 @@ class TestBatching:
             batcher.enqueue(BVal(str(i), 1, 0))
         batcher.flush()
         assert [len(envelope) for envelope in sent] == [2, 1]
-
-    def test_unpack_returns_original_messages(self):
-        messages = (BVal("1", 1, 0), Aux("1", 1, 1))
-        envelope = BatchEnvelope(messages)
-        assert ConsensusBatcher.unpack(envelope) == messages
 
     def test_envelope_keeps_elements_in_send_order(self):
         batcher, sent = make_batcher()

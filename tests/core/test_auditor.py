@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.auditor import Auditor, AuditReport, fraud_detection_probability
+from repro.core.auditor import Auditor, AuditReport
 from repro.core.bulletin_board import MajorityReader
 from repro.core.voter import VoterAuditInfo
 
@@ -119,18 +119,3 @@ class TestFullAudit:
         report = Auditor(fresh_nodes, small_params, group).verify_all()
         assert not report.passed
         assert report.checks["bb-ready"] is False
-
-
-class TestFraudDetection:
-    def test_probability_increases_with_auditors(self):
-        assert fraud_detection_probability(0) == 0.0
-        assert fraud_detection_probability(1) == 0.5
-        assert fraud_detection_probability(10) == pytest.approx(1 - 2 ** -10)
-
-    def test_paper_example_ten_auditors(self):
-        """The paper: 10 auditors leave only ~0.00097 undetected probability."""
-        assert 1 - fraud_detection_probability(10) == pytest.approx(0.0009765625)
-
-    def test_negative_auditors_rejected(self):
-        with pytest.raises(ValueError):
-            fraud_detection_probability(-1)

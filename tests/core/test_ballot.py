@@ -49,16 +49,19 @@ class TestBallotStructure:
         assert ballot.part_a.receipt_for_vote_code(b"\xff" * 20) is None
 
     def test_all_vote_codes(self, ballot):
-        codes = ballot.all_vote_codes()
+        codes = [line.vote_code for part in ballot.parts for line in part.lines]
         assert len(codes) == 6
         assert len(set(codes)) == 6
 
     def test_locate_vote_code(self, ballot):
         code = ballot.part_b.vote_code_for_option("option-2")
-        assert ballot.locate_vote_code(code) == (PART_B, 1)
+        holders = [part.name for part in ballot.parts if part.receipt_for_vote_code(code)]
+        assert holders == [PART_B]
+        assert [line.vote_code for line in ballot.part_b.lines].index(code) == 1
 
     def test_locate_unknown_code(self, ballot):
-        assert ballot.locate_vote_code(b"\x00" * 19 + b"\xff") is None
+        code = b"\x00" * 19 + b"\xff"
+        assert all(part.receipt_for_vote_code(code) is None for part in ballot.parts)
 
 
 class TestSetupViews:

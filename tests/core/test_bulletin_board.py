@@ -66,7 +66,7 @@ class TestMskReconstruction:
         ballot = small_setup.ballots[0]
         decrypted = fresh_bb.decrypted_vote_codes[ballot.serial]
         published = {code for codes in decrypted.values() for code in codes}
-        assert published == set(ballot.all_vote_codes())
+        assert published == {line.vote_code for part in ballot.parts for line in part.lines}
 
     def test_share_off_by_one_misses_its_digest(self, fresh_bb, small_setup):
         """Red with ``share_matches`` stubbed to accept in the BB's module."""

@@ -59,7 +59,7 @@ class TestSetupStructure:
 
     def test_vote_codes_unique_within_ballot(self, small_setup):
         for ballot in small_setup.ballots:
-            codes = ballot.all_vote_codes()
+            codes = [line.vote_code for part in ballot.parts for line in part.lines]
             assert len(codes) == len(set(codes))
 
     def test_each_part_covers_every_option(self, small_setup, small_params):
@@ -81,10 +81,17 @@ class TestSetupStructure:
         assert set(small_setup.bb_init.ballots) == {b.serial for b in small_setup.ballots}
 
     def test_ballot_lookup_by_serial(self, small_setup):
-        ballot = small_setup.ballots[0]
-        assert small_setup.ballot_by_serial(ballot.serial) is ballot
+        """Each subsystem finds a ballot by its serial: the VC view of a
+        ballot locates that ballot's own vote codes and no other's."""
+        first, second = small_setup.ballots[:2]
+        for init in small_setup.vc_init.values():
+            view = init.ballots[first.serial]
+            assert view.serial == first.serial
+            assert view.find_vote_code(first.part_a.lines[0].vote_code) is not None
+            assert view.find_vote_code(second.part_a.lines[0].vote_code) is None
+        assert small_setup.bb_init.ballots[first.serial].serial == first.serial
         with pytest.raises(KeyError):
-            small_setup.ballot_by_serial(-1)
+            small_setup.bb_init.ballots[-1]
 
 
 class TestSecretSharingConsistency:

@@ -21,6 +21,19 @@ class TestFaultThresholds:
         assert FaultThresholds(4, 3, 3, 2).max_faulty_bb == 1
         assert FaultThresholds(4, 5, 3, 2).max_faulty_bb == 2
 
+    @pytest.mark.parametrize("faults", [1, 2, 3, 5])
+    def test_minimum_vc_nodes(self, faults):
+        """``Nv = 3 fv + 1`` is the least VC subsystem that tolerates ``fv`` faults."""
+        assert FaultThresholds(3 * faults + 1, 3, 3, 2).max_faulty_vc == faults
+        assert FaultThresholds(3 * faults, 3, 3, 2).max_faulty_vc == faults - 1
+
+    @pytest.mark.parametrize("faults", [0, 1, 3])
+    def test_minimum_bb_nodes(self, faults):
+        """``Nb = 2 fb + 1`` is the least BB subsystem that tolerates ``fb`` faults."""
+        assert FaultThresholds(4, 2 * faults + 1, 3, 2).max_faulty_bb == faults
+        if faults:
+            assert FaultThresholds(4, 2 * faults, 3, 2).max_faulty_bb == faults - 1
+
     def test_max_faulty_trustees(self):
         assert FaultThresholds(4, 3, 5, 3).max_faulty_trustees == 2
 

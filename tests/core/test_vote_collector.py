@@ -26,7 +26,9 @@ from repro.crypto.shamir import lagrange_at_zero
 from repro.crypto.utils import RandomSource
 from repro.net.adversary import NetworkConditions
 from repro.net.channels import ChannelKind, Message
+from repro.net.codec import MessageCodec
 from repro.net.simulator import Network, SimNode
+from repro.net.transport import InProcessTransport
 
 
 class ProbeVoter(SimNode):
@@ -464,3 +466,45 @@ class TestCrashSnapshot:
         # Idempotent: a second adoption does not overwrite or re-upload.
         node.adopt_final_vote_set(())
         assert node.final_vote_set == vote_set
+
+
+class Board(SimNode):
+    """A stand-in BB node that records the payload types it receives."""
+
+    def __init__(self, node_id):
+        super().__init__(node_id)
+        self.received = []
+
+    def on_message(self, message: Message) -> None:
+        self.received.append(type(message.payload).__name__)
+
+
+@pytest.mark.parametrize("num_bb", [3, 5])
+def test_an_upload_encodes_each_payload_once(group, num_bb):
+    """The vote set and the msk share go to every BB node as one broadcast
+    each: two frames encoded whatever the number of BB nodes (a frame per
+    payload and BB node would encode ``2 * Nb``)."""
+    params = ElectionParameters.small_test_election(
+        num_voters=3, num_options=2, num_bb=num_bb, election_end=500.0
+    )
+    setup = ElectionAuthority(
+        params, group=group, rng=RandomSource(21),
+        include_proofs=False, include_trustee_data=False,
+    ).setup()
+    network = Network(
+        conditions=NetworkConditions(base_latency=0.001, seed=3),
+        transport=InProcessTransport(codec=MessageCodec()),
+    )
+    node = VoteCollectorNode(setup.vc_init[vc_node_id(0)], params)
+    network.register(node)
+    boards = [Board(bb) for bb in node.bb_nodes]
+    for board in boards:
+        network.register(board)
+    assert len(boards) == num_bb
+    vote_set = ((setup.ballots[0].serial, setup.ballots[0].part_a.lines[0].vote_code),)
+    before = network.transport.frames_encoded
+    node.adopt_final_vote_set(vote_set)
+    network.run_until_idle()
+    assert network.transport.frames_encoded - before == 2
+    for board in boards:
+        assert sorted(board.received) == ["MskShareUpload", "VoteSetUpload"]

@@ -1,7 +1,11 @@
 """Tests for the voter client."""
 
+from dataclasses import replace
 
-from repro.core.ballot import PART_A, PART_B
+import pytest
+
+from repro.core.auditor import Auditor
+from repro.core.ballot import PART_A, PART_B, BallotLine
 from repro.core.voter import VoterClient
 
 
@@ -54,37 +58,40 @@ class TestVotingOutcome:
         unused_codes = {line.vote_code for line in info.unused_part_lines}
         assert voter.vote_code not in unused_codes
 
-    def test_voter_verifies_on_bb(self, small_outcome):
-        voter = small_outcome.voters[0]
-        bb = small_outcome.bb_nodes[0]
-        vote_set = bb.accepted_vote_set
-        # Rebuild the option labels of the opened unused part, in the voter's
-        # canonical ballot order.
-        key = (voter.ballot.serial, voter.unused_part_name)
-        openings = bb.result.openings[key]
-        codes = bb.decrypted_vote_codes[voter.ballot.serial][voter.unused_part_name]
-        options = small_outcome.setup.params.options
-        code_to_option = {
-            code: options[list(opening.values).index(1)]
-            for code, opening in zip(codes, openings, strict=True)
-        }
-        opened_options = [
-            code_to_option[line.vote_code]
-            for line in voter.ballot.part(voter.unused_part_name).lines
-        ]
-        assert voter.verify_on_bb(vote_set, opened_options)
 
-    def test_verify_on_bb_detects_missing_vote(self, small_outcome):
-        voter = small_outcome.voters[0]
-        opened = [line.option for line in voter.ballot.part(voter.unused_part_name).lines]
-        assert not voter.verify_on_bb([], opened)
+class TestVerificationOnBB:
+    """A voter checks the BB through :meth:`Auditor.verify_delegation`: (f) the
+    cast code is in the published vote set, (g) the opened unused part reads
+    what the voter's own copy of it prints."""
 
-    def test_verify_on_bb_detects_swapped_options(self, small_outcome):
-        voter = small_outcome.voters[0]
-        bb = small_outcome.bb_nodes[0]
-        opened = [line.option for line in voter.ballot.part(voter.unused_part_name).lines]
-        swapped = list(reversed(opened))
-        assert not voter.verify_on_bb(bb.accepted_vote_set, swapped)
+    @pytest.fixture(scope="class")
+    def auditor(self, small_outcome, small_params, group):
+        return Auditor(small_outcome.bb_nodes, small_params, group)
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_voter_verifies_on_bb(self, auditor, small_outcome, index):
+        voter = small_outcome.voters[index]
+        report = auditor.verify_delegation(voter.audit_info())
+        assert report.passed
+        assert report.checks["f-cast-code-published"]
+        assert report.checks["g-unused-part-consistent"]
+
+    def test_verify_on_bb_detects_missing_vote(self, auditor, small_outcome):
+        report = auditor.verify_delegation(small_outcome.voters[0].audit_info(), vote_set=())
+        assert not report.passed
+        assert not report.checks["f-cast-code-published"]
+
+    def test_verify_on_bb_detects_swapped_options(self, auditor, small_outcome):
+        info = small_outcome.voters[0].audit_info()
+        lines = info.unused_part_lines
+        options = [line.option for line in reversed(lines)]
+        swapped = tuple(
+            BallotLine(line.vote_code, option, line.receipt)
+            for line, option in zip(lines, options, strict=True)
+        )
+        report = auditor.verify_delegation(replace(info, unused_part_lines=swapped))
+        assert report.checks["f-cast-code-published"]
+        assert not report.checks["g-unused-part-consistent"]
 
 
 class TestPatience:

@@ -19,7 +19,7 @@ import pytest
 from repro.analysis.determinism import safety_violations
 from repro.api import AdmissionProfile, AdversaryProfile, ElectionEngine, ScenarioSpec
 from repro.core.ballot import VcBallotView
-from repro.core.byzantine import VC_BEHAVIORS, register_vc_behavior
+from repro.core.byzantine import VC_BEHAVIORS
 from repro.core.ea import ElectionAuthority
 from repro.core.election import ElectionParameters, vc_node_id
 from repro.core.messages import (
@@ -406,10 +406,9 @@ class ForeignCodeEndorser(VoteCollectorNode):
 
 
 @pytest.fixture()
-def foreign_code_behavior():
-    register_vc_behavior("foreign-code-endorser", ForeignCodeEndorser)
-    yield "foreign-code-endorser"
-    del VC_BEHAVIORS["foreign-code-endorser"]
+def foreign_code_behavior(monkeypatch):
+    monkeypatch.setitem(VC_BEHAVIORS, "foreign-code-endorser", ForeignCodeEndorser)
+    return "foreign-code-endorser"
 
 
 @pytest.mark.parametrize("endorse_batch", [1, 4], ids=["single", "batcher"])

@@ -22,7 +22,7 @@ from repro.consensus import bracha
 from repro.consensus.batching import BatchEnvelope, SuperblockSend
 from repro.consensus.interfaces import Aux, BVal, Finish
 from repro.consensus.vote_set_consensus import HaltedInstance
-from repro.core.byzantine import VC_BEHAVIORS, register_vc_behavior
+from repro.core.byzantine import VC_BEHAVIORS
 from repro.core.ea import ElectionAuthority
 from repro.core.election import ElectionParameters, vc_node_id
 from repro.core.messages import (
@@ -81,7 +81,8 @@ def run_collectors(params, setup, voted, *, prepare=None, seed=5):
         VoteCollectorNode(setup.vc_init[vc_node_id(index)], params)
         for index in range(params.thresholds.num_vc)
     ]
-    network.register_all(nodes)
+    for node in nodes:
+        network.register(node)
     voter = ProbeVoter("probe-voter")
     network.register(voter)
     for index, ballot in enumerate(setup.ballots[:voted]):
@@ -267,11 +268,10 @@ CHOICES = ["option-1", "option-2", "option-2", "option-1", "option-1"]
 
 @pytest.fixture(scope="module", autouse=True)
 def hostile_behaviors():
-    for name, cls in HOSTILE.items():
-        register_vc_behavior(f"hostile-{name}", cls)
-    yield
-    for name in HOSTILE:
-        del VC_BEHAVIORS[f"hostile-{name}"]
+    with pytest.MonkeyPatch.context() as patch:
+        for name, cls in HOSTILE.items():
+            patch.setitem(VC_BEHAVIORS, f"hostile-{name}", cls)
+        yield
 
 
 class TestHostileEnvelopes:

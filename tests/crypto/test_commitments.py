@@ -79,13 +79,13 @@ class TestHomomorphicTally:
         combined = scheme.combine(commitments)
         total_opening = scheme.combine_openings(openings)
         assert scheme.verify_opening(combined, total_opening)
-        assert scheme.tally_from_opening(total_opening) == [1, 3, 1]
+        assert list(total_opening.values) == [1, 3, 1]
 
     def test_empty_combine_yields_zero_tally(self, scheme):
         combined = scheme.combine([])
         opening = scheme.combine_openings([])
         assert scheme.verify_opening(combined, opening)
-        assert scheme.tally_from_opening(opening) == [0, 0, 0]
+        assert list(opening.values) == [0, 0, 0]
 
     def test_combining_mismatched_lengths_fails(self, scheme, group, elgamal_keys):
         other = OptionEncodingScheme(2, elgamal_keys.public, group)
@@ -110,5 +110,5 @@ class TestHomomorphicTally:
         opening = scheme.combine_openings(
             [o for _, o in first_batch] + [o for _, o in second_batch]
         )
-        assert scheme.tally_from_opening(opening) == [2, 3, 0]
+        assert list(opening.values) == [2, 3, 0]
         assert scheme.verify_opening(combined, opening)

@@ -12,7 +12,6 @@ from repro.crypto.symmetric import (
     random_receipt,
     random_serial,
     random_vote_code,
-    verify_vote_code,
 )
 from repro.crypto.utils import RandomSource
 
@@ -21,11 +20,11 @@ class TestHashCommitments:
     def test_commit_and_verify(self, rng):
         code = random_vote_code(rng)
         commitment = commit_vote_code(code, rng=rng)
-        assert verify_vote_code(commitment, code)
+        assert commitment.matches(code)
 
     def test_wrong_code_rejected(self, rng):
         commitment = commit_vote_code(random_vote_code(rng), rng=rng)
-        assert not verify_vote_code(commitment, random_vote_code(rng))
+        assert not commitment.matches(random_vote_code(rng))
 
     def test_salt_makes_commitments_differ(self, rng):
         code = random_vote_code(rng)

@@ -9,10 +9,7 @@ from repro.crypto.utils import (
     default_random,
     hash_to_scalar,
     int_to_bytes,
-    modular_inverse,
-    product_mod,
     sha256,
-    sha256_int,
 )
 
 
@@ -67,9 +64,6 @@ class TestHashing:
     def test_sha256_length_prefix_prevents_ambiguity(self):
         assert sha256(b"ab", b"c") != sha256(b"a", b"bc")
 
-    def test_sha256_int_matches_bytes(self):
-        assert sha256_int(b"x") == int.from_bytes(sha256(b"x"), "big")
-
     def test_hash_to_scalar_within_modulus(self):
         for modulus in (97, 2 ** 64, 2 ** 255 - 19):
             assert 0 <= hash_to_scalar(modulus, b"data") < modulus
@@ -94,10 +88,3 @@ class TestEncodings:
     def test_constant_time_equals(self):
         assert constant_time_equals(b"abc", b"abc")
         assert not constant_time_equals(b"abc", b"abd")
-
-    def test_modular_inverse(self):
-        assert (modular_inverse(3, 7) * 3) % 7 == 1
-
-    def test_product_mod(self):
-        assert product_mod([2, 3, 4], 5) == 24 % 5
-        assert product_mod([], 5) == 1

@@ -167,11 +167,11 @@ class TestCrashRecovery:
         with pytest.raises(ValueError):
             network.crash("ghost")
 
-    def test_is_crashed(self):
+    def test_crash_marks_the_node_down(self):
         network, a, _ = make_network("a", "b")
-        assert not network.is_crashed("a")
+        assert "a" not in network.crashed_nodes
         network.crash("a")
-        assert network.is_crashed("a")
+        assert "a" in network.crashed_nodes
 
 
 class TestChaosControllerNetworkFaults:

@@ -107,7 +107,7 @@ class TestTimersAndOrdering:
         a.set_timer(10.0, lambda: fired.append("y"))
         network.run(until=5.0)
         assert fired == ["x"]
-        assert network.pending_events() == 1
+        assert network.run_until_idle() == 1
 
     def test_event_budget_guards_against_storms(self):
         network = Network(conditions=NetworkConditions(base_latency=0.0, seed=1))
@@ -130,7 +130,7 @@ class TestTimersAndOrdering:
         # The queue drains on exactly the last budgeted event: no error.
         assert network.run(max_events=5) == 5
         assert fired == [0, 1, 2, 3, 4]
-        assert network.pending_events() == 0
+        assert network.run_until_idle() == 0
 
     def test_budget_hit_with_only_post_deadline_events_is_not_a_storm(self):
         network, a, b = make_network()
@@ -140,7 +140,7 @@ class TestTimersAndOrdering:
         # Two events fit the budget; the only remaining one is past the
         # deadline, which is a normal deadline stop, not a message storm.
         assert network.run(max_events=2, until=5.0) == 2
-        assert network.pending_events() == 1
+        assert network.run_until_idle() == 1
 
     def test_node_clock_accessible(self):
         network, a, b = make_network()

@@ -21,7 +21,8 @@ class TestMemoryTracker:
         with tracker.track("small"):
             block = allocate(1)
             del block
-        assert tracker.peak_traced("big") > 4 * tracker.peak_traced("small")
+        peaks = {name: sample.peak_traced_bytes for name, sample in tracker.samples.items()}
+        assert peaks["big"] > 4 * peaks["small"]
 
     def test_later_blocks_are_not_charged_for_earlier_residue(self):
         """Peaks are relative to block entry, so surviving allocations from an
@@ -32,7 +33,8 @@ class TestMemoryTracker:
         with tracker.track("clean"):
             block = allocate(1)
             del block
-        assert tracker.peak_traced("clean") < tracker.peak_traced("leaky") / 4
+        peaks = {name: sample.peak_traced_bytes for name, sample in tracker.samples.items()}
+        assert peaks["clean"] < peaks["leaky"] / 4
         del survivor
 
     def test_reentering_a_name_keeps_the_maximum(self):
@@ -40,10 +42,10 @@ class TestMemoryTracker:
         with tracker.track("phase"):
             block = allocate(4)
             del block
-        first = tracker.peak_traced("phase")
+        first = tracker.samples["phase"].peak_traced_bytes
         with tracker.track("phase"):
             pass
-        assert tracker.peak_traced("phase") == first
+        assert tracker.samples["phase"].peak_traced_bytes == first
 
     def test_blocks_may_not_nest(self):
         tracker = MemoryTracker()

@@ -85,7 +85,6 @@ class TestCrossShardCommit:
         commit = CrossShardCommit(scheme)
         for record, opening in shards:
             commit.prepare(record, opening)
-        assert commit.prepared == 3
         assert commit.total_cast == 8
         global_record = commit.commit("merge-test")
         assert global_record.num_shards == 3
@@ -149,7 +148,7 @@ class TestCrossShardCommit:
         commit.prepare(*shards[0])
         with pytest.raises(MergeError, match="shard 1: opening has"):
             commit.prepare(record, bad)
-        assert commit.prepared == 1
+        assert commit.records_in_order() == [shards[0][0]]
 
     def test_batch_verification_catches_a_lying_shard(self, scheme, shards):
         commit = CrossShardCommit(scheme)
