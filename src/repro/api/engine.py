@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import gc
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Type
+from typing import Dict, List, Optional, Sequence
 
 from repro.api.events import (
     AuditCompleted,
@@ -73,14 +73,10 @@ class EngineContext:
     spec: ScenarioSpec
     params: ElectionParameters
     group: Group
-    rng: RandomSource
     bus: EventBus
-    vc_node_classes: Dict[str, Type[VoteCollectorNode]]
-    bb_node_classes: Dict[str, Type[BulletinBoardNode]]
-    trustee_classes: Dict[str, Type[Trustee]]
     #: transport the voting network will use (built from the spec's
     #: ``TransportProfile``; single-run -- TCP backends own real sockets).
-    transport: Optional[Transport] = None
+    transport: Transport
 
     choices: Optional[Sequence[str]] = None
     voter_parts: Optional[Sequence[str]] = None
@@ -129,7 +125,7 @@ class SetupDriver(PhaseDriver):
         authority = ElectionAuthority(
             ctx.params,
             group=ctx.group,
-            rng=ctx.rng,
+            rng=RandomSource(ctx.spec.seed),
             include_proofs=ctx.spec.crypto.include_proofs,
         )
         ctx.setup = authority.setup()
@@ -170,16 +166,19 @@ class VotingDriver(PhaseDriver):
         )
         ctx.bus.set_clock(lambda: ctx.network.now)
 
+        vc_classes = spec.adversary.vc_classes()
+        bb_classes = spec.adversary.bb_classes()
+        trustee_classes = spec.adversary.trustee_classes()
         for index in range(params.thresholds.num_vc):
             node_id = vc_node_id(index)
-            cls = ctx.vc_node_classes.get(node_id, VoteCollectorNode)
+            cls = vc_classes.get(node_id, VoteCollectorNode)
             node = cls(setup.vc_init[node_id], params)
             ctx.vote_collectors.append(node)
             ctx.network.register(node)
 
         for index in range(params.thresholds.num_bb):
             node_id = bb_node_id(index)
-            cls = ctx.bb_node_classes.get(node_id, BulletinBoardNode)
+            cls = bb_classes.get(node_id, BulletinBoardNode)
             node = cls(node_id, setup.bb_init, params, ctx.group)
             ctx.bb_nodes.append(node)
             ctx.network.register(node)
@@ -187,7 +186,7 @@ class VotingDriver(PhaseDriver):
         # Trustees (not SimNodes: the tabulation phase is sequential).
         for index in range(params.thresholds.num_trustees):
             node_id = trustee_id(index)
-            cls = ctx.trustee_classes.get(node_id, Trustee)
+            cls = trustee_classes.get(node_id, Trustee)
             ctx.trustees.append(cls(setup.trustee_init[node_id], params, ctx.group))
 
         vc_ids = [vc_node_id(i) for i in range(params.thresholds.num_vc)]
@@ -370,37 +369,20 @@ def check_choices(
 class ElectionEngine:
     """Runs a :class:`ScenarioSpec` through pluggable phase drivers.
 
-    The spec is the one description of the run: the drivers and the nodes read
-    its blocks directly.  The keywords are injection points for pre-built
-    objects the spec cannot carry -- a driver sequence, a shared group, a
-    pinned RNG, node classes (merged over the adversary profile's), a
-    transport -- which is how tests substitute fakes; none of them restates a
-    spec field.  Observers join through :meth:`subscribe`.
+    The spec is the one description of the run: the group, the EA's
+    randomness (``spec.seed``), the transport and every Byzantine node (the
+    adversary profile's behaviour names) come from it, and the drivers and the
+    nodes read its blocks directly.  ``drivers`` replaces the phase sequence,
+    which is how tests substitute a phase.  Observers join through
+    :meth:`subscribe`.
     """
 
-    def __init__(
-        self,
-        spec: ScenarioSpec,
-        *,
-        drivers: Optional[Sequence[PhaseDriver]] = None,
-        group: Optional[Group] = None,
-        rng: Optional[RandomSource] = None,
-        vc_node_classes: Optional[Dict[str, Type[VoteCollectorNode]]] = None,
-        bb_node_classes: Optional[Dict[str, Type[BulletinBoardNode]]] = None,
-        trustee_classes: Optional[Dict[str, Type[Trustee]]] = None,
-        transport: Optional[Transport] = None,
-    ):
+    def __init__(self, spec: ScenarioSpec, *, drivers: Optional[Sequence[PhaseDriver]] = None):
         self.spec = spec
         self.drivers: List[PhaseDriver] = (
             list(drivers) if drivers is not None else default_drivers()
         )
         self.bus = EventBus(spec.election_id)
-        self._group = group
-        self._rng = rng
-        self._vc_node_classes = vc_node_classes
-        self._bb_node_classes = bb_node_classes
-        self._trustee_classes = trustee_classes
-        self._transport = transport
         self.ctx: Optional[EngineContext] = None
 
     # -- observation -------------------------------------------------------------
@@ -429,28 +411,13 @@ class ElectionEngine:
         self.close()
         self.bus.reset()
         spec = self.spec
-        vc_classes = dict(spec.adversary.vc_classes())
-        bb_classes = dict(spec.adversary.bb_classes())
-        trustee_classes = dict(spec.adversary.trustee_classes())
-        vc_classes.update(self._vc_node_classes or {})
-        bb_classes.update(self._bb_node_classes or {})
-        trustee_classes.update(self._trustee_classes or {})
-        group = self._group if self._group is not None else spec.crypto.build_group()
-        transport = (
-            self._transport
-            if self._transport is not None
-            else spec.transport.build_transport(group)
-        )
+        group = spec.crypto.build_group()
         self.ctx = EngineContext(
             spec=spec,
             params=spec.to_election_parameters(),
             group=group,
-            rng=self._rng if self._rng is not None else RandomSource(spec.seed),
             bus=self.bus,
-            vc_node_classes=vc_classes,
-            bb_node_classes=bb_classes,
-            trustee_classes=trustee_classes,
-            transport=transport,
+            transport=spec.transport.build_transport(group),
             choices=choices,
             voter_parts=voter_parts,
         )
@@ -507,8 +474,7 @@ class ElectionEngine:
             _frozen_runs -= 1
             if _frozen_runs == 0:
                 gc.unfreeze()
-        if ctx.transport is not None:
-            ctx.transport.close()
+        ctx.transport.close()
 
     def outcome(self) -> ElectionOutcome:
         """Package the current context into an :class:`ElectionOutcome`."""

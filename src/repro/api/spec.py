@@ -8,7 +8,7 @@ its orthogonal concerns are configured:
 * :class:`AuditConfig`     -- end-of-election audit strategy and parallelism;
 * :class:`AdmissionProfile` -- the voting-phase admission pipeline: batched
   endorsement verification and the bounded admission queue in front of the
-  VOTE handler (shed-with-retry-hint vs. block);
+  VOTE handler (shed with a retry hint);
 * :class:`NetworkProfile`  -- simulator latency, jitter, loss and duplication;
 * :class:`AdversaryProfile` -- which nodes misbehave and how (by name, so the
   spec stays serializable);
@@ -127,9 +127,8 @@ class NetworkProfile(DictCodec):
     @classmethod
     def wan(cls, **overrides: Any) -> "NetworkProfile":
         """Emulated WAN: 25 ms one-way latency (US coast-to-coast)."""
-        defaults = dict(kind="wan", base_latency_s=0.025, jitter_s=0.002)
-        defaults.update(overrides)
-        return cls(**defaults)
+        wan = cls(kind="wan", base_latency_s=0.025, jitter_s=0.002)
+        return dataclasses.replace(wan, **overrides)
 
     def conditions(self, seed: Optional[int] = None) -> NetworkConditions:
         """The discrete-event simulator view of this profile."""
@@ -321,8 +320,9 @@ class FaultPlan(DictCodec):
     The plan is declarative and serializable; at run time the
     :class:`repro.net.chaos.ChaosController` turns it into simulator events.
     ``expect_failure=True`` marks scenarios that deliberately exceed the
-    paper's fault thresholds -- the spec-level threshold check is skipped and
-    the chaos harness asserts that liveness *does* fail.
+    paper's fault thresholds -- the spec's threshold checks (Byzantine VC,
+    BB and trustee counts, and crashed plus Byzantine collectors) are skipped
+    and the chaos harness asserts that liveness *does* fail.
     """
 
     events: Tuple[FaultEvent, ...] = ()
@@ -405,39 +405,24 @@ class TransportProfile(DictCodec):
 
     * ``"memory"`` -- the historical in-process delivery (payloads passed by
       reference, zero serialization cost);
+    * ``"wire"`` -- in-process delivery of every payload's canonical binary
+      frame (:mod:`repro.net.codec`), so the run counts real wire bytes
+      (``Network.bytes_sent`` / ``bytes_delivered``) and proves every message
+      type is encodable;
     * ``"tcp"`` -- an asyncio TCP loopback transport: every message's
       canonical frame crosses a real socket pair before delivery.
-
-    ``wire_format=True`` routes every payload through the canonical binary
-    codec (:mod:`repro.net.codec`) even on the memory backend, so the run
-    counts real wire bytes (``Network.bytes_sent`` / ``bytes_delivered``) and
-    proves every message type is encodable.  The TCP backend always uses the
-    wire format.
     """
 
     backend: str = "memory"
-    wire_format: bool = False
 
     def __post_init__(self) -> None:
-        if self.backend not in ("memory", "tcp"):
-            raise ValueError("transport backend must be 'memory' or 'tcp'")
-        if self.backend == "tcp" and not self.wire_format:
-            object.__setattr__(self, "wire_format", True)
-
-    @classmethod
-    def memory(cls) -> "TransportProfile":
-        """Reference-passing in-process delivery (no byte accounting)."""
-        return cls(backend="memory", wire_format=False)
+        if self.backend not in ("memory", "wire", "tcp"):
+            raise ValueError("transport backend must be 'memory', 'wire' or 'tcp'")
 
     @classmethod
     def wire(cls) -> "TransportProfile":
         """In-process delivery with canonical encoding and byte accounting."""
-        return cls(backend="memory", wire_format=True)
-
-    @classmethod
-    def tcp(cls) -> "TransportProfile":
-        """Real TCP loopback sockets (implies the wire format)."""
-        return cls(backend="tcp", wire_format=True)
+        return cls(backend="wire")
 
     def build_transport(self, group: Optional[Group] = None) -> Transport:
         """A fresh single-run transport implementing this profile."""
@@ -446,7 +431,7 @@ class TransportProfile(DictCodec):
 
         if self.backend == "tcp":
             return TcpLoopbackTransport(codec=MessageCodec(group=group))
-        if self.wire_format:
+        if self.backend == "wire":
             return InProcessTransport(codec=MessageCodec(group=group))
         return InProcessTransport()
 
@@ -487,9 +472,10 @@ class ShardingProfile(DictCodec):
     never changes the tally.
 
     The ``scale_*`` knobs size each shard's election slice in the scale
-    pipeline (``MultiElectionService.run_sharded``): collectors per shard,
-    Vote Set Consensus superblock size, and the deterministic turnout
-    fraction of the derived electorate.
+    pipeline (``MultiElectionService.run_sharded``): the Vote Set Consensus
+    superblock size and the deterministic turnout fraction of the derived
+    electorate.  Every slice runs
+    :data:`repro.shard.shard_runner.SCALE_COLLECTORS` collectors.
 
     ``workers`` says where :class:`repro.shard.driver.ShardedElectionDriver` runs
     the shard slices: 1 (the default) maps them in-process one at a time; >1
@@ -500,7 +486,6 @@ class ShardingProfile(DictCodec):
     """
 
     num_shards: int = 1
-    scale_collectors: int = 4
     scale_batch_size: int = 1024
     scale_turnout: float = 1.0
     workers: int = 1
@@ -509,8 +494,6 @@ class ShardingProfile(DictCodec):
     def __post_init__(self) -> None:
         if self.num_shards < 1:
             raise ValueError("num_shards must be at least 1")
-        if self.scale_collectors < 1:
-            raise ValueError("each shard needs at least one collector")
         if self.scale_batch_size < 1:
             raise ValueError("scale_batch_size must be at least 1")
         if not 0.0 < self.scale_turnout <= 1.0:
@@ -580,6 +563,8 @@ class ScenarioSpec(DictCodec):
         unknown = set(self.adversary.trustee_behaviors) - valid_trustees
         if unknown:
             raise ValueError(f"adversary names trustees outside the deployment: {sorted(unknown)}")
+        if self.faults.expect_failure:
+            return
         if len(self.adversary.vc_behaviors) > thresholds.max_faulty_vc:
             raise ValueError(
                 f"{len(self.adversary.vc_behaviors)} Byzantine VC nodes exceed the "

@@ -9,14 +9,14 @@ pipeline:
 * :class:`AdmissionQueue` -- a typed, bounded queue in front of the VOTE
   handler.  With a configured service time it models the CPU an admission
   really costs, which makes the depth bound meaningful: above it the queue
-  either **sheds** the request with a retry hint the voter client understands
-  (:func:`shed_reason` / :func:`parse_retry_hint`) or **blocks**, letting the
-  backlog grow as transport backpressure would.
+  **sheds** the request with a retry hint the voter client understands
+  (:func:`shed_reason` / :func:`parse_retry_hint`).
 
 * :class:`EndorsementBatcher` -- collects incoming ENDORSEMENT signatures
-  into size/time-bounded batches and verifies each batch with the
-  small-exponent aggregation of :class:`repro.crypto.batch_verify
-  .BatchVerifier` (culprit bisection on failure) instead of one
+  into batches bounded by size and by :data:`BATCH_WINDOW_S` and verifies
+  each batch with the small-exponent aggregation of
+  :class:`repro.crypto.batch_verify.BatchVerifier` (culprit bisection on
+  failure) instead of one
   ``SignatureScheme.verify`` call per message.  Per-item verdicts are
   *identical* to serial verification (the verifier bisects failing batches
   down to exact individual checks), so batching changes only *when* an
@@ -39,7 +39,7 @@ and is aggregated over all VC nodes by
 :attr:`repro.core.outcome.ElectionOutcome.admission_stats`.
 
 Both mechanisms take plain values and trust them: the bounds (depth >= 1, a
-known policy, a positive window...) are checked once, where the values are
+batch of at least one...) are checked once, where the values are
 declared -- :class:`repro.core.election.AdmissionProfile` -- and the collector
 reads them off that block.  A uniqueness certificate is *not* batched: its
 ``Nv - fv`` signatures are verified one by one on every path, because the
@@ -55,10 +55,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
-#: Overload policies of the admission queue.
-POLICY_SHED = "shed"
-POLICY_BLOCK = "block"
-ADMISSION_POLICIES = (POLICY_SHED, POLICY_BLOCK)
+#: Simulated seconds a partial endorsement batch waits before it is verified.
+BATCH_WINDOW_S = 0.05
 
 _SHED_PREFIX = "admission queue full"
 _RETRY_RE = re.compile(r"retry after ([0-9.]+)s")
@@ -95,10 +93,8 @@ class AdmissionStats:
     requests: int = 0
     #: requests handed to the protocol handler
     admitted: int = 0
-    #: requests rejected with a retry hint (policy "shed", queue at depth)
+    #: requests rejected with a retry hint (queue at depth)
     shed: int = 0
-    #: requests queued beyond the depth bound (policy "block")
-    blocked_over_depth: int = 0
     #: largest queue backlog observed
     peak_depth: int = 0
     #: endorsement-batch flushes / signatures they verified / aggregate
@@ -114,7 +110,6 @@ class AdmissionStats:
             "requests": self.requests,
             "admitted": self.admitted,
             "shed": self.shed,
-            "blocked_over_depth": self.blocked_over_depth,
             "peak_depth": self.peak_depth,
             "endorse_batches": self.endorse_batches,
             "endorsements_batch_verified": self.endorsements_batch_verified,
@@ -140,7 +135,6 @@ class AdmissionQueue:
         on_admit: Callable[[str, object], None],
         on_shed: Callable[[str, object, float], None],
         depth: Optional[int] = None,
-        policy: str = POLICY_SHED,
         service_s: float = 0.0,
     ):
         self.node = node
@@ -148,7 +142,6 @@ class AdmissionQueue:
         self.on_admit = on_admit
         self.on_shed = on_shed
         self.depth = depth
-        self.policy = policy
         self.service_s = service_s
         self._backlog: Deque[Tuple[str, object]] = deque()
         self._drain_armed = False
@@ -164,12 +157,10 @@ class AdmissionQueue:
             self.on_admit(sender, request)
             return True
         if self.depth is not None and len(self._backlog) >= self.depth:
-            if self.policy == POLICY_SHED:
-                self.stats.shed += 1
-                # The backlog ahead of a retry drains in depth * service_s.
-                self.on_shed(sender, request, self.depth * self.service_s)
-                return False
-            self.stats.blocked_over_depth += 1
+            self.stats.shed += 1
+            # The backlog ahead of a retry drains in depth * service_s.
+            self.on_shed(sender, request, self.depth * self.service_s)
+            return False
         self._backlog.append((sender, request))
         self.stats.peak_depth = max(self.stats.peak_depth, len(self._backlog))
         self._arm_drain()
@@ -195,9 +186,9 @@ class EndorsementBatcher:
     """Size/time-bounded batching of ENDORSEMENT signature verification.
 
     ``add`` buffers an endorsement whose protocol guards already passed; the
-    buffer flushes when it reaches ``batch_size`` or when ``window_s`` of
-    simulated time elapses since the first pending item, whichever comes
-    first.  A flush verifies all pending signatures in one small-exponent
+    buffer flushes when it reaches ``batch_size`` or when
+    :data:`BATCH_WINDOW_S` of simulated time elapses since the first pending
+    item, whichever comes first.  A flush verifies all pending signatures in one small-exponent
     aggregate (bisected on failure) and hands the survivors, in arrival
     order, to ``process`` -- which re-checks the guards, because the world
     may have moved on (quorum reached, voting closed) while the batch waited.
@@ -213,7 +204,6 @@ class EndorsementBatcher:
         process: Callable[[object], None],
         wanted: Callable[[object], bool],
         batch_size: int,
-        window_s: float,
     ):
         self.node = node
         self.verifier = verifier
@@ -223,7 +213,6 @@ class EndorsementBatcher:
         self.process = process
         self.wanted = wanted
         self.batch_size = batch_size
-        self.window_s = window_s
         self._pending: List[object] = []
         self._timer_armed = False
 
@@ -233,7 +222,7 @@ class EndorsementBatcher:
             self.flush()
         elif not self._timer_armed:
             self._timer_armed = True
-            self.node.set_timer(self.window_s, self._on_window, description="endorse-batch")
+            self.node.set_timer(BATCH_WINDOW_S, self._on_window, description="endorse-batch")
 
     def _on_window(self) -> None:
         self._timer_armed = False

@@ -47,7 +47,6 @@ from repro.crypto.signatures import SignatureScheme
 from repro.crypto.symmetric import VoteCodeCipher
 from repro.crypto.utils import int_to_bytes
 from repro.crypto.zkp import (
-    BallotCorrectnessVerifier,
     BallotProofResponse,
     OrProofResponse,
     SumProofResponse,
@@ -330,33 +329,6 @@ class BulletinBoardNode(SimNode):
             proof_responses=proof_responses,
             tally_opening=tally_opening,
         )
-
-    # ------------------------------------------------------------------ public reads
-
-    def snapshot(self) -> dict:
-        """A read of the node's full published state (used by MajorityReader)."""
-        return {
-            "vote_set": self.accepted_vote_set,
-            "msk_reconstructed": self.msk is not None,
-            "decrypted_vote_codes": self.decrypted_vote_codes,
-            "tally": self.result.tally if self.result else None,
-        }
-
-    def verify_proofs(self) -> bool:
-        """Re-verify every published ZK proof (an auditor-style self check)."""
-        if self.result is None:
-            return False
-        verifier = BallotCorrectnessVerifier(self.init.commitment_public_key, self.group)
-        for (serial, part), responses in self.result.proof_responses.items():
-            rows = self.init.ballots[serial].rows[part]
-            for row, response in zip(rows, responses, strict=False):
-                if row.proof_announcement is None:
-                    return False
-                if not verifier.verify(
-                    row.commitment, row.proof_announcement, self.result.challenge, response
-                ):
-                    return False
-        return True
 
 
 class MajorityReader:

@@ -133,10 +133,6 @@ class UcertWithholdingVoteCollector(VoteCollectorNode):
 class WithholdingBulletinBoard(BulletinBoardNode):
     """A BB node that answers every read with an empty view."""
 
-    def snapshot(self) -> dict:
-        return {"vote_set": None, "msk_reconstructed": False,
-                "decrypted_vote_codes": {}, "tally": None}
-
     def election_view(self):
         return None
 

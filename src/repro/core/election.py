@@ -35,8 +35,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Any, Dict, Mapping, Optional, Sequence, Union
 
-from repro.core.admission import ADMISSION_POLICIES
-
 _hints = lru_cache(maxsize=None)(typing.get_type_hints)
 
 
@@ -176,32 +174,25 @@ class AdmissionProfile(DictCodec):
     ``endorse_batch_size=1`` verifies every incoming ENDORSEMENT signature
     one at a time (the paper's path); larger values verify up to that many
     signatures per small-exponent aggregate equation, flushing partial
-    batches after ``batch_window_s`` of simulated time.  ``queue_depth``
-    bounds the admission queue in front of the VOTE handler (``None`` =
-    unbounded); above it the queue **sheds** requests with a retry hint the
-    voter client honours, or **blocks** (keeps queueing, modelling transport
-    backpressure), per ``policy``.  ``service_ms`` is the modelled admission
-    service time per request; 0 admits inline, which is the historical
-    behaviour and never builds a backlog.
+    batches after :data:`repro.core.admission.BATCH_WINDOW_S` of simulated
+    time.  ``queue_depth`` bounds the admission queue in front of the VOTE
+    handler (``None`` = unbounded); above it the queue **sheds** requests
+    with a retry hint the voter client honours.  ``service_ms`` is the
+    modelled admission service time per request; 0 admits inline, which is
+    the historical behaviour and never builds a backlog.
     """
 
     queue_depth: Optional[int] = None
-    policy: str = "shed"
     service_ms: float = 0.0
     endorse_batch_size: int = 1
-    batch_window_s: float = 0.05
 
     def __post_init__(self) -> None:
         if self.queue_depth is not None and self.queue_depth < 1:
             raise ValueError("admission queue depth must be at least 1 (or None for unbounded)")
-        if self.policy not in ADMISSION_POLICIES:
-            raise ValueError(f"admission policy must be one of {ADMISSION_POLICIES}")
         if self.service_ms < 0:
             raise ValueError("admission service time cannot be negative")
         if self.endorse_batch_size < 1:
             raise ValueError("endorsement batch size must be at least 1")
-        if self.batch_window_s <= 0:
-            raise ValueError("endorsement batch window must be positive")
 
     @classmethod
     def batched(cls, batch_size: int = 32, **overrides: Any) -> "AdmissionProfile":
@@ -301,23 +292,11 @@ class ElectionParameters:
         if self.election_end <= self.election_start:
             raise ValueError("election must end after it starts")
         self.thresholds.validate()
-        # O(1) label lookups for the hot option_index path (frozen dataclass,
-        # so the cache is installed via object.__setattr__).
-        object.__setattr__(
-            self, "_option_lookup", {label: index for index, label in enumerate(self.options)}
-        )
 
     @property
     def num_options(self) -> int:
         """``m``: the number of options."""
         return len(self.options)
-
-    def option_index(self, label: str) -> int:
-        """Return the canonical index of an option label."""
-        try:
-            return self._option_lookup[label]
-        except KeyError:
-            raise ValueError(f"{label!r} is not one of this election's options") from None
 
     def within_voting_hours(self, timestamp: float) -> bool:
         """Whether a vote submitted at ``timestamp`` is inside voting hours."""

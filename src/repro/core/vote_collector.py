@@ -257,7 +257,6 @@ class VoteCollectorNode(SimNode):
                 process=self._accept_endorsement,
                 wanted=self._endorsement_wanted,
                 batch_size=admission.endorse_batch_size,
-                window_s=admission.batch_window_s,
             )
         self._admission = AdmissionQueue(
             node=self,
@@ -265,7 +264,6 @@ class VoteCollectorNode(SimNode):
             on_admit=self._on_vote_request,
             on_shed=self._shed_vote_request,
             depth=admission.queue_depth,
-            policy=admission.policy,
             service_s=admission.service_ms / 1000.0,
         )
         #: memo of verified uniqueness certificates: the same UCERT is

@@ -163,11 +163,6 @@ class VoterClient(SimNode):
 
     # -- post-election -------------------------------------------------------------------
 
-    @property
-    def coin(self) -> int:
-        """The voter's challenge contribution: 0 if part A was used, 1 for B."""
-        return 0 if self.part_name == PART_A else 1
-
     def audit_info(self) -> VoterAuditInfo:
         """Package the information needed to delegate verification."""
         unused = self.ballot.part(self.unused_part_name)

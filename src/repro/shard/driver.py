@@ -96,7 +96,6 @@ def _run_slice(state: _SliceState, task: dict) -> ShardSliceResult:
         scheme=state.scheme,
         seed=state.seed,
         election_id=state.election_id,
-        num_collectors=task["num_collectors"],
         consensus_batch_size=task["consensus_batch_size"],
         turnout=task["turnout"],
         tampered_codes=task["tampered_codes"],
@@ -226,7 +225,6 @@ class ShardedElectionDriver:
         return [
             {
                 "shard": shard,
-                "num_collectors": self.sharding.scale_collectors,
                 "consensus_batch_size": self.sharding.scale_batch_size,
                 "turnout": self.sharding.scale_turnout,
                 "tampered_codes": {

@@ -143,6 +143,10 @@ class ShardSliceResult:
         return self.record.ballots_cast
 
 
+#: Vote collectors of every shard slice the scale pipeline runs.
+SCALE_COLLECTORS = 4
+
+
 class ShardRunner:
     """Run the election slice for one contiguous ballot-serial range."""
 
@@ -152,14 +156,11 @@ class ShardRunner:
         scheme: OptionEncodingScheme,
         seed: int,
         election_id: str,
-        num_collectors: int = 4,
         consensus_batch_size: int = 1024,
         turnout: float = 1.0,
         silent_collectors: Sequence[int] = (),
         tampered_codes: Optional[Mapping[int, bytes]] = None,
     ):
-        if num_collectors < 1:
-            raise ValueError("a shard needs at least one vote collector")
         if consensus_batch_size < 1:
             raise ValueError("consensus_batch_size must be at least 1")
         if not 0.0 < turnout <= 1.0:
@@ -168,7 +169,6 @@ class ShardRunner:
         self.scheme = scheme
         self.seed = seed
         self.election_id = election_id
-        self.num_collectors = num_collectors
         self.consensus_batch_size = consensus_batch_size
         self.turnout = turnout
         self.silent_collectors = tuple(silent_collectors)
@@ -354,7 +354,7 @@ class ShardRunner:
 
         # Phase 2: superblock Vote Set Consensus among the shard's collectors.
         cluster = ConsensusCluster(
-            num_nodes=self.num_collectors,
+            num_nodes=SCALE_COLLECTORS,
             batch_size=self.consensus_batch_size,
             silent=self.silent_collectors,
         )

@@ -20,7 +20,6 @@ from repro.analysis.determinism import (
     check_scenario,
     default_choices,
     is_live,
-    outcome_hash,
     run_once,
     safety_violations,
 )

@@ -163,7 +163,7 @@ class TestSetupHeapFrozenForTheRun:
         """At 6c98857 ``begin()`` dropped a context that still held the frozen
         heap (and an open transport): ``_frozen_runs`` stayed at 1 and the
         permanent generation full for the rest of the process."""
-        profile = TransportProfile.tcp() if transport == "tcp" else TransportProfile.memory()
+        profile = TransportProfile(backend=transport)
         engine = ElectionEngine(ScenarioSpec.preset("paper_baseline", transport=profile))
         first = engine.begin(CHOICES)
         engine.run_phase(engine.driver("setup"), first)

@@ -8,7 +8,7 @@ imports neither: resident memory after the imports 26.8 -> 20.4 MiB on the
 reference VM.  Red at 1b95dde, where both were module-level imports.
 
 The elections that do use them are the existing tests of
-``tests/net/test_transport.py`` (``TransportProfile.tcp()``) and
+``tests/net/test_transport.py`` (``TransportProfile(backend="tcp")``) and
 ``tests/core/test_parallel_audit.py`` (``audit.workers=2``).
 
 The same holds for this package's own modules.  No package ``__init__``

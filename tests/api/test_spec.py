@@ -12,6 +12,7 @@ from repro.api import (
     AuditConfig,
     ConsensusConfig,
     CryptoProfile,
+    FaultPlan,
     NetworkProfile,
     ScenarioSpec,
     ShardingProfile,
@@ -75,6 +76,27 @@ class TestValidation:
             ScenarioSpec(num_vc=4, adversary=two_faulty)
         # The same corruption is fine once Nv tolerates fv = 2.
         ScenarioSpec(num_vc=7, adversary=two_faulty)
+
+    @pytest.mark.parametrize(
+        "adversary, refusal",
+        [
+            (AdversaryProfile(vc_behaviors={"VC-0": "silent", "VC-1": "equivocating"}), "fv=1"),
+            (AdversaryProfile(bb_behaviors={"BB-0": "withholding", "BB-2": "withholding"}),
+             "fb=1"),
+            (AdversaryProfile(trustee_behaviors={"T-0": "corrupt", "T-1": "corrupt"}),
+             "Nt - ht = 1"),
+        ],
+        ids=["vc", "bb", "trustee"],
+    )
+    def test_above_bound_adversary_only_as_an_expected_failure(self, adversary, refusal):
+        """4 collectors, 3 BB nodes, 2-of-3 trustees: two Byzantine nodes of
+        any kind exceed the bound, which only a scenario marked
+        ``expect_failure`` may do."""
+        with pytest.raises(ValueError, match=refusal):
+            ScenarioSpec(adversary=adversary)
+        spec = ScenarioSpec(adversary=adversary, faults=FaultPlan(expect_failure=True))
+        assert spec.adversary == adversary
+        assert ScenarioSpec.from_dict(spec.to_dict()) == spec
 
     def test_derive_revalidates(self):
         spec = ScenarioSpec()
@@ -154,25 +176,17 @@ class TestDerivedViews:
 
 
 class TestTransportProfile:
-    def test_default_is_memory_without_wire_format(self):
-        profile = ScenarioSpec().transport
-        assert profile.backend == "memory"
-        assert not profile.wire_format
+    def test_default_is_memory(self):
+        assert ScenarioSpec().transport.backend == "memory"
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            TransportProfile(backend="carrier-pigeon")
-
-    def test_tcp_implies_wire_format(self):
-        assert TransportProfile(backend="tcp").wire_format
-        assert TransportProfile.tcp().wire_format
+        for backend in ("carrier-pigeon", "Wire", ""):
+            with pytest.raises(ValueError, match="backend"):
+                TransportProfile(backend=backend)
 
     def test_round_trips_through_dicts(self):
-        for profile in (
-            TransportProfile.memory(),
-            TransportProfile.wire(),
-            TransportProfile.tcp(),
-        ):
+        for backend in ("memory", "wire", "tcp"):
+            profile = TransportProfile(backend=backend)
             assert TransportProfile.from_dict(profile.to_dict()) == profile
         spec = ScenarioSpec(transport=TransportProfile.wire())
         assert ScenarioSpec.from_dict(spec.to_dict()).transport == spec.transport
@@ -180,13 +194,13 @@ class TestTransportProfile:
     def test_build_transport_matches_profile(self):
         from repro.net.transport import InProcessTransport, TcpLoopbackTransport
 
-        memory = TransportProfile.memory().build_transport()
+        memory = TransportProfile().build_transport()
         assert isinstance(memory, InProcessTransport) and memory.codec is None
         wire = TransportProfile.wire().build_transport()
         assert isinstance(wire, InProcessTransport) and wire.codec is not None
-        tcp = TransportProfile.tcp().build_transport()
+        tcp = TransportProfile(backend="tcp").build_transport()
         try:
-            assert isinstance(tcp, TcpLoopbackTransport)
+            assert isinstance(tcp, TcpLoopbackTransport) and tcp.codec is not None
         finally:
             tcp.close()
 
@@ -225,8 +239,6 @@ class TestShardingProfile:
     def test_validates_fields(self):
         with pytest.raises(ValueError):
             ShardingProfile(num_shards=0)
-        with pytest.raises(ValueError):
-            ShardingProfile(scale_collectors=0)
         with pytest.raises(ValueError):
             ShardingProfile(scale_turnout=1.5)
         with pytest.raises(ValueError):

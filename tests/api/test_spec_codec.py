@@ -24,17 +24,22 @@ from repro.api.spec import (
     CryptoProfile,
     FaultPlan,
     ScenarioSpec,
-    TransportProfile,
 )
 from repro.chaos.matrix import build_matrix
 from repro.core import election as election_module
 from repro.core.election import DictCodec
 
 GOLDENS = json.loads((Path(__file__).parent / "spec_goldens.json").read_text())
-#: fields of deleted code -- the testbed model's three and the per-item audit
-#: switch: every golden holds them, and they are the only keys a spec no
-#: longer emits
-DELETED_KEYS = ("storage", "network.client_to_vc_ms", "network.inter_vc_ms", "audit.batch")
+#: fields of deleted code -- the testbed model's three, the per-item audit
+#: switch, and four knobs no run set (the admission queue's overload policy
+#: and batch window, the scale pipeline's collectors per shard, the wire
+#: flag now folded into the transport backend): every golden holds them, at
+#: their defaults, and they are the only keys a spec no longer emits
+DELETED_KEYS = (
+    "storage", "network.client_to_vc_ms", "network.inter_vc_ms", "audit.batch",
+    "admission.policy", "admission.batch_window_s", "sharding.scale_collectors",
+    "transport.wire_format",
+)
 
 
 def without_deleted_keys(golden: str) -> str:
@@ -100,9 +105,11 @@ class TestFromDictRefuses:
         for block in blocks:
             holder, golden = holder[block], golden[block]
         holder[key] = golden[key]
-        owner = {(): "ScenarioSpec", ("network",): "NetworkProfile", ("audit",): "AuditConfig"}[
-            tuple(blocks)
-        ]
+        owner = {
+            (): "ScenarioSpec", ("network",): "NetworkProfile", ("audit",): "AuditConfig",
+            ("admission",): "AdmissionProfile", ("sharding",): "ShardingProfile",
+            ("transport",): "TransportProfile",
+        }[tuple(blocks)]
         with pytest.raises(ValueError, match=f"{owner}.*'{key}'"):
             ScenarioSpec.from_dict(old)
 
@@ -112,7 +119,6 @@ class TestFromDictRefuses:
             (AuditConfig, "enabled"),
             (CryptoProfile, "include_proofs"),
             (FaultPlan, "expect_failure"),
-            (TransportProfile, "wire_format"),
         ],
     )
     def test_a_non_bool_where_a_bool_is_declared(self, block, key):
@@ -146,7 +152,6 @@ class TestFromDictRefuses:
 
     def test_missing_keys_take_the_declared_defaults(self):
         assert ScenarioSpec.from_dict({}) == ScenarioSpec()
-        assert TransportProfile.from_dict({"backend": "tcp"}).wire_format is True
         # ints where floats are declared (hand-written JSON) are taken as floats
         assert ScenarioSpec.from_dict({"election_end": 500}).election_end == 500.0
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.admission import (
-    ADMISSION_POLICIES,
+    BATCH_WINDOW_S,
     AdmissionQueue,
     AdmissionStats,
     EndorsementBatcher,
@@ -50,21 +50,16 @@ class TestRetryHint:
         assert node_batch_seed("VC-0") != node_batch_seed("VC-1")
 
     def test_flag_validation(self):
-        AdmissionProfile(None, "shed", 0.0, 1, 0.05)
+        AdmissionProfile(None, 0.0, 1)
         with pytest.raises(ValueError):
             AdmissionProfile(queue_depth=0)
-        with pytest.raises(ValueError):
-            AdmissionProfile(policy="drop")
         with pytest.raises(ValueError):
             AdmissionProfile(service_ms=-1.0)
         with pytest.raises(ValueError):
             AdmissionProfile(endorse_batch_size=0)
-        with pytest.raises(ValueError):
-            AdmissionProfile(batch_window_s=0.0)
-        assert set(ADMISSION_POLICIES) == {"shed", "block"}
 
 
-def make_queue(policy="shed", depth=2, service_s=0.1):
+def make_queue(depth=2, service_s=0.1):
     node = FakeNode()
     stats = AdmissionStats()
     admitted, shed = [], []
@@ -74,7 +69,6 @@ def make_queue(policy="shed", depth=2, service_s=0.1):
         on_admit=lambda sender, request: admitted.append((sender, request)),
         on_shed=lambda sender, request, hint: shed.append((sender, request, hint)),
         depth=depth,
-        policy=policy,
         service_s=service_s,
     )
     return node, stats, admitted, shed, queue
@@ -99,7 +93,7 @@ class TestAdmissionQueue:
         assert stats.admitted == 2
         assert stats.peak_depth == 2
 
-    def test_shed_policy_bounds_depth_and_hints(self):
+    def test_sheds_over_depth_with_a_hint(self):
         node, stats, admitted, shed, queue = make_queue(depth=2, service_s=0.1)
         assert queue.offer("V-0", 0)
         assert queue.offer("V-1", 1)
@@ -109,16 +103,6 @@ class TestAdmissionQueue:
         node.fire_all()
         assert len(admitted) == 2
         assert stats.peak_depth == 2
-
-    def test_block_policy_queues_past_depth(self):
-        node, stats, admitted, shed, queue = make_queue(policy="block", depth=2)
-        for i in range(4):
-            assert queue.offer(f"V-{i}", i)
-        assert stats.blocked_over_depth == 2
-        assert shed == []
-        node.fire_all()
-        assert len(admitted) == 4
-        assert stats.peak_depth == 4
 
 
 @pytest.fixture(scope="module")
@@ -136,7 +120,7 @@ def signed_endorsements(group):
     return publics, endorsements
 
 
-def make_batcher(group, publics, batch_size=3, window_s=0.05, wanted=None):
+def make_batcher(group, publics, batch_size=3, wanted=None):
     node = FakeNode()
     stats = AdmissionStats()
     processed = []
@@ -149,7 +133,6 @@ def make_batcher(group, publics, batch_size=3, window_s=0.05, wanted=None):
         process=processed.append,
         wanted=wanted or (lambda e: True),
         batch_size=batch_size,
-        window_s=window_s,
     )
     return node, stats, processed, batcher
 
@@ -171,7 +154,7 @@ class TestEndorsementBatcher:
         node, stats, processed, batcher = make_batcher(group, publics, batch_size=10)
         batcher.add(endorsements[0])
         assert processed == []
-        assert [d for d, _c, _desc in node.timers] == [0.05]
+        assert [d for d, _c, _desc in node.timers] == [BATCH_WINDOW_S] == [0.05]
         node.fire_all()
         assert processed == [endorsements[0]]
 

@@ -108,7 +108,7 @@ class TestPublishedResult:
         assert set(locations) == {serial for serial, _ in bb.accepted_vote_set}
 
     def test_published_proofs_verify(self, small_outcome):
-        assert small_outcome.bb_nodes[0].verify_proofs()
+        assert small_outcome.audit_report.checks["e-proofs-valid"] is True
 
     def test_used_parts_get_proofs_and_unused_parts_get_openings(self, small_outcome):
         bb = small_outcome.bb_nodes[0]
@@ -119,10 +119,10 @@ class TestPublishedResult:
             assert (serial, other) in bb.result.openings
             assert (serial, part) not in bb.result.openings
 
-    def test_snapshot_contains_tally(self, small_outcome):
-        snapshot = small_outcome.bb_nodes[0].snapshot()
-        assert snapshot["tally"] is not None
-        assert snapshot["msk_reconstructed"] is True
+    def test_tally_and_msk_are_published(self, small_outcome):
+        bb = small_outcome.bb_nodes[0]
+        assert bb.result.tally is not None
+        assert bb.msk is not None
 
 
 class TestMajorityReader:
@@ -137,7 +137,7 @@ class TestMajorityReader:
         )
         nodes = list(small_outcome.bb_nodes[:2]) + [lying]
         reader = MajorityReader(nodes, small_params)
-        view = reader.read(lambda node: node.snapshot()["vote_set"])
+        view = reader.read(lambda node: node.accepted_vote_set)
         assert view == small_outcome.bb_nodes[0].accepted_vote_set
 
     def test_reader_raises_without_majority(self, small_outcome, small_params, group):

@@ -9,36 +9,28 @@ the published result are unaffected.
 import pytest
 from engine_runs import run_spec, small_spec
 
-from repro.api import AdversaryProfile, CryptoProfile, ElectionEngine, ScenarioSpec
-from repro.core.byzantine import (
-    CorruptTrustee,
-    EquivocatingVoteCollector,
-    ShareCorruptingVoteCollector,
-    SilentVoteCollector,
-    WithholdingBulletinBoard,
-)
+from repro.api import AdversaryProfile, CryptoProfile, ElectionEngine, FaultPlan, ScenarioSpec
+from repro.core.byzantine import CorruptTrustee
 from repro.core.vote_collector import BallotStatus
 from repro.crypto.registry import available_backends
 
 
-def run_faulty_election(vc_classes=None, bb_classes=None, seed=41, backend="schnorr"):
+def run_faulty_election(vc_behaviors=None, bb_behaviors=None, seed=41, backend="schnorr"):
     spec = small_spec(
         num_voters=3, num_options=2, num_vc=4, num_bb=3,
         num_trustees=3, trustee_threshold=2, election_end=300.0,
         seed=seed, voter_patience=10.0, crypto=CryptoProfile(backend=backend),
+        adversary=AdversaryProfile(
+            vc_behaviors=vc_behaviors or {}, bb_behaviors=bb_behaviors or {}
+        ),
     )
-    return run_spec(
-        spec,
-        ["option-1", "option-2", "option-1"],
-        vc_node_classes=vc_classes or {},
-        bb_node_classes=bb_classes or {},
-    )
+    return run_spec(spec, ["option-1", "option-2", "option-1"])
 
 
 class TestByzantineVoteCollectors:
     @pytest.fixture(scope="class")
     def silent_outcome(self):
-        return run_faulty_election(vc_classes={"VC-2": SilentVoteCollector})
+        return run_faulty_election(vc_behaviors={"VC-2": "silent"})
 
     def test_silent_vc_does_not_block_receipts(self, silent_outcome):
         assert silent_outcome.receipts_obtained == 3
@@ -57,7 +49,7 @@ class TestByzantineVoteCollectors:
 
     @pytest.fixture(scope="class")
     def corrupting_outcome(self):
-        return run_faulty_election(vc_classes={"VC-1": ShareCorruptingVoteCollector}, seed=43)
+        return run_faulty_election(vc_behaviors={"VC-1": "share_corrupting"}, seed=43)
 
     def test_corrupted_shares_rejected_receipts_still_issued(self, corrupting_outcome):
         assert corrupting_outcome.receipts_obtained == 3
@@ -72,7 +64,7 @@ class TestByzantineVoteCollectors:
         digest at every honest collector, on every backend; each honest
         collector rebuilds every receipt from the three honest shares."""
         outcome = run_faulty_election(
-            vc_classes={"VC-1": ShareCorruptingVoteCollector}, seed=43, backend=backend
+            vc_behaviors={"VC-1": "share_corrupting"}, seed=43, backend=backend
         )
         assert outcome.receipts_obtained == 3 and outcome.all_receipts_valid
         honest = [vc for vc in outcome.vote_collectors if vc.node_id != "VC-1"]
@@ -85,7 +77,7 @@ class TestByzantineVoteCollectors:
 
     @pytest.fixture(scope="class")
     def equivocating_outcome(self):
-        return run_faulty_election(vc_classes={"VC-3": EquivocatingVoteCollector}, seed=47)
+        return run_faulty_election(vc_behaviors={"VC-3": "equivocating"}, seed=47)
 
     def test_equivocating_vc_cannot_break_agreement(self, equivocating_outcome):
         honest = [vc for vc in equivocating_outcome.vote_collectors if vc.node_id != "VC-3"]
@@ -101,7 +93,7 @@ class TestByzantineVoteCollectors:
 class TestByzantineBulletinBoard:
     @pytest.fixture(scope="class")
     def withholding_outcome(self):
-        return run_faulty_election(bb_classes={"BB-1": WithholdingBulletinBoard}, seed=53)
+        return run_faulty_election(bb_behaviors={"BB-1": "withholding"}, seed=53)
 
     def test_majority_read_masks_withholding_node(self, withholding_outcome):
         assert withholding_outcome.tally is not None
@@ -134,11 +126,13 @@ class TestByzantineTrustee:
         """With only ht = Nt submissions available and one corrupted, the
         combined opening fails verification: the BB must refuse to publish a
         wrong tally rather than silently accept it."""
-        # ht = Nt tolerates no faulty trustee, so the spec's own adversary
-        # profile refuses one; the class goes in through the engine override.
+        # ht = Nt tolerates no faulty trustee: the spec takes one only as a
+        # scenario that expects to fail.
         engine = ElectionEngine(
-            trustee_scenario(seed=59, trustee_threshold=3),
-            trustee_classes={"T-0": CorruptTrustee},
+            trustee_scenario(seed=59, trustee_threshold=3).derive(
+                adversary=AdversaryProfile(trustee_behaviors={"T-0": "corrupt"}),
+                faults=FaultPlan(expect_failure=True),
+            )
         )
         with pytest.raises(ValueError, match="does not verify"):
             engine.run(["option-1", "option-2", "option-1"])

@@ -153,7 +153,7 @@ class TestSecretSharingConsistency:
         ballot = small_setup.ballots[0]
         permutation = small_setup.permutations[(ballot.serial, PART_B)]
         row_index = 1
-        option_index = small_setup.params.option_index(
+        option_index = small_setup.params.options.index(
             ballot.part_b.lines[permutation[row_index]].option
         )
         trustee_views = boxed_rows(small_setup, ballot.serial, PART_B, row_index)

@@ -67,20 +67,6 @@ class TestElectionParameters:
         assert params.num_voters == 5
         assert params.thresholds.num_vc == 4
 
-    def test_option_index(self):
-        params = ElectionParameters.small_test_election(num_options=3)
-        assert params.option_index("option-2") == 1
-
-    def test_option_index_rejects_unknown_label(self):
-        params = ElectionParameters.small_test_election(num_options=3)
-        with pytest.raises(ValueError):
-            params.option_index("option-99")
-
-    def test_option_index_covers_every_option(self):
-        params = ElectionParameters.small_test_election(num_options=10)
-        for index, label in enumerate(params.options):
-            assert params.option_index(label) == index
-
     def test_small_test_election_forwards_the_blocks_by_reference(self):
         audit = AuditConfig(security_bits=96)
         params = ElectionParameters.small_test_election(audit=audit)

@@ -13,7 +13,8 @@ set, or raised ``ValueError: need at least 3 shares`` out of the run.
 import pytest
 
 from repro.analysis.determinism import default_choices, safety_violations
-from repro.api import ElectionEngine, ScenarioSpec
+from repro.api import AdversaryProfile, ElectionEngine, ScenarioSpec
+from repro.core.byzantine import VC_BEHAVIORS
 from repro.core.ea import ElectionAuthority
 from repro.core.election import ElectionParameters, vc_node_id
 from repro.core.messages import (
@@ -105,9 +106,13 @@ class MskShareMultiplier(VoteCollectorNode):
                 self.send(bb, MskShareUpload(self.init.msk_share, name))
 
 
-def run_with_byzantine_vc3(cls):
-    spec = ScenarioSpec.preset("paper_baseline", num_voters=6, seed=3)
-    outcome = ElectionEngine(spec, vc_node_classes={"VC-3": cls}).run(default_choices(spec))
+def run_with_byzantine_vc3(monkeypatch, cls):
+    monkeypatch.setitem(VC_BEHAVIORS, cls.__name__, cls)
+    spec = ScenarioSpec.preset(
+        "paper_baseline", num_voters=6, seed=3,
+        adversary=AdversaryProfile(vc_behaviors={"VC-3": cls.__name__}),
+    )
+    outcome = ElectionEngine(spec).run(default_choices(spec))
     return spec, outcome
 
 
@@ -116,9 +121,11 @@ def run_with_byzantine_vc3(cls):
     [EmptySetForger, PublicChannelForger, VotePendingRelay, VotePendingSelfRelay,
      PublicVotePendingForger, MskShareMultiplier],
 )
-def test_forged_or_replayed_sender_changes_nothing(cls):
-    spec, outcome = run_with_byzantine_vc3(cls)
-    assert safety_violations(outcome, spec) == []
+def test_forged_or_replayed_sender_changes_nothing(monkeypatch, cls):
+    spec, outcome = run_with_byzantine_vc3(monkeypatch, cls)
+    assert type(outcome.vote_collectors[3]) is cls
+    # VC-3 is held to the honest collectors' checks: it still decides their vote set.
+    assert safety_violations(outcome, spec.derive(adversary=AdversaryProfile())) == []
     assert all(voter.receipt is not None and voter.receipt_valid for voter in outcome.voters)
     assert outcome.tally is not None
     assert sum(outcome.tally.counts) == spec.num_voters

@@ -26,9 +26,10 @@ from dataclasses import replace
 
 import pytest
 
-from repro.api import ElectionEngine, ScenarioSpec
+from repro.api import AdversaryProfile, ElectionEngine, FaultPlan, ScenarioSpec
 from repro.api.spec import CryptoProfile
 from repro.core.bulletin_board import BulletinBoardNode, MajorityReader
+from repro.core.byzantine import TRUSTEE_BEHAVIORS
 from repro.core.trustee import Trustee
 from repro.crypto.shamir import scalar_width
 from repro.crypto.signatures import SignatureScheme
@@ -192,7 +193,9 @@ def check_dropped_and_published(bb, small_outcome):
     assert bb.result.openings == reference.openings
     assert bb.result.proof_responses == reference.proof_responses
     assert bb.result.tally_opening == reference.tally_opening
-    assert bb.verify_proofs()
+    # Same challenge and responses as the audited reference: bb's proofs verify.
+    assert bb.result.challenge == reference.challenge
+    assert small_outcome.audit_report.checks["e-proofs-valid"] is True
 
 
 @pytest.mark.parametrize("position", [0, 1], ids=["delivered-first", "delivered-second"])
@@ -291,6 +294,12 @@ class TestWellFormedSubmissionsStillCount:
 # -- an election that publishes no proofs ------------------------------------------
 
 
+def faulty_t0(monkeypatch, cls):
+    """An adversary profile running ``cls`` as T-0 (registered for this test)."""
+    monkeypatch.setitem(TRUSTEE_BEHAVIORS, cls.__name__, cls)
+    return AdversaryProfile(trustee_behaviors={FAULTY: cls.__name__})
+
+
 def proofless_spec(**changes):
     return ScenarioSpec(
         options=("a", "b"), num_voters=2, num_vc=4, num_bb=3, num_trustees=3,
@@ -325,9 +334,9 @@ class TestElectionWithoutProofs:
             assert sorted(bb.trustee_submissions) == ["T-0", "T-1", "T-2"]
             assert set(bb.trustee_submissions["T-0"].proof_shares.values()) == {b""}
 
-    def test_drops_a_proof_block(self):
-        engine = ElectionEngine(proofless_spec(), trustee_classes={"T-0": ProofSendingTrustee})
-        outcome = engine.run(["a", "b"])
+    def test_drops_a_proof_block(self, monkeypatch):
+        spec = proofless_spec(adversary=faulty_t0(monkeypatch, ProofSendingTrustee))
+        outcome = ElectionEngine(spec).run(["a", "b"])
         assert outcome.tally.as_dict() == {"a": 1, "b": 1}
         for bb in outcome.bb_nodes:
             assert sorted(bb.trustee_submissions) == ["T-1", "T-2"]
@@ -358,17 +367,15 @@ class TestOmittedParts:
 
     CHOICES = ["option-1", "option-2", "option-1", "option-1"]
 
-    def run(self, small_spec, **changes):
+    def run(self, small_spec, monkeypatch, **changes):
         # T-0 is delivered first: the tally phase walks the trustees in order.
-        engine = ElectionEngine(
-            small_spec.derive(**changes), trustee_classes={"T-0": OmittingTrustee}
-        )
-        return engine.run(self.CHOICES)
+        adversary = faulty_t0(monkeypatch, OmittingTrustee)
+        return ElectionEngine(small_spec.derive(adversary=adversary, **changes)).run(self.CHOICES)
 
     def test_delivered_first_of_two_of_three_changes_nothing_published(
-        self, small_spec, small_outcome
+        self, small_spec, small_outcome, monkeypatch
     ):
-        outcome = self.run(small_spec)
+        outcome = self.run(small_spec, monkeypatch)
         reference = small_outcome.bb_nodes[0].result
         assert len(reference.openings) == 4 and len(reference.proof_responses) == 4
         for bb in outcome.bb_nodes:
@@ -379,8 +386,13 @@ class TestOmittedParts:
         assert outcome.tally.as_dict() == small_outcome.tally.as_dict()
         assert outcome.audit_report.passed
 
-    def test_with_every_trustee_needed_there_is_no_result_and_nothing_raises(self, small_spec):
-        outcome = self.run(small_spec, trustee_threshold=3)
+    def test_with_every_trustee_needed_there_is_no_result_and_nothing_raises(
+        self, small_spec, monkeypatch
+    ):
+        # ht = Nt tolerates no faulty trustee: a scenario that expects to fail.
+        outcome = self.run(
+            small_spec, monkeypatch, trustee_threshold=3, faults=FaultPlan(expect_failure=True)
+        )
         assert outcome.tally is None
         for bb in outcome.bb_nodes:
             assert sorted(bb.trustee_submissions) == ["T-1", "T-2"]
@@ -389,5 +401,5 @@ class TestOmittedParts:
     def test_red_when_the_key_sets_are_not_compared(self, small_spec, monkeypatch):
         monkeypatch.setattr(BulletinBoardNode, "_parts_as_agreed", lambda self, s: True)
         with pytest.raises(Exception):  # noqa: B017 - a KeyError out of _finalize_result today
-            outcome = self.run(small_spec)
+            outcome = self.run(small_spec, monkeypatch)
             assert outcome.audit_report.passed

@@ -18,14 +18,10 @@ class TestVoterSetup:
 
     def test_explicit_part_choice_is_respected(self, small_setup):
         ballot = small_setup.ballots[0]
-        voter = VoterClient("v", ballot, ["VC-0"], "option-1", part_choice=PART_B)
-        assert voter.part_name == PART_B
-        assert voter.unused_part_name == PART_A
-
-    def test_coin_reflects_part_choice(self, small_setup):
-        ballot = small_setup.ballots[0]
-        assert VoterClient("v", ballot, ["VC-0"], "option-1", part_choice=PART_A).coin == 0
-        assert VoterClient("v", ballot, ["VC-0"], "option-1", part_choice=PART_B).coin == 1
+        for used, unused in ((PART_A, PART_B), (PART_B, PART_A)):
+            voter = VoterClient("v", ballot, ["VC-0"], "option-1", part_choice=used)
+            assert voter.part_name == used
+            assert voter.unused_part_name == unused
 
     def test_random_part_choice_is_seeded(self, small_setup):
         ballot = small_setup.ballots[0]

@@ -14,7 +14,8 @@ def small_spec(num_voters=5, num_options=3, **fields):
     return ScenarioSpec(options=options, num_voters=num_voters, **fields)
 
 
-def run_spec(spec, choices, *, voter_parts=None, **injected):
-    """One full election of ``spec``; ``injected`` goes to the engine's
-    injection points (``rng=``, ``vc_node_classes=``, ``bb_node_classes=``...)."""
-    return ElectionEngine(spec, **injected).run(choices, voter_parts=voter_parts)
+def run_spec(spec, choices, *, voter_parts=None):
+    """One full election of ``spec`` (Byzantine nodes are named in its
+    adversary profile; a test registers its own behaviour with
+    ``monkeypatch.setitem(VC_BEHAVIORS, name, cls)``)."""
+    return ElectionEngine(spec).run(choices, voter_parts=voter_parts)

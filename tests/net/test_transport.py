@@ -358,7 +358,7 @@ def outcome_fingerprint(outcome):
 class TestTransportEquivalence:
     def test_wire_format_does_not_change_the_outcome(self, small_wire_spec):
         reference = ElectionEngine(
-            small_wire_spec.derive(transport=TransportProfile.memory())
+            small_wire_spec.derive(transport=TransportProfile())
         ).run(CHOICES)
         wired = ElectionEngine(small_wire_spec).run(CHOICES)
         assert outcome_fingerprint(reference) == outcome_fingerprint(wired)
@@ -369,7 +369,7 @@ class TestTransportEquivalence:
         """Acceptance: a real-socket election equals the simulated one."""
         simulated = ElectionEngine(small_wire_spec).run(CHOICES)
         over_tcp = ElectionEngine(
-            small_wire_spec.derive(transport=TransportProfile.tcp())
+            small_wire_spec.derive(transport=TransportProfile(backend="tcp"))
         ).run(CHOICES)
         assert outcome_fingerprint(simulated) == outcome_fingerprint(over_tcp)
         assert over_tcp.tally is not None and over_tcp.audit_report.passed
@@ -404,7 +404,8 @@ class TestTransportEquivalence:
             return payload
 
         monkeypatch.setattr(TcpLoopbackTransport, "deliver", watching_deliver)
-        over_tcp = ElectionEngine(spec.derive(transport=TransportProfile.tcp())).run(choices)
+        tcp = TransportProfile(backend="tcp")
+        over_tcp = ElectionEngine(spec.derive(transport=tcp)).run(choices)
         assert over_tcp.network.transport.name == "tcp"
         assert outcome_hash(over_tcp) == outcome_hash(simulated)
         assert over_tcp.receipts_obtained == 76 and over_tcp.tally.as_dict() == {
@@ -419,8 +420,9 @@ class TestTransportEquivalence:
     def test_outcome_hash_is_the_same_on_every_transport(self, small_wire_spec, batch_size):
         spec = small_wire_spec.derive(consensus=ConsensusConfig(batch_size=batch_size))
         hashes = {}
-        for profile in (TransportProfile.memory(), TransportProfile.wire(), TransportProfile.tcp()):
-            outcome = ElectionEngine(spec.derive(transport=profile)).run(CHOICES)
+        for backend in ("memory", "wire", "tcp"):
+            transport = TransportProfile(backend=backend)
+            outcome = ElectionEngine(spec.derive(transport=transport)).run(CHOICES)
             assert outcome.audit_report.passed
             hashes[outcome.network.transport.name] = outcome_hash(outcome)
         assert set(hashes) == {"memory", "memory+wire", "tcp"}

@@ -3,7 +3,7 @@
 The defining property of the admission pipeline: no request is ever lost or
 double-counted.  Whatever interleaving of requests and drain-timer firings
 occurs, ``requests == admitted + shed + backlog`` holds at every step, the
-backlog never exceeds the depth bound under the shed policy, and once the
+backlog never exceeds the depth bound, and once the
 queue drains every offered request has been either admitted or shed.
 """
 
@@ -42,10 +42,9 @@ events = st.lists(st.sampled_from(["offer", "drain"]), min_size=1, max_size=60)
 @given(
     events=events,
     depth=st.one_of(st.none(), st.integers(min_value=1, max_value=5)),
-    policy=st.sampled_from(["shed", "block"]),
     service_s=st.sampled_from([0.0, 0.05]),
 )
-def test_counters_reconcile_under_any_interleaving(events, depth, policy, service_s):
+def test_counters_reconcile_under_any_interleaving(events, depth, service_s):
     node = ScriptedNode()
     stats = AdmissionStats()
     admitted, shed = [], []
@@ -55,7 +54,6 @@ def test_counters_reconcile_under_any_interleaving(events, depth, policy, servic
         on_admit=lambda sender, request: admitted.append(request),
         on_shed=lambda sender, request, hint: shed.append(request),
         depth=depth,
-        policy=policy,
         service_s=service_s,
     )
 
@@ -71,7 +69,7 @@ def test_counters_reconcile_under_any_interleaving(events, depth, policy, servic
         assert stats.requests == stats.admitted + stats.shed + len(queue)
         assert stats.admitted == len(admitted)
         assert stats.shed == len(shed)
-        if depth is not None and policy == "shed":
+        if depth is not None:
             assert len(queue) <= depth
 
     node.fire_all()
@@ -79,11 +77,9 @@ def test_counters_reconcile_under_any_interleaving(events, depth, policy, servic
     assert stats.requests == offered == stats.admitted + stats.shed
     # FIFO: requests are admitted in arrival order.
     assert admitted == sorted(admitted)
-    # Only the shed policy sheds; only the block policy over-queues.
-    if policy == "block":
+    # Only a bounded queue sheds.
+    if depth is None:
         assert stats.shed == 0
-    if policy == "shed":
-        assert stats.blocked_over_depth == 0
     if service_s == 0.0:
         # Inline admission: nothing is ever queued or shed.
         assert stats.admitted == offered
@@ -105,7 +101,6 @@ def test_burst_then_drain_sheds_exactly_the_overflow(num_requests, depth):
         on_admit=lambda sender, request: None,
         on_shed=lambda sender, request, hint: None,
         depth=depth,
-        policy="shed",
         service_s=0.1,
     )
     for i in range(num_requests):

@@ -53,10 +53,8 @@ audits = st.builds(
 admissions = st.builds(
     AdmissionProfile,
     queue_depth=maybe(small_ints),
-    policy=st.sampled_from(["shed", "block"]),
     service_ms=finite(0.0, 50.0),
     endorse_batch_size=small_ints,
-    batch_window_s=finite(0.001, 1.0),
 )
 networks = st.builds(
     NetworkProfile,
@@ -79,13 +77,10 @@ cryptos = st.builds(
     backend=st.sampled_from(["schnorr", "ec", "secp256k1"]),
     include_proofs=st.booleans(),
 )
-transports = st.builds(
-    TransportProfile, backend=st.sampled_from(["memory", "tcp"]), wire_format=st.booleans()
-)
+transports = st.builds(TransportProfile, backend=st.sampled_from(["memory", "wire", "tcp"]))
 shardings = st.builds(
     ShardingProfile,
     num_shards=small_ints,
-    scale_collectors=small_ints,
     scale_batch_size=small_ints,
     scale_turnout=finite(0.01, 1.0),
     workers=small_ints,

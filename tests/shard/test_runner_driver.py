@@ -29,7 +29,6 @@ def run_shard(scheme, shard, **kwargs):
         scheme=scheme,
         seed=SEED,
         election_id=ELECTION_ID,
-        num_collectors=4,
         consensus_batch_size=32,
     )
     defaults.update(kwargs)

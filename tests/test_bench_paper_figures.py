@@ -76,7 +76,7 @@ def row(name):
 
 def test_one_point_of_the_paper_figures_benchmark():
     point = bench.BASE.derive(num_vc=4, num_voters=4, options=bench.options(2))
-    assert point.transport.backend == "memory" and not point.transport.wire_format
+    assert point.transport.backend == "memory"
     result = bench.run_point("tier-1", point)
 
     assert set(result) == ROW_KEYS

@@ -21,6 +21,15 @@ The same walk checks that each field of every ``DictCodec`` configuration
 block is read, as an attribute, somewhere in ``src/``, ``examples/`` or
 ``benchmarks/`` outside the block's own ``__post_init__``: a scenario knob
 that nothing reads is a knob that does nothing.
+
+It checks the other end too: each such field, and each keyword of
+``ElectionEngine.__init__``, must be *set* by a call in those trees -- a
+keyword (or, for the class itself, a positional argument) of a call that
+builds the block: the class, ``cls`` inside one of its classmethods, one of
+its classmethods (a preset is one), or ``derive`` for a ``ScenarioSpec``.
+A keyword that passes the same attribute through (``policy=admission.policy``)
+sets nothing.  A value only tests set must be listed in :data:`SET_BY_TESTS`
+with its reason, and that list cannot go stale either.
 """
 
 from __future__ import annotations
@@ -69,6 +78,50 @@ ALLOWED: Dict[str, str] = {
         "the intern table's live entry count, which the weak-table lifetime tests "
         "read; without it they would read the private table"
     ),
+}
+
+#: ``Block.field`` / ``ElectionEngine.keyword`` -> why it stays although only
+#: tests set it.
+SET_BY_TESTS: Dict[str, str] = {
+    "NetworkProfile.drop_rate": (
+        "the delivery fault model's steady loss (a LossBurst sets the same rate for "
+        "a window), which the transport and spec tests drive; a run sets it or it "
+        "goes (ROADMAP, values only tests set)"
+    ),
+    "NetworkProfile.duplicate_rate": (
+        "the delivery fault model's duplication, which the transport and spec tests drive"
+    ),
+    "NetworkProfile.max_delay_s": (
+        "the partial-synchrony bound Delta of the delivery fault model; the spec "
+        "codec properties round-trip it"
+    ),
+    "AdversaryProfile.blocked_links": (
+        "the network adversary's link cuts (the fault model), which the spec tests set"
+    ),
+    "AdversaryProfile.trustee_behaviors": (
+        "corrupt trustees by name; the trustee attribution experiments "
+        "(ROADMAP 5(a)) set it"
+    ),
+    "CryptoProfile.include_proofs": (
+        "a set-up without ballot-correctness proofs, for elections that never audit; "
+        "the trustee-submission tests run one; a run sets it or it goes (ROADMAP, "
+        "values only tests set)"
+    ),
+    "ShardingProfile.scale_batch_size": (
+        "the superblock size of every shard slice; the sharded-driver tests vary it "
+        "(bench_sharded_pipeline passes the default through); becomes a constant "
+        "(ROADMAP, values only tests set)"
+    ),
+    "ShardingProfile.scale_turnout": (
+        "the turnout of the derived electorate; the shard tests vary it "
+        "(bench_sharded_pipeline passes the default through); becomes a constant "
+        "(ROADMAP, values only tests set)"
+    ),
+    "ScenarioSpec.election_start": (
+        "the opening of voting hours (Section III-A), which the voting-hours "
+        "validation tests move"
+    ),
+    "ElectionEngine.drivers": "the phase sequence, which tests replace to substitute a phase",
 }
 
 _TARGET = re.compile(r"^(?:[A-Za-z_][\w.]*:)?[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*$")
@@ -176,21 +229,36 @@ def test_allow_list_names_only_existing_unused_symbols():
     assert all(reason.strip() for reason in ALLOWED.values())
 
 
+def _codec_blocks() -> List[Tuple[Path, ast.ClassDef]]:
+    """(file, class) of every ``DictCodec`` block in ``src/``."""
+    return [
+        (path, node)
+        for path in _src_files()
+        for node in _tree(path).body
+        if isinstance(node, ast.ClassDef)
+        and "DictCodec" in {getattr(base, "id", None) for base in node.bases}
+    ]
+
+
+def _field_names(block: ast.ClassDef) -> List[str]:
+    """The dataclass fields of ``block``, in declaration order."""
+    return [
+        item.target.id
+        for item in block.body
+        if isinstance(item, ast.AnnAssign)
+        and isinstance(item.target, ast.Name)
+        and "ClassVar" not in ast.unparse(item.annotation)
+    ]
+
+
 def _spec_fields() -> Dict[str, Tuple[Path, int, int]]:
     """``Block.field`` of every ``DictCodec`` block -> (file, ``__post_init__`` span)."""
     fields = {}
-    for path in _src_files():
-        for node in _tree(path).body:
-            if not isinstance(node, ast.ClassDef):
-                continue
-            if "DictCodec" not in {getattr(base, "id", None) for base in node.bases}:
-                continue
-            inits = [item for item in node.body if getattr(item, "name", None) == "__post_init__"]
-            span = (inits[0].lineno, inits[0].end_lineno) if inits else (0, -1)
-            for item in node.body:
-                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
-                    if "ClassVar" not in ast.unparse(item.annotation):
-                        fields[f"{node.name}.{item.target.id}"] = (path, *span)
+    for path, node in _codec_blocks():
+        inits = [item for item in node.body if getattr(item, "name", None) == "__post_init__"]
+        span = (inits[0].lineno, inits[0].end_lineno) if inits else (0, -1)
+        for name in _field_names(node):
+            fields[f"{node.name}.{name}"] = (path, *span)
     return fields
 
 
@@ -209,6 +277,89 @@ def test_every_spec_field_is_read():
     unread = sorted(qual for qual, span in fields.items() if not read(qual, *span))
     assert len(fields) > 40
     assert unread == [], "DictCodec fields no run reads: " + ", ".join(unread)
+
+
+def _classmethods(block: ast.ClassDef) -> List[ast.FunctionDef]:
+    return [
+        item
+        for item in block.body
+        if isinstance(item, ast.FunctionDef)
+        and any(getattr(dec, "id", None) == "classmethod" for dec in item.decorator_list)
+    ]
+
+
+def set_values(trees: List[ast.Module], blocks: List[ast.ClassDef]) -> Set[str]:
+    """``Block.field`` of every value a call in ``trees`` sets (module docstring);
+    ``ElectionEngine`` counts as a block whose fields are its keywords."""
+    fields = {block.name: _field_names(block) for block in blocks}
+    methods = {block.name: {m.name for m in _classmethods(block)} for block in blocks}
+    owner_of_cls = {
+        id(call): block.name
+        for block in blocks
+        for method in _classmethods(block)
+        for call in ast.walk(method)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "cls"
+    }
+    found = set()
+    for tree in trees:
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func, block, positional = call.func, None, False
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            receiver = getattr(getattr(func, "value", None), "id", None)
+            if id(call) in owner_of_cls:
+                block, positional = owner_of_cls[id(call)], True
+            elif name in fields or name == "ElectionEngine":
+                block, positional = name, name != "ElectionEngine"
+            elif receiver in methods and name in methods[receiver]:
+                block = receiver
+            elif name == "derive":
+                block = "ScenarioSpec"
+            else:
+                continue
+            keys = [
+                kw.arg
+                for kw in call.keywords
+                if kw.arg is not None and getattr(kw.value, "attr", None) != kw.arg
+            ]
+            if positional and not any(isinstance(arg, ast.Starred) for arg in call.args):
+                keys += fields[block][: len(call.args)]
+            found.update(f"{block}.{key}" for key in keys)
+    return found
+
+
+def _engine_keywords() -> Set[str]:
+    tree = _tree(SRC / "repro" / "api" / "engine.py")
+    (engine,) = [n for n in tree.body if getattr(n, "name", None) == "ElectionEngine"]
+    (init,) = [n for n in engine.body if getattr(n, "name", None) == "__init__"]
+    params = init.args.args[2:] + init.args.kwonlyargs  # after self and spec
+    return {f"ElectionEngine.{arg.arg}" for arg in params}
+
+
+def settable_values_no_run_sets() -> List[str]:
+    blocks = [block for _path, block in _codec_blocks()]
+    trees = [_tree(path) for path in _src_files() + _caller_files()]
+    settable = set(_spec_fields()) | _engine_keywords()
+    return sorted(settable - set_values(trees, blocks))
+
+
+def test_every_settable_value_is_set_outside_tests():
+    unset = [value for value in settable_values_no_run_sets() if value not in SET_BY_TESTS]
+    assert unset == [], (
+        f"{len(unset)} spec field(s) / engine keyword(s) no src, example or benchmark "
+        "call sets; delete them or list them in SET_BY_TESTS with a reason:\n"
+        + "\n".join(unset)
+    )
+
+
+def test_set_by_tests_names_only_existing_unset_values():
+    settable = set(_spec_fields()) | _engine_keywords()
+    unset = set(settable_values_no_run_sets())
+    stale = sorted(value for value in SET_BY_TESTS if value not in settable or value not in unset)
+    assert stale == [], "SET_BY_TESTS entries that are gone or now set: " + ", ".join(stale)
+    assert all(reason.strip() for reason in SET_BY_TESTS.values())
+    assert len(settable) > 50
 
 
 def _names_in(source: str) -> Set[str]:
@@ -247,3 +398,18 @@ class TestMatchingRules:
             for qual in surface
             for part in qual.partition(":")[2].split(".")
         )
+
+    def test_what_sets_a_block_value(self):
+        source = (
+            "@dataclass\nclass Block(DictCodec):\n    a: int = 0\n    b: int = 0\n"
+            "    c: int = 0\n    d: int = 0\n    e: int = 0\n"
+            "    @classmethod\n    def preset(cls, **changes):\n        return cls(e=1)\n"
+            "Block(1)\nBlock.preset(b=2)\nBlock(c=profile.c)\nfactory(d=4)\n"
+            "spec.derive(d=3)\nElectionEngine(spec, x=1)\n"
+        )
+        tree = ast.parse(source)
+        blocks = [node for node in tree.body if isinstance(node, ast.ClassDef)]
+        # a pass-through (c) and a keyword of another call (d=4) set nothing
+        assert set_values([tree], blocks) == {
+            "Block.a", "Block.b", "Block.e", "ScenarioSpec.d", "ElectionEngine.x"
+        }
