@@ -43,7 +43,7 @@ KEYS = ELGAMAL.keygen(RandomSource(1))
 SIGNER = SignatureScheme(GROUP)
 SIGNING_KEYS = SIGNER.keygen(RandomSource(2))
 SCHEME = OptionEncodingScheme(4, KEYS.public, GROUP)
-PROVER = BallotCorrectnessProver(KEYS.public, GROUP)
+PROVER = BallotCorrectnessProver(KEYS, GROUP)
 VERIFIER = BallotCorrectnessVerifier(KEYS.public, GROUP)
 
 
@@ -65,12 +65,12 @@ def test_bench_elgamal_encrypt(benchmark):
 
 @pytest.mark.benchmark(group="micro-crypto")
 def test_bench_option_commitment(benchmark):
-    benchmark(SCHEME.commit_option, 2)
+    benchmark(SCHEME.commit_option, KEYS, 2)
 
 
 @pytest.mark.benchmark(group="micro-crypto")
 def test_bench_zk_prove(benchmark):
-    commitment, opening = SCHEME.commit_option(1)
+    commitment, opening = SCHEME.commit_option(KEYS, 1)
 
     def prove():
         announcement, state = PROVER.first_move(commitment, opening)
@@ -82,7 +82,7 @@ def test_bench_zk_prove(benchmark):
 
 @pytest.mark.benchmark(group="micro-crypto")
 def test_bench_zk_verify(benchmark):
-    commitment, opening = SCHEME.commit_option(1)
+    commitment, opening = SCHEME.commit_option(KEYS, 1)
     announcement, state = PROVER.first_move(commitment, opening)
     challenge = fiat_shamir_challenge(GROUP, commitment, announcement)
     response = PROVER.respond(state, challenge)

@@ -85,10 +85,10 @@ def make_proof_and_opening_items(num_proofs, num_openings):
     elgamal = LiftedElGamal()
     keys = elgamal.keygen(rng)
     scheme = OptionEncodingScheme(NUM_OPTIONS, keys.public)
-    prover = BallotCorrectnessProver(keys.public)
+    prover = BallotCorrectnessProver(keys)
     proof_items, opening_items = [], []
     for i in range(max(num_proofs, num_openings)):
-        commitment, opening = scheme.commit_option(i % NUM_OPTIONS, rng)
+        commitment, opening = scheme.commit_option(keys, i % NUM_OPTIONS, rng)
         if i < num_openings:
             opening_items.append(OpeningItem(commitment, opening))
         if i < num_proofs:

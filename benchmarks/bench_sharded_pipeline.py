@@ -100,13 +100,7 @@ def run_sweep():
     rows = []
     outcomes = {}
     for shards in SHARD_COUNTS:
-        spec = BASE.derive(
-            sharding=ShardingProfile(
-                num_shards=shards,
-                scale_batch_size=BASE.sharding.scale_batch_size,
-                scale_turnout=BASE.sharding.scale_turnout,
-            )
-        )
+        spec = BASE.derive(sharding=ShardingProfile(num_shards=shards))
 
         def run(spec=spec):
             return MultiElectionService().run_sharded(spec, num_ballots=NUM_BALLOTS).outcome
@@ -172,8 +166,6 @@ def run_worker_sweep():
         spec = BASE.derive(
             sharding=ShardingProfile(
                 num_shards=PARALLEL_SHARDS,
-                scale_batch_size=BASE.sharding.scale_batch_size,
-                scale_turnout=BASE.sharding.scale_turnout,
                 workers=workers,
                 max_inflight_shards=MAX_INFLIGHT,
             )

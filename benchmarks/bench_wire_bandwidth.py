@@ -224,7 +224,7 @@ def measure_backend_wire_sizes(label: str, name: str, params: dict) -> dict:
     elgamal = LiftedElGamal(group)
     ek = elgamal.keygen(rng)
     scheme = OptionEncodingScheme(WIRE_OPTIONS, ek.public, group)
-    commitment, _ = scheme.commit_option(1, rng=rng)
+    commitment, _ = scheme.commit_option(ek, 1, rng=rng)
     commitment_bytes = len(commitment.serialize())
     return {
         "backend": label,

@@ -52,7 +52,7 @@ def build_spec(num_voters: int, transport: str, seed: int = SEED):
     return ScenarioSpec.preset("paper_baseline", num_voters=num_voters, seed=seed).derive(
         num_vc=7,
         options=("yes", "no"),
-        transport=getattr(TransportProfile, transport)(),
+        transport=TransportProfile(backend=transport),
         stagger=0.005,
     )
 

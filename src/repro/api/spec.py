@@ -471,11 +471,11 @@ class ShardingProfile(DictCodec):
     products are regroupings of the one tally product, so the shard count
     never changes the tally.
 
-    The ``scale_*`` knobs size each shard's election slice in the scale
-    pipeline (``MultiElectionService.run_sharded``): the Vote Set Consensus
-    superblock size and the deterministic turnout fraction of the derived
-    electorate.  Every slice runs
-    :data:`repro.shard.shard_runner.SCALE_COLLECTORS` collectors.
+    Every shard's election slice in the scale pipeline
+    (``MultiElectionService.run_sharded``) runs the sizes of
+    :mod:`repro.shard.shard_runner`: ``SCALE_COLLECTORS`` collectors, Vote Set
+    Consensus superblocks of ``SCALE_BATCH_SIZE`` and a ``SCALE_TURNOUT``
+    fraction of the derived electorate.
 
     ``workers`` says where :class:`repro.shard.driver.ShardedElectionDriver` runs
     the shard slices: 1 (the default) maps them in-process one at a time; >1
@@ -486,18 +486,12 @@ class ShardingProfile(DictCodec):
     """
 
     num_shards: int = 1
-    scale_batch_size: int = 1024
-    scale_turnout: float = 1.0
     workers: int = 1
     max_inflight_shards: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.num_shards < 1:
             raise ValueError("num_shards must be at least 1")
-        if self.scale_batch_size < 1:
-            raise ValueError("scale_batch_size must be at least 1")
-        if not 0.0 < self.scale_turnout <= 1.0:
-            raise ValueError("scale_turnout must be in (0, 1]")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
         if self.max_inflight_shards is not None and self.max_inflight_shards < 1:

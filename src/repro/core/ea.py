@@ -20,12 +20,14 @@ running election.  Concretely it generates:
   packed as they are dealt, laid out as
   :class:`repro.core.ballot.TrusteeBallotView` says,
 * all key pairs: VC signing keys, trustee signing keys and the ElGamal
-  commitment key (whose secret is discarded).
+  commitment key, whose secret ``x`` the EA uses during set-up and then
+  discards: no component's data, and nothing the authority keeps, holds it.
 
 What is and is not computed.  Per ballot row of an ``m``-option election the
-EA pays ``3m`` fixed-base table lookups for the option-encoding commitment,
-``5m + 2`` for the proof's first move and none for the receipt shares (SHA-256
-digests) -- each of them part of something a component receives.  The Pedersen
+EA pays one lookup in ``g``'s fixed-base table per published element: ``2m``
+for the option-encoding commitment, ``4m + 2`` for the proof's first move --
+every power of ``y = g^x`` it publishes is ``g`` to an exponent it knows --
+and none for the receipt shares (SHA-256 digests).  The Pedersen
 VSS check values of the ``2m`` dealings per row (``4 * m * ht`` lookups) are
 *not* computed: no component's initialization data carries them (see
 "Deviations from the paper" in ``docs/ARCHITECTURE.md``), so the EA asks for
@@ -161,7 +163,7 @@ class ElectionAuthority:
         elgamal = LiftedElGamal(self.group)
         commitment_keys = elgamal.keygen(self.rng)
         scheme = OptionEncodingScheme(params.num_options, commitment_keys.public, self.group)
-        prover = BallotCorrectnessProver(commitment_keys.public, self.group)
+        prover = BallotCorrectnessProver(commitment_keys, self.group)
         signature_scheme = SignatureScheme(self.group)
         vc_keys = {vc_node_id(i): signature_scheme.keygen(self.rng) for i in range(num_vc)}
         trustee_keys = {
@@ -366,7 +368,7 @@ class ElectionAuthority:
 
         # BB side: encrypted vote code + commitment + ZK first move.
         encrypted_vote_code = cipher.encrypt(vote_code, rng=self.rng)
-        commitment, opening = scheme.commit_option(option_index, rng=self.rng)
+        commitment, opening = scheme.commit_option(prover.keys, option_index, rng=self.rng)
         announcement, zk_coefficients = None, []
         if self.include_proofs:
             announcement, state = prover.first_move(commitment, opening, rng=self.rng)

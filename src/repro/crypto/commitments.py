@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro.crypto.elgamal import ElGamalCiphertext, LiftedElGamal
+from repro.crypto.elgamal import ElGamalCiphertext, ElGamalKeyPair, LiftedElGamal
 from repro.crypto.group import Group, GroupElement, default_group
 from repro.crypto.utils import RandomSource, default_random
 
@@ -62,7 +62,10 @@ class OptionEncodingScheme:
     The scheme is parameterised by the number of options ``m`` and an ElGamal
     public key whose secret is never used during the election (openings are
     revealed via the randomness, not via decryption), exactly as a commitment
-    scheme should behave.
+    scheme should behave.  Only the committer -- the EA during set-up --
+    holds the key pair, and it commits in the exponents it knows:
+    ``(g^r, g^v y^r) = (g^r, g^(v + x r))``, two lookups in ``g``'s table.
+    Everyone else checks openings against the public key.
     """
 
     def __init__(
@@ -77,9 +80,9 @@ class OptionEncodingScheme:
         self.group = group or default_group()
         self.public_key = public_key
         self.elgamal = LiftedElGamal(self.group)
-        # One commitment vector is produced per ballot line, all under the same
-        # key: warm the fixed-base table once so every encryption hits it.
-        self.elgamal.precompute_key(self.public_key)
+        # Verifiers raise the key to each opening's randomness: warm its
+        # fixed-base table once, so none of those powers is a plain ``pow``.
+        self.group.fixed_base(public_key)
 
     # -- commitment creation ---------------------------------------------------
 
@@ -92,15 +95,20 @@ class OptionEncodingScheme:
         return vector
 
     def commit_vector(
-        self, vector: Sequence[int], rng: Optional[RandomSource] = None
+        self, keys: ElGamalKeyPair, vector: Sequence[int], rng: Optional[RandomSource] = None
     ) -> tuple:
-        """Commit to an arbitrary integer vector; returns (commitment, opening)."""
+        """Commit to an arbitrary integer vector under ``keys``, the pair of
+        this scheme's public key; returns (commitment, opening)."""
         rng = rng or default_random()
         if len(vector) != self.num_options:
             raise ValueError("vector length does not match the number of options")
+        if keys.public != self.public_key:
+            raise ValueError("keys are not the pair of this scheme's public key")
+        g_power = self.group.fixed_base(self.group.generator()).power
+        secret = keys.secret
         randomness = tuple(self.group.random_scalar(rng) for _ in vector)
         ciphertexts = tuple(
-            self.elgamal.encrypt(self.public_key, value, randomness=r)
+            ElGamalCiphertext(g_power(r), g_power(value + secret * r))
             for value, r in zip(vector, randomness, strict=True)
         )
         commitment = OptionCommitment(ciphertexts)
@@ -108,10 +116,10 @@ class OptionEncodingScheme:
         return commitment, opening
 
     def commit_option(
-        self, option_index: int, rng: Optional[RandomSource] = None
+        self, keys: ElGamalKeyPair, option_index: int, rng: Optional[RandomSource] = None
     ) -> tuple:
-        """Commit to the unit-vector encoding of ``option_index``."""
-        return self.commit_vector(self.unit_vector(option_index), rng=rng)
+        """Commit to the unit-vector encoding of ``option_index`` under ``keys``."""
+        return self.commit_vector(keys, self.unit_vector(option_index), rng=rng)
 
     # -- verification ----------------------------------------------------------
 

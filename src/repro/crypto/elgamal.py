@@ -48,19 +48,17 @@ class ElGamalKeyPair:
 class LiftedElGamal:
     """Lifted ElGamal over an abstract prime-order group.
 
-    Every exponentiation with a *fixed* base (the generator for ``g^r``/``g^m``
-    and the public key for ``y^r``) goes through the group's windowed
-    fixed-base tables (:meth:`repro.crypto.group.Group.fixed_base`), which keeps
-    the modular-exponentiation hot path of EA setup, commitment verification
-    and auditing several times faster than naive ``pow``.
+    Powers of the generator (``g^r``, ``g^m``) go through the group's windowed
+    fixed-base table (:meth:`repro.crypto.group.Group.fixed_base`); powers of
+    a public key (``y^r``) through :meth:`repro.crypto.group.Group.cached_power`,
+    which uses the key's table when one is built (the commitment scheme builds
+    its key's) and otherwise builds one only for a key used many times.  EA
+    set-up does not encrypt here: it holds ``x`` and commits in ``g`` alone
+    (:meth:`repro.crypto.commitments.OptionEncodingScheme.commit_vector`).
     """
 
     def __init__(self, group: Optional[Group] = None):
         self.group = group or default_group()
-
-    def precompute_key(self, public: GroupElement) -> None:
-        """Warm the fixed-base table for a public key used many times."""
-        self.group.fixed_base(public)
 
     def keygen(self, rng: Optional[RandomSource] = None) -> ElGamalKeyPair:
         """Generate a fresh key pair."""

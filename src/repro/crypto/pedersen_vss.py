@@ -34,7 +34,7 @@ from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.crypto.group import Group, GroupElement, default_group
-from repro.crypto.shamir import lagrange_at_zero
+from repro.crypto.shamir import lagrange_at_zero, polynomial_evaluations
 from repro.crypto.utils import RandomSource, default_random
 
 
@@ -111,14 +111,16 @@ class PedersenVSS:
         blinding value): the pairs ``(f(i), r(i))`` for ``i = 1..num_shares``,
         and the coefficient pairs ``(a_j, b_j)`` the check values commit to."""
         rng = rng or default_random()
-        secret %= self.q
-        blinding = self.group.random_scalar(rng)
-        f_coeffs = [secret] + [self.group.random_scalar(rng) for _ in range(self.threshold - 1)]
-        r_coeffs = [blinding] + [self.group.random_scalar(rng) for _ in range(self.threshold - 1)]
-        pairs = [
-            (self._evaluate(f_coeffs, i), self._evaluate(r_coeffs, i))
-            for i in range(1, self.num_shares + 1)
-        ]
+        q = self.q
+        draw = rng.randint_range  # what Group.random_scalar draws, one call less
+        blinding = draw(1, q)
+        f_coeffs = [secret % q] + [draw(1, q) for _ in range(self.threshold - 1)]
+        r_coeffs = [blinding] + [draw(1, q) for _ in range(self.threshold - 1)]
+        pairs = list(zip(
+            polynomial_evaluations(f_coeffs, self.num_shares, q),
+            polynomial_evaluations(r_coeffs, self.num_shares, q),
+            strict=True,
+        ))
         return pairs, tuple(zip(f_coeffs, r_coeffs, strict=True))
 
     def deal(self, secret: int, rng: Optional[RandomSource] = None) -> PedersenDealing:
@@ -129,12 +131,6 @@ class PedersenVSS:
             for index, (value, blinding) in enumerate(pairs, start=1)
         )
         return PedersenDealing(shares, coefficients, self._pedersen_commit)
-
-    def _evaluate(self, coefficients: Sequence[int], x: int) -> int:
-        result = 0
-        for coefficient in reversed(coefficients):
-            result = (result * x + coefficient) % self.q
-        return result
 
     def _pedersen_commit(self, value: int, blinding: int) -> GroupElement:
         """``g^value * h^blinding`` through the cached fixed-base tables."""

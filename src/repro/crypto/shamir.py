@@ -60,6 +60,19 @@ def lagrange_at_zero(indices: Tuple[int, ...], prime: int) -> Tuple[int, ...]:
     return tuple(coefficients)
 
 
+def polynomial_evaluations(coefficients: Sequence[int], num_points: int, prime: int) -> List[int]:
+    """``f(1), ..., f(num_points)`` for ``f(x) = sum(coefficients[j] * x^j)`` over
+    ``GF(prime)``: Horner's rule on plain integers, one reduction per point."""
+    highest_first = coefficients[::-1]
+    values = []
+    for x in range(1, num_points + 1):
+        value = 0
+        for coefficient in highest_first:
+            value = value * x + coefficient
+        values.append(value % prime)
+    return values
+
+
 def scalar_width(prime: int) -> int:
     """Bytes of one fixed-width big-endian scalar of ``GF(prime)``."""
     return (prime.bit_length() + 7) // 8
@@ -127,11 +140,10 @@ class ShamirSecretSharing:
     def evaluations(self, secret: int, rng: Optional[RandomSource] = None) -> List[int]:
         """``f(1), ..., f(num_shares)`` of a fresh sharing polynomial of ``secret``."""
         rng = rng or default_random()
-        secret %= self.prime
-        coefficients = [secret] + [
-            rng.randint_below(self.prime) for _ in range(self.threshold - 1)
-        ]
-        return [self._evaluate(coefficients, x) for x in range(1, self.num_shares + 1)]
+        prime = self.prime
+        draw = rng.randint_below
+        coefficients = [secret % prime] + [draw(prime) for _ in range(self.threshold - 1)]
+        return polynomial_evaluations(coefficients, self.num_shares, prime)
 
     def share(self, secret: int, rng: Optional[RandomSource] = None) -> List[Share]:
         """Split ``secret`` into ``num_shares`` shares of threshold ``threshold``."""
@@ -139,12 +151,6 @@ class ShamirSecretSharing:
             Share(index, value)
             for index, value in enumerate(self.evaluations(secret, rng), start=1)
         ]
-
-    def _evaluate(self, coefficients: Sequence[int], x: int) -> int:
-        result = 0
-        for coefficient in reversed(coefficients):
-            result = (result * x + coefficient) % self.prime
-        return result
 
     # -- reconstruction ------------------------------------------------------
 

@@ -26,9 +26,14 @@ class RandomSource:
         self._rng = random.Random(seed) if self._seeded else None
 
     def randbytes(self, n: int) -> bytes:
-        """Return ``n`` uniformly random bytes."""
+        """Return ``n`` uniformly random bytes.
+
+        Seeded, byte ``i`` is the top byte of the ``i``-th 32-bit word of the
+        stream (what ``getrandbits(8)`` returns); one ``getrandbits(32 * n)``
+        holds those words little-endian, so the bytes are every fourth one.
+        """
         if self._seeded:
-            return bytes(self._rng.getrandbits(8) for _ in range(n))
+            return self._rng.getrandbits(32 * n).to_bytes(4 * n, "little")[3::4]
         return os.urandom(n)
 
     def randbits(self, k: int) -> int:
@@ -44,10 +49,11 @@ class RandomSource:
         if upper <= 0:
             raise ValueError("upper bound must be positive")
         k = upper.bit_length()
-        while True:
-            candidate = self.randbits(k)
-            if candidate < upper:
-                return candidate
+        draw = self._rng.getrandbits if self._seeded else self.randbits
+        candidate = draw(k)
+        while candidate >= upper:
+            candidate = draw(k)
+        return candidate
 
     def randint_range(self, lower: int, upper: int) -> int:
         """Return a uniformly random integer in ``[lower, upper)``."""

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.crypto.commitments import CommitmentOpening, OptionCommitment
-from repro.crypto.elgamal import ElGamalCiphertext
+from repro.crypto.elgamal import ElGamalCiphertext, ElGamalKeyPair
 from repro.crypto.group import Group, GroupElement, default_group
 from repro.crypto.utils import RandomSource, default_random
 
@@ -104,11 +104,15 @@ class _ProverState:
 
 
 class BallotCorrectnessProver:
-    """Produces the EA-side proofs that committed encodings are unit vectors."""
+    """Produces the EA-side proofs that committed encodings are unit vectors.
 
-    def __init__(self, public_key: GroupElement, group: Optional[Group] = None):
+    It holds the commitment key pair ``(x, y = g^x)``, as the EA does until
+    set-up ends, so every power of ``y`` it announces is a power of ``g``.
+    """
+
+    def __init__(self, keys: ElGamalKeyPair, group: Optional[Group] = None):
         self.group = group or default_group()
-        self.public_key = public_key
+        self.keys = keys
 
     # -- first move --------------------------------------------------------
 
@@ -124,15 +128,17 @@ class BallotCorrectnessProver:
         in the exponents the prover knows, never from the ciphertexts.  With
         ``(a, b) = (g^r, g^bit y^r)`` and ``t = s - r c (mod q)``, the
         simulated branch ``g^s / a^c``, ``y^s / (b / g^m)^c`` of the textbook
-        proof is ``g^t``, ``y^t g^((m - bit) c)`` -- the same group elements,
-        as products of powers of the two bases that have tables.
+        proof is ``g^t``, ``y^t g^((m - bit) c) = g^(x t + (m - bit) c)``, and
+        the ``y^nonce`` of the real branch and of the sum proof is
+        ``g^(x nonce)`` -- the same group elements, one lookup in ``g``'s
+        table each.
         """
         rng = rng or default_random()
         q = self.group.order
         if len(commitment.ciphertexts) != len(opening.values):
             raise ValueError("opening does not match the commitment length")
         g_power = self.group.fixed_base(self.group.generator()).power
-        y_power = self.group.fixed_base(self.public_key).power
+        secret = self.keys.secret
 
         or_announcements = []
         or_state = []
@@ -143,23 +149,23 @@ class BallotCorrectnessProver:
             nonce = self.group.random_scalar(rng)
             fake_challenge = self.group.random_scalar(rng)
             fake_response = self.group.random_scalar(rng)
-            a_real, b_real = g_power(nonce), y_power(nonce)
+            a_real, b_real = g_power(nonce), g_power(secret * nonce)
             t = (fake_response - randomness * fake_challenge) % q
             a_fake = g_power(t)
             if bit == 0:
                 # Simulated m=1 branch: m - bit = 1.
-                b_fake = y_power(t) * g_power(fake_challenge)
+                b_fake = g_power(secret * t + fake_challenge)
                 announcement = OrProofAnnouncement(a_real, b_real, a_fake, b_fake)
             else:
                 # Simulated m=0 branch: m - bit = -1.
-                b_fake = y_power(t) * g_power(q - fake_challenge)
+                b_fake = g_power(secret * t - fake_challenge)
                 announcement = OrProofAnnouncement(a_fake, b_fake, a_real, b_real)
             or_announcements.append(announcement)
             or_state.append((bit, randomness % q, nonce, fake_challenge, fake_response))
 
         # Sum proof: the product ciphertext encrypts 1 with randomness sum(r_i).
         sum_nonce = self.group.random_scalar(rng)
-        sum_announcement = SumProofAnnouncement(g_power(sum_nonce), y_power(sum_nonce))
+        sum_announcement = SumProofAnnouncement(g_power(sum_nonce), g_power(secret * sum_nonce))
 
         announcement = BallotProofAnnouncement(tuple(or_announcements), sum_announcement)
         state = _ProverState(opening, or_state, sum_nonce)

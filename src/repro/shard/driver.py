@@ -96,8 +96,6 @@ def _run_slice(state: _SliceState, task: dict) -> ShardSliceResult:
         scheme=state.scheme,
         seed=state.seed,
         election_id=state.election_id,
-        consensus_batch_size=task["consensus_batch_size"],
-        turnout=task["turnout"],
         tampered_codes=task["tampered_codes"],
     ).run()
 
@@ -225,8 +223,6 @@ class ShardedElectionDriver:
         return [
             {
                 "shard": shard,
-                "consensus_batch_size": self.sharding.scale_batch_size,
-                "turnout": self.sharding.scale_turnout,
                 "tampered_codes": {
                     serial: code
                     for serial, code in self.tampered_codes.items()

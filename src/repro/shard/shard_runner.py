@@ -143,8 +143,11 @@ class ShardSliceResult:
         return self.record.ballots_cast
 
 
-#: Vote collectors of every shard slice the scale pipeline runs.
+#: Vote collectors, Vote Set Consensus superblock size and turnout of the
+#: derived electorate of every shard slice the scale pipeline runs.
 SCALE_COLLECTORS = 4
+SCALE_BATCH_SIZE = 1024
+SCALE_TURNOUT = 1.0
 
 
 class ShardRunner:
@@ -156,8 +159,8 @@ class ShardRunner:
         scheme: OptionEncodingScheme,
         seed: int,
         election_id: str,
-        consensus_batch_size: int = 1024,
-        turnout: float = 1.0,
+        consensus_batch_size: int = SCALE_BATCH_SIZE,
+        turnout: float = SCALE_TURNOUT,
         silent_collectors: Sequence[int] = (),
         tampered_codes: Optional[Mapping[int, bytes]] = None,
     ):

@@ -240,14 +240,12 @@ class TestShardingProfile:
         with pytest.raises(ValueError):
             ShardingProfile(num_shards=0)
         with pytest.raises(ValueError):
-            ShardingProfile(scale_turnout=1.5)
-        with pytest.raises(ValueError):
             ShardingProfile(workers=0)
         with pytest.raises(ValueError):
             ShardingProfile(max_inflight_shards=0)
 
     def test_round_trips_through_dicts(self):
-        profile = ShardingProfile(num_shards=8, scale_batch_size=256, scale_turnout=0.7)
+        profile = ShardingProfile(num_shards=8)
         assert ShardingProfile.from_dict(profile.to_dict()) == profile
         spec = ScenarioSpec(sharding=profile)
         assert ScenarioSpec.from_dict(spec.to_dict()).sharding == profile

@@ -31,14 +31,15 @@ from repro.core.election import DictCodec
 
 GOLDENS = json.loads((Path(__file__).parent / "spec_goldens.json").read_text())
 #: fields of deleted code -- the testbed model's three, the per-item audit
-#: switch, and four knobs no run set (the admission queue's overload policy
-#: and batch window, the scale pipeline's collectors per shard, the wire
-#: flag now folded into the transport backend): every golden holds them, at
-#: their defaults, and they are the only keys a spec no longer emits
+#: switch, and six knobs no run set (the admission queue's overload policy
+#: and batch window, the scale pipeline's collectors, superblock size and
+#: turnout per shard, the wire flag now folded into the transport backend):
+#: every golden holds them, at their defaults, and they are the only keys a
+#: spec no longer emits
 DELETED_KEYS = (
     "storage", "network.client_to_vc_ms", "network.inter_vc_ms", "audit.batch",
     "admission.policy", "admission.batch_window_s", "sharding.scale_collectors",
-    "transport.wire_format",
+    "sharding.scale_batch_size", "sharding.scale_turnout", "transport.wire_format",
 )
 
 

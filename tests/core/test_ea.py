@@ -1,6 +1,7 @@
 """Tests for the Election Authority setup."""
 
 import gc
+import types
 import weakref
 
 import pytest
@@ -16,6 +17,7 @@ from repro.core.election import (
     voter_id,
 )
 from repro.crypto.commitments import CommitmentOpening, OptionEncodingScheme
+from repro.crypto.elgamal import ElGamalKeyPair, LiftedElGamal
 from repro.crypto.pedersen_vss import PedersenDealing, PedersenVSS
 from repro.crypto.registry import get_group
 from repro.crypto.shamir import ShamirSecretSharing, scalar_width, share_digest
@@ -250,8 +252,10 @@ class TestSetupExponentiations:
     def test_setup_pays_only_for_what_a_component_receives(
         self, group, count_table_lookups, num_options
     ):
-        """Table lookups per ballot row: ``3m`` for the option-encoding
-        commitment, ``5m + 2`` for the proof's first move -- none for the
+        """Table lookups per ballot row, one per published element: ``2m``
+        for the option-encoding commitment, ``4m + 2`` for the proof's first
+        move (``3m`` and ``5m + 2`` while the EA raised ``y`` through its own
+        table instead of ``g`` to the exponent it knows) -- none for the
         receipt shares, which the EA commits to by digest instead of signing
         (``Nv`` more per row at ca2940a) -- and none for trustee data: the
         ``4 * m * ht`` Pedersen check values per row that no component
@@ -269,11 +273,11 @@ class TestSetupExponentiations:
             ElectionAuthority(params, group=group, rng=RandomSource(3), **flags).setup()
             return lookups[0]
 
-        full = rows * (3 * m + (5 * m + 2)) + keys
-        assert full == {2: 224, 3: 476}[m]
+        full = rows * (2 * m + (4 * m + 2)) + keys
+        assert full == {2: 176, 3: 368}[m]
         assert setup_lookups() == full
         assert setup_lookups(include_trustee_data=False) == full
-        assert setup_lookups(include_proofs=False) == rows * 3 * m + keys
+        assert setup_lookups(include_proofs=False) == rows * 2 * m + keys
 
     def test_no_dealing_outlives_its_use(self, group, monkeypatch):
         """A dealing holds its two sharing polynomials.  The EA asks for the
@@ -301,6 +305,58 @@ class TestSetupExponentiations:
         assert len(dealt) == 2 * 2 * 2 * 2 * 2  # ballots x parts x rows x 2m secrets
         assert setup.trustee_init[trustee_id(0)].ballots
         assert not [obj for obj in gc.get_objects() if isinstance(obj, PedersenDealing)]
+
+
+#: what :func:`reachable` does not enter: code and the process-wide state it
+#: reaches, and the leaves of the scan
+NOT_HELD = (
+    type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType,
+    types.MethodType, str, bytes,
+)
+
+
+def reachable(*roots) -> list:
+    """Every object the roots hold, through containers, instance dicts and slots."""
+    seen, found, stack = set(), [], list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, NOT_HELD):
+            continue
+        seen.add(id(obj))
+        found.append(obj)
+        stack.extend(gc.get_referents(obj))
+    return found
+
+
+class TestTheCommitmentSecretIsDiscarded:
+    def test_no_key_pair_and_no_secret_outlive_setup(self, group, monkeypatch):
+        """Set-up commits and proves with the commitment key pair, in the
+        exponents of ``g``, and then drops it: once ``setup()`` returns no key
+        pair of this election is alive, and neither the authority nor the
+        setup reaches the secret -- they hold the public key alone."""
+        secrets = []
+        original = LiftedElGamal.keygen
+
+        def keygen(self, rng=None):
+            keys = original(self, rng)
+            secrets.append(keys.secret)
+            return keys
+
+        monkeypatch.setattr(LiftedElGamal, "keygen", keygen)
+        params = ElectionParameters.small_test_election(num_voters=2, num_options=2)
+        authority = ElectionAuthority(params, group=group, rng=RandomSource(3))
+        setup = authority.setup()
+        (secret,) = secrets
+        assert setup.commitment_public_key == group.power_g(secret)
+        assert setup.bb_init.commitment_public_key == setup.commitment_public_key
+        assert not [
+            obj for obj in gc.get_objects()
+            if isinstance(obj, ElGamalKeyPair) and obj.secret == secret
+        ]
+        held = reachable(authority, setup)
+        assert setup.commitment_public_key in held
+        assert not [obj for obj in held if isinstance(obj, ElGamalKeyPair)]
+        assert secret not in {obj for obj in held if type(obj) is int}
 
 
 #: ``setup_walk_hash`` of ``ElectionAuthority(small_test_election(3 voters, 3

@@ -61,32 +61,38 @@ class TestVoterCoins:
 
 
 class TestHomomorphicOpening:
-    def test_open_tally_counts_votes(self, scheme):
+    def test_open_tally_counts_votes(self, scheme, elgamal_keys):
         votes = [0, 0, 2, 1, 0]
-        commitments, openings = zip(*(scheme.commit_option(v) for v in votes), strict=True)
+        commitments, openings = zip(
+            *(scheme.commit_option(elgamal_keys, v) for v in votes), strict=True
+        )
         combined = scheme.combine(commitments)
         opening = scheme.combine_openings(list(openings))
         result = open_tally(scheme, combined, opening, ["a", "b", "c"])
         assert result.counts == (3, 1, 1)
         assert result.total_votes == 5
 
-    def test_open_tally_rejects_bad_opening(self, scheme):
-        commitments, openings = zip(*(scheme.commit_option(v) for v in (0, 1)), strict=True)
+    def test_open_tally_rejects_bad_opening(self, scheme, elgamal_keys):
+        commitments, openings = zip(
+            *(scheme.commit_option(elgamal_keys, v) for v in (0, 1)), strict=True
+        )
         combined = scheme.combine(commitments)
         bad_opening = openings[0]
         with pytest.raises(ValueError):
             open_tally(scheme, combined, bad_opening, ["a", "b", "c"])
 
-    def test_open_tally_rejects_truncated_randomness(self, scheme):
+    def test_open_tally_rejects_truncated_randomness(self, scheme, elgamal_keys):
         """Every coordinate is checked: a short randomness vector is no opening."""
-        commitments, openings = zip(*(scheme.commit_option(v) for v in (0, 1)), strict=True)
+        commitments, openings = zip(
+            *(scheme.commit_option(elgamal_keys, v) for v in (0, 1)), strict=True
+        )
         opening = scheme.combine_openings(list(openings))
         truncated = CommitmentOpening(opening.values, opening.randomness[:1])
         with pytest.raises(ValueError):
             open_tally(scheme, scheme.combine(commitments), truncated, ["a", "b", "c"])
 
-    def test_open_tally_of_single_vote(self, scheme):
-        commitment, opening = scheme.commit_option(2)
+    def test_open_tally_of_single_vote(self, scheme, elgamal_keys):
+        commitment, opening = scheme.commit_option(elgamal_keys, 2)
         combined = scheme.combine([commitment])
         result = open_tally(scheme, combined, opening, ["a", "b", "c"])
         assert result.counts == (0, 0, 1)

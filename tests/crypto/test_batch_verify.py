@@ -49,11 +49,11 @@ def signature_batch(group):
 @pytest.fixture(scope="module")
 def proof_batch(group, elgamal_keys):
     scheme = OptionEncodingScheme(NUM_OPTIONS, elgamal_keys.public, group)
-    prover = BallotCorrectnessProver(elgamal_keys.public, group)
+    prover = BallotCorrectnessProver(elgamal_keys, group)
     rng = RandomSource(22)
     proof_items, opening_items = [], []
     for i in range(NUM_PROOFS):
-        commitment, opening = scheme.commit_option(i % NUM_OPTIONS, rng)
+        commitment, opening = scheme.commit_option(elgamal_keys, i % NUM_OPTIONS, rng)
         announcement, state = prover.first_move(commitment, opening, rng)
         challenge = fiat_shamir_challenge(group, commitment, announcement)
         response = prover.respond(state, challenge)
@@ -314,10 +314,10 @@ class TestBatchesAboveTheBucketCrossover:
             for i in range(LARGE)
         ]
         scheme = OptionEncodingScheme(NUM_OPTIONS, elgamal_keys.public, group)
-        prover = BallotCorrectnessProver(elgamal_keys.public, group)
+        prover = BallotCorrectnessProver(elgamal_keys, group)
         proofs, openings = [], []
         for i in range(LARGE):
-            commitment, opening = scheme.commit_option(i % NUM_OPTIONS, rng)
+            commitment, opening = scheme.commit_option(elgamal_keys, i % NUM_OPTIONS, rng)
             announcement, state = prover.first_move(commitment, opening, rng)
             challenge = fiat_shamir_challenge(group, commitment, announcement)
             proofs.append(
@@ -460,7 +460,7 @@ def agreement_batches():
         rng = RandomSource(31)
         keys = LiftedElGamal(group).keygen(rng)
         scheme = OptionEncodingScheme(2, keys.public, group)
-        prover = BallotCorrectnessProver(keys.public, group)
+        prover = BallotCorrectnessProver(keys, group)
         signer = SignatureScheme(group).keygen(rng)
         honest = {"signatures": [], "openings": [], "proofs": []}
         for i in range(AGREEMENT_ITEMS):
@@ -468,7 +468,7 @@ def agreement_batches():
             honest["signatures"].append(
                 SignatureItem(signer.public, message, SignatureScheme(group).sign(signer, message))
             )
-            commitment, opening = scheme.commit_option(i % 2, rng)
+            commitment, opening = scheme.commit_option(keys, i % 2, rng)
             honest["openings"].append(OpeningItem(commitment, opening))
             announcement, state = prover.first_move(commitment, opening, rng)
             challenge = fiat_shamir_challenge(group, commitment, announcement)

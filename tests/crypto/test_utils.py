@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.crypto.group import default_group
+from repro.crypto.shamir import DEFAULT_PRIME
 from repro.crypto.utils import (
     RandomSource,
     bytes_to_int,
@@ -55,6 +57,51 @@ class TestRandomSource:
 
     def test_unseeded_source_produces_bytes(self):
         assert len(default_random().randbytes(8)) == 8
+
+
+#: The first draws of ``RandomSource(42)``, captured before the seeded
+#: ``randint_below`` and ``randbytes`` drew straight from ``random.Random``
+#: (one ``getrandbits`` call per candidate, one per 32-bit word of bytes).
+#: Set-up derives every ballot from this stream, so a faster draw path must
+#: draw these values in this order.
+SEEDED_STREAM = [
+    [
+        0x11DC60F4392456DE3EB13B9046685257BDD640FB06671AD11C80317FA3B1799D,
+        0x4B95423416419F828B9D2434E465E150BD9C66B3AD3C2D6D1A3D1FA7BC8960A9,
+        0x4D0EF322815EF6D13B8FAA1837F8A88B17FC695A07A0CA6E0822E8F36C031199,
+    ],
+    [
+        0x6B65A6A48B8148F6B38A088CA65ED389B74D0FB132E706298FADC1A606CB0FB3,
+        0x371ECD7B27CD813047229389571AA8766C307511B2B9437A28DF6EC4CE4A2BBD,
+        0x5BE6128E18C267976142EA7D17BE31111A2A73ED562B0F79C37459EEF50BEA63,
+    ],
+    [0, 1, 0, 14, 6982726854198922401],
+    [0x2E4A0E78DC98D2C1E2ACF72F9E574F7AA0EE89AED453DD324B0DBB418D5288F2, 9],
+    [
+        b"",
+        b"1",
+        b"\xb4\x11\x0b\xa9:",
+        b"\xc5J\xfc\x14\xda;\xdd\x19aGt\xa2\xd5])^",
+        b"Z5\xabD\xb3\xef\xae\xa5\x12\x9b\xa2+\x88\xba>)vaE\xfd",
+    ],
+    [[0], [1, 0, 2], [6, 3, 4, 1, 0, 2, 5]],
+]
+
+
+def test_seeded_stream_is_pinned():
+    """Scalars below the group order and the Shamir prime, small bounds
+    (1 rejects every odd candidate), ranges, bytes and permutations, drawn
+    one after the other from one source."""
+    rng = RandomSource(42)
+    q = default_group().order
+    assert [
+        [rng.randint_below(q) for _ in range(3)],
+        [rng.randint_below(DEFAULT_PRIME) for _ in range(3)],
+        [rng.randint_below(bound) for bound in (1, 2, 3, 17, 2 ** 64)],
+        [rng.randint_range(1, q), rng.randint_range(5, 10)],
+        [rng.randbytes(n) for n in (0, 1, 5, 16, 20)],
+        [rng.permutation(n) for n in (1, 3, 7)],
+    ] == SEEDED_STREAM
 
 
 class TestHashing:

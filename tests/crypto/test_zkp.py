@@ -28,7 +28,7 @@ def scheme(group, elgamal_keys):
 
 @pytest.fixture(scope="module")
 def prover(group, elgamal_keys):
-    return BallotCorrectnessProver(elgamal_keys.public, group)
+    return BallotCorrectnessProver(elgamal_keys, group)
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +37,7 @@ def verifier(group, elgamal_keys):
 
 
 def _prove(scheme, prover, group, option_index, challenge=None):
-    commitment, opening = scheme.commit_option(option_index)
+    commitment, opening = scheme.commit_option(prover.keys, option_index)
     announcement, state = prover.first_move(commitment, opening)
     if challenge is None:
         challenge = fiat_shamir_challenge(group, commitment, announcement)
@@ -54,7 +54,7 @@ class TestHonestProofs:
         assert verifier.verify(commitment, announcement, challenge, response)
 
     def test_proof_verifies_under_voter_coin_challenge(self, scheme, prover, verifier, group):
-        commitment, opening = scheme.commit_option(1)
+        commitment, opening = scheme.commit_option(prover.keys, 1)
         announcement, state = prover.first_move(commitment, opening)
         challenge = challenge_from_voter_coins(group, [0, 1, 1, 0, 1])
         response = prover.respond(state, challenge)
@@ -66,11 +66,11 @@ class TestHonestProofs:
 
     def test_proof_fails_against_different_commitment(self, scheme, prover, verifier, group):
         commitment, announcement, challenge, response = _prove(scheme, prover, group, 0)
-        other_commitment, _ = scheme.commit_option(0)
+        other_commitment, _ = scheme.commit_option(prover.keys, 0)
         assert not verifier.verify(other_commitment, announcement, challenge, response)
 
     def test_first_move_rejects_non_binary_opening(self, scheme, prover):
-        commitment, opening = scheme.commit_vector([2, 0, 0])
+        commitment, opening = scheme.commit_vector(prover.keys, [2, 0, 0])
         with pytest.raises(ValueError):
             prover.first_move(commitment, opening)
 
@@ -119,11 +119,11 @@ class TestProverMatchesTextbook:
     def test_same_announcements_and_state(self, backend, keys, num_options, option_index):
         group = get_group(backend)
         scheme = OptionEncodingScheme(num_options, keys.public, group)
-        commitment, opening = scheme.commit_option(option_index, rng=RandomSource(7))
+        commitment, opening = scheme.commit_option(keys, option_index, rng=RandomSource(7))
         expected, or_state, sum_nonce = textbook_first_move(
             group, keys.public, commitment, opening, RandomSource(9)
         )
-        announcement, state = BallotCorrectnessProver(keys.public, group).first_move(
+        announcement, state = BallotCorrectnessProver(keys, group).first_move(
             commitment, opening, rng=RandomSource(9)
         )
         for got, want in zip(
@@ -137,8 +137,8 @@ class TestProverMatchesTextbook:
     def test_verifiers_accept_it_and_reject_a_flipped_response(self, backend, keys):
         group = get_group(backend)
         scheme = OptionEncodingScheme(2, keys.public, group)
-        prover = BallotCorrectnessProver(keys.public, group)
-        commitment, opening = scheme.commit_option(1, rng=RandomSource(7))
+        prover = BallotCorrectnessProver(keys, group)
+        commitment, opening = scheme.commit_option(keys, 1, rng=RandomSource(7))
         announcement, state = prover.first_move(commitment, opening, rng=RandomSource(9))
         challenge = fiat_shamir_challenge(group, commitment, announcement)
         response = prover.respond(state, challenge)
@@ -158,10 +158,10 @@ class TestProverMatchesTextbook:
 
     def test_opening_of_another_length_is_refused(self, backend, keys):
         group = get_group(backend)
-        commitment, _ = OptionEncodingScheme(2, keys.public, group).commit_option(0)
-        _, opening = OptionEncodingScheme(3, keys.public, group).commit_option(0)
+        commitment, _ = OptionEncodingScheme(2, keys.public, group).commit_option(keys, 0)
+        _, opening = OptionEncodingScheme(3, keys.public, group).commit_option(keys, 0)
         with pytest.raises(ValueError):
-            BallotCorrectnessProver(keys.public, group).first_move(commitment, opening)
+            BallotCorrectnessProver(keys, group).first_move(commitment, opening)
 
 
 class TestSoundness:
@@ -172,14 +172,14 @@ class TestSoundness:
         could produce the OR proofs; the sum-is-one proof must then fail for
         any honestly derived challenge.
         """
-        commitment, opening = scheme.commit_vector([1, 1, 0])
+        commitment, opening = scheme.commit_vector(prover.keys, [1, 1, 0])
         announcement, state = prover.first_move(commitment, opening)
         challenge = fiat_shamir_challenge(group, commitment, announcement)
         response = prover.respond(state, challenge)
         assert not verifier.verify(commitment, announcement, challenge, response)
 
     def test_all_zero_vector_fails(self, scheme, prover, verifier, group):
-        commitment, opening = scheme.commit_vector([0, 0, 0])
+        commitment, opening = scheme.commit_vector(prover.keys, [0, 0, 0])
         announcement, state = prover.first_move(commitment, opening)
         challenge = fiat_shamir_challenge(group, commitment, announcement)
         response = prover.respond(state, challenge)
@@ -222,7 +222,7 @@ class TestChallenges:
         )
 
     def test_fiat_shamir_is_deterministic(self, scheme, prover, group):
-        commitment, opening = scheme.commit_option(0)
+        commitment, opening = scheme.commit_option(prover.keys, 0)
         announcement, _ = prover.first_move(commitment, opening)
         assert fiat_shamir_challenge(group, commitment, announcement) == fiat_shamir_challenge(
             group, commitment, announcement

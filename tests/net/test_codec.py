@@ -46,7 +46,7 @@ from repro.core.messages import (
     VscBatch,
 )
 from repro.crypto.commitments import CommitmentOpening, OptionCommitment, OptionEncodingScheme
-from repro.crypto.elgamal import ElGamalCiphertext
+from repro.crypto.elgamal import ElGamalCiphertext, ElGamalKeyPair
 from repro.crypto.group import EcGroup, GroupElement, SchnorrGroup
 from repro.crypto.registry import available_backends, get_group
 from repro.crypto.pedersen_vss import PedersenShare
@@ -88,8 +88,10 @@ def sample_messages(signature):
     ucert = UniquenessCertificate(7, b"code-bytes", (endorsement,))
     share = Share(2, (1 << 200) + 17)
     group = get_group("secp256k1")
-    scheme = OptionEncodingScheme(2, group.power_g(5), group)
-    commitment, opening = scheme.commit_option(1, RandomSource(9))
+    keys = ElGamalKeyPair(5, group.power_g(5))
+    commitment, opening = OptionEncodingScheme(2, keys.public, group).commit_option(
+        keys, 1, RandomSource(9)
+    )
     shard_record = ShardCommitRecord(
         shard_id=0,
         serial_lo=0,

@@ -101,10 +101,10 @@ class TestCrossBackendAgreement:
         fast_ct = fast_scheme.encrypt(fast_keys.public, 1, rng=RandomSource(seed + 1))
         assert pure_ct.serialize() == fast_ct.serialize()
         pure_commit, _ = OptionEncodingScheme(3, pure_keys.public, PURE).commit_option(
-            1, rng=RandomSource(seed + 2)
+            pure_keys, 1, rng=RandomSource(seed + 2)
         )
         fast_commit, _ = OptionEncodingScheme(3, fast_keys.public, FAST).commit_option(
-            1, rng=RandomSource(seed + 2)
+            fast_keys, 1, rng=RandomSource(seed + 2)
         )
         assert pure_commit.serialize() == fast_commit.serialize()
 

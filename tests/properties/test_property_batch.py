@@ -35,7 +35,7 @@ SIGNATURE_ITEMS = tuple(
     for i in range(BATCH_SIZE)
 )
 OPENING_ITEMS = tuple(
-    OpeningItem(*SCHEME.commit_option(i % 2, _RNG)) for i in range(BATCH_SIZE)
+    OpeningItem(*SCHEME.commit_option(COMMITMENT_KEYS, i % 2, _RNG)) for i in range(BATCH_SIZE)
 )
 
 relaxed = settings(max_examples=20, deadline=None,

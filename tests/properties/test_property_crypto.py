@@ -62,7 +62,9 @@ class TestCommitmentProperties:
     @given(votes=st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=8))
     def test_homomorphic_tally_counts_every_vote(self, votes):
         scheme = OptionEncodingScheme(3, KEYS.public, GROUP)
-        commitments, openings = zip(*(scheme.commit_option(v) for v in votes), strict=True)
+        commitments, openings = zip(
+            *(scheme.commit_option(KEYS, v) for v in votes), strict=True
+        )
         combined = scheme.combine(list(commitments))
         opening = scheme.combine_openings(list(openings))
         assert scheme.verify_opening(combined, opening)

@@ -19,6 +19,7 @@ from repro.api.spec import CryptoProfile, ScenarioSpec, ShardingProfile
 from repro.crypto.registry import available_backends
 from repro.net.codec import MessageCodec
 from repro.shard.driver import ShardedElectionDriver, shard_worker_pool
+from repro.shard.shard_runner import SCALE_BATCH_SIZE, SCALE_COLLECTORS
 
 SEED = 29
 ELECTION_ID = "prop-parallel"
@@ -39,7 +40,6 @@ def spec_for(backend: str, num_shards: int, workers: int, max_inflight=None) -> 
             num_shards=num_shards,
             workers=workers,
             max_inflight_shards=max_inflight,
-            scale_batch_size=16,
         ),
     )
 
@@ -122,3 +122,32 @@ def test_wire_digest_binding_matches_sequential(pools, backend, num_shards):
         spec_for(backend, num_shards, workers=1), num_ballots=NUM_BALLOTS
     ).run()
     assert pooled.global_record.shard_digests == inline.global_record.shard_digests
+
+
+@pytest.mark.parametrize("backend", available_backends())
+@pytest.mark.parametrize("num_shards", [1, 2])
+def test_multi_superblock_slices_are_bit_identical_pooled_and_inline(
+    pools, backend, num_shards
+):
+    """Slices longer than one ``SCALE_BATCH_SIZE`` superblock -- the shape of
+    every ``sharded_scale`` slice -- give a pool worker the same frame as an
+    inline run."""
+    num_ballots = num_shards * (2 * SCALE_BATCH_SIZE + 50)
+    pool = pools(backend)
+    pooled = ShardedElectionDriver(
+        spec_for(backend, num_shards, workers=2), num_ballots=num_ballots, pool=pool
+    ).run()
+    assert pool.started
+    inline = ShardedElectionDriver(
+        spec_for(backend, num_shards, workers=1), num_ballots=num_ballots
+    ).run()
+    for outcome in (pooled, inline):
+        assert outcome.report.ok
+        # three superblocks per slice, decided by each of its collectors
+        assert all(
+            stat["superblocks_fast"] + stat["superblocks_fallback"] == 3 * SCALE_COLLECTORS
+            for stat in outcome.shard_stats
+        )
+    codec = MessageCodec(group=spec_for(backend, num_shards, workers=1).crypto.build_group())
+    assert codec.encode(pooled.global_record) == codec.encode(inline.global_record)
+    assert pooled.tally.as_dict() == inline.tally.as_dict()

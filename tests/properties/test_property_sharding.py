@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.core.tally import open_tally
 from repro.crypto.commitments import OptionEncodingScheme
+from repro.crypto.elgamal import ElGamalKeyPair
 from repro.crypto.registry import available_backends, get_group
 from repro.crypto.utils import RandomSource
 from repro.shard.merge import CrossShardCommit
@@ -22,11 +23,10 @@ from repro.shard.streaming import StreamingTally
 
 NUM_OPTIONS = 2
 
+KEYS = {name: ElGamalKeyPair(23, get_group(name).power_g(23)) for name in available_backends()}
 SCHEMES = {
-    name: OptionEncodingScheme(
-        NUM_OPTIONS, get_group(name).power_g(23), get_group(name)
-    )
-    for name in available_backends()
+    name: OptionEncodingScheme(NUM_OPTIONS, keys.public, get_group(name))
+    for name, keys in KEYS.items()
 }
 
 # The pure-python curve backends cost milliseconds per exponentiation, so the
@@ -59,7 +59,7 @@ class TestStreamingEqualsFlat:
     ):
         scheme = SCHEMES[backend]
         rng = RandomSource(seed)
-        ballots = [scheme.commit_option(option, rng) for option in pattern]
+        ballots = [scheme.commit_option(KEYS[backend], option, rng) for option in pattern]
         flat = scheme.combine([c for c, _ in ballots])
 
         bounds = split_points(pattern, splitter)

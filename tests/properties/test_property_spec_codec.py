@@ -81,8 +81,6 @@ transports = st.builds(TransportProfile, backend=st.sampled_from(["memory", "wir
 shardings = st.builds(
     ShardingProfile,
     num_shards=small_ints,
-    scale_batch_size=small_ints,
-    scale_turnout=finite(0.01, 1.0),
     workers=small_ints,
     max_inflight_shards=maybe(small_ints),
 )

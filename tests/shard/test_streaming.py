@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.tally import open_tally
 from repro.crypto.commitments import OptionCommitment, OptionEncodingScheme
+from repro.crypto.elgamal import ElGamalKeyPair
 from repro.crypto.utils import RandomSource
 from repro.shard.streaming import StreamingTally
 
@@ -11,16 +12,21 @@ NUM_OPTIONS = 3
 
 
 @pytest.fixture(scope="module")
-def scheme(group):
-    return OptionEncodingScheme(NUM_OPTIONS, group.power_g(7), group)
+def keys(group):
+    return ElGamalKeyPair(7, group.power_g(7))
 
 
 @pytest.fixture(scope="module")
-def ballots(scheme):
+def scheme(group, keys):
+    return OptionEncodingScheme(NUM_OPTIONS, keys.public, group)
+
+
+@pytest.fixture(scope="module")
+def ballots(scheme, keys):
     """Twelve committed ballots with a known option pattern."""
     rng = RandomSource(42)
     pattern = [0, 1, 2, 1, 1, 0, 2, 2, 2, 1, 0, 1]
-    return [scheme.commit_option(option, rng) for option in pattern]
+    return [scheme.commit_option(keys, option, rng) for option in pattern]
 
 
 class TestShardProductsFold:
@@ -41,9 +47,9 @@ class TestShardProductsFold:
         result = open_tally(scheme, flat, total, ("a", "b", "c"))
         assert result.as_dict() == {"a": 3, "b": 5, "c": 4}
 
-    def test_rejects_wrong_width(self, scheme, ballots, group):
-        other = OptionEncodingScheme(NUM_OPTIONS + 1, group.power_g(7), group)
-        commitment, _ = other.commit_option(0, RandomSource(1))
+    def test_rejects_wrong_width(self, scheme, ballots, group, keys):
+        other = OptionEncodingScheme(NUM_OPTIONS + 1, keys.public, group)
+        commitment, _ = other.commit_option(keys, 0, RandomSource(1))
         with pytest.raises(ValueError):
             scheme.combine([ballots[0][0], commitment])
 

@@ -107,16 +107,6 @@ SET_BY_TESTS: Dict[str, str] = {
         "the trustee-submission tests run one; a run sets it or it goes (ROADMAP, "
         "values only tests set)"
     ),
-    "ShardingProfile.scale_batch_size": (
-        "the superblock size of every shard slice; the sharded-driver tests vary it "
-        "(bench_sharded_pipeline passes the default through); becomes a constant "
-        "(ROADMAP, values only tests set)"
-    ),
-    "ShardingProfile.scale_turnout": (
-        "the turnout of the derived electorate; the shard tests vary it "
-        "(bench_sharded_pipeline passes the default through); becomes a constant "
-        "(ROADMAP, values only tests set)"
-    ),
     "ScenarioSpec.election_start": (
         "the opening of voting hours (Section III-A), which the voting-hours "
         "validation tests move"
