@@ -8,7 +8,9 @@ a fresh interpreter so no run inherits another's heap, and reports per size:
 
 * the wall time of every engine phase (``setup``, ``voting``, ``consensus``,
   ``tally``, ``audit``) and the milliseconds per ballot after set-up;
-* the peak resident set size of the run's process (``ru_maxrss``);
+* the peak resident set size of the run's process (``ru_maxrss``), read
+  at the end of every phase too, so the growth a phase causes shows (Vote
+  Set Consensus state is transient: it sets the peak of larger runs);
 * ``frames_encoded`` / ``frames_decoded`` of the wire transport: with no
   drops every broadcast is parsed once, so the two must be equal;
 * the strict body parses per payload type (every body the codec parsed
@@ -89,10 +91,15 @@ def count_body_parses():
     return parses, bodies
 
 
-def run_child(num_voters: int, transport: str) -> dict:
-    """One election in this process: phase walls, RSS, transport counters."""
+def peak_rss_mib() -> float:
+    """This process's peak resident set size so far (``ru_maxrss``), MiB."""
     import resource
 
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1)
+
+
+def run_child(num_voters: int, transport: str) -> dict:
+    """One election in this process: phase walls, RSS, transport counters."""
     from repro.analysis.determinism import default_choices, outcome_hash
     from repro.api import ElectionEngine
 
@@ -100,13 +107,14 @@ def run_child(num_voters: int, transport: str) -> dict:
     spec = build_spec(num_voters, transport)
     engine = ElectionEngine(spec)
     ctx = engine.begin(default_choices(spec))
-    phases = {}
+    phases, rss_after = {}, {}
     try:
         for driver in engine.drivers:
             if driver.should_run(ctx):
                 started = time.perf_counter()
                 engine.run_phase(driver, ctx)
                 phases[driver.name] = time.perf_counter() - started
+                rss_after[driver.name] = peak_rss_mib()
     finally:
         engine.close()
     outcome = engine.outcome()
@@ -117,7 +125,8 @@ def run_child(num_voters: int, transport: str) -> dict:
         "transport": network.transport.name,
         "phases_s": {name: round(wall, 3) for name, wall in phases.items()},
         "ms_per_ballot": round(1000.0 * post_setup / num_voters, 2),
-        "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
+        "peak_rss_mib": peak_rss_mib(),
+        "peak_rss_after_mib": rss_after,
         "receipts": outcome.receipts_obtained,
         "audit_passed": outcome.audit_report is not None and outcome.audit_report.passed,
         "messages_dropped": network.messages_dropped,
@@ -149,6 +158,8 @@ def test_wire_cost_per_ballot_against_the_electorate(results_sink):
             **{f"{name}_s": wall for name, wall in wire["phases_s"].items()},
             "ms/ballot": wire["ms_per_ballot"],
             "rss_MiB": wire["peak_rss_mib"],
+            "rss after voting": wire["peak_rss_after_mib"]["voting"],
+            "rss after consensus": wire["peak_rss_after_mib"]["consensus"],
             "memory ms/ballot": memory["ms_per_ballot"],
             "encoded": wire["frames_encoded"],
             "decoded": wire["frames_decoded"],

@@ -473,9 +473,9 @@ class ShardingProfile(DictCodec):
 
     Every shard's election slice in the scale pipeline
     (``MultiElectionService.run_sharded``) runs the sizes of
-    :mod:`repro.shard.shard_runner`: ``SCALE_COLLECTORS`` collectors, Vote Set
-    Consensus superblocks of ``SCALE_BATCH_SIZE`` and a ``SCALE_TURNOUT``
-    fraction of the derived electorate.
+    :mod:`repro.shard.shard_runner`: ``SCALE_COLLECTORS`` collectors and Vote
+    Set Consensus superblocks of ``SCALE_BATCH_SIZE``; every derived voter
+    casts.
 
     ``workers`` says where :class:`repro.shard.driver.ShardedElectionDriver` runs
     the shard slices: 1 (the default) maps them in-process one at a time; >1

@@ -39,6 +39,13 @@ The binary-consensus *validity* property keeps the fast path honest: if all
 honest nodes enter with the same vector, they all propose ``1`` and the
 superblock must decide ``1``; a lone Byzantine node can neither forge a
 quorum vector nor force the expensive fallback.
+
+Every quorum here is a quorum of the host's *members* (the collectors): the
+reliable broadcast keeps its ECHO and READY supporters per vector as member
+bitmasks (:func:`~repro.consensus.interfaces.member_bits`), and drops a step
+whose sender or origin is not a member, so a bulletin-board node or any other
+authenticated non-member can neither propose a vector nor help one to
+delivery.
 """
 
 from __future__ import annotations
@@ -49,10 +56,10 @@ from typing import (
     Callable,
     Dict,
     List,
+    Mapping,
     NewType,
     Optional,
     Sequence,
-    Set,
     Tuple,
     Union,
 )
@@ -178,15 +185,16 @@ class SuperblockReady(ConsensusMessage):
     bits: OpinionBits = b""
 
 
-@dataclass
+@dataclass(slots=True)
 class _RbcState:
-    """Reliable-broadcast bookkeeping for one origin's proposal."""
+    """Reliable-broadcast bookkeeping for one origin's proposal: the member
+    masks of the ECHO and READY senders, per vector."""
 
     echoed: bool = False
     ready_sent: bool = False
     delivered: Optional[bytes] = None
-    echo_senders: Dict[bytes, Set[str]] = field(default_factory=dict)
-    ready_senders: Dict[bytes, Set[str]] = field(default_factory=dict)
+    echo_senders: Dict[bytes, int] = field(default_factory=dict)
+    ready_senders: Dict[bytes, int] = field(default_factory=dict)
 
 
 class SuperblockConsensus:
@@ -194,6 +202,9 @@ class SuperblockConsensus:
 
     The host supplies:
 
+    * ``members`` -- its member map (one bit per participant, see
+      :func:`~repro.consensus.interfaces.member_bits`); traffic from, or
+      about an origin, outside it is dropped;
     * ``bits`` -- its opinion vector, one byte (0 or 1) per serial of the block;
     * ``broadcast(message)`` -- send a :class:`ConsensusMessage` to every
       participant including the host itself (loopback through the network);
@@ -215,7 +226,7 @@ class SuperblockConsensus:
         block_id: str,
         serials: Sequence[int],
         node_id: str,
-        num_nodes: int,
+        members: Mapping[str, int],
         num_faulty: int,
         bits: bytes,
         broadcast: Callable[[ConsensusMessage], None],
@@ -226,9 +237,9 @@ class SuperblockConsensus:
         self.block_id = block_id
         self.serials = tuple(serials)
         self.node_id = node_id
-        self.n = num_nodes
+        self.members = members
         self.f = num_faulty
-        self.quorum = num_nodes - num_faulty
+        self.quorum = len(members) - num_faulty
         self.bits = bits
         self.broadcast = broadcast
         self.schedule = schedule
@@ -245,7 +256,7 @@ class SuperblockConsensus:
         self.instance = BinaryConsensusInstance(
             instance_id=block_id,
             node_id=node_id,
-            num_nodes=num_nodes,
+            members=members,
             num_faulty=num_faulty,
             broadcast=broadcast,
             on_decide=self._on_decide,
@@ -258,15 +269,24 @@ class SuperblockConsensus:
         self.broadcast(SuperblockSend(self.block_id, self.node_id, self.bits))
 
     def handle(self, sender: str, message: ConsensusMessage) -> None:
-        """Feed any message addressed to this block (RBC or inner instance)."""
+        """Feed any message addressed to this block (RBC or inner instance).
+
+        A reliable-broadcast step counts only if both its sender and its
+        origin are members; the inner instance filters its own senders.
+        """
         if message.instance != self.block_id:
             return
-        if isinstance(message, SuperblockSend):
-            self._on_send(sender, message)
-        elif isinstance(message, SuperblockEcho):
-            self._on_echo(sender, message)
-        elif isinstance(message, SuperblockReady):
-            self._on_ready(sender, message)
+        if isinstance(message, (SuperblockSend, SuperblockEcho, SuperblockReady)):
+            members = self.members
+            bit = members.get(sender, 0)
+            if not bit or message.origin not in members:
+                return
+            if isinstance(message, SuperblockSend):
+                self._on_send(sender, message)
+            elif isinstance(message, SuperblockEcho):
+                self._on_echo(bit, message)
+            else:
+                self._on_ready(bit, message)
         else:
             self.instance.handle(sender, message)
 
@@ -281,9 +301,10 @@ class SuperblockConsensus:
     # -- reliable broadcast of proposals ----------------------------------------
 
     def _rbc_state(self, origin: str) -> _RbcState:
-        if origin not in self._rbc:
-            self._rbc[origin] = _RbcState()
-        return self._rbc[origin]
+        state = self._rbc.get(origin)
+        if state is None:
+            state = self._rbc[origin] = _RbcState()
+        return state
 
     def _on_send(self, sender: str, message: SuperblockSend) -> None:
         # Only the origin itself may introduce its proposal.
@@ -294,24 +315,25 @@ class SuperblockConsensus:
             state.echoed = True
             self.broadcast(SuperblockEcho(self.block_id, message.origin, message.bits))
 
-    def _on_echo(self, sender: str, message: SuperblockEcho) -> None:
+    def _on_echo(self, bit: int, message: SuperblockEcho) -> None:
         state = self._rbc_state(message.origin)
-        supporters = state.echo_senders.setdefault(message.bits, set())
-        supporters.add(sender)
-        if len(supporters) >= self.quorum and not state.ready_sent:
+        supporters = state.echo_senders.get(message.bits, 0) | bit
+        state.echo_senders[message.bits] = supporters
+        if supporters.bit_count() >= self.quorum and not state.ready_sent:
             state.ready_sent = True
             self.broadcast(SuperblockReady(self.block_id, message.origin, message.bits))
 
-    def _on_ready(self, sender: str, message: SuperblockReady) -> None:
+    def _on_ready(self, bit: int, message: SuperblockReady) -> None:
         state = self._rbc_state(message.origin)
-        supporters = state.ready_senders.setdefault(message.bits, set())
-        supporters.add(sender)
+        supporters = state.ready_senders.get(message.bits, 0) | bit
+        state.ready_senders[message.bits] = supporters
+        count = supporters.bit_count()
         # Ready amplification: f+1 readys prove an honest node vouches.
-        if len(supporters) >= self.f + 1 and not state.ready_sent:
+        if count >= self.f + 1 and not state.ready_sent:
             state.ready_sent = True
             self.broadcast(SuperblockReady(self.block_id, message.origin, message.bits))
         # Delivery at 2f+1 readys; at most one vector per origin can get there.
-        if len(supporters) >= 2 * self.f + 1 and state.delivered is None:
+        if count >= 2 * self.f + 1 and state.delivered is None:
             state.delivered = message.bits
             self._on_proposal_delivered(message.origin, message.bits)
 

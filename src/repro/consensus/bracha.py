@@ -33,12 +33,18 @@ Deciding nodes broadcast ``FINISH(v)``; a node that collects ``f + 1``
 ``FINISH(v)`` decides ``v`` as well, and one that collects ``n - f`` halts the
 instance.  The default coin is a *common coin* derived by hashing the instance
 id and round number, which gives expected O(1) rounds in the simulator.
+
+Participants are counted as bits (see :func:`~repro.consensus.interfaces.member_bits`):
+the host's member map gives every participant one bit, a round keeps its BVAL
+senders per value, its first-AUX senders and the subset of them whose AUX said
+``1`` as three masks, and the instance keeps its FINISH senders per value the
+same way.  A message from a sender outside the map is dropped on arrival.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Set
+from typing import Callable, Dict, List, Mapping, Optional
 
 from repro.consensus.interfaces import Aux, BVal, ConsensusMessage, Finish
 from repro.crypto.utils import sha256
@@ -50,14 +56,21 @@ def common_coin(instance: str, round_number: int) -> int:
     return digest[0] & 1
 
 
-@dataclass
+@dataclass(slots=True)
 class _RoundState:
-    """Book-keeping for a single round of a single instance."""
+    """Book-keeping for a single round of a single instance.
 
-    bval_senders: Dict[int, Set[str]] = field(default_factory=lambda: {0: set(), 1: set()})
-    bval_echoed: Set[int] = field(default_factory=set)
-    bin_values: Set[int] = field(default_factory=set)
-    aux_values: Dict[str, int] = field(default_factory=dict)
+    ``bval_senders[v]`` is the member mask of ``BVAL(r, v)`` senders;
+    ``bval_echoed`` and ``bin_values`` are masks over the two values (bit
+    ``1 << v``); ``aux_seen`` holds every member whose first AUX arrived and
+    ``aux_one`` the members among them whose first AUX carried ``1``.
+    """
+
+    bval_senders: List[int] = field(default_factory=lambda: [0, 0])
+    bval_echoed: int = 0
+    bin_values: int = 0
+    aux_seen: int = 0
+    aux_one: int = 0
     aux_sent: bool = False
     completed: bool = False
 
@@ -67,24 +80,30 @@ class BinaryConsensusInstance:
 
     The instance does not own a network; the host supplies a ``broadcast``
     callable (sending a :class:`ConsensusMessage` to every participant,
-    including the host itself) and a decision callback.
+    including the host itself), its ``members`` map (one bit per participant,
+    shared by all of the host's instances) and a decision callback.
     """
+
+    __slots__ = ("instance_id", "node_id", "members", "n", "f", "broadcast", "on_decide",
+                 "coin", "estimate", "round", "decided", "halted", "started", "_rounds",
+                 "_finish_senders", "_finish_sent", "__weakref__")
 
     def __init__(
         self,
         instance_id: str,
         node_id: str,
-        num_nodes: int,
+        members: Mapping[str, int],
         num_faulty: int,
         broadcast: Callable[[ConsensusMessage], None],
         on_decide: Optional[Callable[[str, int], None]] = None,
         coin: Optional[Callable[[str, int], int]] = None,
     ):
-        if num_nodes < 3 * num_faulty + 1:
+        if len(members) < 3 * num_faulty + 1:
             raise ValueError("binary consensus requires n >= 3f + 1")
         self.instance_id = instance_id
         self.node_id = node_id
-        self.n = num_nodes
+        self.members = members
+        self.n = len(members)
         self.f = num_faulty
         self.broadcast = broadcast
         self.on_decide = on_decide
@@ -96,7 +115,8 @@ class BinaryConsensusInstance:
         self.halted = False
         self.started = False
         self._rounds: Dict[int, _RoundState] = {}
-        self._finish_senders: Dict[int, Set[str]] = {0: set(), 1: set()}
+        #: member masks of FINISH(0) / FINISH(1) senders
+        self._finish_senders: List[int] = [0, 0]
         self._finish_sent = False
 
     # -- public API -------------------------------------------------------------
@@ -115,60 +135,77 @@ class BinaryConsensusInstance:
             self._rounds.clear()
 
     def handle(self, sender: str, message: ConsensusMessage) -> None:
-        """Feed a consensus message received from ``sender`` into the instance."""
+        """Feed a consensus message received from ``sender`` into the instance.
+
+        Messages of another instance, from a sender that is not a member, or
+        carrying a value other than 0 or 1 change nothing.
+        """
         if self.halted or message.instance != self.instance_id:
             return
+        bit = self.members.get(sender, 0)
+        if not bit:
+            return
         if isinstance(message, BVal):
-            self._on_bval(sender, message)
+            self._on_bval(bit, message)
         elif isinstance(message, Aux):
-            self._on_aux(sender, message)
+            self._on_aux(bit, message)
         elif isinstance(message, Finish):
-            self._on_finish(sender, message)
+            self._on_finish(bit, message)
 
     # -- round machinery --------------------------------------------------------
 
     def _round_state(self, round_number: int) -> _RoundState:
-        if round_number not in self._rounds:
-            self._rounds[round_number] = _RoundState()
-        return self._rounds[round_number]
+        state = self._rounds.get(round_number)
+        if state is None:
+            state = self._rounds[round_number] = _RoundState()
+        return state
 
     def _start_round(self) -> None:
         state = self._round_state(self.round)
-        if self.estimate not in state.bval_echoed:
-            state.bval_echoed.add(self.estimate)
+        value_bit = 1 << self.estimate
+        if not state.bval_echoed & value_bit:
+            state.bval_echoed |= value_bit
             self.broadcast(BVal(self.instance_id, self.round, self.estimate))
         self._maybe_progress(self.round)
 
-    def _on_bval(self, sender: str, message: BVal) -> None:
+    def _on_bval(self, bit: int, message: BVal) -> None:
         if message.value not in (0, 1):
             return
+        value = 1 if message.value else 0
         state = self._round_state(message.round)
-        state.bval_senders[message.value].add(sender)
-        count = len(state.bval_senders[message.value])
+        supporters = state.bval_senders[value] | bit
+        state.bval_senders[value] = supporters
+        count = supporters.bit_count()
+        value_bit = 1 << value
         # Echo once we have f+1 supporters (at least one honest node vouches).
-        if count >= self.f + 1 and message.value not in state.bval_echoed:
-            state.bval_echoed.add(message.value)
-            self.broadcast(BVal(self.instance_id, message.round, message.value))
+        if count >= self.f + 1 and not state.bval_echoed & value_bit:
+            state.bval_echoed |= value_bit
+            self.broadcast(BVal(self.instance_id, message.round, value))
         # Deliver into bin_values at 2f+1 supporters (an honest majority of them).
         if count >= 2 * self.f + 1:
-            state.bin_values.add(message.value)
+            state.bin_values |= value_bit
         self._maybe_progress(message.round)
 
-    def _on_aux(self, sender: str, message: Aux) -> None:
+    def _on_aux(self, bit: int, message: Aux) -> None:
         if message.value not in (0, 1):
             return
         state = self._round_state(message.round)
         # Only the first AUX from a sender per round counts.
-        state.aux_values.setdefault(sender, message.value)
+        if not state.aux_seen & bit:
+            state.aux_seen |= bit
+            if message.value:
+                state.aux_one |= bit
         self._maybe_progress(message.round)
 
-    def _on_finish(self, sender: str, message: Finish) -> None:
+    def _on_finish(self, bit: int, message: Finish) -> None:
         if message.value not in (0, 1):
             return
-        self._finish_senders[message.value].add(sender)
-        count = len(self._finish_senders[message.value])
+        value = 1 if message.value else 0
+        supporters = self._finish_senders[value] | bit
+        self._finish_senders[value] = supporters
+        count = supporters.bit_count()
         if count >= self.f + 1 and self.decided is None:
-            self._decide(message.value)
+            self._decide(value)
         if count >= self.n - self.f:
             # ``handle`` ignores everything from now on, so the round state is
             # dead weight -- unless ``propose`` has yet to run: it reads
@@ -183,25 +220,22 @@ class BinaryConsensusInstance:
         state = self._round_state(round_number)
         if state.completed:
             return
-        if not state.bin_values:
+        bin_values = state.bin_values
+        if not bin_values:
             return
         if not state.aux_sent:
             state.aux_sent = True
-            value = min(state.bin_values)
+            value = 0 if bin_values & 1 else 1
             self.broadcast(Aux(self.instance_id, round_number, value))
         # Collect AUX messages whose values are justified by bin_values.
-        relevant = {
-            sender: value
-            for sender, value in state.aux_values.items()
-            if value in state.bin_values
-        }
-        if len(relevant) < self.n - self.f:
+        ones = state.aux_one if bin_values & 2 else 0
+        zeros = state.aux_seen & ~state.aux_one if bin_values & 1 else 0
+        if (ones | zeros).bit_count() < self.n - self.f:
             return
-        values_seen = set(relevant.values())
         state.completed = True
         coin_value = self.coin(self.instance_id, round_number)
-        if len(values_seen) == 1:
-            value = values_seen.pop()
+        if not (ones and zeros):
+            value = 1 if ones else 0
             self.estimate = value
             if value == coin_value:
                 self._decide(value)

@@ -25,7 +25,7 @@ from functools import partial
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.consensus.batching import partition_serials
-from repro.consensus.interfaces import ConsensusMessage
+from repro.consensus.interfaces import ConsensusMessage, member_bits
 from repro.consensus.vote_set_consensus import VoteSetConsensus
 
 #: deliveries after which a run is declared a message storm
@@ -94,6 +94,7 @@ class ConsensusCluster:
         blocks = partition_serials(list(opinions), self.batch_size) if self.batch_size > 1 else ()
         if per_node_opinions is None:
             per_node_opinions = [opinions] * self.num_nodes
+        members = member_bits(self.node_ids)
         engines: Dict[str, VoteSetConsensus] = {}
         decisions: List[Dict[int, int]] = []
         for index, (node_id, node_opinions) in enumerate(
@@ -105,7 +106,7 @@ class ConsensusCluster:
             decisions.append(decided)
             engines[node_id] = VoteSetConsensus(
                 node_id=node_id,
-                num_nodes=self.num_nodes,
+                members=members,
                 num_faulty=(self.num_nodes - 1) // 3,
                 serials=node_opinions,
                 blocks=blocks,

@@ -1,8 +1,29 @@
-"""Message types of the consensus layer."""
+"""What a host shares with its consensus instances: the message types and
+the member set.
+
+A host (a vote collector, a :class:`~repro.consensus.cluster.ConsensusCluster`)
+builds one :func:`member_bits` map from its participants and hands it to every
+instance it runs.  The instances then hold every set of participants -- BVAL,
+AUX and FINISH senders, reliable-broadcast supporters, a collector's ANNOUNCE
+senders -- as an ``int`` with one bit per member, sized with
+``int.bit_count()``.  A sender the map does not name has no bit, so nothing it
+sends is counted.  This module is the only one that assigns the bits.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Dict, Iterable
+
+
+def member_bits(members: Iterable[str]) -> Dict[str, int]:
+    """Map each participant to its own bit, in the order given.
+
+    A set of participants is then the ``|`` of their bits, and its size the
+    ``int.bit_count()`` of the result; ``bits.get(sender, 0)`` is ``0`` for a
+    sender outside the set.
+    """
+    return {member: 1 << index for index, member in enumerate(members)}
 
 
 @dataclass(frozen=True)

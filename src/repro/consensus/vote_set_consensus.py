@@ -11,7 +11,7 @@ ANNOUNCE quorums, RECOVER and the upload) and the crypto-free
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Callable, Collection, Dict, List, Sequence, Set, Tuple, Union
+from typing import Callable, Collection, Dict, List, Mapping, Sequence, Set, Tuple, Union
 
 from repro.consensus.batching import SuperblockConsensus, superblock_id
 from repro.consensus.bracha import BinaryConsensusInstance
@@ -44,6 +44,10 @@ class VoteSetConsensus:
     The host reports :meth:`ready` per serial (or :meth:`ready_all`), feeds
     every incoming consensus message to :meth:`handle`, and supplies:
 
+    * ``members`` -- the participants, one bit each
+      (:func:`~repro.consensus.interfaces.member_bits`); the engine hands this
+      one map to every instance and block it makes, and drops traffic from a
+      sender outside it;
     * ``serials`` -- the serials this node decides (membership and iteration;
       the host's own ballot or opinion dict will do, it is not copied);
     * ``blocks`` -- the superblock partition of those serials, sorted and
@@ -59,7 +63,7 @@ class VoteSetConsensus:
     def __init__(
         self,
         node_id: str,
-        num_nodes: int,
+        members: Mapping[str, int],
         num_faulty: int,
         serials: Collection[int],
         blocks: Sequence[Tuple[int, ...]],
@@ -70,8 +74,9 @@ class VoteSetConsensus:
     ):
         #: what every instance and block of this node is built with
         self._member = dict(
-            node_id=node_id, num_nodes=num_nodes, num_faulty=num_faulty, broadcast=broadcast
+            node_id=node_id, members=members, num_faulty=num_faulty, broadcast=broadcast
         )
+        self.members = members
         self.serials = serials
         self.blocks = blocks
         self.schedule = schedule
@@ -131,8 +136,11 @@ class VoteSetConsensus:
         """Route a consensus message from ``sender`` by its instance id.
 
         Ids that name neither a block of the partition nor one of ``serials``
-        are Byzantine junk: dropped without a trace, never raised.
+        are Byzantine junk, and so is anything a non-member sends: dropped
+        without a trace, never raised.
         """
+        if sender not in self.members:
+            return
         instance_id = message.instance
         block = self.running.get(instance_id)
         if block is not None:

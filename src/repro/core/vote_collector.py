@@ -26,9 +26,10 @@ from __future__ import annotations
 import enum
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.consensus.batching import ConsensusBatcher, partition_serials
+from repro.consensus.interfaces import member_bits
 from repro.consensus.vote_set_consensus import VoteSetConsensus
 from repro.core.admission import (
     AdmissionQueue,
@@ -90,13 +91,14 @@ class BallotRecord:
     vote_p_sent: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class ConsensusRecord:
     """Per-ballot Vote Set Consensus state the collector keeps: who has
-    ANNOUNCEd before the engine runs, the decision and the recovered code
-    after.  An announce's content is used once, on arrival."""
+    ANNOUNCEd (a mask of the collector's member bits) before the engine
+    runs, the decision and the recovered code after.  An announce's content
+    is used once, on arrival."""
 
-    announces: Set[str] = field(default_factory=set)
+    announces: int = 0
     decided: Optional[int] = None
     resolved: bool = False
     final_vote_code: Optional[bytes] = None
@@ -170,6 +172,9 @@ class VoteCollectorNode(SimNode):
         self.num_vc = self.thresholds.num_vc
         self.quorum = self.thresholds.vc_honest_quorum  # Nv - fv
         self.peers = [vc_node_id(i) for i in range(self.num_vc)]
+        #: one bit per collector, shared by every consensus instance of this
+        #: node; a sender outside it is not a peer
+        self.members = member_bits(self.peers)
         self.bb_nodes = [bb_node_id(i) for i in range(self.thresholds.num_bb)]
         self.signature_scheme = SignatureScheme()
         self.receipt_sss = ShamirSecretSharing(self.quorum, self.num_vc)
@@ -222,7 +227,7 @@ class VoteCollectorNode(SimNode):
         #: everything between "ready" and "decided"
         self.vsc = VoteSetConsensus(
             node_id=self.node_id,
-            num_nodes=self.num_vc,
+            members=self.members,
             num_faulty=self.thresholds.max_faulty_vc,
             serials=self.init.ballots,
             blocks=self._vsc_blocks,
@@ -296,11 +301,16 @@ class VoteCollectorNode(SimNode):
     def on_message(self, message: Message) -> None:
         # Only the authenticated channel names a peer collector; the
         # ``sender`` fields inside payloads are never trusted.  Voters alone
-        # speak on the public channel, and only with VOTE requests.
+        # speak on the public channel, and only with VOTE requests; every
+        # other payload counts only from a collector, so an authenticated
+        # bulletin-board node (or anyone else) is never one of a quorum.
         payload = message.payload
         if isinstance(payload, VoteRequest):
             self._admission.offer(message.sender, payload)
-        elif message.channel is not ChannelKind.AUTHENTICATED:
+        elif (
+            message.channel is not ChannelKind.AUTHENTICATED
+            or message.sender not in self.members
+        ):
             return
         elif isinstance(payload, Endorse):
             self._on_endorse(message.sender, payload)
@@ -611,7 +621,7 @@ class VoteCollectorNode(SimNode):
         # Announces may have raced ahead of our own election end; any ballot
         # that already has a quorum of them is ready now.
         for serial, state in self.consensus.items():
-            if len(state.announces) >= self.quorum:
+            if state.announces.bit_count() >= self.quorum:
                 self.vsc.ready(serial)
         self._batcher.flush()
 
@@ -626,9 +636,10 @@ class VoteCollectorNode(SimNode):
 
     def _on_announce(self, sender: str, announce: Announce) -> None:
         state = self._consensus_record(announce.serial)
-        if state is None or sender in state.announces:
+        bit = self.members.get(sender, 0)
+        if state is None or not bit or state.announces & bit:
             return
-        state.announces.add(sender)
+        state.announces |= bit
         # Adopt any valid vote code we did not know about.
         if announce.vote_code is not None and self.verify_ucert(announce.ucert):
             record = self.ballots.get(announce.serial)
@@ -637,7 +648,7 @@ class VoteCollectorNode(SimNode):
                 record.ucert = announce.ucert
                 if record.status is BallotStatus.NOT_VOTED:
                     record.status = BallotStatus.PENDING
-        if self.vsc_started and len(state.announces) >= self.quorum:
+        if self.vsc_started and state.announces.bit_count() >= self.quorum:
             # A quorum of announces after our own election end: the opinion
             # on this ballot is ready for the engine.
             self.vsc.ready(announce.serial)

@@ -4,10 +4,9 @@ A :class:`ShardRunner` executes everything the protocol needs for the ballots
 in one contiguous serial range, holding only O(shard) state:
 
 EA setup    Every ballot in the range is derived deterministically from the
-            election seed, **once** (``_derive_cast``): ballot digest (choice,
-            turnout byte), vote code, salt and the salted code commitment the
-            EA would publish.  Abstaining serials cost one hash and keep
-            nothing.
+            election seed, **once** (``_derive_cast``): ballot digest (its
+            choice), vote code, salt and the salted code commitment the EA
+            would publish.  Every derived voter casts its ballot.
 
 admission   The responsible collector hashes the *submitted* code under the
             ballot's salt and compares it with the EA's commitment — the same
@@ -143,11 +142,10 @@ class ShardSliceResult:
         return self.record.ballots_cast
 
 
-#: Vote collectors, Vote Set Consensus superblock size and turnout of the
-#: derived electorate of every shard slice the scale pipeline runs.
+#: Vote collectors and Vote Set Consensus superblock size of every shard
+#: slice the scale pipeline runs.
 SCALE_COLLECTORS = 4
 SCALE_BATCH_SIZE = 1024
-SCALE_TURNOUT = 1.0
 
 
 class ShardRunner:
@@ -160,27 +158,21 @@ class ShardRunner:
         seed: int,
         election_id: str,
         consensus_batch_size: int = SCALE_BATCH_SIZE,
-        turnout: float = SCALE_TURNOUT,
         silent_collectors: Sequence[int] = (),
         tampered_codes: Optional[Mapping[int, bytes]] = None,
     ):
         if consensus_batch_size < 1:
             raise ValueError("consensus_batch_size must be at least 1")
-        if not 0.0 < turnout <= 1.0:
-            raise ValueError("turnout must be in (0, 1]")
         self.shard = shard
         self.scheme = scheme
         self.seed = seed
         self.election_id = election_id
         self.consensus_batch_size = consensus_batch_size
-        self.turnout = turnout
         self.silent_collectors = tuple(silent_collectors)
         #: fault-injection hook: serial -> the (wrong) code that voter submits.
         self.tampered_codes = dict(tampered_codes or {})
         self._seed_bytes = int_to_bytes(seed)
         self._id_bytes = election_id.encode("utf-8")
-        # Turnout threshold on one derived byte: cast iff digest byte < cut.
-        self._turnout_cut = int(round(turnout * 256))
         # One pre-fed state per derivation domain: the one-pass kernel copies
         # them instead of re-hashing the constant parts for every serial.
         self._ballot_state = _domain_state(b"shard-ballot", self._seed_bytes, self._id_bytes)
@@ -200,9 +192,6 @@ class ShardRunner:
         digest = self._ballot_digest(serial)
         return int.from_bytes(digest[:8], "big") % self.scheme.num_options
 
-    def is_cast(self, digest: bytes) -> bool:
-        return digest[9] < self._turnout_cut
-
     def _vote_code(self, digest: bytes) -> bytes:
         return sha256(b"shard-vote-code", digest)[:16]
 
@@ -218,24 +207,19 @@ class ShardRunner:
             for coordinate in range(self.scheme.num_options)
         )
 
-    def ea_commitment_table(self) -> List[Optional[bytes]]:
-        """EA setup: the salted code commitment of every castable serial.
+    def ea_commitment_table(self) -> List[bytes]:
+        """EA setup: the salted code commitment of every serial, indexed by
+        ``serial - lo``.
 
-        Indexed by ``serial - lo``; ``None`` marks serials whose derived
-        voter abstains.  This table is what admission checks submitted codes
-        *against* -- it must exist before any vote is accepted, exactly like
-        the EA's published election data in the full simulator.  O(shard)
-        32-byte entries.  ``run`` builds the same commitments, for the cast
-        serials only, in ``_derive_cast``.
+        This table is what admission checks submitted codes *against* -- it
+        must exist before any vote is accepted, exactly like the EA's
+        published election data in the full simulator.  O(shard) 32-byte
+        entries.  ``run`` builds the same commitments in ``_derive_cast``.
         """
-        table: List[Optional[bytes]] = []
-        for serial in range(self.shard.lo, self.shard.hi):
-            digest = self._ballot_digest(serial)
-            if self.is_cast(digest):
-                table.append(self._code_commitment(serial, self._vote_code(digest)))
-            else:
-                table.append(None)
-        return table
+        return [
+            self._code_commitment(serial, self._vote_code(self._ballot_digest(serial)))
+            for serial in range(self.shard.lo, self.shard.hi)
+        ]
 
     # -- the one-pass derivation ``run`` uses -------------------------------------
 
@@ -249,7 +233,7 @@ class ShardRunner:
         """
         ballot_state, code_state = self._ballot_state, self._code_state
         salt_state, commit_state = self._salt_state, self._commit_state
-        cut, num_options = self._turnout_cut, self.scheme.num_options
+        num_options = self.scheme.num_options
         code_length = (16).to_bytes(8, "big")
         cast = _CastBallots([], [], [], [])
         salts: List[bytes] = []
@@ -260,8 +244,6 @@ class ShardRunner:
             h = ballot_state.copy()
             h.update(framed)
             digest = h.digest()
-            if digest[9] >= cut:
-                continue
             h = code_state.copy()
             h.update(digest)
             code = h.digest()[:16]
@@ -352,8 +334,7 @@ class ShardRunner:
             if h.digest() != commitment:
                 raise VoteCodeRejected(self.shard.shard_id, serial)
         del salts, committed
-        opinions = dict.fromkeys(range(self.shard.lo, self.shard.hi), 0)
-        opinions.update(dict.fromkeys(cast.serials, 1))
+        opinions = dict.fromkeys(cast.serials, 1)
 
         # Phase 2: superblock Vote Set Consensus among the shard's collectors.
         cluster = ConsensusCluster(

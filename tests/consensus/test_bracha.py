@@ -10,10 +10,14 @@ decide the same value) and termination.
 import pytest
 
 from repro.consensus.bracha import BinaryConsensusInstance, common_coin
-from repro.consensus.interfaces import Aux, BVal, Finish
+from repro.consensus.interfaces import Aux, BVal, Finish, member_bits
 from repro.net.adversary import NetworkConditions
 from repro.net.channels import Message
 from repro.net.simulator import Network, SimNode
+
+
+#: the members of a standalone instance named "n"
+FOUR = member_bits(("n", "p1", "p2", "p3"))
 
 
 class ConsensusHost(SimNode):
@@ -26,7 +30,7 @@ class ConsensusHost(SimNode):
         self.instance = BinaryConsensusInstance(
             instance_id=instance_id,
             node_id=node_id,
-            num_nodes=len(peers),
+            members=member_bits(peers),
             num_faulty=num_faulty,
             broadcast=lambda msg: self.broadcast(self.peers, msg),
             on_decide=lambda iid, value: self.decisions.update({iid: value}),
@@ -152,7 +156,7 @@ class TestHaltedInstanceFreesItsRounds:
         """Round 1 survives the halt until ``propose``, which broadcasts
         BVAL(1, proposal) only if the instance has not echoed that value."""
         sent = []
-        instance = BinaryConsensusInstance("x", "n", 4, 1, broadcast=sent.append)
+        instance = BinaryConsensusInstance("x", "n", FOUR, 1, broadcast=sent.append)
         for peer in ("p1", "p2"):
             instance.handle(peer, BVal("x", 1, 1))  # f + 1 supporters: echoed
         for peer in ("p1", "p2", "p3"):
@@ -169,37 +173,75 @@ class TestHaltedInstanceFreesItsRounds:
 class TestInterfaceContracts:
     def test_requires_three_f_plus_one(self):
         with pytest.raises(ValueError):
-            BinaryConsensusInstance("x", "n", 3, 1, broadcast=lambda m: None)
+            BinaryConsensusInstance(
+                "x", "n", member_bits(("n", "p1", "p2")), 1, broadcast=lambda m: None
+            )
 
     def test_proposal_must_be_binary(self):
-        instance = BinaryConsensusInstance("x", "n", 4, 1, broadcast=lambda m: None)
+        instance = BinaryConsensusInstance("x", "n", FOUR, 1, broadcast=lambda m: None)
         with pytest.raises(ValueError):
             instance.propose(2)
 
     def test_propose_is_idempotent(self):
         sent = []
-        instance = BinaryConsensusInstance("x", "n", 4, 1, broadcast=sent.append)
+        instance = BinaryConsensusInstance("x", "n", FOUR, 1, broadcast=sent.append)
         instance.propose(1)
         count = len(sent)
         instance.propose(0)
         assert len(sent) == count
         assert instance.estimate == 1
 
+    @staticmethod
+    def zero_supporters(instance, sent, messages):
+        """Feed BVAL(1, 0)-like ``messages`` from p1 and p2, then BVAL(1, 0)
+        itself from p3: what the instance sends shows how many of the first
+        two it counted (two supporters echo, at ``f + 1``; three deliver 0
+        into ``bin_values``, and the instance AUXes)."""
+        for peer, message in zip(("p1", "p2"), messages, strict=True):
+            instance.handle(peer, message)
+        counted_before = list(sent)
+        instance.handle("p3", BVal("x", 1, 0))
+        return counted_before
+
     def test_messages_for_other_instances_are_ignored(self):
-        instance = BinaryConsensusInstance("x", "n", 4, 1, broadcast=lambda m: None)
+        sent = []
+        instance = BinaryConsensusInstance("x", "n", FOUR, 1, broadcast=sent.append)
         instance.propose(1)
-        instance.handle("peer", BVal("other-instance", 1, 0))
-        assert instance._round_state(1).bval_senders[0] == set()
+        before = self.zero_supporters(
+            instance, sent, [BVal("other-instance", 1, 0), BVal("other-instance", 1, 0)]
+        )
+        # Neither foreign BVAL counted: one supporter of 0 echoes nothing.
+        assert before == sent == [BVal("x", 1, 1)]
 
     def test_non_binary_values_ignored(self):
-        instance = BinaryConsensusInstance("x", "n", 4, 1, broadcast=lambda m: None)
+        sent = []
+        instance = BinaryConsensusInstance("x", "n", FOUR, 1, broadcast=sent.append)
         instance.propose(1)
-        instance.handle("peer", BVal("x", 1, 7))
-        assert 7 not in instance._round_state(1).bval_senders
+        before = self.zero_supporters(instance, sent, [BVal("x", 1, 7), BVal("x", 1, 7)])
+        assert before == sent == [BVal("x", 1, 1)]
+        # The same two senders with value 0 do count: p3 then makes f + 1.
+        sent.clear()
+        other = BinaryConsensusInstance("x", "n", FOUR, 1, broadcast=sent.append)
+        other.propose(1)
+        self.zero_supporters(other, sent, [BVal("x", 1, 0), BVal("x", 1, 0)])
+        assert sent == [BVal("x", 1, 1), BVal("x", 1, 0), Aux("x", 1, 0)]
+
+    def test_non_members_are_ignored(self):
+        """A sender outside the member map has no bit: its BVALs, AUXes and
+        FINISHes are never counted, however many names it uses."""
+        sent = []
+        instance = BinaryConsensusInstance("x", "n", FOUR, 1, broadcast=sent.append)
+        instance.propose(1)
+        for outsider in ("BB-0", "BB-1", "N0", ""):
+            instance.handle(outsider, BVal("x", 1, 0))
+            instance.handle(outsider, Aux("x", 1, 0))
+            instance.handle(outsider, Finish("x", 0))
+        assert sent == [BVal("x", 1, 1)]
+        assert instance.decided is None and not instance.halted
 
     def test_finish_amplification_decides_lagging_node(self):
         """A node that never proposed still decides after f+1 FINISH messages."""
-        instance = BinaryConsensusInstance("x", "n", 4, 1, broadcast=lambda m: None)
+        instance = BinaryConsensusInstance("x", "n", FOUR, 1, broadcast=lambda m: None)
         instance.handle("p1", Finish("x", 1))
         assert instance.decided is None
         instance.handle("p2", Finish("x", 1))

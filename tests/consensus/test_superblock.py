@@ -8,8 +8,16 @@ realistic ballot counts.
 
 import pytest
 
-from repro.consensus.batching import partition_serials, superblock_id
+from repro.consensus.batching import (
+    SuperblockConsensus,
+    SuperblockEcho,
+    SuperblockReady,
+    SuperblockSend,
+    partition_serials,
+    superblock_id,
+)
 from repro.consensus.cluster import ConsensusCluster
+from repro.consensus.interfaces import Finish, member_bits
 
 
 def opinions_for(num_ballots, voted_every=3):
@@ -131,6 +139,51 @@ class TestSuperblockFaults:
         assert result.agreed
         assert result.decisions[0] == opinions
         assert result.superblocks_fallback == 0
+
+
+class TestMembersOnly:
+    """A reliable-broadcast step counts only if its sender and its origin are
+    members; the inner instance counts only members' FINISHes."""
+
+    ZEROS = b"\x00\x00"
+
+    def block(self):
+        sent = []
+        block = SuperblockConsensus(
+            block_id="sb|0", serials=(1, 2), node_id="N0",
+            members=member_bits(("N0", "N1", "N2", "N3")), num_faulty=1,
+            bits=b"\x01\x01", broadcast=sent.append, schedule=lambda delay, callback: None,
+            on_resolve=lambda block, bits: sent.append(("resolve", bits)),
+            on_fallback=lambda block: sent.append("fallback"),
+        )
+        return block, sent
+
+    def test_a_non_member_neither_proposes_nor_counts(self):
+        block, sent = self.block()
+        zeros = self.ZEROS
+        block.handle("BB-0", SuperblockSend("sb|0", "BB-0", zeros))
+        for sender in ("BB-0", "N3"):
+            block.handle(sender, SuperblockReady("sb|0", "N1", zeros))  # one member: no f + 1
+            block.handle(sender, SuperblockEcho("sb|0", "N1", zeros))
+            block.handle(sender, Finish("sb|0", 1))
+        for sender in ("N1", "N2", "N3"):  # a member quorum, about a non-member origin
+            block.handle(sender, SuperblockEcho("sb|0", "BB-0", zeros))
+            block.handle(sender, SuperblockReady("sb|0", "BB-0", zeros))
+        assert sent == []
+        assert block.proposals == {} and block.decided is None
+
+    def test_the_same_steps_from_members_count(self):
+        block, sent = self.block()
+        zeros = self.ZEROS
+        block.handle("N3", SuperblockSend("sb|0", "N3", zeros))
+        for sender in ("N2", "N3"):
+            block.handle(sender, SuperblockReady("sb|0", "N1", zeros))
+            block.handle(sender, Finish("sb|0", 1))
+        assert sent == [
+            SuperblockEcho("sb|0", "N3", zeros),
+            SuperblockReady("sb|0", "N1", zeros),  # f + 1 READYs amplify
+            Finish("sb|0", 1),  # f + 1 FINISHes decide
+        ]
 
 
 class TestMessageReduction:

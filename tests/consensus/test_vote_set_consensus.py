@@ -16,7 +16,7 @@ import pytest
 
 from repro.consensus.batching import SuperblockConsensus, SuperblockSend, partition_serials
 from repro.consensus.bracha import BinaryConsensusInstance
-from repro.consensus.interfaces import Aux, BVal, Finish
+from repro.consensus.interfaces import Aux, BVal, Finish, member_bits
 from repro.consensus.vote_set_consensus import HaltedInstance, VoteSetConsensus
 
 NODES = ("N0", "N1", "N2", "N3")
@@ -35,7 +35,7 @@ class Loopback:
         self.engines = [
             VoteSetConsensus(
                 node_id=node_id,
-                num_nodes=len(NODES),
+                members=member_bits(NODES),
                 num_faulty=1,
                 serials=opinions,
                 blocks=blocks,
@@ -85,6 +85,16 @@ class TestRouting:
         assert engine.running == {}
         assert engine.buffered == untouched
         assert len(untouched) == (2 if batch_size > 1 else 0)
+
+    @pytest.mark.parametrize("batch_size", [1, 4], ids=["per-ballot", "superblock"])
+    def test_a_non_member_is_dropped_before_routing(self, batch_size):
+        engine = Loopback(unanimous(8), batch_size).engines[0]
+        untouched = {block_id: [] for block_id in engine.buffered}
+        for message in (BVal("100", 1, 1), Finish("100", 0), BVal("sb|1", 1, 1),
+                        SuperblockSend("sb|1", "BB-0", b"\x00" * 4)):
+            engine.handle("BB-0", message)
+        assert engine.instances == {}
+        assert engine.buffered == untouched
 
     def test_traffic_for_an_unstarted_own_block_is_replayed_in_arrival_order(self, monkeypatch):
         net = Loopback(unanimous(8), batch_size=4)

@@ -14,7 +14,17 @@ import pytest
 
 from repro.analysis.determinism import default_choices, safety_violations
 from repro.api import AdversaryProfile, ElectionEngine, ScenarioSpec
-from repro.core.byzantine import VC_BEHAVIORS
+from repro.api.spec import ConsensusConfig
+from repro.consensus.batching import (
+    BatchEnvelope,
+    SuperblockReady,
+    SuperblockSend,
+    partition_serials,
+    superblock_id,
+)
+from repro.consensus.interfaces import Finish
+from repro.core.bulletin_board import BulletinBoardNode
+from repro.core.byzantine import BB_BEHAVIORS, VC_BEHAVIORS
 from repro.core.ea import ElectionAuthority
 from repro.core.election import ElectionParameters, vc_node_id
 from repro.core.messages import (
@@ -24,6 +34,7 @@ from repro.core.messages import (
     UniquenessCertificate,
     VotePending,
     VoteSetUpload,
+    VscBatch,
 )
 from repro.core.vote_collector import BallotStatus, VoteCollectorNode, endorsement_message
 from repro.crypto.signatures import SignatureScheme
@@ -251,3 +262,94 @@ def test_a_signed_receipt_share_of_another_ballot_line_is_dropped(group, foreign
     assert "VC-3" not in record.receipt_shares
     assert record.status is BallotStatus.VOTED
     assert record.receipt == line.receipt
+
+
+# ---------------------------------------------------------------------------
+# Vote Set Consensus counts collectors only
+# ---------------------------------------------------------------------------
+
+#: the collectors the forgers below write to
+HONEST_VCS = ("VC-0", "VC-1", "VC-2")
+
+
+def forged_vsc_batch(sender, serials, batch_size):
+    """What ``sender`` sends every honest collector as consensus starts.
+
+    Per ballot: ``FINISH(serial, 0)`` -- with ``f + 1 = 2`` senders that decides
+    "not voted" for every ballot.  Per superblock: ``sender`` reliably
+    broadcasts an all-zeros vector as its own origin, READYs that vector for
+    VC-0, VC-3 and BB-0 (two READYs make every honest collector amplify, so
+    the vector is delivered as theirs) and sends ``FINISH(block, 1)``.  Three
+    zero vectors are a quorum of proposals: the block "resolves" to "not voted".
+    """
+    if batch_size == 1:
+        elements = tuple(Finish(str(serial), 0) for serial in serials)
+    else:
+        elements = []
+        for index, block in enumerate(partition_serials(serials, batch_size)):
+            block_id, zeros = superblock_id(index), bytes(len(block))
+            elements.append(SuperblockSend(block_id, sender, zeros))
+            elements.extend(
+                SuperblockReady(block_id, origin, zeros) for origin in ("VC-0", "VC-3", "BB-0")
+            )
+            elements.append(Finish(block_id, 1))
+    return VscBatch(BatchEnvelope(tuple(elements)), sender)
+
+
+class FinishForgingCollector(VoteCollectorNode):
+    """Sends the forged batch to every honest collector, then runs as usual."""
+
+    def end_election(self) -> None:
+        batch = forged_vsc_batch(
+            self.node_id, sorted(self.ballots), self.params.consensus.batch_size
+        )
+        for peer in HONEST_VCS:
+            self.send(peer, batch)
+        super().end_election()
+
+
+class FinishForgingBoard(BulletinBoardNode):
+    """A Byzantine BB node: authenticated on its channels, but no collector.
+    It sends the forged batch to every honest collector at election end."""
+
+    def attach(self, network) -> None:
+        super().attach(network)
+        network.schedule_at(self.params.election_end, self._forge, owner=self.node_id)
+
+    def _forge(self) -> None:
+        batch = forged_vsc_batch(
+            self.node_id, sorted(self.init.ballots), self.params.consensus.batch_size
+        )
+        for peer in HONEST_VCS:
+            self.send(peer, batch)
+
+
+@pytest.mark.parametrize("batch_size", [1, 4], ids=["per-ballot", "superblock"])
+@pytest.mark.parametrize("with_board", [False, True], ids=["VC-3", "VC-3+BB-0"])
+def test_a_board_node_is_not_counted_in_the_collectors_quorums(
+    monkeypatch, batch_size, with_board
+):
+    """Within the paper's bounds (fv = 1, fb = 1) a Byzantine collector and a
+    Byzantine BB node forge Vote Set Consensus traffic together.  Counted as a
+    second sender, BB-0 made every collector decide "not voted" on every
+    ballot: four empty vote sets, no tally and a failed audit, although all
+    ten voters hold valid receipts.  VC-3 alone never could."""
+    monkeypatch.setitem(VC_BEHAVIORS, "finish-forging", FinishForgingCollector)
+    monkeypatch.setitem(BB_BEHAVIORS, "finish-forging", FinishForgingBoard)
+    spec = ScenarioSpec.preset(
+        "paper_baseline", num_voters=10, seed=2,
+        consensus=ConsensusConfig(batch_size),
+        adversary=AdversaryProfile(
+            vc_behaviors={"VC-3": "finish-forging"},
+            bb_behaviors={"BB-0": "finish-forging"} if with_board else {},
+        ),
+    )
+    outcome = ElectionEngine(spec).run(default_choices(spec))
+    assert type(outcome.vote_collectors[3]) is FinishForgingCollector
+    assert all(voter.receipt is not None and voter.receipt_valid for voter in outcome.voters)
+    assert safety_violations(outcome, spec) == []
+    for node in outcome.vote_collectors[:3]:
+        assert len(node.final_vote_set) == spec.num_voters
+    assert outcome.tally is not None
+    assert tuple(outcome.tally.counts) == tuple(outcome.expected_tally().counts)
+    assert outcome.audit_report.passed

@@ -11,6 +11,10 @@ differently -- not for a per-scalar object coming back.
 
 The network keeps counters, not messages: a run's delivered messages (and,
 on the wire transport, their decoded payloads) are garbage once handled.
+
+Vote Set Consensus state is transient -- a halted instance shrinks to its
+round and decision -- but while the phase runs it is the largest per-ballot
+cost, so its peak is gated too (``test_consensus_peak_per_ballot``).
 """
 
 import gc
@@ -27,6 +31,13 @@ from repro.net.channels import Message
 #: bytes of traced heap one more ballot may retain after the ``setup`` phase
 GATE_PER_BALLOT = 110 * 1024
 
+#: bytes of traced heap one more ballot may add to the peak of the
+#: ``consensus`` phase, above the heap at the end of voting, on the
+#: ``engine_wire`` shape (7 collectors, 2 options, wire transport).  Measured
+#: 24 -> 48 voters with CPython 3.11.7 on x86-64: 40.8 KiB while consensus
+#: state held its participants as sets of names, 23.2 KiB with member bitmasks.
+CONSENSUS_PEAK_GATE = 32 * 1024
+
 
 def retained_after_setup(num_voters: int) -> int:
     """Traced bytes alive after the ``setup`` phase of a ``paper_baseline`` election."""
@@ -39,6 +50,28 @@ def retained_after_setup(num_voters: int) -> int:
         engine.run_phase(engine.driver("setup"), ctx)
         gc.collect()
         return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        engine.close()
+
+
+def consensus_peak_above_voting(num_voters: int) -> int:
+    """Traced peak of the ``consensus`` phase above the heap at voting end."""
+    spec = ScenarioSpec.preset("paper_baseline", num_voters=num_voters).derive(
+        num_vc=7, options=("yes", "no"), transport=TransportProfile.wire(), stagger=0.005
+    )
+    engine = ElectionEngine(spec)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        ctx = engine.begin(default_choices(spec))
+        for phase in ("setup", "voting"):
+            engine.run_phase(engine.driver(phase), ctx)
+        gc.collect()
+        at_voting_end = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        engine.run_phase(engine.driver("consensus"), ctx)
+        return tracemalloc.get_traced_memory()[1] - at_voting_end
     finally:
         tracemalloc.stop()
         engine.close()
@@ -64,6 +97,15 @@ def test_heap_retained_per_ballot_after_setup():
     per_ballot = (large - small) / 24
     assert per_ballot <= GATE_PER_BALLOT, f"{per_ballot / 1024:.1f} KiB per ballot"
     assert per_ballot >= 16 * 1024  # the probe measures something: 7 collectors' rows alone
+
+
+@pytest.mark.skipif(tracemalloc.is_tracing(), reason="needs tracemalloc to itself")
+def test_consensus_peak_per_ballot():
+    consensus_peak_above_voting(2)  # paid once, as above
+    small, large = consensus_peak_above_voting(24), consensus_peak_above_voting(48)
+    per_ballot = (large - small) / 24
+    assert per_ballot <= CONSENSUS_PEAK_GATE, f"{per_ballot / 1024:.1f} KiB per ballot"
+    assert per_ballot >= 8 * 1024  # the probe measures something: 7 instances per ballot
 
 
 def test_no_boxed_share_in_trustee_data(small_outcome):

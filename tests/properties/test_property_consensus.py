@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.consensus.bracha import BinaryConsensusInstance
+from repro.consensus.interfaces import member_bits
 from repro.net.adversary import NetworkConditions
 from repro.net.channels import Message
 from repro.net.simulator import Network, SimNode
@@ -20,7 +21,7 @@ class Host(SimNode):
         self.instance = BinaryConsensusInstance(
             instance_id="prop",
             node_id=node_id,
-            num_nodes=len(peers),
+            members=member_bits(peers),
             num_faulty=num_faulty,
             broadcast=lambda msg: self.broadcast(self.peers, msg),
         )

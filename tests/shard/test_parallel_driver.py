@@ -370,10 +370,7 @@ class TestAdmissionCheck:
         )
 
     def cast_serial(self, runner):
-        for serial in range(runner.shard.lo, runner.shard.hi):
-            if runner.is_cast(runner._ballot_digest(serial)):
-                return serial
-        raise AssertionError("no cast serial in range")
+        return runner.shard.lo  # every derived voter casts
 
     def test_honest_codes_pass(self, scheme):
         result = ShardRunner(
@@ -397,29 +394,6 @@ class TestAdmissionCheck:
             runner.run()
         assert excinfo.value.serial == victim
         assert excinfo.value.shard_id == 0
-
-    def test_tampering_an_abstaining_serial_is_harmless(self, scheme):
-        probe = ShardRunner(
-            ShardRange(0, 0, 60),
-            scheme=scheme,
-            seed=SEED,
-            election_id=ELECTION_ID,
-            turnout=0.5,
-        )
-        abstainer = next(
-            serial
-            for serial in range(60)
-            if not probe.is_cast(probe._ballot_digest(serial))
-        )
-        runner = ShardRunner(
-            ShardRange(0, 0, 60),
-            scheme=scheme,
-            seed=SEED,
-            election_id=ELECTION_ID,
-            turnout=0.5,
-            tampered_codes={abstainer: b"never-submitted"},
-        )
-        assert runner.run().record.ballots_cast > 0
 
     def test_commitment_table_is_independent_of_submissions(self, scheme):
         """The EA table depends only on election data, never on what voters

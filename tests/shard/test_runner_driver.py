@@ -62,12 +62,6 @@ class TestShardRunner:
             assert wide.choice_of(serial) == narrow.choice_of(serial)
             assert wide._randomness(serial) == narrow._randomness(serial)
 
-    def test_partial_turnout_casts_fewer_ballots(self, scheme):
-        full = run_shard(scheme, ShardRange(0, 0, 120), turnout=1.0)
-        half = run_shard(scheme, ShardRange(0, 0, 120), turnout=0.5)
-        assert half.record.ballots_cast < full.record.ballots_cast
-        assert full.record.ballots_cast == 120
-
     def test_superblocks_take_the_fast_path_when_honest(self, scheme):
         result = run_shard(scheme, ShardRange(0, 0, 64), consensus_batch_size=16)
         assert result.superblocks_fast > 0
