@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimeBound:
     """An upper bound of the form ``T + a*Tcomp + b*Delta + c*delta``.
 
@@ -66,7 +66,7 @@ class TimeBound:
         return f"T + {tcomp} + {self.drift}D + {self.delay}d"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LivenessBound:
     """One row of Table I: the four clock bounds at one protocol step."""
 

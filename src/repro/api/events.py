@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, List, Mapping
 
 
-@dataclass(frozen=True, kw_only=True)
+@dataclass(frozen=True, slots=True, kw_only=True)
 class ElectionEvent:
     """Base class of every engine event.
 
@@ -30,14 +30,14 @@ class ElectionEvent:
     sim_time: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PhaseStarted(ElectionEvent):
     """A phase driver is about to run."""
 
     phase: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PhaseCompleted(ElectionEvent):
     """A phase driver finished; ``sim_duration`` is simulated seconds spent."""
 
@@ -45,7 +45,7 @@ class PhaseCompleted(ElectionEvent):
     sim_duration: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BallotAccepted(ElectionEvent):
     """A voter obtained a receipt during the voting phase."""
 
@@ -55,7 +55,7 @@ class BallotAccepted(ElectionEvent):
     receipt_valid: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConsensusDecided(ElectionEvent):
     """Vote Set Consensus converged on the final vote set."""
 
@@ -63,14 +63,14 @@ class ConsensusDecided(ElectionEvent):
     stats: Mapping[str, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TallyComputed(ElectionEvent):
     """The trustees opened the homomorphic tally and the BB published it."""
 
     tally: Mapping[str, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuditCompleted(ElectionEvent):
     """The end-to-end audit finished."""
 
@@ -78,7 +78,7 @@ class AuditCompleted(ElectionEvent):
     checks: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ElectionCompleted(ElectionEvent):
     """The engine finished every phase of the run."""
 

@@ -94,7 +94,7 @@ def _behavior_classes(kind: str, behaviors: Mapping[str, str]) -> Dict[str, type
     return {node: registry[behavior] for node, behavior in behaviors.items()}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NetworkProfile(DictCodec):
     """Network behaviour of a scenario.
 
@@ -144,7 +144,7 @@ class NetworkProfile(DictCodec):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AdversaryProfile(DictCodec):
     """Which nodes misbehave, by node id and registered behaviour name.
 
@@ -187,7 +187,7 @@ class AdversaryProfile(DictCodec):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CrashNode(DictCodec):
     """Crash a vote-collector process at simulated time ``t``.
 
@@ -206,7 +206,7 @@ class CrashNode(DictCodec):
             raise ValueError("crash time must be a finite non-negative number")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RecoverNode(DictCodec):
     """Restart a previously crashed node at ``t`` from its crash snapshot.
 
@@ -225,7 +225,7 @@ class RecoverNode(DictCodec):
             raise ValueError("recovery time must be a finite non-negative number")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Partition(DictCodec):
     """Split the named nodes into disconnected groups for a time window.
 
@@ -265,7 +265,7 @@ class Partition(DictCodec):
         return frozenset(node for group in self.groups for node in group)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LossBurst(DictCodec):
     """Raise the network drop rate to ``rate`` for a time window.
 
@@ -289,7 +289,7 @@ class LossBurst(DictCodec):
             raise ValueError("loss burst rate must be in (0, 1)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClockSkew(DictCodec):
     """Set a node's internal clock drift to ``drift`` at time ``t``.
 
@@ -313,7 +313,7 @@ class ClockSkew(DictCodec):
 
 FaultEvent = Union[CrashNode, RecoverNode, Partition, LossBurst, ClockSkew]
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FaultPlan(DictCodec):
     """A validated schedule of timed fault events for one election run.
 
@@ -397,7 +397,7 @@ class FaultPlan(DictCodec):
         return frozenset(e.node for e in self.events if isinstance(e, CrashNode))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransportProfile(DictCodec):
     """How protocol messages travel between simulated nodes.
 
@@ -436,7 +436,7 @@ class TransportProfile(DictCodec):
         return InProcessTransport()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CryptoProfile(DictCodec):
     """Cryptographic backend selection.
 
@@ -460,7 +460,7 @@ class CryptoProfile(DictCodec):
         return get_group(self.backend)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ShardingProfile(DictCodec):
     """Ballot-range sharding of the scale pipeline.
 
@@ -498,7 +498,7 @@ class ShardingProfile(DictCodec):
             raise ValueError("max_inflight_shards must be at least 1 (or None)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScenarioSpec(DictCodec):
     """One complete, validated election scenario."""
 

@@ -26,7 +26,7 @@ def member_bits(members: Iterable[str]) -> Dict[str, int]:
     return {member: 1 << index for index, member in enumerate(members)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConsensusMessage:
     """Base class for all binary-consensus messages.
 
@@ -38,7 +38,7 @@ class ConsensusMessage:
     instance: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, weakref_slot=True)
 class BVal(ConsensusMessage):
     """Binary-value broadcast message (first exchange of a round)."""
 
@@ -46,7 +46,7 @@ class BVal(ConsensusMessage):
     value: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, weakref_slot=True)
 class Aux(ConsensusMessage):
     """Auxiliary message carrying a value taken from ``bin_values``."""
 
@@ -54,7 +54,7 @@ class Aux(ConsensusMessage):
     value: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, weakref_slot=True)
 class Finish(ConsensusMessage):
     """Decision announcement; lets lagging nodes terminate."""
 

@@ -82,6 +82,10 @@ class VoteSetConsensus:
         self.schedule = schedule
         self.opinion_of = opinion_of
         self.on_decide = on_decide
+        #: the one decide callback of every per-ballot instance (whose id is
+        #: ``str(serial)``, as it goes on the wire); it holds the host's
+        #: callable, not this engine
+        self._instance_decided = lambda instance_id, value: on_decide(int(instance_id), value)
 
         self._starts = [block[0] for block in blocks]
         #: members still awaited, by block index (made on a block's first ``ready``)
@@ -179,12 +183,9 @@ class VoteSetConsensus:
         instance = self.instances.get(serial)
         if instance is None:
             instance = self.instances[serial] = BinaryConsensusInstance(
-                instance_id=str(serial), on_decide=self._on_instance_decide, **self._member
+                instance_id=str(serial), on_decide=self._instance_decided, **self._member
             )
         return instance
-
-    def _on_instance_decide(self, instance_id: str, value: int) -> None:
-        self.on_decide(int(instance_id), value)
 
     def _propose(self, serial: int) -> None:
         instance = self._instance(serial)

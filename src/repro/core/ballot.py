@@ -32,7 +32,7 @@ PART_B = "B"
 PARTS = (PART_A, PART_B)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BallotLine:
     """One ``<vote-code, option, receipt>`` tuple of a ballot part."""
 
@@ -41,7 +41,7 @@ class BallotLine:
     receipt: bytes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BallotPart:
     """One of the two functionally equivalent halves of a ballot."""
 
@@ -66,7 +66,7 @@ class BallotPart:
         return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ballot:
     """A complete voter ballot: serial number plus parts A and B."""
 
@@ -97,7 +97,7 @@ def receipt_context(serial: int, part: str) -> bytes:
     return b"receipt|%d|%s" % (serial, part.encode())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VcBallotRow:
     """One shuffled row of a VC node's view: hash commitment, this node's
     receipt share, and the digests of all ``Nv`` shares of the receipt (one
@@ -108,7 +108,7 @@ class VcBallotRow:
     share_digests: Tuple[bytes, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VcBallotView:
     """A VC node's initialization data for one ballot."""
 
@@ -138,7 +138,7 @@ class VcBallotView:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BbBallotRow:
     """One shuffled row of the BB view: encrypted vote code + crypto payload."""
 
@@ -147,7 +147,7 @@ class BbBallotRow:
     proof_announcement: "BallotProofAnnouncement"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BbBallotView:
     """A BB node's initialization data for one ballot (identical on all BBs)."""
 
@@ -155,7 +155,7 @@ class BbBallotView:
     rows: Dict[str, Tuple[BbBallotRow, ...]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrusteeBallotView:
     """A trustee's initialization data for one ballot: two blocks per part.
 

@@ -278,9 +278,16 @@ class BulletinBoardNode(SimNode):
             scalars = reconstruct_scalars(points, blocks, width, q)
             return [scalars[at:at + row] for at in range(0, len(scalars), row)]
 
-        def opening(row: Sequence[int]) -> CommitmentOpening:
-            # Pedersen pairs f, r: the secret is f(0); r(0) blinded the check values.
-            return CommitmentOpening(tuple(row[0:2 * m:2]), tuple(row[2 * m::2]))
+        def openings_of(blocks: Sequence[bytes]) -> List[CommitmentOpening]:
+            """One opening per row of ``4m`` scalars: Pedersen pairs ``f, r``
+            whose secret is ``f(0)``, at the even positions, ``m`` values then
+            ``m`` randomness scalars.  ``r(0)`` blinded the check values and
+            is not published, so the odd positions are never summed."""
+            halves = reconstruct_scalars(points, blocks, width, q, step=2)
+            return [
+                CommitmentOpening(tuple(halves[at:at + m]), tuple(halves[at + m:at + 2 * m]))
+                for at in range(0, len(halves), 2 * m)
+            ]
 
         cast_locations = self.cast_row_locations()
         cast_parts = {serial: part for serial, (part, _) in cast_locations.items()}
@@ -288,10 +295,7 @@ class BulletinBoardNode(SimNode):
         opened, proved = self._expected_parts()
 
         openings: Dict[PartKey, Tuple[CommitmentOpening, ...]] = {
-            key: tuple(
-                opening(row)
-                for row in secrets([s.opening_shares[key] for s in submissions], 4 * m)
-            )
+            key: tuple(openings_of([s.opening_shares[key] for s in submissions]))
             for key in sorted(opened)
         }
         # The ZK final moves for used parts: per option c0, c1, s0, s1, then the sum's s.
@@ -317,8 +321,7 @@ class BulletinBoardNode(SimNode):
         )
         tally_opening: Optional[CommitmentOpening] = None
         if tally_commitments:
-            (tally_row,) = secrets([s.tally_share for s in submissions], 4 * m)
-            tally_opening = opening(tally_row)
+            (tally_opening,) = openings_of([s.tally_share for s in submissions])
             combined = self.scheme.combine(tally_commitments)
             tally = open_tally(self.scheme, combined, tally_opening, self.params.options)
 

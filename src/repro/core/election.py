@@ -101,6 +101,8 @@ class DictCodec:
     declared; the block's own ``__post_init__`` then validates the values.
     """
 
+    __slots__ = ()
+
     KIND: typing.ClassVar[Optional[str]] = None
 
     def to_dict(self) -> Dict[str, Any]:
@@ -125,7 +127,7 @@ class DictCodec:
         return cls(**values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConsensusConfig(DictCodec):
     """Vote Set Consensus configuration.
 
@@ -141,7 +143,7 @@ class ConsensusConfig(DictCodec):
             raise ValueError("consensus batch size must be at least 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuditConfig(DictCodec):
     """End-of-election audit configuration.
 
@@ -167,7 +169,7 @@ class AuditConfig(DictCodec):
             raise ValueError("batch security parameter must be between 8 and 128 bits")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AdmissionProfile(DictCodec):
     """Voting-phase admission pipeline configuration (see :mod:`repro.core.admission`).
 
@@ -220,7 +222,7 @@ def voter_id(index: int) -> str:
     return f"voter-{index}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FaultThresholds:
     """Sizes and fault tolerances of the three replicated subsystems."""
 
@@ -264,7 +266,7 @@ class FaultThresholds:
             raise ValueError("trustee threshold must be between 1 and Nt")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ElectionParameters:
     """Everything that defines one election."""
 

@@ -27,7 +27,7 @@ from repro.crypto.group import Group
 from repro.crypto.zkp import challenge_from_voter_coins
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TallyResult:
     """The published election result."""
 

@@ -128,7 +128,7 @@ class TrusteeSubmission:
         return sha256(signing_bytes(b"trustee-submission", *parts))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BbElectionView:
     """The subset of BB state a trustee needs (obtained via a majority read)."""
 

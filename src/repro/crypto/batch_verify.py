@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.crypto.commitments import CommitmentOpening, OptionCommitment, OptionEncodingScheme
-from repro.crypto.group import Group, GroupElement, default_group
+from repro.crypto.group import Group, GroupElement, Terms, default_group
 from repro.crypto.signatures import SchnorrSignature, SignatureScheme
 from repro.crypto.utils import RandomSource, default_random
 from repro.crypto.zkp import BallotCorrectnessVerifier, BallotProofAnnouncement, BallotProofResponse
@@ -60,7 +60,7 @@ DEFAULT_SECURITY_BITS = 64
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SignatureItem:
     """One Schnorr signature check: ``signature`` on ``message`` under ``public``."""
 
@@ -69,7 +69,7 @@ class SignatureItem:
     signature: SchnorrSignature
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProofItem:
     """One ballot-correctness proof check (the unit verified by
     :meth:`repro.crypto.zkp.BallotCorrectnessVerifier.verify`)."""
@@ -80,7 +80,7 @@ class ProofItem:
     response: BallotProofResponse
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OpeningItem:
     """One commitment-opening check: does ``opening`` open ``commitment``?"""
 
@@ -88,7 +88,7 @@ class OpeningItem:
     opening: CommitmentOpening
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BatchOutcome:
     """Verdict of one batched verification.
 
@@ -211,17 +211,19 @@ class BatchVerifier:
         self._equations += 1
         q = self.group.order
         response_exp = 0
-        commitment_pairs: List[Tuple[GroupElement, int]] = []
+        commitments = Terms()
+        bases, exponents = commitments.bases, commitments.exponents
         per_key: dict = {}
         for item in items:
             z = self._small_exponent()
             response_exp += z * item.signature.response
-            commitment_pairs.append((item.signature.commitment, z))
+            bases.append(item.signature.commitment)
+            exponents.append(z)
             key = item.public.serialize()
             entry = per_key.setdefault(key, [item.public, 0])
             entry[1] += z * item.signature.challenge
         lhs = self.group.power_g(response_exp % q)
-        rhs = self.group.multi_power(commitment_pairs)
+        rhs = self.group.multi_power(commitments)
         for public, exponent in per_key.values():
             rhs = rhs * self.group.cached_power(public, exponent % q)
         return lhs == rhs
@@ -270,8 +272,9 @@ class BatchVerifier:
         q = group.order
         generator_exp = 0
         key_exp = 0
-        small_pairs: List[Tuple[GroupElement, int]] = []
-        wide_pairs: List[Tuple[GroupElement, int]] = []
+        small, wide = Terms(), Terms()
+        small_bases, small_exponents = small.bases, small.exponents
+        wide_bases, wide_exponents = wide.bases, wide.exponents
         public_key = self._proof_public_key
         for item in items:
             challenge = item.challenge % q
@@ -282,8 +285,9 @@ class BatchVerifier:
             ss = item.response.sum_response.response
             generator_exp += z5 * ss + z6 * challenge
             key_exp += z6 * ss
-            small_pairs.append((item.announcement.sum_announcement.a, z5))
-            small_pairs.append((item.announcement.sum_announcement.b, z6))
+            sum_announcement = item.announcement.sum_announcement
+            small_bases += (sum_announcement.a, sum_announcement.b)
+            small_exponents += (z5, z6)
             for ciphertext, ann, resp in zip(
                 item.commitment.ciphertexts,
                 item.announcement.or_announcements,
@@ -299,21 +303,18 @@ class BatchVerifier:
                 generator_exp += z1 * resp.response0 + z3 * resp.response1
                 generator_exp += z4 * resp.challenge1
                 key_exp += z2 * resp.response0 + z4 * resp.response1
-                small_pairs.append((ann.a0, z1))
-                small_pairs.append((ann.b0, z2))
-                small_pairs.append((ann.a1, z3))
-                small_pairs.append((ann.b1, z4))
-                wide_pairs.append(
-                    (ciphertext.a, (z1 * resp.challenge0 + z3 * resp.challenge1 + z5 * challenge) % q)
-                )
-                wide_pairs.append(
-                    (ciphertext.b, (z2 * resp.challenge0 + z4 * resp.challenge1 + z6 * challenge) % q)
+                small_bases += (ann.a0, ann.b0, ann.a1, ann.b1)
+                small_exponents += (z1, z2, z3, z4)
+                wide_bases += (ciphertext.a, ciphertext.b)
+                wide_exponents += (
+                    (z1 * resp.challenge0 + z3 * resp.challenge1 + z5 * challenge) % q,
+                    (z2 * resp.challenge0 + z4 * resp.challenge1 + z6 * challenge) % q,
                 )
         lhs = group.power_g(generator_exp % q) * group.cached_power(public_key, key_exp % q)
         # Two multi-exponentiations: the announcement factors carry only
         # security_bits-wide exponents, and mixing them with the full-width
         # ciphertext exponents would scan every pair over all 256 bits.
-        rhs = group.multi_power(small_pairs) * group.multi_power(wide_pairs)
+        rhs = group.multi_power(small) * group.multi_power(wide)
         return lhs == rhs
 
     # -- commitment openings --------------------------------------------------
@@ -349,7 +350,8 @@ class BatchVerifier:
         q = group.order
         generator_exp = 0
         key_exp = 0
-        pairs: List[Tuple[GroupElement, int]] = []
+        terms = Terms()
+        bases, exponents = terms.bases, terms.exponents
         public_key = self._opening_public_key
         for item in items:
             for ciphertext, value, randomness in zip(
@@ -361,10 +363,10 @@ class BatchVerifier:
                 # z: a == g^{r}      w: b == g^{m} y^{r}
                 generator_exp += z * randomness + w * value
                 key_exp += w * randomness
-                pairs.append((ciphertext.a, z))
-                pairs.append((ciphertext.b, w))
+                bases += (ciphertext.a, ciphertext.b)
+                exponents += (z, w)
         lhs = group.power_g(generator_exp % q) * group.cached_power(public_key, key_exp % q)
-        return lhs == group.multi_power(pairs)
+        return lhs == group.multi_power(terms)
 
     # -- shared batching / bisection machinery --------------------------------
 
@@ -446,7 +448,7 @@ class _SingleOpening:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SignatureBatchTask:
     """``chunk_fn`` batching Schnorr signature chunks (parallel_chunk_map)."""
 
@@ -458,7 +460,7 @@ class SignatureBatchTask:
         return verifier.verify_signatures(chunk)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProofBatchTask:
     """``chunk_fn`` batching ballot-proof chunks (parallel_chunk_map)."""
 
@@ -471,7 +473,7 @@ class ProofBatchTask:
         return verifier.verify_proofs(self.public_key, chunk)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OpeningBatchTask:
     """``chunk_fn`` batching commitment-opening chunks (parallel_chunk_map)."""
 

@@ -21,7 +21,7 @@ from repro.crypto.group import Group, GroupElement, default_group
 from repro.crypto.utils import RandomSource, default_random
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, weakref_slot=True)
 class CommitmentOpening:
     """Plaintext vector and per-coordinate randomness of a commitment."""
 
@@ -36,7 +36,7 @@ class CommitmentOpening:
         return CommitmentOpening(values, randomness)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, weakref_slot=True)
 class OptionCommitment:
     """A committed option encoding: one ciphertext per option coordinate."""
 

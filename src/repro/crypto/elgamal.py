@@ -22,7 +22,7 @@ from repro.crypto.group import Group, GroupElement, default_group
 from repro.crypto.utils import RandomSource, default_random
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, weakref_slot=True)
 class ElGamalCiphertext:
     """A lifted ElGamal ciphertext ``(a, b) = (g^r, g^m y^r)``."""
 
@@ -37,7 +37,7 @@ class ElGamalCiphertext:
         return self.a.serialize() + self.b.serialize()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ElGamalKeyPair:
     """An ElGamal key pair ``(x, y = g^x)``."""
 

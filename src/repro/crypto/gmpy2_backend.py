@@ -24,7 +24,7 @@ returns the pure-python group, so scenario configs naming
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Iterable, Optional, Tuple
 
 from repro.crypto.group import (
     GroupElement,
@@ -53,6 +53,8 @@ class Gmpy2Element(SchnorrElement):
     hashes identically to ``int``, and :meth:`SchnorrElement.serialize`
     normalizes through ``int`` so wire bytes match the pure backend exactly.
     """
+
+    __slots__ = ()
 
     def __mul__(self, other: GroupElement) -> "Gmpy2Element":
         assert isinstance(other, SchnorrElement)
@@ -96,7 +98,7 @@ class Gmpy2SchnorrGroup(SchnorrGroup):
             powmod(base.value, exponent % self.order, self._p_mpz), self
         )
 
-    def multi_power(self, pairs: Sequence[Tuple[GroupElement, int]]) -> Gmpy2Element:
+    def multi_power(self, pairs: Iterable[Tuple[GroupElement, int]]) -> Gmpy2Element:
         """``prod(base ** exp)`` as per-pair C ``powmod`` calls.
 
         With GMP doing the exponentiation in C, ``k`` independent ``powmod``

@@ -32,12 +32,14 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.crypto.utils import RandomSource, default_random, hash_to_scalar, sha256
 
 class GroupElement:
     """Abstract element of a prime-order group (written multiplicatively)."""
+
+    __slots__ = ()
 
     group: "Group"
 
@@ -144,6 +146,7 @@ class Group:
         state = self.__dict__.copy()
         state.pop("_fixed_base_cache", None)
         state.pop("_base_use_counts", None)
+        state.pop("_g_table", None)
         return state
 
     def generator(self) -> GroupElement:
@@ -234,17 +237,17 @@ class Group:
         threshold immediately in practice, one-shot keys never do, and the
         cache only ever holds genuinely hot bases).
         """
+        key = base.serialize()
         cache = getattr(self, "_fixed_base_cache", None)
         if cache is not None:
-            precomputed = cache.get(base.serialize())
+            precomputed = cache.get(key)
             if precomputed is not None:
-                cache.move_to_end(base.serialize())
+                cache.move_to_end(key)
                 return precomputed.power(exponent)
         counts = getattr(self, "_base_use_counts", None)
         if counts is None:
             counts = OrderedDict()
             self._base_use_counts = counts
-        key = base.serialize()
         counts[key] = counts.get(key, 0) + 1
         if counts[key] >= self.PRECOMPUTE_AFTER_USES:
             del counts[key]
@@ -254,9 +257,17 @@ class Group:
             counts.popitem(last=False)
         return self.plain_power(base, exponent)
 
+    #: ``g``'s fixed-base table, kept by :meth:`power_g` itself: signing,
+    #: proving and every audit equation ask for it, and the generator never
+    #: changes, so its calls skip the cache's serialization and LRU update
+    _g_table: Optional[FixedBasePrecomputation] = None
+
     def power_g(self, exponent: int) -> GroupElement:
         """``g ** exponent`` through the cached fixed-base table."""
-        return self.fixed_base(self.generator()).power(exponent)
+        table = self._g_table
+        if table is None:
+            table = self._g_table = self.fixed_base(self.generator())
+        return table.power(exponent)
 
     def power_h(self, exponent: int) -> GroupElement:
         """``h ** exponent`` through the cached fixed-base table."""
@@ -272,11 +283,12 @@ class Group:
     #: :class:`SchnorrGroup` measures its own.
     BUCKET_MIN_TERMS = 128
 
-    def multi_power(self, pairs: Sequence[Tuple[GroupElement, int]]) -> GroupElement:
+    def multi_power(self, pairs: Iterable[Tuple[GroupElement, int]]) -> GroupElement:
         """Simultaneous multi-exponentiation: ``prod(base ** exp)``.
 
-        Two evaluations of the same product, chosen from ``len(pairs)`` alone
-        (:data:`BUCKET_MIN_TERMS`).  Few terms -- the variable-base side of
+        Two evaluations of the same product, chosen from the number of pairs
+        alone (:data:`BUCKET_MIN_TERMS`; ``pairs`` is a sized iterable, e.g. a
+        list or :class:`Terms`).  Few terms -- the variable-base side of
         Pedersen share verification, a UCERT or endorsement batch, the
         cross-shard commit -- share one square-and-multiply pass over all
         exponent bits, so ``k`` exponentiations cost one chain of squarings
@@ -285,26 +297,32 @@ class Group:
         algorithm with one byte per digit, which replaces the per-term,
         per-bit work of the scan by one product per term per *byte*.
         """
-        reduced = [(base, exponent % self.order) for base, exponent in pairs]
-        reduced = [(base, exponent) for base, exponent in reduced if exponent]
-        if not reduced:
+        order = self.order
+        bases: List[GroupElement] = []
+        exponents: List[int] = []
+        for base, exponent in pairs:
+            exponent %= order
+            if exponent:
+                bases.append(base)
+                exponents.append(exponent)
+        if not bases:
             return self.identity()
         if len(pairs) < self.BUCKET_MIN_TERMS:
-            return self._scan_multi_power(reduced)
-        return self._bucket_multi_power(reduced)
+            return self._scan_multi_power(bases, exponents)
+        return self._bucket_multi_power(bases, exponents)
 
-    def _scan_multi_power(self, reduced: Sequence[Tuple[GroupElement, int]]) -> GroupElement:
+    def _scan_multi_power(self, bases: List[GroupElement], exponents: List[int]) -> GroupElement:
         """``terms * bits / 2`` products: every term looks at every bit."""
-        max_bits = max(exponent.bit_length() for _, exponent in reduced)
+        max_bits = max(exponent.bit_length() for exponent in exponents)
         result = self.identity()
         for bit in range(max_bits - 1, -1, -1):
             result = result * result
-            for base, exponent in reduced:
+            for base, exponent in zip(bases, exponents):
                 if (exponent >> bit) & 1:
                     result = result * base
         return result
 
-    def _bucket_multi_power(self, reduced: Sequence[Tuple[GroupElement, int]]) -> GroupElement:
+    def _bucket_multi_power(self, bases: List[GroupElement], exponents: List[int]) -> GroupElement:
         """``ceil(bits / 8) * (terms + 510)`` products.
 
         The digits of an exponent are its little-endian bytes, as in
@@ -316,9 +334,8 @@ class Group:
         multiplied into the total once per ``d``, so ``bucket[d]`` ends up in
         it ``d`` times for 510 products and no exponentiation.
         """
-        width = (max(exponent.bit_length() for _, exponent in reduced) + 7) // 8
-        bases = [base for base, _ in reduced]
-        digits = b"".join([exponent.to_bytes(width, "little") for _, exponent in reduced])
+        width = (max(exponent.bit_length() for exponent in exponents) + 7) // 8
+        digits = b"".join([exponent.to_bytes(width, "little") for exponent in exponents])
         identity = self.identity()
         result = identity
         for position in range(width - 1, -1, -1):
@@ -335,6 +352,25 @@ class Group:
                 total = total * running
             result = result * total
         return result
+
+
+class Terms:
+    """The factors of one :meth:`Group.multi_power` product as two parallel
+    lists.  A caller that builds thousands of terms (the batched audit)
+    appends to ``bases`` and ``exponents`` and keeps no ``(base, exponent)``
+    tuple per term; the product reads them as pairs, one at a time."""
+
+    __slots__ = ("bases", "exponents")
+
+    def __init__(self) -> None:
+        self.bases: List[GroupElement] = []
+        self.exponents: List[int] = []
+
+    def __len__(self) -> int:
+        return len(self.bases)
+
+    def __iter__(self) -> Iterator[Tuple[GroupElement, int]]:
+        return zip(self.bases, self.exponents, strict=True)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +397,7 @@ RFC3526_MODP_2048 = int(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SchnorrElement(GroupElement):
     """Element of a Schnorr group: the class ``{x, p - x}`` of ``Z_p^*/{±1}``.
 
@@ -482,32 +518,37 @@ class SchnorrGroup(Group):
     #: also pays a Python-level shift and mask per term per bit.
     BUCKET_MIN_TERMS = 72
 
-    def multi_power(self, pairs: Sequence[Tuple[GroupElement, int]]) -> SchnorrElement:
+    def multi_power(self, pairs: Iterable[Tuple[GroupElement, int]]) -> SchnorrElement:
         """:meth:`Group.multi_power` on bare residues modulo ``p``."""
-        reduced = [(base.value, exponent % self.order) for base, exponent in pairs]
-        reduced = [(value, exponent) for value, exponent in reduced if exponent]
-        if not reduced:
+        order = self.order
+        values: List[int] = []
+        exponents: List[int] = []
+        for base, exponent in pairs:
+            exponent %= order
+            if exponent:
+                values.append(base.value)
+                exponents.append(exponent)
+        if not values:
             return self.identity()
         if len(pairs) < self.BUCKET_MIN_TERMS:
-            return SchnorrElement(self._scan_multi_power(reduced), self)
-        return SchnorrElement(self._bucket_multi_power(reduced), self)
+            return SchnorrElement(self._scan_multi_power(values, exponents), self)
+        return SchnorrElement(self._bucket_multi_power(values, exponents), self)
 
-    def _scan_multi_power(self, reduced: Sequence[Tuple[int, int]]) -> int:
+    def _scan_multi_power(self, values: List[int], exponents: List[int]) -> int:
         p = self.p
-        max_bits = max(exponent.bit_length() for _, exponent in reduced)
+        max_bits = max(exponent.bit_length() for exponent in exponents)
         accumulator = 1
         for bit in range(max_bits - 1, -1, -1):
             accumulator = accumulator * accumulator % p
-            for value, exponent in reduced:
+            for value, exponent in zip(values, exponents):
                 if (exponent >> bit) & 1:
                     accumulator = accumulator * value % p
         return accumulator
 
-    def _bucket_multi_power(self, reduced: Sequence[Tuple[int, int]]) -> int:
+    def _bucket_multi_power(self, values: List[int], exponents: List[int]) -> int:
         p = self.p
-        width = (max(exponent.bit_length() for _, exponent in reduced) + 7) // 8
-        values = [value for value, _ in reduced]
-        digits = b"".join([exponent.to_bytes(width, "little") for _, exponent in reduced])
+        width = (max(exponent.bit_length() for exponent in exponents) + 7) // 8
+        digits = b"".join([exponent.to_bytes(width, "little") for exponent in exponents])
         accumulator = 1
         for position in range(width - 1, -1, -1):
             for _ in range(8):
@@ -584,7 +625,7 @@ _SECP256K1_GX = 0x79BE667EF9DCBBAC55A06295CE870B07029BFCDB2DCE28D959F2815B16F817
 _SECP256K1_GY = 0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EcPoint(GroupElement):
     """Affine point on the curve; ``None`` coordinates encode infinity."""
 

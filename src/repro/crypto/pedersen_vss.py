@@ -38,7 +38,7 @@ from repro.crypto.shamir import lagrange_at_zero, polynomial_evaluations
 from repro.crypto.utils import RandomSource, default_random
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, weakref_slot=True)
 class PedersenShare:
     """One trustee's share: evaluation point, secret share and blinding share."""
 
@@ -52,7 +52,7 @@ class PedersenShare:
         return PedersenShare(self.index, self.value + other.value, self.blinding + other.blinding)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PedersenCommitments:
     """Public commitments to the sharing polynomials' coefficients."""
 

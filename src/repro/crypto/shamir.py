@@ -86,31 +86,35 @@ def pack_scalars(values: Iterable[int], width: int) -> bytes:
     return b"".join([int(value).to_bytes(width, "big") for value in values])
 
 
-def unpack_scalars(block: bytes, width: int) -> List[int]:
-    """The scalars of a block, in order."""
+def unpack_scalars(block: bytes, width: int, step: int = 1) -> List[int]:
+    """The scalars of a block, in order; every ``step``-th from the first."""
     from_bytes = int.from_bytes
-    return [from_bytes(block[at:at + width], "big") for at in range(0, len(block), width)]
+    return [
+        from_bytes(block[at:at + width], "big") for at in range(0, len(block), width * step)
+    ]
 
 
 def reconstruct_scalars(
-    points: Sequence[int], blocks: Sequence[bytes], width: int, prime: int
+    points: Sequence[int], blocks: Sequence[bytes], width: int, prime: int, step: int = 1
 ) -> List[int]:
     """The secrets of position-aligned blocks of evaluations.
 
     ``blocks[k]`` holds ``f_0(x_k), f_1(x_k), ...`` for the evaluation point
-    ``x_k = points[k]``; the result is ``f_0(0), f_1(0), ...``.  The points
-    are carried by no block: a holder's point is its position among the
-    holders.  Every point counts, so pass exactly the threshold's worth.
+    ``x_k = points[k]``; the result is ``f_0(0), f_1(0), ...``, or with
+    ``step`` only ``f_0(0), f_step(0), f_2step(0), ...``: the other
+    positions are not summed.  The points are carried by no block: a
+    holder's point is its position among the holders.  Every point counts,
+    so pass exactly the threshold's worth.
     """
     coefficients = lagrange_at_zero(tuple(points), prime)
-    columns = [unpack_scalars(block, width) for block in blocks]
+    columns = [unpack_scalars(block, width, step) for block in blocks]
     return [
         sum(map(mul, coefficients, evaluations)) % prime
         for evaluations in zip(*columns, strict=True)
     ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, weakref_slot=True)
 class Share:
     """A single Shamir share ``(x, f(x))`` of some secret."""
 

@@ -23,7 +23,7 @@ from repro.crypto.group import Group, GroupElement, default_group
 from repro.crypto.utils import RandomSource, default_random, int_to_bytes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SchnorrKeyPair:
     """A Schnorr signing key pair ``(x, X = g^x)``."""
 
@@ -31,7 +31,7 @@ class SchnorrKeyPair:
     public: GroupElement
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, weakref_slot=True)
 class SchnorrSignature:
     """A Schnorr signature ``(challenge, response)``.
 

@@ -34,7 +34,7 @@ SALT_BITS = 64
 MSK_BITS = 128
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SaltedHashCommitment:
     """A commitment ``H = SHA256(value, salt)`` with its salt."""
 
@@ -56,7 +56,7 @@ def commit_vote_code(
     return SaltedHashCommitment(sha256(vote_code, salt), salt)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KeyCommitment:
     """``(H_msk, salt_msk)`` handed to every BB node at setup."""
 
@@ -68,7 +68,7 @@ class KeyCommitment:
         return constant_time_equals(self.digest, sha256(key, self.salt))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EncryptedVoteCode:
     """An encrypted vote code ``[vote-code]_msk`` (IV plus ciphertext)."""
 

@@ -91,6 +91,10 @@ def sha256(*parts: bytes) -> bytes:
     return h.digest()
 
 
+#: the length prefix :func:`sha256` gives a 4-byte block counter
+_COUNTER_LENGTH = (4).to_bytes(8, "big")
+
+
 def hash_to_scalar(modulus: int, *parts: bytes) -> int:
     """Hash ``parts`` into a scalar in ``[0, modulus)``.
 
@@ -99,12 +103,14 @@ def hash_to_scalar(modulus: int, *parts: bytes) -> int:
     """
     if modulus <= 1:
         raise ValueError("modulus must exceed 1")
-    material = b""
-    counter = 0
-    target_len = (modulus.bit_length() + 7) // 8 + 16
-    while len(material) < target_len:
-        material += sha256(counter.to_bytes(4, "big"), *parts)
-        counter += 1
+    # Block ``i`` is ``sha256(i.to_bytes(4, "big"), *parts)``: the parts'
+    # length-prefixed encoding is joined once and hashed after each counter.
+    body = b"".join([len(part).to_bytes(8, "big") + part for part in parts])
+    blocks = -(-((modulus.bit_length() + 7) // 8 + 16) // 32)
+    material = b"".join([
+        hashlib.sha256(_COUNTER_LENGTH + counter.to_bytes(4, "big") + body).digest()
+        for counter in range(blocks)
+    ])
     return int.from_bytes(material, "big") % modulus
 
 

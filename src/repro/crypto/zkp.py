@@ -28,7 +28,7 @@ from repro.crypto.group import Group, GroupElement, default_group
 from repro.crypto.utils import RandomSource, default_random
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrProofAnnouncement:
     """First move of a single 0/1 Sigma-OR proof (four group elements)."""
 
@@ -46,7 +46,7 @@ class OrProofAnnouncement:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrProofResponse:
     """Final move of a single 0/1 Sigma-OR proof."""
 
@@ -56,7 +56,7 @@ class OrProofResponse:
     response1: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SumProofAnnouncement:
     """First move of the plain Chaum-Pedersen proof that the sum is 1."""
 
@@ -67,14 +67,14 @@ class SumProofAnnouncement:
         return self.a.serialize() + self.b.serialize()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SumProofResponse:
     """Final move of the sum-is-one proof."""
 
     response: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BallotProofAnnouncement:
     """All first moves for one committed option encoding."""
 
@@ -86,7 +86,7 @@ class BallotProofAnnouncement:
         return data + self.sum_announcement.serialize()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BallotProofResponse:
     """All final moves for one committed option encoding."""
 

@@ -98,10 +98,13 @@ from repro.core.messages import (
     VoteSetUpload,
     VscBatch,
 )
+from repro.crypto.commitments import CommitmentOpening, OptionCommitment
+from repro.crypto.elgamal import ElGamalCiphertext
 from repro.crypto.group import Group, GroupElement
 from repro.crypto.pedersen_vss import PedersenShare
 from repro.crypto.shamir import Share
 from repro.crypto.signatures import SchnorrSignature
+from repro.shard.records import GlobalCommitRecord, ShardCommitRecord, ShardSliceResult
 
 MAGIC = b"DW"
 VERSION = 1
@@ -616,14 +619,6 @@ def _group_for_serialized(data: bytes) -> Group:
 
 def _default_types() -> Tuple[Tuple[int, Type], ...]:
     """The ``(tag, class)`` pairs every codec registers, in this order."""
-    # Imported here, not at module load: repro.shard pulls this module in, so
-    # a top-level import would be circular.  Registration runs per codec
-    # instance, long after both modules are fully initialized.
-    from repro.crypto.commitments import CommitmentOpening, OptionCommitment
-    from repro.crypto.elgamal import ElGamalCiphertext
-    from repro.shard.records import GlobalCommitRecord, ShardCommitRecord
-    from repro.shard.shard_runner import ShardSliceResult
-
     return (
         # crypto building blocks (0x40..).  0x42 (SignedShare, a share with
         # the EA's signature) is retired: shares travel bare and are checked

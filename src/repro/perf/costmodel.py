@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConsensusCosts:
     """Analytic message- and frame-count model of Vote Set Consensus (Section III-E).
 
@@ -95,7 +95,7 @@ class ConsensusCosts:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BandwidthCosts:
     """Measured bytes-per-message bandwidth model of the wire format.
 
@@ -252,7 +252,7 @@ class BandwidthCosts:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuditCosts:
     """Analytic group-multiplication model of batched audit verification.
 
@@ -351,7 +351,7 @@ class AuditCosts:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AdmissionCosts:
     """Analytic multiplication model of batched endorsement verification.
 

@@ -54,7 +54,7 @@ def current_rss_bytes() -> int:
     return int(peak) * 1024
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MemorySample:
     """Peak memory observed over one tracked block."""
 

@@ -64,7 +64,7 @@ DEFAULT_SERIAL_THRESHOLD = 64
 DEFAULT_MAX_CHUNK = 256
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParallelConfig:
     """How to schedule one parallel job.
 

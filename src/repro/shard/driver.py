@@ -53,8 +53,8 @@ from repro.net.codec import MessageCodec, WireFormatError, default_codec
 from repro.perf.parallel import PoolTaskError, WarmProcessPool
 from repro.shard.merge import CrossShardCommit, ShardCommitReport, verify_shard_records
 from repro.shard.partition import ShardPlan
-from repro.shard.records import GlobalCommitRecord
-from repro.shard.shard_runner import ShardRunner, ShardSliceResult
+from repro.shard.records import GlobalCommitRecord, ShardSliceResult
+from repro.shard.shard_runner import ShardRunner
 
 
 class ShardExecutionError(RuntimeError):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ShardRange:
     """One contiguous half-open slice ``[lo, hi)`` of the serial space."""
 
@@ -39,7 +39,7 @@ class ShardRange:
         return self.hi - self.lo
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ShardPlan:
     """A validated, ordered, gap-free cover of the serial space by shards."""
 

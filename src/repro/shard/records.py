@@ -9,7 +9,9 @@ and carries the homomorphically combined global commitment.
 
 Both records are plain frozen dataclasses registered with the wire codec
 (``net.codec``), so their canonical byte encodings — and therefore the digests
-in the global record — are backend- and process-independent.
+in the global record — are backend- and process-independent.  So is
+``ShardSliceResult``, what a shard slice hands the merge: a pooled slice
+returns as one frame of it.
 """
 
 from __future__ import annotations
@@ -17,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from repro.crypto.commitments import OptionCommitment
+from repro.crypto.commitments import CommitmentOpening, OptionCommitment
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, weakref_slot=True)
 class ShardCommitRecord:
     """PREPARE: one shard's final, verifiable contribution to the tally."""
 
@@ -46,7 +48,7 @@ class ShardCommitRecord:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, weakref_slot=True)
 class GlobalCommitRecord:
     """COMMIT: binds all shard records and the combined global commitment."""
 
@@ -66,3 +68,25 @@ class GlobalCommitRecord:
             )
         if self.total_cast < 0:
             raise ValueError("total_cast must be non-negative")
+
+
+@dataclass(frozen=True, slots=True, weakref_slot=True)
+class ShardSliceResult:
+    """Everything a shard hands to the merge layer, plus its statistics: a
+    registered wire payload (tag 0x62), so a pooled slice returns as one frame."""
+
+    record: ShardCommitRecord
+    opening: CommitmentOpening
+    counts: Tuple[int, ...]
+    messages_sent: int
+    superblocks_fast: int
+    superblocks_fallback: int
+    duration_ns: int
+
+    @property
+    def shard_id(self) -> int:
+        return self.record.shard_id
+
+    @property
+    def ballots_cast(self) -> int:
+        return self.record.ballots_cast

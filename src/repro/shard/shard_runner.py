@@ -50,10 +50,10 @@ from dataclasses import dataclass
 from typing import Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.consensus.cluster import ConsensusCluster
-from repro.crypto.commitments import CommitmentOpening, OptionEncodingScheme
+from repro.crypto.commitments import OptionEncodingScheme
 from repro.crypto.utils import int_to_bytes, sha256
 from repro.shard.partition import ShardRange
-from repro.shard.records import ShardCommitRecord
+from repro.shard.records import ShardCommitRecord, ShardSliceResult
 from repro.shard.streaming import StreamingTally
 
 
@@ -118,28 +118,6 @@ class _CastBallots:
     framed: List[bytes]
     choices: List[int]
     codes: List[bytes]
-
-
-@dataclass(frozen=True)
-class ShardSliceResult:
-    """Everything a shard hands to the merge layer, plus its statistics: a
-    registered wire payload (tag 0x62), so a pooled slice returns as one frame."""
-
-    record: ShardCommitRecord
-    opening: CommitmentOpening
-    counts: Tuple[int, ...]
-    messages_sent: int
-    superblocks_fast: int
-    superblocks_fallback: int
-    duration_ns: int
-
-    @property
-    def shard_id(self) -> int:
-        return self.record.shard_id
-
-    @property
-    def ballots_cast(self) -> int:
-        return self.record.ballots_cast
 
 
 #: Vote collectors and Vote Set Consensus superblock size of every shard

@@ -16,7 +16,10 @@ re-exports its submodules (``repro.api`` resolves its names lazily), and
 ``repro.api.spec`` imports no node, transport or model code, so the sharded
 pipeline never loads the protocol nodes, the simulator or the model module
 (39 ``repro`` modules where it loaded 62), and an honest engine run
-never loads the model layer, the service or the shard driver.  Nothing is
+never loads the model layer, the service, the shard driver or the code of a
+shard slice (red at af6da53, whose codec imported the slice result's
+module, ``shard_runner``, and with it the cluster, streaming tally and
+partition).  Nothing is
 imported after set-up either: the deferred imports are of code the run does
 not execute, so import time cannot move into the timed phases.  The first
 two of those gates are red at 9d5dacb, where every package ``__init__``
@@ -33,6 +36,14 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 HEAVY = ("asyncio", "concurrent.futures.process", "multiprocessing")
 #: the count models: only their tests and the benchmarks use them
 MODEL = {"repro.perf.costmodel"}
+#: the sharded pipeline's slice code, which an engine run never runs: the
+#: codec registers the slice result from ``repro.shard.records``
+SLICE = {
+    "repro.shard.shard_runner",
+    "repro.shard.streaming",
+    "repro.shard.partition",
+    "repro.consensus.cluster",
+}
 #: the full-protocol pipeline, which the sharded pipeline never runs
 PROTOCOL = {
     "repro.api.engine",
@@ -133,7 +144,7 @@ def test_the_sharded_pipeline_loads_no_protocol_node_simulator_or_model():
 
 def test_an_honest_engine_run_loads_no_model_service_or_shard_driver():
     _, result = repro_modules_of_run(ENGINE_RUN)
-    assert (MODEL | {"repro.api.service", "repro.shard.driver"}) & result == set()
+    assert (MODEL | SLICE | {"repro.api.service", "repro.shard.driver"}) & result == set()
 
 
 def test_neither_pipeline_imports_a_module_after_set_up():

@@ -144,6 +144,18 @@ class TestRouting:
         assert late.per_ballot_instances == 3
         assert sorted(net.decided[0]) == sorted(net.opinions[0].items())
 
+    def test_every_instance_shares_one_decide_callback(self):
+        """Instances are many (one per ballot on every collector); the engine
+        binds their decide callback once, and it reports the serial."""
+        net = Loopback(unanimous(3), batch_size=1)
+        engine = net.engines[0]
+        for serial in (100, 101, 102):
+            engine.handle("N1", BVal(str(serial), 1, 1))
+        callbacks = {id(instance.on_decide) for instance in engine.instances.values()}
+        assert len(engine.instances) == 3 and len(callbacks) == 1
+        engine.instances[101].on_decide("101", 1)
+        assert net.decided[0] == [(101, 1)]
+
 
 class TestReadiness:
     def test_a_block_starts_with_its_last_member_and_reads_opinions_then(self):

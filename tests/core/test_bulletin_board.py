@@ -4,13 +4,15 @@ from dataclasses import replace
 
 import pytest
 
+from repro.api.engine import ElectionEngine
+from repro.core import bulletin_board
 from repro.core.ballot import PART_A
 from repro.core.bulletin_board import BulletinBoardNode, MajorityReader
 from repro.core.byzantine import WithholdingBulletinBoard
 from repro.core.ea import ElectionAuthority
 from repro.core.election import ElectionParameters
 from repro.crypto.registry import get_group
-from repro.crypto.shamir import Share
+from repro.crypto.shamir import Share, reconstruct_scalars
 from repro.crypto.utils import RandomSource
 
 
@@ -123,6 +125,29 @@ class TestPublishedResult:
         bb = small_outcome.bb_nodes[0]
         assert bb.result.tally is not None
         assert bb.msk is not None
+
+    def test_only_published_scalars_are_reconstructed(self, small_spec, monkeypatch):
+        """An opening row holds ``4m`` scalars, Pedersen pairs ``f, r``; the
+        result publishes the ``2m`` values ``f(0)``.  Every Lagrange sum a BB
+        node computes (one per scalar ``reconstruct_scalars`` returns) is one
+        the result publishes: the ``r(0)`` halves are never summed."""
+        summed = []
+
+        def counted(*args, **kwargs):
+            scalars = reconstruct_scalars(*args, **kwargs)
+            summed.append(len(scalars))
+            return scalars
+
+        monkeypatch.setattr(bulletin_board, "reconstruct_scalars", counted)
+        outcome = ElectionEngine(small_spec).run(["option-1", "option-2", "option-1", "option-1"])
+        assert outcome.audit_report.passed
+        published = 0
+        for result in (bb.result for bb in outcome.bb_nodes):
+            for openings in [*result.openings.values(), (result.tally_opening,)]:
+                published += sum(len(o.values) + len(o.randomness) for o in openings)
+            for responses in result.proof_responses.values():
+                published += sum(4 * len(r.or_responses) + 1 for r in responses)
+        assert published and sum(summed) == published
 
 
 class TestMajorityReader:

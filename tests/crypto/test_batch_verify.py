@@ -333,9 +333,9 @@ class TestBatchesAboveTheBucketCrossover:
         for method in ("_scan_multi_power", "_bucket_multi_power"):
             original = getattr(type(group), method)
 
-            def spy(self, reduced, _original=original, _method=method):
+            def spy(self, bases, exponents, _original=original, _method=method):
                 ran.append(_method)
-                return _original(self, reduced)
+                return _original(self, bases, exponents)
 
             monkeypatch.setattr(type(group), method, spy)
         return ran

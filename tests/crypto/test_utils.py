@@ -1,8 +1,10 @@
 """Tests for the shared crypto helpers."""
 
+import hashlib
+
 import pytest
 
-from repro.crypto.group import default_group
+from repro.crypto.group import RFC3526_MODP_2048, default_group
 from repro.crypto.shamir import DEFAULT_PRIME
 from repro.crypto.utils import (
     RandomSource,
@@ -118,6 +120,32 @@ class TestHashing:
     def test_hash_to_scalar_rejects_tiny_modulus(self):
         with pytest.raises(ValueError):
             hash_to_scalar(1, b"data")
+
+    @pytest.mark.parametrize("parts,scalar_255,digest_2048", [
+        (
+            (),
+            0x3A2C94DE2AA51CD1C6740974619AEC77194F7C774D37DF5FBB7087F0766BB7B9,
+            "9c05a7aa0b41547b486a4bceeac5db3dacf4d863022a5880eabf42508d0f98f1",
+        ),
+        (
+            (b"",),
+            0x73FD296E43325E3A04ECB9EEB1ABAD6C1705DD4710586AD7110A1BA06FB335A,
+            "1a8ecee2d5c0b991f01020bb442c51d762c2b12b86c40272d55337aeeff4cbad",
+        ),
+        (
+            (b"d-demos", b"\x00" * 33, bytes(range(256))),
+            0x3AF37FA7CB35ABFBCB59815AB6DE6EF74F9FD572E3968F2062DFC7610E305FE8,
+            "16cb7cee03fc97ded7b7a5e1204f8ca14af04a691efda9b1696bd15728e58981",
+        ),
+    ])
+    def test_hash_to_scalar_is_pinned(self, parts, scalar_255, digest_2048):
+        """Block ``i`` is ``sha256(i, *parts)``, so two and nine blocks: the
+        values below were produced by the block-at-a-time loop this function
+        had before it joined the parts once (``digest_2048`` is the SHA-256
+        of the 256-byte big-endian scalar)."""
+        assert hash_to_scalar(default_group().order, *parts) == scalar_255
+        scalar = hash_to_scalar(RFC3526_MODP_2048, *parts)
+        assert hashlib.sha256(scalar.to_bytes(256, "big")).hexdigest() == digest_2048
 
 
 class TestEncodings:

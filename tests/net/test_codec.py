@@ -50,8 +50,7 @@ from repro.crypto.elgamal import ElGamalCiphertext, ElGamalKeyPair
 from repro.crypto.group import EcGroup, GroupElement, SchnorrGroup
 from repro.crypto.registry import available_backends, get_group
 from repro.crypto.pedersen_vss import PedersenShare
-from repro.shard.records import GlobalCommitRecord, ShardCommitRecord
-from repro.shard.shard_runner import ShardSliceResult
+from repro.shard.records import GlobalCommitRecord, ShardCommitRecord, ShardSliceResult
 from repro.crypto.shamir import Share
 from repro.crypto.signatures import SchnorrSignature, SignatureScheme
 from repro.crypto.utils import RandomSource

@@ -15,6 +15,11 @@ on the wire transport, their decoded payloads) are garbage once handled.
 Vote Set Consensus state is transient -- a halted instance shrinks to its
 round and decision -- but while the phase runs it is the largest per-ballot
 cost, so its peak is gated too (``test_consensus_peak_per_ballot``).
+
+The whole run's peak is reached in the audit, on top of every ballot the
+board holds; ``test_run_peak_per_ballot`` gates what one more ballot adds to
+it.  Most of what a ballot holds is small frozen values, slotted, and the
+audit's batch equations keep their terms as two lists, not one tuple each.
 """
 
 import gc
@@ -38,6 +43,13 @@ GATE_PER_BALLOT = 110 * 1024
 #: state held its participants as sets of names, 23.2 KiB with member bitmasks.
 CONSENSUS_PEAK_GATE = 32 * 1024
 
+#: bytes of traced peak one more ballot may add to a whole ``paper_baseline``
+#: run (set-up to audit), after a warm-up run.  Measured 24 -> 48 voters with
+#: CPython 3.11.7 on x86-64: 111.7-113.0 KiB while the value types had an instance
+#: ``__dict__`` and the audit built a ``(base, exponent)`` tuple per term,
+#: 93.3 KiB with slots and split term lists.
+RUN_PEAK_GATE = 102 * 1024
+
 
 def retained_after_setup(num_voters: int) -> int:
     """Traced bytes alive after the ``setup`` phase of a ``paper_baseline`` election."""
@@ -53,6 +65,19 @@ def retained_after_setup(num_voters: int) -> int:
     finally:
         tracemalloc.stop()
         engine.close()
+
+
+def run_peak(num_voters: int) -> int:
+    """Traced peak of a whole ``paper_baseline`` election."""
+    spec = ScenarioSpec.preset("paper_baseline", num_voters=num_voters)
+    engine = ElectionEngine(spec)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert engine.run(default_choices(spec)).audit_report.passed
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def consensus_peak_above_voting(num_voters: int) -> int:
@@ -106,6 +131,15 @@ def test_consensus_peak_per_ballot():
     per_ballot = (large - small) / 24
     assert per_ballot <= CONSENSUS_PEAK_GATE, f"{per_ballot / 1024:.1f} KiB per ballot"
     assert per_ballot >= 8 * 1024  # the probe measures something: 7 instances per ballot
+
+
+@pytest.mark.skipif(tracemalloc.is_tracing(), reason="needs tracemalloc to itself")
+def test_run_peak_per_ballot():
+    run_peak(2)  # paid once, as above
+    small, large = run_peak(24), run_peak(48)
+    per_ballot = (large - small) / 24
+    assert per_ballot <= RUN_PEAK_GATE, f"{per_ballot / 1024:.1f} KiB per ballot"
+    assert per_ballot >= 32 * 1024  # the probe measures something: a ballot's rows and proofs
 
 
 def test_no_boxed_share_in_trustee_data(small_outcome):

@@ -140,9 +140,9 @@ class TestWhichEvaluationRuns:
         for method in ("_scan_multi_power", "_bucket_multi_power"):
             original = getattr(cls, method)
 
-            def spy(self, reduced, _original=original, _method=method):
+            def spy(self, bases, exponents, _original=original, _method=method):
                 ran.append(_method)
-                return _original(self, reduced)
+                return _original(self, bases, exponents)
 
             monkeypatch.setattr(cls, method, spy)
         live = (POOLS[name][3], 5)
@@ -167,10 +167,12 @@ class TestWhichEvaluationRuns:
         must not be wrong there: nothing about the method needs many terms."""
         group = BACKENDS[name]
         for count in (1, 2, 7):
-            reduced = [
-                (POOLS[name][1 + i], (group.order - 1 - i) if i % 2 else 2**64 - 1 - i)
-                for i in range(count)
-            ]
+            bases = POOLS[name][1:1 + count]
             if isinstance(group, SchnorrGroup):
-                reduced = [(base.value, exponent) for base, exponent in reduced]
-            assert group._bucket_multi_power(reduced) == group._scan_multi_power(reduced)
+                bases = [base.value for base in bases]
+            exponents = [
+                (group.order - 1 - i) if i % 2 else 2**64 - 1 - i for i in range(count)
+            ]
+            assert group._bucket_multi_power(bases, exponents) == (
+                group._scan_multi_power(bases, exponents)
+            )

@@ -30,7 +30,8 @@ from repro.shard.driver import (
     worker_initargs,
 )
 from repro.shard.partition import ShardRange
-from repro.shard.shard_runner import ShardRunner, ShardSliceResult, VoteCodeRejected
+from repro.shard.records import ShardSliceResult
+from repro.shard.shard_runner import ShardRunner, VoteCodeRejected
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 NUM_BALLOTS = 240
