@@ -21,11 +21,12 @@ the one the proof's recurrence yields, ``4 Delta + 2 delta``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List
 
+from repro.values import frozen_value
 
-@dataclass(frozen=True, slots=True)
+
+@frozen_value
 class TimeBound:
     """An upper bound of the form ``T + a*Tcomp + b*Delta + c*delta``.
 
@@ -66,7 +67,7 @@ class TimeBound:
         return f"T + {tcomp} + {self.drift}D + {self.delay}d"
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class LivenessBound:
     """One row of Table I: the four clock bounds at one protocol step."""
 

@@ -166,6 +166,13 @@ class VotingDriver(PhaseDriver):
         )
         ctx.bus.set_clock(lambda: ctx.network.now)
 
+        # While voting is open every collector verifies one signature per
+        # ballot under each collector key (Algorithm 1), so their tables
+        # always amortize and the hot path never pays the lazy-promotion
+        # probes.  No later phase verifies a collector signature: run()
+        # releases the tables at close.
+        for public in setup.bb_init.vc_public_keys.values():
+            ctx.group.fixed_base(public)
         vc_classes = spec.adversary.vc_classes()
         bb_classes = spec.adversary.bb_classes()
         trustee_classes = spec.adversary.trustee_classes()
@@ -221,7 +228,13 @@ class VotingDriver(PhaseDriver):
             )
         if ctx.chaos is not None:
             ctx.chaos.install()
-        ctx.network.run(until=ctx.params.election_end)
+        try:
+            ctx.network.run(until=ctx.params.election_end)
+        finally:
+            # Tables are accelerators only: a collector that verifies after
+            # close (a RECOVER exchange, a late recovery) pays plain powers
+            # until its keys earn tables again.
+            ctx.group.release_fixed_bases(ctx.setup.bb_init.vc_public_keys.values())
         if ctx.heap_frozen:
             # The voting state (ballot records, certificates, receipts) lives
             # to the end of the run too: freeze it as set-up's heap is, so the

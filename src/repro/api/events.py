@@ -12,11 +12,13 @@ Benchmarks and future async/real-network drivers subscribe through
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Callable, List, Mapping
 
+from repro.values import frozen_value
 
-@dataclass(frozen=True, slots=True, kw_only=True)
+
+@frozen_value(kw_only=True)
 class ElectionEvent:
     """Base class of every engine event.
 
@@ -30,14 +32,14 @@ class ElectionEvent:
     sim_time: float = 0.0
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class PhaseStarted(ElectionEvent):
     """A phase driver is about to run."""
 
     phase: str
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class PhaseCompleted(ElectionEvent):
     """A phase driver finished; ``sim_duration`` is simulated seconds spent."""
 
@@ -45,7 +47,7 @@ class PhaseCompleted(ElectionEvent):
     sim_duration: float
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class BallotAccepted(ElectionEvent):
     """A voter obtained a receipt during the voting phase."""
 
@@ -55,7 +57,7 @@ class BallotAccepted(ElectionEvent):
     receipt_valid: bool
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class ConsensusDecided(ElectionEvent):
     """Vote Set Consensus converged on the final vote set."""
 
@@ -63,14 +65,14 @@ class ConsensusDecided(ElectionEvent):
     stats: Mapping[str, int]
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class TallyComputed(ElectionEvent):
     """The trustees opened the homomorphic tally and the BB published it."""
 
     tally: Mapping[str, int]
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class AuditCompleted(ElectionEvent):
     """The end-to-end audit finished."""
 
@@ -78,7 +80,7 @@ class AuditCompleted(ElectionEvent):
     checks: int
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class ElectionCompleted(ElectionEvent):
     """The engine finished every phase of the run."""
 

@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Tuple, Union
 
 from repro.core.election import (
@@ -71,6 +71,7 @@ from repro.core.election import (
     voter_id,
 )
 from repro.crypto.registry import get_group, resolve_backend_name
+from repro.values import frozen_value
 
 if TYPE_CHECKING:
     from repro.crypto.group import Group
@@ -94,7 +95,7 @@ def _behavior_classes(kind: str, behaviors: Mapping[str, str]) -> Dict[str, type
     return {node: registry[behavior] for node, behavior in behaviors.items()}
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class NetworkProfile(DictCodec):
     """Network behaviour of a scenario.
 
@@ -144,7 +145,7 @@ class NetworkProfile(DictCodec):
         )
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class AdversaryProfile(DictCodec):
     """Which nodes misbehave, by node id and registered behaviour name.
 
@@ -187,7 +188,7 @@ class AdversaryProfile(DictCodec):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class CrashNode(DictCodec):
     """Crash a vote-collector process at simulated time ``t``.
 
@@ -206,7 +207,7 @@ class CrashNode(DictCodec):
             raise ValueError("crash time must be a finite non-negative number")
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class RecoverNode(DictCodec):
     """Restart a previously crashed node at ``t`` from its crash snapshot.
 
@@ -225,7 +226,7 @@ class RecoverNode(DictCodec):
             raise ValueError("recovery time must be a finite non-negative number")
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class Partition(DictCodec):
     """Split the named nodes into disconnected groups for a time window.
 
@@ -265,7 +266,7 @@ class Partition(DictCodec):
         return frozenset(node for group in self.groups for node in group)
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class LossBurst(DictCodec):
     """Raise the network drop rate to ``rate`` for a time window.
 
@@ -289,7 +290,7 @@ class LossBurst(DictCodec):
             raise ValueError("loss burst rate must be in (0, 1)")
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class ClockSkew(DictCodec):
     """Set a node's internal clock drift to ``drift`` at time ``t``.
 
@@ -313,7 +314,7 @@ class ClockSkew(DictCodec):
 
 FaultEvent = Union[CrashNode, RecoverNode, Partition, LossBurst, ClockSkew]
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class FaultPlan(DictCodec):
     """A validated schedule of timed fault events for one election run.
 
@@ -397,7 +398,7 @@ class FaultPlan(DictCodec):
         return frozenset(e.node for e in self.events if isinstance(e, CrashNode))
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class TransportProfile(DictCodec):
     """How protocol messages travel between simulated nodes.
 
@@ -436,7 +437,7 @@ class TransportProfile(DictCodec):
         return InProcessTransport()
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class CryptoProfile(DictCodec):
     """Cryptographic backend selection.
 
@@ -460,7 +461,7 @@ class CryptoProfile(DictCodec):
         return get_group(self.backend)
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class ShardingProfile(DictCodec):
     """Ballot-range sharding of the scale pipeline.
 
@@ -498,7 +499,7 @@ class ShardingProfile(DictCodec):
             raise ValueError("max_inflight_shards must be at least 1 (or None)")
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class ScenarioSpec(DictCodec):
     """One complete, validated election scenario."""
 

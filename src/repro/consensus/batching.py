@@ -66,6 +66,7 @@ from typing import (
 
 from repro.consensus.bracha import BinaryConsensusInstance
 from repro.consensus.interfaces import ConsensusMessage
+from repro.values import frozen_value
 
 if TYPE_CHECKING:  # repro.core.messages imports this module
     from repro.core.messages import Announce
@@ -98,7 +99,7 @@ def partition_serials(serials: Sequence[int], batch_size: int) -> List[Tuple[int
     ]
 
 
-@dataclass(frozen=True, slots=True, weakref_slot=True)
+@frozen_value(weakref_slot=True)
 class BatchEnvelope:
     """A bundle of consensus-phase messages travelling as one network message."""
 
@@ -156,7 +157,7 @@ class ConsensusBatcher:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True, weakref_slot=True)
+@frozen_value(weakref_slot=True)
 class SuperblockSend(ConsensusMessage):
     """First step of reliably broadcasting ``origin``'s opinion vector.
 
@@ -169,7 +170,7 @@ class SuperblockSend(ConsensusMessage):
     bits: OpinionBits = b""
 
 
-@dataclass(frozen=True, slots=True, weakref_slot=True)
+@frozen_value(weakref_slot=True)
 class SuperblockEcho(ConsensusMessage):
     """Echo of an origin's vector (Bracha reliable-broadcast step 2)."""
 
@@ -177,7 +178,7 @@ class SuperblockEcho(ConsensusMessage):
     bits: OpinionBits = b""
 
 
-@dataclass(frozen=True, slots=True, weakref_slot=True)
+@frozen_value(weakref_slot=True)
 class SuperblockReady(ConsensusMessage):
     """Ready for an origin's vector (Bracha reliable-broadcast step 3)."""
 

@@ -12,8 +12,9 @@ sends is counted.  This module is the only one that assigns the bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable
+
+from repro.values import frozen_value
 
 
 def member_bits(members: Iterable[str]) -> Dict[str, int]:
@@ -26,7 +27,7 @@ def member_bits(members: Iterable[str]) -> Dict[str, int]:
     return {member: 1 << index for index, member in enumerate(members)}
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class ConsensusMessage:
     """Base class for all binary-consensus messages.
 
@@ -38,7 +39,7 @@ class ConsensusMessage:
     instance: str
 
 
-@dataclass(frozen=True, slots=True, weakref_slot=True)
+@frozen_value(weakref_slot=True)
 class BVal(ConsensusMessage):
     """Binary-value broadcast message (first exchange of a round)."""
 
@@ -46,7 +47,7 @@ class BVal(ConsensusMessage):
     value: int = 0
 
 
-@dataclass(frozen=True, slots=True, weakref_slot=True)
+@frozen_value(weakref_slot=True)
 class Aux(ConsensusMessage):
     """Auxiliary message carrying a value taken from ``bin_values``."""
 
@@ -54,7 +55,7 @@ class Aux(ConsensusMessage):
     value: int = 0
 
 
-@dataclass(frozen=True, slots=True, weakref_slot=True)
+@frozen_value(weakref_slot=True)
 class Finish(ConsensusMessage):
     """Decision announcement; lets lagging nodes terminate."""
 

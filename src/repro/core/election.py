@@ -35,6 +35,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Any, Dict, Mapping, Optional, Sequence, Union
 
+from repro.values import frozen_value
+
 _hints = lru_cache(maxsize=None)(typing.get_type_hints)
 
 
@@ -127,7 +129,7 @@ class DictCodec:
         return cls(**values)
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class ConsensusConfig(DictCodec):
     """Vote Set Consensus configuration.
 
@@ -143,7 +145,7 @@ class ConsensusConfig(DictCodec):
             raise ValueError("consensus batch size must be at least 1")
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class AuditConfig(DictCodec):
     """End-of-election audit configuration.
 
@@ -169,7 +171,7 @@ class AuditConfig(DictCodec):
             raise ValueError("batch security parameter must be between 8 and 128 bits")
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class AdmissionProfile(DictCodec):
     """Voting-phase admission pipeline configuration (see :mod:`repro.core.admission`).
 
@@ -222,7 +224,7 @@ def voter_id(index: int) -> str:
     return f"voter-{index}"
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class FaultThresholds:
     """Sizes and fault tolerances of the three replicated subsystems."""
 
@@ -266,7 +268,7 @@ class FaultThresholds:
             raise ValueError("trustee threshold must be between 1 and Nt")
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class ElectionParameters:
     """Everything that defines one election."""
 

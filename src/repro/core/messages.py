@@ -15,12 +15,12 @@ another by writing its name into a payload.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.consensus.batching import BatchEnvelope
 from repro.crypto.shamir import Share
 from repro.crypto.signatures import SchnorrSignature
+from repro.values import frozen_value
 
 
 # ---------------------------------------------------------------------------
@@ -28,7 +28,7 @@ from repro.crypto.signatures import SchnorrSignature
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True, weakref_slot=True)
+@frozen_value(weakref_slot=True)
 class VoteRequest:
     """VOTE<serial-no, vote-code> submitted by a voter to one VC node."""
 
@@ -37,7 +37,7 @@ class VoteRequest:
     voter_id: str
 
 
-@dataclass(frozen=True, slots=True, weakref_slot=True)
+@frozen_value(weakref_slot=True)
 class VoteReceipt:
     """The receipt returned to the voter once her vote is recorded."""
 
@@ -46,7 +46,7 @@ class VoteReceipt:
     receipt: bytes
 
 
-@dataclass(frozen=True, slots=True, weakref_slot=True)
+@frozen_value(weakref_slot=True)
 class VoteRejected:
     """Negative acknowledgement (outside voting hours, unknown code, ...)."""
 
@@ -60,7 +60,7 @@ class VoteRejected:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True, weakref_slot=True)
+@frozen_value(weakref_slot=True)
 class Endorse:
     """ENDORSE<serial-no, vote-code>: the responder asks for endorsements."""
 
@@ -68,7 +68,7 @@ class Endorse:
     vote_code: bytes
 
 
-@dataclass(frozen=True, slots=True, weakref_slot=True)
+@frozen_value(weakref_slot=True)
 class Endorsement:
     """ENDORSEMENT<serial-no, vote-code, sig>: one VC node's signature."""
 
@@ -78,7 +78,7 @@ class Endorsement:
     signature: SchnorrSignature
 
 
-@dataclass(frozen=True, slots=True, weakref_slot=True)
+@frozen_value(weakref_slot=True)
 class UniquenessCertificate:
     """UCERT: ``Nv - fv`` endorsements proving a vote code is unique for a ballot."""
 
@@ -87,7 +87,7 @@ class UniquenessCertificate:
     endorsements: Tuple[Endorsement, ...]
 
 
-@dataclass(frozen=True, slots=True, weakref_slot=True)
+@frozen_value(weakref_slot=True)
 class VotePending:
     """VOTE_P<serial-no, vote-code, receipt-share, UCERT>."""
 
@@ -103,7 +103,7 @@ class VotePending:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True, weakref_slot=True)
+@frozen_value(weakref_slot=True)
 class Announce:
     """ANNOUNCE<serial-no, vote-code, UCERT>; vote_code is None if unknown.
     Travels as an element of a :class:`VscBatch`, never as a frame of its own."""
@@ -114,7 +114,7 @@ class Announce:
     sender: str
 
 
-@dataclass(frozen=True, slots=True, weakref_slot=True)
+@frozen_value(weakref_slot=True)
 class RecoverRequest:
     """RECOVER-REQUEST<serial-no>: ask peers for the winning vote code."""
 
@@ -122,7 +122,7 @@ class RecoverRequest:
     sender: str
 
 
-@dataclass(frozen=True, slots=True, weakref_slot=True)
+@frozen_value(weakref_slot=True)
 class RecoverResponse:
     """RECOVER-RESPONSE<serial-no, vote-code, UCERT>."""
 
@@ -132,7 +132,7 @@ class RecoverResponse:
     sender: str
 
 
-@dataclass(frozen=True, slots=True, weakref_slot=True)
+@frozen_value(weakref_slot=True)
 class VscBatch:
     """Everything one handler step of Vote Set Consensus sends to the VC nodes:
     per-ballot :class:`Announce` elements and binary-consensus messages."""
@@ -146,7 +146,7 @@ class VscBatch:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True, weakref_slot=True)
+@frozen_value(weakref_slot=True)
 class VoteSetUpload:
     """The agreed set of voted <serial, vote-code> tuples, sent to every BB node."""
 
@@ -154,7 +154,7 @@ class VoteSetUpload:
     sender: str
 
 
-@dataclass(frozen=True, slots=True, weakref_slot=True)
+@frozen_value(weakref_slot=True)
 class MskShareUpload:
     """A VC node's share of the master key protecting the BB's vote codes."""
 
@@ -167,7 +167,7 @@ class MskShareUpload:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True, weakref_slot=True)
+@frozen_value(weakref_slot=True)
 class BallotStateEntry:
     """Durable per-ballot state of one VC node, as persisted at crash time.
 
@@ -186,7 +186,7 @@ class BallotStateEntry:
     receipt_shares: Tuple[Tuple[str, Share], ...]
 
 
-@dataclass(frozen=True, slots=True, weakref_slot=True)
+@frozen_value(weakref_slot=True)
 class VcStateSnapshot:
     """A VC node's minimal durable state, wire-encodable via the codec.
 

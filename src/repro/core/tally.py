@@ -18,16 +18,16 @@ bounds the soundness error (Theorem 3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Mapping, Sequence, Tuple
 
 from repro.core.ballot import PART_A, PART_B
 from repro.crypto.commitments import CommitmentOpening, OptionCommitment, OptionEncodingScheme
 from repro.crypto.group import Group
 from repro.crypto.zkp import challenge_from_voter_coins
+from repro.values import frozen_value
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class TallyResult:
     """The published election result."""
 

@@ -51,6 +51,7 @@ from repro.crypto.group import Group
 from repro.crypto.shamir import pack_scalars, scalar_width, unpack_scalars
 from repro.crypto.signatures import SignatureScheme
 from repro.crypto.utils import sha256
+from repro.values import frozen_value
 
 #: ``(serial, part name)``: the key of a block
 PartKey = Tuple[int, str]
@@ -128,7 +129,7 @@ class TrusteeSubmission:
         return sha256(signing_bytes(b"trustee-submission", *parts))
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class BbElectionView:
     """The subset of BB state a trustee needs (obtained via a majority read)."""
 

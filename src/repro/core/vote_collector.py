@@ -186,11 +186,6 @@ class VoteCollectorNode(SimNode):
         batch_size = params.consensus.batch_size
         if batch_size > 1:
             self._vsc_blocks = partition_serials(init.ballots, batch_size)
-        # The per-signer verification tables are built once here: every peer
-        # key verifies one signature per ballot, so the tables always amortize
-        # and the hot path never pays the lazy-promotion probes.
-        for public in self.init.vc_public_keys.values():
-            public.group.fixed_base(public)
         self._boot(voting_closed=False)
 
         # Crash/recovery bookkeeping (driven by the chaos harness).

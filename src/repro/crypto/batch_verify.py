@@ -41,7 +41,6 @@ out across a process pool with per-chunk deterministic randomness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.crypto.commitments import CommitmentOpening, OptionCommitment, OptionEncodingScheme
@@ -49,6 +48,7 @@ from repro.crypto.group import Group, GroupElement, Terms, default_group
 from repro.crypto.signatures import SchnorrSignature, SignatureScheme
 from repro.crypto.utils import RandomSource, default_random
 from repro.crypto.zkp import BallotCorrectnessVerifier, BallotProofAnnouncement, BallotProofResponse
+from repro.values import frozen_value
 
 #: Default width of the random batching exponents; soundness error 2^-64 per
 #: aggregated equation.
@@ -60,7 +60,7 @@ DEFAULT_SECURITY_BITS = 64
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class SignatureItem:
     """One Schnorr signature check: ``signature`` on ``message`` under ``public``."""
 
@@ -69,7 +69,7 @@ class SignatureItem:
     signature: SchnorrSignature
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class ProofItem:
     """One ballot-correctness proof check (the unit verified by
     :meth:`repro.crypto.zkp.BallotCorrectnessVerifier.verify`)."""
@@ -80,7 +80,7 @@ class ProofItem:
     response: BallotProofResponse
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class OpeningItem:
     """One commitment-opening check: does ``opening`` open ``commitment``?"""
 
@@ -88,7 +88,7 @@ class OpeningItem:
     opening: CommitmentOpening
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class BatchOutcome:
     """Verdict of one batched verification.
 
@@ -448,7 +448,7 @@ class _SingleOpening:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class SignatureBatchTask:
     """``chunk_fn`` batching Schnorr signature chunks (parallel_chunk_map)."""
 
@@ -460,7 +460,7 @@ class SignatureBatchTask:
         return verifier.verify_signatures(chunk)
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class ProofBatchTask:
     """``chunk_fn`` batching ballot-proof chunks (parallel_chunk_map)."""
 
@@ -473,7 +473,7 @@ class ProofBatchTask:
         return verifier.verify_proofs(self.public_key, chunk)
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class OpeningBatchTask:
     """``chunk_fn`` batching commitment-opening chunks (parallel_chunk_map)."""
 

@@ -13,15 +13,15 @@ shares of openings and combine them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.crypto.elgamal import ElGamalCiphertext, ElGamalKeyPair, LiftedElGamal
 from repro.crypto.group import Group, GroupElement, default_group
 from repro.crypto.utils import RandomSource, default_random
+from repro.values import frozen_value
 
 
-@dataclass(frozen=True, slots=True, weakref_slot=True)
+@frozen_value(weakref_slot=True)
 class CommitmentOpening:
     """Plaintext vector and per-coordinate randomness of a commitment."""
 
@@ -36,7 +36,7 @@ class CommitmentOpening:
         return CommitmentOpening(values, randomness)
 
 
-@dataclass(frozen=True, slots=True, weakref_slot=True)
+@frozen_value(weakref_slot=True)
 class OptionCommitment:
     """A committed option encoding: one ciphertext per option coordinate."""
 

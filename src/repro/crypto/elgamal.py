@@ -15,14 +15,14 @@ logarithm, which is fine because tallies are bounded by the number of voters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.crypto.group import Group, GroupElement, default_group
 from repro.crypto.utils import RandomSource, default_random
+from repro.values import frozen_value
 
 
-@dataclass(frozen=True, slots=True, weakref_slot=True)
+@frozen_value(weakref_slot=True)
 class ElGamalCiphertext:
     """A lifted ElGamal ciphertext ``(a, b) = (g^r, g^m y^r)``."""
 
@@ -37,7 +37,7 @@ class ElGamalCiphertext:
         return self.a.serialize() + self.b.serialize()
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class ElGamalKeyPair:
     """An ElGamal key pair ``(x, y = g^x)``."""
 

@@ -31,10 +31,10 @@ any registered backend.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.crypto.utils import RandomSource, default_random, hash_to_scalar, sha256
+from repro.values import frozen_value
 
 class GroupElement:
     """Abstract element of a prime-order group (written multiplicatively)."""
@@ -182,8 +182,12 @@ class Group:
     #: tables are evicted so a million-ballot run cannot accumulate O(bases)
     #: tables.  A :class:`SchnorrFixedBase` table at a 256-bit modulus is
     #: 8,192 residues, 0.56 MB measured with ``sys.getsizeof``, so 64 tables
-    #: are ~36 MB at worst (an engine run keeps 8-11 alive); the 5-bit tables
-    #: of the curve backends hold 1,632 points each.
+    #: are ~36 MB at worst; the 5-bit tables of the curve backends hold 1,632
+    #: points each.  An engine run holds ``g``'s table for the whole run, the
+    #: collectors' key tables only while voting is open (the voting phase
+    #: builds them and :meth:`release_fixed_bases` drops them at close), and
+    #: every other table until eviction: the commitment key's, which its
+    #: encoding scheme builds, and those :meth:`cached_power` promotes.
     MAX_FIXED_BASE_TABLES = 64
 
     #: bound on the promotion-counter map of :meth:`cached_power`; oldest
@@ -191,11 +195,14 @@ class Group:
     MAX_TRACKED_BASES = 4096
 
     def fixed_base(self, element: GroupElement) -> FixedBasePrecomputation:
-        """Return a (cached) fixed-base precomputation for ``element``.
+        """Return a (cached) fixed-base precomputation for ``element``,
+        building it on a miss.
 
         The cache is keyed by the serialized element and bounded to
         :data:`MAX_FIXED_BASE_TABLES` entries with least-recently-used
-        eviction, so long multi-election runs keep only the hot bases.
+        eviction.  A caller that knows when a base stops being used drops
+        its table with :meth:`release_fixed_bases` instead of leaving it to
+        the eviction.
         """
         cache: OrderedDict = getattr(self, "_fixed_base_cache", None)
         if cache is None:
@@ -256,6 +263,25 @@ class Group:
         while len(counts) > self.MAX_TRACKED_BASES:
             counts.popitem(last=False)
         return self.plain_power(base, exponent)
+
+    def release_fixed_bases(self, elements: Iterable[GroupElement]) -> None:
+        """Drop the tables and promotion counts of ``elements``.
+
+        For bases whose use has ended (a collector key once voting closes).
+        The tables are accelerators only: a released base's next powers are
+        plain exponentiations with the same values, and it earns a table
+        again through :meth:`cached_power`'s promotion rule.  ``g``'s table
+        is never dropped: :meth:`power_g` holds it, so dropping it from the
+        cache would only make :meth:`fixed_base` build a second copy.
+        """
+        cache = getattr(self, "_fixed_base_cache", None) or {}
+        counts = getattr(self, "_base_use_counts", None) or {}
+        kept = self.generator().serialize()
+        for element in elements:
+            key = element.serialize()
+            if key != kept:
+                cache.pop(key, None)
+                counts.pop(key, None)
 
     #: ``g``'s fixed-base table, kept by :meth:`power_g` itself: signing,
     #: proving and every audit equation ask for it, and the generator never
@@ -397,7 +423,7 @@ RFC3526_MODP_2048 = int(
 )
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class SchnorrElement(GroupElement):
     """Element of a Schnorr group: the class ``{x, p - x}`` of ``Z_p^*/{±1}``.
 
@@ -625,7 +651,7 @@ _SECP256K1_GX = 0x79BE667EF9DCBBAC55A06295CE870B07029BFCDB2DCE28D959F2815B16F817
 _SECP256K1_GY = 0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class EcPoint(GroupElement):
     """Affine point on the curve; ``None`` coordinates encode infinity."""
 

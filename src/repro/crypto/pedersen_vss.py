@@ -29,16 +29,16 @@ position (:func:`repro.crypto.shamir.reconstruct_scalars`);
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.crypto.group import Group, GroupElement, default_group
 from repro.crypto.shamir import lagrange_at_zero, polynomial_evaluations
 from repro.crypto.utils import RandomSource, default_random
+from repro.values import frozen_value
 
 
-@dataclass(frozen=True, slots=True, weakref_slot=True)
+@frozen_value(weakref_slot=True)
 class PedersenShare:
     """One trustee's share: evaluation point, secret share and blinding share."""
 
@@ -52,7 +52,7 @@ class PedersenShare:
         return PedersenShare(self.index, self.value + other.value, self.blinding + other.blinding)
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class PedersenCommitments:
     """Public commitments to the sharing polynomials' coefficients."""
 

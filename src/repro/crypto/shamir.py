@@ -26,12 +26,12 @@ the per-share reference the block routine is tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.crypto.utils import RandomSource, default_random, sha256
+from repro.values import frozen_value
 
 #: A prime slightly above 2^255; the field in which shares live.  It is large
 #: enough to hold 64-bit receipts, 128-bit keys and 160-bit vote codes.
@@ -114,7 +114,7 @@ def reconstruct_scalars(
     ]
 
 
-@dataclass(frozen=True, slots=True, weakref_slot=True)
+@frozen_value(weakref_slot=True)
 class Share:
     """A single Shamir share ``(x, f(x))`` of some secret."""
 

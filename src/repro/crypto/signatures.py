@@ -16,14 +16,14 @@ seeded run's frames are the same bytes on every run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.crypto.group import Group, GroupElement, default_group
 from repro.crypto.utils import RandomSource, default_random, int_to_bytes
+from repro.values import frozen_value
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class SchnorrKeyPair:
     """A Schnorr signing key pair ``(x, X = g^x)``."""
 
@@ -31,7 +31,7 @@ class SchnorrKeyPair:
     public: GroupElement
 
 
-@dataclass(frozen=True, slots=True, weakref_slot=True)
+@frozen_value(weakref_slot=True)
 class SchnorrSignature:
     """A Schnorr signature ``(challenge, response)``.
 

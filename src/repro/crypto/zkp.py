@@ -26,9 +26,10 @@ from repro.crypto.commitments import CommitmentOpening, OptionCommitment
 from repro.crypto.elgamal import ElGamalCiphertext, ElGamalKeyPair
 from repro.crypto.group import Group, GroupElement, default_group
 from repro.crypto.utils import RandomSource, default_random
+from repro.values import frozen_value
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class OrProofAnnouncement:
     """First move of a single 0/1 Sigma-OR proof (four group elements)."""
 
@@ -46,7 +47,7 @@ class OrProofAnnouncement:
         )
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class OrProofResponse:
     """Final move of a single 0/1 Sigma-OR proof."""
 
@@ -56,7 +57,7 @@ class OrProofResponse:
     response1: int
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class SumProofAnnouncement:
     """First move of the plain Chaum-Pedersen proof that the sum is 1."""
 
@@ -67,14 +68,14 @@ class SumProofAnnouncement:
         return self.a.serialize() + self.b.serialize()
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class SumProofResponse:
     """Final move of the sum-is-one proof."""
 
     response: int
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class BallotProofAnnouncement:
     """All first moves for one committed option encoding."""
 
@@ -86,7 +87,7 @@ class BallotProofAnnouncement:
         return data + self.sum_announcement.serialize()
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class BallotProofResponse:
     """All final moves for one committed option encoding."""
 

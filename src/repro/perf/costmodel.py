@@ -21,10 +21,12 @@ not modelled, in ``docs/ARCHITECTURE.md`` ("Deviations from the paper").
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import field
+
+from repro.values import frozen_value
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class ConsensusCosts:
     """Analytic message- and frame-count model of Vote Set Consensus (Section III-E).
 
@@ -95,7 +97,7 @@ class ConsensusCosts:
         )
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class BandwidthCosts:
     """Measured bytes-per-message bandwidth model of the wire format.
 
@@ -252,7 +254,7 @@ class BandwidthCosts:
         )
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class AuditCosts:
     """Analytic group-multiplication model of batched audit verification.
 
@@ -351,7 +353,7 @@ class AuditCosts:
         )
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class AdmissionCosts:
     """Analytic multiplication model of batched endorsement verification.
 

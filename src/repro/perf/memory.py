@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, Optional
 
 from repro.perf.phases import PhaseRecorder
+from repro.values import frozen_value
 
 try:
     import resource
@@ -54,7 +55,7 @@ def current_rss_bytes() -> int:
     return int(peak) * 1024
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class MemorySample:
     """Peak memory observed over one tracked block."""
 

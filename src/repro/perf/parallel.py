@@ -31,7 +31,6 @@ module-level classes (the usual pickle restriction).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -47,6 +46,7 @@ from typing import (
 )
 
 from repro.crypto.utils import default_random, sha256
+from repro.values import frozen_value
 
 if TYPE_CHECKING:  # annotations only; see WarmProcessPool._ensure for the runtime import
     from concurrent.futures import Future, ProcessPoolExecutor
@@ -64,7 +64,7 @@ DEFAULT_SERIAL_THRESHOLD = 64
 DEFAULT_MAX_CHUNK = 256
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class ParallelConfig:
     """How to schedule one parallel job.
 

@@ -9,11 +9,12 @@ the shard count derives the *same* plan, with no coordination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Tuple
 
+from repro.values import frozen_value
 
-@dataclass(frozen=True, slots=True)
+
+@frozen_value
 class ShardRange:
     """One contiguous half-open slice ``[lo, hi)`` of the serial space."""
 
@@ -39,7 +40,7 @@ class ShardRange:
         return self.hi - self.lo
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class ShardPlan:
     """A validated, ordered, gap-free cover of the serial space by shards."""
 

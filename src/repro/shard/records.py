@@ -16,13 +16,13 @@ returns as one frame of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
 from repro.crypto.commitments import CommitmentOpening, OptionCommitment
+from repro.values import frozen_value
 
 
-@dataclass(frozen=True, slots=True, weakref_slot=True)
+@frozen_value(weakref_slot=True)
 class ShardCommitRecord:
     """PREPARE: one shard's final, verifiable contribution to the tally."""
 
@@ -48,7 +48,7 @@ class ShardCommitRecord:
             )
 
 
-@dataclass(frozen=True, slots=True, weakref_slot=True)
+@frozen_value(weakref_slot=True)
 class GlobalCommitRecord:
     """COMMIT: binds all shard records and the combined global commitment."""
 
@@ -70,7 +70,7 @@ class GlobalCommitRecord:
             raise ValueError("total_cast must be non-negative")
 
 
-@dataclass(frozen=True, slots=True, weakref_slot=True)
+@frozen_value(weakref_slot=True)
 class ShardSliceResult:
     """Everything a shard hands to the merge layer, plus its statistics: a
     registered wire payload (tag 0x62), so a pooled slice returns as one frame."""

@@ -22,6 +22,9 @@ from repro.api import (
 )
 from repro.api import engine as engine_module
 from repro.api.engine import VotingDriver, default_drivers
+from repro.api.spec import AdversaryProfile
+from repro.core.byzantine import VC_BEHAVIORS, UcertWithholdingVoteCollector
+from repro.crypto.group import Group
 
 CHOICES = ["option-1", "option-3", "option-1", "option-2", "option-1"]
 
@@ -196,6 +199,75 @@ class TestSetupHeapFrozenForTheRun:
             engine.run(CHOICES)
         assert engine.ctx.setup is not None  # set-up ran, so the heap was frozen
         assert gc.get_freeze_count() == 0
+
+
+class RevealToTwo(UcertWithholdingVoteCollector):
+    """Reveals its withheld certificates to VC-1 and VC-2 only: VC-3 is
+    outvoted on those ballots and learns their codes through RECOVER."""
+
+    reveal_to = ("VC-1", "VC-2")
+
+
+class TestCollectorKeyTablesReleasedAtClose:
+    """The voting phase releases the collector keys' fixed-base tables; a
+    collector that verifies a UCERT after close does so with plain powers and
+    reaches the outcome a run that keeps the tables reaches."""
+
+    def run(self, monkeypatch):
+        """One run with VC-0 withholding; returns the outcome and the
+        collector keys raised to a plain power after the voting phase."""
+        spec = small_spec(
+            num_voters=6, num_options=2, seed=1,
+            # Voters never give up on the withholding responder, so its
+            # ballots reach consensus known to two honest collectors only.
+            voter_patience=1e6,
+            adversary=AdversaryProfile(vc_behaviors={"VC-0": "reveal-to-two"}),
+        )
+        engine = ElectionEngine(spec)
+        ctx = engine.begin(["option-1", "option-2"] * 3)
+        closed = []
+        engine.subscribe(
+            lambda event: isinstance(event, PhaseCompleted) and event.phase == "voting"
+            and closed.append(True)
+        )
+        keys = set()
+        plain_after_close = []
+        group = ctx.group
+        plain_power = group.plain_power
+
+        def spy(base, exponent):
+            if closed and base.serialize() in keys:
+                plain_after_close.append(base)
+            return plain_power(base, exponent)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(group, "plain_power", spy)
+            try:
+                for driver in engine.drivers:
+                    if driver.should_run(ctx):
+                        engine.run_phase(driver, ctx)
+                    if driver.name == "setup":
+                        collector_keys = ctx.setup.bb_init.vc_public_keys.values()
+                        keys.update(key.serialize() for key in collector_keys)
+            finally:
+                engine.close()
+        return engine.outcome(), plain_after_close
+
+    def test_recover_after_close_reaches_the_outcome_of_kept_tables(self, monkeypatch):
+        monkeypatch.setitem(VC_BEHAVIORS, "reveal-to-two", RevealToTwo)
+        released, plain_after_close = self.run(monkeypatch)
+        recovered = released.vote_collectors[3]
+        assert recovered.vsc_stats.recover_requests >= 1
+        assert plain_after_close  # its UCERT checks ran on untabled keys
+        monkeypatch.setattr(Group, "release_fixed_bases", lambda self, elements: None)
+        kept, _ = self.run(monkeypatch)
+        assert kept.vote_collectors[3].vsc_stats.recover_requests >= 1
+        assert [v.receipt for v in released.voters] == [v.receipt for v in kept.voters]
+        assert released.tally.as_dict() == kept.tally.as_dict() == {"option-1": 3, "option-2": 3}
+        assert released.audit_report.passed and kept.audit_report.passed
+        assert [n.final_vote_set for n in released.vote_collectors] == [
+            n.final_vote_set for n in kept.vote_collectors
+        ]
 
 
 class TestEventOrdering:

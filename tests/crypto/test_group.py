@@ -6,6 +6,7 @@ from repro.crypto.group import (
     FixedBasePrecomputation,
     SchnorrElement,
     SchnorrFixedBase,
+    SchnorrGroup,
     default_group,
 )
 from repro.crypto.registry import get_group
@@ -181,6 +182,42 @@ class TestFixedBasePrecomputation:
         cache = group._fixed_base_cache
         assert base.serialize() in cache        # reused base got a table
         assert one_shot.serialize() not in cache  # one-shot base did not
+
+
+    def test_released_base_pays_plain_powers_until_promoted_again(self, rng, monkeypatch):
+        group = SchnorrGroup()
+        base, counted = (group.generator() ** group.random_scalar(rng) for _ in range(2))
+        exponent = group.random_scalar(rng)
+        table = group.fixed_base(base)
+        for _ in range(group.PRECOMPUTE_AFTER_USES - 1):
+            group.cached_power(counted, exponent)
+        group.release_fixed_bases([base, counted])
+        plain = []
+
+        def plain_power(b, e):
+            plain.append(b)
+            return b ** e
+
+        monkeypatch.setattr(group, "plain_power", plain_power)
+        for use in range(1, group.PRECOMPUTE_AFTER_USES):
+            assert group.cached_power(base, exponent) == table.power(exponent)
+            assert group.cached_power(counted, exponent) == counted ** exponent
+            assert plain == [base, counted] * use  # neither table nor count survived
+        assert base.serialize() not in group._fixed_base_cache
+        # The promoting use builds a fresh table, from which every later use reads.
+        assert group.cached_power(base, exponent) == base ** exponent
+        assert group.fixed_base(base) is not table
+        assert len(plain) == 2 * (group.PRECOMPUTE_AFTER_USES - 1)
+
+    def test_g_table_is_never_released(self):
+        group = SchnorrGroup()
+        g = group.generator()
+        table = group.fixed_base(g)
+        assert group.power_g(5) == g ** 5
+        group.release_fixed_bases([g, group.second_generator()])
+        assert group.fixed_base(g) is table  # no second copy beside power_g's
+        assert group.second_generator().serialize() not in group._fixed_base_cache
+        assert group.power_g(7) == g ** 7
 
 
 class TestMultiPower:
