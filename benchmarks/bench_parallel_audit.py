@@ -1,20 +1,15 @@
-"""Parallel audit & tally: randomized batch ZKP verification vs per-item.
+"""Batched audit: randomized batch ZKP verification vs per-item.
 
 The end-of-election phases re-verify every Schnorr signature, commitment
-opening and Chaum-Pedersen ballot proof on the bulletin board.  This
-benchmark quantifies the two accelerations added for that hot path:
+opening and Chaum-Pedersen ballot proof on the bulletin board.  Batching
+(`repro.crypto.batch_verify`) replaces the 2-8 exponentiations per item with
+one randomized small-exponent multi-exponentiation per chunk of
+`repro.core.auditor.AUDIT_CHUNK` (256) items -- evaluated by the byte-digit
+bucket kernel of `Group.multi_power`.  This benchmark times both in one
+process, gated per payload at what the reference VM measures (`GATES`).
 
-* **batching** (`repro.crypto.batch_verify`): one randomized small-exponent
-  multi-exponentiation per chunk of 256 items -- evaluated by the byte-digit
-  bucket kernel of `Group.multi_power` -- instead of 2-8 exponentiations per
-  item.  Gated per payload at what the reference VM measures (`GATES`);
-* **parallelism** (`repro.perf.parallel`): the chunked process-pool
-  scheduler, swept over 1/2/4/8 workers for both the serial and the batched
-  verifier (on a single-core runner the extra workers only add fork/pickle
-  overhead; the curve is the point on multicore hardware).
-
-Set ``BENCH_SMOKE=1`` for the CI smoke mode: smaller payloads, a 1/2 worker
-sweep, and the smoke column of the gates.
+Set ``BENCH_SMOKE=1`` for the CI smoke mode: smaller payloads and the smoke
+column of the gates.
 Results land in ``benchmarks/results/parallel_audit.json``; see
 ``benchmarks/README.md`` for the field glossary.
 """
@@ -23,17 +18,15 @@ from __future__ import annotations
 
 import gc
 import os
-import pickle
 import time
 
 import pytest
 
+from repro.core.auditor import AUDIT_CHUNK
 from repro.crypto.batch_verify import (
-    OpeningBatchTask,
+    BatchVerifier,
     OpeningItem,
-    ProofBatchTask,
     ProofItem,
-    SignatureBatchTask,
     SignatureItem,
     merge_outcomes,
 )
@@ -47,15 +40,13 @@ from repro.crypto.zkp import (
     fiat_shamir_challenge,
 )
 from repro.perf.costmodel import AuditCosts
-from repro.perf.parallel import ParallelConfig, parallel_chunk_map
 
 SMOKE = os.environ.get("BENCH_SMOKE") == "1"
 NUM_SIGNATURES = 256 if SMOKE else 1_000
 NUM_PROOFS = 48 if SMOKE else 1_000
 NUM_OPENINGS = 128 if SMOKE else 1_000
 NUM_OPTIONS = 2
-WORKER_COUNTS = (1, 2) if SMOKE else (1, 2, 4, 8)
-#: single-worker batched-over-serial speedup each payload must reach, (smoke,
+#: batched-over-serial speedup each payload must reach, (smoke,
 #: full).  Measured on the reference VM with the bucket kernel: smoke 4.0-4.2 /
 #: 6.7-7.0 / 2.7-2.9, full (1,000 items, four equations) 3.2 / 10.9 / 3.1; the
 #: gates leave a third for a noisy runner.  Before it the same runs read 2.6 /
@@ -125,15 +116,25 @@ def serial_openings(scheme, items):
     return all(scheme.verify_opening(i.commitment, i.opening) for i in items)
 
 
+def batched(verify, items):
+    """``verify(verifier, chunk)`` over the audit's chunks of ``items``, merged.
+
+    Each chunk's exponents come from a seeded stream, so a rerun draws the
+    same equations (the audit itself draws them from the system RNG)."""
+    return merge_outcomes([
+        verify(BatchVerifier(rng=RandomSource(9 + start)), items[start : start + AUDIT_CHUNK])
+        for start in range(0, len(items), AUDIT_CHUNK)
+    ])
+
+
 def run_verify_rows():
-    """Serial vs batched verification, one worker, all three payload kinds."""
+    """Serial vs batched verification, all three payload kinds."""
     costs = AuditCosts()
-    config = ParallelConfig(workers=1, base_seed=9)
     rows = []
 
     def model(items, **per_item):
         """Predicted speedup of one aggregated equation: a full chunk."""
-        return costs.batch_speedup(config.resolved_chunk_size(len(items)), **per_item)
+        return costs.batch_speedup(min(AUDIT_CHUNK, len(items)), **per_item)
 
     sig_items = make_signature_items(NUM_SIGNATURES)
     public_key, scheme, proof_items, opening_items = make_proof_and_opening_items(
@@ -151,7 +152,7 @@ def run_verify_rows():
             "signatures",
             sig_items,
             lambda: serial_signatures(sig_items),
-            SignatureBatchTask(),
+            lambda verifier, chunk: verifier.verify_signatures(chunk),
             model(sig_items, fixed_base_exps=2.0, small_bases=1.0),
         ),
         (
@@ -161,7 +162,7 @@ def run_verify_rows():
             "ballot-proofs",
             proof_items,
             lambda: serial_proofs(public_key, proof_items),
-            ProofBatchTask(public_key),
+            lambda verifier, chunk: verifier.verify_proofs(public_key, chunk),
             model(
                 proof_items,
                 native_exps=8.0 * NUM_OPTIONS + 4.0,
@@ -175,7 +176,7 @@ def run_verify_rows():
             "openings",
             opening_items,
             lambda: serial_openings(scheme, opening_items),
-            OpeningBatchTask(public_key),
+            lambda verifier, chunk: verifier.verify_openings(public_key, chunk),
             model(
                 opening_items,
                 fixed_base_exps=2.0 * NUM_OPTIONS,
@@ -183,12 +184,10 @@ def run_verify_rows():
             ),
         ),
     ]
-    for kind, items, serial_fn, task, model_speedup in payloads:
+    for kind, items, serial_fn, verify, model_speedup in payloads:
         ok_serial, serial_seconds = timed(serial_fn)
         outcome, batch_seconds = timed(
-            lambda task=task, items=items: merge_outcomes(
-                parallel_chunk_map(task, items, config)
-            )
+            lambda verify=verify, items=items: batched(verify, items)
         )
         assert ok_serial and outcome.ok
         rows.append({
@@ -204,92 +203,13 @@ def run_verify_rows():
     return rows
 
 
-def run_worker_rows():
-    """The 1/2/4/8-worker curve, serial-vs-batched, on the signature payload."""
-    items = make_signature_items(NUM_SIGNATURES)
-    serial_signatures(items[:8])
-    rows = []
-    for workers in WORKER_COUNTS:
-        config = ParallelConfig(
-            workers=workers,
-            chunk_size=max(1, len(items) // max(workers, 4)),
-            serial_threshold=1,
-            base_seed=9,
-        )
-        per_item_task = _PerItemSignatureChunk()
-        chunks, serial_seconds = timed(lambda: parallel_chunk_map(per_item_task, items, config))
-        assert all(chunks)
-        outcome, batch_seconds = timed(
-            lambda: merge_outcomes(parallel_chunk_map(SignatureBatchTask(), items, config))
-        )
-        assert outcome.ok
-        rows.append({
-            "kind": "workers",
-            "payload": "signatures",
-            "num_items": len(items),
-            "workers": workers,
-            "serial_seconds": round(serial_seconds, 4),
-            "batch_seconds": round(batch_seconds, 4),
-            "speedup": round(serial_seconds / batch_seconds, 2),
-        })
-    return rows
-
-
-class _PerItemSignatureChunk:
-    """Picklable per-item (non-batched) signature verification chunk task."""
-
-    def __call__(self, chunk, seed):
-        return serial_signatures(chunk)
-
-
-def run_submit_overhead_rows():
-    """Pickled bytes per submitted chunk: initializer-shipped fn vs legacy.
-
-    ``parallel_chunk_map`` ships the chunk function through the pool
-    *initializer* (once per worker process) and pickles only ``(chunk,
-    seed)`` per submission; the legacy scheduler re-pickled ``(chunk_fn,
-    chunk, seed)`` with every chunk.  The saving is the function's pickled
-    size times the number of chunks -- measured here on the real batched
-    audit task so a future change that sneaks the function back into the
-    per-task payload fails the gate.
-    """
-    items = make_signature_items(min(NUM_SIGNATURES, 64))
-    task = SignatureBatchTask()
-    chunk, seed = items, 12345
-    fn_bytes = len(pickle.dumps(task))
-    per_submit_now = len(pickle.dumps((chunk, seed)))
-    per_submit_legacy = len(pickle.dumps((task, chunk, seed)))
-    return [
-        {
-            "kind": "submit-overhead",
-            "payload": "signatures",
-            "num_items": len(items),
-            "fn_bytes_once_per_worker": fn_bytes,
-            "per_chunk_bytes_now": per_submit_now,
-            "per_chunk_bytes_legacy": per_submit_legacy,
-            "saved_per_chunk": per_submit_legacy - per_submit_now,
-        }
-    ]
-
-
-def run_sweep():
-    return run_verify_rows() + run_worker_rows() + run_submit_overhead_rows()
-
-
 @pytest.mark.benchmark(group="parallel-audit")
 def test_parallel_audit_speedup(benchmark, results_sink):
-    """Batched vs per-item audit verification plus the worker curve."""
+    """Batched vs per-item audit verification."""
     save, show = results_sink
-    rows = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
+    rows = benchmark.pedantic(run_verify_rows, rounds=1, iterations=1)
     save("parallel_audit", rows)
-    show(
-        "Batched vs per-item audit verification (1 worker)",
-        [row for row in rows if row["kind"] == "verify"],
-    )
-    show(
-        "Worker sweep (signatures, serial vs batched)",
-        [row for row in rows if row["kind"] == "workers"],
-    )
+    show("Batched vs per-item audit verification", rows)
     # Deterministic sanity first: every honest payload must collapse to far
     # fewer aggregated equations than items (i.e. batching actually happened).
     verify_rows = {row["payload"]: row for row in rows if row["kind"] == "verify"}
@@ -300,16 +220,3 @@ def test_parallel_audit_speedup(benchmark, results_sink):
         assert verify_rows[payload]["speedup"] >= gate, (
             f"batched {payload} {verify_rows[payload]['speedup']}x over serial, gate {gate}x"
         )
-    # Submit-overhead gate: the per-chunk pickle payload must no longer carry
-    # the chunk function (it ships once, via the pool initializer) -- every
-    # submitted chunk is strictly smaller than the legacy (fn, chunk, seed)
-    # payload by at least the function's pickled size.
-    show(
-        "Per-chunk submit payload (initializer-shipped fn vs legacy)",
-        [row for row in rows if row["kind"] == "submit-overhead"],
-    )
-    overhead = next(row for row in rows if row["kind"] == "submit-overhead")
-    assert overhead["saved_per_chunk"] > 0, (
-        "per-chunk submissions appear to re-pickle the chunk function"
-    )
-    assert overhead["fn_bytes_once_per_worker"] > 0

@@ -9,7 +9,7 @@ driver the engine emits the typed events of :mod:`repro.api.events`
 a run by subscribing instead of monkey-patching.
 
 The :class:`ScenarioSpec` is the one description of a run.  The drivers read
-its blocks where they need them (``spec.crypto.include_proofs`` at set-up,
+its blocks where they need them (``spec.crypto`` for the group,
 ``spec.network`` / ``spec.adversary`` / ``spec.voter_patience`` /
 ``spec.stagger`` when the voting network is built, ``spec.audit`` for the
 audit) and the nodes read ``ctx.params``, which carries the spec's own
@@ -58,7 +58,6 @@ from repro.net.chaos import ChaosController
 from repro.net.codec import default_codec
 from repro.net.simulator import Network
 from repro.net.transport import Transport
-from repro.perf.parallel import ParallelConfig
 
 #: Runs whose set-up heap sits in the collector's permanent generation.
 #: ``gc.freeze()`` is process-wide: engines whose runs overlap share one
@@ -122,12 +121,7 @@ class SetupDriver(PhaseDriver):
     name = "setup"
 
     def run(self, ctx: EngineContext) -> None:
-        authority = ElectionAuthority(
-            ctx.params,
-            group=ctx.group,
-            rng=RandomSource(ctx.spec.seed),
-            include_proofs=ctx.spec.crypto.include_proofs,
-        )
+        authority = ElectionAuthority(ctx.params, group=ctx.group, rng=RandomSource(ctx.spec.seed))
         ctx.setup = authority.setup()
         # Collectors and trustees sign through the process codec; its registry
         # imports the modules of every registered type, so build it here,
@@ -323,10 +317,7 @@ class AuditDriver(PhaseDriver):
             security_bits=audit.security_bits,
         )
         delegations = [voter.audit_info() for voter in ctx.voters if voter.receipt is not None]
-        # base_seed stays None: the batching exponents must be unpredictable
-        # to whoever produced the proofs, or the 2^-bits soundness bound dies.
-        parallel = ParallelConfig(workers=audit.workers)
-        ctx.audit_report = auditor.verify_all(delegations, parallel=parallel)
+        ctx.audit_report = auditor.verify_all(delegations)
         ctx.bus.emit(
             AuditCompleted(
                 passed=ctx.audit_report.passed,

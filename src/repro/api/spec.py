@@ -5,14 +5,15 @@ run: what is being voted on, how the replicated subsystems are sized, and how
 its orthogonal concerns are configured:
 
 * :class:`ConsensusConfig` -- Vote Set Consensus batching;
-* :class:`AuditConfig`     -- end-of-election audit strategy and parallelism;
+* :class:`AuditConfig`     -- whether the end-of-election audit runs, and its
+  batching width;
 * :class:`AdmissionProfile` -- the voting-phase admission pipeline: batched
   endorsement verification and the bounded admission queue in front of the
   VOTE handler (shed with a retry hint);
 * :class:`NetworkProfile`  -- simulator latency, jitter, loss and duplication;
 * :class:`AdversaryProfile` -- which nodes misbehave and how (by name, so the
   spec stays serializable);
-* :class:`CryptoProfile`   -- group backend and proof generation;
+* :class:`CryptoProfile`   -- group backend;
 * :class:`TransportProfile` -- how message bytes travel (in-memory reference
   passing, canonical wire encoding with byte accounting, or real TCP
   loopback sockets);
@@ -447,12 +448,9 @@ class CryptoProfile(DictCodec):
     when gmpy2 is absent) or ``secp256k1`` (legacy alias ``ec``).  The name
     is validated against the registry at construction time and stored
     canonically, so it survives ``to_dict``/``from_dict`` round-trips.
-    ``include_proofs=False`` skips ballot-correctness proof generation during
-    setup, which speeds up scenarios that never audit.
     """
 
     backend: str = "schnorr"
-    include_proofs: bool = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "backend", resolve_backend_name(self.backend))
@@ -692,7 +690,7 @@ def paper_baseline() -> ScenarioSpec:
 
 
 def batched_fast() -> ScenarioSpec:
-    """Superblock Vote Set Consensus + batched parallel audit (PRs 1-2)."""
+    """Superblock Vote Set Consensus (blocks of 8) and the batched audit."""
     return ScenarioSpec(
         options=("option-1", "option-2", "option-3"),
         num_voters=16,
@@ -703,7 +701,7 @@ def batched_fast() -> ScenarioSpec:
         election_id="batched-fast",
         election_end=500.0,
         consensus=ConsensusConfig(batch_size=8),
-        audit=AuditConfig(workers=1, security_bits=64),
+        audit=AuditConfig(security_bits=64),
     )
 
 

@@ -25,9 +25,9 @@ fraud goes undetected shrinks exponentially (1/2 per audited ballot,
 :func:`repro.analysis.verification.fraud_undetected_probability`).
 
 :meth:`Auditor.verify_all` runs them all: randomized batch verification
-(:mod:`repro.crypto.batch_verify`) of (d) and (e) over a chunked process pool
-(:mod:`repro.perf.parallel`), with failing batches bisected so the report
-still names the exact culprit ballots, and per-phase wall-clock timings.
+(:mod:`repro.crypto.batch_verify`) of (d) and (e), one equation per chunk of
+:data:`AUDIT_CHUNK` items, with failing batches bisected so the report still
+names the exact culprit ballots, and per-phase wall-clock timings.
 Every backend decodes only elements of its prime-order group, so a batch
 refuses exactly the items a one-at-a-time check would (but for the
 ``2^-security_bits`` chance of a batch equation passing a forgery).
@@ -36,7 +36,7 @@ refuses exactly the items a one-at-a-time check would (but for the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.bulletin_board import BulletinBoardNode, MajorityReader
 from repro.core.election import ElectionParameters
@@ -44,16 +44,19 @@ from repro.core.tally import open_tally
 from repro.core.voter import VoterAuditInfo
 from repro.crypto.batch_verify import (
     DEFAULT_SECURITY_BITS,
-    OpeningBatchTask,
+    BatchOutcome,
+    BatchVerifier,
     OpeningItem,
-    ProofBatchTask,
     ProofItem,
     merge_outcomes,
 )
 from repro.crypto.commitments import OptionEncodingScheme
-from repro.crypto.group import Group
-from repro.perf.parallel import ParallelConfig, parallel_chunk_map
+from repro.crypto.group import Group, GroupElement
 from repro.perf.phases import PhaseRecorder
+
+#: Items per batch equation of checks (d) and (e).  A constant, so chunk
+#: boundaries, equation counts and culprit lists are the same on every machine.
+AUDIT_CHUNK = 256
 
 
 @dataclass
@@ -95,18 +98,13 @@ class Auditor:
 
     # -- full audit -------------------------------------------------------------
 
-    def verify_all(
-        self,
-        delegations: Sequence[VoterAuditInfo] = (),
-        parallel: Optional[ParallelConfig] = None,
-    ) -> AuditReport:
+    def verify_all(self, delegations: Sequence[VoterAuditInfo] = ()) -> AuditReport:
         """Run checks (a)-(e) and (h), plus (f)-(g) for any delegating voters.
 
-        The openings of (d) and the proofs of (e) are batch-verified
-        chunk-wise over ``parallel`` workers.  Phase durations land in
+        The openings of (d) and the proofs of (e) are batch-verified in
+        chunks of :data:`AUDIT_CHUNK`.  Phase durations land in
         ``report.timings``.
         """
-        parallel = parallel or ParallelConfig()
         recorder = PhaseRecorder()
         report = AuditReport()
         with recorder.phase("read_bb"):
@@ -122,9 +120,9 @@ class Auditor:
         with recorder.phase("structural"):
             cast_locations = self._structural_checks(report, vote_set, decrypted)
         with recorder.phase("openings"):
-            self._check_openings_batched(report, scheme, result, ballots, parallel)
+            self._check_openings_batched(report, scheme, result, ballots)
         with recorder.phase("proofs"):
-            self._check_proofs_batched(report, commitment_key, result, ballots, parallel)
+            self._check_proofs_batched(report, commitment_key, result, ballots)
         with recorder.phase("tally"):
             self._check_tally_opening(report, scheme, result, ballots, cast_locations)
         with recorder.phase("delegations"):
@@ -154,7 +152,28 @@ class Auditor:
         self._check_single_submission(report, vote_set)
         return self._check_single_part_used(report, vote_set, decrypted)
 
-    def _check_openings_batched(self, report, scheme, result, ballots, parallel) -> None:
+    def _batch_verify(
+        self,
+        verify: Callable[[BatchVerifier, GroupElement, Sequence], BatchOutcome],
+        public_key: GroupElement,
+        items: Sequence,
+    ) -> BatchOutcome:
+        """``verify`` over ``items`` in chunks of :data:`AUDIT_CHUNK`, merged.
+
+        Each chunk gets a fresh verifier whose batching exponents come from
+        the system RNG: they must be unpredictable to whoever produced the
+        openings and proofs, or the ``2^-security_bits`` bound is void.
+        """
+        return merge_outcomes([
+            verify(
+                BatchVerifier(self.group, self.security_bits),
+                public_key,
+                items[start : start + AUDIT_CHUNK],
+            )
+            for start in range(0, len(items), AUDIT_CHUNK)
+        ])
+
+    def _check_openings_batched(self, report, scheme, result, ballots) -> None:
         """(d) batched: one randomized equation per chunk, bisected on failure."""
         labels: List[Tuple[int, str]] = []
         items: List[OpeningItem] = []
@@ -173,8 +192,7 @@ class Auditor:
                 )
         if not items:
             return
-        task = OpeningBatchTask(scheme.public_key, self.security_bits)
-        merged = merge_outcomes(parallel_chunk_map(task, items, parallel))
+        merged = self._batch_verify(BatchVerifier.verify_openings, scheme.public_key, items)
         if merged.ok:
             report.record("d-valid-openings", True)
             return
@@ -182,7 +200,7 @@ class Auditor:
             serial, part = labels[index]
             report.record("d-valid-openings", False, f"ballot {serial} part {part}: bad opening")
 
-    def _check_proofs_batched(self, report, commitment_key, result, ballots, parallel) -> None:
+    def _check_proofs_batched(self, report, commitment_key, result, ballots) -> None:
         """(e) batched: aggregate all Sigma-OR equations, bisect on failure."""
         labels: List[Tuple[int, str]] = []
         items: List[ProofItem] = []
@@ -201,8 +219,7 @@ class Auditor:
                 )
         if not items:
             return
-        task = ProofBatchTask(commitment_key, self.security_bits)
-        merged = merge_outcomes(parallel_chunk_map(task, items, parallel))
+        merged = self._batch_verify(BatchVerifier.verify_proofs, commitment_key, items)
         if merged.ok:
             report.record("e-proofs-valid", True)
             return

@@ -31,7 +31,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import typing
-from dataclasses import dataclass, field
+from dataclasses import field
 from functools import lru_cache
 from typing import Any, Dict, Mapping, Optional, Sequence, Union
 
@@ -150,23 +150,25 @@ class AuditConfig(DictCodec):
     """End-of-election audit configuration.
 
     The audit verifies openings/proofs with randomized batch equations
-    (:mod:`repro.crypto.batch_verify`) across ``workers`` processes (``None`` =
-    one per core).  ``security_bits`` is the width of the random batching
-    exponents: every backend decodes only elements of its prime-order group,
-    so a forged opening or proof survives one batched equation with
-    probability ``2^-security_bits`` (the collectors' endorsement batches use
-    the same width).
+    (:mod:`repro.crypto.batch_verify`) in the engine's own process.
+    ``security_bits`` is the width of the random batching exponents: every
+    backend decodes only elements of its prime-order group, so a forged
+    opening or proof survives one batched equation with probability
+    ``2^-security_bits`` (the collectors' endorsement batches use the same
+    width).
     ``enabled=False`` skips the audit phase entirely (the engine still runs
     setup through tally).
     """
 
+    #: not a field: the audit always runs in one process.  Kept as a constant
+    #: only because ``benchmarks/e2e/bench_pass.py`` still reads
+    #: ``spec.audit.workers``; it goes once that read does.
+    workers: typing.ClassVar[int] = 1
+
     enabled: bool = True
-    workers: Optional[int] = 1
     security_bits: int = 64
 
     def __post_init__(self) -> None:
-        if self.workers is not None and self.workers < 1:
-            raise ValueError("audit workers must be at least 1 (or None for all cores)")
         if not 8 <= self.security_bits <= 128:
             raise ValueError("batch security parameter must be between 8 and 128 bits")
 

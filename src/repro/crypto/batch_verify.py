@@ -32,11 +32,10 @@ the culprit items are pinned down by exact individual verification, so the
 caller gets the same per-item verdicts a serial audit would produce, at
 logarithmic extra cost when failures are rare.
 
-All verifiers come in two forms: methods on :class:`BatchVerifier`, and
-picklable chunk tasks (:class:`SignatureBatchTask` & friends) matching the
-``chunk_fn(chunk, seed)`` contract of
-:func:`repro.perf.parallel.parallel_chunk_map`, so the audit can fan batches
-out across a process pool with per-chunk deterministic randomness.
+The audit (:class:`repro.core.auditor.Auditor`) walks its items in fixed
+chunks of :data:`repro.core.auditor.AUDIT_CHUNK` and batch-verifies each chunk
+with a fresh :class:`BatchVerifier`; :func:`merge_outcomes` joins the chunk
+verdicts in chunk order.
 """
 
 from __future__ import annotations
@@ -441,46 +440,3 @@ class _SingleOpening:
         # A leaf's item failed its own equation, so it has a coordinate.
         scheme = OptionEncodingScheme(len(item.commitment), self.public_key, self.group)
         return scheme.verify_opening(item.commitment, item.opening)
-
-
-# ---------------------------------------------------------------------------
-# Picklable chunk tasks for repro.perf.parallel
-# ---------------------------------------------------------------------------
-
-
-@frozen_value
-class SignatureBatchTask:
-    """``chunk_fn`` batching Schnorr signature chunks (parallel_chunk_map)."""
-
-    security_bits: int = DEFAULT_SECURITY_BITS
-
-    def __call__(self, chunk: Sequence[SignatureItem], seed: int) -> BatchOutcome:
-        group = chunk[0].public.group
-        verifier = BatchVerifier(group, self.security_bits, RandomSource(seed))
-        return verifier.verify_signatures(chunk)
-
-
-@frozen_value
-class ProofBatchTask:
-    """``chunk_fn`` batching ballot-proof chunks (parallel_chunk_map)."""
-
-    public_key: GroupElement
-    security_bits: int = DEFAULT_SECURITY_BITS
-
-    def __call__(self, chunk: Sequence[ProofItem], seed: int) -> BatchOutcome:
-        group = self.public_key.group
-        verifier = BatchVerifier(group, self.security_bits, RandomSource(seed))
-        return verifier.verify_proofs(self.public_key, chunk)
-
-
-@frozen_value
-class OpeningBatchTask:
-    """``chunk_fn`` batching commitment-opening chunks (parallel_chunk_map)."""
-
-    public_key: GroupElement
-    security_bits: int = DEFAULT_SECURITY_BITS
-
-    def __call__(self, chunk: Sequence[OpeningItem], seed: int) -> BatchOutcome:
-        group = self.public_key.group
-        verifier = BatchVerifier(group, self.security_bits, RandomSource(seed))
-        return verifier.verify_openings(self.public_key, chunk)

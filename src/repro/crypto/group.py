@@ -135,20 +135,6 @@ class Group:
     #: variable-length (secp256k1's infinity encoding)
     element_bytes: Optional[int] = None
 
-    def __getstate__(self) -> dict:
-        """Pickle without the precomputation caches.
-
-        Group elements carry a ``group`` reference, so every chunk shipped to
-        a worker process would otherwise re-serialize hundreds of kilobytes
-        of fixed-base tables.  The caches are pure accelerators; workers
-        rebuild them lazily on first use.
-        """
-        state = self.__dict__.copy()
-        state.pop("_fixed_base_cache", None)
-        state.pop("_base_use_counts", None)
-        state.pop("_g_table", None)
-        return state
-
     def generator(self) -> GroupElement:
         """Return the fixed generator ``g``."""
         raise NotImplementedError

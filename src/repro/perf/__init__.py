@@ -2,9 +2,8 @@
 
 What a run uses:
 
-* :mod:`repro.perf.parallel` -- the chunked process-pool scheduler the
-  end-of-election audit and tally fan out over, and the warm pool of the
-  sharded pipeline.
+* :mod:`repro.perf.parallel` -- :class:`WarmProcessPool`, the one process
+  pool, on which the sharded pipeline runs its slices.
 * :mod:`repro.perf.phases`   -- :class:`PhaseRecorder`, the measured wall
   time of the audit/tally stages.
 * :mod:`repro.perf.memory`   -- resettable peak-memory probes.

@@ -1,30 +1,12 @@
-"""Chunked process-pool work scheduler for the end-of-election audit.
+"""The package's one process pool: :class:`WarmProcessPool`.
 
-Auditor re-verification is embarrassingly parallel: the work is a large list
-of independent checks (commitment openings, zero-knowledge proofs).  This
-module provides the one scheduling primitive they share, and the one process
-pool of the package.  The homomorphic tally product is not scheduled here:
-it is one fold per election, done by ``OptionEncodingScheme.combine``.
-
-* :class:`WarmProcessPool` -- the only place a ``ProcessPoolExecutor`` is
-  built, warmed, bounded, failed and shut down.  Workers run a one-time
-  initializer (group construction, fixed-base tables, the chunk function) and
-  then serve many submissions; :meth:`WarmProcessPool.imap_unordered` streams
-  results back in completion order under a bounded-inflight submission
-  window.  The shard driver keeps one for a whole election (or borrows a
-  shared one); :func:`parallel_chunk_map` owns one for the call;
-* :func:`parallel_chunk_map` -- an order-preserving map of a chunk function
-  over such a pool, with a **deterministic serial fallback** when the input
-  is small (the pool's fork/pickle overhead dwarfs the work) or when
-  ``workers == 1``;
-* :func:`chunk_seeds` -- deterministic per-chunk RNG seeds, so randomized
-  work (e.g. the small exponents of batch verification) is reproducible for
-  a fixed ``(base_seed, chunk_size)`` regardless of the worker count.
-
-Workers receive *chunks*, not single items, so pickling cost is paid once
-per chunk; the chunk function itself crosses the process boundary exactly
-once, via the pool initializer, not with every chunk.  Callables handed to
-the process path must be picklable module-level functions or instances of
+It is the only place a ``ProcessPoolExecutor`` is built, warmed, bounded,
+failed and shut down.  Workers run a one-time initializer (group
+construction, fixed-base tables, scheme derivation) and then serve many
+submissions; :meth:`WarmProcessPool.imap_unordered` streams results back in
+completion order under a bounded-inflight submission window.  The shard
+driver keeps one for a whole election (or borrows a shared one).  Callables
+handed to the pool must be picklable module-level functions or instances of
 module-level classes (the usual pickle restriction).
 """
 
@@ -38,159 +20,17 @@ from typing import (
     Dict,
     Iterable,
     Iterator,
-    List,
     Optional,
     Sequence,
     Tuple,
     TypeVar,
 )
 
-from repro.crypto.utils import default_random, sha256
-from repro.values import frozen_value
-
 if TYPE_CHECKING:  # annotations only; see WarmProcessPool._ensure for the runtime import
     from concurrent.futures import Future, ProcessPoolExecutor
 
 ItemT = TypeVar("ItemT")
 ResultT = TypeVar("ResultT")
-
-#: Inputs smaller than this run serially even when workers were requested;
-#: forking and pickling a pool costs more than verifying this many items.
-DEFAULT_SERIAL_THRESHOLD = 64
-
-#: Upper bound on the chunk size the auto-chunker picks.  Independent of the
-#: worker count so chunk boundaries (and therefore per-chunk RNG seeds) do
-#: not move when the same job runs on different machines.
-DEFAULT_MAX_CHUNK = 256
-
-
-@frozen_value
-class ParallelConfig:
-    """How to schedule one parallel job.
-
-    ``workers=1`` (the default) always runs serially in-process, which is
-    also the deterministic reference the tests compare the pool against.
-    ``workers=None`` asks for one worker per CPU.
-    """
-
-    workers: Optional[int] = 1
-    chunk_size: Optional[int] = None
-    serial_threshold: int = DEFAULT_SERIAL_THRESHOLD
-    #: root of the per-chunk RNG seeds.  ``None`` (the default) draws a fresh
-    #: unpredictable root per job -- REQUIRED when chunk randomness has an
-    #: adversary (the batched audit: a prover who can predict the batching
-    #: exponents can craft forgeries that cancel in the aggregate).  Set an
-    #: explicit value only to reproduce a run, e.g. in tests and benchmarks.
-    base_seed: Optional[int] = None
-
-    def resolved_workers(self) -> int:
-        if self.workers is None:
-            return max(os.cpu_count() or 1, 1)
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
-        return self.workers
-
-    def resolved_chunk_size(self, num_items: int) -> int:
-        if self.chunk_size is not None:
-            if self.chunk_size < 1:
-                raise ValueError("chunk size must be at least 1")
-            return self.chunk_size
-        if num_items <= 0:
-            return 1
-        return min(DEFAULT_MAX_CHUNK, max(1, num_items))
-
-    def use_serial(self, num_items: int) -> bool:
-        """Deterministic fallback: small inputs and 1-worker jobs stay serial."""
-        return self.resolved_workers() == 1 or num_items < self.serial_threshold
-
-
-def split_chunks(items: Sequence[ItemT], chunk_size: int) -> List[Sequence[ItemT]]:
-    """Split ``items`` into consecutive chunks of at most ``chunk_size``."""
-    if chunk_size < 1:
-        raise ValueError("chunk size must be at least 1")
-    return [items[start : start + chunk_size] for start in range(0, len(items), chunk_size)]
-
-
-def chunk_seeds(base_seed: Optional[int], num_chunks: int) -> List[int]:
-    """Derive one 64-bit RNG seed per chunk.
-
-    With an explicit ``base_seed``, seeds depend only on ``(base_seed, chunk
-    index)``, so a job re-run with a different worker count (chunks land on
-    different processes) draws the same randomness per chunk.  With
-    ``base_seed=None`` a fresh unpredictable root is drawn from the system
-    RNG for this job (the secure default for adversarial randomness).
-    """
-    if base_seed is None:
-        base_seed = default_random().randbits(120)
-    # Accept any int (callers may pass a full digest or a negative hash) by
-    # folding it into the 128-bit field the derivation hashes.
-    base_seed %= 1 << 128
-    seeds = []
-    for index in range(num_chunks):
-        digest = sha256(
-            b"d-demos-chunk-seed",
-            base_seed.to_bytes(16, "big", signed=False),
-            index.to_bytes(8, "big"),
-        )
-        seeds.append(int.from_bytes(digest[:8], "big"))
-    return seeds
-
-
-def parallel_chunk_map(
-    chunk_fn: Callable[[Sequence[ItemT], int], ResultT],
-    items: Sequence[ItemT],
-    config: Optional[ParallelConfig] = None,
-) -> List[ResultT]:
-    """Apply ``chunk_fn(chunk, chunk_seed)`` to every chunk, in order.
-
-    This is the workhorse behind the batched audit: the caller's function
-    sees a whole chunk at once (so it can run one batched check over it) plus
-    that chunk's deterministic seed.
-    """
-    config = config or ParallelConfig()
-    items = list(items)
-    if not items:
-        return []
-    chunk_size = config.resolved_chunk_size(len(items))
-    chunks = split_chunks(items, chunk_size)
-    seeds = chunk_seeds(config.base_seed, len(chunks))
-    if config.use_serial(len(items)):
-        return [chunk_fn(chunk, seed) for chunk, seed in zip(chunks, seeds, strict=True)]
-    # The chunk function crosses the process boundary exactly once, via the
-    # worker initializer; each submitted task pickles only (index, chunk, seed).
-    results: List[Any] = [None] * len(chunks)
-    with WarmProcessPool(
-        workers=min(config.resolved_workers(), len(chunks)),
-        initializer=_init_chunk_worker,
-        initargs=(chunk_fn,),
-    ) as pool:
-        try:
-            for (index, _, _), result in pool.imap_unordered(
-                _call_chunk, zip(range(len(chunks)), chunks, seeds, strict=True)
-            ):
-                results[index] = result
-        except PoolTaskError as exc:
-            # What the serial path would have raised: the chunk function's own error.
-            raise exc.__cause__
-    return results
-
-
-#: per-worker chunk function installed by :func:`_init_chunk_worker`.
-_CHUNK_WORKER_FN: Optional[Callable] = None
-
-
-def _init_chunk_worker(chunk_fn: Callable) -> None:
-    """Pool initializer: ship the chunk function to each worker once."""
-    global _CHUNK_WORKER_FN
-    _CHUNK_WORKER_FN = chunk_fn
-
-
-def _call_chunk(packed: Tuple[int, Sequence[ItemT], int]) -> ResultT:
-    """Module-level trampoline: the pool needs a top-level function."""
-    if _CHUNK_WORKER_FN is None:
-        raise RuntimeError("chunk worker used before its initializer ran")
-    _, chunk, seed = packed
-    return _CHUNK_WORKER_FN(chunk, seed)
 
 
 class PoolTaskError(RuntimeError):
@@ -226,8 +66,7 @@ class WarmProcessPool:
     construction, fixed-base tables, scheme derivation -- the expensive
     per-process state), then keep submitting until :meth:`shutdown`: the shape
     pipelines that issue many rounds of work want (the shard driver,
-    pool-reusing tests), and the one :func:`parallel_chunk_map` uses for a
-    single round.
+    pool-reusing tests).  ``workers=None`` asks for one worker per CPU.
 
     The executor is created lazily on first use, so constructing a pool is
     free; ``initargs`` stays exposed as a fingerprint letting callers verify
@@ -240,7 +79,11 @@ class WarmProcessPool:
         initializer: Optional[Callable[..., None]] = None,
         initargs: Tuple = (),
     ):
-        self.workers = ParallelConfig(workers=workers).resolved_workers()
+        if workers is None:
+            workers = max(os.cpu_count() or 1, 1)
+        if workers < 1:
+            raise ValueError("workers must be at least 1")
+        self.workers = workers
         self.initializer = initializer
         self.initargs = tuple(initargs)
         self._executor: Optional[ProcessPoolExecutor] = None

@@ -9,7 +9,10 @@ reference VM.  Red at 1b95dde, where both were module-level imports.
 
 The elections that do use them are the existing tests of
 ``tests/net/test_transport.py`` (``TransportProfile(backend="tcp")``) and
-``tests/core/test_parallel_audit.py`` (``audit.workers=2``).
+``tests/shard/test_parallel_driver.py`` (``ShardingProfile(workers=2)``).  An
+honest engine run does not even load ``repro.perf.parallel``: the audit
+batch-verifies in its own process (red at ca6b2f1, where ``api/engine.py`` and
+``core/auditor.py`` imported the module for the audit's pool).
 
 The same holds for this package's own modules.  No package ``__init__``
 re-exports its submodules (``repro.api`` resolves its names lazily), and
@@ -145,6 +148,11 @@ def test_the_sharded_pipeline_loads_no_protocol_node_simulator_or_model():
 def test_an_honest_engine_run_loads_no_model_service_or_shard_driver():
     _, result = repro_modules_of_run(ENGINE_RUN)
     assert (MODEL | SLICE | {"repro.api.service", "repro.shard.driver"}) & result == set()
+
+
+def test_an_honest_engine_run_loads_no_process_pool_module():
+    _, result = repro_modules_of_run(ENGINE_RUN)
+    assert "repro.perf.parallel" not in result
 
 
 def test_neither_pipeline_imports_a_module_after_set_up():

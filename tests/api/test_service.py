@@ -12,7 +12,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -20,8 +19,10 @@ import pytest
 
 from repro.analysis.determinism import outcome_hash
 from repro.api import ElectionEngine, PhaseDriver, ScenarioSpec
-from repro.core.auditor import Auditor
+from repro.core import auditor as auditor_module
 from repro.core.election import AuditConfig
+from repro.crypto.batch_verify import BatchVerifier
+from repro.crypto.utils import default_random
 
 ROOT = Path(__file__).resolve().parents[2]
 CHOICES = {
@@ -133,24 +134,23 @@ class TestObservers:
             assert [e for e in shared_log if e.election_id == name] == outcome.events
 
     def test_the_audit_runs_on_the_specs_schedule(self, monkeypatch):
-        """``spec.audit`` alone decides the audit's worker budget and batch
-        width, and the batching exponents stay unseeded (predictable ones
-        void the ``2^-bits`` soundness bound)."""
-        requested = []
-        verify_all = Auditor.verify_all
+        """``spec.audit`` alone decides the audit's batch width, and the
+        batching exponents come from the unseeded system RNG (predictable
+        ones void the ``2^-bits`` soundness bound)."""
+        built = []
 
-        def spy(self, delegations, parallel=None):
-            requested.append((parallel, self.security_bits))
-            # Record the schedule the engine asked for, verify in-process.
-            return verify_all(self, delegations, parallel=replace(parallel, workers=1))
+        class RecordingVerifier(BatchVerifier):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append((self.security_bits, self.rng))
 
-        monkeypatch.setattr(Auditor, "verify_all", spy)
-        spec = spec_of("city").derive(audit=AuditConfig(workers=3, security_bits=80))
+        monkeypatch.setattr(auditor_module, "BatchVerifier", RecordingVerifier)
+        spec = spec_of("city").derive(audit=AuditConfig(security_bits=80))
         outcome = ElectionEngine(spec).run(CHOICES["city"])
         assert outcome.audit_report.passed
-        ((schedule, bits),) = requested
-        assert (schedule.workers, bits) == (3, 80)
-        assert schedule.base_seed is None
+        # one verifier for the openings' chunk, one for the proofs'
+        assert len(built) == 2
+        assert all(bits == 80 and rng is default_random() for bits, rng in built)
 
 
 def test_a_failed_phase_closes_its_run_and_leaves_the_next_one_unchanged():

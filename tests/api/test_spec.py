@@ -52,8 +52,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             ConsensusConfig(batch_size=0)
         with pytest.raises(ValueError):
-            AuditConfig(workers=0)
-        with pytest.raises(ValueError):
             AuditConfig(security_bits=4)
         with pytest.raises(ValueError):
             NetworkProfile(drop_rate=1.5)
@@ -123,17 +121,18 @@ class TestRoundTrip:
             seed=123,
             registered_ballots=50_000,
             consensus=ConsensusConfig(batch_size=4),
-            audit=AuditConfig(enabled=False, workers=None, security_bits=96),
+            audit=AuditConfig(enabled=False, security_bits=96),
             network=NetworkProfile.wan(drop_rate=0.01),
             adversary=AdversaryProfile(
                 vc_behaviors={"VC-1": "silent"},
                 blocked_links=(("VC-0", "VC-1"),),
             ),
-            crypto=CryptoProfile(include_proofs=False),
+            crypto=CryptoProfile(backend="secp256k1"),
         )
         clone = ScenarioSpec.from_dict(spec.to_dict())
         assert clone == spec
-        assert clone.audit.workers is None
+        assert clone.audit.enabled is False
+        assert clone.crypto.backend == "secp256k1"
         assert clone.adversary.blocked_links == (("VC-0", "VC-1"),)
 
 
@@ -141,11 +140,10 @@ class TestDerivedViews:
     def test_election_parameters_carry_all_flags(self):
         spec = ScenarioSpec(
             consensus=ConsensusConfig(batch_size=4),
-            audit=AuditConfig(workers=2, security_bits=80),
+            audit=AuditConfig(security_bits=80),
         )
         params = spec.to_election_parameters()
         assert params.consensus.batch_size == 4
-        assert params.audit.workers == 2
         assert params.audit.security_bits == 80
 
     def test_election_parameters_hold_the_specs_own_blocks(self):

@@ -21,7 +21,6 @@ from repro.api.spec import (
     PRESETS,
     AuditConfig,
     CrashNode,
-    CryptoProfile,
     FaultPlan,
     ScenarioSpec,
 )
@@ -31,15 +30,16 @@ from repro.core.election import DictCodec
 
 GOLDENS = json.loads((Path(__file__).parent / "spec_goldens.json").read_text())
 #: fields of deleted code -- the testbed model's three, the per-item audit
-#: switch, and six knobs no run set (the admission queue's overload policy
-#: and batch window, the scale pipeline's collectors, superblock size and
-#: turnout per shard, the wire flag now folded into the transport backend):
-#: every golden holds them, at their defaults, and they are the only keys a
-#: spec no longer emits
+#: switch, the audit's process-pool size, and seven knobs no run set (the
+#: admission queue's overload policy and batch window, the scale pipeline's
+#: collectors, superblock size and turnout per shard, the wire flag now folded
+#: into the transport backend, the proof-free set-up): every golden holds
+#: them, at their defaults, and they are the only keys a spec no longer emits
 DELETED_KEYS = (
     "storage", "network.client_to_vc_ms", "network.inter_vc_ms", "audit.batch",
     "admission.policy", "admission.batch_window_s", "sharding.scale_collectors",
     "sharding.scale_batch_size", "sharding.scale_turnout", "transport.wire_format",
+    "audit.workers", "crypto.include_proofs",
 )
 
 
@@ -109,7 +109,7 @@ class TestFromDictRefuses:
         owner = {
             (): "ScenarioSpec", ("network",): "NetworkProfile", ("audit",): "AuditConfig",
             ("admission",): "AdmissionProfile", ("sharding",): "ShardingProfile",
-            ("transport",): "TransportProfile",
+            ("transport",): "TransportProfile", ("crypto",): "CryptoProfile",
         }[tuple(blocks)]
         with pytest.raises(ValueError, match=f"{owner}.*'{key}'"):
             ScenarioSpec.from_dict(old)
@@ -118,7 +118,6 @@ class TestFromDictRefuses:
         "block, key",
         [
             (AuditConfig, "enabled"),
-            (CryptoProfile, "include_proofs"),
             (FaultPlan, "expect_failure"),
         ],
     )

@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 from engine_runs import run_spec, small_spec
 
-from repro.api import CryptoProfile, ElectionEngine
+from repro.api import ElectionEngine
 from repro.api.engine import VotingDriver, default_drivers
 from repro.core.ballot import PART_A, PART_B
 
@@ -115,9 +115,7 @@ class TestPhaseValidation:
             run_spec(small_spec(num_voters=2, num_options=2, seed=1), ["option-1"])
 
     def test_deploy_registers_the_deployment_without_advancing_time(self):
-        spec = small_spec(
-            num_voters=2, num_options=2, seed=1, crypto=CryptoProfile(include_proofs=False)
-        )
+        spec = small_spec(num_voters=2, num_options=2, seed=1)
         engine = ElectionEngine(spec)
         ctx = engine.begin(["option-1", "option-2"])
         try:
@@ -135,9 +133,7 @@ class TestPhaseValidation:
             engine.close()
 
     def test_trustee_phase_without_votes_uploaded_returns_none(self):
-        spec = small_spec(
-            num_voters=2, num_options=2, seed=1, crypto=CryptoProfile(include_proofs=False)
-        )
+        spec = small_spec(num_voters=2, num_options=2, seed=1)
         engine = ElectionEngine(spec)
         ctx = engine.begin(["option-1", "option-2"])
         try:

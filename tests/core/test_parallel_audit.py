@@ -1,4 +1,4 @@
-"""Tests for the batched/parallel end-of-election audit and tally pipeline."""
+"""Tests for the batched end-of-election audit."""
 
 import re
 from dataclasses import replace
@@ -6,11 +6,13 @@ from dataclasses import replace
 import pytest
 from engine_runs import run_spec, small_spec
 
-from repro.core.auditor import Auditor
+from repro.api import ScenarioSpec
+from repro.core import auditor as auditor_module
+from repro.core.auditor import AUDIT_CHUNK, Auditor
 from repro.core.election import AuditConfig
+from repro.crypto.batch_verify import BatchVerifier
 from repro.crypto.commitments import CommitmentOpening, OptionEncodingScheme
 from repro.crypto.zkp import BallotCorrectnessVerifier
-from repro.perf.parallel import ParallelConfig
 
 
 @pytest.fixture(scope="module")
@@ -25,6 +27,54 @@ def tampered_outcome():
     """A fresh election per test, for the test to tamper with."""
     spec = small_spec(num_voters=4, num_options=2, election_end=200.0, seed=17)
     return run_spec(spec, ["option-1", "option-1", "option-2", "option-2"])
+
+
+#: Rows each of checks (d) and (e) batches in :func:`multi_chunk_outcome`.
+MULTI_CHUNK_ROWS = 720
+
+
+@pytest.fixture(scope="module")
+def multi_chunk_outcome():
+    """240 voters of ``paper_baseline`` publish 720 opening rows (each
+    ballot's unused part, three options) and 720 proof rows (its cast part):
+    three audit chunks each.  Tests tamper through ``monkeypatch`` only, so
+    the next test reads the honest BB again."""
+    spec = ScenarioSpec.preset("paper_baseline", num_voters=240, seed=3)
+    outcome = run_spec(spec, [spec.options[i % 3] for i in range(240)])
+    assert outcome.audit_report.passed
+    return outcome
+
+
+def _row_location(published, index):
+    """The ``(serial, part)`` key and row offset of the ``index``-th row the
+    auditor batches from ``published`` (keys in sorted order)."""
+    start = 0
+    for key, rows in sorted(published.items()):
+        if index < start + len(rows):
+            return key, index - start
+        start += len(rows)
+    raise IndexError(index)
+
+
+def _tamper_row(monkeypatch, nodes, published, key, offset, corrupt):
+    """Replace row ``offset`` of ``key`` in every node's ``result.<published>``
+    with ``corrupt(row)``, undone when the test ends."""
+    tables = {id(table): table for table in (getattr(node.result, published) for node in nodes)}
+    for table in tables.values():
+        rows = list(table[key])
+        rows[offset] = corrupt(rows[offset])
+        monkeypatch.setitem(table, key, tuple(rows))
+
+
+def _shift_opening(opening):
+    return CommitmentOpening(opening.values, tuple(r + 1 for r in opening.randomness))
+
+
+def _shift_response(response):
+    sum_response = response.sum_response
+    return replace(
+        response, sum_response=replace(sum_response, response=sum_response.response + 1)
+    )
 
 
 def _other_sign(element):
@@ -128,16 +178,6 @@ class TestVerifyAll:
         assert _culprits(report, "d-valid-openings") == refused_openings
         assert _culprits(report, "e-proofs-valid") == refused_proofs
 
-    def test_parallel_workers_produce_identical_report(self, batch_outcome, group):
-        params = batch_outcome.setup.params
-        auditor = Auditor(batch_outcome.bb_nodes, params, group)
-        serial = auditor.verify_all(parallel=ParallelConfig(workers=1, chunk_size=4))
-        pooled = auditor.verify_all(
-            parallel=ParallelConfig(workers=2, chunk_size=4, serial_threshold=1)
-        )
-        assert pooled.checks == serial.checks
-        assert pooled.passed
-
     def test_audit_before_result_reports_not_ready(self, batch_outcome, group):
         from repro.core.bulletin_board import BulletinBoardNode
 
@@ -201,6 +241,75 @@ class TestTamperDetection:
         report = Auditor(tampered_outcome.bb_nodes, params, group).verify_all()
         assert report.checks["h-tally-opening"] is False
 
+    def test_culprits_in_the_third_chunk_are_named(self, multi_chunk_outcome, group, monkeypatch):
+        """One corrupted opening and one corrupted proof response in the
+        third chunk are named by their ``(serial, part)``, and nothing else
+        fails."""
+        nodes = multi_chunk_outcome.bb_nodes
+
+        def third_chunk_key(published):
+            """The first key whose rows start inside the third chunk."""
+            start = 0
+            for key, rows in sorted(published.items()):
+                if start >= 2 * AUDIT_CHUNK:
+                    return key
+                start += len(rows)
+
+        assert sum(map(len, nodes[0].result.openings.values())) == MULTI_CHUNK_ROWS
+        assert sum(map(len, nodes[0].result.proof_responses.values())) == MULTI_CHUNK_ROWS
+        opened = third_chunk_key(nodes[0].result.openings)
+        proved = third_chunk_key(nodes[0].result.proof_responses)
+        _tamper_row(monkeypatch, nodes, "openings", opened, 0, _shift_opening)
+        _tamper_row(monkeypatch, nodes, "proof_responses", proved, 0, _shift_response)
+
+        chunks = {"openings": [], "proofs": []}
+
+        class ChunkRecorder(BatchVerifier):
+            def verify_openings(self, public_key, items):
+                chunks["openings"].append(len(items))
+                return super().verify_openings(public_key, items)
+
+            def verify_proofs(self, public_key, items):
+                chunks["proofs"].append(len(items))
+                return super().verify_proofs(public_key, items)
+
+        monkeypatch.setattr(auditor_module, "BatchVerifier", ChunkRecorder)
+        report = Auditor(nodes, multi_chunk_outcome.setup.params, group).verify_all()
+        assert chunks == {"openings": [256, 256, 208], "proofs": [256, 256, 208]}
+        assert _culprits(report, "d-valid-openings") == {opened}
+        assert _culprits(report, "e-proofs-valid") == {proved}
+        assert len(report.failures) == 2
+        assert {name for name, ok in report.checks.items() if not ok} == {
+            "d-valid-openings", "e-proofs-valid"
+        }
+
+    @pytest.mark.parametrize(
+        "index",
+        [0, AUDIT_CHUNK - 1, AUDIT_CHUNK, 2 * AUDIT_CHUNK, MULTI_CHUNK_ROWS - 1],
+        ids=["first-row", "last-of-chunk-1", "first-of-chunk-2", "inside-chunk-3", "last-row"],
+    )
+    @pytest.mark.parametrize(
+        "check, published, corrupt",
+        [
+            ("d-valid-openings", "openings", _shift_opening),
+            ("e-proofs-valid", "proof_responses", _shift_response),
+        ],
+        ids=["opening", "proof"],
+    )
+    def test_a_culprit_at_a_chunk_edge_is_named(
+        self, multi_chunk_outcome, group, monkeypatch, index, check, published, corrupt
+    ):
+        """Chunk-local bad indices map back to the right ``(serial, part)``
+        at each chunk's edges, also where a part's three rows straddle two
+        chunks (rows 255-257 share a key)."""
+        nodes = multi_chunk_outcome.bb_nodes
+        key, offset = _row_location(getattr(nodes[0].result, published), index)
+        _tamper_row(monkeypatch, nodes, published, key, offset, corrupt)
+        report = Auditor(nodes, multi_chunk_outcome.setup.params, group).verify_all()
+        assert _culprits(report, check) == {key}
+        assert len(report.failures) == 1
+        assert {name for name, ok in report.checks.items() if not ok} == {check}
+
     @pytest.mark.parametrize(
         "corrupt",
         [
@@ -221,10 +330,6 @@ class TestTamperDetection:
 
 
 class TestElectionParameterKnobs:
-    def test_invalid_audit_workers_rejected(self):
-        with pytest.raises(ValueError):
-            AuditConfig(workers=0)
-
     def test_invalid_security_bits_rejected(self):
         import dataclasses
 

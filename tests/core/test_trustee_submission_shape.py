@@ -23,13 +23,15 @@ intersection); ``TestOmittedParts`` is its reproducer.
 """
 
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
 from repro.api import AdversaryProfile, ElectionEngine, FaultPlan, ScenarioSpec
-from repro.api.spec import CryptoProfile
+from repro.api import engine as engine_module
 from repro.core.bulletin_board import BulletinBoardNode, MajorityReader
 from repro.core.byzantine import TRUSTEE_BEHAVIORS
+from repro.core.ea import ElectionAuthority
 from repro.core.trustee import Trustee
 from repro.crypto.shamir import scalar_width
 from repro.crypto.signatures import SignatureScheme
@@ -300,11 +302,14 @@ def faulty_t0(monkeypatch, cls):
     return AdversaryProfile(trustee_behaviors={FAULTY: cls.__name__})
 
 
-def proofless_spec(**changes):
+def proofless_spec(monkeypatch, **changes):
+    """A small election whose set-up the EA builds with ``include_proofs=False``."""
+    monkeypatch.setattr(
+        engine_module, "ElectionAuthority", partial(ElectionAuthority, include_proofs=False)
+    )
     return ScenarioSpec(
         options=("a", "b"), num_voters=2, num_vc=4, num_bb=3, num_trustees=3,
         trustee_threshold=2, election_end=200.0, seed=9,
-        crypto=CryptoProfile(include_proofs=False),
     ).derive(**changes)
 
 
@@ -325,17 +330,17 @@ class ProofSendingTrustee(Trustee):
 
 
 class TestElectionWithoutProofs:
-    def test_accepts_empty_proof_blocks(self):
+    def test_accepts_empty_proof_blocks(self, monkeypatch):
         """``include_proofs=False``: the EA deals no proof coefficients, so an
         honest proof block is empty and the BB must expect exactly that."""
-        outcome = ElectionEngine(proofless_spec()).run(["a", "b"])
+        outcome = ElectionEngine(proofless_spec(monkeypatch)).run(["a", "b"])
         assert outcome.tally.as_dict() == {"a": 1, "b": 1}
         for bb in outcome.bb_nodes:
             assert sorted(bb.trustee_submissions) == ["T-0", "T-1", "T-2"]
             assert set(bb.trustee_submissions["T-0"].proof_shares.values()) == {b""}
 
     def test_drops_a_proof_block(self, monkeypatch):
-        spec = proofless_spec(adversary=faulty_t0(monkeypatch, ProofSendingTrustee))
+        spec = proofless_spec(monkeypatch, adversary=faulty_t0(monkeypatch, ProofSendingTrustee))
         outcome = ElectionEngine(spec).run(["a", "b"])
         assert outcome.tally.as_dict() == {"a": 1, "b": 1}
         for bb in outcome.bb_nodes:

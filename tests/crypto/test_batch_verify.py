@@ -7,11 +7,8 @@ import pytest
 from repro.crypto.batch_verify import (
     BatchOutcome,
     BatchVerifier,
-    OpeningBatchTask,
     OpeningItem,
-    ProofBatchTask,
     ProofItem,
-    SignatureBatchTask,
     SignatureItem,
     merge_outcomes,
 )
@@ -27,7 +24,6 @@ from repro.crypto.zkp import (
     BallotProofResponse,
     fiat_shamir_challenge,
 )
-from repro.perf.parallel import ParallelConfig, parallel_chunk_map
 
 NUM_SIGNATURES = 24
 NUM_PROOFS = 8
@@ -235,29 +231,34 @@ class TestOpeningBatch:
         assert outcome.bad_indices == (0,)
 
 
-class TestChunkTasksAndOutcomes:
-    def test_chunked_outcome_indices_are_global(self, signature_batch):
+def in_chunks(items, size):
+    return [items[start : start + size] for start in range(0, len(items), size)]
+
+
+class TestChunkedOutcomes:
+    def test_chunked_outcome_indices_are_global(self, group, signature_batch):
         _, items = signature_batch
         forged = list(items)
         forged[20] = forge_signature(items[20])
-        outcomes = parallel_chunk_map(
-            SignatureBatchTask(), forged, ParallelConfig(workers=1, chunk_size=8)
-        )
+        outcomes = [
+            BatchVerifier(group).verify_signatures(chunk) for chunk in in_chunks(forged, 8)
+        ]
         merged = merge_outcomes(outcomes)
         assert len(outcomes) == 3
         assert merged.checked == NUM_SIGNATURES
         assert merged.bad_indices == (20,)
 
-    def test_proof_and_opening_tasks_run_per_chunk(self, proof_batch, elgamal_keys):
+    def test_proofs_and_openings_verify_per_chunk(self, group, proof_batch, elgamal_keys):
         _, proof_items, opening_items = proof_batch
-        config = ParallelConfig(workers=1, chunk_size=3)
-        merged = merge_outcomes(
-            parallel_chunk_map(ProofBatchTask(elgamal_keys.public), proof_items, config)
-        )
+        merged = merge_outcomes([
+            BatchVerifier(group).verify_proofs(elgamal_keys.public, chunk)
+            for chunk in in_chunks(proof_items, 3)
+        ])
         assert merged.ok and merged.checked == NUM_PROOFS
-        merged = merge_outcomes(
-            parallel_chunk_map(OpeningBatchTask(elgamal_keys.public), opening_items, config)
-        )
+        merged = merge_outcomes([
+            BatchVerifier(group).verify_openings(elgamal_keys.public, chunk)
+            for chunk in in_chunks(opening_items, 3)
+        ])
         assert merged.ok
 
     def test_merge_outcomes_of_nothing(self):

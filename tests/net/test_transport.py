@@ -335,7 +335,6 @@ def small_wire_spec():
         options=("option-1", "option-2"),
         num_voters=3,
         election_end=400.0,
-        audit=AuditConfig(workers=1),
         transport=TransportProfile.wire(),
     )
 

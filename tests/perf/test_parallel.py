@@ -1,38 +1,16 @@
-"""Tests for the chunked process-pool scheduler and the warm pool."""
+"""Tests for the warm process pool."""
 
 import os
 import time
 
 import pytest
 
-from repro.perf.parallel import (
-    DEFAULT_MAX_CHUNK,
-    ParallelConfig,
-    PoolTaskError,
-    PoolWorkerDied,
-    WarmProcessPool,
-    chunk_seeds,
-    parallel_chunk_map,
-    split_chunks,
-)
+from repro.perf.parallel import PoolTaskError, PoolWorkerDied, WarmProcessPool
 
 
 def square(value):
     """Module-level so the process-pool path can pickle it."""
     return value * value
-
-
-def chunk_squares(chunk, seed):
-    return [square(value) for value in chunk]
-
-
-def flat(per_chunk):
-    return [result for chunk_results in per_chunk for result in chunk_results]
-
-
-def chunk_sum_with_seed(chunk, seed):
-    """Module-level chunk function recording the seed it was handed."""
-    return (sum(chunk), seed)
 
 
 _WARMED = None
@@ -60,101 +38,12 @@ def fail_on_seven(value):
     return value
 
 
-def chunk_fail_on_seven(chunk, seed):
-    return [fail_on_seven(value) for value in chunk]
-
-
 def die_on_three(value):
     """Kills its worker process outright: no exception, no cleanup."""
     if value == 3:
         os._exit(1)
     time.sleep(0.01)
     return value * value
-
-
-def chunk_dies_on_three(chunk, seed):
-    return [die_on_three(value) for value in chunk]
-
-
-class TestConfig:
-    def test_one_worker_is_always_serial(self):
-        config = ParallelConfig(workers=1)
-        assert config.use_serial(1_000_000)
-
-    def test_small_inputs_fall_back_to_serial(self):
-        config = ParallelConfig(workers=8, serial_threshold=64)
-        assert config.use_serial(63)
-        assert not config.use_serial(64)
-
-    def test_none_workers_means_all_cores(self):
-        assert ParallelConfig(workers=None).resolved_workers() >= 1
-
-    def test_invalid_workers_rejected(self):
-        with pytest.raises(ValueError):
-            ParallelConfig(workers=0).resolved_workers()
-
-    def test_auto_chunk_size_is_bounded_and_machine_independent(self):
-        config = ParallelConfig(workers=None)
-        assert config.resolved_chunk_size(10_000) == DEFAULT_MAX_CHUNK
-        assert config.resolved_chunk_size(10) == 10
-
-    def test_explicit_chunk_size_wins(self):
-        assert ParallelConfig(chunk_size=7).resolved_chunk_size(10_000) == 7
-        with pytest.raises(ValueError):
-            ParallelConfig(chunk_size=0).resolved_chunk_size(10)
-
-
-class TestChunking:
-    def test_split_chunks_covers_everything_in_order(self):
-        chunks = split_chunks(list(range(10)), 3)
-        assert [list(c) for c in chunks] == [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9]]
-
-    def test_chunk_seeds_are_deterministic_and_distinct(self):
-        seeds = chunk_seeds(42, 8)
-        assert seeds == chunk_seeds(42, 8)
-        assert len(set(seeds)) == 8
-        assert chunk_seeds(43, 8) != seeds
-
-    def test_seeds_do_not_depend_on_worker_count(self):
-        """Chunk boundaries come from chunk_size, seeds from the index, so a
-        re-run with more workers sees identical (chunk, seed) pairs."""
-        items = list(range(40))
-        serial = parallel_chunk_map(
-            chunk_sum_with_seed, items, ParallelConfig(workers=1, chunk_size=8, base_seed=3)
-        )
-        pooled = parallel_chunk_map(
-            chunk_sum_with_seed,
-            items,
-            ParallelConfig(workers=2, chunk_size=8, serial_threshold=1, base_seed=3),
-        )
-        assert serial == pooled
-
-    def test_default_base_seed_is_unpredictable(self):
-        """Without an explicit base_seed every job draws fresh chunk seeds
-        (the secure default: batching exponents must not be predictable)."""
-        items = list(range(16))
-        config = ParallelConfig(workers=1, chunk_size=4)
-        first = parallel_chunk_map(chunk_sum_with_seed, items, config)
-        second = parallel_chunk_map(chunk_sum_with_seed, items, config)
-        assert [s for s, _ in first] == [s for s, _ in second]  # same chunk sums
-        assert [seed for _, seed in first] != [seed for _, seed in second]
-
-
-class TestChunkMap:
-    def test_serial_map_preserves_order(self):
-        per_chunk = parallel_chunk_map(chunk_squares, range(20), ParallelConfig(chunk_size=3))
-        assert flat(per_chunk) == [v * v for v in range(20)]
-
-    def test_empty_input(self):
-        assert parallel_chunk_map(chunk_sum_with_seed, []) == []
-
-    def test_process_pool_map_matches_serial(self):
-        items = list(range(100))
-        expected = parallel_chunk_map(chunk_squares, items, ParallelConfig(workers=1))
-        pooled = parallel_chunk_map(
-            chunk_squares, items, ParallelConfig(workers=2, serial_threshold=1, chunk_size=25)
-        )
-        assert flat(pooled) == flat(expected) == [v * v for v in items]
 
 
 class TestWarmProcessPool:
@@ -225,21 +114,9 @@ class TestWarmProcessPool:
             results = dict(pool.imap_unordered(read_warmed, range(6)))
             assert results == {task: ("hot", task) for task in range(6)}
 
-    def test_killed_worker_under_chunk_map_raises_the_same_error(self):
-        config = ParallelConfig(workers=2, chunk_size=1, serial_threshold=1)
-        with pytest.raises(PoolWorkerDied):
-            parallel_chunk_map(chunk_dies_on_three, list(range(6)), config)
-        # a pool is owned per call, so the next call is unaffected
-        assert flat(parallel_chunk_map(chunk_squares, list(range(6)), config)) == [
-            v * v for v in range(6)
-        ]
-
-    def test_chunk_error_under_the_pool_is_the_chunk_functions_own(self):
-        """One failure surface: what the serial path raises, the pool raises."""
-        for workers in (1, 2):
-            config = ParallelConfig(workers=workers, chunk_size=2, serial_threshold=1)
-            with pytest.raises(ValueError, match="seven is right out"):
-                parallel_chunk_map(chunk_fail_on_seven, list(range(10)), config)
+    def test_invalid_workers_rejected(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            WarmProcessPool(workers=0)
 
     def test_resolves_default_worker_count(self):
         pool = WarmProcessPool()

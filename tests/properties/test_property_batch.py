@@ -10,13 +10,12 @@ from dataclasses import replace
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.batch_verify import BatchVerifier, OpeningItem, SignatureItem
+from repro.crypto.batch_verify import BatchVerifier, OpeningItem, SignatureItem, merge_outcomes
 from repro.crypto.commitments import CommitmentOpening, OptionEncodingScheme
 from repro.crypto.elgamal import LiftedElGamal
 from repro.crypto.registry import get_group
 from repro.crypto.signatures import SignatureScheme
 from repro.crypto.utils import RandomSource
-from repro.perf.parallel import chunk_seeds
 
 GROUP = get_group("schnorr")
 SIGNER = SignatureScheme(GROUP)
@@ -94,11 +93,23 @@ class TestBatchEquivalence:
         assert verifier.verify_signatures(SIGNATURE_ITEMS).ok
 
 
-class TestChunkSeedProperties:
+class TestChunkedEquivalence:
     @relaxed
-    @given(base=st.integers(min_value=0, max_value=2 ** 64), count=st.integers(min_value=0, max_value=64))
-    def test_seeds_are_stable_and_64_bit(self, base, count):
-        seeds = chunk_seeds(base, count)
-        assert seeds == chunk_seeds(base, count)
-        assert len(seeds) == count
-        assert all(0 <= seed < 2 ** 64 for seed in seeds)
+    @given(corrupted=st.sets(st.integers(min_value=0, max_value=BATCH_SIZE - 1), max_size=3),
+           size=st.integers(min_value=1, max_value=BATCH_SIZE + 1),
+           seed=st.integers(min_value=0, max_value=2 ** 32))
+    def test_chunks_merged_name_what_one_batch_names(self, corrupted, size, seed):
+        """Verifying in chunks of any size and merging the outcomes (the
+        auditor's walk) names the same global indices as one batch."""
+        items = [
+            corrupt_signature(item) if index in corrupted else item
+            for index, item in enumerate(SIGNATURE_ITEMS)
+        ]
+        verifier = BatchVerifier(GROUP, rng=RandomSource(seed))
+        merged = merge_outcomes([
+            verifier.verify_signatures(items[start : start + size])
+            for start in range(0, BATCH_SIZE, size)
+        ])
+        assert merged.checked == BATCH_SIZE
+        assert merged.ok == (not corrupted)
+        assert merged.bad_indices == tuple(sorted(corrupted))

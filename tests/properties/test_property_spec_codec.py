@@ -47,7 +47,6 @@ consensus = st.builds(ConsensusConfig, batch_size=small_ints)
 audits = st.builds(
     AuditConfig,
     enabled=st.booleans(),
-    workers=maybe(small_ints),
     security_bits=st.integers(min_value=8, max_value=128),
 )
 admissions = st.builds(
@@ -75,7 +74,6 @@ adversaries = st.builds(
 cryptos = st.builds(
     CryptoProfile,
     backend=st.sampled_from(["schnorr", "ec", "secp256k1"]),
-    include_proofs=st.booleans(),
 )
 transports = st.builds(TransportProfile, backend=st.sampled_from(["memory", "wire", "tcp"]))
 shardings = st.builds(

@@ -102,11 +102,6 @@ SET_BY_TESTS: Dict[str, str] = {
         "corrupt trustees by name; the trustee attribution experiments "
         "(ROADMAP 5(a)) set it"
     ),
-    "CryptoProfile.include_proofs": (
-        "a set-up without ballot-correctness proofs, for elections that never audit; "
-        "the trustee-submission tests run one; a run sets it or it goes (ROADMAP, "
-        "values only tests set)"
-    ),
     "ScenarioSpec.election_start": (
         "the opening of voting hours (Section III-A), which the voting-hours "
         "validation tests move"
