@@ -9,16 +9,53 @@ from __future__ import annotations
 
 import hashlib
 import hmac
+import io
 import os
 import random
+from functools import partial
 from typing import Optional
+
+
+#: bytes of one ``os.urandom`` read behind the unseeded draws
+_OS_BUFFER_BYTES = 4096
+_os_buffer = io.BytesIO()
+
+
+def _os_bytes(n: int) -> bytes:
+    """``n`` bytes of OS entropy, served from one buffered ``os.urandom`` read.
+
+    ``BytesIO.read`` hands out each buffered byte once, also to concurrent
+    threads.  A draw the buffer cannot fill reads the OS itself and refills
+    the buffer, and a forked child starts with an empty buffer
+    (``os.register_at_fork`` below), so parent and child never share bytes.
+    """
+    data = _os_buffer.read(n)
+    if len(data) == n:
+        return data
+    _set_os_buffer(os.urandom(_OS_BUFFER_BYTES))
+    return os.urandom(n)
+
+
+def _os_bits(k: int) -> int:
+    """A uniformly random integer of at most ``k >= 1`` bits of OS entropy."""
+    n = (k + 7) // 8
+    return int.from_bytes(_os_bytes(n), "big") >> (8 * n - k)
+
+
+def _set_os_buffer(data: bytes) -> None:
+    global _os_buffer
+    _os_buffer = io.BytesIO(data)
+
+
+os.register_at_fork(after_in_child=partial(_set_os_buffer, b""))
 
 
 class RandomSource:
     """Source of randomness with an optional deterministic seed.
 
-    The production path uses ``os.urandom``; tests pass a seed to obtain a
-    reproducible stream backed by :class:`random.Random`.
+    The production path draws OS entropy (``os.urandom``, buffered by
+    :func:`_os_bytes`); tests pass a seed to obtain a reproducible stream
+    backed by :class:`random.Random`.
     """
 
     def __init__(self, seed: Optional[int] = None):
@@ -34,7 +71,7 @@ class RandomSource:
         """
         if self._seeded:
             return self._rng.getrandbits(32 * n).to_bytes(4 * n, "little")[3::4]
-        return os.urandom(n)
+        return _os_bytes(n)
 
     def randbits(self, k: int) -> int:
         """Return a uniformly random integer with at most ``k`` bits."""
@@ -42,14 +79,14 @@ class RandomSource:
             return 0
         if self._seeded:
             return self._rng.getrandbits(k)
-        return int.from_bytes(os.urandom((k + 7) // 8), "big") >> ((8 - k % 8) % 8)
+        return _os_bits(k)
 
     def randint_below(self, upper: int) -> int:
         """Return a uniformly random integer in ``[0, upper)``."""
         if upper <= 0:
             raise ValueError("upper bound must be positive")
         k = upper.bit_length()
-        draw = self._rng.getrandbits if self._seeded else self.randbits
+        draw = self._rng.getrandbits if self._seeded else _os_bits
         candidate = draw(k)
         while candidate >= upper:
             candidate = draw(k)

@@ -1,6 +1,7 @@
 """Tests for the shared crypto helpers."""
 
 import hashlib
+import os
 
 import pytest
 
@@ -59,6 +60,35 @@ class TestRandomSource:
 
     def test_unseeded_source_produces_bytes(self):
         assert len(default_random().randbytes(8)) == 8
+
+    def test_unseeded_draws_past_the_buffer(self):
+        """More bytes than one buffered OS read, in small and large draws."""
+        rng = default_random()
+        draws = [rng.randbytes(24) for _ in range(400)]
+        assert len(set(draws)) == 400
+        assert all(0 < rng.randbits(64) < 2**64 for _ in range(1000))
+        assert len(rng.randbytes(10_000)) == 10_000
+        assert 0 <= rng.randbits(5) < 32 and rng.randbits(0) == 0
+        assert all(1 <= rng.randint_range(1, 2**64) < 2**64 for _ in range(1000))
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_draws_other_bytes_than_its_parent(self):
+        """A forked child inherits a copy of the parent's buffered OS bytes;
+        it must not draw them (the shard pool forks its workers on Linux)."""
+        rng = default_random()
+        rng.randbytes(1)  # the buffer holds unread bytes
+        read_end, write_end = os.pipe()
+        child = os.fork()
+        if child == 0:  # pragma: no cover - runs in the child
+            try:
+                os.write(write_end, rng.randbytes(32))
+            finally:
+                os._exit(0)
+        os.close(write_end)
+        drawn = os.read(read_end, 32)
+        os.close(read_end)
+        os.waitpid(child, 0)
+        assert len(drawn) == 32 and drawn != rng.randbytes(32)
 
 
 #: The first draws of ``RandomSource(42)``, captured before the seeded

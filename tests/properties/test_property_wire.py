@@ -13,7 +13,9 @@ Two defining properties of the codec:
 * **an entry lives as long as its object** -- the table holds decoded objects
   weakly: an entry leaves both of its indexes when its object dies, and a
   body whose object is still held decodes to that very object however much
-  else was decoded in between.
+  else was decoded in between;
+* **only bodies that repeat are interned** -- a payload type outside
+  ``INTERNED_TYPES`` leaves no entry, at any body size.
 """
 
 import gc
@@ -225,9 +227,14 @@ def verdict(codec: MessageCodec, frame: bytes):
 
 
 def interned_body(frame: bytes) -> bool:
-    """Whether a frame's top-level body is in the intern table's size range."""
+    """Whether a frame's top-level body is interned: its type is one of the
+    ``INTERNED_TYPES`` and its body is in the intern table's size range."""
     body_len = len(frame) - FRAME_HEADER_LEN - FRAME_TRAILER_LEN
-    return codec_module.INTERN_MIN_BODY <= body_len <= codec_module.INTERN_MAX_BODY
+    (cls, _) = CODEC._decoders[int.from_bytes(frame[3:5], "big")]
+    return (
+        cls in codec_module.INTERNED_TYPES
+        and codec_module.INTERN_MIN_BODY <= body_len <= codec_module.INTERN_MAX_BODY
+    )
 
 
 @given(batch=st.lists(messages, min_size=1, max_size=8))
@@ -285,7 +292,7 @@ def test_non_minimal_integers_rejected_with_a_warm_table(endorsement, data):
     table is keyed by bytes, so the padded body misses and is strictly rejected."""
     frame = MessageCodec().encode(endorsement)
     warm = MessageCodec()
-    held = warm.decode(frame)  # its body, and its signature's, stay interned
+    held = warm.decode(frame)  # its body stays interned
     assert held == endorsement
     # Body layout: sign byte, u32 magnitude length, magnitude, ...
     length_at = FRAME_HEADER_LEN + 1
@@ -304,25 +311,26 @@ def test_non_minimal_integers_rejected_with_a_warm_table(endorsement, data):
     assert warm.decode(frame) == endorsement
 
 
-def announce_frame(serial: int) -> bytes:
-    """An ANNOUNCE frame whose body alone is interned: 64 vote-code bytes put
-    it in the interned size range, and nothing is embedded in it."""
-    return CODEC.encode(Announce(serial, bytes(64), None, "VC-1"))
+def endorsement_frame(serial: int) -> bytes:
+    """An endorsement frame whose body alone is interned: 64 vote-code bytes
+    put it in the interned size range, and its signature's body is not
+    interned (signatures never repeat on their own)."""
+    return CODEC.encode(Endorsement(serial, bytes(64), "VC-1", SchnorrSignature(3, 5, None)))
 
 
 def test_an_entry_leaves_both_indexes_when_its_object_dies():
     codec = MessageCodec()
-    frame = announce_frame(7)
-    announce = codec.decode(frame)
-    key = (CODEC.tag_of(Announce), frame[FRAME_HEADER_LEN:-FRAME_TRAILER_LEN])
+    frame = endorsement_frame(7)
+    endorsement = codec.decode(frame)
+    key = (CODEC.tag_of(Endorsement), frame[FRAME_HEADER_LEN:-FRAME_TRAILER_LEN])
     (entry,) = codec._decoded.values()
-    assert codec._decoded == {key: entry} and codec._bodies == {id(announce): entry}
-    assert entry() is announce and entry.key == key
+    assert codec._decoded == {key: entry} and codec._bodies == {id(endorsement): entry}
+    assert entry() is endorsement and entry.key == key
     # Re-encoding reads the body back from the ``id`` index.
-    assert codec.encode(announce) == frame
-    del announce
+    assert codec.encode(endorsement) == frame
+    del endorsement
     assert codec.interned == 0 and codec._decoded == {} and codec._bodies == {}
-    # A certificate's endorsements and signatures live as long as it does.
+    # A certificate's endorsements live as long as it does.
     ucert = UniquenessCertificate(
         3, b"code" * 16,
         tuple(
@@ -330,20 +338,39 @@ def test_an_entry_leaves_both_indexes_when_its_object_dies():
             for i in range(3)
         ),
     )
-    held = codec.decode(CODEC.encode(ucert))
-    assert codec.interned == 7  # the certificate, 3 endorsements, 3 signatures
+    frame = CODEC.encode(ucert)
+    held = codec.decode(frame)
+    assert codec.interned == 4  # the certificate and its 3 endorsements
+    # Forwarding the certificate re-emits its stored body.
+    assert codec.encode(held) == frame
     endorsement = held.endorsements[0]
     del held
-    assert codec.interned == 2 and len(codec._bodies) == 2  # one endorsement, its signature
+    assert codec.interned == 1 and len(codec._bodies) == 1  # one endorsement
     del endorsement
+    assert codec.interned == 0 and codec._bodies == {}
+
+
+def test_a_type_outside_the_interned_types_leaves_no_entry():
+    """ANNOUNCE, VOTE_P, signatures and the rest never repeat while their
+    first object lives: their bodies are parsed, not copied into keys."""
+    codec = MessageCodec()
+    assert Announce not in codec_module.INTERNED_TYPES
+    announce = Announce(1, bytes(64), None, "VC-1")
+    frame = CODEC.encode(announce)
+    body_len = len(frame) - FRAME_HEADER_LEN - FRAME_TRAILER_LEN
+    assert codec_module.INTERN_MIN_BODY <= body_len <= codec_module.INTERN_MAX_BODY
+    held = [codec.decode(frame), codec.decode(frame)]
+    assert held[0] == held[1] == announce and held[0] is not held[1]
+    signature = SchnorrSignature(2**255, 2**254, None)
+    assert codec.decode(CODEC.encode(signature)) == signature
     assert codec.interned == 0 and codec._bodies == {}
 
 
 def test_entries_die_with_a_reference_cycle_too():
     """Objects freed by the cyclic collector take their entries with them."""
     codec = MessageCodec()
-    holder = [codec.decode(announce_frame(1))]
-    holder.append(holder)  # only the cyclic collector frees the announce
+    holder = [codec.decode(endorsement_frame(1))]
+    holder.append(holder)  # only the cyclic collector frees the endorsement
     del holder
     gc.collect()
     assert codec.interned == 0 and codec._bodies == {}
@@ -352,13 +379,13 @@ def test_entries_die_with_a_reference_cycle_too():
 def test_a_held_body_decodes_to_the_same_object_after_5000_unrelated_bodies():
     """The table has no count bound: what is still held is still found."""
     codec = MessageCodec()
-    frame = announce_frame(0)
+    frame = endorsement_frame(0)
     held = codec.decode(frame)
     for serial in range(1, 5_001):
-        assert codec.decode(announce_frame(serial)).serial == serial
+        assert codec.decode(endorsement_frame(serial)).serial == serial
     assert codec.interned == 1  # the unrelated objects died with their entries
     assert codec.decode(frame) is held
-    kept = [codec.decode(announce_frame(serial)) for serial in range(1, 5_001)]
+    kept = [codec.decode(endorsement_frame(serial)) for serial in range(1, 5_001)]
     assert codec.interned == 5_001
-    assert codec.decode(frame) is held and codec.decode(announce_frame(1)) is kept[0]
+    assert codec.decode(frame) is held and codec.decode(endorsement_frame(1)) is kept[0]
 
