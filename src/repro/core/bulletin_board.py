@@ -98,6 +98,8 @@ class BulletinBoardNode(SimNode):
         self.decrypted_vote_codes: Dict[int, Dict[str, Tuple[bytes, ...]]] = {}
         self.trustee_submissions: Dict[str, TrusteeSubmission] = {}
         self.result: Optional[PublishedResult] = None
+        #: ``(cast_rows, opened, proved)``, worked out once the election view exists
+        self._agreed: Optional[tuple] = None
 
     # ------------------------------------------------------------------ network writes (VC -> BB)
 
@@ -196,25 +198,10 @@ class BulletinBoardNode(SimNode):
             and self._tally_sized(submission)
         )
 
-    def _expected_parts(self) -> Tuple[Set[PartKey], Set[PartKey]]:
-        """The ``(serial, part)`` sets this node's agreed vote set says must be
-        opened and proved: what an honest trustee's submission is keyed by."""
-        cast_rows, discarded = self._cast_rows()
-        opened: Set[PartKey] = set()
-        proved: Set[PartKey] = set()
-        for serial in self.init.ballots:
-            if serial in discarded:
-                continue
-            cast = cast_rows.get(serial)
-            for part_name in PARTS:
-                used = cast is not None and cast[0] == part_name
-                (proved if used else opened).add((serial, part_name))
-        return opened, proved
-
     def _parts_as_agreed(self, submission: TrusteeSubmission) -> bool:
         """Exactly the agreed parts are opened and proved: a submission that
         leaves one out is as unusable as one that adds a part of no ballot."""
-        opened, proved = self._expected_parts()
+        _, opened, proved = self._agreed_parts()
         return submission.opening_shares.keys() == opened and (
             submission.proof_shares.keys() == proved
         )
@@ -252,16 +239,40 @@ class BulletinBoardNode(SimNode):
             decrypted_vote_codes=self.decrypted_vote_codes,
         )
 
-    def _cast_rows(self) -> Tuple[Dict[int, Tuple[str, int]], List[int]]:
-        """Each voted serial's (part, row) of the cast vote code, and the
-        serials the agreed vote set makes unusable -- as the trustees see them
-        (:func:`repro.core.trustee.locate_cast_rows`)."""
+    def _agreed_parts(
+        self,
+    ) -> Tuple[Dict[int, Tuple[str, int]], Set[PartKey], Set[PartKey]]:
+        """Each voted serial's (part, row) of the cast vote code -- as the
+        trustees see it (:func:`repro.core.trustee.locate_cast_rows`) -- and
+        the ``(serial, part)`` sets this node's agreed vote set says must be
+        opened and proved: what an honest trustee's submission is keyed by.
+        Ballots the agreed vote set makes unusable are in neither set.
+
+        Worked out once, when the election view first exists: the vote set
+        and ``msk`` it reads are each set once.  Before then nothing is cast
+        and nothing is expected.
+        """
+        if self._agreed is not None:
+            return self._agreed
         view = self.election_view()
-        return ({}, []) if view is None else locate_cast_rows(view, self.init.ballots)
+        if view is None:
+            return {}, set(), set()
+        cast_rows, discarded = locate_cast_rows(view, self.init.ballots)
+        opened: Set[PartKey] = set()
+        proved: Set[PartKey] = set()
+        for serial in self.init.ballots:
+            if serial in discarded:
+                continue
+            cast = cast_rows.get(serial)
+            for part_name in PARTS:
+                used = cast is not None and cast[0] == part_name
+                (proved if used else opened).add((serial, part_name))
+        self._agreed = (cast_rows, opened, proved)
+        return self._agreed
 
     def cast_row_locations(self) -> Dict[int, Tuple[str, int]]:
         """Map each voted serial to the (part, row) of the cast vote code."""
-        return self._cast_rows()[0]
+        return self._agreed_parts()[0]
 
     def _finalize_result(self) -> None:
         """Reconstruct openings, proofs and the tally from trustee submissions."""
@@ -289,10 +300,9 @@ class BulletinBoardNode(SimNode):
                 for at in range(0, len(halves), 2 * m)
             ]
 
-        cast_locations = self.cast_row_locations()
+        cast_locations, opened, proved = self._agreed_parts()
         cast_parts = {serial: part for serial, (part, _) in cast_locations.items()}
         challenge = voter_coin_challenge(self.group, cast_parts)
-        opened, proved = self._expected_parts()
 
         openings: Dict[PartKey, Tuple[CommitmentOpening, ...]] = {
             key: tuple(openings_of([s.opening_shares[key] for s in submissions]))

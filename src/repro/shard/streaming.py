@@ -2,7 +2,8 @@
 
 Instead of producing one ElGamal commitment per ballot (two exponentiations
 each), :class:`StreamingTally` accumulates the plaintext unit vectors and the
-per-coordinate randomness as integer sums and flushes to a *single*
+per-coordinate randomness as integer sums, a block of votes at a time (a count
+per option and a randomness sum per coordinate), and flushes to a *single*
 commitment per shard at the end, using
 ``Enc(pk, Σv, Σr) = Π Enc(pk, v_i, r_i)`` — O(num_options) exponentiations
 for the whole shard.  Group multiplication is exact and associative, so that
@@ -12,6 +13,8 @@ shard commitments with the same ``combine``.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 from repro.crypto.commitments import (
     CommitmentOpening,
@@ -24,9 +27,11 @@ class StreamingTally:
     """O(num_options) accumulator for a shard's homomorphic tally.
 
     Each cast ballot contributes its option's unit vector and one fresh
-    randomness scalar per coordinate; both are plain integer additions here
+    randomness scalar per coordinate.  Votes arrive in blocks: the block's
+    option indices and, per coordinate, the sum of the block's randomness, so
+    a block is a count per option plus one integer addition per coordinate
     (the randomness sums are reduced modulo the group order when they are
-    read, not per vote).  ``commit()`` flushes the sums to one deterministic
+    read, not per block).  ``commit()`` flushes the sums to one deterministic
     ElGamal commitment — exactly the element the per-ballot commitment
     product would produce, without ever materializing per-ballot ciphertexts.
     """
@@ -36,18 +41,20 @@ class StreamingTally:
         self._order = scheme.group.order
         self._values = [0] * scheme.num_options
         self._randomness = [0] * scheme.num_options
-        self.count = 0
 
-    def add_vote(self, option_index: int, randomness) -> None:
-        """Record one vote for ``option_index`` with its randomness vector."""
-        if not 0 <= option_index < self._scheme.num_options:
-            raise ValueError("option index out of range")
-        if len(randomness) != self._scheme.num_options:
+    def add_vote(self, option_indices: Sequence[int], randomness_sums: Sequence[int]) -> None:
+        """Record a block of votes: each one's option index, and per coordinate
+        the sum of the block's randomness (unreduced sums are fine)."""
+        if len(randomness_sums) != self._scheme.num_options:
             raise ValueError("randomness vector length mismatch")
-        self._values[option_index] += 1
-        for coordinate, r in enumerate(randomness):
-            self._randomness[coordinate] += r
-        self.count += 1
+        counts = [option_indices.count(option) for option in range(self._scheme.num_options)]
+        # An index counted under no option is out of range.
+        if sum(counts) != len(option_indices):
+            raise ValueError("option index out of range")
+        self._values = [total + n for total, n in zip(self._values, counts, strict=True)]
+        self._randomness = [
+            total + r for total, r in zip(self._randomness, randomness_sums, strict=True)
+        ]
 
     @property
     def counts(self) -> tuple:

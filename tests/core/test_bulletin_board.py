@@ -11,6 +11,7 @@ from repro.core.bulletin_board import BulletinBoardNode, MajorityReader
 from repro.core.byzantine import WithholdingBulletinBoard
 from repro.core.ea import ElectionAuthority
 from repro.core.election import ElectionParameters
+from repro.core.trustee import locate_cast_rows
 from repro.crypto.registry import get_group
 from repro.crypto.shamir import Share, reconstruct_scalars
 from repro.crypto.utils import RandomSource
@@ -148,6 +149,33 @@ class TestPublishedResult:
             for responses in result.proof_responses.values():
                 published += sum(4 * len(r.or_responses) + 1 for r in responses)
         assert published and sum(summed) == published
+
+    def test_each_node_locates_the_cast_rows_once(self, small_spec, monkeypatch):
+        """A node's vote set and ``msk`` are each set once, so it works out
+        its cast rows and expected parts once: not again for every trustee
+        submission it judges and for the result."""
+        located = []
+
+        def counted(view, ballots):
+            located.append(len(view.vote_set))
+            return locate_cast_rows(view, ballots)
+
+        monkeypatch.setattr(bulletin_board, "locate_cast_rows", counted)
+        outcome = ElectionEngine(small_spec).run(["option-1", "option-2", "option-1", "option-1"])
+        assert all(bb.result is not None for bb in outcome.bb_nodes)
+        assert len(located) == len(outcome.bb_nodes)
+
+        # The refusals read the same answer, and asking does not locate again.
+        bb = outcome.bb_nodes[0]
+        submission = next(iter(bb.trustee_submissions.values()))
+        assert bb._well_formed(submission)
+        opened = dict(submission.opening_shares)
+        opened.popitem()
+        assert not bb._well_formed(replace(submission, opening_shares=opened))
+        proved = {**submission.proof_shares, (max(bb.init.ballots) + 1, PART_A): b""}
+        assert not bb._well_formed(replace(submission, proof_shares=proved))
+        assert not bb._well_formed(replace(submission, tally_share=submission.tally_share[1:]))
+        assert len(located) == len(outcome.bb_nodes)
 
 
 class TestMajorityReader:

@@ -90,7 +90,7 @@ class TestStreamingEqualsFlat:
                 randomness = tuple(
                     scheme.group.random_scalar(rng) for _ in range(NUM_OPTIONS)
                 )
-                tally.add_vote(option, randomness)
+                tally.add_vote([option], randomness)
             commit.prepare(
                 ShardCommitRecord(
                     shard_id=shard_id,

@@ -8,7 +8,9 @@ read that one derivation, so these tests -- not the election's own
 verification -- are what pins it to the reference.
 """
 
+import gc
 import hashlib
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -22,7 +24,12 @@ from repro.crypto.utils import int_to_bytes, sha256
 from repro.net.codec import MessageCodec, default_codec
 from repro.shard.driver import ShardedElectionDriver, derive_scheme
 from repro.shard.partition import ShardRange
-from repro.shard.shard_runner import ShardRunner, VoteCodeRejected, _domain_state
+from repro.shard.shard_runner import (
+    TALLY_CHUNK,
+    ShardRunner,
+    VoteCodeRejected,
+    _domain_state,
+)
 
 relaxed = settings(
     max_examples=60,
@@ -78,7 +85,7 @@ def test_kernel_equals_the_per_serial_reference(group, seed, election_id, shard,
     assert committed == runner.ea_commitment_table()
     assert [
         tuple(r % order for r in vector)
-        for vector in runner._derive_randomness(cast.framed)
+        for vector in zip(*runner._randomness_columns(cast.framed))
     ] == [runner._randomness(serial) for serial in cast_serials]
 
     # The slice built on the kernel publishes what the reference defines.
@@ -100,6 +107,78 @@ def test_kernel_equals_the_per_serial_reference(group, seed, election_id, shard,
     assert result.opening.randomness == tuple(sums)
     assert result.record.vote_set_digest == vote_set.digest()
     assert scheme.verify_opening(result.record.commitment, result.opening)
+
+
+# -- the tally's column kernel, chunk by chunk ------------------------------------
+
+
+@pytest.mark.parametrize(
+    "shard",
+    [
+        ShardRange(0, 0, TALLY_CHUNK - 1),  # one short chunk, across the 256 width step
+        ShardRange(1, 0, TALLY_CHUNK),  # exactly one chunk
+        ShardRange(2, 0, TALLY_CHUNK + 1),  # a second chunk of one serial
+        ShardRange(3, 65_536 - 600, 65_536 + TALLY_CHUNK + 1 - 600),  # across 65,536
+        ShardRange(4, 7, 8),  # one ballot
+    ],
+    ids=lambda shard: f"[{shard.lo},{shard.hi})",
+)
+def test_the_tally_kernel_computes_every_serials_reference_randomness(group, shard):
+    scheme = OptionEncodingScheme(3, group.power_g(7), group)
+    runner = ShardRunner(shard, scheme=scheme, seed=41, election_id="columns")
+    order = group.order
+    cast, _, _ = runner._derive_cast()
+    computed = []  # per serial, the kernel's values, in the order the kernel took them
+
+    def recording(framed_serials):
+        columns = ShardRunner._randomness_columns(runner, framed_serials)
+        computed.extend(zip(*columns))
+        return columns
+
+    runner._randomness_columns = recording
+    tally, vote_set_digest, first = runner._tally(cast)
+
+    reference = [runner._randomness(serial) for serial in cast.serials]
+    assert [tuple(r % order for r in values) for values in computed] == reference
+    assert first == computed[0]
+    counts = [0] * 3
+    for serial in cast.serials:
+        counts[runner.choice_of(serial)] += 1
+    assert tally.counts == tuple(counts)
+    assert tally.opening().randomness == tuple(
+        sum(column) % order for column in zip(*reference)
+    )
+    vote_set = hashlib.sha256(b"shard-vote-set")
+    for serial, code in zip(cast.serials, cast.codes, strict=True):
+        vote_set.update(int_to_bytes(serial))
+        vote_set.update(code)
+    assert vote_set_digest == vote_set.digest()
+
+
+def tally_heap_peak(group, span):
+    """Traced heap peak of ``_tally`` above its own start, on a ``span``-ballot shard."""
+    runner = ShardRunner(
+        ShardRange(0, 0, span), scheme=derive_scheme(group, 2, 5), seed=5, election_id="heap"
+    )
+    cast, _, _ = runner._derive_cast()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        runner._tally(cast)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - start
+
+
+def test_the_tally_adds_heap_per_chunk_not_per_shard(group):
+    """The kernel's lists live one chunk at a time: the tally's heap peak is
+    the same at two shard sizes 4x apart (a kernel over the whole shard at
+    once peaks ~4x higher at the larger size)."""
+    small = tally_heap_peak(group, 2 * TALLY_CHUNK)
+    large = tally_heap_peak(group, 8 * TALLY_CHUNK)
+    assert abs(large - small) <= 0.1 * small, (small, large)
 
 
 # -- frames captured at the commit before the one-pass kernel --------------------

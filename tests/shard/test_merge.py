@@ -30,7 +30,7 @@ def make_shard(scheme, shard_id, lo, hi, votes, seed):
     tally = StreamingTally(scheme)
     for option in votes:
         tally.add_vote(
-            option, tuple(scheme.group.random_scalar(rng) for _ in OPTIONS)
+            [option], tuple(scheme.group.random_scalar(rng) for _ in OPTIONS)
         )
     record = ShardCommitRecord(
         shard_id=shard_id,

@@ -63,7 +63,7 @@ class TestStreamingTally:
         per_ballot = []
         for option in [2, 0, 1, 1, 2, 2, 0]:
             randomness = tuple(scheme.group.random_scalar(rng) for _ in range(NUM_OPTIONS))
-            tally.add_vote(option, randomness)
+            tally.add_vote([option], randomness)
             vector = scheme.unit_vector(option)
             ciphertexts = tuple(
                 scheme.elgamal.encrypt(scheme.public_key, v, randomness=r)
@@ -78,7 +78,7 @@ class TestStreamingTally:
         tally = StreamingTally(scheme)
         for option in [0, 0, 1]:
             tally.add_vote(
-                option,
+                [option],
                 tuple(scheme.group.random_scalar(rng) for _ in range(NUM_OPTIONS)),
             )
         result = open_tally(scheme, tally.commit(), tally.opening(), ("x", "y", "z"))
@@ -94,7 +94,7 @@ class TestStreamingTally:
         for step, option in enumerate([1, 2, 2, 0, 1, 2, 0, 0, 1]):
             # Digest-sized inputs, mostly above the order, as the runner feeds them.
             randomness = [rng.randbits(256) + order * (step % 3) for _ in range(NUM_OPTIONS)]
-            tally.add_vote(option, randomness)
+            tally.add_vote([option], randomness)
             eager = [(total + r) % order for total, r in zip(eager, randomness, strict=True)]
             if step == 4:
                 assert tally.opening().randomness == tuple(eager)
@@ -104,9 +104,39 @@ class TestStreamingTally:
         assert tally.opening() == opening
         assert scheme.verify_opening(tally.commit(), opening)
 
-    def test_rejects_bad_inputs(self, scheme):
+    def test_a_block_equals_its_votes_one_at_a_time(self, scheme):
+        rng = RandomSource(10)
+        options = [2, 0, 1, 1, 2, 2, 0, 1]
+        vectors = [
+            [rng.randbits(256) for _ in range(NUM_OPTIONS)] for _ in options
+        ]
+        one_by_one = StreamingTally(scheme)
+        for option, randomness in zip(options, vectors, strict=True):
+            one_by_one.add_vote([option], randomness)
+        blocks = StreamingTally(scheme)
+        for lo, hi in ((0, 3), (3, 3), (3, 8)):
+            sums = [sum(vector[c] for vector in vectors[lo:hi]) for c in range(NUM_OPTIONS)]
+            blocks.add_vote(options[lo:hi], sums)
+        assert blocks.counts == one_by_one.counts == (2, 3, 3)
+        assert blocks.opening() == one_by_one.opening()
+        assert blocks.commit() == one_by_one.commit()
+
+    @pytest.mark.parametrize(
+        "options, sums",
+        [
+            ([NUM_OPTIONS], (1, 2, 3)),
+            ([-1], (1, 2, 3)),
+            ([0, 2, NUM_OPTIONS, 1], (1, 2, 3)),
+            ([0, -1, 2], (1, 2, 3)),
+            ([0], (1, 2)),
+            ([0, 1], (1, 2, 3, 4)),
+            ([], ()),
+        ],
+    )
+    def test_rejects_bad_inputs(self, scheme, options, sums):
         tally = StreamingTally(scheme)
+        tally.add_vote([1], (5, 6, 7))
+        before = (tally.counts, tally.opening())
         with pytest.raises(ValueError):
-            tally.add_vote(NUM_OPTIONS, (1, 2, 3))
-        with pytest.raises(ValueError):
-            tally.add_vote(0, (1, 2))
+            tally.add_vote(options, sums)
+        assert (tally.counts, tally.opening()) == before
