@@ -70,8 +70,8 @@ def test_bench_vote_collection_only(benchmark):
         network.register(sink)
         ballot = setup.ballots[state["index"] % len(setup.ballots)]
         state["index"] += 1
-        sink.send("VC-0", VoteRequest(ballot.serial, ballot.part_a.lines[0].vote_code,
-                                      sink.node_id), channel=ChannelKind.PUBLIC)
+        sink.send("VC-0", VoteRequest(ballot.serial, ballot.part_a.lines[0].vote_code),
+                  channel=ChannelKind.PUBLIC)
         network.run_until_idle()
         assert nodes[0].receipts_issued == 1
 

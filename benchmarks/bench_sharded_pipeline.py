@@ -11,13 +11,12 @@ shard count:
 
 * ``ballots_per_s``   -- end-to-end pipeline throughput of an *untraced* run;
 * ``peak_traced_bytes`` -- tracemalloc peak of Python allocations during a
-  second, identical run, measured per-block with
-  :class:`repro.perf.memory.MemoryTracker` (resettable, unlike ``ru_maxrss``)
-  -- this is what the memory gate asserts.
+  second, identical run, above the traced size at its start (the peak is reset
+  per run, unlike ``ru_maxrss``) -- this is what the memory gate asserts.
 
 Every configuration therefore runs twice.  tracemalloc slows this pipeline
-about 5x (and forked pool workers inherit it), so a clock read inside
-``MemoryTracker.track`` times the tracer; and ``ru_maxrss`` is one
+about 5x (and forked pool workers inherit it), so a clock read inside the
+traced run times the tracer; and ``ru_maxrss`` is one
 process-lifetime mark, the same number in every row of a sweep, so it is not
 reported here (``benchmarks/e2e`` reports it per fresh process).
 
@@ -55,12 +54,12 @@ from __future__ import annotations
 
 import gc
 import os
+import tracemalloc
 
 import pytest
 
 from repro.api import MultiElectionService, ScenarioSpec, ShardingProfile
 from repro.net.codec import MessageCodec
-from repro.perf.memory import MemoryTracker
 from repro.shard.driver import ShardedElectionDriver
 
 SMOKE = os.environ.get("SHARD_SMOKE") == "1"
@@ -82,21 +81,27 @@ CPU_COUNT = os.cpu_count() or 1
 BASE = ScenarioSpec.preset("national_scale", election_id="sharded-pipeline", seed=11)
 
 
-def timed_then_traced(tracker: MemoryTracker, name: str, run):
+def timed_then_traced(run):
     """``run()`` untraced for the clock, then again under tracemalloc for the peak.
 
-    Returns ``(timed result, traced result, peak traced bytes)``.
+    Returns ``(timed result, traced result, peak traced bytes)``: the peak is
+    taken above the traced size at the start of the traced run.
     """
     gc.collect()
     timed = run()
     gc.collect()
-    with tracker.track(name):
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start, _ = tracemalloc.get_traced_memory()
         traced = run()
-    return timed, traced, tracker.samples[name].peak_traced_bytes
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return timed, traced, max(0, peak - start)
 
 
 def run_sweep():
-    tracker = MemoryTracker()
     rows = []
     outcomes = {}
     for shards in SHARD_COUNTS:
@@ -105,7 +110,7 @@ def run_sweep():
         def run(spec=spec):
             return MultiElectionService().run_sharded(spec, num_ballots=NUM_BALLOTS).outcome
 
-        outcome, traced, peak = timed_then_traced(tracker, f"shards-{shards}", run)
+        outcome, traced, peak = timed_then_traced(run)
         outcomes[shards] = outcome
         rows.append(
             {
@@ -159,7 +164,6 @@ def test_sharded_pipeline_throughput_and_memory(benchmark, results_sink):
 def run_worker_sweep():
     """One 16-shard election at 1 (inline), 2 and 4 (pooled) workers."""
     codec = MessageCodec(group=BASE.crypto.build_group())
-    tracker = MemoryTracker()
     rows = []
     frames = {}
     for workers in WORKER_COUNTS:
@@ -175,9 +179,7 @@ def run_worker_sweep():
             driver = ShardedElectionDriver(spec, num_ballots=NUM_BALLOTS)
             return driver, driver.run()
 
-        (driver, outcome), (_, traced), peak = timed_then_traced(
-            tracker, f"workers-{workers}", run
-        )
+        (driver, outcome), (_, traced), peak = timed_then_traced(run)
         frames[workers] = codec.encode(outcome.global_record)
         rows.append(
             {

@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.api.engine import ElectionEngine
 from repro.api.spec import ScenarioSpec
-from repro.core.messages import VoteSetUpload
 from repro.core.outcome import ElectionOutcome
 from repro.crypto.utils import RandomSource
 
@@ -59,15 +59,13 @@ def outcome_hash(outcome: ElectionOutcome, codec: Optional[Any] = None) -> str:
         if node.final_vote_set is None:
             parts.append("no-vote-set")
         else:
-            # VoteSetUpload is a registered wire payload: the codec gives a
-            # canonical byte encoding of the full (serial, code) set.
-            parts.append(VoteSetUpload(vote_set=node.final_vote_set, sender=node.node_id))
+            _append_vote_set(parts, node.final_vote_set)
     for bb in sorted(outcome.bb_nodes, key=lambda n: n.node_id):
         parts.append(bb.node_id)
         if bb.accepted_vote_set is None:
             parts.append("no-accepted-set")
         else:
-            parts.append(VoteSetUpload(vote_set=bb.accepted_vote_set, sender=bb.node_id))
+            _append_vote_set(parts, bb.accepted_vote_set)
     if outcome.tally is None:
         parts.append("no-tally")
     else:
@@ -78,6 +76,12 @@ def outcome_hash(outcome: ElectionOutcome, codec: Optional[Any] = None) -> str:
     else:
         parts.append(int(bool(outcome.audit_report.passed)))
     return hashlib.sha256(codec.signing_bytes(b"chaos-outcome-v1", *parts)).hexdigest()
+
+
+def _append_vote_set(parts: List[Any], vote_set: Tuple[Tuple[int, bytes], ...]) -> None:
+    """A vote set as hash parts: its size, then each (serial, code) pair."""
+    parts.append(len(vote_set))
+    parts.extend(chain.from_iterable(vote_set))
 
 
 # ---------------------------------------------------------------------------

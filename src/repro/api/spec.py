@@ -107,15 +107,12 @@ class NetworkProfile(DictCodec):
     kind: str = "lan"
     base_latency_s: float = 0.0002
     jitter_s: float = 0.0001
-    drop_rate: float = 0.0
     duplicate_rate: float = 0.0
     max_delay_s: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.base_latency_s < 0 or self.jitter_s < 0:
             raise ValueError("latencies cannot be negative")
-        if not 0.0 <= self.drop_rate < 1.0:
-            raise ValueError("drop rate must be in [0, 1)")
         if not 0.0 <= self.duplicate_rate < 1.0:
             raise ValueError("duplicate rate must be in [0, 1)")
         if self.max_delay_s is not None and self.max_delay_s <= 0:
@@ -139,7 +136,6 @@ class NetworkProfile(DictCodec):
         return NetworkConditions(
             base_latency=self.base_latency_s,
             jitter=self.jitter_s,
-            drop_rate=self.drop_rate,
             duplicate_rate=self.duplicate_rate,
             max_delay=self.max_delay_s,
             seed=seed,

@@ -104,8 +104,7 @@ class BulletinBoardNode(SimNode):
     # ------------------------------------------------------------------ network writes (VC -> BB)
 
     def on_message(self, message: Message) -> None:
-        # Only the authenticated channel names the uploading collector; the
-        # ``sender`` field inside an upload is never trusted.
+        # Only the authenticated channel names the uploading collector.
         if message.channel is not ChannelKind.AUTHENTICATED:
             return
         payload = message.payload

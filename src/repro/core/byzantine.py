@@ -64,7 +64,7 @@ class ShareCorruptingVoteCollector(VoteCollectorNode):
         genuine = self.init.ballots[serial].receipt_share_at(part, index)
         corrupted = Share(genuine.index, (genuine.value + 1) % (2 ** 64))
         self.broadcast(
-            self.peers, VotePending(serial, vote_code, corrupted, ucert, self.node_id)
+            self.peers, VotePending(serial, vote_code, corrupted, ucert)
         )
 
 
@@ -88,7 +88,7 @@ class EquivocatingVoteCollector(VoteCollectorNode):
         self.vsc_started = True
         for serial in self.ballots:
             self._consensus_record(serial)
-            self._batcher.enqueue(Announce(serial, None, None, self.node_id))
+            self._batcher.enqueue(Announce(serial, None, None))
         self._batcher.flush()
 
 
@@ -122,12 +122,12 @@ class UcertWithholdingVoteCollector(VoteCollectorNode):
         for peer in self.peers:
             reveal = peer in self.reveal_to
             announces = tuple(
-                Announce(serial, record.used_vote_code, record.ucert, self.node_id)
+                Announce(serial, record.used_vote_code, record.ucert)
                 if reveal and record.ucert is not None
-                else Announce(serial, None, None, self.node_id)
+                else Announce(serial, None, None)
                 for serial, record in self.ballots.items()
             )
-            self.send(peer, VscBatch(BatchEnvelope(announces), self.node_id))
+            self.send(peer, VscBatch(BatchEnvelope(announces)))
 
 
 class WithholdingBulletinBoard(BulletinBoardNode):

@@ -7,10 +7,10 @@ the vote-collection subsystem, plus the uploads VC nodes send to BB nodes at
 the end of the election and the :class:`VscBatch` frame that carries a VC
 node's ANNOUNCEs and binary-consensus traffic during Vote Set Consensus.
 
-The ``sender`` fields are part of the wire format and are not trusted: a
-receiver takes the sender from the authenticated channel
-(:attr:`repro.net.channels.Message.sender`), so a collector cannot speak for
-another by writing its name into a payload.
+A payload carries the fields of the paper's tuple and nothing its receiver
+does not read.  None names its sender: a receiver takes the sender from the
+authenticated channel (:attr:`repro.net.channels.Message.sender`), so there is
+no name inside a payload that a collector could forge.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ class VoteRequest:
 
     serial: int
     vote_code: bytes
-    voter_id: str
 
 
 @frozen_value(weakref_slot=True)
@@ -95,7 +94,6 @@ class VotePending:
     vote_code: bytes
     receipt_share: Share
     ucert: UniquenessCertificate
-    sender: str
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +109,6 @@ class Announce:
     serial: int
     vote_code: Optional[bytes]
     ucert: Optional[UniquenessCertificate]
-    sender: str
 
 
 @frozen_value(weakref_slot=True)
@@ -119,7 +116,6 @@ class RecoverRequest:
     """RECOVER-REQUEST<serial-no>: ask peers for the winning vote code."""
 
     serial: int
-    sender: str
 
 
 @frozen_value(weakref_slot=True)
@@ -129,7 +125,6 @@ class RecoverResponse:
     serial: int
     vote_code: bytes
     ucert: UniquenessCertificate
-    sender: str
 
 
 @frozen_value(weakref_slot=True)
@@ -138,7 +133,6 @@ class VscBatch:
     per-ballot :class:`Announce` elements and binary-consensus messages."""
 
     envelope: BatchEnvelope
-    sender: str
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +145,6 @@ class VoteSetUpload:
     """The agreed set of voted <serial, vote-code> tuples, sent to every BB node."""
 
     vote_set: Tuple[Tuple[int, bytes], ...]
-    sender: str
 
 
 @frozen_value(weakref_slot=True)
@@ -159,7 +152,6 @@ class MskShareUpload:
     """A VC node's share of the master key protecting the BB's vote codes."""
 
     share: Share
-    sender: str
 
 
 # ---------------------------------------------------------------------------

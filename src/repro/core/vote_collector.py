@@ -176,7 +176,8 @@ class VoteCollectorNode(SimNode):
         #: node; a sender outside it is not a peer
         self.members = member_bits(self.peers)
         self.bb_nodes = [bb_node_id(i) for i in range(self.thresholds.num_bb)]
-        self.signature_scheme = SignatureScheme()
+        # The group the EA dealt this node's keys in, not the process default.
+        self.signature_scheme = SignatureScheme(init.signing_keys.public.group)
         self.receipt_sss = ShamirSecretSharing(self.quorum, self.num_vc)
 
         # Superblock (batched) Vote Set Consensus.  The block partition is
@@ -217,7 +218,7 @@ class VoteCollectorNode(SimNode):
         #: the one outbound queue for traffic addressed to every VC node
         self._batcher = ConsensusBatcher(
             len(self.peers),
-            lambda envelope: self.broadcast(self.peers, VscBatch(envelope, self.node_id)),
+            lambda envelope: self.broadcast(self.peers, VscBatch(envelope)),
         )
         #: everything between "ready" and "decided"
         self.vsc = VoteSetConsensus(
@@ -243,11 +244,10 @@ class VoteCollectorNode(SimNode):
             from repro.crypto.batch_verify import BatchVerifier
             from repro.crypto.utils import RandomSource
 
-            group = next(iter(self.init.vc_public_keys.values())).group
             self._endorse_batcher = EndorsementBatcher(
                 node=self,
                 verifier=BatchVerifier(
-                    group,
+                    self.signature_scheme.group,
                     security_bits=self.params.audit.security_bits,
                     rng=RandomSource(node_batch_seed(self.node_id)),
                 ),
@@ -294,11 +294,11 @@ class VoteCollectorNode(SimNode):
     # ------------------------------------------------------------------ dispatch
 
     def on_message(self, message: Message) -> None:
-        # Only the authenticated channel names a peer collector; the
-        # ``sender`` fields inside payloads are never trusted.  Voters alone
-        # speak on the public channel, and only with VOTE requests; every
-        # other payload counts only from a collector, so an authenticated
-        # bulletin-board node (or anyone else) is never one of a quorum.
+        # Only the authenticated channel names a peer collector (no payload
+        # carries a sender of its own).  Voters alone speak on the public
+        # channel, and only with VOTE requests; every other payload counts
+        # only from a collector, so an authenticated bulletin-board node (or
+        # anyone else) is never one of a quorum.
         payload = message.payload
         if isinstance(payload, VoteRequest):
             self._admission.offer(message.sender, payload)
@@ -475,7 +475,7 @@ class VoteCollectorNode(SimNode):
         record.vote_p_sent = True
         part, index = record.location
         share = self.init.ballots[serial].receipt_share_at(part, index)
-        self.broadcast(self.peers, VotePending(serial, vote_code, share, ucert, self.node_id))
+        self.broadcast(self.peers, VotePending(serial, vote_code, share, ucert))
 
     def _on_vote_pending(self, sender: str, pending: VotePending) -> None:
         """Handle a peer's receipt share (VOTE_P)."""
@@ -612,7 +612,7 @@ class VoteCollectorNode(SimNode):
             self._consensus_record(serial)
             vote_code = record.used_vote_code if record.ucert is not None else None
             ucert = record.ucert if vote_code is not None else None
-            self._batcher.enqueue(Announce(serial, vote_code, ucert, self.node_id))
+            self._batcher.enqueue(Announce(serial, vote_code, ucert))
         # Announces may have raced ahead of our own election end; any ballot
         # that already has a quorum of them is ready now.
         for serial, state in self.consensus.items():
@@ -685,7 +685,7 @@ class VoteCollectorNode(SimNode):
                 # We decided "voted" without knowing the winning code: recover.
                 state.recover_requested = True
                 self.recover_requests += 1
-                self.broadcast(self.peers, RecoverRequest(serial, self.node_id))
+                self.broadcast(self.peers, RecoverRequest(serial))
         self._maybe_finish_vsc()
 
     def _on_recover_request(self, sender: str, request: RecoverRequest) -> None:
@@ -694,7 +694,7 @@ class VoteCollectorNode(SimNode):
             return
         self.send(
             sender,
-            RecoverResponse(request.serial, record.used_vote_code, record.ucert, self.node_id),
+            RecoverResponse(request.serial, record.used_vote_code, record.ucert),
         )
 
     def _on_recover_response(self, response: RecoverResponse) -> None:
@@ -733,8 +733,8 @@ class VoteCollectorNode(SimNode):
         self._upload_vote_set(vote_set)
 
     def _upload_vote_set(self, vote_set: Tuple[Tuple[int, bytes], ...]) -> None:
-        self.broadcast(self.bb_nodes, VoteSetUpload(vote_set, self.node_id))
-        self.broadcast(self.bb_nodes, MskShareUpload(self.init.msk_share, self.node_id))
+        self.broadcast(self.bb_nodes, VoteSetUpload(vote_set))
+        self.broadcast(self.bb_nodes, MskShareUpload(self.init.msk_share))
 
     # ------------------------------------------------------------------ crash / recovery
 

@@ -107,7 +107,7 @@ class VoterClient(SimNode):
         self.attempts += 1
         self._epoch += 1
         epoch = self._epoch
-        request = VoteRequest(self.ballot.serial, self.vote_code, self.node_id)
+        request = VoteRequest(self.ballot.serial, self.vote_code)
         self.send(target, request, channel=ChannelKind.PUBLIC)
         # [d]-patience: resubmit elsewhere if no receipt within the window.
         self.set_timer(

@@ -6,7 +6,6 @@ What a run uses:
   pool, on which the sharded pipeline runs its slices.
 * :mod:`repro.perf.phases`   -- :class:`PhaseRecorder`, the measured wall
   time of the audit/tally stages.
-* :mod:`repro.perf.memory`   -- resettable peak-memory probes.
 
 What no run imports: :mod:`repro.perf.costmodel`, the message, byte and
 group-product counts of this code that the tests and benchmarks hold to

@@ -120,21 +120,21 @@ class BandwidthCosts:
 
     #: deployment shape the UCERT-bearing sizes below were measured for
     num_vc: int = 4
-    vote_request_bytes: float = 57.0
+    vote_request_bytes: float = 45.0
     vote_receipt_bytes: float = 57.0
     endorse_bytes: float = 45.0
     endorsement_bytes: float = 171.0
-    vote_pending_bytes: float = 636.0
-    announce_voted_bytes: float = 582.0
-    announce_empty_bytes: float = 24.0
+    vote_pending_bytes: float = 628.0
+    announce_voted_bytes: float = 574.0
+    announce_empty_bytes: float = 16.0
     #: mean size of a BVAL / AUX / FINISH element
     consensus_message_bytes: float = 26.0
     #: fixed part of a reliably-broadcast superblock opinion vector
     superblock_vector_base_bytes: float = 29.0
     #: marginal bytes per ballot in an opinion vector (bit-per-ballot packing)
     superblock_vector_ballot_bytes: float = 1.0
-    #: a ``VscBatch`` frame with no elements: framing, envelope header, sender
-    envelope_frame_bytes: float = 31.0
+    #: a ``VscBatch`` frame with no elements: framing and envelope header
+    envelope_frame_bytes: float = 23.0
     #: framing cost (magic + version + tag + length + CRC) per message
     frame_overhead_bytes: float = 13.0
     consensus: ConsensusCosts = field(default_factory=ConsensusCosts)
@@ -179,10 +179,10 @@ class BandwidthCosts:
         def size(message) -> float:
             return float(len(codec.encode(message)))
 
-        envelope_frame = size(VscBatch(BatchEnvelope(()), "VC-0"))
+        envelope_frame = size(VscBatch(BatchEnvelope(())))
 
         def element(message) -> float:
-            return size(VscBatch(BatchEnvelope((message,)), "VC-0")) - envelope_frame
+            return size(VscBatch(BatchEnvelope((message,)))) - envelope_frame
 
         instance = str(serial)
         consensus_elements = (
@@ -194,13 +194,13 @@ class BandwidthCosts:
         vector_16 = element(SuperblockSend("sb|1000", "VC-0", b"\x01" * 16))
         return cls(
             num_vc=num_vc,
-            vote_request_bytes=size(VoteRequest(serial, vote_code, "V-123456")),
+            vote_request_bytes=size(VoteRequest(serial, vote_code)),
             vote_receipt_bytes=size(VoteReceipt(serial, vote_code, b"\x01" * 8)),
             endorse_bytes=size(Endorse(serial, vote_code)),
             endorsement_bytes=size(endorsement),
-            vote_pending_bytes=size(VotePending(serial, vote_code, share, ucert, "VC-0")),
-            announce_voted_bytes=element(Announce(serial, vote_code, ucert, "VC-0")),
-            announce_empty_bytes=element(Announce(serial, None, None, "VC-0")),
+            vote_pending_bytes=size(VotePending(serial, vote_code, share, ucert)),
+            announce_voted_bytes=element(Announce(serial, vote_code, ucert)),
+            announce_empty_bytes=element(Announce(serial, None, None)),
             consensus_message_bytes=consensus_elements,
             superblock_vector_base_bytes=vector_base,
             superblock_vector_ballot_bytes=(vector_16 - vector_base) / 16.0,

@@ -1,8 +1,7 @@
 """Measured wall-clock durations of named phases.
 
 The audit/tally pipeline wraps each of its stages in
-:meth:`PhaseRecorder.phase`, and :class:`repro.perf.memory.MemoryTracker`
-records into the same object.
+:meth:`PhaseRecorder.phase`.
 """
 
 from __future__ import annotations

@@ -33,7 +33,6 @@ class ShardCommitRecord:
     ballots_cast: int
     commitment: OptionCommitment
     vote_set_digest: bytes
-    sender: str
 
     def __post_init__(self) -> None:
         if self.serial_lo >= self.serial_hi:
@@ -77,7 +76,6 @@ class ShardSliceResult:
 
     record: ShardCommitRecord
     opening: CommitmentOpening
-    counts: Tuple[int, ...]
     messages_sent: int
     superblocks_fast: int
     superblocks_fallback: int

@@ -387,12 +387,10 @@ class ShardRunner:
             ballots_cast=len(cast.serials),
             commitment=tally.commit(),
             vote_set_digest=vote_set_digest,
-            sender=f"shard-{self.shard.shard_id}",
         )
         return ShardSliceResult(
             record=record,
             opening=tally.opening(),
-            counts=tally.counts,
             messages_sent=outcome.messages_sent,
             superblocks_fast=outcome.superblocks_fast,
             superblocks_fallback=outcome.superblocks_fallback,

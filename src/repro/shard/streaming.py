@@ -56,10 +56,6 @@ class StreamingTally:
             total + r for total, r in zip(self._randomness, randomness_sums, strict=True)
         ]
 
-    @property
-    def counts(self) -> tuple:
-        return tuple(self._values)
-
     def opening(self) -> CommitmentOpening:
         # Builtin ints (gmpy2 gives ``mpz``): the opening has a wire form.
         return CommitmentOpening(

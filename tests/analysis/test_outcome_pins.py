@@ -11,6 +11,12 @@ protocol-observable value.  Pinned here, from runs of the parent commit:
   per-ballot and in superblock mode;
 * on each crypto backend, the outcome hash of the ``national_scale`` preset
   at seed 5, in per-ballot and in superblock mode.
+
+Every value was translated when the payloads lost their sender fields
+(36163cc): an outcome hash is the new ``outcome_hash`` (vote sets hashed
+from their ``(serial, code)`` parts) of the parent's run, whose observables
+were byte-identical to this code's, and a vote-set digest is that of the
+parent's ``VoteSetUpload`` frame with its sender dropped.
 """
 
 import hashlib
@@ -35,20 +41,20 @@ from repro.net.codec import default_codec
 E2E = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e"
 
 WORKLOAD_HASHES = {
-    "engine_baseline": "f919b5da37e19a25afead0c350fc562648d48214a16757589e6e88715513ca99",
-    "engine_wire": "e6adc1c995dd019223d6f850604629a9b387b8126c30300222bdb31edde89b74",
-    "engine_batched": "e6adc1c995dd019223d6f850604629a9b387b8126c30300222bdb31edde89b74",
+    "engine_baseline": "b6dff1532127d242ed92469799ada86a95b1e545fccfb5ad99052c3be2d9e421",
+    "engine_wire": "79dddcd3a89fa90a3d78e8f1d6cb9ed382b848e7f79a5243718fb4ea0c8c6c36",
+    "engine_batched": "79dddcd3a89fa90a3d78e8f1d6cb9ed382b848e7f79a5243718fb4ea0c8c6c36",
 }
 
 #: backend -> (sha256 of the agreed vote set's canonical encoding, outcome hash)
 BACKEND_PINS = {
     "schnorr": (
-        "4232e90b77b9e0d8b771402f83597c24a10cc3a3f1d6476807a5bea011d4ac36",
-        "5e06b9adb7babc02d27479a704b2c8b4ef84b7cd148b3307803fe9838ec7ea5e",
+        "f0767c6d21d6d8365133bf10af6f5ef17a0bc43c4f97b3af020c87fe8845f794",
+        "fad69fd3dc2b72465a19347aa34740bc5a8cdace1574c087709712f5dc53a6fe",
     ),
     "secp256k1": (
-        "2c528fcdca6c69724626322498a51e57ea198c1706b7cc0712709217c31692b2",
-        "a13c7e5415905f49e61a38e21cc69a991b713bec8b2779ff5d007ea3cb114a95",
+        "b07f6b6151ebb86cd02a9007c3804d5fce0d424d862adef5aaec268b3a536e4b",
+        "9acff1db7f8603d3145b81017dd69327cafdaf6707eeb3d1de053002cc2a7c72",
     ),
 }
 # Same group, same arithmetic, whether or not gmpy2 is installed.
@@ -58,8 +64,8 @@ BACKEND_PINS["schnorr-gmpy2"] = BACKEND_PINS["schnorr"]
 #: parent whose BB formed the tally product shard by shard (four ballot-range
 #: shards) and whose superblocks never crossed a shard boundary.
 NATIONAL_SCALE_HASHES = {
-    "schnorr": "1376f7ad3747c2c74e131b4446d859d60ba275c768b54d23c4a045ff38077384",
-    "secp256k1": "c38f5565f5421ddec05ef9f7f6be4b8c556742f9a799e925b7eef02b2e2dd3d5",
+    "schnorr": "00444f958796dfcbfe16d545e6fb1dcc0d159d85c4f570c33f55beba394a58fd",
+    "secp256k1": "8906b342b0de3c911b45fcb99b0a4c6ef865c9d876efc8f69169a8a60455ea86",
 }
 NATIONAL_SCALE_HASHES["schnorr-gmpy2"] = NATIONAL_SCALE_HASHES["schnorr"]
 
@@ -103,7 +109,7 @@ def test_final_vote_sets_are_the_parents_on_every_backend(backend, batch_size):
     assert len(vote_sets) == 1
     (vote_set,) = vote_sets
     assert len(vote_set) == len(CHOICES)
-    digest = hashlib.sha256(default_codec().encode(VoteSetUpload(vote_set, "pin"))).hexdigest()
+    digest = hashlib.sha256(default_codec().encode(VoteSetUpload(vote_set))).hexdigest()
     assert (digest, outcome_hash(outcome)) == BACKEND_PINS[backend]
 
 

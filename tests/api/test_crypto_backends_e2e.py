@@ -32,6 +32,17 @@ class TestBackendElections:
         assert not outcome.audit_report.failures
         assert all(outcome.audit_report.checks.values())
 
+    def test_collectors_sign_in_the_group_of_their_keys(self):
+        """Like BB nodes and trustees, a collector works in the group the EA
+        dealt its keys in, not in the process default (pure-python schnorr)."""
+        engine = ElectionEngine(
+            ScenarioSpec.preset("paper_baseline", crypto=CryptoProfile(backend="secp256k1"))
+        )
+        outcome = engine.run(CHOICES)
+        assert outcome.vote_collectors
+        for node in outcome.vote_collectors:
+            assert node.signature_scheme.group is engine.ctx.group
+
     def test_gmpy2_backend_engine_group(self):
         spec = ScenarioSpec.preset(
             "paper_baseline", crypto=CryptoProfile(backend="schnorr-gmpy2")

@@ -4,7 +4,7 @@ import gc
 import warnings
 
 import pytest
-from engine_runs import run_spec, small_spec
+from engine_runs import RevealToTwo, recover_spec, run_spec, small_spec
 
 from repro.analysis.determinism import outcome_hash
 from repro.api import (
@@ -22,8 +22,7 @@ from repro.api import (
 )
 from repro.api import engine as engine_module
 from repro.api.engine import VotingDriver, default_drivers
-from repro.api.spec import AdversaryProfile
-from repro.core.byzantine import VC_BEHAVIORS, UcertWithholdingVoteCollector
+from repro.core.byzantine import VC_BEHAVIORS
 from repro.crypto.group import Group
 
 CHOICES = ["option-1", "option-3", "option-1", "option-2", "option-1"]
@@ -201,13 +200,6 @@ class TestSetupHeapFrozenForTheRun:
         assert gc.get_freeze_count() == 0
 
 
-class RevealToTwo(UcertWithholdingVoteCollector):
-    """Reveals its withheld certificates to VC-1 and VC-2 only: VC-3 is
-    outvoted on those ballots and learns their codes through RECOVER."""
-
-    reveal_to = ("VC-1", "VC-2")
-
-
 class TestCollectorKeyTablesReleasedAtClose:
     """The voting phase releases the collector keys' fixed-base tables; a
     collector that verifies a UCERT after close does so with plain powers and
@@ -216,14 +208,7 @@ class TestCollectorKeyTablesReleasedAtClose:
     def run(self, monkeypatch):
         """One run with VC-0 withholding; returns the outcome and the
         collector keys raised to a plain power after the voting phase."""
-        spec = small_spec(
-            num_voters=6, num_options=2, seed=1,
-            # Voters never give up on the withholding responder, so its
-            # ballots reach consensus known to two honest collectors only.
-            voter_patience=1e6,
-            adversary=AdversaryProfile(vc_behaviors={"VC-0": "reveal-to-two"}),
-        )
-        engine = ElectionEngine(spec)
+        engine = ElectionEngine(recover_spec())
         ctx = engine.begin(["option-1", "option-2"] * 3)
         closed = []
         engine.subscribe(
@@ -334,8 +319,10 @@ class TestPresetEquivalence:
     """`paper_baseline` reproduces what the old coordinator defaults produced."""
 
     #: ``outcome_hash`` of the deleted coordinator's ``run_election(CHOICES)`` on
-    #: ``legacy_params`` at seed 2024, captured at b416e94 (the last commit with it).
-    OLD_COORDINATOR_HASH = "a51be5c047906ad92e944cb38e3aa3e02a18676edbbac80008328bc2d775be51"
+    #: ``legacy_params`` at seed 2024, captured at b416e94 (the last commit with it),
+    #: translated at 36163cc to the ``outcome_hash`` that hashes vote sets from
+    #: their ``(serial, code)`` parts (the run's observables did not move).
+    OLD_COORDINATOR_HASH = "67820f13f1c20f8bd4c913858e01a9e68c59f15567e6b92adec8e68a7a34b683"
 
     def test_paper_baseline_matches_old_coordinator_defaults(self):
         spec = ScenarioSpec.preset("paper_baseline", seed=2024)

@@ -54,7 +54,7 @@ class TestValidation:
         with pytest.raises(ValueError):
             AuditConfig(security_bits=4)
         with pytest.raises(ValueError):
-            NetworkProfile(drop_rate=1.5)
+            NetworkProfile(duplicate_rate=1.5)
         with pytest.raises(ValueError):
             CryptoProfile(backend="rsa")
 
@@ -122,7 +122,7 @@ class TestRoundTrip:
             registered_ballots=50_000,
             consensus=ConsensusConfig(batch_size=4),
             audit=AuditConfig(enabled=False, security_bits=96),
-            network=NetworkProfile.wan(drop_rate=0.01),
+            network=NetworkProfile.wan(duplicate_rate=0.01),
             adversary=AdversaryProfile(
                 vc_behaviors={"VC-1": "silent"},
                 blocked_links=(("VC-0", "VC-1"),),

@@ -39,7 +39,7 @@ DELETED_KEYS = (
     "storage", "network.client_to_vc_ms", "network.inter_vc_ms", "audit.batch",
     "admission.policy", "admission.batch_window_s", "sharding.scale_collectors",
     "sharding.scale_batch_size", "sharding.scale_turnout", "transport.wire_format",
-    "audit.workers", "crypto.include_proofs",
+    "audit.workers", "crypto.include_proofs", "network.drop_rate",
 )
 
 

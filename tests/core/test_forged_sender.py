@@ -1,13 +1,13 @@
-"""A collector cannot speak for another one by writing its name into a payload.
+"""A collector cannot speak for another one by forging or replaying traffic.
 
-The ``sender`` fields inside VOTE_P, RECOVER-REQUEST and the BB uploads are
-part of the wire format and are never trusted: receivers take the sender from
-the authenticated channel (``Message.sender``), a BB node ignores uploads that
-do not arrive on one, a collector ignores everything but VOTE requests on the
-public channel, and a collector reconstructs a receipt only from ``Nv - fv``
-*distinct* share indices.  Each Byzantine ``VC-3`` below forges or replays
-under other names; without those rules it made every BB accept an empty vote
-set, or raised ``ValueError: need at least 3 shares`` out of the run.
+No payload names its sender: receivers take the sender from the authenticated
+channel (``Message.sender``), a BB node ignores uploads that do not arrive on
+one, a collector ignores everything but VOTE requests on the public channel,
+and a collector reconstructs a receipt only from ``Nv - fv`` *distinct* share
+indices.  Each Byzantine ``VC-3`` below puts other names on the frame, or
+replays VOTE_Ps or its own uploads; without those rules it made every BB
+accept an empty vote set, or raised ``ValueError: need at least 3 shares`` out
+of the run.
 """
 
 import pytest
@@ -44,12 +44,12 @@ from repro.net.simulator import Network
 
 
 class EmptySetForger(VoteCollectorNode):
-    """Uploads an empty vote set under its own name and under VC-0's, first."""
+    """Uploads an empty vote set twice, ahead of its real one."""
 
     def end_election(self) -> None:
         for bb in self.bb_nodes:
-            self.send(bb, VoteSetUpload((), "VC-0"))
-            self.send(bb, VoteSetUpload((), self.node_id))
+            self.send(bb, VoteSetUpload(()))
+            self.send(bb, VoteSetUpload(()))
         super().end_election()
 
 
@@ -60,35 +60,28 @@ class PublicChannelForger(VoteCollectorNode):
     def end_election(self) -> None:
         for bb in self.bb_nodes:
             for name in ("VC-0", "VC-1"):
-                self.network.submit(name, bb, VoteSetUpload((), name), ChannelKind.PUBLIC)
+                self.network.submit(name, bb, VoteSetUpload(()), ChannelKind.PUBLIC)
         super().end_election()
 
 
 class VotePendingRelay(VoteCollectorNode):
-    """Re-broadcasts every peer's VOTE_P under other collectors' names."""
-
-    #: ``True``: under each other peer's name; ``False``: under its own
-    under_peer_names = True
+    """Re-broadcasts every peer's VOTE_P: another collector's share arrives on
+    its own channel."""
 
     def _on_vote_pending(self, sender: str, pending: VotePending) -> None:
         super()._on_vote_pending(sender, pending)
-        if sender == self.node_id:
-            return
-        names = (
-            [p for p in self.peers if p not in (sender, self.node_id)]
-            if self.under_peer_names
-            else [self.node_id]
-        )
-        for name in names:
-            self.broadcast(
-                self.peers,
-                VotePending(pending.serial, pending.vote_code, pending.receipt_share,
-                            pending.ucert, name),
-            )
+        if sender != self.node_id:
+            self.broadcast(self.peers, pending)
 
 
-class VotePendingSelfRelay(VotePendingRelay):
-    under_peer_names = False
+class VotePendingSelfRelay(VoteCollectorNode):
+    """Hands every peer's VOTE_P back to that peer: a collector's own share
+    arrives on another collector's channel."""
+
+    def _on_vote_pending(self, sender: str, pending: VotePending) -> None:
+        super()._on_vote_pending(sender, pending)
+        if sender != self.node_id:
+            self.send(sender, pending)
 
 
 class PublicVotePendingForger(VoteCollectorNode):
@@ -108,13 +101,13 @@ class PublicVotePendingForger(VoteCollectorNode):
 
 
 class MskShareMultiplier(VoteCollectorNode):
-    """Uploads its one msk share under every collector's name."""
+    """Uploads its one msk share once per collector."""
 
     def _upload_vote_set(self, vote_set) -> None:
         for bb in self.bb_nodes:
-            self.send(bb, VoteSetUpload(vote_set, self.node_id))
-            for name in self.peers:
-                self.send(bb, MskShareUpload(self.init.msk_share, name))
+            self.send(bb, VoteSetUpload(vote_set))
+            for _ in self.peers:
+                self.send(bb, MskShareUpload(self.init.msk_share))
 
 
 def run_with_byzantine_vc3(monkeypatch, cls):
@@ -149,8 +142,8 @@ def test_forged_or_replayed_sender_changes_nothing(monkeypatch, cls):
 
 @pytest.fixture(scope="module")
 def replayed(group):
-    """VC-1 after VC-3 replayed VC-2's VOTE_P under VC-0's name, between the
-    honest shares: the collector and the ballot line voted."""
+    """VC-1 after VC-3 replayed VC-2's VOTE_P between the honest shares: the
+    collector and the ballot line voted."""
     params = ElectionParameters.small_test_election(num_voters=1, num_options=2)
     setup = ElectionAuthority(
         params, group=group, rng=RandomSource(5), include_proofs=False,
@@ -177,13 +170,13 @@ def replayed(group):
         for node_id in nodes
     }
     node = nodes["VC-1"]
-    for channel_sender, share_of, named in (
-        ("VC-0", "VC-0", "VC-0"),
-        ("VC-3", "VC-2", "VC-0"),  # the replay
-        ("VC-2", "VC-2", "VC-2"),
-        ("VC-1", "VC-1", "VC-1"),  # its own, looping back
+    for channel_sender, share_of in (
+        ("VC-0", "VC-0"),
+        ("VC-3", "VC-2"),  # the replay
+        ("VC-2", "VC-2"),
+        ("VC-1", "VC-1"),  # its own, looping back
     ):
-        pending = VotePending(serial, code, shares[share_of], ucert, named)
+        pending = VotePending(serial, code, shares[share_of], ucert)
         node.on_message(Message(channel_sender, node.node_id, pending))
     return node, ballot.serial, line
 
@@ -205,19 +198,19 @@ def test_a_collector_ignores_peer_traffic_on_the_public_channel(replayed):
     shares = dict(record.receipt_shares)
     sent = []
     node.send = lambda receiver, payload, channel=ChannelKind.AUTHENTICATED: sent.append(receiver)
-    forged = VotePending(serial, record.used_vote_code, shares["VC-2"], record.ucert, "VC-0")
-    for payload in (forged, RecoverRequest(serial, "VC-0")):
+    forged = VotePending(serial, record.used_vote_code, shares["VC-2"], record.ucert)
+    for payload in (forged, RecoverRequest(serial)):
         node.on_message(Message("VC-0", node.node_id, payload, channel=ChannelKind.PUBLIC))
     assert record.receipt_shares == shares
     assert sent == []
 
 
 def test_the_recover_response_goes_to_the_channel_sender(replayed):
-    """A RECOVER-REQUEST naming another collector is answered to whoever sent it."""
+    """A RECOVER-REQUEST is answered to whoever sent it on the channel."""
     node, serial, _line = replayed
     sent = []
     node.send = lambda receiver, payload, channel=ChannelKind.AUTHENTICATED: sent.append(receiver)
-    node.on_message(Message("VC-2", node.node_id, RecoverRequest(serial, "VC-1")))
+    node.on_message(Message("VC-2", node.node_id, RecoverRequest(serial)))
     assert sent == ["VC-2"]
 
 
@@ -256,7 +249,7 @@ def test_a_signed_receipt_share_of_another_ballot_line_is_dropped(group, foreign
             part, row
         )
     for sender in ("VC-0", "VC-3", "VC-2", "VC-1"):
-        pending = VotePending(serial, code, shares[sender], ucert, sender)
+        pending = VotePending(serial, code, shares[sender], ucert)
         node.on_message(Message(sender, node.node_id, pending))
     record = node.ballots[serial]
     assert "VC-3" not in record.receipt_shares
@@ -293,7 +286,7 @@ def forged_vsc_batch(sender, serials, batch_size):
                 SuperblockReady(block_id, origin, zeros) for origin in ("VC-0", "VC-3", "BB-0")
             )
             elements.append(Finish(block_id, 1))
-    return VscBatch(BatchEnvelope(tuple(elements)), sender)
+    return VscBatch(BatchEnvelope(tuple(elements)))
 
 
 class FinishForgingCollector(VoteCollectorNode):

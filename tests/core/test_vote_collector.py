@@ -46,7 +46,7 @@ class ProbeVoter(SimNode):
             self.rejections.append(message.payload)
 
     def cast(self, target, serial, vote_code):
-        self.send(target, VoteRequest(serial, vote_code, self.node_id),
+        self.send(target, VoteRequest(serial, vote_code),
                   channel=ChannelKind.PUBLIC)
 
 
@@ -183,7 +183,7 @@ class TestVotingProtocol:
         for voter, code in ((first, line.vote_code), (second, other_line.vote_code)):
             nodes[0].on_message(Message(
                 sender=voter.node_id, receiver=nodes[0].node_id,
-                payload=VoteRequest(ballot.serial, code, voter.node_id),
+                payload=VoteRequest(ballot.serial, code),
             ))
         assert nodes[0].ballots[ballot.serial].status is BallotStatus.NOT_VOTED
         network.run_until_idle()
@@ -441,7 +441,7 @@ class TestCrashSnapshot:
         params, setup, network, nodes, ballot, line = self.run_one_vote(vc_setup)
         from repro.net.codec import default_codec
 
-        frame = default_codec().encode(VoteRequest(1, b"x", "v"))
+        frame = default_codec().encode(VoteRequest(1, b"x"))
         with pytest.raises(TypeError):
             nodes[0].restore_state(frame)
 

@@ -113,7 +113,7 @@ class ProbeVoter(SimNode):
         pass
 
     def cast(self, target, serial, vote_code):
-        self.send(target, VoteRequest(serial, vote_code, self.node_id),
+        self.send(target, VoteRequest(serial, vote_code),
                   channel=ChannelKind.PUBLIC)
 
 
@@ -254,7 +254,7 @@ class TestByzantineSuperblock:
         honest = nodes[1]
         junk = tuple(BVal(instance, 1, 1) for instance in ("sb|999", "sb|garbage", "x", ""))
         honest.on_message(
-            Message("VC-0", honest.node_id, VscBatch(BatchEnvelope(junk), "VC-0"))
+            Message("VC-0", honest.node_id, VscBatch(BatchEnvelope(junk)))
         )
         assert honest.vsc.instances == {} and honest.vsc.running == {}
         assert list(honest.vsc.buffered.values()) == [[]]

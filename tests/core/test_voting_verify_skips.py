@@ -75,7 +75,7 @@ def build(setup, endorse_batch_size=1, only=None):
 
 
 def cast(voter, target, ballot, line):
-    voter.send(target, VoteRequest(ballot.serial, line.vote_code, voter.node_id),
+    voter.send(target, VoteRequest(ballot.serial, line.vote_code),
                channel=ChannelKind.PUBLIC)
 
 
@@ -156,20 +156,20 @@ class TestVotePendingBeforeTheReceipt:
         node = nodes["VC-1"]
         share = MISSES[miss](setup, ballot, line, shares["VC-2"])
         assert share != shares["VC-2"]
-        deliver(node, "VC-2", VotePending(ballot.serial, line.vote_code, share, ucert, "VC-2"))
+        deliver(node, "VC-2", VotePending(ballot.serial, line.vote_code, share, ucert))
         record = node.ballots[ballot.serial]
         assert record.status is BallotStatus.NOT_VOTED
         assert record.receipt_shares == {} and record.ucert is None
         # The genuine share under the same certificate is taken.
         deliver(node, "VC-2",
-                VotePending(ballot.serial, line.vote_code, shares["VC-2"], ucert, "VC-2"))
+                VotePending(ballot.serial, line.vote_code, shares["VC-2"], ucert))
         assert record.receipt_shares == {"VC-2": shares["VC-2"]}
 
     def test_forged_ucert_is_rejected(self, setup, voted):
         ballot, line, ucert, shares = voted
         _network, nodes, _voter = build(setup)
         node = nodes["VC-1"]
-        bad = VotePending(ballot.serial, line.vote_code, shares["VC-2"], forged(ucert), "VC-2")
+        bad = VotePending(ballot.serial, line.vote_code, shares["VC-2"], forged(ucert))
         deliver(node, "VC-2", bad)
         record = node.ballots[ballot.serial]
         assert record.status is BallotStatus.NOT_VOTED
@@ -183,15 +183,15 @@ class TestVotePendingBeforeTheReceipt:
         node = nodes["VC-1"]
         for sender in ("VC-0", "VC-2"):
             deliver(node, sender,
-                    VotePending(ballot.serial, line.vote_code, shares[sender], ucert, sender))
+                    VotePending(ballot.serial, line.vote_code, shares[sender], ucert))
         deliver(node, "VC-3", VotePending(
-            ballot.serial, line.vote_code, corrupted(shares["VC-3"]), ucert, "VC-3"))
+            ballot.serial, line.vote_code, corrupted(shares["VC-3"]), ucert))
         record = node.ballots[ballot.serial]
         assert record.status is BallotStatus.PENDING and record.receipt is None
         assert sorted(record.receipt_shares) == ["VC-0", "VC-2"]
         # The genuine third share completes it, with the printed receipt.
         deliver(node, "VC-3",
-                VotePending(ballot.serial, line.vote_code, shares["VC-3"], ucert, "VC-3"))
+                VotePending(ballot.serial, line.vote_code, shares["VC-3"], ucert))
         assert record.status is BallotStatus.VOTED and record.receipt == line.receipt
 
 
@@ -220,11 +220,11 @@ class TestVotePendingAfterTheReceipt:
         monkeypatch.setattr(SignatureScheme, "verify", must_not_verify)
         monkeypatch.setattr(VcBallotView, "share_matches", must_not_verify)
         late = {
-            "genuine": VotePending(ballot.serial, line.vote_code, shares["VC-3"], ucert, "VC-3"),
+            "genuine": VotePending(ballot.serial, line.vote_code, shares["VC-3"], ucert),
             "corrupted-share": VotePending(
-                ballot.serial, line.vote_code, corrupted(shares["VC-3"]), ucert, "VC-3"),
+                ballot.serial, line.vote_code, corrupted(shares["VC-3"]), ucert),
             "forged-ucert": VotePending(
-                ballot.serial, line.vote_code, shares["VC-3"], forged(ucert), "VC-3"),
+                ballot.serial, line.vote_code, shares["VC-3"], forged(ucert)),
         }[kind]
         deliver(node, "VC-3", late)
         assert sorted(record.receipt_shares) == ["VC-0", "VC-1", "VC-2"]

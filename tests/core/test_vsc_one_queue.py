@@ -51,7 +51,7 @@ class ProbeVoter(SimNode):
             self.receipts[message.payload.serial] = message.payload.receipt
 
     def cast(self, target, serial, vote_code):
-        self.send(target, VoteRequest(serial, vote_code, self.node_id),
+        self.send(target, VoteRequest(serial, vote_code),
                   channel=ChannelKind.PUBLIC)
 
 
@@ -189,7 +189,7 @@ class HostileCollector(VoteCollectorNode):
     def end_election(self) -> None:
         if not self.vsc_started:
             self.broadcast(
-                self.peers, VscBatch(BatchEnvelope(tuple(self.hostile_elements())), self.node_id)
+                self.peers, VscBatch(BatchEnvelope(tuple(self.hostile_elements())))
             )
         super().end_election()
 
@@ -198,13 +198,13 @@ class UnknownSerialAnnouncer(HostileCollector):
     """Any of these used to leave a consensus record that never resolves."""
 
     def hostile_elements(self):
-        yield Announce(999_999_999, b"no-such-ballot", None, self.node_id)
+        yield Announce(999_999_999, b"no-such-ballot", None)
         yield BVal("999999999", 1, 1)
 
     def end_election(self) -> None:
         if not self.vsc_started:
             self.broadcast(
-                self.peers, RecoverResponse(999_999_998, b"no-such-ballot", None, self.node_id)
+                self.peers, RecoverResponse(999_999_998, b"no-such-ballot", None)
             )
         super().end_election()
 
@@ -212,8 +212,8 @@ class UnknownSerialAnnouncer(HostileCollector):
 class DuplicateSerialAnnouncer(HostileCollector):
     def hostile_elements(self):
         for serial in self.ballots:
-            yield Announce(serial, None, None, self.node_id)
-            yield Announce(serial, b"second-opinion", None, self.node_id)
+            yield Announce(serial, None, None)
+            yield Announce(serial, b"second-opinion", None)
 
 
 class MixedEnvelopeSender(HostileCollector):
@@ -221,7 +221,7 @@ class MixedEnvelopeSender(HostileCollector):
         serials = tuple(self.ballots)
         yield SuperblockSend("sb|0", self.node_id, bytes(len(serials)))
         for serial in serials:
-            yield Announce(serial, None, None, self.node_id)
+            yield Announce(serial, None, None)
             yield BVal(str(serial), 1, 0)
         yield SuperblockSend("sb|7", self.node_id, b"\x01")
 
@@ -238,13 +238,20 @@ class NonNumericInstanceSender(VoteCollectorNode):
 
 
 class ImpersonatingAnnouncer(HostileCollector):
-    """Names VC-0 in every ``sender`` field a frame has."""
+    """Puts announces without a vote code on the wire as VC-0: with VC-0 as the
+    frame sender on the public channel, where the transport vouches for no
+    sender, and on its own authenticated channel."""
+
+    def hostile_elements(self):
+        for serial in self.ballots:
+            yield Announce(serial, None, None)
 
     def end_election(self) -> None:
         if not self.vsc_started:
-            forged = tuple(Announce(serial, None, None, "VC-0") for serial in self.ballots)
-            self.broadcast(self.peers, VscBatch(BatchEnvelope(forged), "VC-0"))
-        VoteCollectorNode.end_election(self)
+            forged = VscBatch(BatchEnvelope(tuple(self.hostile_elements())))
+            receivers = [peer for peer in self.peers if peer not in ("VC-0", self.node_id)]
+            self.network.broadcast("VC-0", receivers, forged, ChannelKind.PUBLIC)
+        super().end_election()
 
 
 class FragmentingCollector(VoteCollectorNode):
@@ -342,7 +349,7 @@ class TestHostileEnvelopes:
             for serial, state in node.consensus.items():
                 # VC-3's forgery can only ever take VC-3's own slot (where it
                 # races VC-3's real announce); VC-0's holds what VC-0 sent.
-                forged = Announce(serial, None, None, "VC-0")
+                forged = Announce(serial, None, None)
                 slots = {
                     sender: announce
                     for receiver, sender, announce in counted
@@ -352,4 +359,4 @@ class TestHostileEnvelopes:
                 assert state.announces == sum(node.members.values())
                 assert slots["VC-0"] != forged
                 assert slots["VC-0"].ucert is not None
-                assert slots["VC-3"].sender in ("VC-0", "VC-3")
+                assert slots["VC-3"] == forged or slots["VC-3"].ucert is not None

@@ -64,7 +64,7 @@ class TestChannelUse:
         vote_set = small_outcome.vote_collectors[0].final_vote_set
         for sender in ("VC-0", "VC-1"):
             bb.on_message(
-                Message(sender, bb.node_id, VoteSetUpload(vote_set, sender), channel=channel)
+                Message(sender, bb.node_id, VoteSetUpload(vote_set), channel=channel)
             )
         assert (bb.accepted_vote_set == vote_set) is accepted
         assert (bb.accepted_vote_set is None) is not accepted

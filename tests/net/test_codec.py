@@ -67,6 +67,17 @@ from repro.net.codec import (
 
 CODEC_GOLDENS = json.loads((Path(__file__).parent / "codec_goldens.json").read_text())
 
+#: frames of ``codec_goldens.json`` as VERSION 1 framed them while the
+#: payloads named their sender (or voter) in a last field
+FRAMES_WITH_A_NAME = {
+    "recover_request": "44570100090000000e0000000001070000000456432d33a0df353e",
+    "vsc_batch_empty": "445701000c00000012002600000004000000000000000456432d31fcabea48",
+    "vote_request": (
+        "44570100010000001b0000000001070000000a636f64652d627974657300000003562d30b13158f9"
+    ),
+    "vote_set_upload_empty": "445701000d0000000c000000000000000456432d324d477598",
+}
+
 
 @pytest.fixture(scope="module")
 def codec():
@@ -99,32 +110,30 @@ def sample_messages(signature):
         ballots_cast=73,
         commitment=commitment,
         vote_set_digest=b"\x11" * 32,
-        sender="shard-0",
     )
     return [
-        VoteRequest(7, b"code-bytes", "V-0"),
+        VoteRequest(7, b"code-bytes"),
         VoteReceipt(7, b"code-bytes", b"\x00" * 8),
         VoteRejected(7, b"code-bytes", "outside voting hours"),
         Endorse(7, b"code-bytes"),
         endorsement,
         ucert,
-        VotePending(7, b"code-bytes", share, ucert, "VC-2"),
-        Announce(7, b"code-bytes", ucert, "VC-0"),
-        Announce(8, None, None, "VC-0"),
-        RecoverRequest(7, "VC-3"),
-        RecoverResponse(7, b"code-bytes", ucert, "VC-3"),
+        VotePending(7, b"code-bytes", share, ucert),
+        Announce(7, b"code-bytes", ucert),
+        Announce(8, None, None),
+        RecoverRequest(7),
+        RecoverResponse(7, b"code-bytes", ucert),
         VscBatch(
-            BatchEnvelope((BVal("7", 0, 1), Aux("7", 0, 1), Finish("7", 1))), "VC-1"
+            BatchEnvelope((BVal("7", 0, 1), Aux("7", 0, 1), Finish("7", 1)))
         ),
         # What end_election sends: per-ballot announces inside one envelope.
         VscBatch(
             BatchEnvelope(
-                (Announce(7, b"code-bytes", ucert, "VC-0"), Announce(8, None, None, "VC-0"))
+                (Announce(7, b"code-bytes", ucert), Announce(8, None, None))
             ),
-            "VC-0",
         ),
-        VoteSetUpload(((7, b"code-bytes"), (9, b"other")), "VC-2"),
-        MskShareUpload(share, "VC-2"),
+        VoteSetUpload(((7, b"code-bytes"), (9, b"other"))),
+        MskShareUpload(share),
         BallotStateEntry(
             7, "voted", b"code-bytes", b"code-bytes", b"\x00" * 8, ucert,
             (("VC-1", share),),
@@ -151,7 +160,7 @@ def sample_messages(signature):
         commitment,
         opening,
         shard_record,
-        ShardSliceResult(shard_record, opening, (0, 73), 40, 1, 0, 5_000_000),
+        ShardSliceResult(shard_record, opening, 40, 1, 0, 5_000_000),
         GlobalCommitRecord(
             election_id="codec-test",
             num_shards=1,
@@ -207,7 +216,7 @@ class TestStrictDecoding:
                 codec.decode(bytes(corrupted))
 
     def test_truncation_rejected_at_every_length(self, codec):
-        frame = codec.encode(VoteRequest(1, b"code", "V-0"))
+        frame = codec.encode(VoteRequest(1, b"code"))
         for length in range(len(frame)):
             with pytest.raises(WireFormatError):
                 codec.decode(frame[:length])
@@ -234,7 +243,7 @@ class TestStrictDecoding:
 
     @pytest.mark.parametrize(
         "element",
-        [VoteRequest(1, b"x", "V-0"), RecoverRequest(7, "VC-3"), BatchEnvelope(())],
+        [VoteRequest(1, b"x"), RecoverRequest(7), BatchEnvelope(())],
         ids=lambda element: type(element).__name__,
     )
     def test_embedded_type_must_match_field(self, codec, element):
@@ -242,7 +251,7 @@ class TestStrictDecoding:
         # else: the per-field type check must reject any other registered
         # type even though framing, lengths and checksum are all valid.  (The
         # encoder does not check, so the frame is built by the codec itself.)
-        frame = codec.encode(VscBatch(BatchEnvelope((BVal("7", 0, 1), element)), "VC-0"))
+        frame = codec.encode(VscBatch(BatchEnvelope((BVal("7", 0, 1), element))))
         with pytest.raises(WireFormatError, match="ConsensusMessage or Announce"):
             codec.decode(frame)
 
@@ -266,6 +275,14 @@ class TestStrictDecoding:
         with pytest.raises(WireFormatError, match="0x0042"):
             codec.decode(frame)
         assert 0x42 not in {codec.tag_of(cls) for cls in codec.registered_types}
+
+    @pytest.mark.parametrize("name", sorted(FRAMES_WITH_A_NAME))
+    def test_a_frame_still_naming_its_sender_is_refused(self, codec, name):
+        # The sender and voter names left the payloads under the same tags and
+        # VERSION: a frame of the old layout carries them after the last
+        # field the body has now, and strict decoding refuses the surplus.
+        with pytest.raises(WireFormatError, match="trailing bytes"):
+            codec.decode(bytes.fromhex(FRAMES_WITH_A_NAME[name]))
 
     @pytest.mark.parametrize("cls", [SuperblockSend, SuperblockEcho, SuperblockReady])
     @pytest.mark.parametrize("stray", [2, 0x80, 0xFF])
@@ -431,7 +448,10 @@ class TestSigningBytes:
 # encode path was rewritten (back-patched lengths, reused bodies): a codec
 # change that moves one byte of any of them is a wire-format change and needs
 # a new VERSION -- or, as ``vote_pending`` when its share lost the EA's
-# signature, a layout whose old frames are refused by tag.
+# signature, a layout whose old frames are refused by tag, or, as the six
+# frames that lost their sender field (translated from 36163cc: decoded, the
+# field dropped, re-encoded), one whose old frames are refused for their
+# trailing bytes (``FRAMES_WITH_A_NAME``).
 GOLDEN_HEX = {
     "endorse": (
         "4457010004000000140000000001070000000a636f64652d6279746573bbe4e33f"
@@ -443,44 +463,41 @@ GOLDEN_HEX = {
         "0000000000000000000000000004003a3357b0"
     ),
     "vote_pending": (
-        "44570100070000012a0000000001070000000a636f64652d6279746573004100000025000000000102000000"
+        "4457010007000001220000000001070000000a636f64652d6279746573004100000025000000000102000000"
         "001a01000000000000000000000000000000000000000000000000110006000000dd0000000001070000000a"
         "636f64652d62797465730000000200050000008a0000000001070000000a636f64652d627974657300000004"
         "56432d3100400000006800000000181234567890abcdef000000000000000000000000000000000000000020"
         "7fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffed010000002153000000000000"
         "000000000000000000000000000000000000000000000000040000050000002f0000000001070000000a636f"
-        "64652d62797465730000000456432d3200400000000d000000000101000000000102000000000456432d320c"
-        "ae6440"
+        "64652d62797465730000000456432d3200400000000d00000000010100000000010200f6d2dd12"
     ),
     "announce": (
-        "445701000800000101000000000107010000000a636f64652d6279746573010006000000dd00000000010700"
+        "4457010008000000f9000000000107010000000a636f64652d6279746573010006000000dd00000000010700"
         "00000a636f64652d62797465730000000200050000008a0000000001070000000a636f64652d627974657300"
         "00000456432d3100400000006800000000181234567890abcdef000000000000000000000000000000000000"
         "0000207fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffed010000002153000000"
         "000000000000000000000000000000000000000000000000000000040000050000002f000000000107000000"
-        "0a636f64652d62797465730000000456432d3200400000000d00000000010100000000010200000000045643"
-        "2d305f127212"
+        "0a636f64652d62797465730000000456432d3200400000000d000000000101000000000102006c0b0b87"
     ),
     "announce_empty": (
-        "44570100080000001000000000010800000000000456432d30268f15e3"
+        "44570100080000000800000000010800003c8e1fd7"
     ),
     "vsc_batch": (
-        "445701000c0000006d00260000005f0000000400200000001000000001370000000000000000000101002100"
+        "445701000c0000006500260000005f0000000400200000001000000001370000000000000000000101002100"
         "0000100000000137000000000000000000010100220000000b00000001370000000001010023000000180000"
-        "000473627c300000000456432d3000000004010001010000000456432d3172a90e55"
+        "000473627c300000000456432d30000000040100010112ecc4ab"
     ),
     "vote_set_upload": (
-        "445701000d0000002f000000020000000001070000000a636f64652d6279746573000000000109000000056f"
-        "746865720000000456432d32a727271a"
+        "445701000d00000027000000020000000001070000000a636f64652d6279746573000000000109000000056f"
+        "746865720b2812d9"
     ),
     "recover_response": (
-        "445701000a000000ff0000000001070000000a636f64652d62797465730006000000dd000000000107000000"
+        "445701000a000000f70000000001070000000a636f64652d62797465730006000000dd000000000107000000"
         "0a636f64652d62797465730000000200050000008a0000000001070000000a636f64652d6279746573000000"
         "0456432d3100400000006800000000181234567890abcdef0000000000000000000000000000000000000000"
         "207fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffed0100000021530000000000"
         "00000000000000000000000000000000000000000000000000040000050000002f0000000001070000000a63"
-        "6f64652d62797465730000000456432d3200400000000d000000000101000000000102000000000456432d33"
-        "19577c0b"
+        "6f64652d62797465730000000456432d3200400000000d00000000010100000000010200cd870c65"
     ),
     "signing": (
         "6464656d6f732d7369676e2d763100000007656e646f72736500000004030004000000140000000001070000"
@@ -526,12 +543,12 @@ def golden_payloads():
     return group, {
         "endorse": Endorse(7, code),
         "endorsement": ucert.endorsements[0],
-        "vote_pending": VotePending(7, code, share, ucert, "VC-2"),
-        "announce": Announce(7, code, ucert, "VC-0"),
-        "announce_empty": Announce(8, None, None, "VC-0"),
-        "vsc_batch": VscBatch(BatchEnvelope(consensus), "VC-1"),
-        "vote_set_upload": VoteSetUpload(((7, code), (9, b"other")), "VC-2"),
-        "recover_response": RecoverResponse(7, code, ucert, "VC-3"),
+        "vote_pending": VotePending(7, code, share, ucert),
+        "announce": Announce(7, code, ucert),
+        "announce_empty": Announce(8, None, None),
+        "vsc_batch": VscBatch(BatchEnvelope(consensus)),
+        "vote_set_upload": VoteSetUpload(((7, code), (9, b"other"))),
+        "recover_response": RecoverResponse(7, code, ucert),
     }
 
 
@@ -566,7 +583,7 @@ class TestGoldenFrames:
         group, payloads = golden_payloads
         codec = MessageCodec(group=group)
         announces = (payloads["announce"], payloads["announce_empty"])
-        batch = VscBatch(BatchEnvelope(announces + (BVal("7", 0, 1),)), "VC-0")
+        batch = VscBatch(BatchEnvelope(announces + (BVal("7", 0, 1),)))
         frame = codec.encode(batch)
         embedded = [
             bytes.fromhex(GOLDEN_HEX[name])[3:-4] for name in ("announce", "announce_empty")
@@ -617,29 +634,29 @@ def all_type_payloads():
         "signature_signed_ints": ("schnorr", SchnorrSignature(-(1 << 70), 0, None)),
         "share": ("schnorr", Share(2, (1 << 200) + 17)),
         "pedersen_share": ("schnorr", PedersenShare(3, 11, (1 << 255) + 1)),
-        "vote_request": ("schnorr", VoteRequest(7, code, "V-0")),
-        "vote_request_unicode": ("schnorr", VoteRequest(0, b"", "vöter-ü")),
+        "vote_request": ("schnorr", VoteRequest(7, code)),
         "vote_receipt": ("schnorr", VoteReceipt(7, code, b"\x00\x01" * 4)),
         "vote_rejected": ("schnorr", VoteRejected(7, code, "outside voting hours")),
+        "vote_rejected_unicode": ("schnorr", VoteRejected(0, b"", "vöter-ü")),
         "endorse": ("schnorr", Endorse(7, code)),
         "endorsement": ("schnorr", endorsements[0]),
         "ucert": ("schnorr", ucert),
         "ucert_empty": ("schnorr", UniquenessCertificate(7, code, ())),
-        "vote_pending": ("schnorr", VotePending(7, code, share, ucert, "VC-2")),
-        "announce": ("schnorr", Announce(7, code, ucert, "VC-0")),
-        "announce_code_only": ("schnorr", Announce(7, code, None, "VC-0")),
-        "announce_ucert_only": ("schnorr", Announce(7, None, ucert, "VC-0")),
-        "announce_empty": ("schnorr", Announce(8, None, None, "VC-0")),
-        "recover_request": ("schnorr", RecoverRequest(7, "VC-3")),
-        "recover_response": ("schnorr", RecoverResponse(7, code, ucert, "VC-3")),
+        "vote_pending": ("schnorr", VotePending(7, code, share, ucert)),
+        "announce": ("schnorr", Announce(7, code, ucert)),
+        "announce_code_only": ("schnorr", Announce(7, code, None)),
+        "announce_ucert_only": ("schnorr", Announce(7, None, ucert)),
+        "announce_empty": ("schnorr", Announce(8, None, None)),
+        "recover_request": ("schnorr", RecoverRequest(7)),
+        "recover_response": ("schnorr", RecoverResponse(7, code, ucert)),
         "vsc_batch": (
             "schnorr",
-            VscBatch(BatchEnvelope(consensus + (Announce(8, None, None, "VC-1"),)), "VC-1"),
+            VscBatch(BatchEnvelope(consensus + (Announce(8, None, None),))),
         ),
-        "vsc_batch_empty": ("schnorr", VscBatch(BatchEnvelope(()), "VC-1")),
-        "vote_set_upload": ("schnorr", VoteSetUpload(((7, code), (9, b"other")), "VC-2")),
-        "vote_set_upload_empty": ("schnorr", VoteSetUpload((), "VC-2")),
-        "msk_share_upload": ("schnorr", MskShareUpload(share, "VC-2")),
+        "vsc_batch_empty": ("schnorr", VscBatch(BatchEnvelope(()))),
+        "vote_set_upload": ("schnorr", VoteSetUpload(((7, code), (9, b"other")))),
+        "vote_set_upload_empty": ("schnorr", VoteSetUpload(())),
+        "msk_share_upload": ("schnorr", MskShareUpload(share)),
         "ballot_state_full": ("schnorr", full_entry),
         "ballot_state_bare": ("schnorr", bare_entry),
         "vc_snapshot": ("schnorr", VcStateSnapshot("VC-0", True, (full_entry, bare_entry))),
@@ -671,7 +688,7 @@ def all_type_payloads():
             f"{backend}/commitment": (backend, commitment),
             f"{backend}/shard_commit": (
                 backend,
-                ShardCommitRecord(2, 100, 150, 50, 37, commitment, b"\x11" * 32, "shard-2"),
+                ShardCommitRecord(2, 100, 150, 50, 37, commitment, b"\x11" * 32),
             ),
             f"{backend}/global_commit": (
                 backend,

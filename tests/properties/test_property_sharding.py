@@ -100,7 +100,6 @@ class TestStreamingEqualsFlat:
                     ballots_cast=hi - lo,
                     commitment=tally.commit(),
                     vote_set_digest=bytes([shard_id % 256]) * 32,
-                    sender=f"shard-{shard_id}",
                 ),
                 tally.opening(),
             )

@@ -60,7 +60,6 @@ networks = st.builds(
     kind=names,
     base_latency_s=finite(0.0, 0.1),
     jitter_s=finite(0.0, 0.1),
-    drop_rate=finite(0.0, 0.9),
     duplicate_rate=finite(0.0, 0.9),
     max_delay_s=maybe(finite(0.001, 10.0)),
 )

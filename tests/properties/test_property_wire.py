@@ -108,13 +108,12 @@ announces = st.one_of(
         serial=serials,
         vote_code=st.one_of(st.none(), vote_codes),
         ucert=st.none(),
-        sender=node_ids,
     ),
-    st.builds(Announce, serial=serials, vote_code=vote_codes, ucert=ucerts, sender=node_ids),
+    st.builds(Announce, serial=serials, vote_code=vote_codes, ucert=ucerts),
 )
 
 messages = st.one_of(
-    st.builds(VoteRequest, serial=serials, vote_code=vote_codes, voter_id=node_ids),
+    st.builds(VoteRequest, serial=serials, vote_code=vote_codes),
     st.builds(VoteReceipt, serial=serials, vote_code=vote_codes, receipt=st.binary(max_size=16)),
     st.builds(VoteRejected, serial=serials, vote_code=vote_codes, reason=st.text(max_size=40)),
     st.builds(Endorse, serial=serials, vote_code=vote_codes),
@@ -126,27 +125,22 @@ messages = st.one_of(
         vote_code=vote_codes,
         receipt_share=shares,
         ucert=ucerts,
-        sender=node_ids,
     ),
     announces,
-    st.builds(RecoverRequest, serial=serials, sender=node_ids),
-    st.builds(
-        RecoverResponse, serial=serials, vote_code=vote_codes, ucert=ucerts, sender=node_ids
-    ),
+    st.builds(RecoverRequest, serial=serials),
+    st.builds(RecoverResponse, serial=serials, vote_code=vote_codes, ucert=ucerts),
     st.builds(
         VscBatch,
         envelope=st.builds(
             BatchEnvelope,
             messages=st.lists(st.one_of(consensus_messages, announces), max_size=8).map(tuple),
         ),
-        sender=node_ids,
     ),
     st.builds(
         VoteSetUpload,
         vote_set=st.lists(st.tuples(serials, vote_codes), max_size=16).map(tuple),
-        sender=node_ids,
     ),
-    st.builds(MskShareUpload, share=shares, sender=node_ids),
+    st.builds(MskShareUpload, share=shares),
     consensus_messages,
     signatures,
     shares,
@@ -355,7 +349,7 @@ def test_a_type_outside_the_interned_types_leaves_no_entry():
     first object lives: their bodies are parsed, not copied into keys."""
     codec = MessageCodec()
     assert Announce not in codec_module.INTERNED_TYPES
-    announce = Announce(1, bytes(64), None, "VC-1")
+    announce = Announce(1, bytes(64), None)
     frame = CODEC.encode(announce)
     body_len = len(frame) - FRAME_HEADER_LEN - FRAME_TRAILER_LEN
     assert codec_module.INTERN_MIN_BODY <= body_len <= codec_module.INTERN_MAX_BODY

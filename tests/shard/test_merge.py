@@ -40,7 +40,6 @@ def make_shard(scheme, shard_id, lo, hi, votes, seed):
         ballots_cast=len(votes),
         commitment=tally.commit(),
         vote_set_digest=bytes([shard_id]) * 32,
-        sender=f"shard-{shard_id}",
     )
     return record, tally.opening()
 

@@ -70,7 +70,7 @@ class TestStreamingTally:
                 for v, r in zip(vector, randomness, strict=True)
             )
             per_ballot.append(OptionCommitment(ciphertexts))
-        assert tally.counts == (2, 2, 3)
+        assert tally.opening().values == (2, 2, 3)
         assert tally.commit() == scheme.combine(per_ballot)
 
     def test_opening_opens_the_commitment(self, scheme):
@@ -117,8 +117,8 @@ class TestStreamingTally:
         for lo, hi in ((0, 3), (3, 3), (3, 8)):
             sums = [sum(vector[c] for vector in vectors[lo:hi]) for c in range(NUM_OPTIONS)]
             blocks.add_vote(options[lo:hi], sums)
-        assert blocks.counts == one_by_one.counts == (2, 3, 3)
         assert blocks.opening() == one_by_one.opening()
+        assert blocks.opening().values == (2, 3, 3)
         assert blocks.commit() == one_by_one.commit()
 
     @pytest.mark.parametrize(
@@ -136,7 +136,7 @@ class TestStreamingTally:
     def test_rejects_bad_inputs(self, scheme, options, sums):
         tally = StreamingTally(scheme)
         tally.add_vote([1], (5, 6, 7))
-        before = (tally.counts, tally.opening())
+        before = tally.opening()
         with pytest.raises(ValueError):
             tally.add_vote(options, sums)
-        assert (tally.counts, tally.opening()) == before
+        assert tally.opening() == before

@@ -107,7 +107,7 @@ def test_no_replaced_class_stays_alive():
 def test_assigning_a_non_field_attribute_raises_frozen_instance_error():
     from repro.core.messages import Announce
 
-    announce = Announce(1, None, None, "VC-0")
+    announce = Announce(1, None, None)
     with pytest.raises(dataclasses.FrozenInstanceError):
         announce.extra = 1
     with pytest.raises(dataclasses.FrozenInstanceError):

@@ -83,11 +83,6 @@ ALLOWED: Dict[str, str] = {
 #: ``Block.field`` / ``ElectionEngine.keyword`` -> why it stays although only
 #: tests set it.
 SET_BY_TESTS: Dict[str, str] = {
-    "NetworkProfile.drop_rate": (
-        "the delivery fault model's steady loss (a LossBurst sets the same rate for "
-        "a window), which the transport and spec tests drive; a run sets it or it "
-        "goes (ROADMAP, values only tests set)"
-    ),
     "NetworkProfile.duplicate_rate": (
         "the delivery fault model's duplication, which the transport and spec tests drive"
     ),
